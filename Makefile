@@ -51,7 +51,10 @@ check: build vet docs-check race
 # explicit gate even though `race` already covers the package) and the
 # wall-clock overhead guards. The guards compare wall clocks, which is
 # too noisy for the default test run, so they are env-gated and only
-# armed here.
+# armed here. The last line builds, vets and short-tests the nested
+# benchmark/ module (its own go.mod, `replace repro => ../`), which
+# `./...` from the root never compiles: a root refactor that breaks its
+# imports or the twin's replay must fail here, not in the pipeline.
 ci: check
 	$(GO) test -race -count=1 ./internal/serve/
 	$(GO) test -race -count=1 ./internal/cache/
@@ -63,3 +66,4 @@ ci: check
 	TIER_DETERMINISM_GUARD=1 $(GO) test -run TestTierDeterminismGuard -count=1 .
 	ALLOC_GUARD=1 $(GO) test -run 'TestArenaResetAllocGuard|TestRenderBufferAllocGuard|TestCachedHitAllocGuard' -count=1 .
 	ROUTER_OBS_GUARD=1 $(GO) test -run TestRouterObsOverheadGuard -count=1 ./internal/serve/
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...

@@ -384,8 +384,8 @@ func schedOverheadRun(sched bool) (time.Duration, error) {
 		pool.Run(workload.LoadGenerator{Requests: requests, ContextSwitchEvery: 64}, 0)
 		return time.Since(start), nil
 	}
-	s := serve.NewScheduler(pool, serve.Config{QueueDepth: 64})
-	ls := serve.RunLoad(context.Background(), s, serve.LoadOptions{Requests: requests, Clients: 1, CtxSwitchEvery: 64})
+	s := serve.NewScheduler(pool, serve.Config{QueueDepth: 64, CtxSwitchEvery: 64})
+	ls := serve.RunLoad(context.Background(), s, serve.LoadOptions{Requests: requests, Clients: 1})
 	if ls.Served != requests {
 		return 0, fmt.Errorf("scheduler run served %d/%d", ls.Served, requests)
 	}
@@ -443,8 +443,8 @@ func cacheOverheadRun(cached bool) (time.Duration, error) {
 	}
 	pool.Run(workload.LoadGenerator{Warmup: 40, ContextSwitchEvery: 64}, 0)
 	const requests = 400
-	s := serve.NewScheduler(pool, serve.Config{QueueDepth: 64})
-	opts := serve.LoadOptions{Requests: requests, Clients: 1, CtxSwitchEvery: 64}
+	s := serve.NewScheduler(pool, serve.Config{QueueDepth: 64, CtxSwitchEvery: 64})
+	opts := serve.LoadOptions{Requests: requests, Clients: 1}
 	if cached {
 		var page int
 		opts.Cache = cache.New(cache.Config{Capacity: requests * 2})

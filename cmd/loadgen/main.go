@@ -74,7 +74,6 @@ import (
 
 	"repro/internal/benchrec"
 	"repro/internal/cache"
-	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/serve"
@@ -106,30 +105,6 @@ func validateFlags(requests, warmup, workers, concurrency, queue int, tracesampl
 	}
 	if timeout < 0 {
 		return fmt.Errorf("loadgen: -timeout must be >= 0, got %v", timeout)
-	}
-	return nil
-}
-
-// validateCacheFlags checks the -cache flag family; the knobs only
-// matter (and are only validated) when the cache is enabled.
-func validateCacheFlags(capacity, shards, pages int, ttl time.Duration, zipf float64) error {
-	if capacity < 0 {
-		return fmt.Errorf("loadgen: -cache must be >= 0, got %d", capacity)
-	}
-	if capacity == 0 {
-		return nil
-	}
-	if shards <= 0 {
-		return fmt.Errorf("loadgen: -cacheshards must be positive, got %d", shards)
-	}
-	if ttl < 0 {
-		return fmt.Errorf("loadgen: -cachettl must be >= 0, got %v", ttl)
-	}
-	if pages <= 0 {
-		return fmt.Errorf("loadgen: -pages must be positive with -cache, got %d", pages)
-	}
-	if zipf <= 0 {
-		return fmt.Errorf("loadgen: -zipf must be positive with -cache, got %g", zipf)
 	}
 	return nil
 }
@@ -176,8 +151,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := validateCacheFlags(*cacheCap, *cacheShards, *pages, *cacheTTL, *zipf); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	if err := cache.ValidateFlags(*cacheCap, *cacheShards, *pages, *cacheTTL, *zipf); err != nil {
+		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -187,25 +162,9 @@ func main() {
 		os.Exit(2)
 	}
 	if *cacheCap > 0 && *queue < 0 {
-		// Cache mode rides the scheduler (DoCached); give it the server's
+		// Cache mode rides the scheduler (Serve); give it the server's
 		// default admission queue when the user didn't pick one.
 		*queue = 64
-	}
-
-	if *cluster > 0 {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer stop()
-		if err := runClusterCompare(ctx, clusterParams{
-			apps: *apps, backends: *cluster, workers: *workers,
-			requests: *requests, warmup: *warmup, seed: *seed,
-			queue: *queue, timeout: *timeout,
-			capacity: *cacheCap, pages: *pages, zipf: *zipf,
-			dbwait: *dbwait, breakdown: *breakdown,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	// SIGINT stops admission: the running phase finishes its in-flight
@@ -214,15 +173,30 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	type config struct {
-		name string
-		mit  bool
-		acc  bool
-	}
-	configs := []config{
-		{"baseline", false, false},
-		{"mitigated", true, false},
-		{"accelerated", true, true},
+	if *cluster > 0 {
+		opts := serve.ClusterOptions{
+			Backends:          *cluster,
+			WorkersPerBackend: *workers,
+			Seed:              *seed,
+			QueueDepth:        *queue,
+			Timeout:           *timeout,
+			CacheCapacity:     *cacheCap,
+			Pages:             *pages,
+			ZipfS:             *zipf,
+			DBWait:            *dbwait,
+			RingReplicas:      512,
+		}
+		if opts.CacheCapacity == 0 {
+			opts.CacheCapacity = 128 // cluster implies the cache; server default budget
+		}
+		if opts.QueueDepth < 0 {
+			opts.QueueDepth = 64
+		}
+		if err := runClusterCompare(ctx, *apps, *requests, *warmup, *breakdown, opts); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		return
 	}
 
 	// With -traceout, a collector + tree ring samples span trees across
@@ -240,26 +214,18 @@ loop:
 	for _, appName := range strings.Split(*apps, ",") {
 		appName = strings.TrimSpace(appName)
 		var baseCycles float64
-		for _, c := range configs {
+		for _, cfgName := range vm.ConfigNames {
 			if ctx.Err() != nil {
 				interrupted = true
 				break loop
 			}
-			cfg := vm.Config{TraceCapacity: -1}
-			if c.mit {
-				cfg.Mitigations = sim.AllMitigations()
-			}
-			if c.acc {
-				cfg.Features = isa.AllAccelerators()
-			}
-			lg := workload.LoadGenerator{Warmup: *warmup, Requests: *requests, ContextSwitchEvery: 64}
 			// Cache mode needs worker-independent page identity, so all
 			// workers share one seed; otherwise keep per-worker seeds.
 			newPool := workload.NewPool
 			if *cacheCap > 0 {
 				newPool = workload.NewPoolSharedSeed
 			}
-			pool, err := newPool(*workers, cfg, appName, *seed)
+			pool, err := newPool(*workers, rowConfig(cfgName), appName, *seed)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(2)
@@ -270,20 +236,23 @@ loop:
 				col.SetTreeRing(treeRing)
 				pool.SetCollector(col)
 			}
+			const ctxSwitchEvery = 64
+			pool.RunCtx(ctx, workload.LoadGenerator{Warmup: *warmup, ContextSwitchEvery: ctxSwitchEvery}, 0)
+
+			// The measured phase is the direct pool loop, or with -queue
+			// the same requests through the full request lifecycle.
 			var res workload.Result
 			var ls serve.LoadStats
 			var rc *cache.Cache
-			var memBefore, memAfter runtime.MemStats
+			measured := func() {
+				res = pool.RunCtx(ctx, workload.LoadGenerator{Requests: *requests, ContextSwitchEvery: ctxSwitchEvery}, *concurrency)
+			}
 			if *queue >= 0 {
-				// Scheduler mode: warm directly, then drive the measured
-				// phase through the full request lifecycle.
-				pool.RunCtx(ctx, workload.LoadGenerator{Warmup: lg.Warmup, ContextSwitchEvery: lg.ContextSwitchEvery}, 0)
-				sched := serve.NewScheduler(pool, serve.Config{QueueDepth: *queue, Timeout: *timeout})
+				sched := serve.NewScheduler(pool, serve.Config{QueueDepth: *queue, Timeout: *timeout, CtxSwitchEvery: ctxSwitchEvery})
 				opts := serve.LoadOptions{
-					Requests:       *requests,
-					Clients:        *concurrency,
-					CtxSwitchEvery: lg.ContextSwitchEvery,
-					Collector:      col,
+					Requests:  *requests,
+					Clients:   *concurrency,
+					Collector: col,
 					// Explicit source: error samples carry greppable
 					// request IDs even when tracing is off.
 					IDs: obs.NewIDSource(),
@@ -301,30 +270,24 @@ loop:
 					opts.Cache = rc
 					opts.PageKey = keys.Next
 				}
-				// Bracket only the measured phase with GC'd MemStats reads
-				// so the breakdown's memory line reports steady-state Go
-				// allocations per request, not warmup or setup churn.
-				runtime.GC()
-				runtime.ReadMemStats(&memBefore)
-				ls = serve.RunLoad(ctx, sched, opts)
-				runtime.GC()
-				runtime.ReadMemStats(&memAfter)
+				measured = func() { ls = serve.RunLoad(ctx, sched, opts) }
+			}
+			// Bracket only the measured phase with GC'd MemStats reads so
+			// the breakdown's memory line reports steady-state Go
+			// allocations per request, not warmup or setup churn.
+			var memBefore, memAfter runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&memBefore)
+			measured()
+			runtime.GC()
+			runtime.ReadMemStats(&memAfter)
+			if *queue >= 0 {
 				res = pool.GatherResult(ls.Wall)
-			} else {
-				// Split warmup from the measured phase (RunCtx resets
-				// between them anyway) so the memory line brackets only
-				// steady-state requests.
-				pool.RunCtx(ctx, workload.LoadGenerator{Warmup: lg.Warmup, ContextSwitchEvery: lg.ContextSwitchEvery}, 0)
-				runtime.GC()
-				runtime.ReadMemStats(&memBefore)
-				res = pool.RunCtx(ctx, workload.LoadGenerator{Requests: lg.Requests, ContextSwitchEvery: lg.ContextSwitchEvery}, *concurrency)
-				runtime.GC()
-				runtime.ReadMemStats(&memAfter)
 			}
 			if ctx.Err() != nil {
 				interrupted = true
 			}
-			if c.name == "baseline" {
+			if cfgName == vm.ConfigNames[0] {
 				baseCycles = res.Cycles
 			}
 			norm := "n/a"
@@ -332,11 +295,11 @@ loop:
 				norm = fmt.Sprintf("%.2f%%", 100*res.Cycles/baseCycles)
 			}
 			if res.Requests == 0 {
-				fmt.Printf("%-12s %-12s  (no requests completed)\n", appName, c.name)
+				fmt.Printf("%-12s %-12s  (no requests completed)\n", appName, cfgName)
 				continue
 			}
 			fmt.Printf("%-12s %-12s %16.0f %14.0f %14.2f %10s %10.0f %9s %9s %9s\n",
-				appName, c.name,
+				appName, cfgName,
 				res.CyclesPerRequest(),
 				res.Uops/float64(res.Requests),
 				res.EnergyPJ/float64(res.Requests)/1e6,
@@ -375,6 +338,14 @@ loop:
 	}
 }
 
+// rowConfig is one comparison row's core configuration, untraced: the
+// tables read meters, never the operation trace.
+func rowConfig(name string) vm.Config {
+	cfg, _ := vm.ConfigByName(name) // callers range over vm.ConfigNames
+	cfg.TraceCapacity = -1
+	return cfg
+}
+
 // validateClusterFlags checks the -cluster flag family.
 func validateClusterFlags(cluster int, dbwait time.Duration) error {
 	if cluster < 0 {
@@ -389,97 +360,45 @@ func validateClusterFlags(cluster int, dbwait time.Duration) error {
 	return nil
 }
 
-// clusterParams bundles the -cluster mode inputs.
-type clusterParams struct {
-	apps              string
-	backends, workers int
-	requests, warmup  int
-	seed              int64
-	queue             int
-	timeout           time.Duration
-	capacity          int
-	pages             int
-	zipf              float64
-	dbwait            time.Duration
-	breakdown         bool
-}
-
 // runClusterCompare is -cluster mode: for each workload and config row,
-// build an in-process cluster, warm every backend, replay the shared
-// Zipf stream partitioned by ring owner, and report cluster throughput
-// with the per-backend split.
-func runClusterCompare(ctx context.Context, p clusterParams) error {
-	capacity := p.capacity
-	if capacity == 0 {
-		capacity = 128 // cluster implies the cache; server default budget
-	}
-	queue := p.queue
-	if queue < 0 {
-		queue = 64
-	}
-	type config struct {
-		name string
-		mit  bool
-		acc  bool
-	}
-	configs := []config{
-		{"baseline", false, false},
-		{"mitigated", true, false},
-		{"accelerated", true, true},
-	}
+// build an in-process cluster from opts (App and Config are the row's),
+// warm every backend, replay the shared Zipf stream partitioned by ring
+// owner, and report cluster throughput with the per-backend split.
+func runClusterCompare(ctx context.Context, apps string, requests, warmup int, breakdown bool, opts serve.ClusterOptions) error {
 	fmt.Printf("cluster: %d backends x %d workers, cache %d total, %d pages zipf %.2f, dbwait %v\n",
-		p.backends, p.workers, capacity, p.pages, p.zipf, p.dbwait)
+		opts.Backends, opts.WorkersPerBackend, opts.CacheCapacity, opts.Pages, opts.ZipfS, opts.DBWait)
 	fmt.Printf("%-12s %-12s %10s %10s %9s %9s %9s %16s\n",
 		"workload", "config", "req/s", "hit ratio", "p50", "p95", "p99", "sim cycles/req")
-	for _, appName := range strings.Split(p.apps, ",") {
+	for _, appName := range strings.Split(apps, ",") {
 		appName = strings.TrimSpace(appName)
-		for _, c := range configs {
+		for _, cfgName := range vm.ConfigNames {
 			if ctx.Err() != nil {
 				fmt.Println("loadgen: interrupted")
 				return nil
 			}
-			cfg := vm.Config{TraceCapacity: -1}
-			if c.mit {
-				cfg.Mitigations = sim.AllMitigations()
-			}
-			if c.acc {
-				cfg.Features = isa.AllAccelerators()
-			}
-			cl, err := serve.NewCluster(serve.ClusterOptions{
-				Backends:          p.backends,
-				WorkersPerBackend: p.workers,
-				Config:            cfg,
-				App:               appName,
-				Seed:              p.seed,
-				QueueDepth:        queue,
-				Timeout:           p.timeout,
-				CacheCapacity:     capacity,
-				Pages:             p.pages,
-				ZipfS:             p.zipf,
-				DBWait:            p.dbwait,
-				RingReplicas:      512,
-			})
+			opts.App, opts.Config = appName, rowConfig(cfgName)
+			cl, err := serve.NewCluster(opts)
 			if err != nil {
 				return err
 			}
-			cl.Warm(p.warmup)
-			cs, err := cl.RunZipf(ctx, p.requests)
+			cl.Warm(warmup)
+			cs, err := cl.RunZipf(ctx, requests)
 			if err != nil {
 				return err
 			}
 			agg := cs.Aggregate
 			if agg.Served == 0 {
-				fmt.Printf("%-12s %-12s  (no requests completed)\n", appName, c.name)
+				fmt.Printf("%-12s %-12s  (no requests completed)\n", appName, cfgName)
 				continue
 			}
 			mt := cl.MergedMeter()
 			fmt.Printf("%-12s %-12s %10.0f %10.3f %9s %9s %9s %16.0f\n",
-				appName, c.name,
+				appName, cfgName,
 				float64(agg.Served)/agg.Wall.Seconds(),
 				agg.CacheHitRatio(),
 				fmtLatency(agg.Latency.P50), fmtLatency(agg.Latency.P95), fmtLatency(agg.Latency.P99),
 				mt.CategoryCyclesVec().Total()/float64(agg.Served))
-			if p.breakdown {
+			if breakdown {
 				var b strings.Builder
 				b.WriteString("backends:")
 				for _, pb := range cs.PerBackend {

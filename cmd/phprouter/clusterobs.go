@@ -7,10 +7,7 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"io"
-	"math"
 	"net/http"
-	"os"
 	"sort"
 	"time"
 
@@ -101,14 +98,14 @@ func (rt *router) handleClusterz(w http.ResponseWriter, r *http.Request) {
 		BackendsUp:      rt.r.Stats().UpCount(),
 		BackendsScraped: fs.Scraped(),
 		Requests:        fs.Requests(),
-		CacheHitRatio:   finiteg(fs.CacheHitRatio()),
+		CacheHitRatio:   obs.Finite(fs.CacheHitRatio()),
 		LatencyP50Ms:    1000 * lat.Quantile(0.5),
 		LatencyP95Ms:    1000 * lat.Quantile(0.95),
 		LatencyP99Ms:    1000 * lat.Quantile(0.99),
 		Profile: clusterzProfile{
 			TotalCycles: fs.Profile.Total,
 			Functions:   fs.Profile.NumFunctions(),
-			HottestFrac: finiteg(fs.Profile.HottestFrac()),
+			HottestFrac: obs.Finite(fs.Profile.HottestFrac()),
 			FuncsFor65:  fs.Profile.FuncsForFrac(0.65),
 		},
 	}
@@ -133,10 +130,7 @@ func (rt *router) handleClusterz(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Backends = append(resp.Backends, row)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(resp)
+	obs.WriteJSON(w, http.StatusOK, resp)
 }
 
 // eventzResponse is the GET /eventz JSON shape: the bounded cluster
@@ -166,10 +160,7 @@ func (rt *router) handleEventz(w http.ResponseWriter, r *http.Request) {
 	if resp.Events == nil {
 		resp.Events = []obs.Event{}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(resp)
+	obs.WriteJSON(w, http.StatusOK, resp)
 }
 
 // clusterMetrics appends the observability-plane series to the router's
@@ -216,7 +207,7 @@ func (rt *router) clusterMetrics(ctx context.Context, e *obs.Encoder, rs serve.R
 		obs.Sample{Value: fs.Requests()})
 	e.Gauge("phprouter_cluster_cache_hit_ratio",
 		"Aggregate response-cache hit fraction across the fleet, from merged counters.",
-		obs.Sample{Value: finiteg(fs.CacheHitRatio())})
+		obs.Sample{Value: obs.Finite(fs.CacheHitRatio())})
 	lat := fs.Latency()
 	e.Gauge("phprouter_cluster_latency_seconds",
 		"Fleet request latency quantiles from the bucket-wise merged histograms.",
@@ -225,36 +216,11 @@ func (rt *router) clusterMetrics(ctx context.Context, e *obs.Encoder, rs serve.R
 		obs.Sample{Labels: []obs.Label{{Name: "quantile", Value: "0.99"}}, Value: lat.Quantile(0.99)})
 	e.Gauge("phprouter_cluster_profile_hottest_frac",
 		"Hottest function's share of fleet-merged windowed cycles (cluster Fig. 1 headline).",
-		obs.Sample{Value: finiteg(fs.Profile.HottestFrac())})
+		obs.Sample{Value: obs.Finite(fs.Profile.HottestFrac())})
 	e.Gauge("phprouter_cluster_profile_funcs_for_65",
 		"Hottest functions covering 65% of fleet-merged cycles (cluster Fig. 1 headline).",
 		obs.Sample{Value: float64(fs.Profile.FuncsForFrac(0.65))})
 	e.Gauge("phprouter_cluster_profile_functions",
 		"Distinct functions in the fleet-merged profile window.",
 		obs.Sample{Value: float64(fs.Profile.NumFunctions())})
-}
-
-// finiteg clamps NaN/±Inf to 0 so empty-fleet ratios encode cleanly.
-func finiteg(x float64) float64 {
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		return 0
-	}
-	return x
-}
-
-// accessLogWriter resolves the -accesslog flag: "" disables, "-" is
-// stdout, anything else is appended to as a file. The returned closer
-// flushes the file on drain (nil for stdout/disabled).
-func accessLogWriter(path string) (io.Writer, io.Closer, error) {
-	switch path {
-	case "":
-		return nil, nil, nil
-	case "-":
-		return os.Stdout, nil, nil
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, f, nil
 }

@@ -40,7 +40,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -68,7 +67,6 @@ type router struct {
 	// pageKeys draws a page identity for requests that arrive without
 	// one, and the query is rewritten so the backend renders the same
 	// page the router hashed (nil when -pages is 0).
-	pageMu   sync.Mutex
 	pageKeys *workload.ZipfKeys
 
 	// addrs maps backend id to address for restart/readmission.
@@ -95,28 +93,32 @@ type router struct {
 }
 
 // handleProxy derives the request's cache key and forwards it through
-// the affinity router. Requests without an explicit ?page= get a
-// router-drawn Zipf page identity (rewritten into the query so backend
-// render and router hash agree); with -pages 0 the key falls back to
-// the request path.
+// the affinity router. ?page= is read by the parser the backends use
+// (serve.ParsePage: malformed is a 400 here, before any backend sees
+// it) and keyed by serve.PageKey, so ring owner and backend cache
+// agree on which page a request names. Requests without a page get a
+// router-drawn Zipf page identity, rewritten into the query so the
+// backend renders the page the router hashed; with -pages 0 the key
+// falls back to the request path.
 func (rt *router) handleProxy(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/" {
 		http.NotFound(w, r)
 		return
 	}
-	key := r.URL.Path
-	page := r.URL.Query().Get("page")
-	if page == "" && rt.pageKeys != nil {
-		rt.pageMu.Lock()
-		n := rt.pageKeys.Next()
-		rt.pageMu.Unlock()
-		page = strconv.Itoa(n)
+	page, err := serve.ParsePage(r.URL.RawQuery)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if page < 0 && rt.pageKeys != nil {
+		page = rt.pageKeys.Next()
 		q := r.URL.Query()
-		q.Set("page", page)
+		q.Set("page", strconv.Itoa(page))
 		r.URL.RawQuery = q.Encode()
 	}
-	if page != "" {
-		key = "page:" + page
+	key := r.URL.Path
+	if page >= 0 {
+		key = serve.PageKey(page)
 	}
 	rt.r.Proxy(w, r, key)
 }
@@ -145,13 +147,11 @@ func (rt *router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	case rs.UpCount() == 0:
 		resp.Status, resp.Ready = "no_backends", false
 	}
-	w.Header().Set("Content-Type", "application/json")
+	status := http.StatusOK
 	if !resp.Ready {
-		w.WriteHeader(http.StatusServiceUnavailable)
+		status = http.StatusServiceUnavailable
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(resp)
+	obs.WriteJSON(w, status, resp)
 }
 
 // handleBackends dumps per-backend routing state as JSON (a debugging
@@ -176,10 +176,7 @@ func (rt *router) handleBackends(w http.ResponseWriter, _ *http.Request) {
 	for _, b := range rs.Backends {
 		out.Rows = append(out.Rows, row{b.ID, b.Addr, b.Up, b.Inflight, b.Requests, b.Errors, b.Shed, b.CacheHits})
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(out)
+	obs.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleMetrics renders the phprouter_* series in the Prometheus text
@@ -360,7 +357,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	logW, logC, err := accessLogWriter(*accessLog)
+	logW, logC, err := obs.OpenAccessLog(*accessLog)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

@@ -17,6 +17,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -25,7 +26,7 @@ import (
 // the full production handler, not a stub.
 func startClusterBackend(t *testing.T, backendID int, logW io.Writer) *httptest.Server {
 	t.Helper()
-	cfg, err := configByName("accelerated")
+	cfg, err := vm.ConfigByName("accelerated")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func startClusterBackend(t *testing.T, backendID int, logW io.Writer) *httptest.
 	col := obs.NewCollector(1, logW, nil)
 	col.SetTreeRing(obs.NewTreeRing(64))
 	sched := serve.NewScheduler(pool, serve.Config{QueueDepth: 16})
-	srv := newServer(sched, col, "wordpress", "accelerated", 0)
+	srv := newServer(sched, col, "wordpress", "accelerated")
 	srv.backendID = backendID
 	col.SetBackend(srv.backendLabel())
 	srv.cache = cache.New(cache.Config{Capacity: 64, Shards: 4})
@@ -118,7 +119,12 @@ func TestClusterEndToEndObservability(t *testing.T) {
 	r.AddBackend("1", strings.TrimPrefix(ts1.URL, "http://"))
 
 	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		r.Proxy(w, req, "page:"+req.URL.Query().Get("page"))
+		page, err := serve.ParsePage(req.URL.RawQuery)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		r.Proxy(w, req, serve.PageKey(page))
 	}))
 	defer front.Close()
 

@@ -43,6 +43,7 @@
 // Endpoints:
 //
 //	GET /             render one page on a free worker (503/504 under overload)
+//	GET /?page=N      render page N, cached or not (400 unless N is a non-negative integer)
 //	GET /stats        JSON fleet statistics
 //	GET /metrics      Prometheus text-format metrics
 //	GET /tracez       last sampled span trees (trace_event JSON, folded, text)
@@ -54,17 +55,14 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"runtime"
 	"os/signal"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -72,7 +70,6 @@ import (
 	"time"
 
 	"repro/internal/cache"
-	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/php"
 	"repro/internal/profile"
@@ -87,14 +84,13 @@ import (
 // workers and aggregates serving-side statistics across all of them
 // through an obs.Collector.
 type server struct {
-	sched          *serve.Scheduler
-	pool           *workload.Pool
-	col            *obs.Collector
-	app            string
-	config         string
-	ctxSwitchEvery int
-	pprofEnabled   bool
-	start          time.Time
+	sched        *serve.Scheduler
+	pool         *workload.Pool
+	col          *obs.Collector
+	app          string
+	config       string
+	pprofEnabled bool
+	start        time.Time
 
 	// tier is the configured script execution tier ("" when the tier
 	// plane is off — non-scripted workload or no -tier flag). Set once
@@ -117,13 +113,9 @@ type server struct {
 
 	// cache and pageKeys are non-nil only with -cache: the response
 	// cache in front of the pool and the server-side Zipf sampler that
-	// assigns each request its page identity (unless ?page= overrides).
-	// keyTable holds the precomputed "page:N" cache-key strings for the
-	// configured page universe so the cached hot path never concatenates
-	// a key per request (?page= beyond the table still falls back).
+	// assigns each request its page identity (unless ?page= names one).
 	cache    *cache.Cache
 	pageKeys *workload.ZipfKeys
-	keyTable []string
 
 	// memMu guards the MemStats baseline behind the
 	// phpserve_go_allocs_per_request gauges: each /metrics scrape reports
@@ -146,18 +138,17 @@ type server struct {
 	live   *profile.Live
 }
 
-func newServer(sched *serve.Scheduler, col *obs.Collector, app, config string, ctxSwitchEvery int) *server {
+func newServer(sched *serve.Scheduler, col *obs.Collector, app, config string) *server {
 	return &server{
-		sched:          sched,
-		pool:           sched.Pool(),
-		col:            col,
-		ids:            obs.NewIDSource(),
-		app:            app,
-		config:         config,
-		ctxSwitchEvery: ctxSwitchEvery,
-		start:          time.Now(),
-		backendID:      -1,
-		live:           profile.NewLive(0, time.Now()),
+		sched:     sched,
+		pool:      sched.Pool(),
+		col:       col,
+		ids:       obs.NewIDSource(),
+		app:       app,
+		config:    config,
+		start:     time.Now(),
+		backendID: -1,
+		live:      profile.NewLive(0, time.Now()),
 	}
 }
 
@@ -205,23 +196,6 @@ func (s *server) markSampled(w http.ResponseWriter, tree *obs.Tree, rid string) 
 	w.Header().Set(obs.HeaderTraceSampled, "1")
 }
 
-// dbStall simulates the page's database round trips while holding the
-// worker (the FPM blocking model). Returns the context error when the
-// client gave up or the deadline expired mid-stall.
-func (s *server) dbStall(ctx context.Context) error {
-	if s.dbWait <= 0 {
-		return nil
-	}
-	t := time.NewTimer(s.dbWait)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleRender)
@@ -243,143 +217,60 @@ func (s *server) handler() http.Handler {
 
 // respBufs recycles uncached-path response buffers. A render's bytes
 // are worker-owned and invalidated as soon as the scheduler releases
-// the worker, so the handler copies them into a pooled buffer while the
-// worker is still held, writes the response from the copy, and returns
-// the buffer for the next request — no per-request allocation, no
-// aliasing of recycled render memory.
+// the worker, so Serve copies them into a pooled buffer while the worker
+// is still held, the handler writes the response from the copy and
+// returns the buffer for the next request — no per-request allocation,
+// no aliasing of recycled render memory.
 var respBufs = sync.Pool{New: func() any { b := make([]byte, 0, 32<<10); return &b }}
 
+// handleRender is the one render handler: it turns the HTTP request
+// into a serve.Request — page identity from ?page=N (400 when
+// malformed), else a server-side Zipf draw with -cache, else the
+// worker's next request — and lets Scheduler.Serve do the rest. With
+// -cache the outcome is surfaced in the X-Cache header, and a hit or a
+// coalesced wait never took a worker.
 func (s *server) handleRender(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/" {
 		http.NotFound(w, r)
 		return
 	}
-	if s.cache != nil {
-		s.handleRenderCached(w, r)
+	rid := s.requestID(w, r)
+	page, err := serve.ParsePage(r.URL.RawQuery)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	rid := s.requestID(w, r)
-	start := time.Now()
+	if page < 0 && s.pageKeys != nil {
+		page = s.pageKeys.Next()
+	}
 	bufp := respBufs.Get().(*[]byte)
 	defer respBufs.Put(bufp)
-	var sp obs.Span
-	wait, err := s.sched.Do(r.Context(), func(wk *workload.Worker) error {
-		var page []byte
-		var err error
-		if s.col.ShouldSample() {
-			page, sp, err = wk.ServeOneProfiledCtx(r.Context())
-		} else {
-			page, err = wk.ServeOneCtx(r.Context())
-		}
-		if err != nil {
-			return err
-		}
-		if err := s.dbStall(r.Context()); err != nil {
-			return err
-		}
-		// Copy before anything else can touch the worker: page aliases
-		// its recycled render buffers.
-		*bufp = append((*bufp)[:0], page...)
-		if s.ctxSwitchEvery > 0 && wk.Served()%s.ctxSwitchEvery == 0 {
-			wk.Runtime().ContextSwitch()
-		}
-		sp.Worker = wk.ID()
-		return nil
-	})
+	resp, err := s.sched.Serve(r.Context(), serve.Request{
+		Page:    page,
+		Profile: s.col.ShouldSample(),
+		Cache:   s.cache,
+		Stall:   s.dbWait,
+	}, bufp)
 	meta := obs.RequestMeta{
 		Path:      r.URL.RequestURI(),
 		UserAgent: r.UserAgent(),
 		RequestID: rid,
-		QueueWait: wait,
+		QueueWait: resp.Wait,
 	}
 	if err != nil {
 		s.shedResponse(w, err, meta)
 		return
 	}
-	// Report latency as the client saw it: queueing for a free worker
-	// included, not just the render; the tree gets the queue time as an
-	// explicit "queued" span before the collector retains it.
-	sp.Wall = time.Since(start)
-	sp.Tree.AddQueueSpan(wait)
-	s.markSampled(w, sp.Tree, rid)
+	s.markSampled(w, resp.Span.Tree, rid)
 	meta.Status = http.StatusOK
-	s.col.ObserveHTTP(sp, len(*bufp), meta)
+	s.col.ObserveHTTP(resp.Span, len(resp.Body), meta)
 
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
+	if s.cache != nil {
+		w.Header().Set("X-Cache", strings.ToUpper(resp.Cache.String()))
+	}
 	s.stampBackend(w)
-	w.Write(*bufp)
-}
-
-// handleRenderCached is the -cache render path: the request gets a page
-// identity (?page=N override, else a server-side Zipf draw), then goes
-// through Scheduler.DoCached so a hit or a coalesced wait never takes a
-// worker. The outcome is surfaced in the X-Cache header; sampled hits
-// get a synthetic zero-render "cache_hit" span tree carrying only the
-// fixed lookup cost.
-func (s *server) handleRenderCached(w http.ResponseWriter, r *http.Request) {
-	rid := s.requestID(w, r)
-	start := time.Now()
-	pageID := queryInt(r, "page", -1)
-	if pageID < 0 {
-		pageID = s.pageKeys.Next()
-	}
-	sampled := s.col.ShouldSample()
-
-	var sp obs.Span
-	body, outcome, wait, err := s.sched.DoCached(r.Context(), s.cache, s.pageKey(pageID),
-		func(wk *workload.Worker) ([]byte, error) {
-			b, rsp, rerr := wk.ServePageSpanCtx(r.Context(), pageID, sampled)
-			if rerr != nil {
-				return nil, rerr
-			}
-			if rerr := s.dbStall(r.Context()); rerr != nil {
-				return nil, rerr
-			}
-			rsp.Worker = wk.ID()
-			sp = rsp
-			if s.ctxSwitchEvery > 0 && wk.Served()%s.ctxSwitchEvery == 0 {
-				wk.Runtime().ContextSwitch()
-			}
-			return b, nil
-		})
-	meta := obs.RequestMeta{
-		Path:      r.URL.RequestURI(),
-		UserAgent: r.UserAgent(),
-		RequestID: rid,
-		QueueWait: wait,
-	}
-	if err != nil {
-		s.shedResponse(w, err, meta)
-		return
-	}
-	wall := time.Since(start)
-	switch outcome {
-	case cache.Hit:
-		if sampled {
-			lookup := s.cache.LookupCostVec()
-			sp = obs.Span{
-				Worker:     -1,
-				Sampled:    true,
-				Cycles:     lookup.Total(),
-				Categories: lookup,
-				Tree:       obs.CacheHitTree(start, wall, lookup),
-			}
-		}
-	case cache.Coalesced:
-		// The render span belongs to the fill leader's request; this
-		// waiter only contributes latency and byte counts.
-		sp = obs.Span{Worker: -1}
-	}
-	sp.Wall = wall
-	sp.Tree.AddQueueSpan(wait)
-	s.markSampled(w, sp.Tree, rid)
-	meta.Status = http.StatusOK
-	s.col.ObserveHTTP(sp, len(body), meta)
-
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	w.Header().Set("X-Cache", strings.ToUpper(outcome.String()))
-	s.stampBackend(w)
-	w.Write(body)
+	w.Write(resp.Body)
 }
 
 // retryAfterSeconds is the Retry-After hint on 503 sheds: long enough
@@ -393,35 +284,31 @@ const retryAfterSeconds = 1
 // and metrics, so abandoned requests stop masquerading as 504 timeouts.
 const statusClientClosedRequest = 499
 
-// shedResponse maps a lifecycle error to its HTTP answer — 503 +
-// Retry-After for overload and drain (retryable), 504 for an expired
-// deadline, 499 for a client that disconnected first — and records the
-// shed in the collector (counter + access log line).
+// shedAnswers is each failed outcome's access-log label and HTTP status:
+// 503 for overload and drain (retryable, sent with Retry-After), 504 for
+// an expired deadline, 499 for a client that disconnected first, 500
+// for a render that failed.
+var shedAnswers = map[serve.Outcome]struct {
+	label  string
+	status int
+}{
+	serve.OutcomeOverload: {"shed_overload", http.StatusServiceUnavailable},
+	serve.OutcomeDraining: {"draining", http.StatusServiceUnavailable},
+	serve.OutcomeDeadline: {"timeout", http.StatusGatewayTimeout},
+	serve.OutcomeCanceled: {"canceled", statusClientClosedRequest},
+	serve.OutcomeError:    {"error", http.StatusInternalServerError},
+}
+
+// shedResponse answers a request the serve layer did not serve and
+// records it in the collector (counter + access log line).
 func (s *server) shedResponse(w http.ResponseWriter, err error, meta obs.RequestMeta) {
-	var status int
-	switch {
-	case errors.Is(err, serve.ErrOverloaded):
-		meta.Outcome = "shed_overload"
-		status = http.StatusServiceUnavailable
-	case errors.Is(err, serve.ErrDraining):
-		meta.Outcome = "draining"
-		status = http.StatusServiceUnavailable
-	case errors.Is(err, serve.ErrDeadline):
-		meta.Outcome = "timeout"
-		status = http.StatusGatewayTimeout
-	case errors.Is(err, serve.ErrCanceled):
-		meta.Outcome = "canceled"
-		status = statusClientClosedRequest
-	default:
-		meta.Outcome = "error"
-		status = http.StatusInternalServerError
-	}
-	if status == http.StatusServiceUnavailable {
+	a := shedAnswers[serve.OutcomeOf(err)]
+	if a.status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 	}
-	meta.Status = status
+	meta.Outcome, meta.Status = a.label, a.status
 	s.col.ObserveShed(meta)
-	http.Error(w, err.Error(), status)
+	http.Error(w, err.Error(), a.status)
 }
 
 // healthzResponse is the /healthz JSON shape: readiness plus the queue
@@ -453,24 +340,11 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		QueueLimit:  s.sched.QueueLimit(),
 		ShedTotal:   st.Shed(),
 	}
-	w.Header().Set("Content-Type", "application/json")
+	status := http.StatusOK
 	if !resp.Ready {
-		w.WriteHeader(http.StatusServiceUnavailable)
+		status = http.StatusServiceUnavailable
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(resp)
-}
-
-// finite clamps NaN and ±Inf to 0 so a zero-request or zero-cycle
-// snapshot still encodes as valid JSON (encoding/json rejects
-// non-finite floats outright, turning a cold /stats scrape into a 200
-// with a half-written body).
-func finite(x float64) float64 {
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		return 0
-	}
-	return x
+	obs.WriteJSON(w, status, resp)
 }
 
 // statsResponse is the /stats JSON shape. Latencies are reported in
@@ -573,22 +447,22 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		HashMapRebuilds:   ps.Accel.MapRebuilds,
 	}
 	if up > 0 {
-		resp.RequestsPerSec = finite(float64(snap.Requests) / up)
+		resp.RequestsPerSec = obs.Finite(float64(snap.Requests) / up)
 	}
 	if snap.Requests > 0 {
-		resp.CyclesPerRequest = finite(total / float64(snap.Requests))
+		resp.CyclesPerRequest = obs.Finite(total / float64(snap.Requests))
 	}
 	for _, c := range sim.Categories() {
 		resp.SimCategoryCycles[c.String()] = cats[c]
 		if total > 0 {
-			resp.SimCategoryShare[c.String()] = finite(cats[c] / total)
+			resp.SimCategoryShare[c.String()] = obs.Finite(cats[c] / total)
 		} else {
 			resp.SimCategoryShare[c.String()] = 0
 		}
 	}
-	resp.HashTableHitRatio = finite(ps.Accel.HashTable.HitRate())
+	resp.HashTableHitRatio = obs.Finite(ps.Accel.HashTable.HitRate())
 	if ps.Accel.RegexLookups > 0 {
-		resp.RegexCacheHitRatio = finite(float64(ps.Accel.RegexHits) / float64(ps.Accel.RegexLookups))
+		resp.RegexCacheHitRatio = obs.Finite(float64(ps.Accel.RegexHits) / float64(ps.Accel.RegexLookups))
 	}
 	if s.cache != nil {
 		cs := s.cache.Stats()
@@ -602,13 +476,10 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			Expired:   cs.Expired,
 			Entries:   cs.Entries,
 			Bytes:     cs.Bytes,
-			HitRatio:  finite(cs.HitRatio()),
+			HitRatio:  obs.Finite(cs.HitRatio()),
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(resp)
+	obs.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleMetrics renders the Prometheus text-format exposition. Every
@@ -722,7 +593,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		"Key/value pairs written back to software maps.", obs.Sample{Value: float64(ht.Writebacks)})
 	e.Gauge("phpserve_hashtable_hit_ratio",
 		"Hardware hash table GET hit fraction (0 when no GETs).",
-		obs.Sample{Value: finite(ht.HitRate())})
+		obs.Sample{Value: obs.Finite(ht.HitRate())})
 	e.Counter("phpserve_hashmap_rebuilds_total",
 		"Stale hash-index rebuilds (coherence events) across all workers.",
 		obs.Sample{Value: float64(ps.Accel.MapRebuilds)})
@@ -735,7 +606,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		obs.Sample{Value: float64(ps.Accel.RegexHits)})
 	ratio := 0.0
 	if ps.Accel.RegexLookups > 0 {
-		ratio = finite(float64(ps.Accel.RegexHits) / float64(ps.Accel.RegexLookups))
+		ratio = obs.Finite(float64(ps.Accel.RegexHits) / float64(ps.Accel.RegexLookups))
 	}
 	e.Gauge("phpserve_regex_cache_hit_ratio",
 		"Regexp manager cache hit fraction (0 when no lookups).",
@@ -766,7 +637,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			obs.Sample{Value: float64(cs.Bytes)})
 		e.Gauge("phpserve_cache_hit_ratio",
 			"Fraction of cache lookups answered from a cached entry (0 when no lookups).",
-			obs.Sample{Value: finite(cs.HitRatio())})
+			obs.Sample{Value: obs.Finite(cs.HitRatio())})
 	}
 
 	if ps.Trace != nil {
@@ -788,17 +659,17 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	allocsPR, allocBytesPR := s.goMemGauges(snap.Requests)
 	e.Gauge("phpserve_go_allocs_per_request",
 		"Go heap allocations per served request since the previous /metrics scrape.",
-		obs.Sample{Labels: base, Value: finite(allocsPR)})
+		obs.Sample{Labels: base, Value: obs.Finite(allocsPR)})
 	e.Gauge("phpserve_go_alloc_bytes_per_request",
 		"Go heap bytes allocated per served request since the previous /metrics scrape.",
-		obs.Sample{Labels: base, Value: finite(allocBytesPR)})
+		obs.Sample{Labels: base, Value: obs.Finite(allocBytesPR)})
 
 	// The paper's Fig. 1 headline numbers as live gauges, computed over
 	// the same windowed profile /profilez reports.
 	lp, _ := s.observeLive(ps.Meter)
 	e.Gauge("phpserve_profile_hottest_frac",
 		"Hottest leaf function's share of windowed cycles (Fig. 1 headline).",
-		obs.Sample{Labels: base, Value: finite(lp.HottestFrac())})
+		obs.Sample{Labels: base, Value: obs.Finite(lp.HottestFrac())})
 	e.Gauge("phpserve_profile_funcs_for_65",
 		"Hottest functions needed to cover 65% of windowed cycles (Fig. 1 headline).",
 		obs.Sample{Labels: base, Value: float64(lp.FuncsForFrac(0.65))})
@@ -812,17 +683,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 
 	s.tierMetrics(e, base)
-}
-
-// pageKey returns the cache key for a page identity, from the
-// precomputed table for the configured page universe (the hot path; the
-// Zipf sampler only draws ids inside it) or by concatenation for an
-// out-of-range ?page= override.
-func (s *server) pageKey(id int) string {
-	if id >= 0 && id < len(s.keyTable) {
-		return s.keyTable[id]
-	}
-	return "page:" + strconv.Itoa(id)
 }
 
 // goMemGauges reports Go heap allocation rates — allocations and bytes
@@ -855,20 +715,6 @@ func (s *server) observeLive(mt *sim.Meter) (profile.Profile, profile.WindowInfo
 	defer s.liveMu.Unlock()
 	s.live.Observe(mt, time.Now())
 	return s.live.Window()
-}
-
-// queryInt parses an integer query parameter, falling back to def when
-// absent or malformed.
-func queryInt(r *http.Request, name string, def int) int {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return def
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return def
-	}
-	return n
 }
 
 // handleTracez exports the last sampled span trees from the bounded
@@ -923,7 +769,7 @@ var cdfPoints = []int{1, 10, 50, 100}
 func (s *server) handleProfilez(w http.ResponseWriter, r *http.Request) {
 	ps := s.pool.Snapshot()
 	p, info := s.observeLive(ps.Meter)
-	n := queryInt(r, "n", 30)
+	n := obs.QueryInt(r, "n", 30)
 
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "table":
@@ -939,7 +785,7 @@ func (s *server) handleProfilez(w http.ResponseWriter, r *http.Request) {
 			hottest = p.Entries[0].Name
 		}
 		fmt.Fprintf(w, "hottest: %s %.2f%%   functions for 65%%: %d\n",
-			hottest, 100*finite(p.HottestFrac()), p.FuncsForFrac(0.65))
+			hottest, 100*obs.Finite(p.HottestFrac()), p.FuncsForFrac(0.65))
 		cdf := p.CDF(cdfPoints)
 		fmt.Fprint(w, "cdf:")
 		for i, np := range cdfPoints {
@@ -969,17 +815,17 @@ func (s *server) handleProfilez(w http.ResponseWriter, r *http.Request) {
 			SinceBoot:     info.SinceBoot,
 			TotalCycles:   p.Total,
 			Functions:     p.NumFunctions(),
-			HottestFrac:   finite(p.HottestFrac()),
+			HottestFrac:   obs.Finite(p.HottestFrac()),
 			FuncsFor65:    p.FuncsForFrac(0.65),
 			CDF:           map[string]float64{},
 			CategoryShare: map[string]float64{},
 		}
 		cdf := p.CDF(cdfPoints)
 		for i, np := range cdfPoints {
-			resp.CDF[strconv.Itoa(np)] = finite(cdf[i])
+			resp.CDF[strconv.Itoa(np)] = obs.Finite(cdf[i])
 		}
 		for c, share := range p.CategoryShares() {
-			resp.CategoryShare[c.String()] = finite(share)
+			resp.CategoryShare[c.String()] = obs.Finite(share)
 		}
 		for _, e := range p.TopN(n) {
 			resp.Top = append(resp.Top, profilezEntry{
@@ -987,52 +833,10 @@ func (s *server) handleProfilez(w http.ResponseWriter, r *http.Request) {
 				Cycles: e.Cycles, Frac: e.Frac, Cum: e.Cum,
 			})
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(resp)
+		obs.WriteJSON(w, http.StatusOK, resp)
 	default:
 		http.Error(w, fmt.Sprintf("profilez: unknown format %q (want table, folded, or json)", format), http.StatusBadRequest)
 	}
-}
-
-// configByName maps the CLI -config choice to a vm.Config.
-func configByName(name string) (vm.Config, error) {
-	switch name {
-	case "baseline":
-		return vm.Config{}, nil
-	case "mitigated":
-		return vm.Config{Mitigations: sim.AllMitigations()}, nil
-	case "accelerated":
-		return vm.Config{Mitigations: sim.AllMitigations(), Features: isa.AllAccelerators()}, nil
-	}
-	return vm.Config{}, fmt.Errorf("phpserve: unknown -config %q (want baseline, mitigated, or accelerated)", name)
-}
-
-// warmPool serves warmup requests on every worker so the server answers
-// steady-state traffic from the start, then discards the warmup costs.
-func warmPool(p *workload.Pool, warmup, ctxSwitchEvery int) {
-	if warmup <= 0 {
-		return
-	}
-	p.Run(workload.LoadGenerator{Warmup: warmup, Requests: 0, ContextSwitchEvery: ctxSwitchEvery}, 0)
-}
-
-// accessLogWriter resolves the -accesslog flag: "" disables, "-" is
-// stdout, anything else is appended to as a file. The returned closer
-// flushes the file on drain (nil-safe, nil for stdout/disabled).
-func accessLogWriter(path string) (io.Writer, io.Closer, error) {
-	switch path {
-	case "":
-		return nil, nil, nil
-	case "-":
-		return os.Stdout, nil, nil
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, f, nil
 }
 
 // validateFlags fails fast on out-of-range flag values instead of
@@ -1068,30 +872,6 @@ func validateClusterFlags(backend int, dbwait time.Duration) error {
 	}
 	if dbwait < 0 {
 		return fmt.Errorf("phpserve: -dbwait must be >= 0, got %v", dbwait)
-	}
-	return nil
-}
-
-// validateCacheFlags checks the -cache flag family; pages and zipf only
-// matter (and are only validated) when the cache is enabled.
-func validateCacheFlags(capacity, shards, pages int, ttl time.Duration, zipf float64) error {
-	if capacity < 0 {
-		return fmt.Errorf("phpserve: -cache must be >= 0, got %d", capacity)
-	}
-	if capacity == 0 {
-		return nil
-	}
-	if shards <= 0 {
-		return fmt.Errorf("phpserve: -cacheshards must be positive, got %d", shards)
-	}
-	if ttl < 0 {
-		return fmt.Errorf("phpserve: -cachettl must be >= 0, got %v", ttl)
-	}
-	if pages <= 0 {
-		return fmt.Errorf("phpserve: -pages must be positive with -cache, got %d", pages)
-	}
-	if zipf <= 0 {
-		return fmt.Errorf("phpserve: -zipf must be positive with -cache, got %g", zipf)
 	}
 	return nil
 }
@@ -1142,14 +922,14 @@ func main() {
 	if *listen != "" {
 		*addr = *listen
 	}
-	if err := validateCacheFlags(*cacheCap, *cacheShards, *pages, *cacheTTL, *zipf); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	if err := cache.ValidateFlags(*cacheCap, *cacheShards, *pages, *cacheTTL, *zipf); err != nil {
+		fmt.Fprintln(os.Stderr, "phpserve:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
-	cfg, err := configByName(*config)
+	cfg, err := vm.ConfigByName(*config)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(os.Stderr, "phpserve: -config:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -1172,7 +952,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	logW, logC, err := accessLogWriter(*accessLog)
+	logW, logC, err := obs.OpenAccessLog(*accessLog)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -1202,14 +982,16 @@ func main() {
 
 	fmt.Printf("phpserve: warming %d %s worker(s) (%d requests each, %s core)\n",
 		*workers, *app, *warmup, *config)
-	warmPool(pool, *warmup, *ctxSwitch)
+	// Every worker serves the warmup so the server answers steady-state
+	// traffic from the start; the warmup's costs are discarded.
+	pool.Run(workload.LoadGenerator{Warmup: *warmup, ContextSwitchEvery: *ctxSwitch}, 0)
 
 	col := obs.NewCollector(*sample, logW, nil)
 	if *treeRing > 0 {
 		col.SetTreeRing(obs.NewTreeRing(*treeRing))
 	}
-	sched := serve.NewScheduler(pool, serve.Config{QueueDepth: *queue, Timeout: *timeout})
-	srv := newServer(sched, col, *app, *config, *ctxSwitch)
+	sched := serve.NewScheduler(pool, serve.Config{QueueDepth: *queue, Timeout: *timeout, CtxSwitchEvery: *ctxSwitch})
+	srv := newServer(sched, col, *app, *config)
 	srv.live = profile.NewLive(*profEpochs, time.Now())
 	srv.pprofEnabled = *pprofFlag
 	srv.tier = *tier
@@ -1226,10 +1008,6 @@ func main() {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
-		}
-		srv.keyTable = make([]string, *pages)
-		for i := range srv.keyTable {
-			srv.keyTable[i] = "page:" + strconv.Itoa(i)
 		}
 		fmt.Printf("phpserve: response cache on: %d entries, %d shards, ttl %v, %d pages, zipf %g\n",
 			srv.cache.Capacity(), srv.cache.Shards(), *cacheTTL, *pages, *zipf)

@@ -20,6 +20,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/serve"
+	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -34,7 +35,7 @@ func testServer(t *testing.T, workers, warmup int, sampleRate float64, logW io.W
 // the overload/deadline/drain tests.
 func testServerSched(t *testing.T, workers, warmup int, sampleRate float64, logW io.Writer, sc serve.Config) *server {
 	t.Helper()
-	cfg, err := configByName("accelerated")
+	cfg, err := vm.ConfigByName("accelerated")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,10 +44,11 @@ func testServerSched(t *testing.T, workers, warmup int, sampleRate float64, logW
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmPool(pool, warmup, 0)
+	pool.Run(workload.LoadGenerator{Warmup: warmup}, 0)
 	col := obs.NewCollector(sampleRate, logW, nil)
 	col.SetTreeRing(obs.NewTreeRing(64))
-	return newServer(serve.NewScheduler(pool, sc), col, "wordpress", "accelerated", 8)
+	sc.CtxSwitchEvery = 8
+	return newServer(serve.NewScheduler(pool, sc), col, "wordpress", "accelerated")
 }
 
 func TestServeConcurrentRequests(t *testing.T) {
@@ -808,7 +810,7 @@ func TestProfileGaugesOnMetrics(t *testing.T) {
 // TestTracezDisabled: without a tree ring the endpoint reports 404
 // rather than an empty export.
 func TestTracezDisabled(t *testing.T) {
-	cfg, err := configByName("accelerated")
+	cfg, err := vm.ConfigByName("accelerated")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -816,7 +818,7 @@ func TestTracezDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(serve.NewScheduler(pool, serve.Config{QueueDepth: 8}), obs.NewCollector(0, nil, nil), "wordpress", "accelerated", 0)
+	s := newServer(serve.NewScheduler(pool, serve.Config{QueueDepth: 8}), obs.NewCollector(0, nil, nil), "wordpress", "accelerated")
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/tracez")
@@ -826,17 +828,6 @@ func TestTracezDisabled(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("status %d, want 404", resp.StatusCode)
-	}
-}
-
-func TestConfigByName(t *testing.T) {
-	for _, name := range []string{"baseline", "mitigated", "accelerated"} {
-		if _, err := configByName(name); err != nil {
-			t.Errorf("configByName(%q) = %v", name, err)
-		}
-	}
-	if _, err := configByName("turbo"); err == nil {
-		t.Errorf("unknown config should error")
 	}
 }
 

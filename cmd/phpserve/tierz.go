@@ -8,7 +8,6 @@ package main
 // function promoted on any worker shows as promoted.
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -118,10 +117,7 @@ func (s *server) handleTierz(w http.ResponseWriter, r *http.Request) {
 				Promotions: f.Promotions, Demotions: f.Demotions,
 			})
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(resp)
+		obs.WriteJSON(w, http.StatusOK, resp)
 	default:
 		http.Error(w, "unknown format "+format+" (want table or json)", http.StatusBadRequest)
 	}

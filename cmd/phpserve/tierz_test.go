@@ -11,6 +11,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/php"
 	"repro/internal/serve"
+	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -19,7 +20,7 @@ import (
 // enough to cross the tier boundary during warmup.
 func tieredTestServer(t *testing.T, mode php.TierMode) *server {
 	t.Helper()
-	cfg, err := configByName("accelerated")
+	cfg, err := vm.ConfigByName("accelerated")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,9 +37,9 @@ func tieredTestServer(t *testing.T, mode php.TierMode) *server {
 	if !supported {
 		t.Fatal("phpscript-blog should support script tiering")
 	}
-	warmPool(pool, 16, 0)
+	pool.Run(workload.LoadGenerator{Warmup: 16}, 0)
 	col := obs.NewCollector(1, nil, nil)
-	s := newServer(serve.NewScheduler(pool, serve.Config{QueueDepth: 64}), col, "phpscript-blog", "accelerated", 0)
+	s := newServer(serve.NewScheduler(pool, serve.Config{QueueDepth: 64}), col, "phpscript-blog", "accelerated")
 	s.tier = mode.String()
 	return s
 }

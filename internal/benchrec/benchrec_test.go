@@ -441,3 +441,24 @@ func TestOptionsValidation(t *testing.T) {
 		t.Errorf("defaults = %+v, %v; want full/1", o, err)
 	}
 }
+
+// TestSimDrift: wall-clock movement is not drift, and any change to a
+// deterministic field is — named by scenario and field.
+func TestSimDrift(t *testing.T) {
+	base := matrixRecord(t)
+	fresh := base
+	fresh.Scenarios = append([]Scenario(nil), base.Scenarios...)
+	fresh.Scenarios[0].ReqPerSec *= 0.5
+	fresh.Scenarios[1].P99US *= 3
+	fresh.Scenarios[2].AllocsPerOp += 7
+	if drift := SimDrift(base, fresh); len(drift) != 0 {
+		t.Errorf("timing-only changes reported as drift: %v", drift)
+	}
+	fresh.Scenarios[0].SimCyclesPerReq++
+	fresh.Scenarios[3].CacheHits--
+	drift := SimDrift(base, fresh)
+	if len(drift) != 2 || !strings.Contains(drift[0], base.Scenarios[0].Name+": SimCyclesPerReq") ||
+		!strings.Contains(drift[1], base.Scenarios[3].Name+": CacheHits") {
+		t.Errorf("drift = %v, want the two doctored fields", drift)
+	}
+}

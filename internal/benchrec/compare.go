@@ -2,6 +2,7 @@ package benchrec
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 )
 
@@ -113,6 +114,32 @@ func Compare(base, fresh Record, tol Tolerances) ([]Regression, error) {
 		}
 	}
 	return regs, nil
+}
+
+// SimDrift returns, for every scenario whose deterministic fields — what
+// Canonical keeps: simulated cycles and energy per request, category
+// cycles, served/shed/cache counts, tier counters — differ between base
+// and fresh, a "scenario: field base -> fresh" line per differing field.
+// Unlike the wall-clock gates these have no tolerance: for one seed and
+// scale they are a pure function of the code, so any difference is a
+// behaviour change that needs a new committed baseline and a reason.
+func SimDrift(base, fresh Record) []string {
+	var drift []string
+	fc := fresh.Canonical()
+	for _, b := range base.Canonical().Scenarios {
+		f, ok := fc.Scenario(b.Name)
+		if !ok || reflect.DeepEqual(b, f) {
+			continue
+		}
+		bv, fv := reflect.ValueOf(b), reflect.ValueOf(f)
+		for i := 0; i < bv.NumField(); i++ {
+			if !reflect.DeepEqual(bv.Field(i).Interface(), fv.Field(i).Interface()) {
+				drift = append(drift, fmt.Sprintf("%s: %s %v -> %v",
+					b.Name, bv.Type().Field(i).Name, bv.Field(i).Interface(), fv.Field(i).Interface()))
+			}
+		}
+	}
+	return drift
 }
 
 // RenderTable renders a side-by-side committed-vs-fresh table for every

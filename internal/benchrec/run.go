@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/cache"
-	"repro/internal/isa"
 	"repro/internal/php"
 	"repro/internal/profile"
 	"repro/internal/serve"
@@ -277,10 +276,12 @@ func runMatrixOnce(opts Options) (Record, error) {
 // an unbounded ring's growth dominated the recorded allocs/op without
 // informing any metric.
 func vmConfig(accelerated bool) vm.Config {
-	cfg := vm.Config{Mitigations: sim.AllMitigations(), TraceCapacity: 4096}
+	name := "mitigated"
 	if accelerated {
-		cfg.Features = isa.AllAccelerators()
+		name = "accelerated"
 	}
+	cfg, _ := vm.ConfigByName(name)
+	cfg.TraceCapacity = 4096
 	return cfg
 }
 
@@ -311,23 +312,17 @@ func baseScenario(workers, warmup, measure int, accelerated bool) Scenario {
 	}
 }
 
-// simFields fills the simulated-cost fields from a merged meter. Totals
-// are summed in deterministic order — the dense category vector for
-// cycles, the sorted function list for energy — because float addition
-// is order-sensitive and Meter's map-walking totals would smear the
-// last few bits differently run to run, breaking the byte-identical
-// canonical record property.
+// simFields fills the simulated-cost fields from a merged meter: cycles
+// from the dense category vector, energy from the meter's fixed-order
+// total, both reproducible bit for bit (the byte-identical canonical
+// record property).
 func (sc *Scenario) simFields(mt *sim.Meter, requests int) {
 	if requests <= 0 {
 		return
 	}
 	vec := mt.CategoryCyclesVec()
 	sc.SimCyclesPerReq = vec.Total() / float64(requests)
-	var energy float64
-	for _, f := range mt.Functions() {
-		energy += f.Energy(&mt.Model)
-	}
-	sc.SimEnergyPJPerReq = energy / float64(requests)
+	sc.SimEnergyPJPerReq = mt.TotalEnergy() / float64(requests)
 	sc.SimCategoryCycles = make(map[string]float64, sim.NumCategories)
 	for _, c := range sim.Categories() {
 		sc.SimCategoryCycles[c.String()] = vec[c]

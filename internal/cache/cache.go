@@ -28,6 +28,7 @@ package cache
 import (
 	"container/list"
 	"context"
+	"fmt"
 	"sync"
 	"time"
 
@@ -101,6 +102,32 @@ type Config struct {
 	// Clock overrides the time source for TTL decisions (tests). Nil
 	// selects time.Now.
 	Clock func() time.Time
+}
+
+// ValidateFlags checks the -cache flag family phpserve and loadgen share
+// (-cache, -cacheshards, -cachettl, -pages, -zipf): a negative capacity
+// is always an error, and the rest only matter — and are only checked —
+// when the cache is on (capacity > 0).
+func ValidateFlags(capacity, shards, pages int, ttl time.Duration, zipf float64) error {
+	if capacity < 0 {
+		return fmt.Errorf("-cache must be >= 0, got %d", capacity)
+	}
+	if capacity == 0 {
+		return nil
+	}
+	if shards <= 0 {
+		return fmt.Errorf("-cacheshards must be positive, got %d", shards)
+	}
+	if ttl < 0 {
+		return fmt.Errorf("-cachettl must be >= 0, got %v", ttl)
+	}
+	if pages <= 0 {
+		return fmt.Errorf("-pages must be positive with -cache, got %d", pages)
+	}
+	if zipf <= 0 {
+		return fmt.Errorf("-zipf must be positive with -cache, got %g", zipf)
+	}
+	return nil
 }
 
 // Stats is a consistent snapshot of the cache's lifetime counters and

@@ -3,6 +3,7 @@ package obs
 import (
 	"io"
 	"math"
+	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -28,6 +29,24 @@ type AccessLog struct {
 // NewAccessLog builds an access log writing JSON lines to w.
 func NewAccessLog(w io.Writer) *AccessLog {
 	return &AccessLog{w: w, backend: "-"}
+}
+
+// OpenAccessLog resolves an -accesslog flag value: "" disables (nil
+// writer), "-" is stdout, anything else is a file appended to. The
+// returned closer flushes the file on drain and is nil for stdout or
+// disabled.
+func OpenAccessLog(path string) (io.Writer, io.Closer, error) {
+	switch path {
+	case "":
+		return nil, nil, nil
+	case "-":
+		return os.Stdout, nil, nil
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, nil, err
+	}
+	return f, f, nil
 }
 
 // SetBackend stamps every subsequent line's backend field with id — the

@@ -57,7 +57,7 @@ func (c *Collector) SetBackend(id string) {
 }
 
 // ShouldSample reports whether the next request should be served through
-// the profiled path (Worker.ServeOneProfiled), advancing the sampling
+// the profiled path (Worker.ServePageSpanCtx), advancing the sampling
 // counter.
 func (c *Collector) ShouldSample() bool { return c.sampler.Sample() }
 

@@ -31,7 +31,7 @@ import (
 // Span is the per-request cost attribution record: simulated cycles
 // broken down by activity category (the paper's four accelerator
 // categories plus the abstraction/kernel/other remainder) and wall
-// latency. A span is produced by workload.Worker.ServeOneProfiled when
+// latency. A span is produced by workload.Worker.ServePageSpanCtx when
 // the request is sampled; unsampled requests carry a zero-valued span
 // with only Wall and Worker set.
 type Span struct {

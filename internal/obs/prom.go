@@ -80,6 +80,17 @@ func appendEscapedLabel(b []byte, s string) []byte {
 	return append(b, s[start:]...)
 }
 
+// Finite clamps NaN and ±Inf to 0, for ratios over a zero-request or
+// empty-fleet snapshot: encoding/json rejects non-finite floats outright
+// (a cold /stats scrape would be a 200 with a half-written body), and a
+// gauge is more use at 0 than at NaN.
+func Finite(x float64) float64 {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return 0
+	}
+	return x
+}
+
 // appendValue appends a sample value ("+Inf"/"-Inf"/"NaN" spelled the
 // way the exposition format requires).
 func appendValue(b []byte, v float64) []byte {

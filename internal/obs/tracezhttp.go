@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -25,7 +26,7 @@ import (
 //	        stacks) | text (indented listing) | tree (raw []*Tree JSON,
 //	        the cross-process stitching interchange form)
 func ServeTracez(w http.ResponseWriter, r *http.Request, ring *TreeRing) {
-	trees := ring.Last(queryTracezInt(r, "n", 16))
+	trees := ring.Last(QueryInt(r, "n", 16))
 	if rid := r.URL.Query().Get("rid"); rid != "" {
 		matched := make([]*Tree, 0, 1)
 		for _, t := range ring.Last(0) {
@@ -53,6 +54,17 @@ func ServeTracez(w http.ResponseWriter, r *http.Request, ring *TreeRing) {
 	}
 }
 
+// WriteJSON answers an operator endpoint with v as indented JSON under
+// the given status — the one encoding of every JSON endpoint phpserve
+// and phprouter expose.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(v)
+}
+
 // WriteTreeText renders trees as indented span listings for quick
 // terminal inspection (curl /tracez?format=text).
 func WriteTreeText(w io.Writer, trees []*Tree) {
@@ -77,8 +89,9 @@ func WriteTreeText(w io.Writer, trees []*Tree) {
 	}
 }
 
-// queryTracezInt parses an integer query parameter with a default.
-func queryTracezInt(r *http.Request, name string, def int) int {
+// QueryInt parses an integer query parameter of an operator endpoint
+// (?n=), falling back to def when absent or malformed.
+func QueryInt(r *http.Request, name string, def int) int {
 	v := r.URL.Query().Get(name)
 	if v == "" {
 		return def

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"repro/internal/cache"
@@ -32,51 +31,18 @@ import (
 // another caller's render — becomes ErrDeadline, and a canceled context
 // (client abandoned) becomes ErrCanceled.
 func (s *Scheduler) DoCached(ctx context.Context, c *cache.Cache, key string, render func(w *workload.Worker) ([]byte, error)) ([]byte, cache.Outcome, time.Duration, error) {
-	s.mu.Lock()
-	if s.state != StateRunning {
-		s.mu.Unlock()
-		s.count(&s.shedDraining)
-		return nil, cache.Bypass, 0, ErrDraining
+	ctx, cancel, err := s.admit(ctx)
+	if err != nil {
+		return nil, cache.Bypass, 0, err
 	}
-	s.inflight.Add(1)
-	s.mu.Unlock()
-	defer s.inflight.Done()
-
-	if s.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
-		defer cancel()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, cache.Bypass, 0, s.shedCtx(err)
-	}
-
-	select {
-	case s.slots <- struct{}{}:
-	default:
-		s.count(&s.shedOverload)
-		return nil, cache.Bypass, 0, ErrOverloaded
-	}
-	defer func() { <-s.slots }()
-
-	s.statsMu.Lock()
-	s.admitted++
-	s.statsMu.Unlock()
+	defer s.leave(cancel)
 
 	// Only the fill path — the elected leader of a miss — queues for a
 	// worker; hits and coalesced waiters never enter the pool.
 	var wait time.Duration
 	body, outcome, err := c.GetOrFill(ctx, key, func() ([]byte, error) {
-		s.statsMu.Lock()
-		s.queued++
-		s.statsMu.Unlock()
-		t0 := time.Now()
-		w, aerr := s.pool.AcquireCtx(ctx)
-		wait = time.Since(t0)
-		s.statsMu.Lock()
-		s.queued--
-		s.waitHist.Observe(wait.Seconds())
-		s.statsMu.Unlock()
+		w, qw, aerr := s.acquire(ctx)
+		wait = qw
 		if aerr != nil {
 			return nil, aerr
 		}
@@ -96,12 +62,8 @@ func (s *Scheduler) DoCached(ctx context.Context, c *cache.Cache, key string, re
 		copy(stable, page)
 		return stable, nil
 	})
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			return nil, outcome, wait, s.shedCtx(err)
-		}
+	if err := s.settle(err); err != nil {
 		return nil, outcome, wait, err
 	}
-	s.count(&s.served)
 	return body, outcome, wait, nil
 }

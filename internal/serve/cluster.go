@@ -133,11 +133,6 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 	return cl, nil
 }
 
-// PageKey returns the cache key for a page index — the same "page:N"
-// form phpserve and RunLoad use, so ring ownership matches what a real
-// router would compute.
-func PageKey(page int) string { return "page:" + strconv.Itoa(page) }
-
 // OwnerOf returns the backend index owning a page's key.
 func (c *Cluster) OwnerOf(page int) int {
 	m, _ := c.Ring.Owner(PageKey(page))
@@ -185,11 +180,12 @@ type ClusterStats struct {
 
 // RunZipf draws `requests` pages from the cluster's Zipf distribution,
 // partitions them by ring owner, and serves each backend's share on
-// that backend — one closed-loop client per backend, pages in draw
-// order. Serial-per-backend serving keeps every cache outcome
-// deterministic (no cross-client races, no coalescing) while backends
-// overlap in wall clock; with a DBWait stall per render, N backends
-// overlap N stalls, which is the cluster's near-linear scaling claim.
+// that backend — RunLoad with one closed-loop client per backend, pages
+// in draw order, each render stalling DBWait on its worker.
+// Serial-per-backend serving keeps every cache outcome deterministic
+// (no cross-client races, no coalescing) while backends overlap in wall
+// clock; with a DBWait stall per render, N backends overlap N stalls,
+// which is the cluster's near-linear scaling claim.
 func (c *Cluster) RunZipf(ctx context.Context, requests int) (ClusterStats, error) {
 	if requests <= 0 {
 		return ClusterStats{}, fmt.Errorf("serve: cluster run needs a positive request count, got %d", requests)
@@ -219,10 +215,21 @@ func (c *Cluster) RunZipf(ctx context.Context, requests int) (ClusterStats, erro
 		wg.Add(1)
 		go func(i int, b *ClusterBackend) {
 			defer wg.Done()
+			pages := streams[i]
 			stats.PerBackend[i] = BackendClusterStats{
 				ID:    b.ID,
 				Pages: len(pageSets[i]),
-				Load:  serveStream(ctx, b, streams[i], c.Opts.DBWait),
+				Load: RunLoad(ctx, b.Sched, LoadOptions{
+					Requests: len(pages),
+					Clients:  1,
+					Cache:    b.Cache,
+					Stall:    c.Opts.DBWait,
+					PageKey: func() int {
+						page := pages[0]
+						pages = pages[1:]
+						return page
+					},
+				}),
 			}
 		}(i, b)
 	}
@@ -246,75 +253,6 @@ func (c *Cluster) RunZipf(ctx context.Context, requests int) (ClusterStats, erro
 	agg.Wall = wall
 	agg.Latency = workload.LatencyStatsFrom(lats)
 	return stats, nil
-}
-
-// serveStream serves one backend's page stream serially through its
-// scheduler and cache, stalling dbWait per successful render (the
-// simulated database round trips, charged while the worker is held —
-// FPM semantics).
-func serveStream(ctx context.Context, b *ClusterBackend, pages []int, dbWait time.Duration) LoadStats {
-	var ls LoadStats
-	start := time.Now()
-	for _, page := range pages {
-		if ctx.Err() != nil {
-			break
-		}
-		page := page
-		t0 := time.Now()
-		_, outcome, _, err := b.Sched.DoCached(ctx, b.Cache, PageKey(page),
-			func(w *workload.Worker) ([]byte, error) {
-				body, _, rerr := w.ServePageSpanCtx(ctx, page, false)
-				if rerr != nil {
-					return nil, rerr
-				}
-				if err := sleepCtx(ctx, dbWait); err != nil {
-					return nil, err
-				}
-				return body, nil
-			})
-		lat := time.Since(t0)
-		ls.Submitted++
-		switch err {
-		case nil:
-			ls.Served++
-			ls.rawLatencies = append(ls.rawLatencies, lat)
-			switch outcome {
-			case cache.Hit:
-				ls.CacheHits++
-			case cache.Coalesced:
-				ls.CacheCoalesced++
-			default:
-				ls.CacheMisses++
-			}
-		case ErrOverloaded:
-			ls.ShedOverload++
-		case ErrDeadline:
-			ls.ShedDeadline++
-		case ErrCanceled:
-			ls.ShedCanceled++
-		case ErrDraining:
-			ls.ShedDraining++
-		}
-	}
-	ls.Wall = time.Since(start)
-	ls.Latency = workload.LatencyStatsFrom(ls.rawLatencies)
-	return ls
-}
-
-// sleepCtx sleeps for d or until ctx is done, returning the ctx error
-// when the sleep was cut short. A non-positive d returns immediately.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // MergedMeter aggregates simulated costs across every backend: all pool

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sim"
 	"repro/internal/vm"
 )
 
@@ -188,5 +189,46 @@ func TestClusterOptionValidation(t *testing.T) {
 	}
 	if _, err := cl.RunZipf(context.Background(), 0); err == nil {
 		t.Fatal("zero-request run accepted")
+	}
+}
+
+// TestClusterRunZipfThroughRunLoad pins RunZipf's move onto RunLoad: the
+// per-backend served/distinct-page/hit/miss/coalesced counts and the
+// merged per-category cycles for seed 1 are the values the hand-rolled
+// per-backend loop produced before it was deleted.
+func TestClusterRunZipfThroughRunLoad(t *testing.T) {
+	opts := testClusterOpts(4)
+	opts.Seed = 1
+	cl, err := NewCluster(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Warm(2)
+	cs, err := cl.RunZipf(context.Background(), 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][5]int{ // served, distinct pages, hits, misses, coalesced
+		{102, 24, 77, 25, 0},
+		{34, 8, 26, 8, 0},
+		{21, 14, 6, 15, 0},
+		{43, 13, 29, 14, 0},
+	}
+	for i, pb := range cs.PerBackend {
+		got := [5]int{pb.Load.Served, pb.Pages, pb.Load.CacheHits, pb.Load.CacheMisses, pb.Load.CacheCoalesced}
+		if got != want[i] {
+			t.Errorf("backend %d: served/pages/hits/misses/coalesced = %v, want %v", i, got, want[i])
+		}
+		if pb.Load.Latency.Count != pb.Load.Served || pb.Load.Shed() != 0 {
+			t.Errorf("backend %d: %d latencies for %d served, %d shed", i, pb.Load.Latency.Count, pb.Load.Served, pb.Load.Shed())
+		}
+	}
+	if agg := cs.Aggregate; agg.Served != 200 || agg.Latency.Count != 200 {
+		t.Errorf("aggregate served %d with %d latencies, want 200/200", agg.Served, agg.Latency.Count)
+	}
+	wantCycles := sim.CategoryVec{9.955809523809517e+06, 1.5825182258064516e+06, 1.49264e+06,
+		1.4204335483870967e+06, 1.2174951612903224e+06, 526640, 902800, 166315.78947368424}
+	if got := cl.MergedMeter().CategoryCyclesVec(); got != wantCycles {
+		t.Errorf("merged category cycles = %v, want %v", got, wantCycles)
 	}
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,16 +22,14 @@ type LoadOptions struct {
 	// workers+queue forces shedding, which is how overload is made
 	// measurable on purpose.
 	Clients int
-	// CtxSwitchEvery injects a context switch on a worker every n
-	// requests it serves (0 disables), matching LoadGenerator.
-	CtxSwitchEvery int
 	// Collector, when non-nil, observes every served request and
 	// samples span trees the way Pool.Run's collector path does.
 	Collector *obs.Collector
-	// Cache, when non-nil, routes every request through the response
-	// cache (Scheduler.DoCached) instead of a plain render. Requires
-	// PageKey and a pool whose workload has page identity.
+	// Cache and Stall are every request's Request.Cache and
+	// Request.Stall. A Cache requires PageKey and a pool whose workload
+	// has page identity.
 	Cache *cache.Cache
+	Stall time.Duration
 	// PageKey draws the next request's page index (e.g. ZipfKeys.Next);
 	// it is what gives requests their popularity distribution. With a
 	// Cache it also names the cache key; without one, each render still
@@ -142,6 +139,7 @@ func RunLoad(ctx context.Context, s *Scheduler, opts LoadOptions) LoadStats {
 	var next int64 // next request index to claim; claims beyond Requests stop the client
 	var mu sync.Mutex
 	var ls LoadStats
+	var outcomes [numOutcomes]int
 	var waits, lats, hitLats, missLats []time.Duration
 	// Sized up front so the append-under-mutex in the hot loop never
 	// reallocates mid-run.
@@ -158,94 +156,37 @@ func RunLoad(ctx context.Context, s *Scheduler, opts LoadOptions) LoadStats {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Per-client loop state is hoisted so the render callbacks
-			// below are allocated once per client, not once per request:
-			// the closures read page/rid through these variables, which
-			// are only rewritten between (synchronous) submissions.
-			var (
-				page     int
-				rid      string
-				pageKeys []string // lazy page-index -> "page:N" table; Zipf traffic repays it fast
-			)
-			keyFor := func(p int) string {
-				for p >= len(pageKeys) {
-					pageKeys = append(pageKeys, "")
-				}
-				if pageKeys[p] == "" {
-					pageKeys[p] = "page:" + strconv.Itoa(p)
-				}
-				return pageKeys[p]
-			}
-			cachedRender := func(w *workload.Worker) ([]byte, error) {
-				profile := opts.Collector != nil && opts.Collector.ShouldSample()
-				body, sp, rerr := w.ServePageSpanCtx(ctx, page, profile)
-				if rerr != nil {
-					return nil, rerr
-				}
-				if opts.Collector != nil {
-					opts.Collector.ObserveHTTP(sp, len(body), obs.RequestMeta{RequestID: rid})
-				}
-				if opts.CtxSwitchEvery > 0 && w.Served()%opts.CtxSwitchEvery == 0 {
-					w.Runtime().ContextSwitch()
-				}
-				return body, nil
-			}
-			plainRender := func(w *workload.Worker) error {
-				profile := opts.Collector != nil && opts.Collector.ShouldSample()
-				var (
-					body []byte
-					sp   obs.Span
-					err  error
-				)
-				if opts.PageKey != nil {
-					body, sp, err = w.ServePageSpanCtx(ctx, page, profile)
-				} else {
-					body, sp, err = w.ServeSpanCtx(ctx, profile)
-				}
-				if err != nil {
-					return err
-				}
-				if opts.Collector != nil {
-					opts.Collector.ObserveHTTP(sp, len(body), obs.RequestMeta{RequestID: rid})
-				}
-				if opts.CtxSwitchEvery > 0 && w.Served()%opts.CtxSwitchEvery == 0 {
-					w.Runtime().ContextSwitch()
-				}
-				return nil
-			}
+			var scratch []byte // uncached bodies land here, reused across the client's requests
 			for ctx.Err() == nil {
 				if atomic.AddInt64(&next, 1) > int64(opts.Requests) {
 					return
 				}
-				rid = ""
+				rid := ""
 				if ids != nil {
 					rid = ids.Next()
 				}
-				var wait time.Duration
-				var err error
-				var outcome cache.Outcome
-				var lat time.Duration
+				req := Request{
+					Page:    -1,
+					Profile: opts.Collector != nil && opts.Collector.ShouldSample(),
+					Cache:   opts.Cache,
+					Stall:   opts.Stall,
+				}
 				if opts.PageKey != nil {
-					page = opts.PageKey()
+					req.Page = opts.PageKey()
 				}
-				if opts.Cache != nil {
-					t0 := time.Now()
-					_, outcome, wait, err = s.DoCached(ctx, opts.Cache, keyFor(page), cachedRender)
-					lat = time.Since(t0)
-				} else {
-					t0 := time.Now()
-					wait, err = s.Do(ctx, plainRender)
-					lat = time.Since(t0)
+				resp, err := s.Serve(ctx, req, &scratch)
+				if err == nil && opts.Collector != nil {
+					opts.Collector.ObserveHTTP(resp.Span, len(resp.Body), obs.RequestMeta{RequestID: rid, QueueWait: resp.Wait})
 				}
+				lat := resp.Span.Wall
 				mu.Lock()
 				ls.Submitted++
-				switch err {
-				case nil:
-					ls.Served++
-					waits = append(waits, wait)
+				outcomes[OutcomeOf(err)]++
+				if err == nil {
+					waits = append(waits, resp.Wait)
 					lats = append(lats, lat)
 					if opts.Cache != nil {
-						switch outcome {
+						switch resp.Cache {
 						case cache.Hit:
 							ls.CacheHits++
 							hitLats = append(hitLats, lat)
@@ -257,16 +198,7 @@ func RunLoad(ctx context.Context, s *Scheduler, opts LoadOptions) LoadStats {
 							missLats = append(missLats, lat)
 						}
 					}
-				case ErrOverloaded:
-					ls.ShedOverload++
-				case ErrDeadline:
-					ls.ShedDeadline++
-				case ErrCanceled:
-					ls.ShedCanceled++
-				case ErrDraining:
-					ls.ShedDraining++
-				}
-				if err != nil && ids != nil && len(ls.ErrorSamples) < maxErrorSamples {
+				} else if ids != nil && len(ls.ErrorSamples) < maxErrorSamples {
 					ls.ErrorSamples = append(ls.ErrorSamples, ErrorSample{ID: rid, Err: err})
 				}
 				mu.Unlock()
@@ -275,6 +207,12 @@ func RunLoad(ctx context.Context, s *Scheduler, opts LoadOptions) LoadStats {
 	}
 	wg.Wait()
 	ls.Wall = time.Since(start)
+	ls.Served = outcomes[OutcomeServed]
+	ls.ShedOverload = outcomes[OutcomeOverload]
+	ls.ShedDeadline = outcomes[OutcomeDeadline]
+	ls.ShedCanceled = outcomes[OutcomeCanceled]
+	ls.ShedDraining = outcomes[OutcomeDraining]
+	ls.rawLatencies = lats
 	ls.QueueWait = workload.LatencyStatsFrom(waits)
 	ls.Latency = workload.LatencyStatsFrom(lats)
 	ls.HitLatency = workload.LatencyStatsFrom(hitLats)

@@ -81,6 +81,10 @@ type Config struct {
 	// disables). If the caller's context already carries an earlier
 	// deadline, the earlier one wins.
 	Timeout time.Duration
+	// CtxSwitchEvery makes Serve end every n-th request a worker serves
+	// with a context switch on its runtime (0 disables) — phpserve's
+	// -ctxswitch, matching LoadGenerator.ContextSwitchEvery offline.
+	CtxSwitchEvery int
 }
 
 // Stats is a consistent snapshot of the scheduler's lifetime counters.
@@ -213,6 +217,84 @@ func (s *Scheduler) shedCtx(err error) error {
 	return ErrDeadline
 }
 
+// admit is the admission gate Do and DoCached share: drain state (shed
+// with ErrDraining), the request deadline (Config.Timeout applied here;
+// an already-expired context sheds), then the bounded token (shed with
+// ErrOverloaded). On success the request holds an in-flight count and a
+// slot until leave runs with the returned cancel func, and ctx carries
+// the deadline.
+func (s *Scheduler) admit(ctx context.Context) (context.Context, context.CancelFunc, error) {
+	s.mu.Lock()
+	if s.state != StateRunning {
+		s.mu.Unlock()
+		s.count(&s.shedDraining)
+		return ctx, nil, ErrDraining
+	}
+	s.inflight.Add(1)
+	s.mu.Unlock()
+
+	cancel := context.CancelFunc(func() {})
+	if s.cfg.Timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
+	}
+	err := ctx.Err()
+	if err == nil {
+		select {
+		case s.slots <- struct{}{}:
+			s.count(&s.admitted)
+			return ctx, cancel, nil
+		default:
+			s.count(&s.shedOverload)
+			err = ErrOverloaded
+		}
+	} else {
+		err = s.shedCtx(err)
+	}
+	cancel()
+	s.inflight.Done()
+	return ctx, nil, err
+}
+
+// leave returns what admit granted: the token, the deadline timer, the
+// in-flight count.
+func (s *Scheduler) leave(cancel context.CancelFunc) {
+	<-s.slots
+	cancel()
+	s.inflight.Done()
+}
+
+// acquire queues an admitted request for a worker, bounded by its
+// deadline, keeping the queue-depth gauge and the queue-wait histogram.
+// The wait is valid on every outcome (on failure it is what expired the
+// request); a failure is the context's error and no worker is held.
+func (s *Scheduler) acquire(ctx context.Context) (*workload.Worker, time.Duration, error) {
+	s.statsMu.Lock()
+	s.queued++
+	s.statsMu.Unlock()
+	t0 := time.Now()
+	w, err := s.pool.AcquireCtx(ctx)
+	wait := time.Since(t0)
+	s.statsMu.Lock()
+	s.queued--
+	s.waitHist.Observe(wait.Seconds())
+	s.statsMu.Unlock()
+	return w, wait, err
+}
+
+// settle closes an admitted request's accounting: nil counts as served,
+// context failure — an expired deadline or a canceled client, wherever
+// the clock ran out — becomes its typed shed, anything else is the
+// worker function's own error, returned as-is.
+func (s *Scheduler) settle(err error) error {
+	switch {
+	case err == nil:
+		s.count(&s.served)
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+		return s.shedCtx(err)
+	}
+	return err
+}
+
 // Do runs one request through the full lifecycle: admission (shed with
 // ErrDraining or ErrOverloaded), queueing for a worker (bounded by the
 // request's deadline; shed with ErrDeadline), execution of fn on the
@@ -223,57 +305,17 @@ func (s *Scheduler) shedCtx(err error) error {
 // to ErrDeadline regardless of where the clock ran out, and a canceled
 // context (the client abandoned the request) maps to ErrCanceled.
 func (s *Scheduler) Do(ctx context.Context, fn func(w *workload.Worker) error) (time.Duration, error) {
-	s.mu.Lock()
-	if s.state != StateRunning {
-		s.mu.Unlock()
-		s.count(&s.shedDraining)
-		return 0, ErrDraining
-	}
-	s.inflight.Add(1)
-	s.mu.Unlock()
-	defer s.inflight.Done()
-
-	if s.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
-		defer cancel()
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, s.shedCtx(err)
-	}
-
-	select {
-	case s.slots <- struct{}{}:
-	default:
-		s.count(&s.shedOverload)
-		return 0, ErrOverloaded
-	}
-	defer func() { <-s.slots }()
-
-	s.statsMu.Lock()
-	s.admitted++
-	s.queued++
-	s.statsMu.Unlock()
-	t0 := time.Now()
-	w, err := s.pool.AcquireCtx(ctx)
-	wait := time.Since(t0)
-	s.statsMu.Lock()
-	s.queued--
-	s.waitHist.Observe(wait.Seconds())
-	s.statsMu.Unlock()
+	ctx, cancel, err := s.admit(ctx)
 	if err != nil {
-		return wait, s.shedCtx(err)
+		return 0, err
+	}
+	defer s.leave(cancel)
+	w, wait, err := s.acquire(ctx)
+	if err != nil {
+		return wait, s.settle(err)
 	}
 	defer s.pool.Release(w)
-
-	if err := fn(w); err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			return wait, s.shedCtx(err)
-		}
-		return wait, err
-	}
-	s.count(&s.served)
-	return wait, nil
+	return wait, s.settle(fn(w))
 }
 
 // count bumps one lifetime counter under statsMu.

@@ -391,9 +391,9 @@ func TestDrainLateQuiescence(t *testing.T) {
 // measures queue waits, and GatherResult agrees with the stats.
 func TestRunLoadServesAll(t *testing.T) {
 	pool := testPool(t, 2)
-	s := NewScheduler(pool, Config{QueueDepth: 4})
+	s := NewScheduler(pool, Config{QueueDepth: 4, CtxSwitchEvery: 4})
 	col := obs.NewCollector(1, nil, nil)
-	ls := RunLoad(context.Background(), s, LoadOptions{Requests: 12, Clients: 2, CtxSwitchEvery: 4, Collector: col})
+	ls := RunLoad(context.Background(), s, LoadOptions{Requests: 12, Clients: 2, Collector: col})
 	if ls.Submitted != 12 || ls.Served != 12 || ls.Shed() != 0 {
 		t.Fatalf("load stats = %+v", ls)
 	}

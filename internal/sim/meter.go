@@ -178,31 +178,32 @@ func (mt *Meter) AddTypeCheck(n int) {
 	mt.AddUops("type_check", CatTypeCheck, float64(n)*mt.Model.TypeCheckUops)
 }
 
-// TotalUops returns the total micro-ops executed on the core.
-func (mt *Meter) TotalUops() float64 {
+// total sums one per-function quantity in Functions() order. Float
+// addition is order-sensitive, so walking the map directly would smear
+// the last bits differently run to run; one fixed order makes every
+// total a pure function of what was charged, not of how it was charged
+// or merged.
+func (mt *Meter) total(of func(*FnStats) float64) float64 {
 	var t float64
-	for _, f := range mt.fns {
-		t += f.Uops
+	for _, f := range mt.Functions() {
+		t += of(f)
 	}
 	return t
+}
+
+// TotalUops returns the total micro-ops executed on the core.
+func (mt *Meter) TotalUops() float64 {
+	return mt.total(func(f *FnStats) float64 { return f.Uops })
 }
 
 // TotalCycles returns core cycles plus accelerator cycles.
 func (mt *Meter) TotalCycles() float64 {
-	var t float64
-	for _, f := range mt.fns {
-		t += f.Cycles(&mt.Model)
-	}
-	return t
+	return mt.total(func(f *FnStats) float64 { return f.Cycles(&mt.Model) })
 }
 
 // TotalEnergy returns total energy in picojoules.
 func (mt *Meter) TotalEnergy() float64 {
-	var t float64
-	for _, f := range mt.fns {
-		t += f.Energy(&mt.Model)
-	}
-	return t
+	return mt.total(func(f *FnStats) float64 { return f.Energy(&mt.Model) })
 }
 
 // CategoryCycles returns the cycle total attributed to each category.
@@ -265,7 +266,8 @@ func (mt *Meter) AccelCycles(kind AccelKind) float64 { return mt.accelCycles[kin
 // AccelCalls returns the number of invocations of the given accelerator.
 func (mt *Meter) AccelCalls(kind AccelKind) int64 { return mt.accelCalls[kind] }
 
-// Functions returns per-function statistics sorted by descending cycles.
+// Functions returns per-function statistics sorted by descending
+// cycles, ties broken by name and then category, so the order is total.
 func (mt *Meter) Functions() []*FnStats {
 	out := make([]*FnStats, 0, len(mt.fns))
 	for _, f := range mt.fns {
@@ -276,7 +278,10 @@ func (mt *Meter) Functions() []*FnStats {
 		if ci != cj {
 			return ci > cj
 		}
-		return out[i].Name < out[j].Name
+		if out[i].Name != out[j].Name {
+			return out[i].Name < out[j].Name
+		}
+		return out[i].Category < out[j].Category
 	})
 	return out
 }

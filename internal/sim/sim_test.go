@@ -308,3 +308,55 @@ func TestMeterMerge(t *testing.T) {
 		t.Errorf("Merge mutated its argument")
 	}
 }
+
+// TestTotalsIndependentOfChargeOrder: two meters holding the same
+// per-function charges — entered in opposite orders, one of them via
+// Merge, with same-name same-cycles rows in different categories —
+// report bit-identical totals. Summing in map-iteration order used to
+// leave the last bits of /stats sim_energy_pj to chance.
+func TestTotalsIndependentOfChargeOrder(t *testing.T) {
+	type charge struct {
+		name string
+		cat  Category
+		uops float64
+	}
+	var charges []charge
+	for i := 0; i < 200; i++ {
+		// Awkward magnitudes so that addition order shows in the sum.
+		charges = append(charges, charge{"fn_" + string(rune('a'+i%26)), Category(i % int(NumCategories)), 1e9/float64(i+3) + 0.1*float64(i)})
+	}
+	charges = append(charges, charge{"twin", CatHash, 42}, charge{"twin", CatHeap, 42})
+
+	model := DefaultCostModel()
+	fwd, rev, part := NewMeter(model), NewMeter(model), NewMeter(model)
+	for i, c := range charges {
+		fwd.AddUops(c.name, c.cat, c.uops)
+		r := charges[len(charges)-1-i]
+		dst := rev
+		if i%2 == 1 {
+			dst = part
+		}
+		dst.AddUops(r.name, r.cat, r.uops)
+	}
+	fwd.AddAccel("accel_fn", CatString, AccelString, 12.5)
+	part.AddAccel("accel_fn", CatString, AccelString, 12.5)
+	rev.Merge(part)
+
+	for i := 0; i < 20; i++ { // map iteration order differs call to call
+		if a, b := fwd.TotalEnergy(), rev.TotalEnergy(); a != b {
+			t.Fatalf("TotalEnergy differs with charge order: %v vs %v", a, b)
+		}
+		if a, b := fwd.TotalCycles(), rev.TotalCycles(); a != b {
+			t.Fatalf("TotalCycles differs with charge order: %v vs %v", a, b)
+		}
+		if a, b := fwd.TotalUops(), rev.TotalUops(); a != b {
+			t.Fatalf("TotalUops differs with charge order: %v vs %v", a, b)
+		}
+	}
+	fns := fwd.Functions()
+	for i := 1; i < len(fns); i++ {
+		if fns[i-1].Name == "twin" && fns[i].Name == "twin" && fns[i-1].Category > fns[i].Category {
+			t.Errorf("same-name same-cycles rows not ordered by category: %v before %v", fns[i-1].Category, fns[i].Category)
+		}
+	}
+}

@@ -12,6 +12,8 @@
 package vm
 
 import (
+	"fmt"
+
 	"repro/internal/arena"
 	"repro/internal/hashmap"
 	"repro/internal/heap"
@@ -42,6 +44,26 @@ type Config struct {
 	// -arenacap). The arena itself is always on — it backs every string
 	// result the runtime produces, mirroring PHP's request-scoped memory.
 	ArenaRetain int
+}
+
+// ConfigNames lists the core configurations the paper compares, in its
+// order: stock HHVM, the §3 prior-work mitigations, and the mitigations
+// plus all four accelerators.
+var ConfigNames = []string{"baseline", "mitigated", "accelerated"}
+
+// ConfigByName returns the named core configuration (see ConfigNames),
+// the one mapping behind every binary's -config choice and comparison
+// table. Trace, heap-sampling and arena settings are the caller's.
+func ConfigByName(name string) (Config, error) {
+	switch name {
+	case "baseline":
+		return Config{}, nil
+	case "mitigated":
+		return Config{Mitigations: sim.AllMitigations()}, nil
+	case "accelerated":
+		return Config{Mitigations: sim.AllMitigations(), Features: isa.AllAccelerators()}, nil
+	}
+	return Config{}, fmt.Errorf("unknown core config %q (want baseline, mitigated, or accelerated)", name)
 }
 
 // Runtime is one simulated PHP execution context (one worker).

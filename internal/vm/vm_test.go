@@ -397,3 +397,18 @@ func TestRegexNegativeCaching(t *testing.T) {
 		t.Errorf("valid pattern after cached failure: %v", err)
 	}
 }
+
+func TestConfigByName(t *testing.T) {
+	for _, name := range ConfigNames {
+		if _, err := ConfigByName(name); err != nil {
+			t.Errorf("ConfigByName(%q) = %v", name, err)
+		}
+	}
+	acc, _ := ConfigByName("accelerated")
+	if acc.Features != isa.AllAccelerators() || acc.Mitigations != sim.AllMitigations() {
+		t.Errorf("accelerated = %+v, want all mitigations and all accelerators", acc)
+	}
+	if _, err := ConfigByName("turbo"); err == nil {
+		t.Errorf("unknown config should error")
+	}
+}

@@ -25,5 +25,5 @@
 //     sim.Meter.Merge, trace.Recorder.Merge). Attaching an
 //     obs.Collector (SetCollector) makes served requests flow through
 //     the observability layer: sampled requests carry per-request
-//     category-attribution spans (Worker.ServeOneProfiled).
+//     category-attribution spans (Worker.ServePageSpanCtx).
 package workload

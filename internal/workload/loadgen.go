@@ -22,13 +22,6 @@ type LoadGenerator struct {
 	ContextSwitchEvery int
 }
 
-// DefaultLoadGenerator matches the paper's methodology with a bounded
-// measured phase (the paper measures for one minute of wall clock; we
-// measure a fixed request count for determinism).
-func DefaultLoadGenerator() LoadGenerator {
-	return LoadGenerator{Warmup: 300, Requests: 200, ContextSwitchEvery: 64}
-}
-
 // KeyStats aggregates hash key statistics from the trace (§4.2's "about
 // 95% of keys are at most 24 bytes" and "15–25% SET" observations).
 type KeyStats struct {
@@ -156,11 +149,19 @@ func (r Result) Throughput() float64 {
 // Run drives the workload: warmup (costs discarded, accelerator state
 // kept warm), then the measured phase.
 func (lg LoadGenerator) Run(rt *vm.Runtime, app App) Result {
-	for i := 0; i < lg.Warmup; i++ {
-		app.ServeRequest(rt)
+	// serve is request i of a phase: the render, timed, then the
+	// context-switch cadence (untimed, as between real requests).
+	serve := func(i int) ([]byte, time.Duration) {
+		reqStart := time.Now()
+		page := app.ServeRequest(rt)
+		lat := time.Since(reqStart)
 		if lg.ContextSwitchEvery > 0 && (i+1)%lg.ContextSwitchEvery == 0 {
 			rt.ContextSwitch()
 		}
+		return page, lat
+	}
+	for i := 0; i < lg.Warmup; i++ {
+		serve(i)
 	}
 	// Discard warmup costs but keep hardware state warm, mirroring the
 	// steady-state measurement window.
@@ -173,13 +174,9 @@ func (lg LoadGenerator) Run(rt *vm.Runtime, app App) Result {
 	lats := make([]time.Duration, 0, lg.Requests)
 	start := time.Now()
 	for i := 0; i < lg.Requests; i++ {
-		reqStart := time.Now()
-		page := app.ServeRequest(rt)
-		lats = append(lats, time.Since(reqStart))
+		page, lat := serve(i)
+		lats = append(lats, lat)
 		res.ResponseBytes += int64(len(page))
-		if lg.ContextSwitchEvery > 0 && (i+1)%lg.ContextSwitchEvery == 0 {
-			rt.ContextSwitch()
-		}
 	}
 	res.Wall = time.Since(start)
 	res.Latency = LatencyStatsFrom(lats)

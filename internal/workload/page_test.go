@@ -122,7 +122,7 @@ func TestProfiledWallMatchesTreeDur(t *testing.T) {
 	w := p.Acquire()
 	defer p.Release(w)
 	for i := 0; i < 5; i++ {
-		_, sp := w.ServeOneProfiled()
+		_, sp, _ := w.ServePageSpanCtx(context.Background(), -1, true)
 		if !sp.Sampled || sp.Tree == nil {
 			t.Fatal("profiled serve must carry a tree")
 		}

@@ -52,21 +52,11 @@ func (w *Worker) Runtime() *vm.Runtime { return w.rt }
 // reset.
 func (w *Worker) Served() int { return w.served }
 
-// ServeOne renders one request on the worker's runtime, recording its
-// wall-clock latency and response size.
+// ServeOne renders the worker's next request, recording its wall-clock
+// latency and response size.
 func (w *Worker) ServeOne() []byte {
-	page, _ := w.serveSpan(false)
+	page, _ := w.serve(nil, -1, false)
 	return page
-}
-
-// ServeOneProfiled renders one request like ServeOne and additionally
-// returns a sampled obs.Span attributing the request's simulated cycles
-// to the paper's activity categories, computed by diffing the worker's
-// meter around the render. It costs two CategoryCyclesVec snapshots on
-// top of ServeOne, which is why callers sample rather than profile every
-// request.
-func (w *Worker) ServeOneProfiled() ([]byte, obs.Span) {
-	return w.serveSpan(true)
 }
 
 // ServeOneCtx is ServeOne with the request deadline propagated from
@@ -77,42 +67,53 @@ func (w *Worker) ServeOneProfiled() ([]byte, obs.Span) {
 // completion — like a PHP-FPM worker, the execution itself is not
 // preemptible.
 func (w *Worker) ServeOneCtx(ctx context.Context) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	page, _, err := w.ServePageSpanCtx(ctx, -1, false)
+	return page, err
+}
+
+// ServePageSpanCtx is the one deadline-aware render every serving path
+// goes through: it checks the request's deadline at worker pickup, then
+// renders, profiling the request when profile is true. A non-negative
+// page renders that page through the app's PageApp identity — how cache
+// fills render the exact page the cache key names — and errors when the
+// app lacks page identity; a negative page renders the next request of
+// the worker's own sequence. The returned span always carries worker
+// identity and render wall time; a profiled one additionally attributes
+// the request's simulated cycles to the paper's activity categories in
+// a span tree, which is why callers sample rather than profile every
+// request.
+func (w *Worker) ServePageSpanCtx(ctx context.Context, page int, profile bool) ([]byte, obs.Span, error) {
+	var pa PageApp
+	if page >= 0 {
+		var ok bool
+		if pa, ok = w.app.(PageApp); !ok {
+			return nil, obs.Span{}, fmt.Errorf("workload: app %s does not support page identity", w.app.Name())
+		}
 	}
-	page, _ := w.serveSpan(false)
-	return page, nil
-}
-
-// ServeOneProfiledCtx is ServeOneProfiled with the same
-// deadline-at-pickup check as ServeOneCtx.
-func (w *Worker) ServeOneProfiledCtx(ctx context.Context) ([]byte, obs.Span, error) {
-	return w.ServeSpanCtx(ctx, true)
-}
-
-// ServeSpanCtx is the deadline-aware serve underlying both ctx
-// variants: it checks the request's deadline at worker pickup, then
-// renders, profiling the request when profile is true. The returned
-// span always carries worker identity and render wall time, which is
-// what collector-driven serving paths (serve.RunLoad) observe.
-func (w *Worker) ServeSpanCtx(ctx context.Context, profile bool) ([]byte, obs.Span, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, obs.Span{}, err
 	}
-	page, sp := w.serveSpan(profile)
-	return page, sp, nil
+	body, sp := w.serve(pa, page, profile)
+	return body, sp, nil
 }
 
-func (w *Worker) serveSpan(profile bool) ([]byte, obs.Span) {
-	return w.serve(profile, func() []byte { return w.app.ServeRequest(w.rt) })
+// ContextSwitchEvery is the context-switch cadence of every pool-driven
+// serving path: call it after each request, and every n-th request the
+// worker has served since its last reset ends with a context switch on
+// its runtime (n <= 0 disables).
+func (w *Worker) ContextSwitchEvery(n int) {
+	if n > 0 && w.served%n == 0 {
+		w.rt.ContextSwitch()
+	}
 }
 
-// serve runs one render, measuring wall latency and (when profile is
-// true) building the span tree. The wall clock and the tree share one
+// serve runs one render — page through pa, or the app's next request
+// when pa is nil — measuring wall latency and (when profile is true)
+// building the span tree. The wall clock and the tree share one
 // starting instant, so the tree root's Dur can never exceed the span's
 // Wall — and for profiled requests the two are set equal exactly (the
 // invariant the /tracez exports rely on).
-func (w *Worker) serve(profile bool, render func() []byte) ([]byte, obs.Span) {
+func (w *Worker) serve(pa PageApp, page int, profile bool) ([]byte, obs.Span) {
 	start := time.Now()
 	var tb *obs.TreeBuilder
 	if profile {
@@ -124,7 +125,12 @@ func (w *Worker) serve(profile bool, render func() []byte) ([]byte, obs.Span) {
 		w.rt.SetSpans(tb)
 		w.rt.BeginSpan("render")
 	}
-	page := render()
+	var body []byte
+	if pa != nil {
+		body = pa.ServePage(w.rt, page)
+	} else {
+		body = w.app.ServeRequest(w.rt)
+	}
 	wall := time.Since(start)
 	sp := obs.Span{Worker: w.id, Wall: wall}
 	if profile {
@@ -143,24 +149,8 @@ func (w *Worker) serve(profile bool, render func() []byte) ([]byte, obs.Span) {
 	}
 	w.latencies = append(w.latencies, wall)
 	w.served++
-	w.respBytes += int64(len(page))
-	return page, sp
-}
-
-// ServePageSpanCtx is ServeSpanCtx for a specific page index: the
-// render goes through the app's PageApp identity instead of its internal
-// request sequence, which is how cache fills render the exact page the
-// cache key names. It errors when the worker's app lacks page identity.
-func (w *Worker) ServePageSpanCtx(ctx context.Context, page int, profile bool) ([]byte, obs.Span, error) {
-	pa, ok := w.app.(PageApp)
-	if !ok {
-		return nil, obs.Span{}, fmt.Errorf("workload: app %s does not support page identity", w.app.Name())
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, obs.Span{}, err
-	}
-	body, sp := w.serve(profile, func() []byte { return pa.ServePage(w.rt, page) })
-	return body, sp, nil
+	w.respBytes += int64(len(body))
+	return body, sp
 }
 
 // reset discards accumulated measurements but keeps runtime state warm.
@@ -184,7 +174,7 @@ type Pool struct {
 	col     *obs.Collector // optional observability sink for Run
 
 	// snapMu serializes whole-pool drains (Run, Snapshot, MergedMeter,
-	// MergedTrace). Without it, two overlapping drains — e.g. a /metrics
+	// GatherResult). Without it, two overlapping drains — e.g. a /metrics
 	// scrape racing a /stats scrape — can each pull a subset of workers
 	// off the free list and block forever holding them, wedging the
 	// server. At most one goroutine may drain the free list at a time.
@@ -308,15 +298,9 @@ func (p *Pool) mergedMeterOwned() *sim.Meter {
 	return mt
 }
 
-// MergedTrace returns a fresh unbounded recorder holding every worker's
-// retained events, grouped by worker. It returns nil when tracing is
-// disabled and blocks until all workers are idle.
-func (p *Pool) MergedTrace() *trace.Recorder {
-	p.acquireAll()
-	defer p.releaseAll()
-	return p.mergedTraceOwned()
-}
-
+// mergedTraceOwned returns a fresh unbounded recorder holding every
+// worker's retained events, grouped by worker, or nil when tracing is
+// disabled. It requires the caller to hold every worker.
 func (p *Pool) mergedTraceOwned() *trace.Recorder {
 	if p.workers[0].rt.Trace() == nil {
 		return nil
@@ -372,12 +356,13 @@ func (p *Pool) RunCtx(ctx context.Context, lg LoadGenerator, concurrency int) Re
 		wg.Wait()
 	}
 
+	// Both phases count the cadence from a freshly reset worker, so the
+	// warmup's switches land where a bare LoadGenerator.Run puts them.
 	runPhase(func(w *Worker, _ int) {
+		w.reset()
 		for i := 0; i < lg.Warmup && ctx.Err() == nil; i++ {
-			w.app.ServeRequest(w.rt)
-			if lg.ContextSwitchEvery > 0 && (i+1)%lg.ContextSwitchEvery == 0 {
-				w.rt.ContextSwitch()
-			}
+			w.ServeOne()
+			w.ContextSwitchEvery(lg.ContextSwitchEvery)
 		}
 		w.reset()
 	})
@@ -385,15 +370,11 @@ func (p *Pool) RunCtx(ctx context.Context, lg LoadGenerator, concurrency int) Re
 	start := time.Now()
 	runPhase(func(w *Worker, count int) {
 		for i := 0; i < count && ctx.Err() == nil; i++ {
-			if p.col == nil {
-				w.ServeOne()
-			} else {
-				page, sp := w.serveSpan(p.col.ShouldSample())
+			page, sp := w.serve(nil, -1, p.col != nil && p.col.ShouldSample())
+			if p.col != nil {
 				p.col.Observe(sp, len(page))
 			}
-			if lg.ContextSwitchEvery > 0 && (i+1)%lg.ContextSwitchEvery == 0 {
-				w.rt.ContextSwitch()
-			}
+			w.ContextSwitchEvery(lg.ContextSwitchEvery)
 		}
 	})
 	return p.gatherResultOwned(time.Since(start))

@@ -221,7 +221,7 @@ func TestThroughputGuardsZeroWall(t *testing.T) {
 	}
 }
 
-// TestServeOneProfiledSpan: the profiled path must attribute the
+// TestServeOneProfiledSpan: a profiled next-request render must attribute the
 // request's cycles to the paper's categories, and the breakdown must sum
 // to the request's total cycle delta.
 func TestServeOneProfiledSpan(t *testing.T) {
@@ -234,7 +234,7 @@ func TestServeOneProfiledSpan(t *testing.T) {
 	w.ServeOne() // warm metadata caches so the span sees steady state
 
 	before := w.Runtime().Meter().TotalCycles()
-	page, sp := w.ServeOneProfiled()
+	page, sp, _ := w.ServePageSpanCtx(context.Background(), -1, true)
 	after := w.Runtime().Meter().TotalCycles()
 	if len(page) == 0 {
 		t.Fatal("empty page")
@@ -268,7 +268,7 @@ func TestServeOneProfiledTree(t *testing.T) {
 	defer p.Release(w)
 	w.ServeOne()
 
-	_, sp := w.ServeOneProfiled()
+	_, sp, _ := w.ServePageSpanCtx(context.Background(), -1, true)
 	tree := sp.Tree
 	if tree == nil {
 		t.Fatal("sampled span has no tree")
@@ -297,7 +297,7 @@ func TestServeOneProfiledTree(t *testing.T) {
 	if w.Runtime().Tracing() {
 		t.Error("runtime still tracing after profiled request")
 	}
-	_, sp2 := w.serveSpan(false)
+	_, sp2 := w.serve(nil, -1, false)
 	if sp2.Tree != nil {
 		t.Error("unsampled request grew a tree")
 	}
@@ -493,7 +493,7 @@ func benchmarkPoolServe(b *testing.B, col *obs.Collector) {
 		if col == nil {
 			w.ServeOne()
 		} else {
-			page, sp := w.serveSpan(col.ShouldSample())
+			page, sp := w.serve(nil, -1, col.ShouldSample())
 			col.Observe(sp, len(page))
 		}
 	}

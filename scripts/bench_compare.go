@@ -3,7 +3,9 @@
 // reruns the pinned benchrec matrix fresh at the record's scale and
 // seed, diffs the two, and exits nonzero with a side-by-side table when
 // any metric moved past its tolerance (throughput −5%, p99 +10%,
-// allocs/op +0.5 absolute).
+// allocs/op +0.5 absolute) or any deterministic field — simulated
+// cycles, energy, category cycles, served/shed/cache counts — differs
+// at all.
 //
 // Usage:
 //
@@ -86,10 +88,14 @@ func run(dir, against, freshPath string, selftest bool) error {
 		return err
 	}
 	fmt.Print(benchrec.RenderTable(base, fresh, regs))
-	if len(regs) > 0 {
-		return fmt.Errorf("%d metric(s) regressed beyond tolerance vs %s", len(regs), against)
+	drift := benchrec.SimDrift(base, fresh)
+	for _, d := range drift {
+		fmt.Println("simulated result drifted:", d)
 	}
-	fmt.Println("bench-check: no regressions beyond tolerance")
+	if len(regs) > 0 || len(drift) > 0 {
+		return fmt.Errorf("%d metric(s) regressed beyond tolerance and %d deterministic field(s) drifted vs %s", len(regs), len(drift), against)
+	}
+	fmt.Println("bench-check: no regressions beyond tolerance, simulated results identical")
 	return nil
 }
 
@@ -124,6 +130,15 @@ func runSelftest() error {
 		fmt.Print(benchrec.RenderTable(rec, doctored, regs))
 		return fmt.Errorf("injected 4 regressions, gate caught %d", len(regs))
 	}
-	fmt.Println("bench-check selftest: clean pass on identical records, all 4 injected regressions caught")
+	// The simulated side has no tolerance: one cycle per request off in
+	// one scenario must be reported, and nothing else.
+	if drift := benchrec.SimDrift(rec, doctored); len(drift) != 0 {
+		return fmt.Errorf("wall-clock-only changes reported as simulated drift: %v", drift)
+	}
+	doctored.Scenarios[4].SimCyclesPerReq++
+	if drift := benchrec.SimDrift(rec, doctored); len(drift) != 1 {
+		return fmt.Errorf("injected 1 simulated drift, gate reported %v", drift)
+	}
+	fmt.Println("bench-check selftest: clean pass on identical records, all 4 injected regressions and the simulated drift caught")
 	return nil
 }
