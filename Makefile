@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-record bench-check docs-check check ci
+.PHONY: all build vet test race bench bench-record bench-check docs-check fuzz-smoke check ci
 
 all: check
 
@@ -44,6 +44,14 @@ bench-record:
 bench-check:
 	$(GO) run ./scripts
 
+# Differential fuzzing, ~10 s per target: each accelerator model against
+# its software substrate and its cell-at-a-time oracle. The committed
+# seed corpora (testdata/fuzz/) also run as plain tests under `go test`;
+# a crasher found here is written there and must be committed with its fix.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzFindReplace$$' -fuzztime 10s ./internal/core/straccel
+	$(GO) test -run '^$$' -fuzz '^FuzzTranslate$$' -fuzztime 10s ./internal/core/straccel
+
 check: build vet docs-check race
 
 # Full CI gate: everything `check` runs, plus the request-lifecycle
@@ -55,7 +63,7 @@ check: build vet docs-check race
 # benchmark/ module (its own go.mod, `replace repro => ../`), which
 # `./...` from the root never compiles: a root refactor that breaks its
 # imports or the twin's replay must fail here, not in the pipeline.
-ci: check
+ci: check fuzz-smoke
 	$(GO) test -race -count=1 ./internal/serve/
 	$(GO) test -race -count=1 ./internal/cache/
 	$(GO) test -race -count=1 ./internal/obs/ ./internal/profile/

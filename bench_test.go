@@ -298,6 +298,12 @@ func BenchmarkScriptedPHP(b *testing.B) {
 
 // --- CI guard: sampled-tracing overhead ---
 
+// guardRequests is the measured load of the three wall-clock overhead
+// guards below: at ~150 us of host time per accelerated WordPress render
+// it makes the compared windows ~0.35 s, long enough for a 5% ratio to
+// be signal on a shared host.
+const guardRequests = 2400
+
 // spanOverheadRun serves one measured load through a pool whose
 // collector samples span trees at the given rate, and returns the wall
 // time of the run. Rate 0 exercises the identical code path (the
@@ -312,7 +318,7 @@ func spanOverheadRun(rate float64) (time.Duration, error) {
 	col := obs.NewCollector(rate, nil, nil)
 	col.SetTreeRing(obs.NewTreeRing(64))
 	pool.SetCollector(col)
-	lg := workload.LoadGenerator{Warmup: 40, Requests: 400, ContextSwitchEvery: 64}
+	lg := workload.LoadGenerator{Warmup: 40, Requests: guardRequests, ContextSwitchEvery: 64}
 	start := time.Now()
 	pool.Run(lg, 0)
 	return time.Since(start), nil
@@ -378,7 +384,7 @@ func schedOverheadRun(sched bool) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	const requests = 400
+	const requests = guardRequests
 	if !sched {
 		start := time.Now()
 		pool.Run(workload.LoadGenerator{Requests: requests, ContextSwitchEvery: 64}, 0)
@@ -442,7 +448,7 @@ func cacheOverheadRun(cached bool) (time.Duration, error) {
 		return 0, err
 	}
 	pool.Run(workload.LoadGenerator{Warmup: 40, ContextSwitchEvery: 64}, 0)
-	const requests = 400
+	const requests = guardRequests
 	s := serve.NewScheduler(pool, serve.Config{QueueDepth: 64, CtxSwitchEvery: 64})
 	opts := serve.LoadOptions{Requests: requests, Clients: 1}
 	if cached {

@@ -89,10 +89,7 @@ func (a *Accel) AddSlashes(subject []byte) []byte {
 // strreadconfig path for complex functions whose rows are "large and may
 // not be practical or feasible to pass as a source operand" (§4.6). The
 // rows persist until the next LoadConfig/ConfigureRows.
-func (a *Accel) ConfigureRows(rows MatrixConfig) {
-	a.stats.ConfigLoads++
-	a.cur = MatrixConfig{rows: append([]row(nil), rows.rows...)}
-}
+func (a *Accel) ConfigureRows(rows MatrixConfig) { a.LoadConfig(rows) }
 
 // EqRow builds an equality row with a substitution output.
 func EqRow(match, sub byte) MatrixConfig {
@@ -128,28 +125,5 @@ func (a *Accel) ApplyConfigured(subject []byte) ([]byte, bool) {
 		return nil, false
 	}
 	a.stats.Ops++
-	out := a.mk(len(subject))
-	for base := 0; base < len(subject); base += a.cfg.BlockBytes {
-		end := base + a.cfg.BlockBytes
-		if end > len(subject) {
-			end = len(subject)
-		}
-		a.charge(end-base, len(a.cur.rows))
-		for i := base; i < end; i++ {
-			c := subject[i]
-			for _, r := range a.cur.rows {
-				if r.matches(c) {
-					switch r.kind {
-					case rowEq, rowSet:
-						c = r.sub
-					case rowRange:
-						c = byte(int(c) + int(int8(r.sub)))
-					}
-					break
-				}
-			}
-			out[i] = c
-		}
-	}
-	return out, true
+	return a.substitute(subject, &a.xlat, len(a.cur.rows)), true
 }

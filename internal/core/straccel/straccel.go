@@ -7,10 +7,14 @@
 //
 //   - ASCII compare plane: a matching matrix of configurable pattern rows
 //     by subject-block columns, populated combinationally — every cell is
-//     independent, so a whole block is compared per cycle.
+//     independent, so a whole block is compared per cycle. Modeled as a
+//     column-mask table: col[c] has bit k set iff row k fires on byte c,
+//     so one lookup evaluates a whole column.
 //   - Diagonal AND gates: consecutive-character matches for multi-byte
 //     patterns (string_find of "abc" in "babc" in the paper's example).
-//   - Priority encoder: index of the first valid match.
+//     Modeled as shift-and on one uint64: d = (d<<1 | 1) & col[c].
+//   - Priority encoder: index of the first valid match (the first column
+//     that sets diagonal bit m-1; the lowest firing row for substitution).
 //   - Output logic: forwards substituted ASCII values for functions that
 //     write a result string (translate, case conversion, escaping).
 //   - Shifting logic: aligns results to the destination offset.
@@ -23,11 +27,19 @@
 // invocation step (the synthesized design handles a 64-character block in
 // at most 3 cycles at 2 GHz); Stats records blocks and active matrix
 // cells so the simulation can charge cycles and clock-gated energy.
+// Invariant: host shortcuts may skip cells, never charge calls — every
+// block the hardware would enter is charged at its full length.
 package straccel
 
 import (
+	"bytes"
+
 	"repro/internal/strlib"
 )
+
+// maxRows is the widest matrix the model holds: the diagonal is one
+// uint64 (the paper's matrix is 32 rows).
+const maxRows = 64
 
 // Config sizes the matching matrix.
 type Config struct {
@@ -50,6 +62,9 @@ func DefaultConfig() Config {
 func (c Config) sanitized() Config {
 	if c.Rows <= 0 {
 		c.Rows = 32
+	}
+	if c.Rows > maxRows {
+		c.Rows = maxRows
 	}
 	if c.InequalityRows < 0 {
 		c.InequalityRows = 0
@@ -98,6 +113,29 @@ func (r row) matches(c byte) bool {
 	}
 }
 
+// table flattens the rows into the output logic's 256-entry lookup: each
+// byte maps to the substitution of the lowest row that fires on it (the
+// priority encoder's choice), or to itself when none does.
+func (m MatrixConfig) table() (t [256]byte) {
+	for i := range t {
+		c := byte(i)
+		t[i] = c
+		for _, r := range m.rows {
+			if r.matches(c) {
+				t[i] = r.sub
+				if r.kind == rowRange { // sub is a signed shift
+					t[i] = byte(int(c) + int(int8(r.sub)))
+				}
+				break
+			}
+		}
+	}
+	return t
+}
+
+// identity is the output lookup of an empty matrix: every byte forwarded.
+var identity = MatrixConfig{}.table()
+
 // MatrixConfig is a saved matching-matrix configuration. strwriteconfig
 // stores one before a context switch and strreadconfig restores it
 // (§4.6); complex functions also load their row setup through it.
@@ -118,20 +156,24 @@ type Stats struct {
 }
 
 // Accel is the string accelerator. Not safe for concurrent use; it is a
-// per-core structure — which is also what makes its private scratch
-// buffers (diagonal state) safe to reuse across operations.
+// per-core structure — which is also what makes its private column-mask
+// table safe to reuse across operations.
 type Accel struct {
 	cfg   Config
 	cur   MatrixConfig
+	xlat  [256]byte // cur's output lookup, rebuilt on LoadConfig
 	stats Stats
 	sw    strlib.Lib // reference implementation for software fallback
 	mem   strlib.Allocator
-	diag  []bool // matchScan diagonal state, reused across scans
+	// col is the compare plane: bit k of col[c] is set iff pattern row k
+	// fires on byte c. All zero between operations — an operation sets
+	// the entries of its own row bytes and clears the same ones after.
+	col [256]uint64
 }
 
 // New builds an accelerator.
 func New(cfg Config) *Accel {
-	return &Accel{cfg: cfg.sanitized()}
+	return &Accel{cfg: cfg.sanitized(), xlat: identity}
 }
 
 // SetMem routes result-string allocation (here and in the software
@@ -180,6 +222,14 @@ func (a *Accel) SaveConfig() MatrixConfig {
 func (a *Accel) LoadConfig(c MatrixConfig) {
 	a.stats.ConfigLoads++
 	a.cur = MatrixConfig{rows: append([]row(nil), c.rows...)}
+	a.xlat = a.cur.table()
+}
+
+// clearCols zeroes the column masks of the given row bytes.
+func (a *Accel) clearCols(rows []byte) {
+	for _, c := range rows {
+		a.col[c] = 0
+	}
 }
 
 // charge accounts one matrix pass over the block for nRows active rows.
@@ -203,34 +253,37 @@ func (a *Accel) Find(subject, pattern []byte) (int, bool) {
 	return a.matchScan(subject, pattern), true
 }
 
-// matchScan runs the matching matrix over subject looking for pattern,
-// charging per-block costs but not the per-op counter.
+// matchScan runs the matching matrix over subject looking for pattern
+// (1..Rows bytes), charging per-block costs but not the per-op counter.
 func (a *Accel) matchScan(subject, pattern []byte) int {
-	// Diagonal state: diag[k] means the first k pattern bytes matched
-	// ending at the previous byte; buffered across blocks (wrap-around).
 	m := len(pattern)
-	if cap(a.diag) < m {
-		a.diag = make([]bool, m)
+	for k, c := range pattern {
+		a.col[c] |= 1 << uint(k)
 	}
-	diag := a.diag[:m] // diag[k]: k leading pattern bytes matched so far
-	clear(diag)
-	diag0 := true // zero-length prefix always matches
+	defer a.clearCols(pattern)
+	// Diagonal state: bit k of d means pattern[:k+1] matched ending at
+	// the previous byte; carried across blocks (wrap-around buffering).
+	var d uint64
+	hit := uint64(1) << uint(m-1)
 	for base := 0; base < len(subject); base += a.cfg.BlockBytes {
 		end := base + a.cfg.BlockBytes
 		if end > len(subject) {
 			end = len(subject)
 		}
-		block := subject[base:end]
-		a.charge(len(block), m)
-		for i, c := range block {
-			// One column of the matching matrix: compare c against every
-			// pattern row in parallel, then AND with the diagonal.
-			for k := m - 1; k >= 1; k-- {
-				diag[k] = diag[k-1] && pattern[k] == c
+		a.charge(end-base, m)
+		for i := base; i < end; i++ {
+			if d == 0 {
+				// Only row 0 firing can change an all-zero diagonal:
+				// skip to the next column where it does.
+				j := bytes.IndexByte(subject[i:end], pattern[0])
+				if j < 0 {
+					break
+				}
+				i += j
 			}
-			diag[0] = diag0 && pattern[0] == c
-			if diag[m-1] {
-				return base + i - m + 1
+			d = (d<<1 | 1) & a.col[subject[i]]
+			if d&hit != 0 {
+				return i - m + 1
 			}
 		}
 	}
@@ -270,38 +323,25 @@ func (a *Accel) Compare(x, y []byte) int {
 	return 0
 }
 
-// ToUpper implements stringop[toupper] using an inequality row pair
-// ('a' <= c <= 'z') and the output substitution logic.
-func (a *Accel) ToUpper(subject []byte) []byte {
-	return a.caseConvert(subject, 'a', 'z', -32)
-}
+// Case conversion is one inequality row ('a' <= c <= 'z', or the upper-
+// case pair) whose output logic shifts the byte by 32.
+var (
+	upperTab = RangeRow('a', 'z', 0xE0).table() // 0xE0 = -32
+	lowerTab = RangeRow('A', 'Z', 32).table()
+)
+
+// ToUpper implements stringop[toupper].
+func (a *Accel) ToUpper(subject []byte) []byte { return a.caseConvert(subject, &upperTab) }
 
 // ToLower implements stringop[tolower].
-func (a *Accel) ToLower(subject []byte) []byte {
-	return a.caseConvert(subject, 'A', 'Z', +32)
-}
+func (a *Accel) ToLower(subject []byte) []byte { return a.caseConvert(subject, &lowerTab) }
 
-func (a *Accel) caseConvert(subject []byte, lo, hi byte, delta int) []byte {
+func (a *Accel) caseConvert(subject []byte, tab *[256]byte) []byte {
 	a.stats.Ops++
-	out := a.mk(len(subject))
-	for base := 0; base < len(subject); base += a.cfg.BlockBytes {
-		end := base + a.cfg.BlockBytes
-		if end > len(subject) {
-			end = len(subject)
-		}
-		a.charge(end-base, 1)
-		for i := base; i < end; i++ {
-			c := subject[i]
-			if c >= lo && c <= hi {
-				c = byte(int(c) + delta)
-			}
-			out[i] = c
-		}
-	}
 	if len(subject) == 0 {
 		a.charge(0, 1)
 	}
-	return out
+	return a.substitute(subject, tab, 1)
 }
 
 // Translate implements stringop[translate] (PHP strtr with equal-length
@@ -316,49 +356,46 @@ func (a *Accel) Translate(subject, from, to []byte) ([]byte, bool) {
 		return a.sw.Translate(subject, from, to), false
 	}
 	a.stats.Ops++
+	tab := identity
+	for r := len(from) - 1; r >= 0; r-- { // lowest row wins
+		tab[from[r]] = to[r]
+	}
+	return a.substitute(subject, &tab, max(len(from), 1)), true
+}
+
+// substitute streams subject through the output logic: every byte is
+// replaced by its tab entry, one matrix pass of nRows rows per block.
+func (a *Accel) substitute(subject []byte, tab *[256]byte, nRows int) []byte {
 	out := a.mk(len(subject))
 	for base := 0; base < len(subject); base += a.cfg.BlockBytes {
 		end := base + a.cfg.BlockBytes
 		if end > len(subject) {
 			end = len(subject)
 		}
-		a.charge(end-base, max(len(from), 1))
+		a.charge(end-base, nRows)
 		for i := base; i < end; i++ {
-			c := subject[i]
-			for r := range from {
-				if c == from[r] {
-					c = to[r]
-					break
-				}
-			}
-			out[i] = c
+			out[i] = tab[subject[i]]
 		}
 	}
-	return out, true
+	return out
 }
 
 // Trim implements stringop[trim]: set-membership rows detect the trim
 // characters; only the string's edges stream through the matrix.
 func (a *Accel) Trim(subject []byte, cutset []byte) []byte {
 	a.stats.Ops++
-	inCut := func(c byte) bool {
-		for _, s := range cutset {
-			if c == s {
-				return true
-			}
-		}
-		return false
+	for _, c := range cutset {
+		a.col[c] = 1
 	}
+	defer a.clearCols(cutset)
 	lo, hi := 0, len(subject)
-	edge := 0
-	for lo < hi && inCut(subject[lo]) {
+	for lo < hi && a.col[subject[lo]] != 0 {
 		lo++
-		edge++
 	}
-	for hi > lo && inCut(subject[hi-1]) {
+	for hi > lo && a.col[subject[hi-1]] != 0 {
 		hi--
-		edge++
 	}
+	edge := len(subject) - (hi - lo)
 	blocks := (edge+a.cfg.BlockBytes-1)/a.cfg.BlockBytes + 1
 	for i := 0; i < blocks; i++ {
 		n := edge
@@ -450,23 +487,6 @@ func (a *Accel) HintVector(subject []byte, segSize int) []uint64 {
 	if segSize <= 0 {
 		segSize = 32
 	}
-	nblocks := (len(subject) + a.cfg.BlockBytes - 1) / a.cfg.BlockBytes
-	if nblocks == 0 {
-		nblocks = 1
-	}
-	for i := 0; i < nblocks; i++ {
-		n := a.cfg.BlockBytes
-		if rem := len(subject) - i*a.cfg.BlockBytes; rem < n {
-			n = rem
-		}
-		a.charge(n, a.cfg.InequalityRows)
-	}
+	a.chargeBlocks(len(subject), a.cfg.InequalityRows)
 	return strlib.ClassScanRef(subject, segSize)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -28,6 +28,23 @@ func TestConfigSanitize(t *testing.T) {
 	if c.Rows <= 0 || c.BlockBytes <= 0 {
 		t.Errorf("zero config not sanitized: %+v", c)
 	}
+	// The diagonal is one uint64: wider matrices are clamped to 64 rows,
+	// and a 64-byte pattern (match bit = bit 63) still runs in hardware.
+	a := New(Config{Rows: 100, BlockBytes: 64})
+	if a.Config().Rows != 64 {
+		t.Fatalf("Rows = %d, want clamp to 64", a.Config().Rows)
+	}
+	pat := make([]byte, 64)
+	for i := range pat {
+		pat[i] = byte('A' + i)
+	}
+	subject := append(append([]byte("xxA"), pat...), 'y')
+	if pos, hw := a.Find(subject, pat); pos != 3 || !hw {
+		t.Errorf("64-byte pattern: Find = %d hw=%v, want 3 true", pos, hw)
+	}
+	if pos, hw := a.Find(subject, subject[:65]); pos != 0 || hw {
+		t.Errorf("65-byte pattern must bypass: Find = %d hw=%v", pos, hw)
+	}
 }
 
 func TestFindPaperExample(t *testing.T) {
@@ -77,6 +94,406 @@ func TestFindEquivalenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// oracle is the cell-at-a-time model of the matrix that the bit-parallel
+// datapath replaced: one bool per diagonal cell, one row loop per subject
+// byte. It is kept as the reference for results and for the full Stats
+// accounting (charge is called exactly where the hardware enters a block).
+type oracle struct {
+	cfg   Config
+	stats Stats
+}
+
+func (o *oracle) charge(blockLen, nRows int) {
+	o.stats.Blocks++
+	o.stats.Bytes += int64(blockLen)
+	o.stats.ActiveCells += int64(blockLen * nRows)
+	o.stats.GatedCells += int64(blockLen * (o.cfg.Rows - nRows))
+}
+
+func (o *oracle) matchScan(subject, pattern []byte) int {
+	m := len(pattern)
+	diag := make([]bool, m) // diag[k]: k+1 leading pattern bytes matched so far
+	for base := 0; base < len(subject); base += o.cfg.BlockBytes {
+		end := base + o.cfg.BlockBytes
+		if end > len(subject) {
+			end = len(subject)
+		}
+		block := subject[base:end]
+		o.charge(len(block), m)
+		for i, c := range block {
+			for k := m - 1; k >= 1; k-- {
+				diag[k] = diag[k-1] && pattern[k] == c
+			}
+			diag[0] = pattern[0] == c
+			if diag[m-1] {
+				return base + i - m + 1
+			}
+		}
+	}
+	return -1
+}
+
+func (o *oracle) find(subject, pattern []byte) int {
+	o.stats.Ops++
+	return o.matchScan(subject, pattern)
+}
+
+func (o *oracle) replace(subject, old, new []byte) ([]byte, int) {
+	o.stats.Ops++
+	var out []byte
+	count := 0
+	for pos := 0; pos < len(subject); {
+		rel := o.matchScan(subject[pos:], old)
+		if rel < 0 {
+			out = append(out, subject[pos:]...)
+			break
+		}
+		out = append(out, subject[pos:pos+rel]...)
+		out = append(out, new...)
+		pos += rel + len(old)
+		count++
+	}
+	return out, count
+}
+
+// apply is the per-byte row loop behind Translate and ApplyConfigured:
+// the first (lowest) row that fires substitutes the byte.
+func (o *oracle) apply(subject []byte, rows []row, nRows int) []byte {
+	o.stats.Ops++
+	out := make([]byte, len(subject))
+	for base := 0; base < len(subject); base += o.cfg.BlockBytes {
+		end := base + o.cfg.BlockBytes
+		if end > len(subject) {
+			end = len(subject)
+		}
+		o.charge(end-base, nRows)
+		for i := base; i < end; i++ {
+			c := subject[i]
+			for _, r := range rows {
+				if r.matches(c) {
+					switch r.kind {
+					case rowEq, rowSet:
+						c = r.sub
+					case rowRange:
+						c = byte(int(c) + int(int8(r.sub)))
+					}
+					break
+				}
+			}
+			out[i] = c
+		}
+	}
+	return out
+}
+
+func (o *oracle) translate(subject, from, to []byte) []byte {
+	rows := make([]row, len(from))
+	for i := range from {
+		rows[i] = row{kind: rowEq, eq: from[i], sub: to[i]}
+	}
+	return o.apply(subject, rows, max(len(from), 1))
+}
+
+func (o *oracle) trim(subject, cutset []byte) []byte {
+	o.stats.Ops++
+	inCut := row{kind: rowSet, set: cutset}
+	lo, hi := 0, len(subject)
+	edge := 0
+	for lo < hi && inCut.matches(subject[lo]) {
+		lo++
+		edge++
+	}
+	for hi > lo && inCut.matches(subject[hi-1]) {
+		hi--
+		edge++
+	}
+	blocks := (edge+o.cfg.BlockBytes-1)/o.cfg.BlockBytes + 1
+	for i := 0; i < blocks; i++ {
+		n := edge
+		if n > o.cfg.BlockBytes {
+			n = o.cfg.BlockBytes
+		}
+		o.charge(n, max(len(cutset), 1))
+		edge -= n
+	}
+	return subject[lo:hi]
+}
+
+// ablationWidths are the block widths of the paper's matrix-width figure.
+var ablationWidths = []int{16, 32, 64, 128}
+
+// boundaryLens are subject lengths on and around block boundaries.
+var boundaryLens = []int{0, 1, 63, 64, 65, 127, 128, 129}
+
+// pair builds an accelerator and its oracle with the same configuration.
+func pair(rows, blockBytes int) (*Accel, *oracle) {
+	a := New(Config{Rows: rows, InequalityRows: 6, BlockBytes: blockBytes})
+	return a, &oracle{cfg: a.Config()}
+}
+
+// checkFind runs one Find on both models and compares the position, the
+// software reference and the whole Stats struct; it returns the position.
+func checkFind(t *testing.T, a *Accel, o *oracle, subject, pattern []byte) int {
+	t.Helper()
+	var ref strlib.Lib
+	got, hw := a.Find(subject, pattern)
+	want := o.find(subject, pattern)
+	if !hw || got != want || got != ref.Find(subject, pattern) {
+		t.Fatalf("B=%d Find(%q, %q) = %d hw=%v, oracle %d, strlib %d",
+			a.cfg.BlockBytes, subject, pattern, got, hw, want, ref.Find(subject, pattern))
+	}
+	if a.Stats() != o.stats {
+		t.Fatalf("B=%d Find(%q, %q) stats\n got  %+v\n want %+v",
+			a.cfg.BlockBytes, subject, pattern, a.Stats(), o.stats)
+	}
+	if a.col != [256]uint64{} {
+		t.Fatalf("column masks not cleared after Find(%q, %q)", subject, pattern)
+	}
+	return got
+}
+
+// TestFindAgainstOracle searches the space the shift-and diagonal can
+// get wrong instead of sampling it: every pattern length the matrix
+// holds, subjects on and around block boundaries, a two-letter alphabet
+// so partial and self-overlapping matches are the norm, and the pattern
+// planted at the start, the end, ending on a boundary and straddling one
+// — or absent.
+func TestFindAgainstOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, bb := range ablationWidths {
+		a, o := pair(64, bb)
+		for m := 1; m <= 64; m++ {
+			pattern := make([]byte, m)
+			for i := range pattern {
+				pattern[i] = "ab"[rng.Intn(2)]
+			}
+			for _, n := range boundaryLens {
+				plants := []int{-1, 0, n - m, bb - m, bb - m/2 - 1, 2*bb - m, n - bb - 1}
+				for _, at := range plants {
+					subject := make([]byte, n)
+					for i := range subject {
+						subject[i] = "abc"[rng.Intn(3)]
+					}
+					if at >= 0 && at+m <= n {
+						copy(subject[at:], pattern)
+					}
+					checkFind(t, a, o, subject, pattern)
+				}
+			}
+		}
+	}
+}
+
+func TestFindSelfOverlappingPatterns(t *testing.T) {
+	for _, bb := range ablationWidths {
+		a, o := pair(32, bb)
+		for _, c := range []struct {
+			subject, pattern string
+			want             int
+		}{
+			{"aaab", "aab", 1},
+			{"abaabab", "abab", 3},
+			{"aaaa", "aaaaa", -1},
+			{"ababababc", "ababc", 4},
+			{strings.Repeat("a", 63) + "aab", "aab", 63},
+			{strings.Repeat("ab", 40) + "b", "abb", 78},
+			{"", "a", -1},
+		} {
+			if got := checkFind(t, a, o, []byte(c.subject), []byte(c.pattern)); got != c.want {
+				t.Errorf("Find(%q, %q) = %d, want %d", c.subject, c.pattern, got, c.want)
+			}
+		}
+	}
+}
+
+// TestReplaceAgainstOracle: Replace restarts block alignment after each
+// occurrence, so adjacent and overlapping occurrences move every later
+// block boundary — the Stats comparison pins that.
+func TestReplaceAgainstOracle(t *testing.T) {
+	var ref strlib.Lib
+	check := func(a *Accel, o *oracle, subject, old, new []byte) {
+		t.Helper()
+		got, gotN, hw := a.Replace(subject, old, new)
+		want, wantN := o.replace(subject, old, new)
+		sw, swN := ref.Replace(subject, old, new)
+		if !hw || gotN != wantN || gotN != swN || !bytes.Equal(got, want) || !bytes.Equal(got, sw) {
+			t.Fatalf("B=%d Replace(%q, %q, %q) = %q n=%d hw=%v, oracle %q n=%d, strlib %q n=%d",
+				a.cfg.BlockBytes, subject, old, new, got, gotN, hw, want, wantN, sw, swN)
+		}
+		if a.Stats() != o.stats {
+			t.Fatalf("B=%d Replace(%q, %q, %q) stats\n got  %+v\n want %+v",
+				a.cfg.BlockBytes, subject, old, new, a.Stats(), o.stats)
+		}
+	}
+	rng := rand.New(rand.NewSource(14))
+	for _, bb := range ablationWidths {
+		a, o := pair(32, bb)
+		for _, c := range [][3]string{
+			{"abab", "ab", "X"},                             // adjacent
+			{"aaaa", "aa", "b"},                             // overlapping candidates: 2, not 3
+			{"aaa", "aa", ""},                               // leftover tail
+			{"aaaaa", "a", "aa"},                            // every byte
+			{strings.Repeat("ab", 100), "ab", "ba"},         // adjacent across every boundary
+			{strings.Repeat("a", 131), "aaa", "-"},          // overlapping, straddling boundaries
+			{strings.Repeat("x", 62) + "<b><b>", "<b>", ""}, // first occurrence straddles 64
+			{"", "a", "b"},
+			{"no match here", "zz", "y"},
+		} {
+			check(a, o, []byte(c[0]), []byte(c[1]), []byte(c[2]))
+		}
+		for i := 0; i < 300; i++ {
+			subject := make([]byte, boundaryLens[rng.Intn(len(boundaryLens))]+rng.Intn(3))
+			for j := range subject {
+				subject[j] = "ab"[rng.Intn(2)]
+			}
+			old := make([]byte, 1+rng.Intn(4))
+			for j := range old {
+				old[j] = "ab"[rng.Intn(2)]
+			}
+			check(a, o, subject, old, []byte("ZZ")[:rng.Intn(3)])
+		}
+	}
+}
+
+// allBytes is every byte value three times over, so a subject crosses
+// several block boundaries at every ablation width.
+var allBytes = func() []byte {
+	b := make([]byte, 3*256)
+	for i := range b {
+		b[i] = byte(i)
+	}
+	return b
+}()
+
+func checkOutput(t *testing.T, what string, a *Accel, o *oracle, got, want []byte) {
+	t.Helper()
+	if !bytes.Equal(got, want) {
+		t.Fatalf("B=%d %s = %q, oracle %q", a.cfg.BlockBytes, what, got, want)
+	}
+	if a.Stats() != o.stats {
+		t.Fatalf("B=%d %s stats\n got  %+v\n want %+v", a.cfg.BlockBytes, what, a.Stats(), o.stats)
+	}
+	if a.col != [256]uint64{} {
+		t.Fatalf("column masks not cleared after %s", what)
+	}
+}
+
+func TestTranslateAgainstOracle(t *testing.T) {
+	var ref strlib.Lib
+	for _, bb := range ablationWidths {
+		a, o := pair(32, bb)
+		for _, c := range [][2]string{
+			{"lo<>", "01[]"},
+			{"aab", "xyz"}, // duplicate from byte: the lowest row wins
+			{"\x80\xff\x00a", "a\x00\xff\x80"},
+			{"", ""},
+			{"abcdefghijklmnopqrstuvwxyzABCDEF", "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdef"},
+		} {
+			from, to := []byte(c[0]), []byte(c[1])
+			for _, n := range append(boundaryLens, len(allBytes)) {
+				subject := append([]byte(nil), allBytes[:n]...)
+				if len(from) > 0 && n > 2 {
+					subject[n/2] = from[0]
+				}
+				got, hw := a.Translate(subject, from, to)
+				if !hw {
+					t.Fatalf("Translate(%q) bypassed", from)
+				}
+				checkOutput(t, "Translate", a, o, got, o.translate(subject, from, to))
+				// strlib lets the last duplicate win; without duplicates
+				// the software reference must agree too.
+				if c[0] != "aab" && !bytes.Equal(got, ref.Translate(subject, from, to)) {
+					t.Fatalf("Translate(%q -> %q) differs from strlib", from, to)
+				}
+			}
+		}
+	}
+}
+
+func TestApplyConfiguredAgainstOracle(t *testing.T) {
+	set := MatrixConfig{rows: []row{{kind: rowSet, set: []byte(" \t\x80\xfe"), sub: '_'}}}
+	for _, bb := range ablationWidths {
+		a, o := pair(32, bb)
+		for _, cfg := range []MatrixConfig{
+			RangeRow('a', 'z', 0xE0),
+			Merge(EqRow('m', '!'), RangeRow('a', 'z', 0xE0)),                   // eq row shadows the range
+			Merge(RangeRow('a', 'z', 0xE0), EqRow('m', '!')),                   // range row shadows the eq
+			Merge(RangeRow('a', 'm', 1), RangeRow('h', 'z', 0xFF)),             // overlapping ranges
+			Merge(EqRow('a', 'b'), EqRow('a', 'c'), EqRow('b', 'a')),           // duplicate eq bytes
+			Merge(set, RangeRow(0x80, 0xff, 0x80), EqRow(0xfe, 'x')),           // set row, wrapping shift, bytes >= 0x80
+			Merge(RangeRow(0xf0, 0xff, 0x20), RangeRow(0x00, 0x0f, 0xF0), set), // shifts that wrap both ways
+			Merge(RangeRow('z', 'a', 1), EqRow('q', 'Q')),                      // empty range never fires
+		} {
+			a.ConfigureRows(cfg)
+			for _, n := range append(boundaryLens, len(allBytes)) {
+				subject := allBytes[:n]
+				got, hw := a.ApplyConfigured(subject)
+				if !hw {
+					t.Fatalf("ApplyConfigured bypassed %d rows", cfg.RowCount())
+				}
+				o.stats.ConfigLoads = a.Stats().ConfigLoads
+				checkOutput(t, "ApplyConfigured", a, o, got, o.apply(subject, cfg.rows, len(cfg.rows)))
+			}
+		}
+	}
+}
+
+func TestTrimAgainstOracle(t *testing.T) {
+	var ref strlib.Lib
+	for _, bb := range ablationWidths {
+		a, o := pair(32, bb)
+		for _, cut := range []string{" \t\n\r\x00\x0b", "\x80\xff", "", "x", "  "} {
+			for _, left := range []int{0, 1, bb - 1, bb, bb + 1, 2*bb + 1} {
+				for _, right := range []int{0, 1, bb, 2 * bb} {
+					for _, body := range []string{"", "b", "body with " + cut + " inside"} {
+						pad := cut
+						if pad == "" {
+							pad = " "
+						}
+						in := []byte(strings.Repeat(pad[:1], left) + body + strings.Repeat(pad[len(pad)-1:], right))
+						got := a.Trim(in, []byte(cut))
+						checkOutput(t, "Trim", a, o, got, o.trim(in, []byte(cut)))
+						if cut == string(cutset) && !bytes.Equal(got, ref.Trim(in)) {
+							t.Fatalf("Trim(%q) = %q, strlib %q", in, got, ref.Trim(in))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCaseAndHintChargesAgainstOracle pins the accounting of the two ops
+// whose block loops now run through the shared substitute/chargeBlocks
+// helpers: one pass per block, and one empty pass for an empty subject.
+func TestCaseAndHintChargesAgainstOracle(t *testing.T) {
+	for _, bb := range ablationWidths {
+		for _, n := range boundaryLens {
+			a, o := pair(32, bb)
+			subject := allBytes[:n]
+			o.apply(subject, []row{{kind: rowRange, lo: 'a', hi: 'z', sub: 0xE0}}, 1)
+			o.apply(subject, []row{{kind: rowRange, lo: 'A', hi: 'Z', sub: 32}}, 1)
+			o.stats.Ops++
+			for rem := n; ; rem -= bb {
+				o.charge(min(rem, bb), 6)
+				if rem <= bb {
+					break
+				}
+			}
+			if n == 0 {
+				o.charge(0, 1)
+				o.charge(0, 1)
+			}
+			a.ToUpper(subject)
+			a.ToLower(subject)
+			a.HintVector(subject, 32)
+			if a.Stats() != o.stats {
+				t.Fatalf("B=%d n=%d stats\n got  %+v\n want %+v", bb, n, a.Stats(), o.stats)
+			}
+		}
 	}
 }
 

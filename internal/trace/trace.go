@@ -114,7 +114,10 @@ func (r *Recorder) Record(e Event) {
 		return
 	}
 	r.events[r.start] = e
-	r.start = (r.start + 1) % r.cap
+	r.start++
+	if r.start == r.cap {
+		r.start = 0
+	}
 }
 
 // Total returns the number of events ever recorded.

@@ -480,7 +480,11 @@ func BenchmarkPoolServeSampledAll(b *testing.B) {
 }
 
 func benchmarkPoolServe(b *testing.B, col *obs.Collector) {
-	p, err := NewPool(1, hwConfig(), "wordpress", 1)
+	// The server's trace ring (phpserve -tracebuf default): unbounded, the
+	// zero value, would make this a benchmark of growslice.
+	cfg := hwConfig()
+	cfg.TraceCapacity = 4096
+	p, err := NewPool(1, cfg, "wordpress", 1)
 	if err != nil {
 		b.Fatal(err)
 	}
