@@ -32,12 +32,13 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# Benchmark trajectory (docs/OPERATIONS.md "Benchmark trajectory").
-# bench-record runs the pinned full-scale scenario matrix and appends
-# the next BENCH_<n>.json at the repo root; commit the file so the
-# trajectory travels with the history. bench-check reruns the matrix
-# fresh and fails with a side-by-side table if any gated metric
-# regressed past tolerance against the latest committed record.
+# Simulated-clock trajectory (docs/OPERATIONS.md "Benchmark trajectory").
+# bench-record runs the pinned scenario matrix once and appends the next
+# BENCH_<n>.json at the repo root; commit the file so the trajectory
+# travels with the history. bench-check reruns the matrix (~2 s) and
+# fails with one line per field if any deterministic field differs from
+# the latest committed record or allocs/op rose past its slack. Host
+# time is not in the record: `sh benchmark/run.sh` measures that.
 bench-record:
 	$(GO) run ./cmd/loadgen -record
 
@@ -56,10 +57,11 @@ check: build vet docs-check race
 
 # Full CI gate: everything `check` runs, plus the request-lifecycle
 # suite under -race on its own (the drain/shed interleavings deserve an
-# explicit gate even though `race` already covers the package) and the
-# wall-clock overhead guards. The guards compare wall clocks, which is
-# too noisy for the default test run, so they are env-gated and only
-# armed here. The last line builds, vets and short-tests the nested
+# explicit gate even though `race` already covers the package), the
+# wall-clock overhead guards and bench-check. The guards compare wall
+# clocks, which is too noisy for the default test run, so they are
+# env-gated and only armed here; bench-check compares none and runs the
+# real thing. The last line builds, vets and short-tests the nested
 # benchmark/ module (its own go.mod, `replace repro => ../`), which
 # `./...` from the root never compiles: a root refactor that breaks its
 # imports or the twin's replay must fail here, not in the pipeline.
@@ -70,7 +72,7 @@ ci: check fuzz-smoke
 	SPAN_OVERHEAD_GUARD=1 $(GO) test -run TestSpanOverheadGuard -count=1 .
 	SCHED_OVERHEAD_GUARD=1 $(GO) test -run TestSchedulerOverheadGuard -count=1 .
 	CACHE_OVERHEAD_GUARD=1 $(GO) test -run TestCacheOverheadGuard -count=1 .
-	BENCH_CHECK_GUARD=1 $(GO) test -run TestBenchCheckGuard -count=1 .
+	$(MAKE) bench-check
 	TIER_DETERMINISM_GUARD=1 $(GO) test -run TestTierDeterminismGuard -count=1 .
 	ALLOC_GUARD=1 $(GO) test -run 'TestArenaResetAllocGuard|TestRenderBufferAllocGuard|TestCachedHitAllocGuard' -count=1 .
 	ROUTER_OBS_GUARD=1 $(GO) test -run TestRouterObsOverheadGuard -count=1 ./internal/serve/

@@ -46,12 +46,14 @@
 // backends overlap I/O and scale on few cores. Each row reports cluster
 // throughput, aggregate hit ratio, and the per-backend split.
 //
-// With -record the normal comparison run is replaced by the benchmark
-// trajectory recorder: the pinned benchrec scenario matrix (direct pool
-// loop, scheduler, cached Zipf, accelerator on/off — all reusing the
-// same serve.RunLoad plumbing as scheduler mode) runs at -recordscale
-// and one schema-versioned record is written to the next free
-// BENCH_<n>.json under -recorddir. `make bench-record` is this mode.
+// With -record the normal comparison run is replaced by the simulated-
+// clock trajectory recorder: the pinned benchrec scenario matrix (direct
+// pool loop, accelerator on/off, scheduler, cached Zipf, cluster sweep,
+// scripted tier pair — all reusing the same serve.RunLoad plumbing as
+// scheduler mode) runs once at -seed and one schema-versioned record is
+// written to the next free BENCH_<n>.json under -recorddir. The record
+// holds no host time (sh benchmark/run.sh measures that). `make
+// bench-record` is this mode.
 //
 // Ctrl-C (SIGINT) stops admission, waits for in-flight requests, and
 // prints the partial result for whatever completed instead of
@@ -130,16 +132,10 @@ func main() {
 	dbwait := flag.Duration("dbwait", 0, "cluster mode: simulated per-render database stall held on the worker (0 disables)")
 	record := flag.Bool("record", false, "run the pinned benchmark matrix and append a BENCH_<n>.json trajectory record instead of the comparison table")
 	recordDir := flag.String("recorddir", ".", "directory trajectory records are read from and written to in -record mode")
-	recordScale := flag.String("recordscale", "full", "matrix scale in -record mode: full (paper methodology) or quick (CI-sized)")
 	flag.Parse()
 
 	if *record {
-		if *recordScale != "full" && *recordScale != "quick" {
-			fmt.Fprintf(os.Stderr, "loadgen: -recordscale %q: want full or quick\n", *recordScale)
-			flag.Usage()
-			os.Exit(2)
-		}
-		if err := runRecord(*recordDir, *recordScale, *seed); err != nil {
+		if err := runRecord(*recordDir, *seed); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -415,15 +411,13 @@ func runClusterCompare(ctx context.Context, apps string, requests, warmup int, b
 // runRecord is -record mode: run the pinned matrix and append the next
 // trajectory record. Sequence numbers are monotonic — the new record is
 // LatestSeq+1 and Write refuses to overwrite.
-func runRecord(dir, scale string, seed int64) error {
+func runRecord(dir string, seed int64) error {
 	latest, err := benchrec.LatestSeq(dir)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("recording benchmark matrix (scale %s, seed %d)...\n", scale, seed)
-	// Same 3-trial metric-wise best bench-check uses, so the committed
-	// baseline and every future fresh side estimate the same statistic.
-	rec, err := benchrec.RunMatrix(benchrec.Options{Scale: scale, Seed: seed, Trials: 5})
+	fmt.Printf("recording benchmark matrix (seed %d)...\n", seed)
+	rec, err := benchrec.RunMatrix(benchrec.Options{Seed: seed})
 	if err != nil {
 		return err
 	}
@@ -433,8 +427,8 @@ func runRecord(dir, scale string, seed int64) error {
 		return err
 	}
 	for _, sc := range rec.Scenarios {
-		fmt.Printf("  %-10s %8.0f req/s  p99 %8.0fus  %10.0f sim cycles/req  hit ratio %.3f\n",
-			sc.Name, sc.ReqPerSec, sc.P99US, sc.SimCyclesPerReq, sc.CacheHitRatio)
+		fmt.Printf("  %-20s %10.0f sim cycles/req  hit ratio %.3f  %8.2f allocs/op\n",
+			sc.Name, sc.SimCyclesPerReq, sc.CacheHitRatio, sc.AllocsPerOp)
 	}
 	fmt.Printf("wrote %s (seq %d)\n", path, rec.Seq)
 	return nil

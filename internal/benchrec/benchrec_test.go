@@ -3,24 +3,24 @@ package benchrec
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// quickOpts is the matrix configuration every test runs (the full scale
-// is for committed records, not unit tests).
-func quickOpts() Options { return Options{Scale: "quick", Seed: 7} }
+// testSeed is the seed every test runs the matrix at — not the committed
+// records' seed 1, so the tests cannot lean on a committed value.
+const testSeed = 7
 
-// runOnce caches one quick matrix run for the whole test file — the
-// matrix is seconds of work and several tests only need any valid
-// record.
+// cachedRec caches one matrix run for the whole test file — the matrix
+// is seconds of work and several tests only need any valid record.
 var cachedRec *Record
 
 func matrixRecord(t *testing.T) Record {
 	t.Helper()
 	if cachedRec == nil {
-		rec, err := RunMatrix(quickOpts())
+		rec, err := RunMatrix(Options{Seed: testSeed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +34,7 @@ func TestMatrixShape(t *testing.T) {
 	if rec.Schema != SchemaVersion {
 		t.Errorf("schema = %d, want %d", rec.Schema, SchemaVersion)
 	}
-	if rec.GoVersion == "" || rec.GOOS == "" || rec.GOARCH == "" || rec.CreatedAt == "" {
+	if rec.GoVersion == "" || rec.GOOS == "" || rec.GOARCH == "" || rec.Seed != testSeed {
 		t.Errorf("environment fields missing: %+v", rec)
 	}
 	if len(rec.Scenarios) != len(ScenarioNames()) {
@@ -49,8 +49,8 @@ func TestMatrixShape(t *testing.T) {
 			t.Errorf("%s: served %d of %d (unexpected sheds: %d/%d/%d/%d)", name,
 				sc.Served, sc.Requests, sc.ShedOverload, sc.ShedDeadline, sc.ShedCanceled, sc.ShedDraining)
 		}
-		if sc.ReqPerSec <= 0 || sc.WallMS <= 0 || sc.P99US <= 0 {
-			t.Errorf("%s: timing fields empty: req/s %.1f wall %.1fms p99 %.1fus", name, sc.ReqPerSec, sc.WallMS, sc.P99US)
+		if sc.AllocsPerOp <= 0 {
+			t.Errorf("%s: no allocs/op measured", name)
 		}
 		if sc.SimCyclesPerReq <= 0 {
 			t.Errorf("%s: no simulated cycles", name)
@@ -81,15 +81,15 @@ func TestMatrixShape(t *testing.T) {
 		t.Errorf("cache outcomes don't partition served: %+v", cz)
 	}
 
-	// Cluster sweep: the backend count and stall must be recorded (they
-	// gate comparability), every request must be served, and splitting
-	// the fixed cache budget across hash-partitioned backends must keep
-	// the aggregate hit ratio near the one-backend figure. The scaling
-	// claim itself (throughput up with backends) is wall-clock-dependent
-	// and is gated by bench-check against the committed record, not here.
+	// Cluster sweep: the backend count must be recorded (it gates
+	// comparability), every request must be served, and splitting the
+	// fixed cache budget across hash-partitioned backends must keep the
+	// aggregate hit ratio near the one-backend figure. The scaling claim
+	// itself (throughput up with backends) is a host-clock one, gated by
+	// serve's TestClusterDBWaitOverlaps, not here.
 	single, _ := rec.Scenario("cluster_zipf_1")
-	if single.Backends != 1 || single.DBWaitMS <= 0 {
-		t.Errorf("cluster_zipf_1 config not recorded: backends %d dbwait %.1fms", single.Backends, single.DBWaitMS)
+	if single.Backends != 1 {
+		t.Errorf("cluster_zipf_1 config not recorded: backends %d", single.Backends)
 	}
 	for _, name := range []string{"cluster_zipf_2", "cluster_zipf_4"} {
 		sc, ok := rec.Scenario(name)
@@ -136,94 +136,49 @@ func TestMatrixShape(t *testing.T) {
 	}
 }
 
+// withoutAllocs returns a copy of rec with allocs/op — the one field
+// that is not exactly reproducible — zeroed.
+func withoutAllocs(rec Record) Record {
+	rec = doctored(rec)
+	for i := range rec.Scenarios {
+		rec.Scenarios[i].AllocsPerOp = 0
+	}
+	return rec
+}
+
 // TestMatrixDeterministic is the record-identity property: two runs
-// with the same seed and scale must serialize to byte-identical
-// canonical JSON (everything except the documented timing fields).
+// with the same seed must serialize to byte-identical JSON apart from
+// allocs/op, and compare clean including it.
 func TestMatrixDeterministic(t *testing.T) {
 	a := matrixRecord(t)
-	b, err := RunMatrix(quickOpts())
+	b, err := RunMatrix(Options{Seed: testSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ja, err := a.Canonical().MarshalIndent()
+	ja, err := withoutAllocs(a).MarshalIndent()
 	if err != nil {
 		t.Fatal(err)
 	}
-	jb, err := b.Canonical().MarshalIndent()
+	jb, err := withoutAllocs(b).MarshalIndent()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(ja, jb) {
-		t.Fatalf("same seed+scale produced different canonical records:\n--- run 1\n%s\n--- run 2\n%s", ja, jb)
+		t.Fatalf("same seed produced different records:\n--- run 1\n%s\n--- run 2\n%s", ja, jb)
+	}
+	if drift := SimDrift(a, b); len(drift) != 0 {
+		t.Errorf("second run at the same seed drifted: %v", drift)
 	}
 
-	// A different seed must actually change the canonical record
-	// (otherwise the property above would be vacuous).
-	c, err := RunMatrix(Options{Scale: "quick", Seed: 8})
+	// A different seed must actually change the record (otherwise the
+	// property above would be vacuous).
+	c, err := RunMatrix(Options{Seed: testSeed + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jc, _ := c.Canonical().MarshalIndent()
+	jc, _ := withoutAllocs(c).MarshalIndent()
 	if bytes.Equal(ja, jc) {
-		t.Error("different seeds produced identical canonical records")
-	}
-}
-
-// TestMergeBestTrial: the trial fold keeps each wall-clock metric's
-// best observed value per scenario and rejects trials whose
-// deterministic remainder diverged.
-func TestMergeBestTrial(t *testing.T) {
-	base := matrixRecord(t)
-	trial := matrixRecord(t) // same underlying record: deterministic fields agree
-
-	best := base
-	best.Scenarios = append([]Scenario(nil), base.Scenarios...)
-	// Doctor the trial's wall-clock fields both ways on scenario 0:
-	// faster throughput and allocs must be taken, slower p99 must not.
-	trial.Scenarios = append([]Scenario(nil), trial.Scenarios...)
-	trial.Scenarios[0].ReqPerSec = base.Scenarios[0].ReqPerSec * 2
-	trial.Scenarios[0].AllocsPerOp = base.Scenarios[0].AllocsPerOp - 1
-	trial.Scenarios[0].P99US = base.Scenarios[0].P99US * 2
-	if err := mergeBestTrial(&best, trial); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := best.Scenarios[0].ReqPerSec, base.Scenarios[0].ReqPerSec*2; got != want {
-		t.Errorf("req/s not upgraded: got %g want %g", got, want)
-	}
-	if got, want := best.Scenarios[0].AllocsPerOp, base.Scenarios[0].AllocsPerOp-1; got != want {
-		t.Errorf("allocs not upgraded: got %g want %g", got, want)
-	}
-	if got, want := best.Scenarios[0].P99US, base.Scenarios[0].P99US; got != want {
-		t.Errorf("worse p99 leaked into best: got %g want %g", got, want)
-	}
-
-	// A deterministic-field divergence is a nondeterminism bug, not
-	// noise to merge over.
-	bad := base
-	bad.Scenarios = append([]Scenario(nil), base.Scenarios...)
-	bad.Scenarios[1].SimCyclesPerReq++
-	if err := mergeBestTrial(&best, bad); err == nil {
-		t.Fatal("merge accepted a trial with diverged deterministic fields")
-	}
-}
-
-func TestCanonicalZeroesTimingFields(t *testing.T) {
-	rec := matrixRecord(t)
-	can := rec.Canonical()
-	if can.Seq != 0 || can.CreatedAt != "" {
-		t.Errorf("canonical kept identity fields: seq %d, created_at %q", can.Seq, can.CreatedAt)
-	}
-	for _, sc := range can.Scenarios {
-		if sc.ReqPerSec != 0 || sc.WallMS != 0 || sc.P50US != 0 || sc.P95US != 0 || sc.P99US != 0 || sc.AllocsPerOp != 0 {
-			t.Errorf("canonical kept timing fields in %s: %+v", sc.Name, sc)
-		}
-		if sc.SimCyclesPerReq == 0 {
-			t.Errorf("canonical dropped simulated fields in %s", sc.Name)
-		}
-	}
-	// Canonical must not mutate the original.
-	if rec.Scenarios[0].ReqPerSec == 0 {
-		t.Error("Canonical mutated its receiver")
+		t.Error("different seeds produced identical records")
 	}
 }
 
@@ -267,198 +222,207 @@ func TestLoadRejectsNonRecords(t *testing.T) {
 	if _, err := Load("/nonexistent/BENCH_1.json"); err == nil {
 		t.Error("missing file must error")
 	}
+	for name, body := range map[string]string{
+		"not JSON":       "BENCH",
+		"no schema":      `{"scenarios":[{"name":"direct"}]}`,
+		"no scenarios":   `{"schema":2}`,
+		"future schema":  `{"schema":3,"scenarios":[{"name":"direct"}]}`,
+		"another format": `{"command":["sh","benchmark/run.sh"]}`,
+	} {
+		path := filepath.Join(t.TempDir(), "rec.json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil {
+			t.Errorf("%s must not load as a record", name)
+		}
+	}
+}
+
+// removedV1Keys are the schema 1 JSON keys schema 2 dropped.
+var removedV1Keys = []string{"req_per_sec", "wall_ms", "p50_us", "p95_us", "p99_us",
+	"calib_ops_per_sec", "created_at", "scale", "db_wait_ms"}
+
+// TestLoadCommittedTrajectory: the schema 1 records stay readable. It
+// runs nothing — the last schema 1 record loads, compares clean against
+// itself and against its own schema 2 rewrite (the comparison sees only
+// the fields both schemas carry), and against the first committed
+// schema 2 record.
+func TestLoadCommittedTrajectory(t *testing.T) {
+	const root = "../.."
+	v1Path := filepath.Join(root, Filename(6))
+	v1, err := Load(v1Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v1.Schema != 1 || len(v1.Scenarios) != len(ScenarioNames()) {
+		t.Fatalf("%s: schema %d with %d scenarios", v1Path, v1.Schema, len(v1.Scenarios))
+	}
+	if drift := SimDrift(v1, v1); len(drift) != 0 {
+		t.Errorf("schema 1 record drifts from itself: %v", drift)
+	}
+
+	raw, err := os.ReadFile(v1Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := v1
+	v2.Schema = SchemaVersion
+	rewritten, err := v2.MarshalIndent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range removedV1Keys {
+		quoted := []byte(`"` + key + `"`)
+		if !bytes.Contains(raw, quoted) {
+			t.Errorf("%s no longer carries %s; pick a record that does", v1Path, key)
+		}
+		if bytes.Contains(rewritten, quoted) {
+			t.Errorf("schema %d still writes %s", SchemaVersion, key)
+		}
+	}
+	if drift := SimDrift(v1, v2); len(drift) != 0 {
+		t.Errorf("schema 1 vs its schema 2 rewrite: %v", drift)
+	}
+	v2.Scenarios = append([]Scenario(nil), v1.Scenarios...)
+	v2.Scenarios[0].SimCyclesPerReq++
+	if drift := SimDrift(v1, v2); len(drift) != 1 {
+		t.Errorf("one doctored field across schemas, drift = %v", drift)
+	}
+
+	first2, err := Load(filepath.Join(root, Filename(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first2.Schema != 2 {
+		t.Errorf("BENCH_7.json is schema %d, want 2", first2.Schema)
+	}
+	if drift := SimDrift(v1, first2); len(drift) != 0 {
+		t.Errorf("BENCH_6.json vs BENCH_7.json: %v", drift)
+	}
+}
+
+// doctored returns a copy of rec whose scenarios can be edited without
+// touching rec's.
+func doctored(rec Record) Record {
+	rec.Scenarios = append([]Scenario(nil), rec.Scenarios...)
+	return rec
 }
 
 func TestCompareCleanSelf(t *testing.T) {
 	rec := matrixRecord(t)
-	regs, err := Compare(rec, rec, DefaultTolerances())
-	if err != nil {
-		t.Fatal(err)
+	if drift := SimDrift(rec, rec); len(drift) != 0 {
+		t.Errorf("self-comparison reported drift: %v", drift)
 	}
-	if len(regs) != 0 {
-		t.Errorf("self-comparison reported regressions: %v", regs)
+	// allocs/op inside its slack, or falling by any amount, is clean.
+	fresh := doctored(rec)
+	fresh.Scenarios[0].AllocsPerOp += 0.4  // direct: inside +0.5
+	fresh.Scenarios[2].AllocsPerOp += 0.05 // scheduler: inside +0.1
+	fresh.Scenarios[3].AllocsPerOp -= 7
+	if drift := SimDrift(rec, fresh); len(drift) != 0 {
+		t.Errorf("within-slack allocs/op reported as drift: %v", drift)
 	}
 }
 
-// TestCompareCatchesInjectedRegressions doctors a copy of a real record
-// past each tolerance and checks every gate trips — the synthetic
-// failure path `make bench-check`'s short mode exercises.
+// TestCompareCatchesInjectedRegressions doctors allocs/op past each
+// slack: +0.2 sits between the serve slack (0.1) and the direct slack
+// (0.5), so it must trip a scheduler-driven scenario and not a direct
+// one; +1 — the least a real added allocation costs — trips both.
 func TestCompareCatchesInjectedRegressions(t *testing.T) {
 	base := matrixRecord(t)
-	fresh := base.Canonical() // deep-ish copy of scenarios
-	// Canonical zeroed the timing fields; restore them from base, then
-	// doctor three different scenarios three different ways.
-	fresh.Scale, fresh.Seed = base.Scale, base.Seed
-	for i := range fresh.Scenarios {
-		fresh.Scenarios[i].ReqPerSec = base.Scenarios[i].ReqPerSec
-		fresh.Scenarios[i].P50US = base.Scenarios[i].P50US
-		fresh.Scenarios[i].P95US = base.Scenarios[i].P95US
-		fresh.Scenarios[i].P99US = base.Scenarios[i].P99US
-		fresh.Scenarios[i].AllocsPerOp = base.Scenarios[i].AllocsPerOp
-	}
-	fresh.Scenarios[0].ReqPerSec *= 0.80 // −20% throughput: beyond −5%
-	fresh.Scenarios[1].P99US *= 1.50     // +50% p99: beyond +10%
-	fresh.Scenarios[2].AllocsPerOp += 1  // +1 alloc/op: beyond the 0.5 slack
-
-	regs, err := Compare(base, fresh, DefaultTolerances())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]bool{
-		base.Scenarios[0].Name + "/req_per_sec":   true,
-		base.Scenarios[1].Name + "/p99_us":        true,
-		base.Scenarios[2].Name + "/allocs_per_op": true,
-	}
-	got := map[string]bool{}
-	for _, r := range regs {
-		got[r.Scenario+"/"+r.Metric] = true
-	}
-	for k := range want {
-		if !got[k] {
-			t.Errorf("injected regression %s not reported (got %v)", k, regs)
-		}
-	}
-	if len(regs) != len(want) {
-		t.Errorf("reported %d regressions, want %d: %v", len(regs), len(want), regs)
+	direct, sched := base.Scenarios[0], base.Scenarios[2]
+	if direct.Clients != 0 || sched.Clients == 0 {
+		t.Fatalf("matrix order changed: %s clients %d, %s clients %d", direct.Name, direct.Clients, sched.Name, sched.Clients)
 	}
 
-	table := RenderTable(base, fresh, regs)
-	if !strings.Contains(table, "FAIL") || !strings.Contains(table, "req_per_sec") {
-		t.Errorf("table does not mark failures:\n%s", table)
+	fresh := doctored(base)
+	fresh.Scenarios[0].AllocsPerOp += 0.2
+	fresh.Scenarios[2].AllocsPerOp += 0.2
+	drift := SimDrift(base, fresh)
+	if len(drift) != 1 || !strings.HasPrefix(drift[0], sched.Name+": AllocsPerOp ") {
+		t.Errorf("+0.2 allocs/op: drift = %v, want only %s", drift, sched.Name)
 	}
 
-	// Moves within tolerance must stay clean.
-	ok := fresh
-	ok.Scenarios = append([]Scenario(nil), fresh.Scenarios...)
-	ok.Scenarios[0] = base.Scenarios[0]
-	ok.Scenarios[1] = base.Scenarios[1]
-	ok.Scenarios[2] = base.Scenarios[2]
-	ok.Scenarios[0].ReqPerSec *= 0.97 // −3%: inside −5%
-	ok.Scenarios[1].P99US *= 1.05     // +5%: inside +10%
-	regs, err = Compare(base, ok, DefaultTolerances())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 0 {
-		t.Errorf("within-tolerance drift reported as regression: %v", regs)
+	fresh.Scenarios[0].AllocsPerOp = direct.AllocsPerOp + 1
+	fresh.Scenarios[2].AllocsPerOp = sched.AllocsPerOp + 1
+	drift = SimDrift(base, fresh)
+	if len(drift) != 2 || !strings.HasPrefix(drift[0], direct.Name+": AllocsPerOp ") ||
+		!strings.HasPrefix(drift[1], sched.Name+": AllocsPerOp ") {
+		t.Errorf("+1 allocs/op: drift = %v, want %s and %s", drift, direct.Name, sched.Name)
 	}
 }
 
-// TestCompareCalibrationRelaxes: a calibrated host slowdown widens the
-// wall-clock limits by the measured factor (so a slower shared host
-// cannot fake a regression), while a *faster* fresh host never
-// tightens them — and uncalibrated records compare unnormalized.
-func TestCompareCalibrationRelaxes(t *testing.T) {
-	base := matrixRecord(t)
-	base.CalibOpsPerSec = 1000
-
-	// Fresh host measured 2x slower; every wall-clock metric 2x worse.
-	// Without calibration this fails throughput and p99 everywhere;
-	// with it, the doubled limits absorb the slowdown exactly.
-	fresh := base
-	fresh.CalibOpsPerSec = 500
-	fresh.Scenarios = append([]Scenario(nil), base.Scenarios...)
-	for i := range fresh.Scenarios {
-		fresh.Scenarios[i].ReqPerSec /= 2
-		fresh.Scenarios[i].P99US *= 2
-	}
-	regs, err := Compare(base, fresh, DefaultTolerances())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 0 {
-		t.Errorf("calibrated 2x slowdown reported as regression: %v", regs)
-	}
-
-	// The same numbers without calibration must fail.
-	uncal, uncalFresh := base, fresh
-	uncal.CalibOpsPerSec, uncalFresh.CalibOpsPerSec = 0, 0
-	regs, err = Compare(uncal, uncalFresh, DefaultTolerances())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) == 0 {
-		t.Error("uncalibrated 2x slowdown compared clean")
-	}
-
-	// A genuine regression beyond the slowdown still trips.
-	bad := fresh
-	bad.Scenarios = append([]Scenario(nil), fresh.Scenarios...)
-	bad.Scenarios[0].ReqPerSec = base.Scenarios[0].ReqPerSec / 4
-	regs, err = Compare(base, bad, DefaultTolerances())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 1 || regs[0].Metric != "req_per_sec" {
-		t.Errorf("regression beyond calibrated slowdown not isolated: %v", regs)
-	}
-
-	// A faster fresh host (ratio > 1) must not tighten the gates:
-	// identical wall-clock numbers stay clean.
-	faster := base
-	faster.CalibOpsPerSec = 4000
-	faster.Scenarios = append([]Scenario(nil), base.Scenarios...)
-	regs, err = Compare(base, faster, DefaultTolerances())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 0 {
-		t.Errorf("faster host tightened the gate: %v", regs)
-	}
-}
-
+// TestCompareRejectsIncomparable: a different seed or any pinned
+// configuration field off by one is drift, never a clean pass —
+// including the fields the old hand-written list left out.
 func TestCompareRejectsIncomparable(t *testing.T) {
 	rec := matrixRecord(t)
 	other := rec
 	other.Seed++
-	if _, err := Compare(rec, other, DefaultTolerances()); err == nil {
-		t.Error("seed mismatch must error, not pass")
+	if drift := SimDrift(rec, other); len(drift) != 1 || !strings.HasPrefix(drift[0], "record: Seed ") {
+		t.Errorf("seed mismatch: drift = %v", drift)
 	}
-	other = rec
-	other.Schema++
-	if _, err := Compare(rec, other, DefaultTolerances()); err == nil {
-		t.Error("schema mismatch must error")
-	}
-	other = rec
-	other.Scenarios = append([]Scenario(nil), rec.Scenarios...)
-	other.Scenarios[0].Requests++
-	if _, err := Compare(rec, other, DefaultTolerances()); err == nil {
-		t.Error("config drift must error")
-	}
-	other = rec
-	other.Scenarios = rec.Scenarios[:1]
-	if _, err := Compare(rec, other, DefaultTolerances()); err == nil {
-		t.Error("missing scenario must error")
+	for field, edit := range map[string]func(*Scenario){
+		"Requests":   func(sc *Scenario) { sc.Requests++ },
+		"Clients":    func(sc *Scenario) { sc.Clients++ },
+		"QueueDepth": func(sc *Scenario) { sc.QueueDepth++ },
+		"TimeoutMS":  func(sc *Scenario) { sc.TimeoutMS++ },
+		"ZipfS":      func(sc *Scenario) { sc.ZipfS += 0.1 },
+		"Backends":   func(sc *Scenario) { sc.Backends++ },
+		"Tier":       func(sc *Scenario) { sc.Tier = "bytecode" },
+	} {
+		other = doctored(rec)
+		edit(&other.Scenarios[3])
+		want := rec.Scenarios[3].Name + ": " + field + " "
+		if drift := SimDrift(rec, other); len(drift) != 1 || !strings.HasPrefix(drift[0], want) {
+			t.Errorf("%s off: drift = %v, want one line starting %q", field, drift, want)
+		}
 	}
 }
 
 func TestOptionsValidation(t *testing.T) {
-	if _, err := RunMatrix(Options{Scale: "huge"}); err == nil {
-		t.Error("unknown scale must error")
-	}
 	o := Options{}
-	if err := o.normalize(); err != nil || o.Scale != "full" || o.Seed != 1 {
-		t.Errorf("defaults = %+v, %v; want full/1", o, err)
+	if o.normalize(); o.Seed != 1 {
+		t.Errorf("default seed = %d, want 1", o.Seed)
+	}
+	o = Options{Seed: 9}
+	if o.normalize(); o.Seed != 9 {
+		t.Errorf("explicit seed overwritten: %d", o.Seed)
 	}
 }
 
-// TestSimDrift: wall-clock movement is not drift, and any change to a
-// deterministic field is — named by scenario and field.
+// TestSimDrift: any change to a deterministic field is drift, named by
+// scenario and field and nothing else — and so is a scenario present on
+// only one side, in either direction.
 func TestSimDrift(t *testing.T) {
 	base := matrixRecord(t)
-	fresh := base
-	fresh.Scenarios = append([]Scenario(nil), base.Scenarios...)
-	fresh.Scenarios[0].ReqPerSec *= 0.5
-	fresh.Scenarios[1].P99US *= 3
-	fresh.Scenarios[2].AllocsPerOp += 7
-	if drift := SimDrift(base, fresh); len(drift) != 0 {
-		t.Errorf("timing-only changes reported as drift: %v", drift)
-	}
-	fresh.Scenarios[0].SimCyclesPerReq++
-	fresh.Scenarios[3].CacheHits--
+	fresh := doctored(base)
+	fresh.Scenarios[4].SimCyclesPerReq++
 	drift := SimDrift(base, fresh)
-	if len(drift) != 2 || !strings.Contains(drift[0], base.Scenarios[0].Name+": SimCyclesPerReq") ||
-		!strings.Contains(drift[1], base.Scenarios[3].Name+": CacheHits") {
-		t.Errorf("drift = %v, want the two doctored fields", drift)
+	if len(drift) != 1 || !strings.HasPrefix(drift[0], base.Scenarios[4].Name+": SimCyclesPerReq ") {
+		t.Errorf("+1 cycle/req in one scenario: drift = %v", drift)
+	}
+
+	fresh.Scenarios[3].CacheHits--
+	cats := map[string]float64{}
+	for k, v := range base.Scenarios[8].SimCategoryCycles {
+		cats[k] = v
+	}
+	cats["hash"]++
+	fresh.Scenarios[8].SimCategoryCycles = cats
+	drift = SimDrift(base, fresh)
+	if len(drift) != 3 || !strings.HasPrefix(drift[0], base.Scenarios[3].Name+": CacheHits ") ||
+		!strings.HasPrefix(drift[2], base.Scenarios[8].Name+": SimCategoryCycles[hash] ") {
+		t.Errorf("drift = %v, want the three doctored fields in matrix order", drift)
+	}
+
+	short := base
+	short.Scenarios = base.Scenarios[:len(base.Scenarios)-1]
+	gone := base.Scenarios[len(base.Scenarios)-1].Name
+	if drift := SimDrift(base, short); len(drift) != 1 || !strings.HasPrefix(drift[0], gone+": missing") {
+		t.Errorf("scenario missing from the fresh side: drift = %v", drift)
+	}
+	if drift := SimDrift(short, base); len(drift) != 1 || !strings.HasPrefix(drift[0], gone+": not in") {
+		t.Errorf("scenario missing from the committed side: drift = %v", drift)
 	}
 }

@@ -1,19 +1,23 @@
-// Package benchrec makes the repo's performance trajectory a reviewed
-// artifact instead of folklore. It runs a pinned scenario matrix — the
-// direct pool loop, the scheduler path, the cached Zipf path, and the
-// accelerator on/off sweep EXPERIMENTS.md documents — and serializes
-// one schema-versioned Record per run into BENCH_<n>.json at the repo
-// root. Committed records form the trajectory; scripts/bench_compare.go
-// diffs a fresh run against the latest committed record and fails CI on
-// regressions beyond the documented tolerances.
+// Package benchrec keeps the repo's simulated-clock trajectory as a
+// reviewed artifact. It runs a pinned scenario matrix — the direct pool
+// loop, the accelerator on/off sweep EXPERIMENTS.md documents, the
+// scheduler path, the cached Zipf path, the in-process cluster sweep and
+// the scripted tier pair — and serializes one schema-versioned Record
+// per run into BENCH_<n>.json at the repo root. Committed records form
+// the trajectory; scripts/bench_compare.go (`make bench-check`, a step
+// of `make ci`) reruns the matrix and fails on any difference from the
+// latest committed record.
 //
-// Records mix two kinds of fields. Simulated fields (per-category cycle
-// totals, cache hit ratios, shed counts) are deterministic for a given
-// seed+scale: the matrix uses a single closed-loop client over the
-// pool's FIFO worker rotation, so same inputs give byte-identical
-// values, which TestMatrixDeterministic pins. Timing fields (req/s,
-// latency percentiles, allocs/op, timestamps) vary run to run; they are
-// what Compare applies tolerances to and what Canonical zeroes.
+// A record holds no measured time. Every field but one is a pure
+// function of code and seed: the matrix uses a single closed-loop client
+// over the pool's FIFO worker rotation, so simulated cycles and energy,
+// cache outcomes, shed counts and tier counters reproduce exactly, which
+// TestMatrixDeterministic pins and SimDrift compares with no tolerance.
+// The exception is allocs_per_op, which does not depend on host speed
+// but moves by a few hundredths with the runtime's background
+// allocations; SimDrift gives it a small absolute slack. Host time —
+// throughput, latency, CPU per request — is benchmark/'s clock
+// (BENCHMARK.json), measured over real sockets.
 package benchrec
 
 import (
@@ -25,9 +29,12 @@ import (
 	"strconv"
 )
 
-// SchemaVersion is the record schema this package writes. Compare
-// refuses to diff records with mismatched schemas instead of guessing.
-const SchemaVersion = 1
+// SchemaVersion is the record schema this package writes. Schema 2
+// dropped every measured-time field of schema 1 (throughput, wall,
+// latency percentiles, calibration, timestamp) along with the scale and
+// the cluster stall; what remains is a subset, so Load still reads
+// schema 1 records and SimDrift compares them on the fields both carry.
+const SchemaVersion = 2
 
 // Record is one benchmark run: the environment it ran in, the knobs
 // that pin the matrix, and one Scenario per matrix entry.
@@ -37,27 +44,13 @@ type Record struct {
 	// Seq is the record's position in the committed trajectory — the n
 	// in BENCH_<n>.json.
 	Seq int `json:"seq"`
-	// CreatedAt is the RFC3339 wall-clock instant the run started.
-	CreatedAt string `json:"created_at"`
-	// GoVersion, GOOS, GOARCH identify the toolchain and platform, so a
-	// regression can be told apart from an environment change.
+	// GoVersion, GOOS, GOARCH identify the toolchain and platform, so an
+	// allocs/op move can be told apart from an environment change.
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
-	// Scale names the pinned matrix size: "full" (the paper's 300
-	// warmup / 200 measured methodology) or "quick" (CI-sized).
-	Scale string `json:"scale"`
 	// Seed is the base RNG seed every scenario derives its streams from.
 	Seed int64 `json:"seed"`
-	// CalibOpsPerSec is the host-speed calibration: iterations/sec of a
-	// pinned pure-CPU spin loop measured alongside the matrix (best
-	// pass kept). Compare divides the committed value by the fresh one
-	// to cancel host speed out of the wall-clock gates — a shared host
-	// that got slower since record time relaxes the limits by exactly
-	// the measured factor, and can no longer fake a code regression.
-	// Zero in records written before calibration existed; those compare
-	// unnormalized.
-	CalibOpsPerSec float64 `json:"calib_ops_per_sec,omitempty"`
 	// Scenarios holds one entry per matrix scenario, in matrix order.
 	Scenarios []Scenario `json:"scenarios"`
 }
@@ -95,21 +88,10 @@ type Scenario struct {
 	// single-process scenarios); CacheCapacity is then the TOTAL budget
 	// split across backends by key-range ownership.
 	Backends int `json:"backends"`
-	// DBWaitMS is the cluster scenario's simulated per-render database
-	// stall, held FPM-style on the worker (0 when disabled).
-	DBWaitMS float64 `json:"db_wait_ms"`
 
-	// ReqPerSec is measured throughput: served requests per wall second.
-	ReqPerSec float64 `json:"req_per_sec"`
-	// WallMS is the measured phase's wall-clock duration.
-	WallMS float64 `json:"wall_ms"`
-	// P50US, P95US, P99US are client-visible per-request latency
-	// percentiles (nearest-rank), in microseconds.
-	P50US float64 `json:"p50_us"`
-	P95US float64 `json:"p95_us"`
-	P99US float64 `json:"p99_us"`
 	// AllocsPerOp is heap allocations per served request across the
-	// measured phase (runtime.MemStats Mallocs delta / served).
+	// measured phase (runtime.MemStats Mallocs delta / served) — the one
+	// field that is not exactly reproducible (see the package comment).
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	// Served counts requests that completed; the four shed counts
 	// partition the rejected remainder by reason.
@@ -136,7 +118,7 @@ type Scenario struct {
 	// Tier names the script execution tier on scripted scenarios
 	// ("interp", "auto", "bytecode"; empty elsewhere). The tier counters
 	// below are fleet totals merged across pool workers and are
-	// deterministic for a given seed+scale (single closed-loop client,
+	// deterministic for a given seed (single closed-loop client,
 	// FIFO worker rotation, request-count promotion windows).
 	Tier                  string `json:"tier,omitempty"`
 	TierPromotions        int64  `json:"tier_promotions,omitempty"`
@@ -150,30 +132,6 @@ type Scenario struct {
 	// profile shifting as the tier promotes hot functions.
 	ProfileHottestFrac float64 `json:"profile_hottest_frac,omitempty"`
 	ProfileFuncsFor65  int     `json:"profile_funcs_for_65,omitempty"`
-}
-
-// Canonical returns a copy of the record with every timing-dependent
-// field zeroed: CreatedAt, Seq, and the calibration on the record, and
-// throughput, wall, latency percentiles, and allocs/op on each
-// scenario. Two runs with
-// the same seed and scale must produce byte-identical canonical JSON —
-// the determinism property TestMatrixDeterministic enforces.
-func (r Record) Canonical() Record {
-	out := r
-	out.Seq = 0
-	out.CreatedAt = ""
-	out.CalibOpsPerSec = 0
-	out.Scenarios = make([]Scenario, len(r.Scenarios))
-	for i, sc := range r.Scenarios {
-		sc.ReqPerSec = 0
-		sc.WallMS = 0
-		sc.P50US = 0
-		sc.P95US = 0
-		sc.P99US = 0
-		sc.AllocsPerOp = 0
-		out.Scenarios[i] = sc
-	}
-	return out
 }
 
 // Scenario returns the named scenario and whether it exists.
@@ -222,7 +180,8 @@ func LatestSeq(dir string) (int, error) {
 	return latest, nil
 }
 
-// Load reads and validates one record file.
+// Load reads and validates one record file. It accepts every schema up
+// to SchemaVersion: fields a newer schema dropped are ignored.
 func Load(path string) (Record, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -232,7 +191,7 @@ func Load(path string) (Record, error) {
 	if err := json.Unmarshal(b, &r); err != nil {
 		return Record{}, fmt.Errorf("benchrec: parse %s: %w", path, err)
 	}
-	if r.Schema == 0 || len(r.Scenarios) == 0 {
+	if r.Schema < 1 || r.Schema > SchemaVersion || len(r.Scenarios) == 0 {
 		return Record{}, fmt.Errorf("benchrec: %s is not a benchmark record (schema %d, %d scenarios)",
 			path, r.Schema, len(r.Scenarios))
 	}

@@ -3,7 +3,6 @@ package benchrec
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"runtime"
 	"time"
 
@@ -16,15 +15,11 @@ import (
 	"repro/internal/workload"
 )
 
-// Matrix knobs pinned per scale. The full scale matches the paper's
-// serving methodology (300 warmup, 200 measured — EXPERIMENTS.md);
-// quick is sized for CI.
+// Pinned matrix knobs. Warmup and measured counts match the paper's
+// serving methodology (300 warmup, 200 measured — EXPERIMENTS.md).
 const (
-	fullWarmup  = 300
-	fullMeasure = 200
-
-	quickWarmup  = 40
-	quickMeasure = 80
+	matrixWarmup  = 300
+	matrixMeasure = 200
 
 	matrixApp     = "wordpress"
 	matrixWorkers = 2
@@ -37,7 +32,7 @@ const (
 
 	// Cached scenario: 128 cached responses over 512 Zipf(1.0) pages.
 	// The analytic steady-state top-128 share is ~80%; the recorded
-	// ratio sits lower (~0.5 at full scale) because the cache starts
+	// ratio sits lower (~0.5) because the cache starts
 	// cold, but the exact value is pinned by the seed.
 	cacheCapacity = 128
 	zipfPages     = 512
@@ -45,21 +40,18 @@ const (
 
 	// Cluster sweep: 1/2/4 single-worker backends behind the affinity
 	// ring, sharing the SAME total cache budget and page universe as
-	// cache_zipf so the aggregate hit ratio is directly comparable. The
-	// simulated database stall is what the extra backends overlap — on a
-	// one-core host, CPU render time serializes regardless of backend
-	// count, so cluster scaling is an I/O-overlap claim, exactly like
-	// real FPM fleets sized for database-bound pages. 2048 ring replicas
-	// keep the distinct-page split close to even at 4 backends (the
-	// straggler backend's share of misses bounds cluster speedup, and
-	// coarser rings measurably widen it); the 45ms stall makes I/O
-	// overlap dominate the serialized CPU renders.
+	// cache_zipf so the aggregate hit ratio is directly comparable, over
+	// a longer stream (the partitioned caches take longer to fill). 2048
+	// ring replicas keep the distinct-page split close to even at 4
+	// backends. No database stall: each backend serves its share from one
+	// closed-loop client, so a stall changes how long the run takes and
+	// nothing it records (serve's TestClusterStallLeavesRecordUnchanged);
+	// the I/O-overlap scaling claim is a host-clock one, reproduced with
+	// `loadgen -cluster 4 -dbwait 45ms` and gated by serve's
+	// TestClusterDBWaitOverlaps.
 	clusterWorkers      = 1
 	clusterRingReplicas = 2048
-	clusterDBWaitFull   = 45 * time.Millisecond
-	clusterDBWaitQuick  = 2 * time.Millisecond
-	clusterMeasureFull  = 400
-	clusterMeasureQuick = 80
+	clusterMeasure      = 400
 
 	// Scripted scenario: the PHP blog script served page-keyed (uncached)
 	// over the same Zipf page universe as cache_zipf, once pinned to the
@@ -70,170 +62,36 @@ const (
 	scriptedApp = "phpscript-blog"
 )
 
-// Options selects the matrix size and base seed for one run.
+// Options selects the base seed for one run.
 type Options struct {
-	// Scale is "full" (default) or "quick".
-	Scale string
 	// Seed is the base RNG seed (default 1, the seed EXPERIMENTS.md
 	// figures use).
 	Seed int64
-	// Trials is how many times the whole matrix runs (<= 0 means 1).
-	// Wall-clock metrics (throughput, latency percentiles, allocs/op)
-	// keep the best value observed across trials, per scenario and
-	// metric; the deterministic fields must agree exactly across trials
-	// or RunMatrix errors. Contention on a shared host only ever slows
-	// a trial down, so the per-metric best is the estimate of the
-	// machine's unloaded speed — the same alternating best-of-trials
-	// defence the wall-clock overhead guards use. bench-record and
-	// bench-check both run 5 trials so the committed and fresh sides
-	// estimate the same statistic. (Three trials sufficed while the
-	// serve path allocated ~1700 objects/request; the arena/recycling
-	// work made requests fast enough that tail percentiles over a
-	// 200-request window need the larger sample to stabilize.)
-	Trials int
 }
 
-func (o *Options) normalize() error {
-	if o.Scale == "" {
-		o.Scale = "full"
-	}
-	if o.Scale != "full" && o.Scale != "quick" {
-		return fmt.Errorf("benchrec: unknown scale %q (want full or quick)", o.Scale)
-	}
+func (o *Options) normalize() {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.Trials <= 0 {
-		o.Trials = 1
-	}
-	return nil
 }
 
-// counts returns (warmup, measured) for the scale.
-func (o Options) counts() (int, int) {
-	if o.Scale == "quick" {
-		return quickWarmup, quickMeasure
-	}
-	return fullWarmup, fullMeasure
-}
-
-// RunMatrix runs the pinned scenario matrix opts.Trials times, merges
-// the trials metric-wise best (see Options.Trials), and returns the
-// resulting record with Seq 0 (the caller assigns the trajectory
+// RunMatrix runs every scenario of the pinned matrix once and returns
+// the resulting record with Seq 0 (the caller assigns the trajectory
 // position).
 //
 // Determinism: every scenario drives the pool from a single closed-loop
 // client (or the pool's own statically partitioned loop), so the
 // per-worker request streams — and with them every simulated cost,
-// cache outcome, and shed count — depend only on Seed and Scale.
-// Canonical() strips the remaining wall-clock-dependent fields.
+// cache outcome, and shed count — depend only on Seed.
 func RunMatrix(opts Options) (Record, error) {
-	if err := opts.normalize(); err != nil {
-		return Record{}, err
-	}
-	best, err := runMatrixOnce(opts)
-	if err != nil {
-		return Record{}, err
-	}
-	best.CalibOpsPerSec = calibrate()
-	for trial := 1; trial < opts.Trials; trial++ {
-		rec, err := runMatrixOnce(opts)
-		if err != nil {
-			return Record{}, err
-		}
-		if err := mergeBestTrial(&best, rec); err != nil {
-			return Record{}, err
-		}
-		if c := calibrate(); c > best.CalibOpsPerSec {
-			best.CalibOpsPerSec = c
-		}
-	}
-	return best, nil
-}
-
-// calibSink defeats dead-code elimination of the calibration loop.
-var calibSink uint64
-
-// calibrate measures the host's current pure-CPU speed: a fixed xorshift
-// spin (no allocation, no memory traffic beyond one register-resident
-// word) timed over several short passes, best pass kept. The loop's
-// iterations/sec depend only on how much CPU the host actually grants,
-// which is exactly the factor Compare wants to cancel out of the
-// wall-clock gates.
-func calibrate() float64 {
-	const (
-		iters  = 1 << 23
-		passes = 3
-	)
-	var best float64
-	for p := 0; p < passes; p++ {
-		x := uint64(0x9E3779B97F4A7C15)
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-		}
-		elapsed := time.Since(start)
-		calibSink += x
-		if ops := iters / elapsed.Seconds(); ops > best {
-			best = ops
-		}
-	}
-	return best
-}
-
-// mergeBestTrial folds one trial into the running best: wall-clock
-// metrics keep their best observed value per scenario, and the
-// deterministic remainder must match exactly (a divergence means the
-// matrix itself went nondeterministic, which is a bug, not noise).
-func mergeBestTrial(best *Record, trial Record) error {
-	b, t := best.Canonical(), trial.Canonical()
-	if len(b.Scenarios) != len(t.Scenarios) {
-		return fmt.Errorf("benchrec: trial scenario count drifted: %d vs %d", len(b.Scenarios), len(t.Scenarios))
-	}
-	for i := range b.Scenarios {
-		if !reflect.DeepEqual(b.Scenarios[i], t.Scenarios[i]) {
-			return fmt.Errorf("benchrec: scenario %s is nondeterministic across trials:\n  %+v\nvs\n  %+v",
-				b.Scenarios[i].Name, b.Scenarios[i], t.Scenarios[i])
-		}
-	}
-	for i := range best.Scenarios {
-		bs, ts := &best.Scenarios[i], trial.Scenarios[i]
-		if ts.ReqPerSec > bs.ReqPerSec {
-			bs.ReqPerSec = ts.ReqPerSec
-		}
-		if ts.WallMS < bs.WallMS {
-			bs.WallMS = ts.WallMS
-		}
-		if ts.P50US < bs.P50US {
-			bs.P50US = ts.P50US
-		}
-		if ts.P95US < bs.P95US {
-			bs.P95US = ts.P95US
-		}
-		if ts.P99US < bs.P99US {
-			bs.P99US = ts.P99US
-		}
-		if ts.AllocsPerOp < bs.AllocsPerOp {
-			bs.AllocsPerOp = ts.AllocsPerOp
-		}
-	}
-	return nil
-}
-
-// runMatrixOnce runs every scenario once and assembles one record.
-func runMatrixOnce(opts Options) (Record, error) {
+	opts.normalize()
 	rec := Record{
 		Schema:    SchemaVersion,
-		CreatedAt: time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
-		Scale:     opts.Scale,
 		Seed:      opts.Seed,
 	}
-	warmup, measure := opts.counts()
 
 	for _, name := range ScenarioNames() {
 		var (
@@ -242,23 +100,23 @@ func runMatrixOnce(opts Options) (Record, error) {
 		)
 		switch name {
 		case "direct":
-			sc, err = runDirect(opts, warmup, measure, true)
+			sc, err = runDirect(opts, true)
 		case "accel_off":
-			sc, err = runDirect(opts, warmup, measure, false)
+			sc, err = runDirect(opts, false)
 		case "scheduler":
-			sc, err = runScheduler(opts, warmup, measure)
+			sc, err = runScheduler(opts)
 		case "cache_zipf":
-			sc, err = runCacheZipf(opts, warmup, measure)
+			sc, err = runCacheZipf(opts)
 		case "cluster_zipf_1":
-			sc, err = runCluster(opts, warmup, 1)
+			sc, err = runCluster(opts, 1)
 		case "cluster_zipf_2":
-			sc, err = runCluster(opts, warmup, 2)
+			sc, err = runCluster(opts, 2)
 		case "cluster_zipf_4":
-			sc, err = runCluster(opts, warmup, 4)
+			sc, err = runCluster(opts, 4)
 		case "scripted_zipf_interp":
-			sc, err = runScriptedZipf(opts, warmup, measure, php.TierInterp)
+			sc, err = runScriptedZipf(opts, php.TierInterp)
 		case "scripted_zipf":
-			sc, err = runScriptedZipf(opts, warmup, measure, php.TierAuto)
+			sc, err = runScriptedZipf(opts, php.TierAuto)
 		}
 		if err != nil {
 			return Record{}, fmt.Errorf("benchrec: scenario %s: %w", name, err)
@@ -302,11 +160,11 @@ func measureAllocs(requests int, f func()) float64 {
 }
 
 // baseScenario fills the config half of a Scenario.
-func baseScenario(workers, warmup, measure int, accelerated bool) Scenario {
+func baseScenario(workers, measure int, accelerated bool) Scenario {
 	return Scenario{
 		App:         matrixApp,
 		Workers:     workers,
-		Warmup:      warmup,
+		Warmup:      matrixWarmup,
 		Requests:    measure,
 		Accelerated: accelerated,
 	}
@@ -314,8 +172,7 @@ func baseScenario(workers, warmup, measure int, accelerated bool) Scenario {
 
 // simFields fills the simulated-cost fields from a merged meter: cycles
 // from the dense category vector, energy from the meter's fixed-order
-// total, both reproducible bit for bit (the byte-identical canonical
-// record property).
+// total, both reproducible bit for bit.
 func (sc *Scenario) simFields(mt *sim.Meter, requests int) {
 	if requests <= 0 {
 		return
@@ -329,35 +186,25 @@ func (sc *Scenario) simFields(mt *sim.Meter, requests int) {
 	}
 }
 
-// latencyFields fills the client-visible latency percentiles.
-func (sc *Scenario) latencyFields(l workload.LatencyStats) {
-	sc.P50US = float64(l.P50) / float64(time.Microsecond)
-	sc.P95US = float64(l.P95) / float64(time.Microsecond)
-	sc.P99US = float64(l.P99) / float64(time.Microsecond)
-}
-
 // runDirect is the direct pool loop (no scheduler): Pool.Run with the
 // static request partition, accelerators on or off. The on/off pair is
 // the trajectory's view of the EXPERIMENTS.md accelerator sweep.
-func runDirect(opts Options, warmup, measure int, accelerated bool) (Scenario, error) {
+func runDirect(opts Options, accelerated bool) (Scenario, error) {
 	pool, err := workload.NewPool(matrixWorkers, vmConfig(accelerated), matrixApp, opts.Seed)
 	if err != nil {
 		return Scenario{}, err
 	}
 	// Warmup separately so the allocation window covers only the
 	// measured phase.
-	pool.Run(workload.LoadGenerator{Warmup: warmup}, 0)
+	pool.Run(workload.LoadGenerator{Warmup: matrixWarmup}, 0)
 	var res workload.Result
-	allocs := measureAllocs(measure, func() {
-		res = pool.Run(workload.LoadGenerator{Requests: measure}, 0)
+	allocs := measureAllocs(matrixMeasure, func() {
+		res = pool.Run(workload.LoadGenerator{Requests: matrixMeasure}, 0)
 	})
 
-	sc := baseScenario(matrixWorkers, warmup, measure, accelerated)
+	sc := baseScenario(matrixWorkers, matrixMeasure, accelerated)
 	sc.Served = res.Requests
-	sc.ReqPerSec = res.Throughput()
-	sc.WallMS = float64(res.Wall) / float64(time.Millisecond)
 	sc.AllocsPerOp = allocs
-	sc.latencyFields(res.Latency)
 	sc.simFields(pool.MergedMeter(), res.Requests)
 	return sc, nil
 }
@@ -365,19 +212,19 @@ func runDirect(opts Options, warmup, measure int, accelerated bool) (Scenario, e
 // runScheduler drives the measured phase through serve.Scheduler with a
 // queue and timeout, from one closed-loop client (determinism: the FIFO
 // free list rotates workers in a fixed order).
-func runScheduler(opts Options, warmup, measure int) (Scenario, error) {
+func runScheduler(opts Options) (Scenario, error) {
 	pool, err := workload.NewPool(matrixWorkers, vmConfig(true), matrixApp, opts.Seed)
 	if err != nil {
 		return Scenario{}, err
 	}
-	pool.Run(workload.LoadGenerator{Warmup: warmup}, 0)
+	pool.Run(workload.LoadGenerator{Warmup: matrixWarmup}, 0)
 	s := serve.NewScheduler(pool, serve.Config{QueueDepth: schedQueueDepth, Timeout: schedTimeout})
 	var ls serve.LoadStats
-	allocs := measureAllocs(measure, func() {
-		ls = serve.RunLoad(context.Background(), s, serve.LoadOptions{Requests: measure, Clients: 1})
+	allocs := measureAllocs(matrixMeasure, func() {
+		ls = serve.RunLoad(context.Background(), s, serve.LoadOptions{Requests: matrixMeasure, Clients: 1})
 	})
 
-	sc := baseScenario(matrixWorkers, warmup, measure, true)
+	sc := baseScenario(matrixWorkers, matrixMeasure, true)
 	sc.Clients = 1
 	sc.QueueDepth = schedQueueDepth
 	sc.TimeoutMS = float64(schedTimeout) / float64(time.Millisecond)
@@ -389,12 +236,12 @@ func runScheduler(opts Options, warmup, measure int) (Scenario, error) {
 
 // runCacheZipf is the cached serving path: shared-seed pool (page
 // identity), response cache, Zipf page popularity, one client.
-func runCacheZipf(opts Options, warmup, measure int) (Scenario, error) {
+func runCacheZipf(opts Options) (Scenario, error) {
 	pool, err := workload.NewPoolSharedSeed(matrixWorkers, vmConfig(true), matrixApp, opts.Seed)
 	if err != nil {
 		return Scenario{}, err
 	}
-	pool.Run(workload.LoadGenerator{Warmup: warmup}, 0)
+	pool.Run(workload.LoadGenerator{Warmup: matrixWarmup}, 0)
 	s := serve.NewScheduler(pool, serve.Config{QueueDepth: schedQueueDepth, Timeout: schedTimeout})
 	c := cache.New(cache.Config{Capacity: cacheCapacity})
 	keys, err := workload.NewZipfKeys(opts.Seed, zipfExponent, zipfPages)
@@ -402,16 +249,16 @@ func runCacheZipf(opts Options, warmup, measure int) (Scenario, error) {
 		return Scenario{}, err
 	}
 	var ls serve.LoadStats
-	allocs := measureAllocs(measure, func() {
+	allocs := measureAllocs(matrixMeasure, func() {
 		ls = serve.RunLoad(context.Background(), s, serve.LoadOptions{
-			Requests: measure,
+			Requests: matrixMeasure,
 			Clients:  1,
 			Cache:    c,
 			PageKey:  keys.Next,
 		})
 	})
 
-	sc := baseScenario(matrixWorkers, warmup, measure, true)
+	sc := baseScenario(matrixWorkers, matrixMeasure, true)
 	sc.Clients = 1
 	sc.QueueDepth = schedQueueDepth
 	sc.TimeoutMS = float64(schedTimeout) / float64(time.Millisecond)
@@ -428,16 +275,11 @@ func runCacheZipf(opts Options, warmup, measure int) (Scenario, error) {
 
 // runCluster is the FPM-style cluster sweep: `backends` single-worker
 // stacks behind the consistent-hash ring, serving the shared Zipf
-// stream partitioned by key ownership, each miss stalling dbwait on its
-// worker. The 1/2/4 points committed together are the scaling claim:
-// throughput grows near-linearly (stall overlap) while the aggregate
-// hit ratio stays within a few points of the single-process figure
-// (affinity keeps each page's cache entry on exactly one backend).
-func runCluster(opts Options, warmup, backends int) (Scenario, error) {
-	measure, dbWait := clusterMeasureFull, clusterDBWaitFull
-	if opts.Scale == "quick" {
-		measure, dbWait = clusterMeasureQuick, clusterDBWaitQuick
-	}
+// stream partitioned by key ownership. The 1/2/4 points committed
+// together are the affinity claim: the aggregate hit ratio stays within
+// a few points of the single-process figure (each page's cache entry
+// lives on exactly one backend).
+func runCluster(opts Options, backends int) (Scenario, error) {
 	cl, err := serve.NewCluster(serve.ClusterOptions{
 		Backends:          backends,
 		WorkersPerBackend: clusterWorkers,
@@ -449,26 +291,24 @@ func runCluster(opts Options, warmup, backends int) (Scenario, error) {
 		CacheCapacity:     cacheCapacity,
 		Pages:             zipfPages,
 		ZipfS:             zipfExponent,
-		DBWait:            dbWait,
 		RingReplicas:      clusterRingReplicas,
 	})
 	if err != nil {
 		return Scenario{}, err
 	}
-	cl.Warm(warmup)
+	cl.Warm(matrixWarmup)
 	var cs serve.ClusterStats
 	var runErr error
-	allocs := measureAllocs(measure, func() {
-		cs, runErr = cl.RunZipf(context.Background(), measure)
+	allocs := measureAllocs(clusterMeasure, func() {
+		cs, runErr = cl.RunZipf(context.Background(), clusterMeasure)
 	})
 	if runErr != nil {
 		return Scenario{}, runErr
 	}
 
-	sc := baseScenario(clusterWorkers, warmup, measure, true)
+	sc := baseScenario(clusterWorkers, clusterMeasure, true)
 	sc.Clients = backends
 	sc.Backends = backends
-	sc.DBWaitMS = float64(dbWait) / float64(time.Millisecond)
 	sc.QueueDepth = schedQueueDepth
 	sc.TimeoutMS = float64(schedTimeout) / float64(time.Millisecond)
 	sc.CacheCapacity = cacheCapacity
@@ -488,7 +328,7 @@ func runCluster(opts Options, warmup, backends int) (Scenario, error) {
 // the measured phase runs mostly in the bytecode tier; the recorded
 // tier counters and Fig. 1 profile gauges pin that state in the
 // trajectory.
-func runScriptedZipf(opts Options, warmup, measure int, mode php.TierMode) (Scenario, error) {
+func runScriptedZipf(opts Options, mode php.TierMode) (Scenario, error) {
 	pool, err := workload.NewPoolSharedSeed(matrixWorkers, vmConfig(true), scriptedApp, opts.Seed)
 	if err != nil {
 		return Scenario{}, err
@@ -500,22 +340,22 @@ func runScriptedZipf(opts Options, warmup, measure int, mode php.TierMode) (Scen
 	if !supported {
 		return Scenario{}, fmt.Errorf("%s does not support script tiering", scriptedApp)
 	}
-	pool.Run(workload.LoadGenerator{Warmup: warmup}, 0)
+	pool.Run(workload.LoadGenerator{Warmup: matrixWarmup}, 0)
 	s := serve.NewScheduler(pool, serve.Config{QueueDepth: schedQueueDepth, Timeout: schedTimeout})
 	keys, err := workload.NewZipfKeys(opts.Seed, zipfExponent, zipfPages)
 	if err != nil {
 		return Scenario{}, err
 	}
 	var ls serve.LoadStats
-	allocs := measureAllocs(measure, func() {
+	allocs := measureAllocs(matrixMeasure, func() {
 		ls = serve.RunLoad(context.Background(), s, serve.LoadOptions{
-			Requests: measure,
+			Requests: matrixMeasure,
 			Clients:  1,
 			PageKey:  keys.Next,
 		})
 	})
 
-	sc := baseScenario(matrixWorkers, warmup, measure, true)
+	sc := baseScenario(matrixWorkers, matrixMeasure, true)
 	sc.App = scriptedApp
 	sc.Clients = 1
 	sc.QueueDepth = schedQueueDepth
@@ -540,8 +380,8 @@ func runScriptedZipf(opts Options, warmup, measure int, mode php.TierMode) (Scen
 	return sc, nil
 }
 
-// fillLoadStats copies a RunLoad result into the scenario's measured
-// fields.
+// fillLoadStats copies a RunLoad result's outcome counts into the
+// scenario.
 func (sc *Scenario) fillLoadStats(ls serve.LoadStats) {
 	sc.Served = ls.Served
 	sc.ShedOverload = ls.ShedOverload
@@ -552,9 +392,4 @@ func (sc *Scenario) fillLoadStats(ls serve.LoadStats) {
 	sc.CacheMisses = ls.CacheMisses
 	sc.CacheCoalesced = ls.CacheCoalesced
 	sc.CacheHitRatio = ls.CacheHitRatio()
-	if ls.Wall > 0 {
-		sc.ReqPerSec = float64(ls.Served) / ls.Wall.Seconds()
-	}
-	sc.WallMS = float64(ls.Wall) / float64(time.Millisecond)
-	sc.latencyFields(ls.Latency)
 }

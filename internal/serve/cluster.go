@@ -82,8 +82,10 @@ type ClusterBackend struct {
 }
 
 // Cluster is the in-process cluster harness: the benchrec cluster_zipf
-// scenarios and the cluster e2e tests drive it directly, with no
-// processes or sockets between router math and backend stacks.
+// scenarios (stall-free; they record simulated results only), loadgen
+// -cluster (with -dbwait, the way to reproduce the I/O-overlap scaling
+// claim) and the cluster e2e tests drive it directly, with no processes
+// or sockets between router math and backend stacks.
 type Cluster struct {
 	// Opts echoes the normalized construction options.
 	Opts ClusterOptions

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -87,8 +88,8 @@ func TestClusterDisjointOwnershipAndDeterminism(t *testing.T) {
 	}
 
 	// Determinism: a fresh identical cluster reproduces every count and
-	// every simulated cycle (the benchrec canonical-record property
-	// depends on the latter).
+	// every simulated cycle (benchrec compares both exactly against the
+	// committed record).
 	cs2, cl2 := run()
 	for i := range cs.PerBackend {
 		a, b := cs.PerBackend[i].Load, cs2.PerBackend[i].Load
@@ -97,7 +98,7 @@ func TestClusterDisjointOwnershipAndDeterminism(t *testing.T) {
 		}
 	}
 	// Compare via the dense category vector (deterministic summation
-	// order) — the same path benchrec's canonical records use.
+	// order) — the same path benchrec's records use.
 	if a, b := cl.MergedMeter().CategoryCyclesVec().Total(), cl2.MergedMeter().CategoryCyclesVec().Total(); a != b {
 		t.Fatalf("simulated totals differ across identical runs: %g vs %g", a, b)
 	}
@@ -168,6 +169,48 @@ func TestClusterDBWaitOverlaps(t *testing.T) {
 	}
 }
 
+// backendCounts is one backend's served, distinct pages, hits, misses
+// and coalesced counts, in that order.
+func backendCounts(pb BackendClusterStats) [5]int {
+	return [5]int{pb.Load.Served, pb.Pages, pb.Load.CacheHits, pb.Load.CacheMisses, pb.Load.CacheCoalesced}
+}
+
+// TestClusterStallLeavesRecordUnchanged: the stall is host time only.
+// Each backend serves its share from one closed-loop client, so with or
+// without DBWait the per-backend outcome counts and the merged category
+// cycles are equal — which is why the benchrec cluster scenarios run
+// with no stall.
+func TestClusterStallLeavesRecordUnchanged(t *testing.T) {
+	run := func(backends int, dbWait time.Duration) ([][5]int, sim.CategoryVec) {
+		opts := testClusterOpts(backends)
+		opts.DBWait = dbWait
+		cl, err := NewCluster(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.Warm(2)
+		cs, err := cl.RunZipf(context.Background(), 80)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var counts [][5]int
+		for _, pb := range cs.PerBackend {
+			counts = append(counts, backendCounts(pb))
+		}
+		return counts, cl.MergedMeter().CategoryCyclesVec()
+	}
+	for _, backends := range []int{1, 2, 4} {
+		counts, cycles := run(backends, 0)
+		stalledCounts, stalledCycles := run(backends, 2*time.Millisecond)
+		if !reflect.DeepEqual(counts, stalledCounts) {
+			t.Errorf("%d backends: served/pages/hits/misses/coalesced %v without stall, %v with", backends, counts, stalledCounts)
+		}
+		if cycles != stalledCycles {
+			t.Errorf("%d backends: merged category cycles %v without stall, %v with", backends, cycles, stalledCycles)
+		}
+	}
+}
+
 func TestClusterOptionValidation(t *testing.T) {
 	bad := []func(*ClusterOptions){
 		func(o *ClusterOptions) { o.Backends = 0 },
@@ -215,8 +258,7 @@ func TestClusterRunZipfThroughRunLoad(t *testing.T) {
 		{43, 13, 29, 14, 0},
 	}
 	for i, pb := range cs.PerBackend {
-		got := [5]int{pb.Load.Served, pb.Pages, pb.Load.CacheHits, pb.Load.CacheMisses, pb.Load.CacheCoalesced}
-		if got != want[i] {
+		if got := backendCounts(pb); got != want[i] {
 			t.Errorf("backend %d: served/pages/hits/misses/coalesced = %v, want %v", i, got, want[i])
 		}
 		if pb.Load.Latency.Count != pb.Load.Served || pb.Load.Shed() != 0 {

@@ -78,7 +78,7 @@ type LoadStats struct {
 	QueueWait workload.LatencyStats
 	// Latency is the end-to-end submit-to-response distribution over
 	// served requests, cached or not — queue wait plus render (or cache
-	// lookup). It is the client-visible latency benchrec records.
+	// lookup). It is the client-visible latency loadgen prints.
 	Latency workload.LatencyStats
 	// Wall is the run's wall-clock duration.
 	Wall time.Duration

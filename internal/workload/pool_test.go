@@ -637,7 +637,7 @@ func TestRunCtxCancelledPartialResult(t *testing.T) {
 }
 
 // TestLatencyStatsSmallSamples pins the nearest-rank percentile math at
-// the degenerate sizes benchrec records can produce: with one sample
+// the degenerate sizes a short run can produce: with one sample
 // every percentile is that sample; with two, p50 is the smaller value
 // (rank ceil(0.5*2) = 1) and p95/p99 the larger (rank ceil(1.9) =
 // ceil(1.98) = 2).

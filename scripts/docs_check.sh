@@ -1,23 +1,28 @@
 #!/bin/sh
-# docs_check.sh PKGDIR... — fail if an exported top-level identifier in
-# any of the given package directories has no doc comment. Exported
-# means a func/type/const/var declaration at column 0 whose name starts
-# with an upper-case letter; documented means the preceding line is a
-# comment (the line directly above, per godoc convention). Grouped
-# `const (`/`var (` blocks are covered by the block's own doc comment
-# and are not inspected per name.
+# docs_check.sh PKGDIR... — the documentation gate `make docs-check`
+# runs (the Makefile lists the package directories). Three passes, all
+# of which must come back clean:
 #
-# After the doc-comment pass, the script also checks endpoint coverage:
-# every HTTP route phpserve registers (mux.HandleFunc in
-# cmd/phpserve/main.go, with /debug/pprof/* collapsed to its index
-# entry) must be mentioned in docs/OPERATIONS.md, so a new endpoint
-# cannot land without operator documentation. Flag coverage works the
-# same way: every CLI flag phpserve defines must appear as -name in
-# docs/OPERATIONS.md.
+# 1. Doc comments: fail if an exported top-level identifier in any of
+#    the given package directories has no doc comment. Exported means a
+#    func/type/const/var declaration at column 0 whose name starts with
+#    an upper-case letter; documented means the preceding line is a
+#    comment (the line directly above, per godoc convention). Grouped
+#    `const (`/`var (` blocks are covered by the block's own doc comment
+#    and are not inspected per name.
 #
-# Used by `make docs-check`, which runs it over internal/obs and
-# internal/profile so the observability packages' public surface stays
-# documented.
+# 2. Server surface: every HTTP route cmd/phpserve and cmd/phprouter
+#    register (mux.HandleFunc, with /debug/pprof/* collapsed to its
+#    index entry), every CLI flag they define and every phpserve_* /
+#    phprouter_* metric series they emit must be mentioned in
+#    docs/OPERATIONS.md, so none can land without operator
+#    documentation.
+#
+# 3. Benchmark-record schema, both directions: every `json:"..."` tag in
+#    internal/benchrec/record.go must appear (backticked) in
+#    docs/OPERATIONS.md, and every backticked first-column name in that
+#    guide's "Record schema" tables must still be a tag — a removed
+#    field cannot survive as a stale row.
 set -u
 
 status=0
@@ -124,13 +129,26 @@ fi
 # Benchmark-record schema coverage: every JSON field the benchrec
 # record serializes must be documented (as `name`) in the operations
 # guide's "Benchmark trajectory" section, so a schema field cannot land
-# without a reader-facing definition.
+# without a reader-facing definition — and every field the guide's
+# "Record schema" tables define (the backticked names in a row's first
+# column) must still be one the record serializes.
 record=internal/benchrec/record.go
 if [ -f "$record" ] && [ -f "$opsdoc" ]; then
-	fields=$(sed -n 's/.*json:"\([a-z0-9_]*\)".*/\1/p' "$record" | sort -u)
+	fields=$(sed -n 's/.*json:"\([a-z0-9_]*\)[",].*/\1/p' "$record" | sort -u)
 	for field in $fields; do
 		if ! grep -qF -- "\`$field\`" "$opsdoc"; then
 			echo "docs-check: record field $field (from $record) is not documented in $opsdoc" >&2
+			status=1
+		fi
+	done
+	documented=$(awk -F'|' '
+		/^### Record schema/ { on = 1; next }
+		/^##/ { on = 0 }
+		on && /^\| `/ { print $2 }
+	' "$opsdoc" | grep -o '`[a-z0-9_]*`' | tr -d '`' | sort -u)
+	for name in $documented; do
+		if ! printf '%s\n' "$fields" | grep -qx -- "$name"; then
+			echo "docs-check: $opsdoc \"Record schema\" documents $name, which is not a field of $record" >&2
 			status=1
 		fi
 	done
