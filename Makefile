@@ -16,10 +16,11 @@ vet:
 
 # Fail if exported identifiers in the operator-facing packages lack doc
 # comments — their API is the surface docs/OPERATIONS.md describes —
-# and if any phpserve/phprouter HTTP endpoint, CLI flag, or phprouter_*
-# metric series is missing from OPERATIONS.md. internal/serve is in the
-# list because the router/supervisor/cluster API is what the cluster
-# section documents.
+# if any phpserve/phprouter HTTP endpoint, CLI flag, or phprouter_*
+# metric series is missing from OPERATIONS.md, or if EXPERIMENTS.md's
+# generated block is not the rendering of FIGURES.json (no experiment is
+# run). internal/serve is in the list because the router/supervisor/
+# cluster API is what the cluster section documents.
 docs-check:
 	sh scripts/docs_check.sh internal/obs internal/profile internal/cache internal/benchrec internal/serve
 
@@ -32,15 +33,19 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# Simulated-clock trajectory (docs/OPERATIONS.md "Benchmark trajectory").
-# bench-record runs the pinned scenario matrix once and appends the next
-# BENCH_<n>.json at the repo root; commit the file so the trajectory
-# travels with the history. bench-check reruns the matrix (~2 s) and
-# fails with one line per field if any deterministic field differs from
-# the latest committed record or allocs/op rose past its slack. Host
-# time is not in the record: `sh benchmark/run.sh` measures that.
+# Simulated-clock records (docs/OPERATIONS.md "Benchmark trajectory"),
+# one command per direction. bench-record runs the pinned scenario
+# matrix once and appends the next BENCH_<n>.json at the repo root, then
+# rebuilds every figure of the paper's evaluation and rewrites
+# FIGURES.json (a single file: `git log` is its trajectory) together
+# with the block of EXPERIMENTS.md generated from it; commit all three.
+# bench-check reruns both and fails with one line per difference: any
+# deterministic field of the latest BENCH record, allocs/op past its
+# slack, or any value of any figure (`figure[row].metric base -> fresh`).
+# Host time is in neither record: `sh benchmark/run.sh` measures that.
 bench-record:
 	$(GO) run ./cmd/loadgen -record
+	$(GO) run ./cmd/figures -write >/dev/null
 
 bench-check:
 	$(GO) run ./scripts

@@ -1,8 +1,9 @@
-// Package repro's top-level benchmarks regenerate every table and figure
-// of the paper's evaluation (one benchmark per experiment) and run the
-// ablation studies DESIGN.md calls out. Each benchmark reports the
-// figure's headline metric through b.ReportMetric so `go test -bench=.`
-// output doubles as the experiment record.
+// Package repro's top-level benchmarks run the ablation studies
+// DESIGN.md calls out, each reporting its headline metric through
+// b.ReportMetric, and the per-accelerator host-cost benchmarks; the env-
+// gated guards `make ci` arms live here too. The paper's figures are
+// not benchmarks: internal/experiments builds them once, at one scale,
+// and FIGURES.json records them.
 package repro
 
 import (
@@ -18,7 +19,6 @@ import (
 	"repro/internal/core/heapmgr"
 	"repro/internal/core/regexaccel"
 	"repro/internal/core/straccel"
-	"repro/internal/experiments"
 	"repro/internal/hashmap"
 	"repro/internal/heap"
 	"repro/internal/isa"
@@ -28,139 +28,6 @@ import (
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
-
-func benchOpts() experiments.Options {
-	return experiments.Options{Seed: 1, Warmup: 30, Requests: 40}
-}
-
-func benchUarch() experiments.UarchOptions {
-	return experiments.UarchOptions{Instructions: 800_000, Seed: 1}
-}
-
-// --- One benchmark per figure/table ---
-
-func BenchmarkFigure1_LeafFunctionDistribution(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Figure1(benchOpts())
-		for _, r := range rows {
-			if r.App == "wordpress" {
-				b.ReportMetric(100*r.HottestFrac, "hottest-%")
-				b.ReportMetric(float64(r.FuncsFor65), "funcs@65%")
-			}
-		}
-	}
-}
-
-func BenchmarkFigure2a_BTBSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Figure2a(benchUarch())
-		last := rows[len(rows)-1]
-		b.ReportMetric(100*last.BTBHitRate, "btb64K-hit-%")
-	}
-}
-
-func BenchmarkFigure2b_CacheMPKI(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Figure2b(benchUarch())
-		b.ReportMetric(rows[0].L1IMPKI, "L1I-MPKI")
-		b.ReportMetric(rows[0].L2MPKI, "L2-MPKI")
-	}
-}
-
-func BenchmarkFigure2c_CoreWidthSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Figure2c(benchUarch())
-		gain := (rows[2].NormTime - rows[3].NormTime) / rows[2].NormTime
-		b.ReportMetric(100*gain, "8wide-gain-%")
-	}
-}
-
-func BenchmarkBranchMPKI(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.TableBranchMPKI(benchUarch())
-		for _, r := range rows {
-			if r.Workload == "wordpress" {
-				b.ReportMetric(r.MPKI, "wp-MPKI")
-			}
-		}
-	}
-}
-
-func BenchmarkFigure3_MitigationDiff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Figure3(benchOpts())
-		var collapsed float64
-		for _, r := range rows {
-			if r.Category == sim.CatRefCount {
-				collapsed += r.BeforePct - r.AfterPct
-			}
-		}
-		b.ReportMetric(collapsed, "refcount-drop-pp")
-	}
-}
-
-func BenchmarkFigure5_Breakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Figure5(benchOpts())
-		for _, r := range rows {
-			if r.App == "wordpress" {
-				four := r.Shares[sim.CatHash] + r.Shares[sim.CatHeap] +
-					r.Shares[sim.CatString] + r.Shares[sim.CatRegex]
-				b.ReportMetric(100*four, "wp-4cat-%")
-			}
-		}
-	}
-}
-
-func BenchmarkFigure7_HashTableHitRate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Figure7(benchOpts())
-		for _, r := range rows {
-			if r.Entries == 256 {
-				b.ReportMetric(100*r.GetHitRate, "hit256-%")
-			}
-		}
-	}
-}
-
-func BenchmarkFigure8_MemoryUsage(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Figure8a(benchOpts())
-		b.ReportMetric(100*rows[0].Cumulative[7], "wp-<=128B-%")
-	}
-}
-
-func BenchmarkFigure12_ContentSkipped(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Figure12(benchOpts())
-		b.ReportMetric(100*rows[0].TotalFraction, "wp-skip-%")
-	}
-}
-
-func BenchmarkFigure14_Headline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Figure14(benchOpts())
-		var acc float64
-		for _, r := range rows {
-			acc += r.AcceleratedTime
-		}
-		b.ReportMetric(100*acc/float64(len(rows)), "accel-time-%")
-	}
-}
-
-func BenchmarkFigure15_PerAccelerator(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Figure15(benchOpts())
-		avg := map[sim.AccelKind]float64{}
-		for _, r := range rows {
-			for k, v := range r.Benefit {
-				avg[k] += 100 * v / float64(len(rows))
-			}
-		}
-		b.ReportMetric(avg[sim.AccelHeapMgr], "heap-%")
-		b.ReportMetric(avg[sim.AccelHashTable], "hash-%")
-	}
-}
 
 // --- Ablations (§4 design-consideration studies from DESIGN.md) ---
 

@@ -1,343 +1,59 @@
-// Command figures regenerates every table and figure of the paper's
-// evaluation as aligned text tables, using the experiment drivers in
-// internal/experiments.
+// Command figures reproduces every table and figure of the paper's
+// evaluation (internal/experiments, one scale, seed 1) and prints them
+// as aligned text tables with the paper's numbers beneath.
 //
 // Usage:
 //
-//	figures [-full] [-only fig14,fig15,...]
+//	figures [-only fig14,fig15,...] [-write]
 //
-// With -full the runs use the paper-scale methodology (300 warmup
-// requests, 200 measured; 4M-instruction characterizations); the default
-// quick mode is sized for a laptop.
+// -write (run from the repo root, all figures) also rewrites the
+// committed record FIGURES.json and the block of EXPERIMENTS.md that is
+// generated from it; `make bench-record` runs it.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/sim"
 )
 
 func main() {
-	full := flag.Bool("full", false, "paper-scale run sizes")
-	only := flag.String("only", "", "comma-separated figure list (e.g. fig14,fig15)")
+	only := flag.String("only", "", "comma-separated figure ids (default all): "+strings.Join(experiments.IDs(), ","))
+	write := flag.Bool("write", false, "rewrite FIGURES.json and EXPERIMENTS.md's generated block in the current directory")
 	flag.Parse()
-
-	opt := experiments.Quick()
-	uopt := experiments.QuickUarch()
-	if *full {
-		opt = experiments.Full()
-		uopt = experiments.FullUarch()
-	}
-
-	want := map[string]bool{}
-	for _, f := range strings.Split(*only, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			want[strings.ToLower(f)] = true
-		}
-	}
-	sel := func(name string) bool { return len(want) == 0 || want[name] }
-
-	if sel("fig1") {
-		figure1(opt)
-	}
-	if sel("fig2a") {
-		figure2a(uopt)
-	}
-	if sel("fig2b") {
-		figure2b(uopt)
-	}
-	if sel("fig2c") {
-		figure2c(uopt)
-	}
-	if sel("mpki") {
-		branchMPKI(uopt)
-	}
-	if sel("fig3") {
-		figure3(opt)
-	}
-	if sel("fig4") {
-		figure4(opt)
-	}
-	if sel("fig5") {
-		figure5(opt)
-	}
-	if sel("fig7") {
-		figure7(opt)
-	}
-	if sel("fig8a") {
-		figure8a(opt)
-	}
-	if sel("fig8bc") {
-		figure8bc(opt)
-	}
-	if sel("fig12") {
-		figure12(opt)
-	}
-	if sel("fig14") {
-		figure14(opt)
-	}
-	if sel("fig15") {
-		figure15(opt)
-	}
-	if sel("keys") {
-		tableKeys(opt)
-	}
-	if sel("uops") {
-		tableUops()
-	}
-	if sel("indirect") {
-		tableIndirect(uopt)
-	}
-	if sel("general") {
-		tableGeneralization(opt)
+	if err := run(strings.FieldsFunc(*only, func(r rune) bool { return r == ',' || r == ' ' }), *write); err != nil {
+		fmt.Fprintln(os.Stderr, "figures:", err)
+		os.Exit(1)
 	}
 }
 
-func tableGeneralization(opt experiments.Options) {
-	header("Extension: generalization to other PHP frameworks (conclusion)")
-	fmt.Printf("%-12s %12s %12s %12s\n", "workload", "mitigated", "accelerated", "rel.gain")
-	for _, r := range experiments.TableGeneralization(opt) {
-		fmt.Printf("%-12s %11.2f%% %11.2f%% %11.2f%%\n",
-			r.App, 100*r.MitigatedTime, 100*r.AcceleratedTime, 100*r.RelativeGain)
+func run(only []string, write bool) error {
+	if write && len(only) > 0 {
+		return fmt.Errorf("-write records every figure; drop -only")
 	}
-	fmt.Println("paper conclusion: Laravel, Symfony, Yii, Phalcon \"will all gain execution efficiency\"")
-}
-
-func tableIndirect(opt experiments.UarchOptions) {
-	header("Extension: indirect target prediction on VM dispatch (cf. section 2)")
-	fmt.Printf("%-12s %10s %12s %12s %12s %12s %10s\n",
-		"workload", "ind/KI", "BTB miss", "ITTAGE miss", "bubblesPKI", "+ITTAGE", "RAS miss")
-	for _, r := range experiments.TableIndirectPredictor(opt) {
-		fmt.Printf("%-12s %10.2f %11.1f%% %11.1f%% %12.2f %12.2f %9.2f%%\n",
-			r.Workload, r.IndirectPerKI, 100*r.BTBMissRate, 100*r.ITTAGEMissRate,
-			r.BubblePKIBefore, r.BubblePKIAfter, 100*r.RASMissRate)
+	rep, err := experiments.Build(only)
+	if err != nil {
+		return err
 	}
-	fmt.Println("extension: the front-end remedy section 2 points to for data-dependent dispatch")
-}
-
-func header(title string) {
-	fmt.Printf("\n=== %s ===\n", title)
-}
-
-func figure1(opt experiments.Options) {
-	header("Figure 1: CPU cycle distribution over hottest leaf functions")
-	rows := experiments.Figure1(opt)
-	fmt.Printf("%-20s %9s %11s %8s\n", "workload", "hottest%", "funcs@65%", "#funcs")
-	for _, r := range rows {
-		fmt.Printf("%-20s %8.2f%% %11d %8d\n", r.App, 100*r.HottestFrac, r.FuncsFor65, r.NumFunctions)
+	if err := rep.Render(os.Stdout); err != nil || !write {
+		return err
 	}
-	fmt.Printf("\ncumulative cycle %% over hottest-N functions:\n%-20s", "workload")
-	for _, x := range rows[0].Xs {
-		fmt.Printf("%7d", x)
+	record, err := rep.Marshal()
+	if err != nil {
+		return err
 	}
-	fmt.Println()
-	for _, r := range rows {
-		fmt.Printf("%-20s", r.App)
-		for _, v := range r.CDF {
-			fmt.Printf("%6.1f%%", 100*v)
-		}
-		fmt.Println()
+	md, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		return err
 	}
-	fmt.Println("paper: PHP apps' hottest fn ~10-12%, ~100 fns for ~65%; SPECWeb ~90% in a few fns")
-}
-
-func figure2a(opt experiments.UarchOptions) {
-	header("Figure 2a: execution time vs BTB size x I-cache size (WordPress)")
-	rows := experiments.Figure2a(opt)
-	fmt.Printf("%10s %10s %10s %11s\n", "BTB", "I$", "norm.time", "BTB hit")
-	for _, r := range rows {
-		fmt.Printf("%9dK %9dK %10.4f %10.2f%%\n", r.BTBEntries/1024, r.L1ISize/1024, r.NormTime, 100*r.BTBHitRate)
+	if md, err = rep.Doc(md); err != nil {
+		return err
 	}
-	fmt.Println("paper: modest gains even at 64K entries (95.85% hit rate)")
-}
-
-func figure2b(opt experiments.UarchOptions) {
-	header("Figure 2b: cache MPKI")
-	rows := experiments.Figure2b(opt)
-	fmt.Printf("%-12s %8s %8s %8s\n", "workload", "L1I", "L1D", "L2")
-	for _, r := range rows {
-		fmt.Printf("%-12s %8.2f %8.2f %8.2f\n", r.Workload, r.L1IMPKI, r.L1DMPKI, r.L2MPKI)
+	if err := os.WriteFile("FIGURES.json", record, 0o644); err != nil {
+		return err
 	}
-	fmt.Println("paper: L1 behaviour SPEC-like; L2 filtered by L1")
-}
-
-func figure2c(opt experiments.UarchOptions) {
-	header("Figure 2c: execution time by core configuration (WordPress)")
-	rows := experiments.Figure2c(opt)
-	for _, r := range rows {
-		fmt.Printf("%-18s %8.4f\n", r.Core, r.NormTime)
-	}
-	fmt.Println("paper: OoO >> in-order; <3% gain from 4-wide to 8-wide")
-}
-
-func branchMPKI(opt experiments.UarchOptions) {
-	header("Section 2: branch MPKI (32KB TAGE)")
-	fmt.Printf("%-12s %10s %10s\n", "workload", "model", "paper")
-	for _, r := range experiments.TableBranchMPKI(opt) {
-		fmt.Printf("%-12s %10.2f %10.2f\n", r.Workload, r.MPKI, r.PaperMPKI)
-	}
-}
-
-func figure3(opt experiments.Options) {
-	header("Figure 3: WordPress leaf functions before/after mitigations")
-	fmt.Printf("%-34s %-10s %9s %9s\n", "function", "category", "before%", "after%")
-	for _, r := range experiments.Figure3(opt)[:25] {
-		fmt.Printf("%-34s %-10s %9.2f %9.2f\n", r.Name, r.Category, r.BeforePct, r.AfterPct)
-	}
-}
-
-func figure4(opt experiments.Options) {
-	header("Figure 4: categorization of WordPress leaf functions (post-mitigation)")
-	fmt.Printf("%-34s %-10s %8s\n", "function", "category", "share%")
-	for _, r := range experiments.Figure4(opt)[:25] {
-		fmt.Printf("%-34s %-10s %8.2f\n", r.Name, r.Category, r.Pct)
-	}
-}
-
-func figure5(opt experiments.Options) {
-	header("Figure 5: execution time breakdown after mitigating abstraction overheads")
-	cats := []sim.Category{sim.CatHash, sim.CatHeap, sim.CatString, sim.CatRegex, sim.CatOther, sim.CatKernel}
-	fmt.Printf("%-12s", "workload")
-	for _, c := range cats {
-		fmt.Printf("%11s", c.String())
-	}
-	fmt.Println()
-	for _, r := range experiments.Figure5(opt) {
-		fmt.Printf("%-12s", r.App)
-		for _, c := range cats {
-			fmt.Printf("%10.1f%%", 100*r.Shares[c])
-		}
-		fmt.Println()
-	}
-	fmt.Println("paper: four categories are a substantial minority; Drupal has the least string/regex")
-}
-
-func figure7(opt experiments.Options) {
-	header("Figure 7: hardware hash table GET hit rate vs entries")
-	fmt.Printf("%8s %10s %12s %12s\n", "entries", "hit rate", "GETs", "SETs")
-	for _, r := range experiments.Figure7(opt) {
-		fmt.Printf("%8d %9.2f%% %12d %12d\n", r.Entries, 100*r.GetHitRate, r.Gets, r.Sets)
-	}
-	fmt.Println("paper: ~80% at 256 entries; SETs never miss")
-}
-
-func figure8a(opt experiments.Options) {
-	header("Figure 8a: cumulative memory usage by slab size")
-	rows := experiments.Figure8a(opt)
-	fmt.Printf("%-12s", "size<=")
-	for _, s := range rows[0].ClassSizes {
-		fmt.Printf("%7d", s)
-	}
-	fmt.Println()
-	for _, r := range rows {
-		fmt.Printf("%-12s", r.App)
-		for _, v := range r.Cumulative {
-			fmt.Printf("%6.1f%%", 100*v)
-		}
-		fmt.Println()
-	}
-	fmt.Println("paper: a majority of allocations are at most 128 bytes")
-}
-
-func figure8bc(opt experiments.Options) {
-	header("Figure 8b/c: live memory per small slab band over time (sampled)")
-	for _, s := range experiments.Figure8bc(opt) {
-		fmt.Printf("%s (last 8 samples, bytes):\n", s.App)
-		fmt.Printf("%10s %10s %10s %10s %10s %10s\n", "op", "0-32", "32-64", "64-96", "96-128", ">128")
-		start := len(s.Ops) - 8
-		if start < 0 {
-			start = 0
-		}
-		for i := start; i < len(s.Ops); i++ {
-			fmt.Printf("%10d %10d %10d %10d %10d %10d\n", s.Ops[i],
-				s.Bands[0][i], s.Bands[1][i], s.Bands[2][i], s.Bands[3][i], s.Bands[4][i])
-		}
-	}
-	fmt.Println("paper: flat usage for the four smallest slabs = strong memory reuse")
-}
-
-func figure12(opt experiments.Options) {
-	header("Figure 12: content skipped by sifting and reuse")
-	fmt.Printf("%-12s %10s %10s %10s\n", "workload", "sift", "reuse", "total")
-	for _, r := range experiments.Figure12(opt) {
-		fmt.Printf("%-12s %9.1f%% %9.1f%% %9.1f%%\n", r.App, 100*r.SiftFraction, 100*r.ReuseFraction, 100*r.TotalFraction)
-	}
-}
-
-func figure14(opt experiments.Options) {
-	header("Figure 14: execution time normalized to unmodified HHVM")
-	fmt.Printf("%-12s %12s %12s %12s %12s\n", "workload", "mitigated", "accelerated", "rel.gain", "energy-save")
-	var mitS, accS, engS float64
-	rows := experiments.Figure14(opt)
-	for _, r := range rows {
-		fmt.Printf("%-12s %11.2f%% %11.2f%% %11.2f%% %11.2f%%\n",
-			r.App, 100*r.MitigatedTime, 100*r.AcceleratedTime, 100*r.RelativeGain, 100*r.EnergySaving)
-		mitS += r.MitigatedTime
-		accS += r.AcceleratedTime
-		engS += r.EnergySaving
-	}
-	n := float64(len(rows))
-	fmt.Printf("%-12s %11.2f%% %11.2f%% %12s %11.2f%%\n", "average", 100*mitS/n, 100*accS/n, "", 100*engS/n)
-	fmt.Println("paper: 88.15% mitigated, 70.22% accelerated (avg); energy -26.06/-16.75/-19.81% (avg -21.01%)")
-}
-
-func figure15(opt experiments.Options) {
-	header("Figure 15: per-accelerator benefit breakdown (fraction of mitigated time)")
-	kinds := sim.AccelKinds()
-	fmt.Printf("%-12s", "workload")
-	for _, k := range kinds {
-		fmt.Printf("%20s", k)
-	}
-	fmt.Printf("%10s\n", "total")
-	avg := map[sim.AccelKind]float64{}
-	rows := experiments.Figure15(opt)
-	for _, r := range rows {
-		fmt.Printf("%-12s", r.App)
-		for _, k := range kinds {
-			fmt.Printf("%19.2f%%", 100*r.Benefit[k])
-			avg[k] += r.Benefit[k] / float64(len(rows))
-		}
-		fmt.Printf("%9.2f%%\n", 100*r.Total)
-	}
-	fmt.Printf("%-12s", "average")
-	keys := make([]int, 0)
-	for _, k := range kinds {
-		keys = append(keys, int(k))
-	}
-	sort.Ints(keys)
-	for _, k := range kinds {
-		fmt.Printf("%19.2f%%", 100*avg[k])
-	}
-	fmt.Println()
-	fmt.Println("paper averages: hash 6.45%, heap 7.29%, string 4.51%, regexp 1.96%")
-}
-
-func tableKeys(opt experiments.Options) {
-	header("Section 4.2: hash key statistics")
-	fmt.Printf("%-12s %12s %12s %12s\n", "workload", "keys<=24B", "SET ratio", "dynamic")
-	for _, r := range experiments.TableKeyStats(opt) {
-		fmt.Printf("%-12s %11.1f%% %11.1f%% %11.1f%%\n", r.App, 100*r.ShortKeyFrac, 100*r.SetRatio, 100*r.DynamicFrac)
-	}
-	fmt.Println("paper: ~95% of keys <=24B; SETs are 15-25% of requests")
-}
-
-func tableUops() {
-	header("Section 5.2: software-path micro-op costs")
-	fmt.Printf("%-28s %10s %10s\n", "operation", "model", "paper")
-	for _, r := range experiments.TableMicroOps() {
-		fmt.Printf("%-28s %10.2f %10.2f\n", r.Name, r.ModelVal, r.PaperVal)
-	}
-}
-
-func init() {
-	// Keep usage output tidy when flag parsing fails.
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: figures [-full] [-only fig14,fig15,...]\n")
-		flag.PrintDefaults()
-	}
+	return os.WriteFile("EXPERIMENTS.md", md, 0o644)
 }

@@ -6,7 +6,7 @@
 //
 //	phpsim [-app wordpress] [-requests 100] [-warmup 50]
 //	       [-accel all|none|hash,heap,string,regex] [-mitigations]
-//	       [-profile 20] [-trace out.bin]
+//	       [-profile 20]
 package main
 
 import (
@@ -18,7 +18,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/profile"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -30,7 +29,6 @@ func main() {
 	accel := flag.String("accel", "all", "accelerators: all|none|comma list of hash,heap,string,regex")
 	mitig := flag.Bool("mitigations", true, "apply the prior-work mitigations (section 3)")
 	topN := flag.Int("profile", 20, "print the hottest N leaf functions")
-	traceOut := flag.String("trace", "", "write the operation trace to this file")
 	seed := flag.Int64("seed", 1, "workload seed")
 	flag.Parse()
 
@@ -40,9 +38,6 @@ func main() {
 		os.Exit(2)
 	}
 	cfg := vm.Config{Features: feats, TraceCapacity: -1}
-	if *traceOut != "" {
-		cfg.TraceCapacity = 0
-	}
 	if *mitig {
 		cfg.Mitigations = sim.AllMitigations()
 	}
@@ -66,20 +61,6 @@ func main() {
 	fmt.Printf("\nhottest %d leaf functions:\n%s", *topN, p.Render(*topN))
 
 	printAccelStats(rt)
-
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := trace.Write(f, rt.Trace().Events()); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\ntrace: %d events written to %s\n", len(rt.Trace().Events()), *traceOut)
-	}
 }
 
 func parseFeatures(s string) (isa.Features, error) {

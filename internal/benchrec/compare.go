@@ -33,40 +33,63 @@ func SimDrift(base, fresh Record) []string {
 	if base.Seed != fresh.Seed {
 		drift = append(drift, fmt.Sprintf("record: Seed %d -> %d", base.Seed, fresh.Seed))
 	}
-	for _, b := range base.Scenarios {
-		f, ok := fresh.Scenario(b.Name)
-		if !ok {
-			drift = append(drift, b.Name+": missing from the fresh record")
-			continue
-		}
-		bv, fv := reflect.ValueOf(b), reflect.ValueOf(f)
-		for i := 0; i < bv.NumField(); i++ {
-			switch field := bv.Type().Field(i).Name; field {
-			case "AllocsPerOp":
-				slack := directAllocsSlack
-				if b.Clients > 0 {
-					slack = serveAllocsSlack
-				}
-				if limit := b.AllocsPerOp + slack; f.AllocsPerOp > limit {
-					drift = append(drift, fmt.Sprintf("%s: AllocsPerOp %.2f -> %.2f (limit %.2f)",
-						b.Name, b.AllocsPerOp, f.AllocsPerOp, limit))
-				}
-			case "SimCategoryCycles":
-				for _, cat := range unionKeys(b.SimCategoryCycles, f.SimCategoryCycles) {
-					if bc, fc := b.SimCategoryCycles[cat], f.SimCategoryCycles[cat]; bc != fc {
-						drift = append(drift, fmt.Sprintf("%s: SimCategoryCycles[%s] %v -> %v", b.Name, cat, bc, fc))
-					}
-				}
-			default:
-				if bf, ff := bv.Field(i).Interface(), fv.Field(i).Interface(); !reflect.DeepEqual(bf, ff) {
-					drift = append(drift, fmt.Sprintf("%s: %s %v -> %v", b.Name, field, bf, ff))
-				}
-			}
+	name := func(sc Scenario) string { return sc.Name }
+	return append(drift, KeyedDrift(base.Scenarios, fresh.Scenarios, name, scenarioDrift)...)
+}
+
+// KeyedDrift is the walk every committed record is compared with: diff
+// reports on each base entry whose key fresh also holds, in base order,
+// and an entry on one side only is itself a line — first those fresh
+// lost, then those it gained. SimDrift runs it over scenarios keyed by
+// name, experiments.Drift over FIGURES.json's values.
+func KeyedDrift[T any](base, fresh []T, key func(T) string, diff func(b, f T) []string) []string {
+	byKey := make(map[string]T, len(fresh))
+	for _, f := range fresh {
+		byKey[key(f)] = f
+	}
+	var drift []string
+	inBase := make(map[string]bool, len(base))
+	for _, b := range base {
+		inBase[key(b)] = true
+		if f, ok := byKey[key(b)]; ok {
+			drift = append(drift, diff(b, f)...)
+		} else {
+			drift = append(drift, key(b)+": missing from the fresh record")
 		}
 	}
-	for _, f := range fresh.Scenarios {
-		if _, ok := base.Scenario(f.Name); !ok {
-			drift = append(drift, f.Name+": not in the committed record")
+	for _, f := range fresh {
+		if !inBase[key(f)] {
+			drift = append(drift, key(f)+": not in the committed record")
+		}
+	}
+	return drift
+}
+
+// scenarioDrift compares one scenario field by field.
+func scenarioDrift(b, f Scenario) []string {
+	var drift []string
+	bv, fv := reflect.ValueOf(b), reflect.ValueOf(f)
+	for i := 0; i < bv.NumField(); i++ {
+		switch field := bv.Type().Field(i).Name; field {
+		case "AllocsPerOp":
+			slack := directAllocsSlack
+			if b.Clients > 0 {
+				slack = serveAllocsSlack
+			}
+			if limit := b.AllocsPerOp + slack; f.AllocsPerOp > limit {
+				drift = append(drift, fmt.Sprintf("%s: AllocsPerOp %.2f -> %.2f (limit %.2f)",
+					b.Name, b.AllocsPerOp, f.AllocsPerOp, limit))
+			}
+		case "SimCategoryCycles":
+			for _, cat := range unionKeys(b.SimCategoryCycles, f.SimCategoryCycles) {
+				if bc, fc := b.SimCategoryCycles[cat], f.SimCategoryCycles[cat]; bc != fc {
+					drift = append(drift, fmt.Sprintf("%s: SimCategoryCycles[%s] %v -> %v", b.Name, cat, bc, fc))
+				}
+			}
+		default:
+			if bf, ff := bv.Field(i).Interface(), fv.Field(i).Interface(); !reflect.DeepEqual(bf, ff) {
+				drift = append(drift, fmt.Sprintf("%s: %s %v -> %v", b.Name, field, bf, ff))
+			}
 		}
 	}
 	return drift

@@ -1,8 +1,8 @@
 // Package trace defines the operation trace that drives the simulator,
 // mirroring the paper's trace-driven evaluation methodology (§5.1). The
 // VM records one event per runtime activity (hash map access, heap
-// operation, string function, regexp scan); the experiments replay or
-// aggregate these traces, and cmd/tracedump decodes them for inspection.
+// operation, string function, regexp scan); the experiments aggregate
+// these traces, and the servers show live ones as JSON on /tracez.
 //
 // A Recorder is single-writer: each simulated core (vm.Runtime) owns one
 // and records into it without locking. Fleet-level views are produced
@@ -12,14 +12,6 @@
 // exact even when the bounded ring has dropped old events. The serving
 // stack's /metrics endpoint exports those totals as event counters.
 package trace
-
-import (
-	"bufio"
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
-)
 
 // Kind is the event type.
 type Kind uint8
@@ -167,95 +159,4 @@ func (r *Recorder) Reset() {
 	r.start = 0
 	r.total = 0
 	r.byKind = [NumKinds]int64{}
-}
-
-const magic = "PHPT1\n"
-
-// Write encodes events to w in the binary trace format.
-func Write(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := putUvarint(uint64(len(events))); err != nil {
-		return err
-	}
-	for _, e := range events {
-		if err := bw.WriteByte(byte(e.Kind)); err != nil {
-			return err
-		}
-		if err := putUvarint(uint64(len(e.Fn))); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(e.Fn); err != nil {
-			return err
-		}
-		for _, v := range [3]uint64{e.A, e.B, e.C} {
-			if err := putUvarint(v); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// Read decodes a trace previously encoded with Write.
-func Read(r io.Reader) ([]Event, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, err
-	}
-	if string(head) != magic {
-		return nil, errors.New("trace: bad magic")
-	}
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	const maxEvents = 1 << 28
-	if n > maxEvents {
-		return nil, fmt.Errorf("trace: implausible event count %d", n)
-	}
-	events := make([]Event, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var e Event
-		kb, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		// Unknown kinds decode without error: every event has the same
-		// wire shape regardless of kind, so a trace written by a newer
-		// producer (with kinds this reader predates) still reads back —
-		// the unknown events stringify as "unknown" and aggregate outside
-		// the known per-kind counters.
-		e.Kind = Kind(kb)
-		fl, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		if fl > 1<<16 {
-			return nil, fmt.Errorf("trace: implausible function name length %d", fl)
-		}
-		fn := make([]byte, fl)
-		if _, err := io.ReadFull(br, fn); err != nil {
-			return nil, err
-		}
-		e.Fn = string(fn)
-		for _, dst := range [3]*uint64{&e.A, &e.B, &e.C} {
-			v, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			*dst = v
-		}
-		events = append(events, e)
-	}
-	return events, nil
 }

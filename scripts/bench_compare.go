@@ -1,19 +1,24 @@
 // Command bench_compare is the simulated-clock gate `make bench-check`
-// (a step of `make ci`) runs: it loads the latest committed
-// BENCH_<n>.json, reruns the pinned benchrec matrix fresh at the
-// record's seed, and exits nonzero with one line per difference when any
+// (a step of `make ci`) runs, over both committed records. It loads the
+// latest BENCH_<n>.json, reruns the pinned benchrec matrix fresh at the
+// record's seed, and reports one line per difference when any
 // deterministic field — pinned configuration, simulated cycles, energy,
 // category cycles, served/shed/cache counts, tier counters — differs at
 // all, or allocs/op rose past its absolute slack (+0.5 direct, +0.1
-// serve). It compares no host time; that is benchmark/'s job.
+// serve). Then it loads FIGURES.json, rebuilds every figure of the
+// paper's evaluation (internal/experiments) and reports one
+// `figure[row].metric base -> fresh` line per value that differs at all.
+// Any line makes it exit nonzero. It compares no host time; that is
+// benchmark/'s job.
 //
 // Usage:
 //
 //	go run ./scripts [-dir .] [-against BENCH_3.json] [-fresh rec.json]
 //
 // -against pins the committed side to a specific record instead of the
-// latest. -fresh diffs a pre-recorded file instead of running the
-// matrix (regression triage: compare any two committed records).
+// latest. -fresh diffs a pre-recorded file instead of running anything
+// (regression triage: compare any two committed BENCH records; for the
+// figures, `git diff` of FIGURES.json is that view).
 package main
 
 import (
@@ -23,10 +28,11 @@ import (
 	"path/filepath"
 
 	"repro/internal/benchrec"
+	"repro/internal/experiments"
 )
 
 func main() {
-	dir := flag.String("dir", ".", "directory holding committed BENCH_<n>.json records")
+	dir := flag.String("dir", ".", "directory holding the committed BENCH_<n>.json records and FIGURES.json")
 	against := flag.String("against", "", "committed record to compare against (default: latest BENCH_<n>.json in -dir)")
 	freshPath := flag.String("fresh", "", "use this record file as the fresh side instead of running the matrix")
 	flag.Parse()
@@ -65,12 +71,27 @@ func run(dir, against, freshPath string) error {
 	}
 
 	drift := benchrec.SimDrift(base, fresh)
+	clean := fmt.Sprintf("%d scenarios identical to %s, allocs/op within slack", len(base.Scenarios), against)
+	if freshPath == "" {
+		figures := filepath.Join(dir, "FIGURES.json")
+		committed, err := experiments.Load(figures)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("comparing against %s; rebuilding every figure...\n", figures)
+		rebuilt, err := experiments.Build(nil)
+		if err != nil {
+			return err
+		}
+		drift = append(drift, experiments.Drift(committed, rebuilt)...)
+		clean += fmt.Sprintf("; %d figure values identical to %s", len(committed), figures)
+	}
 	for _, d := range drift {
 		fmt.Println("drifted:", d)
 	}
 	if len(drift) > 0 {
-		return fmt.Errorf("%d field(s) drifted vs %s", len(drift), against)
+		return fmt.Errorf("%d value(s) drifted; fix the cause, or `make bench-record` and commit the records with the reason", len(drift))
 	}
-	fmt.Printf("bench-check: %d scenarios identical to %s, allocs/op within slack\n", len(base.Scenarios), against)
+	fmt.Println("bench-check:", clean)
 	return nil
 }

@@ -1,6 +1,6 @@
 #!/bin/sh
 # docs_check.sh PKGDIR... — the documentation gate `make docs-check`
-# runs (the Makefile lists the package directories). Three passes, all
+# runs (the Makefile lists the package directories). Four passes, all
 # of which must come back clean:
 #
 # 1. Doc comments: fail if an exported top-level identifier in any of
@@ -23,6 +23,14 @@
 #    docs/OPERATIONS.md, and every backticked first-column name in that
 #    guide's "Record schema" tables must still be a tag — a removed
 #    field cannot survive as a stale row.
+#
+# 4. EXPERIMENTS.md against FIGURES.json: the document's generated block
+#    must be byte for byte what internal/experiments renders from the
+#    committed record (measured values, and the paper's numbers and
+#    bands from the one table in paper.go). The check is a Go test that
+#    reads the two files and runs no experiment; a difference is printed
+#    with its line and the figure it falls under. `make bench-record`
+#    rewrites both.
 set -u
 
 status=0
@@ -152,5 +160,12 @@ if [ -f "$record" ] && [ -f "$opsdoc" ]; then
 			status=1
 		fi
 	done
+fi
+
+# EXPERIMENTS.md <-> FIGURES.json.
+if ! out=$(go test -count=1 -run '^TestExperimentsDocMatchesRecord$' ./internal/experiments 2>&1); then
+	printf '%s\n' "$out" >&2
+	echo "docs-check: EXPERIMENTS.md's generated block is not the rendering of FIGURES.json (make bench-record rewrites both)" >&2
+	status=1
 fi
 exit $status
