@@ -51,12 +51,22 @@ bench-check:
 	$(GO) run ./scripts
 
 # Differential fuzzing, ~10 s per target: each accelerator model against
-# its software substrate and its cell-at-a-time oracle. The committed
-# seed corpora (testdata/fuzz/) also run as plain tests under `go test`;
-# a crasher found here is written there and must be committed with its fix.
+# its software substrate and its cell-at-a-time oracle. `go test -fuzz`
+# takes one target of one package per run, so the matrix is this list of
+# package:Target pairs — a new Fuzz* function is one more word here. The
+# committed seed corpora (testdata/fuzz/) also run as plain tests under
+# `go test`; a crasher found here is written there and must be committed
+# with its fix.
+FUZZ_TARGETS = \
+	internal/core/straccel:FuzzFindReplace \
+	internal/core/straccel:FuzzTranslate \
+	internal/core/straccel:FuzzEscape
+
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzFindReplace$$' -fuzztime 10s ./internal/core/straccel
-	$(GO) test -run '^$$' -fuzz '^FuzzTranslate$$' -fuzztime 10s ./internal/core/straccel
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $$t"; \
+		$(GO) test -run '^$$' -fuzz "^$${t##*:}\$$" -fuzztime 10s ./$${t%%:*}; \
+	done
 
 check: build vet docs-check race
 
@@ -79,6 +89,6 @@ ci: check fuzz-smoke
 	CACHE_OVERHEAD_GUARD=1 $(GO) test -run TestCacheOverheadGuard -count=1 .
 	$(MAKE) bench-check
 	TIER_DETERMINISM_GUARD=1 $(GO) test -run TestTierDeterminismGuard -count=1 .
-	ALLOC_GUARD=1 $(GO) test -run 'TestArenaResetAllocGuard|TestRenderBufferAllocGuard|TestCachedHitAllocGuard' -count=1 .
+	ALLOC_GUARD=1 $(GO) test -run 'TestArenaResetAllocGuard|TestRenderBufferAllocGuard|TestCachedHitAllocGuard|TestMeterChargeAllocGuard' -count=1 .
 	ROUTER_OBS_GUARD=1 $(GO) test -run TestRouterObsOverheadGuard -count=1 ./internal/serve/
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...

@@ -453,6 +453,39 @@ func TestArenaResetAllocGuard(t *testing.T) {
 	}
 }
 
+// TestMeterChargeAllocGuard pins the meter's steady state: once every
+// leaf name has its row, a charge — memo hit or, for a name rebuilt by
+// its caller, index lookup — touches the Go heap zero times. The names
+// are a WordPress render's own (~195 rows), charged round-robin the way
+// the benchmark's sim.charge_ns row does.
+func TestMeterChargeAllocGuard(t *testing.T) {
+	if os.Getenv("ALLOC_GUARD") != "1" {
+		t.Skip("set ALLOC_GUARD=1 to run the allocation-budget guards (make ci does)")
+	}
+	pool, err := workload.NewPool(1, allocGuardVMConfig(), "wordpress", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Run(workload.LoadGenerator{Requests: 20}, 0)
+	fns := pool.MergedMeter().Functions()
+	mt := sim.NewMeter(sim.DefaultCostModel())
+	rebuilt := string([]byte(fns[0].Name)) // same content, another address
+	charge := func() {
+		for _, f := range fns {
+			mt.AddUops(f.Name, f.Category, 12)
+			mt.AddAccel(f.Name, f.Category, sim.AccelString, 3)
+		}
+		mt.AddUops(rebuilt, fns[0].Category, 12)
+	}
+	charge()
+	if allocs := testing.AllocsPerRun(100, charge); allocs > 0 {
+		t.Errorf("steady-state charges of %d names allocate %.2f times, want 0", len(fns), allocs)
+	}
+	if got := len(mt.Functions()); got != len(fns) {
+		t.Errorf("%d rows for %d names", got, len(fns))
+	}
+}
+
 // TestRenderBufferAllocGuard bounds a steady-state uncached render —
 // the full page through the pooled output buffer, request arena, and
 // recycled VM structures. Measured ~45 allocs/request on the

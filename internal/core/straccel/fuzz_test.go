@@ -12,7 +12,8 @@ import (
 // cell-at-a-time oracle (straccel_test.go) for the result and the full
 // Stats struct. The sel byte picks the block width (the four ablation
 // widths) and the matrix height (32 or 64 rows). Seed corpus:
-// testdata/fuzz/<target>/; `make fuzz-smoke` runs each for ~10 s.
+// testdata/fuzz/<target>/; `make fuzz-smoke` runs each target of the
+// Makefile's FUZZ_TARGETS list for ~10 s.
 
 func fuzzPair(sel uint8) (*Accel, *oracle) {
 	return pair(32<<(sel>>2&1), ablationWidths[sel&3])
@@ -111,6 +112,16 @@ func FuzzTranslate(f *testing.F) {
 		if a.col != [256]uint64{} {
 			t.Fatal("column masks not cleared")
 		}
+	})
+}
+
+// FuzzEscape drives HTMLSpecialChars and AddSlashes — the two ops on the
+// shared expansion kernel — against strlib, the per-byte oracle loops and
+// the oracle's Stats (checkEscape, straccel_test.go).
+func FuzzEscape(f *testing.F) {
+	f.Fuzz(func(t *testing.T, subject []byte, sel uint8) {
+		a, o := fuzzPair(sel)
+		checkEscape(t, a, o, subject)
 	})
 }
 

@@ -1,5 +1,7 @@
 package straccel
 
+import "repro/internal/strlib"
+
 // Additional stringop implementations sharing the same sub-blocks:
 // equality rows detect the characters of interest, the priority encoder
 // locates them, and the output/shifting logic splices the expansions.
@@ -56,33 +58,7 @@ func (a *Accel) chargeBlocks(n, nRows int) {
 // AddSlashes implements stringop[addslashes]: equality rows for quote,
 // double quote, backslash, and NUL; output logic emits the escape pairs.
 func (a *Accel) AddSlashes(subject []byte) []byte {
-	a.stats.Ops++
-	extra := 0
-	for _, c := range subject {
-		switch c {
-		case '\'', '"', '\\', 0:
-			extra++
-		}
-	}
-	out := a.buf(len(subject) + extra)
-	for base := 0; base < len(subject); base += a.cfg.BlockBytes {
-		end := base + a.cfg.BlockBytes
-		if end > len(subject) {
-			end = len(subject)
-		}
-		a.charge(end-base, 4)
-		for i := base; i < end; i++ {
-			switch c := subject[i]; c {
-			case '\'', '"', '\\':
-				out = append(out, '\\', c)
-			case 0:
-				out = append(out, '\\', '0')
-			default:
-				out = append(out, c)
-			}
-		}
-	}
-	return out
+	return a.expand(strlib.OpAddSlashes, subject)
 }
 
 // ConfigureRows loads an explicit matching-matrix configuration — the

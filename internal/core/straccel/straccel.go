@@ -163,7 +163,7 @@ type Accel struct {
 	cur   MatrixConfig
 	xlat  [256]byte // cur's output lookup, rebuilt on LoadConfig
 	stats Stats
-	sw    strlib.Lib // reference implementation for software fallback
+	sw    strlib.Lib // software fallback, and the escaping ops' expansion kernel
 	mem   strlib.Allocator
 	// col is the compare plane: bit k of col[c] is set iff pattern row k
 	// fires on byte c. All zero between operations — an operation sets
@@ -439,43 +439,20 @@ func (a *Accel) Replace(subject, old, new []byte) ([]byte, int, bool) {
 // constantly: equality rows detect & < > ", the priority encoder locates
 // them, and the shifting logic splices the entities into the output.
 func (a *Accel) HTMLSpecialChars(subject []byte) []byte {
+	return a.expand(strlib.OpHTMLSpecial, subject)
+}
+
+// expand streams subject through four equality rows, one matrix pass per
+// block, and splices in op's expansions. The bytes come from strlib's
+// kernel in one host-side pass; the charges are the hardware's, block by
+// block — except that an empty subject never enters the matrix here
+// (chargeBlocks alone would charge it one zero-length block).
+func (a *Accel) expand(op strlib.Op, subject []byte) []byte {
 	a.stats.Ops++
-	// Pre-size exactly (host-side pass; simulated charges are unchanged)
-	// so the result never grows out of its allocator.
-	extra := 0
-	for _, c := range subject {
-		switch c {
-		case '&':
-			extra += len("&amp;") - 1
-		case '<', '>':
-			extra += len("&lt;") - 1
-		case '"':
-			extra += len("&quot;") - 1
-		}
+	if len(subject) > 0 {
+		a.chargeBlocks(len(subject), 4)
 	}
-	out := a.buf(len(subject) + extra)
-	for base := 0; base < len(subject); base += a.cfg.BlockBytes {
-		end := base + a.cfg.BlockBytes
-		if end > len(subject) {
-			end = len(subject)
-		}
-		a.charge(end-base, 4)
-		for i := base; i < end; i++ {
-			switch subject[i] {
-			case '&':
-				out = append(out, "&amp;"...)
-			case '<':
-				out = append(out, "&lt;"...)
-			case '>':
-				out = append(out, "&gt;"...)
-			case '"':
-				out = append(out, "&quot;"...)
-			default:
-				out = append(out, subject[i])
-			}
-		}
-	}
-	return out
+	return a.sw.Expand(op, subject)
 }
 
 // HintVector generates the content-sifting HV for the regexp accelerator

@@ -222,6 +222,60 @@ func (o *oracle) trim(subject, cutset []byte) []byte {
 	return subject[lo:hi]
 }
 
+// htmlSpecialChars and addSlashes are the per-byte switch-and-append
+// loops that strlib's table-driven expansion kernel replaced, kept with
+// the accounting exactly where the hardware does it: one charge per block
+// entered, four equality rows, and no block at all for an empty subject.
+func (o *oracle) htmlSpecialChars(subject []byte) []byte {
+	o.stats.Ops++
+	out := []byte{}
+	for base := 0; base < len(subject); base += o.cfg.BlockBytes {
+		end := base + o.cfg.BlockBytes
+		if end > len(subject) {
+			end = len(subject)
+		}
+		o.charge(end-base, 4)
+		for i := base; i < end; i++ {
+			switch subject[i] {
+			case '&':
+				out = append(out, "&amp;"...)
+			case '<':
+				out = append(out, "&lt;"...)
+			case '>':
+				out = append(out, "&gt;"...)
+			case '"':
+				out = append(out, "&quot;"...)
+			default:
+				out = append(out, subject[i])
+			}
+		}
+	}
+	return out
+}
+
+func (o *oracle) addSlashes(subject []byte) []byte {
+	o.stats.Ops++
+	out := []byte{}
+	for base := 0; base < len(subject); base += o.cfg.BlockBytes {
+		end := base + o.cfg.BlockBytes
+		if end > len(subject) {
+			end = len(subject)
+		}
+		o.charge(end-base, 4)
+		for i := base; i < end; i++ {
+			switch c := subject[i]; c {
+			case '\'', '"', '\\':
+				out = append(out, '\\', c)
+			case 0:
+				out = append(out, '\\', '0')
+			default:
+				out = append(out, c)
+			}
+		}
+	}
+	return out
+}
+
 // ablationWidths are the block widths of the paper's matrix-width figure.
 var ablationWidths = []int{16, 32, 64, 128}
 
@@ -583,6 +637,75 @@ func TestHTMLSpecialCharsEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// checkEscape runs both escaping ops on both models and the software
+// library and compares the bytes, the exact sizing and the whole Stats.
+func checkEscape(t *testing.T, a *Accel, o *oracle, subject []byte) {
+	t.Helper()
+	var ref strlib.Lib
+	for _, op := range []struct {
+		name           string
+		hw, model, lib func([]byte) []byte
+	}{
+		{"HTMLSpecialChars", a.HTMLSpecialChars, o.htmlSpecialChars, ref.HTMLSpecialChars},
+		{"AddSlashes", a.AddSlashes, o.addSlashes, ref.AddSlashes},
+	} {
+		got, want := op.hw(subject), op.model(subject)
+		if !bytes.Equal(got, want) || !bytes.Equal(op.lib(subject), want) {
+			t.Fatalf("B=%d %s(%q) = %q, strlib %q, oracle %q",
+				a.cfg.BlockBytes, op.name, subject, got, op.lib(subject), want)
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("B=%d %s(%q): result of %d bytes was sized %d", a.cfg.BlockBytes, op.name, subject, len(got), cap(got))
+		}
+		if a.Stats() != o.stats {
+			t.Fatalf("B=%d %s(%q) stats\n got  %+v\n want %+v", a.cfg.BlockBytes, op.name, subject, a.Stats(), o.stats)
+		}
+	}
+}
+
+// TestEscapeAgainstOracle walks the shapes a run-copying kernel can get
+// wrong, at every ablation width: no special byte (one run), nothing but
+// special bytes (no run), a special byte first or last (an empty run at
+// either end, the tail run), special bytes on both sides of every block
+// boundary, bytes that are negative as int8, and NUL (a special byte for
+// one op and an ordinary one for the other).
+func TestEscapeAgainstOracle(t *testing.T) {
+	specials := []byte("&<>\"'\\\x00")
+	for _, width := range ablationWidths {
+		for _, n := range boundaryLens {
+			shapes := []func(i int) bool{ // is byte i a special one?
+				func(i int) bool { return false },
+				func(i int) bool { return true },
+				func(i int) bool { return i == 0 },
+				func(i int) bool { return i == n-1 },
+				func(i int) bool { return i == 0 || i == n-1 },
+				func(i int) bool { return i%width == 0 || i%width == width-1 },
+			}
+			for _, special := range shapes {
+				// rot rotates which special byte lands where; the last
+				// two rounds fill the gaps with high bytes and with NULs.
+				for rot := 0; rot < len(specials)+2; rot++ {
+					subject := make([]byte, n)
+					for i := range subject {
+						switch {
+						case special(i):
+							subject[i] = specials[(i+rot)%len(specials)]
+						case rot == len(specials):
+							subject[i] = byte(i*37) | 0x80
+						case rot == len(specials)+1:
+							subject[i] = 0
+						default:
+							subject[i] = 'a' + byte(i%26)
+						}
+					}
+					a, o := pair(32, width)
+					checkEscape(t, a, o, subject)
+				}
+			}
+		}
 	}
 }
 

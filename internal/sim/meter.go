@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unsafe"
 )
 
 // Mitigations selects which prior-work optimizations from §3 are applied.
@@ -61,7 +62,14 @@ type Meter struct {
 	Model CostModel
 	Mit   Mitigations
 
-	fns map[fnKey]*FnStats
+	// rows holds one FnStats per {function, category}, dense, in
+	// first-charge order; index finds a row by content (the slow path).
+	rows  []FnStats
+	index map[fnKey]int32
+	// memo maps a name's identity (data address, category) to its row, so
+	// a steady-state charge hashes no name bytes. It holds row numbers and
+	// every hit is re-verified against the row: stale entries are harmless.
+	memo [1 << memoBits]uint16
 
 	// catUops and catAccelCyc are running per-category totals maintained
 	// on every charge, so CategoryCyclesVec is O(NumCategories) instead
@@ -86,15 +94,30 @@ type fnKey struct {
 	cat  Category
 }
 
+const memoBits = 11
+
+// nameID returns the address of s's bytes, the identity the memo keys on.
+// It is the package's only use of unsafe. Soundness: the address is never
+// dereferenced, and it is only ever compared with the nameID of a string
+// that is live at the same moment (a row's Name, which the row keeps
+// reachable, against the caller's argument). Go strings are immutable and
+// the heap does not move, so two live strings with the same address and
+// the same length hold the same bytes; a name whose memory was freed and
+// reused cannot match, because the memo stores row numbers, never
+// addresses. (A name stored into a row escapes, so it is never on a
+// stack that could move.)
+func nameID(s string) uintptr { return uintptr(unsafe.Pointer(unsafe.StringData(s))) }
+
 // NewMeter returns a Meter using the given cost model.
 func NewMeter(model CostModel) *Meter {
-	return &Meter{Model: model, fns: make(map[fnKey]*FnStats)}
+	return &Meter{Model: model, index: make(map[fnKey]int32)}
 }
 
 // Reset clears all accumulated statistics but keeps the model and
 // mitigation configuration.
 func (mt *Meter) Reset() {
-	mt.fns = make(map[fnKey]*FnStats)
+	mt.rows = nil // not rows[:0]: earlier Functions() results keep their values
+	clear(mt.index)
 	mt.catUops = [numCategories]float64{}
 	mt.catAccelCyc = [numCategories]float64{}
 	mt.accelCycles = [numAccelKinds]float64{}
@@ -102,12 +125,31 @@ func (mt *Meter) Reset() {
 	mt.accelCalls = [numAccelKinds]int64{}
 }
 
+// fn returns the row charged for {name, cat}. A memo hit is accepted only
+// when the row it names has this category and this very string (same
+// address, same length), so it is provably the same key; an empty slot, a
+// collision or a fresh copy of a known name takes the index and lands on
+// the same row a hit would have.
 func (mt *Meter) fn(name string, cat Category) *FnStats {
+	id := nameID(name)
+	slot := &mt.memo[(uint64(id)|uint64(cat)<<56)*0x9E3779B97F4A7C15>>(64-memoBits)]
+	if r := int(*slot); r < len(mt.rows) {
+		if f := &mt.rows[r]; f.Category == cat && len(f.Name) == len(name) && nameID(f.Name) == id {
+			return f
+		}
+	}
 	k := fnKey{name, cat}
-	f := mt.fns[k]
-	if f == nil {
-		f = &FnStats{Name: name, Category: cat}
-		mt.fns[k] = f
+	r, ok := mt.index[k]
+	if !ok {
+		r = int32(len(mt.rows))
+		mt.rows = append(mt.rows, FnStats{Name: name, Category: cat})
+		mt.index[k] = r
+	}
+	f := &mt.rows[r]
+	// Only the row's own copy of the name can ever hit, so only it takes
+	// the slot: freshly built copies never evict a useful entry.
+	if nameID(f.Name) == id && r < 1<<16 {
+		*slot = uint16(r)
 	}
 	return f
 }
@@ -120,8 +162,9 @@ func (mt *Meter) fn(name string, cat Category) *FnStats {
 // merge and is left unchanged; models and mitigation flags are not
 // merged (the receiver keeps its own).
 func (mt *Meter) Merge(o *Meter) {
-	for k, f := range o.fns {
-		dst := mt.fn(k.name, k.cat)
+	for i := range o.rows {
+		f := &o.rows[i]
+		dst := mt.fn(f.Name, f.Category)
 		dst.Uops += f.Uops
 		dst.AccelCyc += f.AccelCyc
 		dst.AccelEng += f.AccelEng
@@ -179,10 +222,10 @@ func (mt *Meter) AddTypeCheck(n int) {
 }
 
 // total sums one per-function quantity in Functions() order. Float
-// addition is order-sensitive, so walking the map directly would smear
-// the last bits differently run to run; one fixed order makes every
-// total a pure function of what was charged, not of how it was charged
-// or merged.
+// addition is order-sensitive and row order is first-charge order, which
+// differs between a worker and a merge of workers; one content-defined
+// order makes every total a pure function of what was charged, not of
+// how it was charged or merged.
 func (mt *Meter) total(of func(*FnStats) float64) float64 {
 	var t float64
 	for _, f := range mt.Functions() {
@@ -206,10 +249,11 @@ func (mt *Meter) TotalEnergy() float64 {
 	return mt.total(func(f *FnStats) float64 { return f.Energy(&mt.Model) })
 }
 
-// CategoryCycles returns the cycle total attributed to each category.
+// CategoryCycles returns the cycle total attributed to each category,
+// summed in Functions() order like the totals.
 func (mt *Meter) CategoryCycles() map[Category]float64 {
 	out := make(map[Category]float64, int(numCategories))
-	for _, f := range mt.fns {
+	for _, f := range mt.Functions() {
 		out[f.Category] += f.Cycles(&mt.Model)
 	}
 	return out
@@ -268,10 +312,11 @@ func (mt *Meter) AccelCalls(kind AccelKind) int64 { return mt.accelCalls[kind] }
 
 // Functions returns per-function statistics sorted by descending
 // cycles, ties broken by name and then category, so the order is total.
+// The entries point into the meter: read them before charging it again.
 func (mt *Meter) Functions() []*FnStats {
-	out := make([]*FnStats, 0, len(mt.fns))
-	for _, f := range mt.fns {
-		out = append(out, f)
+	out := make([]*FnStats, len(mt.rows))
+	for i := range mt.rows {
+		out[i] = &mt.rows[i]
 	}
 	sort.Slice(out, func(i, j int) bool {
 		ci, cj := out[i].Cycles(&mt.Model), out[j].Cycles(&mt.Model)

@@ -295,64 +295,66 @@ func (l *Lib) Translate(subject, from, to []byte) []byte {
 	return out
 }
 
+// expansion is one escaping op's table: rep[c] replaces byte c ("" copies
+// it through) and extra[c] = len(rep[c])-1 is what that adds to the
+// result, so extra[c] != 0 marks the special bytes.
+type expansion struct {
+	rep   [256]string
+	extra [256]uint8
+}
+
+func newExpansion(rep map[byte]string) *expansion {
+	var t expansion
+	for c, r := range rep {
+		t.rep[c], t.extra[c] = r, uint8(len(r)-1)
+	}
+	return &t
+}
+
+var expansions = [NumOps]*expansion{
+	OpHTMLSpecial: newExpansion(map[byte]string{'&': "&amp;", '<': "&lt;", '>': "&gt;", '"': "&quot;"}),
+	OpAddSlashes:  newExpansion(map[byte]string{'\'': `\'`, '"': `\"`, '\\': `\\`, 0: `\0`}),
+}
+
+// Expand is the escaping kernel behind HTMLSpecialChars and AddSlashes,
+// here and in the string accelerator model (op must be one of those two):
+// it replaces every special byte of op's table and reports nothing to Obs.
+// The result is sized exactly from the table, so it never grows out of
+// its allocator, and the bytes between specials move a run at a time.
+func (l *Lib) Expand(op Op, subject []byte) []byte {
+	t := expansions[op]
+	n := len(subject)
+	for _, c := range subject {
+		n += int(t.extra[c])
+	}
+	out := l.buf(n)[:n]
+	w, run := 0, 0
+	if n > len(subject) { // else no special byte: the subject is one run
+		for i, c := range subject {
+			if t.extra[c] != 0 {
+				w += copy(out[w:], subject[run:i])
+				w += copy(out[w:], t.rep[c])
+				run = i + 1
+			}
+		}
+	}
+	copy(out[w:], subject[run:])
+	return out
+}
+
 // HTMLSpecialChars escapes &, <, >, and double quote as HTML entities
 // (PHP htmlspecialchars with default flags, minus single-quote handling
 // differences).
 func (l *Lib) HTMLSpecialChars(subject []byte) []byte {
 	l.emit(OpHTMLSpecial, len(subject))
-	// Pre-size exactly so the result never grows out of its allocator.
-	extra := 0
-	for _, c := range subject {
-		switch c {
-		case '&':
-			extra += len("&amp;") - 1
-		case '<', '>':
-			extra += len("&lt;") - 1
-		case '"':
-			extra += len("&quot;") - 1
-		}
-	}
-	out := l.buf(len(subject) + extra)
-	for _, c := range subject {
-		switch c {
-		case '&':
-			out = append(out, "&amp;"...)
-		case '<':
-			out = append(out, "&lt;"...)
-		case '>':
-			out = append(out, "&gt;"...)
-		case '"':
-			out = append(out, "&quot;"...)
-		default:
-			out = append(out, c)
-		}
-	}
-	return out
+	return l.Expand(OpHTMLSpecial, subject)
 }
 
 // AddSlashes backslash-escapes quotes, backslashes, and NULs (PHP
 // addslashes).
 func (l *Lib) AddSlashes(subject []byte) []byte {
 	l.emit(OpAddSlashes, len(subject))
-	extra := 0
-	for _, c := range subject {
-		switch c {
-		case '\'', '"', '\\', 0:
-			extra++
-		}
-	}
-	out := l.buf(len(subject) + extra)
-	for _, c := range subject {
-		switch c {
-		case '\'', '"', '\\':
-			out = append(out, '\\', c)
-		case 0:
-			out = append(out, '\\', '0')
-		default:
-			out = append(out, c)
-		}
-	}
-	return out
+	return l.Expand(OpAddSlashes, subject)
 }
 
 // NL2BR inserts "<br />" before each newline (PHP nl2br). \r\n pairs get

@@ -193,6 +193,87 @@ func TestAddSlashes(t *testing.T) {
 	}
 }
 
+// htmlSpecialCharsRef and addSlashesRef are the per-byte switch-and-
+// append loops Expand's table-driven kernel replaced, kept as its oracle.
+func htmlSpecialCharsRef(subject []byte) []byte {
+	out := []byte{}
+	for _, c := range subject {
+		switch c {
+		case '&':
+			out = append(out, "&amp;"...)
+		case '<':
+			out = append(out, "&lt;"...)
+		case '>':
+			out = append(out, "&gt;"...)
+		case '"':
+			out = append(out, "&quot;"...)
+		default:
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+func addSlashesRef(subject []byte) []byte {
+	out := []byte{}
+	for _, c := range subject {
+		switch c {
+		case '\'', '"', '\\':
+			out = append(out, '\\', c)
+		case 0:
+			out = append(out, '\\', '0')
+		default:
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// sizedMem is an Allocator that records what was asked of it.
+type sizedMem struct{ bufs []int }
+
+func (m *sizedMem) Make(n int) []byte { return make([]byte, n) }
+func (m *sizedMem) Buf(c int) []byte {
+	m.bufs = append(m.bufs, c)
+	return make([]byte, 0, c)
+}
+
+// TestEscapesMatchPerByteLoops compares both escaping ops with the loops
+// they replaced over every byte value in every neighbourhood — each byte
+// alone, doubled, at either end of a run and between two runs — and
+// checks the result came from one allocator request of exactly its size
+// and that the observer saw one event of the subject's length.
+func TestEscapesMatchPerByteLoops(t *testing.T) {
+	var subjects [][]byte
+	for c := 0; c < 256; c++ {
+		b := byte(c)
+		subjects = append(subjects, []byte{b}, []byte{b, b}, []byte{b, 'x', 'y'}, []byte{'x', 'y', b},
+			[]byte{'x', b, 'y', b, b, 'z'}, append(bytes.Repeat([]byte{'r'}, 70), b, 'r'))
+	}
+	subjects = append(subjects, nil, []byte{}, []byte("plain words only"),
+		[]byte(`<a href="x">R&D</a> it's a \ path`+"\x00 end"))
+	for _, subject := range subjects {
+		obs, mem := &recObs{}, &sizedMem{}
+		l := Lib{Obs: obs, Mem: mem}
+		for _, op := range []struct {
+			op       Op
+			lib, ref func([]byte) []byte
+		}{{OpHTMLSpecial, l.HTMLSpecialChars, htmlSpecialCharsRef}, {OpAddSlashes, l.AddSlashes, addSlashesRef}} {
+			*obs, *mem = recObs{}, sizedMem{}
+			got := op.lib(subject)
+			if want := op.ref(subject); !bytes.Equal(got, want) {
+				t.Fatalf("%v(%q) = %q, per-byte loop %q", op.op, subject, got, want)
+			}
+			if len(mem.bufs) != 1 || mem.bufs[0] != len(got) {
+				t.Fatalf("%v(%q): allocator asked for %v, result is %d bytes", op.op, subject, mem.bufs, len(got))
+			}
+			if len(obs.ops) != 1 || obs.ops[0] != op.op || obs.bytes[0] != len(subject) {
+				t.Fatalf("%v(%q): observer saw %v %v", op.op, subject, obs.ops, obs.bytes)
+			}
+		}
+	}
+}
+
 func TestNL2BR(t *testing.T) {
 	var l Lib
 	cases := map[string]string{

@@ -244,3 +244,23 @@ func TestNewScriptedRejectsBadSource(t *testing.T) {
 		t.Errorf("parse error should surface")
 	}
 }
+
+// TestSPECWebTailNamesBuiltOnce: ServePage used to Sprintf its 24
+// "sw_tail_NN" leaf names on every request — 24 allocations, and 24
+// fresh string identities per request for the meter to look up the slow
+// way. A warmed request now allocates fewer times than the tail is long.
+func TestSPECWebTailNamesBuiltOnce(t *testing.T) {
+	rt := vm.New(vm.Config{Features: isa.AllAccelerators(), Mitigations: sim.AllMitigations(), TraceCapacity: 4096})
+	app := NewSPECWebBanking(1).(PageApp)
+	for i := 0; i < 20; i++ {
+		app.ServePage(rt, i)
+	}
+	allocs := testing.AllocsPerRun(100, func() { app.ServePage(rt, 7) })
+	t.Logf("warmed SPECWeb ServePage: %.1f allocs", allocs)
+	if allocs >= float64(len(swTailFns)) {
+		t.Errorf("warmed SPECWeb ServePage allocates %.1f times, want fewer than its %d tail names", allocs, len(swTailFns))
+	}
+	if n := len(rt.Meter().Functions()); n < len(swTailFns) {
+		t.Errorf("%d leaf functions, want the %d tail names among them", n, len(swTailFns))
+	}
+}
