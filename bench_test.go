@@ -1,19 +1,18 @@
 // Package repro's top-level benchmarks run the ablation studies
 // DESIGN.md calls out, each reporting its headline metric through
-// b.ReportMetric, and the per-accelerator host-cost benchmarks; the env-
-// gated guards `make ci` arms live here too. The paper's figures are
-// not benchmarks: internal/experiments builds them once, at one scale,
-// and FIGURES.json records them.
+// b.ReportMetric, and the per-accelerator host-cost benchmarks; the
+// per-layer allocation budgets, which every `go test` runs, live here
+// too. The paper's figures are not benchmarks: internal/experiments
+// builds them once, at one scale, and FIGURES.json records them.
 package repro
 
 import (
 	"context"
 	"fmt"
-	"os"
+	"runtime/debug"
 	"testing"
 	"time"
 
-	"repro/internal/arena"
 	"repro/internal/cache"
 	"repro/internal/core/hashtable"
 	"repro/internal/core/heapmgr"
@@ -22,7 +21,6 @@ import (
 	"repro/internal/hashmap"
 	"repro/internal/heap"
 	"repro/internal/isa"
-	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/vm"
@@ -162,211 +160,6 @@ func BenchmarkScriptedPHP(b *testing.B) {
 	b.Run("accelerated", func(b *testing.B) { run(b, isa.AllAccelerators()) })
 }
 
-// --- CI guard: sampled-tracing overhead ---
-
-// guardRequests is the measured load of the three wall-clock overhead
-// guards below: at ~150 us of host time per accelerated WordPress render
-// it makes the compared windows ~0.35 s, long enough for a 5% ratio to
-// be signal on a shared host.
-const guardRequests = 2400
-
-// spanOverheadRun serves one measured load through a pool whose
-// collector samples span trees at the given rate, and returns the wall
-// time of the run. Rate 0 exercises the identical code path (the
-// per-request sampling decision still happens) with tracing never
-// taken, which is the fair baseline for the overhead ratio.
-func spanOverheadRun(rate float64) (time.Duration, error) {
-	cfg := vm.Config{Features: isa.AllAccelerators(), Mitigations: sim.AllMitigations(), TraceCapacity: -1}
-	pool, err := workload.NewPool(1, cfg, "wordpress", 1)
-	if err != nil {
-		return 0, err
-	}
-	col := obs.NewCollector(rate, nil, nil)
-	col.SetTreeRing(obs.NewTreeRing(64))
-	pool.SetCollector(col)
-	lg := workload.LoadGenerator{Warmup: 40, Requests: guardRequests, ContextSwitchEvery: 64}
-	start := time.Now()
-	pool.Run(lg, 0)
-	return time.Since(start), nil
-}
-
-// TestSpanOverheadGuard asserts that sampling span trees at the default
-// serving rate (1 request in 100) costs under 5% wall time versus the
-// same run with sampling never taken. Wall-clock ratios are noisy on
-// shared machines, so the guard is env-gated: `make ci` sets
-// SPAN_OVERHEAD_GUARD=1, and a plain `go test ./...` skips it. Runs
-// alternate between the two rates and the best of each side is compared,
-// which cancels warmup and background-load drift.
-func TestSpanOverheadGuard(t *testing.T) {
-	if os.Getenv("SPAN_OVERHEAD_GUARD") != "1" {
-		t.Skip("set SPAN_OVERHEAD_GUARD=1 to run the span-overhead guard (make ci does)")
-	}
-	const trials = 5
-	var base, sampled time.Duration
-	for i := 0; i < trials; i++ {
-		b, err := spanOverheadRun(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := spanOverheadRun(0.01)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 || b < base {
-			base = b
-		}
-		if i == 0 || s < sampled {
-			sampled = s
-		}
-	}
-	ratio := float64(sampled) / float64(base)
-	t.Logf("span overhead: base %v, sampled@0.01 %v, ratio %.4f", base, sampled, ratio)
-	if ratio > 1.05 {
-		t.Errorf("sampled tracing at rate 0.01 costs %.1f%% (ratio %.4f), want <5%%",
-			100*(ratio-1), ratio)
-	}
-}
-
-// --- CI guard: request-scheduler overhead ---
-
-// schedOverheadPool builds the warmed single-worker pool both sides of
-// the scheduler guard serve from.
-func schedOverheadPool() (*workload.Pool, error) {
-	cfg := vm.Config{Features: isa.AllAccelerators(), Mitigations: sim.AllMitigations(), TraceCapacity: -1}
-	pool, err := workload.NewPool(1, cfg, "wordpress", 1)
-	if err != nil {
-		return nil, err
-	}
-	pool.Run(workload.LoadGenerator{Warmup: 40, ContextSwitchEvery: 64}, 0)
-	return pool, nil
-}
-
-// schedOverheadRun serves one measured load either directly through
-// Pool.Run (sched=false) or through the serve.Scheduler lifecycle with
-// a single closed-loop client (sched=true) — the same requests, worker
-// and sampling, differing only in the admission layer under test.
-func schedOverheadRun(sched bool) (time.Duration, error) {
-	pool, err := schedOverheadPool()
-	if err != nil {
-		return 0, err
-	}
-	const requests = guardRequests
-	if !sched {
-		start := time.Now()
-		pool.Run(workload.LoadGenerator{Requests: requests, ContextSwitchEvery: 64}, 0)
-		return time.Since(start), nil
-	}
-	s := serve.NewScheduler(pool, serve.Config{QueueDepth: 64, CtxSwitchEvery: 64})
-	ls := serve.RunLoad(context.Background(), s, serve.LoadOptions{Requests: requests, Clients: 1})
-	if ls.Served != requests {
-		return 0, fmt.Errorf("scheduler run served %d/%d", ls.Served, requests)
-	}
-	return ls.Wall, nil
-}
-
-// TestSchedulerOverheadGuard asserts that routing requests through the
-// lifecycle layer (admission slot, deadline bookkeeping, AcquireCtx,
-// queue-wait histogram) costs under 5% wall time versus the direct pool
-// loop. Env-gated like TestSpanOverheadGuard (`make ci` sets
-// SCHED_OVERHEAD_GUARD=1) and measured the same way: alternating trials,
-// best of each side.
-func TestSchedulerOverheadGuard(t *testing.T) {
-	if os.Getenv("SCHED_OVERHEAD_GUARD") != "1" {
-		t.Skip("set SCHED_OVERHEAD_GUARD=1 to run the scheduler-overhead guard (make ci does)")
-	}
-	const trials = 5
-	var direct, scheduled time.Duration
-	for i := 0; i < trials; i++ {
-		d, err := schedOverheadRun(false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := schedOverheadRun(true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 || d < direct {
-			direct = d
-		}
-		if i == 0 || s < scheduled {
-			scheduled = s
-		}
-	}
-	ratio := float64(scheduled) / float64(direct)
-	t.Logf("scheduler overhead: direct %v, scheduled %v, ratio %.4f", direct, scheduled, ratio)
-	if ratio > 1.05 {
-		t.Errorf("request lifecycle layer costs %.1f%% (ratio %.4f), want <5%%",
-			100*(ratio-1), ratio)
-	}
-}
-
-// --- CI guard: response-cache miss-path overhead ---
-
-// cacheOverheadRun serves one measured load through the scheduler,
-// either plain (cached=false) or through DoCached with a sequential page
-// key so every lookup misses (cached=true) — the worst case for the
-// cache, where every request pays the shard lock, the singleflight
-// bookkeeping, and the insert without ever being saved a render.
-func cacheOverheadRun(cached bool) (time.Duration, error) {
-	cfg := vm.Config{Features: isa.AllAccelerators(), Mitigations: sim.AllMitigations(), TraceCapacity: -1}
-	pool, err := workload.NewPoolSharedSeed(1, cfg, "wordpress", 1)
-	if err != nil {
-		return 0, err
-	}
-	pool.Run(workload.LoadGenerator{Warmup: 40, ContextSwitchEvery: 64}, 0)
-	const requests = guardRequests
-	s := serve.NewScheduler(pool, serve.Config{QueueDepth: 64, CtxSwitchEvery: 64})
-	opts := serve.LoadOptions{Requests: requests, Clients: 1}
-	if cached {
-		var page int
-		opts.Cache = cache.New(cache.Config{Capacity: requests * 2})
-		opts.PageKey = func() int { page++; return page }
-	}
-	ls := serve.RunLoad(context.Background(), s, opts)
-	if ls.Served != requests {
-		return 0, fmt.Errorf("cache run served %d/%d", ls.Served, requests)
-	}
-	if cached && ls.CacheMisses != requests {
-		return 0, fmt.Errorf("cache run hit %d times, want all %d requests to miss", ls.CacheHits+ls.CacheCoalesced, requests)
-	}
-	return ls.Wall, nil
-}
-
-// TestCacheOverheadGuard asserts that the response cache's miss path —
-// every request paying the lookup and insert with no hit ever saving a
-// render — costs under 5% wall time versus the same scheduler run with
-// no cache. Env-gated like the other guards (`make ci` sets
-// CACHE_OVERHEAD_GUARD=1): alternating trials, best of each side.
-func TestCacheOverheadGuard(t *testing.T) {
-	if os.Getenv("CACHE_OVERHEAD_GUARD") != "1" {
-		t.Skip("set CACHE_OVERHEAD_GUARD=1 to run the cache-overhead guard (make ci does)")
-	}
-	const trials = 5
-	var plain, missy time.Duration
-	for i := 0; i < trials; i++ {
-		p, err := cacheOverheadRun(false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := cacheOverheadRun(true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 || p < plain {
-			plain = p
-		}
-		if i == 0 || m < missy {
-			missy = m
-		}
-	}
-	ratio := float64(missy) / float64(plain)
-	t.Logf("cache overhead: plain %v, all-miss cached %v, ratio %.4f", plain, missy, ratio)
-	if ratio > 1.05 {
-		t.Errorf("response cache miss path costs %.1f%% (ratio %.4f), want <5%%",
-			100*(ratio-1), ratio)
-	}
-}
-
 // --- Raw accelerator micro-benchmarks ---
 
 func BenchmarkAccelHashTableGet(b *testing.B) {
@@ -418,39 +211,12 @@ func BenchmarkAccelRegexSift(b *testing.B) {
 	}
 }
 
-// --- CI guards: per-layer allocation budgets ---
+// --- Per-layer allocation budgets ---
 
 // allocGuardVMConfig is the accelerated serving configuration the
 // allocation guards measure under — the same shape benchrec records.
 func allocGuardVMConfig() vm.Config {
 	return vm.Config{Mitigations: sim.AllMitigations(), Features: isa.AllAccelerators(), TraceCapacity: 4096}
-}
-
-// TestArenaResetAllocGuard pins the arena reuse contract: once an arena
-// has grown to a request's working-set size, Reset+carve cycles touch
-// the Go heap zero times. Budget: 0 allocs per cycle. Env-gated with
-// the other guards (`make ci` sets ALLOC_GUARD=1) — not because it is
-// wall-clock noisy, but to keep the default test run's GC churn down.
-func TestArenaResetAllocGuard(t *testing.T) {
-	if os.Getenv("ALLOC_GUARD") != "1" {
-		t.Skip("set ALLOC_GUARD=1 to run the allocation-budget guards (make ci does)")
-	}
-	a := arena.New(0, 0)
-	for i := 0; i < 4; i++ { // warm to steady-state capacity
-		a.Make(4096)
-		a.Reset()
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		a.Make(1024)
-		a.Make(4096)
-		buf := a.Buf(512)
-		_ = append(buf, 'x')
-		a.Reset()
-	})
-	t.Logf("arena reset cycle: %.2f allocs", allocs)
-	if allocs > 0 {
-		t.Errorf("warm arena reset cycle allocates %.2f times, want 0", allocs)
-	}
 }
 
 // TestMeterChargeAllocGuard pins the meter's steady state: once every
@@ -459,9 +225,6 @@ func TestArenaResetAllocGuard(t *testing.T) {
 // are a WordPress render's own (~195 rows), charged round-robin the way
 // the benchmark's sim.charge_ns row does.
 func TestMeterChargeAllocGuard(t *testing.T) {
-	if os.Getenv("ALLOC_GUARD") != "1" {
-		t.Skip("set ALLOC_GUARD=1 to run the allocation-budget guards (make ci does)")
-	}
 	pool, err := workload.NewPool(1, allocGuardVMConfig(), "wordpress", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -494,14 +257,14 @@ func TestMeterChargeAllocGuard(t *testing.T) {
 // still catching any layer losing its reuse (each regression class —
 // boxing, chain rebuild, map churn — costs hundreds per request).
 func TestRenderBufferAllocGuard(t *testing.T) {
-	if os.Getenv("ALLOC_GUARD") != "1" {
-		t.Skip("set ALLOC_GUARD=1 to run the allocation-budget guards (make ci does)")
-	}
 	pool, err := workload.NewPool(1, allocGuardVMConfig(), "wordpress", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool.Run(workload.LoadGenerator{Warmup: 100}, 0)
+	// No collection while counting: one empties the sync.Pools mid-run
+	// and moves the logged number in its second decimal.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const requests = 200
 	allocs := testing.AllocsPerRun(1, func() {
 		pool.Run(workload.LoadGenerator{Requests: requests}, 0)
@@ -518,9 +281,6 @@ func TestRenderBufferAllocGuard(t *testing.T) {
 // machinery — so the budget of 10 catches any reintroduced per-hit
 // copying or key/stat churn.
 func TestCachedHitAllocGuard(t *testing.T) {
-	if os.Getenv("ALLOC_GUARD") != "1" {
-		t.Skip("set ALLOC_GUARD=1 to run the allocation-budget guards (make ci does)")
-	}
 	pool, err := workload.NewPoolSharedSeed(1, allocGuardVMConfig(), "wordpress", 1)
 	if err != nil {
 		t.Fatal(err)

@@ -205,10 +205,10 @@ func (m *Map) Reset(id uint64) {
 // Size returns the number of live key/value pairs.
 func (m *Map) Size() int { return m.size }
 
-// AddRef increments the reference count (phpval.Arr).
+// AddRef increments the reference count, returning the new count.
 func (m *Map) AddRef() int32 { m.refs++; return m.refs }
 
-// DecRef decrements the reference count (phpval.Arr).
+// DecRef decrements the reference count, returning the new count.
 func (m *Map) DecRef() int32 { m.refs--; return m.refs }
 
 // RefCount returns the current reference count.

@@ -146,7 +146,7 @@ func (c *CPU) ResetMap(m *hashmap.Map) {
 	m.Reset(c.nextMapID)
 }
 
-// --- phpval.Accounting ---
+// --- abstraction-overhead accounting (§3) ---
 
 // AddTypeCheck charges dynamic type checks (suppressed by checked-load).
 func (c *CPU) AddTypeCheck(n int) { c.Meter.AddTypeCheck(n) }

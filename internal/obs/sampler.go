@@ -8,7 +8,7 @@ import (
 // Sampler decides which requests carry a full attribution span. It is
 // deterministic (every nth request) rather than randomized, so a given
 // request count always yields the same number of spans — the property
-// the <5% overhead bound and the tests rely on. Safe for concurrent use.
+// the sampling budgets and the tests rely on. Safe for concurrent use.
 type Sampler struct {
 	every uint64 // sample every nth request; 0 disables sampling
 	n     uint64 // atomic request counter

@@ -340,3 +340,67 @@ func TestRunLoadCachedZipf(t *testing.T) {
 			cs.Hits, cs.Misses, ls.CacheHits, ls.CacheMisses)
 	}
 }
+
+// TestCacheMissPathBudget pins the response cache's worst case — every
+// lookup misses, so every request pays the shard lock, the flight
+// bookkeeping and the insert and is never saved a render — as its causes
+// rather than as a wall-clock ratio (those are the benchmark's
+// cache.getorfill_fill_ns and _hit_ns rows): an all-miss cached load is
+// the same paged load uncached plus exactly one lookup charge and one
+// stored entry per miss, within a pinned allocation surcharge.
+func TestCacheMissPathBudget(t *testing.T) {
+	noGC(t)
+	const requests = 600
+	run := func(c *cache.Cache) (*workload.Pool, LoadStats, float64) {
+		pool := budgetPool(t)
+		s := NewScheduler(pool, Config{QueueDepth: 64, CtxSwitchEvery: 64})
+		var ls LoadStats
+		page := 0
+		// AllocsPerRun makes two runs (one to warm up): pages 1..600,
+		// then 601..1200 from reset workers, every one a first sight.
+		allocs := testing.AllocsPerRun(1, func() {
+			pool.Run(workload.LoadGenerator{}, 0) // reset meter and switch cadence
+			ls = RunLoad(context.Background(), s, LoadOptions{
+				Requests: requests,
+				Clients:  1,
+				Cache:    c,
+				PageKey:  func() int { page++; return page },
+			})
+		}) / requests
+		if ls.Served != requests {
+			t.Fatalf("served %d/%d", ls.Served, requests)
+		}
+		return pool, ls, allocs
+	}
+	plainPool, _, plainAllocs := run(nil)
+	c := cache.New(cache.Config{Capacity: 4 * requests})
+	missPool, ls, cachedAllocs := run(c)
+
+	if ls.CacheMisses != requests || ls.CacheHits != 0 || ls.CacheCoalesced != 0 {
+		t.Errorf("cached run: %d misses, %d hits, %d coalesced, want all %d to miss",
+			ls.CacheMisses, ls.CacheHits, ls.CacheCoalesced, requests)
+	}
+	if st := c.Stats(); st.Misses != 2*requests || st.Entries != 2*requests || st.Lookups() != 2*requests || st.Evictions != 0 {
+		t.Errorf("cache stats %+v, want %d misses each leaving one entry", st, 2*requests)
+	}
+	sameSimulation(t, "the cache's miss path", missPool, plainPool)
+	lookups := sim.NewMeter(sim.DefaultCostModel())
+	c.MergeMeter(lookups)
+	fns := lookups.Functions()
+	if len(fns) != 1 || fns[0].Name != cache.LookupFn || fns[0].Calls != 2*requests ||
+		fns[0].Uops != 2*requests*cache.DefaultLookupUops {
+		t.Errorf("cache meter holds %d rows, %v uops; want the one %s row charged once per miss (%d calls, %d uops)",
+			len(fns), lookups.TotalUops(), cache.LookupFn, 2*requests, 2*requests*cache.DefaultLookupUops)
+	}
+
+	// Measured 39.38 allocs/request uncached and 44.44 all-miss cached: +5.06,
+	// the stable copy of the body, the flight and its channel, the entry
+	// and its list element, and the amortised growth of the shard maps.
+	// The budget of +5.5 fails on one more allocation per miss.
+	const surcharge = 5.5
+	t.Logf("allocs/request: uncached paged load %.2f, all-miss cached %.2f (+%.2f)", plainAllocs, cachedAllocs, cachedAllocs-plainAllocs)
+	if cachedAllocs > plainAllocs+surcharge {
+		t.Errorf("all-miss cached load allocates %.2f times/request, uncached %.2f: over the +%.1f budget",
+			cachedAllocs, plainAllocs, surcharge)
+	}
+}

@@ -135,37 +135,39 @@ func TestClusterAggregateHitRatioParity(t *testing.T) {
 }
 
 // TestClusterDBWaitOverlaps: with a per-render I/O stall, N backends
-// overlap their stalls, so 4 backends finish the same miss-heavy
-// stream in well under 4x one backend's serial stall time.
+// overlap their stalls, so 4 backends finish a miss-heavy stream in well
+// under the time its stalls alone take end to end. That serial time is
+// computed, not measured (a stall never returns early, so no serial
+// execution can beat misses x stall): one wall clock against a bound,
+// never two wall clocks against each other.
 func TestClusterDBWaitOverlaps(t *testing.T) {
 	// The stall must dominate render CPU for overlap to show: on a
 	// single host core the CPU part serializes no matter how many
 	// backends run, exactly like real FPM fleets sized for I/O-bound
 	// pages.
-	const dbWait = 20 * time.Millisecond
-	wall := func(backends int) time.Duration {
-		opts := testClusterOpts(backends)
-		opts.DBWait = dbWait
-		cl, err := NewCluster(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl.Warm(2)
-		cs, err := cl.RunZipf(context.Background(), 60)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cs.Aggregate.Served != 60 {
-			t.Fatalf("served %d", cs.Aggregate.Served)
-		}
-		return cs.Aggregate.Wall
+	const dbWait = 40 * time.Millisecond
+	opts := testClusterOpts(4)
+	opts.DBWait = dbWait
+	cl, err := NewCluster(opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	w1, w4 := wall(1), wall(4)
-	// The exact speedup depends on the straggler backend's share; even
-	// a conservative bound (>1.5x) proves the stalls overlap rather
-	// than serialize.
-	if speedup := float64(w1) / float64(w4); speedup < 1.5 {
-		t.Fatalf("4-backend speedup %.2fx (w1=%v w4=%v): stalls are not overlapping", speedup, w1, w4)
+	cl.Warm(2)
+	cs, err := cl.RunZipf(context.Background(), 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.Aggregate.Served != 60 {
+		t.Fatalf("served %d", cs.Aggregate.Served)
+	}
+	// The exact speedup depends on the straggler backend's share (about
+	// a third of the misses); finishing inside the stalls' own serial
+	// time at all, render CPU included, proves they overlap rather than
+	// serialize.
+	serial := time.Duration(cs.Aggregate.CacheMisses) * dbWait
+	if wall := cs.Aggregate.Wall; wall >= serial {
+		t.Fatalf("4 backends took %v for %d stalled renders (%v back to back): stalls are not overlapping",
+			wall, cs.Aggregate.CacheMisses, serial)
 	}
 }
 

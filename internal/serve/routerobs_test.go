@@ -7,8 +7,11 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -319,5 +322,105 @@ func TestRouterEventsOnHealthFlips(t *testing.T) {
 	last := events.Last(2)
 	if len(last) != 2 || last[0].Kind != obs.EventBackendUp || last[1].Kind != obs.EventRingChange {
 		t.Fatalf("last events = %+v", last)
+	}
+}
+
+// stubUpstream is an http.RoundTripper standing in for the backends: it
+// counts the round trips the router makes and answers each with the same
+// small page, so the proxy's own work is all a measurement sees.
+type stubUpstream struct{ trips int64 }
+
+func (u *stubUpstream) RoundTrip(req *http.Request) (*http.Response, error) {
+	atomic.AddInt64(&u.trips, 1)
+	return &http.Response{
+		StatusCode: http.StatusOK,
+		Header:     http.Header{"Content-Type": {"text/html"}},
+		Body:       io.NopCloser(strings.NewReader("page body")),
+		Request:    req,
+	}, nil
+}
+
+// TestRouterObsBudget pins what the router's observability plane (ID
+// propagation, access log, span sampling at the production rate of 0.01,
+// event ring) may add to a proxied request, as its causes rather than as
+// a latency ratio (that is the benchmark's phprouter.hop_self_us row):
+// one upstream round trip per request, exactly every 100th request
+// sampled and logged, and an unsampled request allocating no more than
+// the plain proxy's plus a pinned surcharge.
+func TestRouterObsBudget(t *testing.T) {
+	const requests = 1000
+	var log bytes.Buffer
+	ring := obs.NewTreeRing(64)
+	plainUp, obsUp := &stubUpstream{}, &stubUpstream{}
+	plain := NewRouter(RouterConfig{Client: &http.Client{Transport: plainUp}})
+	instrumented := NewRouter(RouterConfig{
+		Client:     &http.Client{Transport: obsUp},
+		SampleRate: 0.01,
+		TreeRing:   ring,
+		AccessLog:  obs.NewAccessLog(&log),
+		Events:     obs.NewEventRing(256),
+	})
+	proxy := func(r *Router) {
+		rec := httptest.NewRecorder()
+		// Built by hand: httptest.NewRequest parses through a sync.Pool,
+		// whose occasional miss would show in the count below.
+		req := &http.Request{Method: http.MethodGet, URL: &url.URL{Path: "/", RawQuery: "page=1"}, Header: http.Header{}}
+		r.Proxy(rec, req, "page:1")
+		if rec.Code != http.StatusOK || rec.Body.String() != "page body" {
+			t.Fatalf("proxied answer: %d %q", rec.Code, rec.Body.String())
+		}
+	}
+	for _, side := range []struct {
+		name string
+		r    *Router
+		up   *stubUpstream
+	}{{"plain", plain, plainUp}, {"instrumented", instrumented, obsUp}} {
+		side.r.AddBackend("0", "127.0.0.1:1") // never dialled: the stub answers
+		for i := 0; i < requests; i++ {
+			proxy(side.r)
+		}
+		st := side.r.Stats()
+		if trips := atomic.LoadInt64(&side.up.trips); trips != requests || st.Requests() != requests {
+			t.Errorf("%s router: %d upstream round trips, %d proxied answers for %d requests, want one each",
+				side.name, trips, st.Requests(), requests)
+		}
+		if st.Retries != 0 || st.StitchErrors != 0 || st.Backends[0].Errors != 0 || st.Backends[0].Shed != 0 {
+			t.Errorf("%s router stats %+v, want no retry, error or shed", side.name, st)
+		}
+	}
+	if got := ring.Total(); got != requests/100 {
+		t.Errorf("sampled %d span trees over %d requests at rate 0.01, want exactly %d", got, requests, requests/100)
+	}
+	if got := strings.Count(log.String(), "\n"); got != requests/100 {
+		t.Errorf("access log has %d lines, want one per sampled request (%d)", got, requests/100)
+	}
+
+	if raceEnabled {
+		t.Log("allocation budget not checked under -race: sync.Pool drops at random there")
+		return
+	}
+	noGC(t)
+	// Both samplers stand at a multiple of 100, so the next 98 requests
+	// (AllocsPerRun's warm-up batch and the measured one) are unsampled.
+	const batch = 49
+	perRequest := func(r *Router) float64 {
+		return testing.AllocsPerRun(1, func() {
+			for i := 0; i < batch; i++ {
+				proxy(r)
+			}
+		}) / batch
+	}
+	plainAllocs, obsAllocs := perRequest(plain), perRequest(instrumented)
+	if got := ring.Total(); got != requests/100 {
+		t.Fatalf("the measured window sampled a request (%d trees)", got)
+	}
+	// Measured 37 allocations per proxied request on both routers (the
+	// test's own request and recorder included): the
+	// plane adds nothing to a request it does not sample.
+	const surcharge = 0.5
+	t.Logf("allocs/request: plain proxy %.2f, instrumented unsampled %.2f", plainAllocs, obsAllocs)
+	if obsAllocs > plainAllocs+surcharge {
+		t.Errorf("an unsampled request through the instrumented router allocates %.2f times, plain proxy %.2f: over the +%.1f budget",
+			obsAllocs, plainAllocs, surcharge)
 	}
 }

@@ -331,7 +331,8 @@ func (mt *Meter) Functions() []*FnStats {
 	return out
 }
 
-// Report renders a human-readable per-category summary, used by cmd/phpsim.
+// Report renders a human-readable per-category summary, used by cmd/phpi
+// -stats and examples/quickstart.
 func (mt *Meter) Report() string {
 	var b strings.Builder
 	total := mt.TotalCycles()

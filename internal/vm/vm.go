@@ -19,7 +19,6 @@ import (
 	"repro/internal/heap"
 	"repro/internal/isa"
 	"repro/internal/obs"
-	"repro/internal/phpval"
 	"repro/internal/regex"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -284,22 +283,22 @@ func (r *Runtime) Extract(fn string, dst *Array, src *Array) int {
 	return n
 }
 
-// --- Strings (counted, heap-backed) ---
+// --- Strings (heap-backed) ---
 
-// Str is a PHP string handle: counted bytes plus the heap block backing
-// them. Handles are recycled through the runtime's free list, so a
+// Str is a PHP string handle: the bytes (explicit length, never
+// NUL-terminated) plus the heap block backing them. Handles are recycled through the runtime's free list, so a
 // handle is only valid between its NewStr and the matching FreeStr.
 type Str struct {
-	val   phpval.Str
+	b     []byte
 	block heap.Block
 	freed bool
 }
 
 // Bytes exposes the string contents.
-func (s *Str) Bytes() []byte { return s.val.Bytes }
+func (s *Str) Bytes() []byte { return s.b }
 
 // Len returns the byte length.
-func (s *Str) Len() int { return s.val.Len() }
+func (s *Str) Len() int { return len(s.b) }
 
 // NewStr allocates a PHP string object holding b (not copied). The
 // handle comes from the runtime's free list when one is available —
@@ -315,7 +314,7 @@ func (r *Runtime) NewStr(fn string, b []byte) *Str {
 	} else {
 		s = &Str{}
 	}
-	s.val.Reset(b)
+	s.b = b
 	s.block = blk
 	s.freed = false
 	return s

@@ -3,6 +3,7 @@ package workload
 import (
 	"context"
 	"math"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -461,14 +462,13 @@ func TestWorkerLatenciesBounded(t *testing.T) {
 }
 
 // BenchmarkPoolServe measures the serving path without observability, the
-// baseline for the sampling-overhead bound.
+// baseline for the two sampled variants below.
 func BenchmarkPoolServe(b *testing.B) {
 	benchmarkPoolServe(b, nil)
 }
 
-// BenchmarkPoolServeSampled001 is the acceptance benchmark: with spans
-// sampled at rate 0.01 the wall-time overhead versus BenchmarkPoolServe
-// must stay under 5%.
+// BenchmarkPoolServeSampled001 times the same path with spans sampled at
+// rate 0.01; what that may cost is pinned by TestSampledTracingBudget.
 func BenchmarkPoolServeSampled001(b *testing.B) {
 	benchmarkPoolServe(b, obs.NewCollector(0.01, nil, nil))
 }
@@ -663,5 +663,106 @@ func TestLatencyStatsSmallSamples(t *testing.T) {
 	}
 	if two.P95 != 20*time.Millisecond || two.P99 != 20*time.Millisecond {
 		t.Errorf("two-sample tail = p95 %v, p99 %v; want the larger value", two.P95, two.P99)
+	}
+}
+
+// TestSampledTracingBudget pins what sampling span trees at the default
+// serving rate (1 request in 100) is allowed to cost, stated as its
+// causes rather than as a wall-clock ratio (that ratio is the
+// benchmark's trace_overhead_frac row): exactly every 100th request is
+// profiled, a profiled request's tree is bounded, the Go-heap surcharge
+// of one profiled request is budgeted, and profiling is invisible to the
+// simulation — every leaf function's charges, the category cycles and
+// the trace-event counts are identical with sampling on and off.
+func TestSampledTracingBudget(t *testing.T) {
+	// No collection while counting: one empties the sync.Pools mid-run
+	// and moves a count by one or two allocations in 25,000.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const requests = 600
+	type outcome struct {
+		res     Result
+		fns     []sim.FnStats
+		calls   int64
+		events  [trace.NumKinds]int64
+		allocs  float64 // per request
+		sampled int64
+		trees   []*obs.Tree
+	}
+	run := func(rate float64) outcome {
+		cfg := hwConfig()
+		cfg.TraceCapacity = 4096
+		p, err := NewPool(1, cfg, "wordpress", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := obs.NewCollector(rate, nil, nil)
+		col.SetTreeRing(obs.NewTreeRing(64))
+		p.SetCollector(col)
+		// AllocsPerRun makes two runs (one to warm up). Each resets the
+		// workers and profiles the same 6 of its 600 requests, so the
+		// second one's Result is a fresh pool's.
+		var o outcome
+		o.allocs = testing.AllocsPerRun(1, func() {
+			o.res = p.Run(LoadGenerator{Warmup: 40, Requests: requests, ContextSwitchEvery: 64}, 0)
+		}) / requests
+		for _, f := range p.MergedMeter().Functions() {
+			o.fns = append(o.fns, *f)
+			o.calls += f.Calls
+		}
+		o.events = p.mergedTraceOwned().KindTotals()
+		o.sampled = col.Snapshot().SampledSpans
+		o.trees = col.TreeRing().Last(64)
+		return o
+	}
+	off, on := run(0), run(0.01)
+
+	if off.sampled != 0 || len(off.trees) != 0 {
+		t.Errorf("rate 0 sampled %d spans and kept %d trees, want none", off.sampled, len(off.trees))
+	}
+	if want := int64(2 * requests / 100); on.sampled != want || int64(len(on.trees)) != want {
+		t.Errorf("rate 0.01 sampled %d spans and kept %d trees over %d requests, want exactly %d",
+			on.sampled, len(on.trees), 2*requests, want)
+	}
+	// Measured: 30 spans in the largest sampled WordPress tree.
+	const maxSpans = 40
+	most := 0
+	for _, tr := range on.trees {
+		if n := tr.Root.NumSpans(); n > most {
+			most = n
+		}
+	}
+	if most == 0 || most > maxSpans {
+		t.Errorf("largest sampled tree has %d spans, want 1..%d", most, maxSpans)
+	}
+
+	if on.res.Cycles != off.res.Cycles || on.res.Uops != off.res.Uops || on.res.EnergyPJ != off.res.EnergyPJ ||
+		on.res.Categories != off.res.Categories || on.res.ResponseBytes != off.res.ResponseBytes {
+		t.Errorf("sampling moved the simulation:\n off %+v\n on  %+v", off.res, on.res)
+	}
+	if on.calls != off.calls || len(on.fns) != len(off.fns) {
+		t.Errorf("sampling changed the charges: %d calls over %d functions vs %d over %d",
+			on.calls, len(on.fns), off.calls, len(off.fns))
+	} else {
+		for i := range on.fns {
+			if on.fns[i] != off.fns[i] {
+				t.Errorf("sampling changed leaf function %d: %+v vs %+v", i, on.fns[i], off.fns[i])
+			}
+		}
+	}
+	if on.events != off.events {
+		t.Errorf("sampling changed the trace events: %v vs %v", on.events, off.events)
+	}
+
+	// Measured 61 allocations per profiled request (the tree's spans and
+	// the builder's frames): 42.07 allocs/request unsampled, 42.69 at
+	// rate 0.01. The budget of 100 leaves room for a few more spans while
+	// catching a tree built for every request (+61 on each) or a per-span
+	// leak.
+	const perSampledBudget = 100
+	perSampled := (on.allocs - off.allocs) * 100
+	t.Logf("allocs/request: unsampled %.2f, sampled@0.01 %.2f (%.0f per profiled request); %d charges, %d spans in the largest tree",
+		off.allocs, on.allocs, perSampled, on.calls, most)
+	if perSampled > perSampledBudget {
+		t.Errorf("a profiled request allocates %.0f times more than an unprofiled one, budget %d", perSampled, perSampledBudget)
 	}
 }

@@ -1,7 +1,9 @@
-package repro
+// An external test package: the scheduler-driven tier test needs
+// internal/serve, which imports this one.
+package workload_test
 
 import (
-	"os"
+	"context"
 	"reflect"
 	"testing"
 
@@ -9,23 +11,18 @@ import (
 	"repro/internal/serve"
 	"repro/internal/vm"
 	"repro/internal/workload"
-
-	"context"
 )
 
-// TestTierDeterminismGuard is the env-gated end-to-end check that tier
-// promotion is a pure function of the request stream (`make ci` sets
-// TIER_DETERMINISM_GUARD=1): the same seeded Zipf load driven twice
-// through a tiered scripted pool must produce the identical promoted
-// set and identical tier counters. Promotion windows advance on request
+// TestTierDeterminismGuard is the end-to-end check that tier
+// promotion is a pure function of the request stream: the same seeded
+// Zipf load driven twice through the scheduler at a tiered scripted pool,
+// under the default policy, must produce the identical promoted set and
+// identical tier counters. Promotion windows advance on request
 // counts, not wall clock, and the single closed-loop client rotates
 // workers FIFO, so any divergence means nondeterminism leaked into the
 // tier policy — the property the benchmark trajectory's scripted
 // scenarios and the committed BENCH_<n>.json records rely on.
 func TestTierDeterminismGuard(t *testing.T) {
-	if os.Getenv("TIER_DETERMINISM_GUARD") != "1" {
-		t.Skip("set TIER_DETERMINISM_GUARD=1 to run the tier-determinism guard (make ci does)")
-	}
 	run := func() php.TierSnapshot {
 		pool, err := workload.NewPoolSharedSeed(2, vm.Config{TraceCapacity: 1024}, "phpscript-blog", 1)
 		if err != nil {
@@ -50,7 +47,7 @@ func TestTierDeterminismGuard(t *testing.T) {
 
 	a, b := run(), run()
 	if a.Promotions == 0 || a.BytecodeCalls == 0 {
-		t.Fatalf("guard load never promoted — it is not exercising the tier: %+v", a)
+		t.Fatalf("load never promoted — it is not exercising the tier: %+v", a)
 	}
 	if !reflect.DeepEqual(a.PromotedSet(), b.PromotedSet()) {
 		t.Errorf("promoted sets diverge across identical seeded runs:\n a %v\n b %v",

@@ -1,6 +1,6 @@
 #!/bin/sh
 # docs_check.sh PKGDIR... — the documentation gate `make docs-check`
-# runs (the Makefile lists the package directories). Four passes, all
+# runs (the Makefile lists the package directories). Five passes, all
 # of which must come back clean:
 #
 # 1. Doc comments: fail if an exported top-level identifier in any of
@@ -31,6 +31,10 @@
 #    reads the two files and runs no experiment; a difference is printed
 #    with its line and the figure it falls under. `make bench-record`
 #    rewrites both.
+#
+# 5. Cited example programs: README.md and EXPERIMENTS.md tell the reader
+#    to `go run` examples/quickstart and examples/phpscript, so each must
+#    build, exit 0 and print something.
 set -u
 
 status=0
@@ -168,4 +172,12 @@ if ! out=$(go test -count=1 -run '^TestExperimentsDocMatchesRecord$' ./internal/
 	echo "docs-check: EXPERIMENTS.md's generated block is not the rendering of FIGURES.json (make bench-record rewrites both)" >&2
 	status=1
 fi
+
+# Cited example programs still run.
+for ex in examples/quickstart examples/phpscript; do
+	if ! out=$(go run "./$ex") || [ -z "$out" ]; then
+		echo "docs-check: go run ./$ex (cited in README.md / EXPERIMENTS.md) failed or printed nothing" >&2
+		status=1
+	fi
+done
 exit $status
