@@ -11,7 +11,10 @@ all: check
 build:
 	$(GO) build ./...
 
+# Formatting is checked, not assumed: gofmt's list of offenders is the
+# failure message.
 vet:
+	@fmt=$$(gofmt -l .); test -z "$$fmt" || { echo "gofmt -l lists:"; echo "$$fmt"; exit 1; }
 	$(GO) vet ./...
 
 # Fail if exported identifiers in the operator-facing packages lack doc

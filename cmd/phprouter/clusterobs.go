@@ -6,7 +6,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"sort"
 	"time"
@@ -143,19 +142,13 @@ type eventzResponse struct {
 }
 
 // handleEventz serves the retained cluster events. Parameter n bounds
-// the tail (default all retained).
+// the tail, read like /tracez's and /profilez's n (default, and any
+// malformed value: all retained).
 func (rt *router) handleEventz(w http.ResponseWriter, r *http.Request) {
-	n := 0
-	if v := r.URL.Query().Get("n"); v != "" {
-		if err := json.Unmarshal([]byte(v), &n); err != nil {
-			http.Error(w, "eventz: n must be an integer", http.StatusBadRequest)
-			return
-		}
-	}
 	resp := eventzResponse{
 		Total:  rt.events.Total(),
 		Counts: rt.events.Counts(),
-		Events: rt.events.Last(n),
+		Events: rt.events.Last(obs.QueryInt(r, "n", 0)),
 	}
 	if resp.Events == nil {
 		resp.Events = []obs.Event{}

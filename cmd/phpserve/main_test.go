@@ -24,6 +24,17 @@ import (
 	"repro/internal/workload"
 )
 
+// logLine decodes the access-log fields these tests read.
+type logLine struct {
+	Request   uint64             `json:"request"`
+	Worker    int                `json:"worker"`
+	Status    int                `json:"status"`
+	Outcome   string             `json:"outcome"`
+	Sampled   bool               `json:"sampled"`
+	Cycles    float64            `json:"cycles"`
+	Breakdown map[string]float64 `json:"cycles_by_category"`
+}
+
 // testServer builds a warmed server with a roomy admission queue and no
 // deadline. sampleRate 1 profiles every request; logW may be nil.
 func testServer(t *testing.T, workers, warmup int, sampleRate float64, logW io.Writer) *server {
@@ -134,7 +145,7 @@ func TestServeConcurrentRequests(t *testing.T) {
 	lines := 0
 	sc := bufio.NewScanner(&logBuf)
 	for sc.Scan() {
-		var e obs.LogEntry
+		var e logLine
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
 			t.Fatalf("access log line %d: %v", lines, err)
 		}
@@ -424,7 +435,7 @@ func TestOverloadShed503(t *testing.T) {
 	sheds := 0
 	sc := bufio.NewScanner(&logBuf)
 	for sc.Scan() {
-		var e obs.LogEntry
+		var e logLine
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
 			t.Fatalf("access log: %v", err)
 		}

@@ -8,7 +8,7 @@
 // the paper's hardware heap manager exists to absorb.
 //
 // Ownership contract: an Arena is single-owner and NOT safe for
-// concurrent use. Bytes returned by Make/Buf/Copy remain valid only
+// concurrent use. Bytes returned by Make/Buf remain valid only
 // until the owner's next Reset; anything that must outlive the request
 // (a cache entry, an HTTP response already handed to another goroutine)
 // must be copied out to the ordinary heap first.
@@ -32,10 +32,6 @@ type Arena struct {
 	// offset within it.
 	cur  int
 	used int
-
-	// allocs and resets count lifetime activity for introspection.
-	allocs uint64
-	resets uint64
 }
 
 // New returns an arena that bumps through chunkSize-byte chunks
@@ -65,7 +61,6 @@ func (a *Arena) Buf(capacity int) []byte {
 	if capacity < 0 {
 		capacity = 0
 	}
-	a.allocs++
 	if capacity > a.chunkSize {
 		return make([]byte, 0, capacity)
 	}
@@ -73,16 +68,9 @@ func (a *Arena) Buf(capacity int) []byte {
 		a.grow()
 	}
 	c := a.chunks[a.cur]
-	b := c[a.used:a.used : a.used+capacity]
+	b := c[a.used : a.used : a.used+capacity]
 	a.used += capacity
 	return b
-}
-
-// Copy returns an arena-backed copy of b.
-func (a *Arena) Copy(b []byte) []byte {
-	out := a.Buf(len(b))[:len(b)]
-	copy(out, b)
-	return out
 }
 
 // grow advances to the next retained chunk or allocates a fresh one.
@@ -99,7 +87,6 @@ func (a *Arena) grow() {
 // and chunk capacity beyond the retain bound is released to the GC.
 // Reset does not zero retained chunks; Make zeroes on allocation.
 func (a *Arena) Reset() {
-	a.resets++
 	a.cur = -1
 	a.used = 0
 	if a.retain > 0 {
@@ -111,10 +98,4 @@ func (a *Arena) Reset() {
 			a.chunks = a.chunks[:keep:keep]
 		}
 	}
-}
-
-// Stats reports lifetime allocation count, reset count, and currently
-// held chunk bytes.
-func (a *Arena) Stats() (allocs, resets uint64, heldBytes int) {
-	return a.allocs, a.resets, len(a.chunks) * a.chunkSize
 }

@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// held is the chunk capacity the arena currently owns.
+func (a *Arena) held() int { return len(a.chunks) * a.chunkSize }
+
 func TestMakeZeroesReusedMemory(t *testing.T) {
 	a := New(64, 0)
 	b := a.Make(32)
@@ -38,22 +41,9 @@ func TestOversizeFallsBackToHeap(t *testing.T) {
 	if len(b) != 1024 {
 		t.Fatalf("oversize Make length = %d", len(b))
 	}
-	_, _, held := a.Stats()
+	held := a.held()
 	if held != 0 {
 		t.Fatalf("oversize Make should not allocate chunks; held %d bytes", held)
-	}
-}
-
-func TestCopy(t *testing.T) {
-	a := New(64, 0)
-	src := []byte("hello arena")
-	dst := a.Copy(src)
-	if !bytes.Equal(dst, src) {
-		t.Fatalf("Copy = %q, want %q", dst, src)
-	}
-	src[0] = 'X'
-	if dst[0] == 'X' {
-		t.Fatal("Copy aliases its source")
 	}
 }
 
@@ -64,10 +54,7 @@ func TestResetReusesChunks(t *testing.T) {
 		a.Make(40) // forces a second chunk
 		a.Reset()
 	}
-	_, resets, held := a.Stats()
-	if resets != 10 {
-		t.Fatalf("resets = %d, want 10", resets)
-	}
+	held := a.held()
 	if held != 128 {
 		t.Fatalf("held = %d bytes, want 128 (two chunks, reused across resets)", held)
 	}
@@ -78,12 +65,12 @@ func TestRetainBoundReleasesChunks(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		a.Make(40) // one chunk each
 	}
-	_, _, held := a.Stats()
+	held := a.held()
 	if held != 5*64 {
 		t.Fatalf("pre-reset held = %d, want %d", held, 5*64)
 	}
 	a.Reset()
-	_, _, held = a.Stats()
+	held = a.held()
 	if held != 128 {
 		t.Fatalf("post-reset held = %d, want 128 (retain bound)", held)
 	}
@@ -98,7 +85,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		b := a.Buf(512)
 		b = append(b, "payload"...)
 		_ = a.Make(256)
-		_ = a.Copy(b)
+		_ = append(a.Buf(len(b)), b...)
 		a.Reset()
 	})
 	if n != 0 {

@@ -29,6 +29,16 @@ func matrixRecord(t *testing.T) Record {
 	return *cachedRec
 }
 
+// scenario returns the named scenario and whether it exists.
+func (r Record) scenario(name string) (Scenario, bool) {
+	for _, sc := range r.Scenarios {
+		if sc.Name == name {
+			return sc, true
+		}
+	}
+	return Scenario{}, false
+}
+
 func TestMatrixShape(t *testing.T) {
 	rec := matrixRecord(t)
 	if rec.Schema != SchemaVersion {
@@ -64,8 +74,8 @@ func TestMatrixShape(t *testing.T) {
 
 	// The accelerator sweep must show the paper's direction: the
 	// accelerated config simulates fewer cycles per request.
-	on, _ := rec.Scenario("direct")
-	off, _ := rec.Scenario("accel_off")
+	on, _ := rec.scenario("direct")
+	off, _ := rec.scenario("accel_off")
 	if on.SimCyclesPerReq >= off.SimCyclesPerReq {
 		t.Errorf("accelerated %.0f cycles/req not below baseline %.0f", on.SimCyclesPerReq, off.SimCyclesPerReq)
 	}
@@ -73,7 +83,7 @@ func TestMatrixShape(t *testing.T) {
 	// The cached scenario must actually exercise the cache at a
 	// meaningful hit ratio (128 entries over 512 Zipf(1.0) pages gives
 	// an analytic ceiling near 0.8).
-	cz, _ := rec.Scenario("cache_zipf")
+	cz, _ := rec.scenario("cache_zipf")
 	if cz.CacheHits == 0 || cz.CacheHitRatio < 0.3 {
 		t.Errorf("cache scenario hit ratio %.2f (hits %d) too low to be meaningful", cz.CacheHitRatio, cz.CacheHits)
 	}
@@ -87,12 +97,12 @@ func TestMatrixShape(t *testing.T) {
 	// aggregate hit ratio near the one-backend figure. The scaling claim
 	// itself (throughput up with backends) is a host-clock one, gated by
 	// serve's TestClusterDBWaitOverlaps, not here.
-	single, _ := rec.Scenario("cluster_zipf_1")
+	single, _ := rec.scenario("cluster_zipf_1")
 	if single.Backends != 1 {
 		t.Errorf("cluster_zipf_1 config not recorded: backends %d", single.Backends)
 	}
 	for _, name := range []string{"cluster_zipf_2", "cluster_zipf_4"} {
-		sc, ok := rec.Scenario(name)
+		sc, ok := rec.scenario(name)
 		if !ok {
 			t.Fatalf("scenario %s missing", name)
 		}
@@ -115,8 +125,8 @@ func TestMatrixShape(t *testing.T) {
 	// promotion must show up as cheaper simulated dispatch. Both record
 	// the Fig. 1 profile gauges so the trajectory captures the flat
 	// profile reshaping under tier-up.
-	si, _ := rec.Scenario("scripted_zipf_interp")
-	sa, _ := rec.Scenario("scripted_zipf")
+	si, _ := rec.scenario("scripted_zipf_interp")
+	sa, _ := rec.scenario("scripted_zipf")
 	if si.Tier != "interp" || si.TierBytecodeCalls != 0 || si.TierInterpCalls == 0 {
 		t.Errorf("scripted_zipf_interp should run entirely on the interpreter: %+v", si)
 	}

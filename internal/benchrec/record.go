@@ -134,16 +134,6 @@ type Scenario struct {
 	ProfileFuncsFor65  int     `json:"profile_funcs_for_65,omitempty"`
 }
 
-// Scenario returns the named scenario and whether it exists.
-func (r Record) Scenario(name string) (Scenario, bool) {
-	for _, sc := range r.Scenarios {
-		if sc.Name == name {
-			return sc, true
-		}
-	}
-	return Scenario{}, false
-}
-
 // MarshalIndent renders the record as stable, human-reviewable JSON
 // (map keys sort, so the output is deterministic).
 func (r Record) MarshalIndent() ([]byte, error) {

@@ -110,25 +110,6 @@ func (r *Ring) Remove(member string) {
 	r.points = kept
 }
 
-// Members returns the current members in sorted order.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Size returns the current member count.
-func (r *Ring) Size() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.members)
-}
-
 // Owner returns the member owning key — the first virtual node at or
 // clockwise after the key's hash — and false when the ring is empty.
 func (r *Ring) Owner(key string) (string, bool) {

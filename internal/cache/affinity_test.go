@@ -40,8 +40,8 @@ func TestRingEmptyAndSingle(t *testing.T) {
 			t.Fatalf("single-member ring: Owner(%s) = %q, %v", k, m, ok)
 		}
 	}
-	if r.Size() != 1 {
-		t.Fatalf("Size = %d, want 1", r.Size())
+	if len(r.members) != 1 {
+		t.Fatalf("%d members, want 1", len(r.members))
 	}
 }
 
@@ -164,7 +164,7 @@ func TestRingIdempotentMembership(t *testing.T) {
 	if len(r.points) != points {
 		t.Fatal("Remove of absent member changed the point table")
 	}
-	if got := r.Members(); len(got) != 1 || got[0] != "b0" {
-		t.Fatalf("Members = %v", got)
+	if len(r.members) != 1 || !r.members["b0"] {
+		t.Fatalf("members = %v", r.members)
 	}
 }

@@ -163,15 +163,6 @@ func (s Stats) HitRatio() float64 {
 	return 0
 }
 
-// ServedFromCache returns the fraction of lookups that did not render —
-// hits plus coalesced waiters (0 when there were no lookups).
-func (s Stats) ServedFromCache() float64 {
-	if l := s.Lookups(); l > 0 {
-		return float64(s.Hits+s.Coalesced) / float64(l)
-	}
-	return 0
-}
-
 // entry is one cached response, linked into its shard's LRU list.
 type entry struct {
 	key     string
@@ -399,10 +390,6 @@ func (c *Cache) MergeMeter(dst *sim.Meter) {
 	dst.Merge(c.meter)
 	c.meterMu.Unlock()
 }
-
-// LookupCycles returns the fixed simulated cycle cost one lookup
-// charges, for synthetic cache-hit spans.
-func (c *Cache) LookupCycles() float64 { return c.lookupCycles }
 
 // LookupCostVec returns the per-category cycle vector of one lookup
 // (all of it in the hash category), the breakdown a cache-hit span

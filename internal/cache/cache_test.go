@@ -211,14 +211,14 @@ func TestMeterChargesFixedLookupCost(t *testing.T) {
 	dst := sim.NewMeter(sim.DefaultCostModel())
 	c.MergeMeter(dst)
 	vec := dst.CategoryCyclesVec()
-	want := 3 * c.LookupCycles()
+	want := 3 * c.lookupCycles
 	if got := vec[sim.CatHash]; !closeEnough(got, want) {
 		t.Errorf("hash-category cycles = %g, want %g (3 lookups)", got, want)
 	}
 	if got := vec.Total(); !closeEnough(got, want) {
 		t.Errorf("total cycles = %g, want lookups only %g", got, want)
 	}
-	if lv := c.LookupCostVec(); !closeEnough(lv.Total(), c.LookupCycles()) || !closeEnough(lv[sim.CatHash], c.LookupCycles()) {
+	if lv := c.LookupCostVec(); !closeEnough(lv.Total(), c.lookupCycles) || !closeEnough(lv[sim.CatHash], c.lookupCycles) {
 		t.Errorf("LookupCostVec = %v, want all cycles in CatHash", lv)
 	}
 }

@@ -92,18 +92,16 @@ type rttEntry struct {
 
 // Stats counts accelerator activity for the evaluation (Fig. 7, Fig. 15).
 type Stats struct {
-	Gets        int64 // GET requests
-	GetHits     int64 // served without software
-	Sets        int64 // SET requests
-	SetHits     int64 // SET found the key already cached
-	Bypasses    int64 // keys too long for the hardware
-	EvictClean  int64 // clean-entry replacements (hardware only)
-	EvictDirty  int64 // dirty-entry replacements (software writeback)
-	Frees       int64 // Free requests
-	FreeScans   int64 // Frees that scanned the table (RTT overflow)
-	Foreaches   int64 // foreach flush requests
-	Writebacks  int64 // pairs written back to software maps
-	CoherenceEv int64 // flushes triggered by remote coherence requests
+	Gets       int64 // GET requests
+	GetHits    int64 // served without software
+	Sets       int64 // SET requests
+	SetHits    int64 // SET found the key already cached
+	Bypasses   int64 // keys too long for the hardware
+	EvictClean int64 // clean-entry replacements (hardware only)
+	EvictDirty int64 // dirty-entry replacements (software writeback)
+	Frees      int64 // Free requests
+	FreeScans  int64 // Frees that scanned the table (RTT overflow)
+	Writebacks int64 // pairs written back to software maps
 }
 
 // Add folds another counter snapshot into this one — the fleet
@@ -119,9 +117,7 @@ func (s *Stats) Add(o Stats) {
 	s.EvictDirty += o.EvictDirty
 	s.Frees += o.Frees
 	s.FreeScans += o.FreeScans
-	s.Foreaches += o.Foreaches
 	s.Writebacks += o.Writebacks
-	s.CoherenceEv += o.CoherenceEv
 }
 
 // HitRate returns the GET hit fraction (SETs never miss, §4.2/Fig. 7).
@@ -164,9 +160,6 @@ func (t *Table) Config() Config { return t.cfg }
 
 // Stats returns a snapshot of the activity counters.
 func (t *Table) Stats() Stats { return t.stats }
-
-// ResetStats clears the activity counters.
-func (t *Table) ResetStats() { t.stats = Stats{} }
 
 // hash combines the map base address and the key, mirroring the paper's
 // simplified hardware hash function.
@@ -314,15 +307,6 @@ func (t *Table) Free(m *hashmap.Map) FreeResult {
 	return res
 }
 
-// Foreach flushes the map's dirty pairs to memory in insertion order via
-// the RTT, then runs the software foreach over the now-coherent map.
-func (t *Table) Foreach(m *hashmap.Map, f func(k hashmap.Key, v interface{}) bool) int {
-	t.stats.Foreaches++
-	n := t.FlushMap(m)
-	m.Foreach(f)
-	return n
-}
-
 // CoherentRead makes a software read of (m, k) coherent with the table:
 // a dirty cached copy of the pair is written back and cleaned first, as
 // the snoop/inclusion logic does when a demand load hits an address the
@@ -391,30 +375,6 @@ func (t *Table) FlushMap(m *hashmap.Map) int {
 	return written
 }
 
-// OnRemoteCoherence handles a remote coherence request (or L2 eviction
-// enforcing inclusion) for the map's address range: the accelerator
-// flushes and invalidates everything it holds for that map (§4.2).
-func (t *Table) OnRemoteCoherence(m *hashmap.Map) {
-	t.stats.CoherenceEv++
-	t.FlushMap(m)
-	if re := t.rtt[m.ID()]; re != nil {
-		if re.overflow {
-			for i := range t.entries {
-				if t.entries[i].valid && t.entries[i].mapID == m.ID() {
-					t.invalidate(i)
-				}
-			}
-		} else {
-			for _, bp := range re.back {
-				if bp >= 0 {
-					t.invalidate(int(bp))
-				}
-			}
-		}
-		t.recycleRTT(m.ID())
-	}
-}
-
 // FlushAll writes back every dirty entry and invalidates the whole table
 // — the context-switch protocol. The software maps' hash indexes are
 // marked stale, exercising the reconstruction path the paper notes is
@@ -440,17 +400,6 @@ func (t *Table) FlushAll() int {
 	}
 	t.rtt = make(map[uint64]*rttEntry)
 	return written
-}
-
-// Len returns the number of valid entries.
-func (t *Table) Len() int {
-	n := 0
-	for i := range t.entries {
-		if t.entries[i].valid {
-			n++
-		}
-	}
-	return n
 }
 
 // lookup probes the window for (mapID, key), returning the entry index or

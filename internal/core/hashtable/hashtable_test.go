@@ -10,6 +10,39 @@ import (
 	"repro/internal/hashmap"
 )
 
+// newMap numbers its maps the way isa.CPU does: one local counter.
+var lastMapID uint64
+
+func newMap() *hashmap.Map {
+	lastMapID++
+	return hashmap.NewWithID(lastMapID, nil)
+}
+
+// validEntries counts the table's occupied entries.
+func validEntries(t *Table) int {
+	n := 0
+	for i := range t.entries {
+		if t.entries[i].valid {
+			n++
+		}
+	}
+	return n
+}
+
+// foreach is the hmforeach protocol isa.CPU runs: flush the map's dirty
+// pairs in insertion order, then iterate the now-coherent software map.
+func foreach(t *Table, m *hashmap.Map, f func(k hashmap.Key, v interface{}) bool) {
+	t.FlushMap(m)
+	m.Foreach(f)
+}
+
+// rebuildObs counts the software index reconstructions of one map.
+type rebuildObs struct{ rebuilds int }
+
+func (*rebuildObs) OnWalk(hashmap.Op, int, int, bool) {}
+func (*rebuildObs) OnResize(int)                      {}
+func (o *rebuildObs) OnRebuild()                      { o.rebuilds++ }
+
 func TestDefaultConfigMatchesPaper(t *testing.T) {
 	c := DefaultConfig()
 	if c.Entries != 512 || c.ProbeWindow != 4 || c.MaxKeyBytes != 24 {
@@ -30,7 +63,7 @@ func TestConfigSanitize(t *testing.T) {
 
 func TestGetMissThenHit(t *testing.T) {
 	ht := New(DefaultConfig())
-	m := hashmap.New(nil)
+	m := newMap()
 	m.Set(hashmap.StrKey("title"), "Hello")
 
 	v, res := ht.Get(m, hashmap.StrKey("title"))
@@ -49,7 +82,7 @@ func TestGetMissThenHit(t *testing.T) {
 
 func TestGetAbsentKey(t *testing.T) {
 	ht := New(DefaultConfig())
-	m := hashmap.New(nil)
+	m := newMap()
 	v, res := ht.Get(m, hashmap.StrKey("nope"))
 	if v != nil || res.Found || res.Hit {
 		t.Errorf("absent key: %v %+v", v, res)
@@ -60,7 +93,7 @@ func TestSetNeverMisses(t *testing.T) {
 	// §4.2: "SET operations never miss in our design" — an insert always
 	// lands in the table without software involvement.
 	ht := New(DefaultConfig())
-	m := hashmap.New(nil)
+	m := newMap()
 	res := ht.Set(m, hashmap.StrKey("k"), 1)
 	if res.Bypass || res.Hit {
 		t.Fatalf("fresh SET: %+v", res)
@@ -78,7 +111,7 @@ func TestSetNeverMisses(t *testing.T) {
 
 func TestSetHitUpdatesValue(t *testing.T) {
 	ht := New(DefaultConfig())
-	m := hashmap.New(nil)
+	m := newMap()
 	ht.Set(m, hashmap.StrKey("k"), 1)
 	res := ht.Set(m, hashmap.StrKey("k"), 2)
 	if !res.Hit {
@@ -91,7 +124,7 @@ func TestSetHitUpdatesValue(t *testing.T) {
 
 func TestLongKeysBypass(t *testing.T) {
 	ht := New(DefaultConfig())
-	m := hashmap.New(nil)
+	m := newMap()
 	long := hashmap.StrKey(strings.Repeat("k", 25))
 	ht.Set(m, long, "v")
 	if v, ok := m.Get(long); !ok || v != "v" {
@@ -111,7 +144,7 @@ func TestLongKeysBypass(t *testing.T) {
 
 func TestExactly24ByteKeyIsCached(t *testing.T) {
 	ht := New(DefaultConfig())
-	m := hashmap.New(nil)
+	m := newMap()
 	k := hashmap.StrKey(strings.Repeat("x", 24))
 	ht.Set(m, k, 1)
 	if _, res := ht.Get(m, k); !res.Hit {
@@ -121,7 +154,7 @@ func TestExactly24ByteKeyIsCached(t *testing.T) {
 
 func TestFreeInvalidatesViaRTT(t *testing.T) {
 	ht := New(DefaultConfig())
-	m := hashmap.New(nil)
+	m := newMap()
 	for i := 0; i < 10; i++ {
 		ht.Set(m, hashmap.IntKey(int64(i)), i)
 	}
@@ -132,8 +165,8 @@ func TestFreeInvalidatesViaRTT(t *testing.T) {
 	if res.Invalidated != 10 {
 		t.Errorf("invalidated %d entries, want 10", res.Invalidated)
 	}
-	if ht.Len() != 0 {
-		t.Errorf("table should be empty after Free, len=%d", ht.Len())
+	if validEntries(ht) != 0 {
+		t.Errorf("table should be empty after Free, len=%d", validEntries(ht))
 	}
 	// A freed short-lived map never touched memory.
 	if m.Size() != 0 {
@@ -145,7 +178,7 @@ func TestRTTOverflowFallsBackToScan(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RTTPointers = 4
 	ht := New(cfg)
-	m := hashmap.New(nil)
+	m := newMap()
 	for i := 0; i < 10; i++ {
 		ht.Set(m, hashmap.IntKey(int64(i)), i)
 	}
@@ -153,8 +186,8 @@ func TestRTTOverflowFallsBackToScan(t *testing.T) {
 	if !res.Scanned {
 		t.Errorf("RTT overflow should force a scan")
 	}
-	if ht.Len() != 0 {
-		t.Errorf("scan must still invalidate everything, len=%d", ht.Len())
+	if validEntries(ht) != 0 {
+		t.Errorf("scan must still invalidate everything, len=%d", validEntries(ht))
 	}
 	if ht.Stats().FreeScans != 1 {
 		t.Errorf("FreeScans = %d", ht.Stats().FreeScans)
@@ -163,13 +196,13 @@ func TestRTTOverflowFallsBackToScan(t *testing.T) {
 
 func TestForeachInsertionOrder(t *testing.T) {
 	ht := New(DefaultConfig())
-	m := hashmap.New(nil)
+	m := newMap()
 	keys := []string{"zeta", "alpha", "mid", "last"}
 	for i, k := range keys {
 		ht.Set(m, hashmap.StrKey(k), i)
 	}
 	var got []string
-	ht.Foreach(m, func(k hashmap.Key, v interface{}) bool {
+	foreach(ht, m, func(k hashmap.Key, v interface{}) bool {
 		got = append(got, k.Str)
 		return true
 	})
@@ -183,7 +216,7 @@ func TestForeachOrderSurvivesEvictions(t *testing.T) {
 	// writeback must still produce insertion order (§4.2).
 	cfg := Config{Entries: 4, ProbeWindow: 2, MaxKeyBytes: 24, RTTPointers: 128}
 	ht := New(cfg)
-	m := hashmap.New(nil)
+	m := newMap()
 	var want []string
 	for i := 0; i < 40; i++ {
 		k := fmt.Sprintf("key%02d", i)
@@ -191,7 +224,7 @@ func TestForeachOrderSurvivesEvictions(t *testing.T) {
 		ht.Set(m, hashmap.StrKey(k), i)
 	}
 	var got []string
-	ht.Foreach(m, func(k hashmap.Key, v interface{}) bool {
+	foreach(ht, m, func(k hashmap.Key, v interface{}) bool {
 		got = append(got, k.Str)
 		return true
 	})
@@ -206,7 +239,7 @@ func TestForeachOrderSurvivesEvictions(t *testing.T) {
 func TestDirtyEvictionWritesBack(t *testing.T) {
 	cfg := Config{Entries: 2, ProbeWindow: 2, MaxKeyBytes: 24, RTTPointers: 64}
 	ht := New(cfg)
-	m := hashmap.New(nil)
+	m := newMap()
 	for i := 0; i < 8; i++ {
 		ht.Set(m, hashmap.IntKey(int64(i)), i)
 	}
@@ -226,7 +259,7 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 
 func TestDeleteDropsCachedCopy(t *testing.T) {
 	ht := New(DefaultConfig())
-	m := hashmap.New(nil)
+	m := newMap()
 	ht.Set(m, hashmap.StrKey("k"), 1)
 	if !ht.Delete(m, hashmap.StrKey("k")) {
 		// The pair only lived in hardware; memory delete reports false but
@@ -242,40 +275,25 @@ func TestDeleteDropsCachedCopy(t *testing.T) {
 
 func TestFlushAllMarksStale(t *testing.T) {
 	ht := New(DefaultConfig())
-	m := hashmap.New(nil)
+	obs := &rebuildObs{}
+	m := hashmap.NewWithID(1, obs)
 	ht.Set(m, hashmap.StrKey("a"), 1)
 	ht.Set(m, hashmap.StrKey("b"), 2)
 	n := ht.FlushAll()
 	if n != 2 {
 		t.Errorf("FlushAll wrote %d, want 2", n)
 	}
-	if !m.Stale() {
-		t.Errorf("context-switch flush must mark the software index stale")
+	if obs.rebuilds != 0 {
+		t.Errorf("the flush itself must not rebuild the software index")
 	}
 	if v, ok := m.Get(hashmap.StrKey("a")); !ok || v != 1 {
 		t.Errorf("software access after flush should rebuild and find: %v %v", v, ok)
 	}
-	if m.Rebuilds() != 1 {
-		t.Errorf("expected one index reconstruction, got %d", m.Rebuilds())
+	if obs.rebuilds != 1 {
+		t.Errorf("context-switch flush must mark the software index stale: %d reconstructions, want 1", obs.rebuilds)
 	}
-	if ht.Len() != 0 {
+	if validEntries(ht) != 0 {
 		t.Errorf("table not empty after FlushAll")
-	}
-}
-
-func TestRemoteCoherenceFlushes(t *testing.T) {
-	ht := New(DefaultConfig())
-	m := hashmap.New(nil)
-	ht.Set(m, hashmap.StrKey("x"), 42)
-	ht.OnRemoteCoherence(m)
-	if ht.Len() != 0 {
-		t.Errorf("coherence request must flush the map's entries")
-	}
-	if v, ok := m.Get(hashmap.StrKey("x")); !ok || v != 42 {
-		t.Errorf("remote reader must see the flushed value: %v %v", v, ok)
-	}
-	if ht.Stats().CoherenceEv != 1 {
-		t.Errorf("CoherenceEv = %d", ht.Stats().CoherenceEv)
 	}
 }
 
@@ -289,7 +307,7 @@ func TestHitRateGrowsWithCapacity(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
 		maps := make([]*hashmap.Map, 6)
 		for i := range maps {
-			maps[i] = hashmap.New(nil)
+			maps[i] = newMap()
 		}
 		for op := 0; op < 20000; op++ {
 			m := maps[rng.Intn(len(maps))]
@@ -318,8 +336,9 @@ func TestStatsHitRateZeroGets(t *testing.T) {
 }
 
 // TestCoherenceProperty drives random operations through the accelerator
-// against a model map, with random flushes, foreaches, and coherence
-// events interleaved. The accelerator must be semantically invisible.
+// against a model map, with random context switches, foreaches and
+// single-map flushes interleaved. The accelerator must be semantically
+// invisible.
 func TestCoherenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -331,7 +350,7 @@ func TestCoherenceProperty(t *testing.T) {
 			model map[string]int
 			order []string
 		}
-		mk := func() *ctx { return &ctx{m: hashmap.New(nil), model: map[string]int{}} }
+		mk := func() *ctx { return &ctx{m: newMap(), model: map[string]int{}} }
 		ctxs := []*ctx{mk(), mk(), mk()}
 
 		for step := 0; step < 400; step++ {
@@ -368,7 +387,7 @@ func TestCoherenceProperty(t *testing.T) {
 				_ = mok
 			case 8: // foreach order check
 				var got []string
-				ht.Foreach(c.m, func(k hashmap.Key, v interface{}) bool {
+				foreach(ht, c.m, func(k hashmap.Key, v interface{}) bool {
 					got = append(got, k.Str)
 					if c.model[k.Str] != v {
 						got = append(got, "VALUE-MISMATCH")
@@ -378,11 +397,11 @@ func TestCoherenceProperty(t *testing.T) {
 				if fmt.Sprint(got) != fmt.Sprint(c.order) {
 					return false
 				}
-			case 9: // context switch or remote coherence
+			case 9: // context switch, or a flush of one map
 				if rng.Intn(2) == 0 {
 					ht.FlushAll()
 				} else {
-					ht.OnRemoteCoherence(c.m)
+					ht.FlushMap(c.m)
 				}
 			}
 		}
@@ -412,7 +431,7 @@ func TestCoherenceProperty(t *testing.T) {
 
 func BenchmarkGetHit(b *testing.B) {
 	ht := New(DefaultConfig())
-	m := hashmap.New(nil)
+	m := newMap()
 	ht.Set(m, hashmap.StrKey("key"), 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -422,7 +441,7 @@ func BenchmarkGetHit(b *testing.B) {
 
 func BenchmarkSet(b *testing.B) {
 	ht := New(DefaultConfig())
-	m := hashmap.New(nil)
+	m := newMap()
 	keys := make([]hashmap.Key, 64)
 	for i := range keys {
 		keys[i] = hashmap.StrKey(fmt.Sprintf("key%d", i))
@@ -435,7 +454,7 @@ func BenchmarkSet(b *testing.B) {
 
 func TestCoherentReadWritesBackDirtyPair(t *testing.T) {
 	ht := New(DefaultConfig())
-	m := hashmap.New(nil)
+	m := newMap()
 	ht.Set(m, hashmap.StrKey("k"), "v")
 
 	if _, ok := m.Get(hashmap.StrKey("k")); ok {
@@ -458,7 +477,7 @@ func TestCoherentReadWritesBackDirtyPair(t *testing.T) {
 
 func TestCoherentWriteInvalidatesCachedPair(t *testing.T) {
 	ht := New(DefaultConfig())
-	m := hashmap.New(nil)
+	m := newMap()
 	ht.Set(m, hashmap.StrKey("k"), "old")
 
 	if !ht.CoherentWrite(m, hashmap.StrKey("k")) {
@@ -476,7 +495,7 @@ func TestCoherentWriteInvalidatesCachedPair(t *testing.T) {
 
 func TestSetBumpsAppendWatermark(t *testing.T) {
 	ht := New(DefaultConfig())
-	m := hashmap.New(nil)
+	m := newMap()
 	ht.Set(m, hashmap.IntKey(5), "x")
 
 	// The buffered insert must advance the software append index even

@@ -102,17 +102,8 @@ func New(cfg Config, sw *heap.Allocator) *Manager {
 	}
 }
 
-// Config returns the manager's configuration.
-func (h *Manager) Config() Config { return h.cfg }
-
 // Stats returns a snapshot of the activity counters.
 func (h *Manager) Stats() Stats { return h.stats }
-
-// ResetStats clears the activity counters.
-func (h *Manager) ResetStats() { h.stats = Stats{} }
-
-// ListLen returns the current length of class c's hardware free list.
-func (h *Manager) ListLen(c int) int { return len(h.lists[c]) }
 
 // MallocResult reports how an allocation was served.
 type MallocResult struct {
@@ -213,51 +204,4 @@ func (h *Manager) Flush() int {
 		h.lists[c] = nil
 	}
 	return n
-}
-
-// FlushCursor tracks the progress of a resumable hmflush. §4.6: "hmflush
-// is resumable in order to guarantee forward progress in the case that
-// multiple page faults occur during the flush." A zero FlushCursor starts
-// a fresh flush.
-type FlushCursor struct {
-	class int
-	done  bool
-}
-
-// Done reports whether the flush has completed.
-func (c FlushCursor) Done() bool { return c.done }
-
-// FlushStep writes back at most maxBlocks hardware free-list blocks,
-// returning the updated cursor and the number of blocks written. Calling
-// it repeatedly until Done drains every list; the hardware state stays
-// consistent at every step, so a page fault (or preemption) between steps
-// loses nothing.
-func (h *Manager) FlushStep(cur FlushCursor, maxBlocks int) (FlushCursor, int) {
-	if cur.done {
-		return cur, 0
-	}
-	if maxBlocks <= 0 {
-		maxBlocks = 1
-	}
-	written := 0
-	for cur.class < len(h.lists) && written < maxBlocks {
-		fl := h.lists[cur.class]
-		if len(fl) == 0 {
-			cur.class++
-			continue
-		}
-		n := maxBlocks - written
-		if n > len(fl) {
-			n = len(fl)
-		}
-		// Spill from the tail end (the coldest blocks) first.
-		h.sw.PushFree(cur.class, fl[:n])
-		h.lists[cur.class] = fl[n:]
-		written += n
-	}
-	if cur.class >= len(h.lists) {
-		cur.done = true
-		h.stats.Flushes++
-	}
-	return cur, written
 }

@@ -8,9 +8,33 @@ import (
 	"repro/internal/heap"
 )
 
+// newMgr's allocator samples its timeline on every operation, so
+// liveBytes always reads the current state.
 func newMgr() (*Manager, *heap.Allocator) {
-	sw := heap.NewAllocator(nil, 0)
+	sw := heap.NewAllocator(nil, 1)
 	return New(DefaultConfig(), sw), sw
+}
+
+// liveBytes is the slab memory the software allocator counts as live.
+func liveBytes(sw *heap.Allocator) int64 {
+	tl := sw.Timeline()
+	if len(tl) == 0 {
+		return 0
+	}
+	var n int64
+	for _, b := range tl[len(tl)-1].Bands {
+		n += b
+	}
+	return n
+}
+
+// inHardware counts the blocks on the manager's free lists.
+func inHardware(h *Manager) int {
+	n := 0
+	for _, l := range h.lists {
+		n += len(l)
+	}
+	return n
 }
 
 func TestDefaultConfigMatchesPaper(t *testing.T) {
@@ -105,8 +129,8 @@ func TestFreeOverflowSpills(t *testing.T) {
 			overflows++
 		}
 	}
-	if h.ListLen(0) != cfg.ListEntries {
-		t.Errorf("list length = %d, want %d", h.ListLen(0), cfg.ListEntries)
+	if len(h.lists[0]) != cfg.ListEntries {
+		t.Errorf("list length = %d, want %d", len(h.lists[0]), cfg.ListEntries)
 	}
 	if overflows != 40-cfg.ListEntries {
 		t.Errorf("overflows = %d, want %d", overflows, 40-cfg.ListEntries)
@@ -119,20 +143,15 @@ func TestFlushReturnsEverything(t *testing.T) {
 		b, _ := h.Malloc(48)
 		h.Free(b)
 	}
-	inHW := 0
-	for c := 0; c < heap.NumSmallClasses; c++ {
-		inHW += h.ListLen(c)
-	}
+	inHW := inHardware(h)
 	n := h.Flush()
 	if n != inHW {
 		t.Errorf("Flush returned %d, want %d", n, inHW)
 	}
-	for c := 0; c < heap.NumSmallClasses; c++ {
-		if h.ListLen(c) != 0 {
-			t.Errorf("class %d list not empty after flush", c)
-		}
+	if left := inHardware(h); left != 0 {
+		t.Errorf("%d blocks still on the hardware lists after flush", left)
 	}
-	if sw.LiveCount() != 0 {
+	if liveBytes(sw) != 0 {
 		t.Errorf("no blocks should be live after free+flush")
 	}
 	// Post-flush allocation still works (cold path again).
@@ -201,9 +220,9 @@ func TestStatsZero(t *testing.T) {
 func TestIntegrityProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		sw := heap.NewAllocator(nil, 0)
-		h := New(DefaultConfig(), sw)
+		h, sw := newMgr()
 		live := map[uint64]heap.Block{}
+		var want int64 // live bytes, in slab-class sizes
 		for step := 0; step < 400; step++ {
 			switch rng.Intn(10) {
 			case 0, 1, 2, 3, 4:
@@ -212,16 +231,18 @@ func TestIntegrityProperty(t *testing.T) {
 					return false
 				}
 				live[b.Addr] = b
+				want += int64(heap.ClassSize(b.Class))
 			case 5, 6, 7, 8:
 				for addr, b := range live {
 					h.Free(b)
 					delete(live, addr)
+					want -= int64(heap.ClassSize(b.Class))
 					break
 				}
 			case 9:
 				h.Flush()
 			}
-			if sw.LiveCount() != len(live) {
+			if liveBytes(sw) != want {
 				return false
 			}
 		}
@@ -237,68 +258,5 @@ func BenchmarkHWMallocFree(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		blk, _ := h.Malloc(64)
 		h.Free(blk)
-	}
-}
-
-func TestFlushStepResumable(t *testing.T) {
-	h, sw := newMgr()
-	// Populate several lists.
-	var blocks []heap.Block
-	for i := 0; i < 60; i++ {
-		b, _ := h.Malloc(16 + (i%8)*16)
-		blocks = append(blocks, b)
-	}
-	for _, b := range blocks {
-		h.Free(b)
-	}
-	inHW := 0
-	for c := 0; c < heap.NumSmallClasses; c++ {
-		inHW += h.ListLen(c)
-	}
-
-	// Flush in small steps, as if interrupted by page faults.
-	var cur FlushCursor
-	total, steps := 0, 0
-	for !cur.Done() {
-		var n int
-		cur, n = h.FlushStep(cur, 7)
-		total += n
-		steps++
-		if steps > 1000 {
-			t.Fatalf("flush not making forward progress")
-		}
-	}
-	if total != inHW {
-		t.Errorf("resumable flush wrote %d blocks, want %d", total, inHW)
-	}
-	for c := 0; c < heap.NumSmallClasses; c++ {
-		if h.ListLen(c) != 0 {
-			t.Errorf("class %d not drained", c)
-		}
-	}
-	if sw.LiveCount() != 0 {
-		t.Errorf("blocks leaked across resumable flush")
-	}
-	// Idempotent after completion.
-	if cur2, n := h.FlushStep(cur, 7); n != 0 || !cur2.Done() {
-		t.Errorf("completed cursor should be a no-op")
-	}
-}
-
-func TestFlushStepInterleavedAllocation(t *testing.T) {
-	// Forward progress must hold even if the process resumes and
-	// allocates between steps (the hardware stays consistent).
-	h, _ := newMgr()
-	b, _ := h.Malloc(64)
-	h.Free(b)
-	var cur FlushCursor
-	cur, _ = h.FlushStep(cur, 1)
-	b2, _ := h.Malloc(32) // interleaved work
-	for !cur.Done() {
-		cur, _ = h.FlushStep(cur, 4)
-	}
-	h.Free(b2)
-	if h.Stats().Mallocs == 0 {
-		t.Fatalf("sanity")
 	}
 }

@@ -12,6 +12,16 @@ import (
 	"repro/internal/strlib"
 )
 
+// mustCompile is regex.Compile for the fixtures' statically known
+// patterns.
+func mustCompile(pattern string) *regex.Regex {
+	re, err := regex.Compile(pattern)
+	if err != nil {
+		panic(err)
+	}
+	return re
+}
+
 // genContent builds HTML-ish content: mostly regular characters with
 // occasional special characters, the texture the paper's workloads see.
 func genContent(rng *rand.Rand, n int) []byte {
@@ -48,7 +58,7 @@ func TestMaxRegularPrefix(t *testing.T) {
 		{`[a-z]*<`, -1}, // unbounded
 	}
 	for _, c := range cases {
-		re := regex.MustCompile(c.pattern)
+		re := mustCompile(c.pattern)
 		got := maxRegularPrefix(re.FSM(), strlib.IsRegular)
 		if got != c.want {
 			t.Errorf("maxRegularPrefix(%q) = %d, want %d", c.pattern, got, c.want)
@@ -69,7 +79,7 @@ func TestSiftable(t *testing.T) {
 		{`"`, true},
 	}
 	for _, c := range cases {
-		re := regex.MustCompile(c.pattern)
+		re := mustCompile(c.pattern)
 		if got := a.Siftable(re); got != c.want {
 			t.Errorf("Siftable(%q) = %v, want %v", c.pattern, got, c.want)
 		}
@@ -78,7 +88,7 @@ func TestSiftable(t *testing.T) {
 
 func TestSieveProducesReferenceHV(t *testing.T) {
 	a := New(DefaultConfig())
-	re := regex.MustCompile(`'`)
+	re := mustCompile(`'`)
 	content := []byte("abcd'efgh" + strings.Repeat("x", 100))
 	ms, hv := a.Sieve(re, content, nil)
 	if len(ms) != 1 || ms[0].Start != 4 {
@@ -97,8 +107,8 @@ func TestSieveProducesReferenceHV(t *testing.T) {
 
 func TestShadowSkipsCleanContent(t *testing.T) {
 	a := New(DefaultConfig())
-	sieve := regex.MustCompile(`'`)
-	shadow := regex.MustCompile(`"`)
+	sieve := mustCompile(`'`)
+	shadow := mustCompile(`"`)
 	// 4KB of purely regular content: every segment clean.
 	content := bytes.Repeat([]byte("cleantext "), 410)
 	_, hv := a.Sieve(sieve, content, nil)
@@ -116,8 +126,8 @@ func TestShadowSkipsCleanContent(t *testing.T) {
 
 func TestShadowFindsMatchesNearFlags(t *testing.T) {
 	a := New(DefaultConfig())
-	sieve := regex.MustCompile(`'`)
-	shadow := regex.MustCompile(`"[a-z]*"`)
+	sieve := mustCompile(`'`)
+	shadow := mustCompile(`"[a-z]*"`)
 	content := append(bytes.Repeat([]byte("r"), 200), []byte(`"quoted"`)...)
 	content = append(content, bytes.Repeat([]byte("r"), 200)...)
 	_, hv := a.Sieve(sieve, content, nil)
@@ -139,17 +149,17 @@ func TestShadowFindsMatchesNearFlags(t *testing.T) {
 func TestShadowEquivalenceProperty(t *testing.T) {
 	a := New(DefaultConfig())
 	patterns := []*regex.Regex{
-		regex.MustCompile(`'`),
-		regex.MustCompile(`"[a-z]*"`),
-		regex.MustCompile(`<[a-z]+>`),
-		regex.MustCompile(`&`),
-		regex.MustCompile(`[a-z]'`),
-		regex.MustCompile(`[a-z]+`), // non-siftable: full scan path
+		mustCompile(`'`),
+		mustCompile(`"[a-z]*"`),
+		mustCompile(`<[a-z]+>`),
+		mustCompile(`&`),
+		mustCompile(`[a-z]'`),
+		mustCompile(`[a-z]+`), // non-siftable: full scan path
 	}
 	f := func(seed int64, size uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
 		content := genContent(rng, int(size%2000))
-		sieve := regex.MustCompile(`<`)
+		sieve := mustCompile(`<`)
 		_, hv := a.Sieve(sieve, content, nil)
 		for _, re := range patterns {
 			got, _ := a.Shadow(re, content, hv)
@@ -167,7 +177,7 @@ func TestShadowEquivalenceProperty(t *testing.T) {
 
 func TestShadowWithoutHVFallsBack(t *testing.T) {
 	a := New(DefaultConfig())
-	re := regex.MustCompile(`'`)
+	re := mustCompile(`'`)
 	content := []byte("it's")
 	ms, examined := a.Shadow(re, content, nil)
 	if len(ms) != 1 || examined <= 0 {
@@ -180,12 +190,12 @@ func TestShadowWithoutHVFallsBack(t *testing.T) {
 
 func TestShadowStaleHVRejected(t *testing.T) {
 	a := New(DefaultConfig())
-	sieve := regex.MustCompile(`<`)
+	sieve := mustCompile(`<`)
 	content := []byte(strings.Repeat("x", 100))
 	_, hv := a.Sieve(sieve, content, nil)
 	// Content changed length: the HV no longer covers it.
 	longer := append(content, []byte("'")...)
-	ms, _ := a.Shadow(regex.MustCompile(`'`), longer, hv)
+	ms, _ := a.Shadow(mustCompile(`'`), longer, hv)
 	if len(ms) != 1 {
 		t.Errorf("stale HV must not hide matches: %v", ms)
 	}
@@ -194,7 +204,7 @@ func TestShadowStaleHVRejected(t *testing.T) {
 func TestScanWithReusePaperScenario(t *testing.T) {
 	// Fig. 13: scanning author URLs where only the name field changes.
 	a := New(DefaultConfig())
-	re := regex.MustCompile(`https://[a-z]+/\?author=[a-z]+`)
+	re := mustCompile(`https://[a-z]+/\?author=[a-z]+`)
 	const pc, asid = 0x401000, 7
 
 	u1 := []byte("https://localhost/?author=abc")
@@ -219,7 +229,7 @@ func TestScanWithReusePaperScenario(t *testing.T) {
 
 func TestScanWithReuseFirstByteMismatch(t *testing.T) {
 	a := New(DefaultConfig())
-	re := regex.MustCompile(`[a-z]+`)
+	re := mustCompile(`[a-z]+`)
 	a.ScanWithReuse(re, 1, 1, []byte("aaaa"))
 	_, res := a.ScanWithReuse(re, 1, 1, []byte("zzzz"))
 	if !res.InvalidMiss {
@@ -230,7 +240,7 @@ func TestScanWithReuseFirstByteMismatch(t *testing.T) {
 func TestScanWithReuseEquivalenceProperty(t *testing.T) {
 	// Whatever the table state, the accepted-prefix end must equal a
 	// direct anchored traversal.
-	re := regex.MustCompile(`https://[a-z]+/\?[a-z]+=[a-z0-9]+`)
+	re := mustCompile(`https://[a-z]+/\?[a-z]+=[a-z0-9]+`)
 	ref := func(content []byte) int {
 		d := re.FSM()
 		best := -1
@@ -276,7 +286,7 @@ func TestReuseTableLRUEviction(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ReuseEntries = 4
 	a := New(cfg)
-	re := regex.MustCompile(`[a-z]+`)
+	re := mustCompile(`[a-z]+`)
 	// Fill the table with 4 PCs, then a 5th evicts the LRU (pc=1).
 	for pc := uint64(1); pc <= 5; pc++ {
 		a.ScanWithReuse(re, pc, 1, []byte("abc"))
@@ -295,7 +305,7 @@ func TestReuseTableLRUEviction(t *testing.T) {
 
 func TestReuseASIDIsolation(t *testing.T) {
 	a := New(DefaultConfig())
-	re := regex.MustCompile(`[a-z]+`)
+	re := mustCompile(`[a-z]+`)
 	a.ScanWithReuse(re, 1, 100, []byte("abc"))
 	_, res := a.ScanWithReuse(re, 1, 200, []byte("abc"))
 	if !res.InvalidMiss {
@@ -305,8 +315,8 @@ func TestReuseASIDIsolation(t *testing.T) {
 
 func TestShadowReplaceKeepsTextModuloPadding(t *testing.T) {
 	a := New(DefaultConfig())
-	sieve := regex.MustCompile(`<`)
-	re := regex.MustCompile(`'`)
+	sieve := mustCompile(`<`)
+	re := mustCompile(`'`)
 	content := []byte("it's a test with 'quotes' spread " + strings.Repeat("padding ", 20) + "and more'")
 	_, hv := a.Sieve(sieve, content, nil)
 
@@ -347,10 +357,10 @@ func TestShadowReplaceChainProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a := New(DefaultConfig())
 		content := genContent(rng, 600)
-		sieve := regex.MustCompile(`&`)
+		sieve := mustCompile(`&`)
 		_, hv := a.Sieve(sieve, content, nil)
 		for _, step := range chain {
-			re := regex.MustCompile(step.pattern)
+			re := mustCompile(step.pattern)
 			// Check scan equivalence first.
 			got, _ := a.Shadow(re, content, hv)
 			want := re.FindAll(content)
@@ -373,23 +383,13 @@ func TestShadowReplaceChainProperty(t *testing.T) {
 	}
 }
 
-func TestSkipFraction(t *testing.T) {
-	if (Stats{}).SkipFraction() != 0 {
-		t.Errorf("zero presented bytes should give zero fraction")
-	}
-	s := Stats{BytesPresented: 100, BytesSkippedSift: 30, BytesSkippedReuse: 20}
-	if s.SkipFraction() != 0.5 {
-		t.Errorf("SkipFraction = %v", s.SkipFraction())
-	}
-}
-
 func BenchmarkShadowVsFull(b *testing.B) {
 	a := New(DefaultConfig())
 	rng := rand.New(rand.NewSource(5))
 	content := genContent(rng, 65536)
-	sieve := regex.MustCompile(`<`)
+	sieve := mustCompile(`<`)
 	_, hv := a.Sieve(sieve, content, nil)
-	shadow := regex.MustCompile(`"[a-z]*"`)
+	shadow := mustCompile(`"[a-z]*"`)
 
 	b.Run("shadow-sifted", func(b *testing.B) {
 		b.SetBytes(int64(len(content)))

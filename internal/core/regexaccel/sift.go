@@ -74,15 +74,6 @@ type Stats struct {
 	NonSiftable       int64 // shadow scans that had to run in full
 }
 
-// SkipFraction returns the fraction of presented bytes skipped by either
-// technique.
-func (s Stats) SkipFraction() float64 {
-	if s.BytesPresented == 0 {
-		return 0
-	}
-	return float64(s.BytesSkippedSift+s.BytesSkippedReuse) / float64(s.BytesPresented)
-}
-
 // Accel is the regexp accelerator front end. Like the string
 // accelerator it is a single-owner per-core structure, which makes its
 // private scratch buffers safe to reuse across operations.
@@ -156,9 +147,6 @@ func (a *Accel) Config() Config { return a.cfg }
 
 // Stats returns a snapshot of the counters.
 func (a *Accel) Stats() Stats { return a.stats }
-
-// ResetStats clears the counters.
-func (a *Accel) ResetStats() { a.stats = Stats{} }
 
 // HV is a hint vector over a specific content length.
 type HV struct {

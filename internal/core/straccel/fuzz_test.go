@@ -71,31 +71,8 @@ func FuzzTranslate(f *testing.F) {
 		if want := o.translate(subject, from, to); !hw || !bytes.Equal(got, want) {
 			t.Fatalf("Translate = %q hw=%v, oracle %q", got, hw, want)
 		}
-		// strlib lets the last duplicate from byte win, the matrix the
-		// lowest row: fed the rows in reverse they must agree.
-		rf, rt := reversed(from), reversed(to)
-		if want := ref.Translate(subject, rf, rt); !bytes.Equal(got, want) {
-			t.Fatalf("Translate = %q, strlib (reversed tables) %q", got, want)
-		}
-
-		// The same tables as configured rows, shadowed by a range row
-		// and a set row built from cut.
-		cfg := MatrixConfig{}
-		if len(cut) >= 3 {
-			cfg = Merge(RangeRow(cut[0], cut[1], cut[2]), MatrixConfig{rows: []row{{kind: rowSet, set: cut[3:], sub: cut[2]}}})
-		}
-		for i := range from {
-			cfg = Merge(cfg, EqRow(from[i], to[i]))
-		}
-		a.ConfigureRows(cfg)
-		o.stats.ConfigLoads++
-		got, hw = a.ApplyConfigured(subject)
-		if inHW := cfg.RowCount() > 0 && cfg.RowCount() <= a.cfg.Rows; hw != inHW {
-			t.Fatalf("ApplyConfigured hw=%v with %d rows", hw, cfg.RowCount())
-		} else if !inHW {
-			o.stats.Bypasses++
-		} else if want := o.apply(subject, cfg.rows, len(cfg.rows)); !bytes.Equal(got, want) {
-			t.Fatalf("ApplyConfigured = %q, oracle %q", got, want)
+		if want := ref.Translate(subject, from, to); !bytes.Equal(got, want) {
+			t.Fatalf("Translate = %q, strlib %q", got, want)
 		}
 
 		if got, want := a.Trim(subject, cut), o.trim(subject, cut); !bytes.Equal(got, want) {
@@ -123,12 +100,4 @@ func FuzzEscape(f *testing.F) {
 		a, o := fuzzPair(sel)
 		checkEscape(t, a, o, subject)
 	})
-}
-
-func reversed(b []byte) []byte {
-	r := make([]byte, len(b))
-	for i, c := range b {
-		r[len(b)-1-i] = c
-	}
-	return r
 }

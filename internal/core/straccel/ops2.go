@@ -61,45 +61,7 @@ func (a *Accel) AddSlashes(subject []byte) []byte {
 	return a.expand(strlib.OpAddSlashes, subject)
 }
 
-// ConfigureRows loads an explicit matching-matrix configuration — the
-// strreadconfig path for complex functions whose rows are "large and may
-// not be practical or feasible to pass as a source operand" (§4.6). The
-// rows persist until the next LoadConfig/ConfigureRows.
-func (a *Accel) ConfigureRows(rows MatrixConfig) { a.LoadConfig(rows) }
-
-// EqRow builds an equality row with a substitution output.
-func EqRow(match, sub byte) MatrixConfig {
-	return MatrixConfig{rows: []row{{kind: rowEq, eq: match, sub: sub}}}
-}
-
 // RangeRow builds an inequality (range) row with a substitution delta.
 func RangeRow(lo, hi byte, sub byte) MatrixConfig {
-	return MatrixConfig{rows: []row{{kind: rowRange, lo: lo, hi: hi, sub: sub}}}
-}
-
-// Merge concatenates matrix configurations into one row set.
-func Merge(cfgs ...MatrixConfig) MatrixConfig {
-	var out MatrixConfig
-	for _, c := range cfgs {
-		out.rows = append(out.rows, c.rows...)
-	}
-	return out
-}
-
-// RowCount returns the number of configured rows.
-func (m MatrixConfig) RowCount() int { return len(m.rows) }
-
-// ApplyConfigured runs the currently configured rows over the subject:
-// any byte matching a row is replaced by the row's substitution output
-// (equality rows) or shifted by the substitution delta (range rows).
-// This is the generic datapath behind translate-style complex functions.
-// It returns false (software fallback) when no rows are configured or
-// the configuration exceeds the matrix.
-func (a *Accel) ApplyConfigured(subject []byte) ([]byte, bool) {
-	if len(a.cur.rows) == 0 || len(a.cur.rows) > a.cfg.Rows {
-		a.stats.Bypasses++
-		return nil, false
-	}
-	a.stats.Ops++
-	return a.substitute(subject, &a.xlat, len(a.cur.rows)), true
+	return MatrixConfig{rows: []row{{lo: lo, hi: hi, sub: sub}}}
 }

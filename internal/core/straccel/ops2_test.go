@@ -41,64 +41,26 @@ func TestNL2BRChargesBlocks(t *testing.T) {
 	if a.Stats().Blocks != 4 {
 		t.Errorf("200 bytes should stream 4 blocks, got %d", a.Stats().Blocks)
 	}
-	a.ResetStats()
+	a = New(DefaultConfig())
 	a.NL2BR(nil)
 	if a.Stats().Blocks != 1 {
 		t.Errorf("empty subject still issues one pass, got %d", a.Stats().Blocks)
 	}
 }
 
-func TestConfigureRowsAndApply(t *testing.T) {
-	a := New(DefaultConfig())
-	// A strtoupper built from an explicit range-row configuration: the
-	// strreadconfig path for complex functions.
-	cfg := RangeRow('a', 'z', 0xE0) // two's-complement -32: lowercase -> uppercase
-	a.ConfigureRows(cfg)
-	out, hw := a.ApplyConfigured([]byte("Hello, World_9!"))
-	if !hw {
-		t.Fatalf("configured rows should run in hardware")
-	}
-	if string(out) != "HELLO, WORLD_9!" {
-		t.Errorf("ApplyConfigured = %q", out)
-	}
-}
-
-func TestApplyConfiguredMergedRows(t *testing.T) {
-	a := New(DefaultConfig())
-	// Merge equality substitutions with a range shift.
-	cfg := Merge(EqRow('-', '_'), EqRow(' ', '+'), RangeRow('A', 'Z', 32))
-	if cfg.RowCount() != 3 {
-		t.Fatalf("RowCount = %d", cfg.RowCount())
-	}
-	a.ConfigureRows(cfg)
-	out, hw := a.ApplyConfigured([]byte("Query Param-Name"))
-	if !hw || string(out) != "query+param_name" {
-		t.Errorf("merged rows = %q hw=%v", out, hw)
-	}
-}
-
-func TestApplyConfiguredFallsBack(t *testing.T) {
-	a := New(DefaultConfig())
-	a.ConfigureRows(MatrixConfig{}) // nothing configured
-	if _, hw := a.ApplyConfigured([]byte("x")); hw {
-		t.Errorf("empty configuration must fall back to software")
-	}
-	// Too many rows for the matrix.
-	small := New(Config{Rows: 2, BlockBytes: 64})
-	small.ConfigureRows(Merge(EqRow('a', 'b'), EqRow('c', 'd'), EqRow('e', 'f')))
-	if _, hw := small.ApplyConfigured([]byte("x")); hw {
-		t.Errorf("oversized configuration must fall back")
-	}
-}
-
+// TestConfigSurvivesSaveRestore: strwriteconfig hands the OS a copy of
+// the rows, and strreadconfig puts them back after another process has
+// loaded its own.
 func TestConfigSurvivesSaveRestore(t *testing.T) {
 	a := New(DefaultConfig())
-	a.ConfigureRows(EqRow('x', 'y'))
+	a.LoadConfig(RangeRow('a', 'z', 0xE0))
 	saved := a.SaveConfig()
-	a.ConfigureRows(EqRow('1', '2')) // another process's configuration
-	a.LoadConfig(saved)              // context switch back
-	out, hw := a.ApplyConfigured([]byte("axbx"))
-	if !hw || string(out) != "ayby" {
-		t.Errorf("restored configuration wrong: %q hw=%v", out, hw)
+	a.LoadConfig(RangeRow('0', '9', 1)) // another process's configuration
+	a.LoadConfig(saved)                 // context switch back
+	if len(a.cur.rows) != 1 || a.cur.rows[0] != (row{lo: 'a', hi: 'z', sub: 0xE0}) {
+		t.Errorf("restored configuration wrong: %+v", a.cur.rows)
+	}
+	if st := a.Stats(); st.ConfigSaves != 1 || st.ConfigLoads != 3 {
+		t.Errorf("config traffic = %d saves, %d loads, want 1 and 3", st.ConfigSaves, st.ConfigLoads)
 	}
 }

@@ -78,39 +78,13 @@ func (c Config) sanitized() Config {
 	return c
 }
 
-// rowKind is a matching matrix row's comparison mode.
-type rowKind uint8
-
-const (
-	rowEq    rowKind = iota // equality against one byte
-	rowRange                // lo <= c <= hi (uses an inequality row)
-	rowSet                  // membership in a small byte set (trim sets)
-)
-
-// row is one configured matrix row.
+// row is one configured matrix row: an inequality row that fires on
+// lo <= c <= hi and shifts the byte by sub, a signed delta. (Equality
+// rows never sit in a saved configuration: every operation that uses
+// them programs them from its own operands.)
 type row struct {
-	kind rowKind
-	eq   byte
-	lo   byte
-	hi   byte
-	set  []byte
-	sub  byte // substitution output for this row, when used
-}
-
-func (r row) matches(c byte) bool {
-	switch r.kind {
-	case rowEq:
-		return c == r.eq
-	case rowRange:
-		return c >= r.lo && c <= r.hi
-	default:
-		for _, s := range r.set {
-			if c == s {
-				return true
-			}
-		}
-		return false
-	}
+	lo, hi byte
+	sub    byte
 }
 
 // table flattens the rows into the output logic's 256-entry lookup: each
@@ -121,11 +95,8 @@ func (m MatrixConfig) table() (t [256]byte) {
 		c := byte(i)
 		t[i] = c
 		for _, r := range m.rows {
-			if r.matches(c) {
-				t[i] = r.sub
-				if r.kind == rowRange { // sub is a signed shift
-					t[i] = byte(int(c) + int(int8(r.sub)))
-				}
+			if c >= r.lo && c <= r.hi {
+				t[i] = byte(int(c) + int(int8(r.sub)))
 				break
 			}
 		}
@@ -138,7 +109,7 @@ var identity = MatrixConfig{}.table()
 
 // MatrixConfig is a saved matching-matrix configuration. strwriteconfig
 // stores one before a context switch and strreadconfig restores it
-// (§4.6); complex functions also load their row setup through it.
+// (§4.6).
 type MatrixConfig struct {
 	rows []row
 }
@@ -161,7 +132,6 @@ type Stats struct {
 type Accel struct {
 	cfg   Config
 	cur   MatrixConfig
-	xlat  [256]byte // cur's output lookup, rebuilt on LoadConfig
 	stats Stats
 	sw    strlib.Lib // software fallback, and the escaping ops' expansion kernel
 	mem   strlib.Allocator
@@ -173,7 +143,7 @@ type Accel struct {
 
 // New builds an accelerator.
 func New(cfg Config) *Accel {
-	return &Accel{cfg: cfg.sanitized(), xlat: identity}
+	return &Accel{cfg: cfg.sanitized()}
 }
 
 // SetMem routes result-string allocation (here and in the software
@@ -200,14 +170,8 @@ func (a *Accel) buf(c int) []byte {
 	return make([]byte, 0, c)
 }
 
-// Config returns the accelerator configuration.
-func (a *Accel) Config() Config { return a.cfg }
-
 // Stats returns a snapshot of the activity counters.
 func (a *Accel) Stats() Stats { return a.stats }
-
-// ResetStats clears the counters.
-func (a *Accel) ResetStats() { a.stats = Stats{} }
 
 // SaveConfig implements strwriteconfig: it returns the current matrix
 // configuration for the OS to stash across a context switch.
@@ -222,7 +186,6 @@ func (a *Accel) SaveConfig() MatrixConfig {
 func (a *Accel) LoadConfig(c MatrixConfig) {
 	a.stats.ConfigLoads++
 	a.cur = MatrixConfig{rows: append([]row(nil), c.rows...)}
-	a.xlat = a.cur.table()
 }
 
 // clearCols zeroes the column masks of the given row bytes.
@@ -356,8 +319,10 @@ func (a *Accel) Translate(subject, from, to []byte) ([]byte, bool) {
 		return a.sw.Translate(subject, from, to), false
 	}
 	a.stats.Ops++
+	// The last pair takes the lowest row, so a repeated from byte maps
+	// the way strtr (and strlib) has it: the last duplicate wins.
 	tab := identity
-	for r := len(from) - 1; r >= 0; r-- { // lowest row wins
+	for r := range from {
 		tab[from[r]] = to[r]
 	}
 	return a.substitute(subject, &tab, max(len(from), 1)), true

@@ -14,7 +14,6 @@ package hashmap
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 )
 
 // Key is a PHP array key: either an integer or a string.
@@ -80,7 +79,6 @@ const (
 	OpSet
 	OpDelete
 	OpIterate
-	OpResize
 )
 
 // Observer receives cost events from map operations. Implementations must
@@ -110,45 +108,32 @@ type entry struct {
 	seq  uint64 // insertion sequence number (ordered-table position)
 }
 
-var nextMapID uint64
-
 // Map is an insertion-ordered PHP array. The zero value is not usable;
-// call New.
+// call NewWithID.
 type Map struct {
 	id      uint64
 	entries []entry // insertion order; dead entries are tombstones
 	index   []int32 // open-addressed hash index into entries
 	mask    uint64
-	size    int // live entries
-	refs    int32
+	size    int  // live entries
 	stale   bool // hardware flushed: hash index must be rebuilt before use
 	obs     Observer
-	rebuilt int64 // number of stale-index rebuilds (coherence events)
 
 	nextIntKey int64  // PHP's next automatic integer key
 	nextSeq    uint64 // next insertion sequence number
 	unordered  bool   // a writeback landed out of sequence order
 }
 
-// New creates an empty map. obs may be nil. The map ID comes from a
-// process-wide counter; callers that need IDs deterministic under
-// concurrency (one simulated core per goroutine) should use NewWithID
-// with their own per-core counter.
-func New(obs Observer) *Map {
-	return NewWithID(atomic.AddUint64(&nextMapID, 1), obs)
-}
-
-// NewWithID creates an empty map with a caller-chosen identity. The ID
-// stands in for the map structure's base address (§4.2), so it only needs
-// to be unique among maps that share a hardware hash table — one
-// simulated core's maps — letting each core number its maps locally and
-// deterministically regardless of goroutine interleaving.
+// NewWithID creates an empty map with a caller-chosen identity; obs may
+// be nil. The ID stands in for the map structure's base address (§4.2),
+// so it only needs to be unique among maps that share a hardware hash
+// table — one simulated core's maps — letting each core number its maps
+// locally and deterministically regardless of goroutine interleaving.
 func NewWithID(id uint64, obs Observer) *Map {
 	return &Map{
 		id:    id,
 		index: newIndex(1 << minLgSize),
 		mask:  1<<minLgSize - 1,
-		refs:  1,
 		obs:   obs,
 	}
 }
@@ -194,9 +179,7 @@ func (m *Map) Reset(id uint64) {
 	}
 	m.mask = 1<<minLgSize - 1
 	m.size = 0
-	m.refs = 1
 	m.stale = false
-	m.rebuilt = 0
 	m.nextIntKey = 0
 	m.nextSeq = 0
 	m.unordered = false
@@ -205,34 +188,16 @@ func (m *Map) Reset(id uint64) {
 // Size returns the number of live key/value pairs.
 func (m *Map) Size() int { return m.size }
 
-// AddRef increments the reference count, returning the new count.
-func (m *Map) AddRef() int32 { m.refs++; return m.refs }
-
-// DecRef decrements the reference count, returning the new count.
-func (m *Map) DecRef() int32 { m.refs--; return m.refs }
-
-// RefCount returns the current reference count.
-func (m *Map) RefCount() int32 { return m.refs }
-
 // MarkStale is called by the hardware hash table when it writes entries
 // back to the ordered table without maintaining the hash index; the next
 // software access rebuilds the index first (§4.2 coherence protocol).
 func (m *Map) MarkStale() { m.stale = true }
-
-// Stale reports whether the hash index is pending a rebuild.
-func (m *Map) Stale() bool { return m.stale }
-
-// Rebuilds returns how many stale-index rebuilds have occurred. The paper
-// notes these are exceedingly rare in practice (triggered only by process
-// migration); the counter lets tests and experiments confirm that.
-func (m *Map) Rebuilds() int64 { return m.rebuilt }
 
 func (m *Map) ensureFresh() {
 	if !m.stale {
 		return
 	}
 	m.stale = false
-	m.rebuilt++
 	if m.obs != nil {
 		m.obs.OnRebuild()
 	}
@@ -339,15 +304,9 @@ func (m *Map) Set(k Key, v interface{}) {
 	}
 }
 
-// NextIntKey returns the key Append would use (PHP's next auto-index).
+// NextIntKey returns PHP's next automatic integer key, the one
+// `$a[] = v` stores under.
 func (m *Map) NextIntKey() int64 { return m.nextIntKey }
-
-// Append inserts v under the next automatic integer key, PHP's `$a[] = v`.
-func (m *Map) Append(v interface{}) Key {
-	k := IntKey(m.nextIntKey)
-	m.Set(k, v)
-	return k
-}
 
 // Delete removes a key, reporting whether it was present.
 func (m *Map) Delete(k Key) bool {
@@ -413,23 +372,6 @@ func (m *Map) Foreach(f func(k Key, v interface{}) bool) {
 	if m.obs != nil {
 		m.obs.OnWalk(OpIterate, n, 0, false)
 	}
-}
-
-// Keys returns the live keys in insertion order.
-func (m *Map) Keys() []Key {
-	out := make([]Key, 0, m.size)
-	m.Foreach(func(k Key, _ interface{}) bool {
-		out = append(out, k)
-		return true
-	})
-	return out
-}
-
-// SetRaw updates or appends a key without charging an observed walk; it
-// is the writeback entry point for callers that do not track sequence
-// numbers. It returns true if the key was already present.
-func (m *Map) SetRaw(k Key, v interface{}) bool {
-	return m.WritebackSeq(k, v, m.ReserveSeq())
 }
 
 // BumpIntKey advances the auto-index watermark to cover int key i. The

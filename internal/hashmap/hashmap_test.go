@@ -26,8 +26,16 @@ func (r *recObs) OnWalk(op Op, probes, keyBytes int, inserted bool) {
 func (r *recObs) OnResize(n int) { r.resizes = append(r.resizes, n) }
 func (r *recObs) OnRebuild()     { r.rebuilds++ }
 
+// newMap numbers its maps the way a simulated core does: locally.
+var lastMapID uint64
+
+func newMap(obs Observer) *Map {
+	lastMapID++
+	return NewWithID(lastMapID, obs)
+}
+
 func TestGetSetBasic(t *testing.T) {
-	m := New(nil)
+	m := newMap(nil)
 	if _, ok := m.Get(StrKey("missing")); ok {
 		t.Fatalf("empty map returned a value")
 	}
@@ -52,7 +60,7 @@ func TestGetSetBasic(t *testing.T) {
 }
 
 func TestIntAndStrKeysDistinct(t *testing.T) {
-	m := New(nil)
+	m := newMap(nil)
 	m.Set(IntKey(1), "int")
 	m.Set(StrKey("1"), "str")
 	if v, _ := m.Get(IntKey(1)); v != "int" {
@@ -64,7 +72,7 @@ func TestIntAndStrKeysDistinct(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	m := New(nil)
+	m := newMap(nil)
 	m.Set(StrKey("x"), 1)
 	if !m.Delete(StrKey("x")) {
 		t.Fatalf("Delete of present key returned false")
@@ -81,7 +89,7 @@ func TestDelete(t *testing.T) {
 }
 
 func TestReinsertAfterDeleteUsesTombstone(t *testing.T) {
-	m := New(nil)
+	m := newMap(nil)
 	m.Set(StrKey("x"), 1)
 	m.Delete(StrKey("x"))
 	m.Set(StrKey("x"), 2)
@@ -94,7 +102,7 @@ func TestReinsertAfterDeleteUsesTombstone(t *testing.T) {
 }
 
 func TestInsertionOrderIteration(t *testing.T) {
-	m := New(nil)
+	m := newMap(nil)
 	keys := []string{"delta", "alpha", "zulu", "bravo", "kilo"}
 	for i, k := range keys {
 		m.Set(StrKey(k), i)
@@ -113,9 +121,9 @@ func TestInsertionOrderIteration(t *testing.T) {
 }
 
 func TestForeachEarlyStop(t *testing.T) {
-	m := New(nil)
+	m := newMap(nil)
 	for i := 0; i < 10; i++ {
-		m.Append(i)
+		m.Set(IntKey(int64(i)), i)
 	}
 	n := 0
 	m.Foreach(func(Key, interface{}) bool {
@@ -128,21 +136,27 @@ func TestForeachEarlyStop(t *testing.T) {
 }
 
 func TestAppendAutoKeys(t *testing.T) {
-	m := New(nil)
-	k0 := m.Append("a")
-	k1 := m.Append("b")
+	m := newMap(nil)
+	// PHP's `$a[] = v`, as vm.Array and the hardware table spell it.
+	push := func(v interface{}) Key {
+		k := IntKey(m.NextIntKey())
+		m.Set(k, v)
+		return k
+	}
+	k0 := push("a")
+	k1 := push("b")
 	if !k0.IsInt || k0.Int != 0 || k1.Int != 1 {
 		t.Errorf("auto keys wrong: %v %v", k0, k1)
 	}
 	m.Set(IntKey(10), "c")
-	if k := m.Append("d"); k.Int != 11 {
+	if k := push("d"); k.Int != 11 {
 		t.Errorf("append after explicit int key = %v, want 11", k)
 	}
 }
 
 func TestGrowthPreservesContents(t *testing.T) {
 	obs := &recObs{}
-	m := New(obs)
+	m := newMap(obs)
 	const n = 1000
 	for i := 0; i < n; i++ {
 		m.Set(StrKey(fmt.Sprintf("key-%04d", i)), i)
@@ -162,7 +176,7 @@ func TestGrowthPreservesContents(t *testing.T) {
 
 func TestObserverWalkEvents(t *testing.T) {
 	obs := &recObs{}
-	m := New(obs)
+	m := newMap(obs)
 	m.Set(StrKey("abc"), 1)
 	m.Get(StrKey("abc"))
 	m.Get(StrKey("nope"))
@@ -185,60 +199,47 @@ func TestObserverWalkEvents(t *testing.T) {
 }
 
 func TestStaleRebuild(t *testing.T) {
-	m := New(nil)
+	obs := &recObs{}
+	m := newMap(obs)
 	m.Set(StrKey("a"), 1)
 	m.Set(StrKey("b"), 2)
 	m.MarkStale()
-	if !m.Stale() {
+	if !m.stale {
 		t.Fatalf("MarkStale did not mark")
 	}
 	if v, ok := m.Get(StrKey("a")); !ok || v != 1 {
 		t.Errorf("Get after stale rebuild = %v %v", v, ok)
 	}
-	if m.Stale() {
+	if m.stale {
 		t.Errorf("access should clear stale flag")
 	}
-	if m.Rebuilds() != 1 {
-		t.Errorf("Rebuilds = %d, want 1", m.Rebuilds())
+	if obs.rebuilds != 1 {
+		t.Errorf("OnRebuild fired %d times, want 1", obs.rebuilds)
 	}
 }
 
+// TestSetRawWriteback is the writeback entry point with a freshly
+// reserved sequence number: it reports whether the key was present, and
+// an absent key lands at the end of iteration order.
 func TestSetRawWriteback(t *testing.T) {
-	m := New(nil)
+	m := newMap(nil)
 	m.Set(StrKey("a"), 1)
-	if !m.SetRaw(StrKey("a"), 5) {
-		t.Errorf("SetRaw on present key should return true")
+	if !m.WritebackSeq(StrKey("a"), 5, m.ReserveSeq()) {
+		t.Errorf("writeback on present key should return true")
 	}
 	if v, _ := m.Get(StrKey("a")); v != 5 {
-		t.Errorf("SetRaw did not update: %v", v)
+		t.Errorf("writeback did not update: %v", v)
 	}
-	if m.SetRaw(StrKey("new"), 7) {
-		t.Errorf("SetRaw on absent key should return false")
+	if m.WritebackSeq(StrKey("new"), 7, m.ReserveSeq()) {
+		t.Errorf("writeback on absent key should return false")
 	}
 	if v, ok := m.Get(StrKey("new")); !ok || v != 7 {
-		t.Errorf("SetRaw insert failed: %v %v", v, ok)
+		t.Errorf("writeback insert failed: %v %v", v, ok)
 	}
-	// Writeback insertion must land at the end of iteration order.
-	keys := m.Keys()
-	if keys[len(keys)-1].Str != "new" {
-		t.Errorf("writeback insert not at end: %v", keys)
-	}
-}
-
-func TestUniqueIDs(t *testing.T) {
-	a, b := New(nil), New(nil)
-	if a.ID() == b.ID() || a.ID() == 0 {
-		t.Errorf("map IDs must be unique and nonzero: %d %d", a.ID(), b.ID())
-	}
-}
-
-func TestRefCounting(t *testing.T) {
-	m := New(nil)
-	if m.RefCount() != 1 {
-		t.Fatalf("fresh map refcount = %d", m.RefCount())
-	}
-	if m.AddRef() != 2 || m.DecRef() != 1 || m.DecRef() != 0 {
-		t.Errorf("refcount sequence wrong")
+	var last Key
+	m.Foreach(func(k Key, _ interface{}) bool { last = k; return true })
+	if last.Str != "new" {
+		t.Errorf("writeback insert not at end: last key %v", last)
 	}
 }
 
@@ -271,7 +272,7 @@ func TestKeyLenAndString(t *testing.T) {
 func TestModelEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		m := New(nil)
+		m := newMap(nil)
 		model := map[string]int{}
 		var order []string // insertion order of live keys
 
@@ -339,7 +340,7 @@ func TestModelEquivalence(t *testing.T) {
 // rebuildIndex to compact m.entries under the running iteration, which
 // used to index past the shortened slice.
 func TestForeachSurvivesStaleRebuild(t *testing.T) {
-	m := New(nil)
+	m := newMap(nil)
 	for i := 0; i < 20; i++ {
 		m.Set(StrKey(fmt.Sprintf("k%02d", i)), i)
 	}
@@ -368,7 +369,7 @@ func TestForeachSurvivesStaleRebuild(t *testing.T) {
 // TestForeachSurvivesCallbackSet covers grows triggered by callback Sets:
 // inserting new keys during iteration relocates the entry table.
 func TestForeachSurvivesCallbackSet(t *testing.T) {
-	m := New(nil)
+	m := newMap(nil)
 	for i := 0; i < 8; i++ {
 		m.Set(IntKey(int64(i)), i)
 	}
@@ -399,7 +400,7 @@ func TestForeachSurvivesCallbackSet(t *testing.T) {
 // TestForeachSurvivesCallbackDelete covers deletes during iteration: every
 // key live at the start is still visited exactly once (copy semantics).
 func TestForeachSurvivesCallbackDelete(t *testing.T) {
-	m := New(nil)
+	m := newMap(nil)
 	for i := 0; i < 12; i++ {
 		m.Set(IntKey(int64(i)), i)
 	}
@@ -418,7 +419,7 @@ func TestForeachSurvivesCallbackDelete(t *testing.T) {
 // counting tombstones: repeated insert+delete cycles must not double the
 // index when the live population stays tiny.
 func TestDeleteHeavyKeepsIndexBounded(t *testing.T) {
-	m := New(nil)
+	m := newMap(nil)
 	for i := 0; i < 10000; i++ {
 		k := StrKey(fmt.Sprintf("churn-%d", i))
 		m.Set(k, i)
@@ -438,7 +439,7 @@ func TestDeleteHeavyKeepsIndexBounded(t *testing.T) {
 }
 
 func BenchmarkMapGet(b *testing.B) {
-	m := New(nil)
+	m := newMap(nil)
 	for i := 0; i < 1024; i++ {
 		m.Set(StrKey(fmt.Sprintf("key-%d", i)), i)
 	}
@@ -449,7 +450,7 @@ func BenchmarkMapGet(b *testing.B) {
 }
 
 func BenchmarkMapSet(b *testing.B) {
-	m := New(nil)
+	m := newMap(nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Set(IntKey(int64(i&1023)), i)

@@ -246,22 +246,6 @@ func (a *Allocator) MarkDead(addr uint64, c int) {
 	a.tick()
 }
 
-// LiveCount returns the number of live blocks.
-func (a *Allocator) LiveCount() int { return len(a.live) }
-
-// FreeListLen returns the length of class c's free list.
-func (a *Allocator) FreeListLen(c int) int { return len(a.free[c]) }
-
-// Stats returns a snapshot of the allocator statistics.
-func (a *Allocator) Stats() Stats {
-	s := a.stats
-	s.AllocsByClass = append([]int64(nil), a.stats.AllocsByClass...)
-	s.FreesByClass = append([]int64(nil), a.stats.FreesByClass...)
-	s.LiveByClass = append([]int64(nil), a.stats.LiveByClass...)
-	s.PeakLiveBytesByClass = append([]int64(nil), a.stats.PeakLiveBytesByClass...)
-	return s
-}
-
 // Timeline returns the sampled live-memory series (Fig. 8b/c).
 func (a *Allocator) Timeline() []Sample { return a.timeline }
 

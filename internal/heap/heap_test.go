@@ -49,12 +49,12 @@ func TestAllocFreeRoundTrip(t *testing.T) {
 	if b.Class != 1 || b.Size != 24 {
 		t.Errorf("Alloc(24) = %+v", b)
 	}
-	if a.LiveCount() != 1 {
-		t.Errorf("LiveCount = %d", a.LiveCount())
+	if len(a.live) != 1 {
+		t.Errorf("%d live blocks, want 1", len(a.live))
 	}
 	a.Free(b)
-	if a.LiveCount() != 0 {
-		t.Errorf("LiveCount after free = %d", a.LiveCount())
+	if len(a.live) != 0 {
+		t.Errorf("%d live blocks after free", len(a.live))
 	}
 }
 
@@ -117,7 +117,7 @@ func TestHugeAllocations(t *testing.T) {
 		t.Errorf("huge observer count = %d", obs.huges)
 	}
 	a.Free(b)
-	if a.LiveCount() != 0 {
+	if len(a.live) != 0 {
 		t.Errorf("huge block not released")
 	}
 }
@@ -155,9 +155,9 @@ func TestPopPushFree(t *testing.T) {
 		}
 		dedup[ad] = true
 	}
-	before := a.FreeListLen(2)
+	before := len(a.free[2])
 	a.PushFree(2, addrs)
-	if a.FreeListLen(2) != before+8 {
+	if len(a.free[2]) != before+8 {
 		t.Errorf("PushFree did not grow free list")
 	}
 }
@@ -166,11 +166,11 @@ func TestMarkLiveMarkDead(t *testing.T) {
 	a := NewAllocator(nil, 0)
 	addrs := a.PopFree(0, 1, nil)
 	a.MarkLive(addrs[0], 0)
-	if a.LiveCount() != 1 {
+	if len(a.live) != 1 {
 		t.Errorf("MarkLive not reflected")
 	}
 	a.MarkDead(addrs[0], 0)
-	if a.LiveCount() != 0 {
+	if len(a.live) != 0 {
 		t.Errorf("MarkDead not reflected")
 	}
 }
@@ -195,7 +195,7 @@ func TestStatsAndCumulativeFraction(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		a.Alloc(256) // class 9
 	}
-	st := a.Stats()
+	st := a.stats
 	if st.AllocsByClass[0] != 90 || st.AllocsByClass[9] != 10 {
 		t.Errorf("alloc counts wrong: %v", st.AllocsByClass)
 	}
@@ -243,7 +243,7 @@ func TestPeakTracking(t *testing.T) {
 	for _, b := range bs {
 		a.Free(b)
 	}
-	st := a.Stats()
+	st := a.stats
 	if st.PeakLiveBytesByClass[0] != 48 {
 		t.Errorf("peak live bytes = %d, want 48", st.PeakLiveBytesByClass[0])
 	}
@@ -272,7 +272,7 @@ func TestAllocatorIntegrityProperty(t *testing.T) {
 					break
 				}
 			}
-			if a.LiveCount() != len(live) {
+			if len(a.live) != len(live) {
 				return false
 			}
 		}

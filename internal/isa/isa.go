@@ -70,8 +70,6 @@ type CPU struct {
 	Alloc *heap.Allocator
 	Lib   strlib.Lib
 
-	feats Features
-
 	curFn     string
 	curCat    sim.Category
 	mute      bool   // suppress substrate observer charges (IC-specialized path)
@@ -82,7 +80,7 @@ type CPU struct {
 // New builds a CPU with the given meter and features. The software heap
 // allocator samples its timeline every sampleEvery ops (0 disables).
 func New(meter *sim.Meter, feats Features, sampleEvery int) *CPU {
-	c := &CPU{Meter: meter, feats: feats}
+	c := &CPU{Meter: meter}
 	c.Alloc = heap.NewAllocator((*heapObs)(c), sampleEvery)
 	c.Lib = strlib.Lib{Obs: (*strObs)(c)}
 	if feats.HashTable {
@@ -99,9 +97,6 @@ func New(meter *sim.Meter, feats Features, sampleEvery int) *CPU {
 	}
 	return c
 }
-
-// Features returns the core's accelerator feature set.
-func (c *CPU) Features() Features { return c.feats }
 
 // SetMem routes string-result allocation — the software library's and
 // every configured accelerator's — through m, typically the owning
@@ -145,15 +140,6 @@ func (c *CPU) ResetMap(m *hashmap.Map) {
 	c.nextMapID++
 	m.Reset(c.nextMapID)
 }
-
-// --- abstraction-overhead accounting (§3) ---
-
-// AddTypeCheck charges dynamic type checks (suppressed by checked-load).
-func (c *CPU) AddTypeCheck(n int) { c.Meter.AddTypeCheck(n) }
-
-// AddRefCount charges reference count traffic (suppressed by hardware
-// reference counting).
-func (c *CPU) AddRefCount(n int) { c.Meter.AddRefCount(n) }
 
 // --- substrate observers (defined as converted receiver types so CPU
 // can implement several Observer interfaces with distinct method sets) ---

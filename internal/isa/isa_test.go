@@ -215,20 +215,19 @@ func TestContextSwitchProtocol(t *testing.T) {
 	if v, ok := m.Get(hashmap.StrKey("pending")); !ok || v != 1 {
 		t.Errorf("context switch lost dirty hash entry: %v %v", v, ok)
 	}
-	if c.HT.Len() != 0 {
-		t.Errorf("hash table not empty after context switch")
-	}
-	for cls := 0; cls < heap.NumSmallClasses; cls++ {
-		if c.HM.ListLen(cls) != 0 {
-			t.Errorf("heap manager list %d not flushed", cls)
-		}
+	if n := c.HM.Flush(); n != 0 {
+		t.Errorf("heap manager lists not flushed: %d blocks left", n)
 	}
 	if c.SA.Stats().ConfigSaves != 1 || c.SA.Stats().ConfigLoads != 1 {
 		t.Errorf("string accelerator config not saved/restored")
 	}
-	// Post-switch operation still works.
+	// Post-switch operation still works, and starts from an empty table.
+	hits := c.HT.Stats().GetHits
 	if v, ok := c.HashGet("f", m, hashmap.StrKey("pending"), false); !ok || v != 1 {
 		t.Errorf("post-switch access broken: %v %v", v, ok)
+	}
+	if c.HT.Stats().GetHits != hits {
+		t.Errorf("hash table not empty after context switch: the first GET hit")
 	}
 }
 
@@ -238,8 +237,8 @@ func TestMitigationsReduceBaseline(t *testing.T) {
 		c.Meter.Mit = mit
 		m := c.NewMap()
 		for i := 0; i < 500; i++ {
-			c.AddRefCount(3)
-			c.AddTypeCheck(2)
+			c.Meter.AddRefCount(3)
+			c.Meter.AddTypeCheck(2)
 			c.HashGet("f", m, hashmap.StrKey("config_option"), true)
 			b := c.Malloc("f", 64)
 			c.Free("f", b)

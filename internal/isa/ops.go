@@ -137,22 +137,6 @@ func (c *CPU) HashFree(fn string, m *hashmap.Map) {
 	}
 }
 
-// RemoteCoherence models a remote core's coherence request (or an L2
-// eviction enforcing inclusion) hitting the map's address range: the
-// accelerator flushes and invalidates everything it holds for the map
-// (§4.2), after which any software reader sees the up-to-date ordered
-// table.
-func (c *CPU) RemoteCoherence(fn string, m *hashmap.Map) {
-	c.at(fn, sim.CatHash)
-	if c.HT == nil {
-		return
-	}
-	before := c.HT.Stats().Writebacks
-	c.HT.OnRemoteCoherence(m)
-	written := c.HT.Stats().Writebacks - before
-	c.Meter.AddUops(fn, sim.CatHash, float64(written)*c.Meter.Model.HTWritebackUops)
-}
-
 // --- Heap manager instructions (§4.3, §4.6) ---
 
 // Malloc allocates size bytes attributed to fn.

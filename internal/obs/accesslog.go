@@ -17,8 +17,8 @@ import (
 // concurrent workers never interleave lines. Lines are encoded by hand
 // with strconv.Append* into a buffer reused across calls (guarded by
 // the same mutex), so a log write costs no per-call reflection or
-// intermediate allocations; the emitted object matches LogEntry
-// field-for-field.
+// intermediate allocations; the tests decode every field back through
+// encoding/json.
 type AccessLog struct {
 	mu      sync.Mutex
 	w       io.Writer
@@ -81,31 +81,6 @@ func truncateField(s string) string {
 	return s[:cut] + "…"
 }
 
-// LogEntry is the JSON shape of one access-log line (the decode side;
-// the writer emits the same fields without going through reflection).
-// Cycle fields are present only on sampled spans; latency is reported
-// in microseconds to match /stats. Path and UserAgent are truncated to
-// maxLogFieldLen.
-type LogEntry struct {
-	Time      string             `json:"ts"`
-	Request   uint64             `json:"request"`
-	RequestID string             `json:"request_id,omitempty"`
-	Worker    int                `json:"worker"`
-	Backend   string             `json:"backend"`
-	Path      string             `json:"path,omitempty"`
-	UserAgent string             `json:"user_agent,omitempty"`
-	LatencyUS int64              `json:"latency_us"`
-	QueueUS   int64              `json:"queue_us,omitempty"`
-	Status    int                `json:"status,omitempty"`
-	Outcome   string             `json:"outcome,omitempty"`
-	Bytes     int                `json:"bytes"`
-	Sampled   bool               `json:"sampled"`
-	Rerouted  bool               `json:"rerouted,omitempty"`
-	ShedReason string            `json:"shed_reason,omitempty"`
-	Cycles    float64            `json:"cycles,omitempty"`
-	Breakdown map[string]float64 `json:"cycles_by_category,omitempty"`
-}
-
 // appendJSONString appends s as a quoted JSON string, escaping the
 // characters encoding/json escapes by default (quotes, backslashes,
 // control characters, and the HTML-sensitive <, >, &) so hand-encoded
@@ -152,14 +127,10 @@ func appendJSONFloat(b []byte, f float64) []byte {
 	return strconv.AppendFloat(b, f, format, -1, 64)
 }
 
-// Write emits one line for the span. Unsampled spans log only identity
-// and latency; sampled spans add the per-category cycle breakdown.
-func (l *AccessLog) Write(sp Span, respBytes int) error {
-	return l.WriteMeta(sp, respBytes, RequestMeta{})
-}
-
-// WriteMeta is Write plus HTTP request metadata. Request-controlled
-// fields are truncated so one request cannot bloat the log.
+// WriteMeta emits one line for the span with its HTTP request metadata.
+// Unsampled spans log only identity and latency; sampled spans add the
+// per-category cycle breakdown. Request-controlled fields are truncated
+// so one request cannot bloat the log.
 func (l *AccessLog) WriteMeta(sp Span, respBytes int, meta RequestMeta) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

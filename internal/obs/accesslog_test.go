@@ -9,6 +9,30 @@ import (
 	"unicode/utf8"
 )
 
+// logEntry is the JSON shape of one access-log line: the decode side of
+// the object WriteMeta encodes by hand. Cycle fields are present only on
+// sampled spans; latency is reported in microseconds to match /stats.
+// Path and UserAgent are truncated to maxLogFieldLen.
+type logEntry struct {
+	Time       string             `json:"ts"`
+	Request    uint64             `json:"request"`
+	RequestID  string             `json:"request_id,omitempty"`
+	Worker     int                `json:"worker"`
+	Backend    string             `json:"backend"`
+	Path       string             `json:"path,omitempty"`
+	UserAgent  string             `json:"user_agent,omitempty"`
+	LatencyUS  int64              `json:"latency_us"`
+	QueueUS    int64              `json:"queue_us,omitempty"`
+	Status     int                `json:"status,omitempty"`
+	Outcome    string             `json:"outcome,omitempty"`
+	Bytes      int                `json:"bytes"`
+	Sampled    bool               `json:"sampled"`
+	Rerouted   bool               `json:"rerouted,omitempty"`
+	ShedReason string             `json:"shed_reason,omitempty"`
+	Cycles     float64            `json:"cycles,omitempty"`
+	Breakdown  map[string]float64 `json:"cycles_by_category,omitempty"`
+}
+
 func TestAccessLogTruncatesHostileFields(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewAccessLog(&buf)
@@ -25,7 +49,7 @@ func TestAccessLogTruncatesHostileFields(t *testing.T) {
 	if len(line) > 2048 {
 		t.Errorf("log line is %d bytes; hostile fields were not bounded", len(line))
 	}
-	var e LogEntry
+	var e logEntry
 	if err := json.Unmarshal(line, &e); err != nil {
 		t.Fatalf("truncated line is not valid JSON: %v", err)
 	}
@@ -46,7 +70,7 @@ func TestAccessLogShortFieldsUntouched(t *testing.T) {
 	if err := l.WriteMeta(Span{Request: 2}, 0, RequestMeta{Path: "/", UserAgent: "curl/8.0"}); err != nil {
 		t.Fatal(err)
 	}
-	var e LogEntry
+	var e logEntry
 	if err := json.Unmarshal(buf.Bytes(), &e); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +119,7 @@ func TestAccessLogBackendFieldSchema(t *testing.T) {
 	if err := l.WriteMeta(Span{Request: 2}, 0, RequestMeta{Path: "/"}); err != nil {
 		t.Fatal(err)
 	}
-	var e LogEntry
+	var e logEntry
 	if err := json.Unmarshal(buf.Bytes(), &e); err != nil {
 		t.Fatal(err)
 	}

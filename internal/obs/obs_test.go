@@ -72,7 +72,7 @@ func TestSamplerTinyRateNoOverflow(t *testing.T) {
 	// 1/rate overflows uint64 here; the interval must clamp to a huge
 	// finite value instead of hitting undefined float→uint conversion.
 	s := NewSampler(1e-300)
-	if s.Interval() == 0 {
+	if s.every == 0 {
 		t.Fatal("tiny positive rate must not disable sampling")
 	}
 	if s.Sample() {
@@ -131,7 +131,7 @@ func TestCollectorObserve(t *testing.T) {
 		t.Errorf("reservoir = %v", snap.Latencies)
 	}
 
-	var e LogEntry
+	var e logEntry
 	if err := json.Unmarshal(bytes.Split(buf.Bytes(), []byte("\n"))[0], &e); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestAccessLogConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				l.Write(Span{Request: uint64(g*20 + i), Worker: g, Wall: time.Millisecond, Sampled: true}, 64)
+				l.WriteMeta(Span{Request: uint64(g*20 + i), Worker: g, Wall: time.Millisecond, Sampled: true}, 64, RequestMeta{})
 			}
 		}(g)
 	}
@@ -181,7 +181,7 @@ func TestAccessLogConcurrent(t *testing.T) {
 	lines := 0
 	sc := bufio.NewScanner(&buf)
 	for sc.Scan() {
-		var e LogEntry
+		var e logEntry
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
 			t.Fatalf("interleaved or corrupt line %d: %v: %s", lines, err, sc.Text())
 		}
@@ -211,7 +211,7 @@ func TestCollectorObserveShed(t *testing.T) {
 		t.Errorf("snapshot requests/shed = %d/%d, want 1/1", snap.Requests, snap.Shed)
 	}
 
-	var e LogEntry
+	var e logEntry
 	if err := json.Unmarshal(bytes.Split(buf.Bytes(), []byte("\n"))[0], &e); err != nil {
 		t.Fatalf("shed line not logged or invalid: %v", err)
 	}

@@ -29,7 +29,10 @@ type Quantile struct {
 
 // Encoder writes metric families in the Prometheus text exposition
 // format (version 0.0.4): a # HELP and # TYPE header per family followed
-// by one line per series. Errors are sticky; check Err once at the end.
+// by one line per series. The format allows one TYPE line per family, so
+// consecutive calls for the same family name (one Histogram call per
+// labelled series, say) share the first call's header. Errors are
+// sticky; check Err once at the end.
 //
 // The encoder is deliberately snapshot-oriented: the serving layer keeps
 // plain counters and histograms on the hot path and renders them here
@@ -39,10 +42,11 @@ type Quantile struct {
 // write path, not by per-line string assembly. An Encoder is
 // single-goroutine, like the scrape handler that owns it.
 type Encoder struct {
-	w   io.Writer
-	buf []byte  // per-line assembly buffer, reused
-	lbl []Label // scratch for derived label sets (le=, quantile=)
-	err error
+	w    io.Writer
+	buf  []byte  // per-line assembly buffer, reused
+	lbl  []Label // scratch for derived label sets (le=, quantile=)
+	last string  // family whose header was written last
+	err  error
 }
 
 // NewEncoder builds an encoder writing to w.
@@ -144,6 +148,10 @@ func (e *Encoder) write(b []byte) {
 }
 
 func (e *Encoder) header(name, help, typ string) {
+	if name == e.last {
+		return
+	}
+	e.last = name
 	b := e.buf[:0]
 	b = append(b, "# HELP "...)
 	b = append(b, name...)

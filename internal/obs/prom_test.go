@@ -45,6 +45,21 @@ func TestEncoderCounterAndGauge(t *testing.T) {
 				"cycles_total{category=\"heap\"} 2\n",
 		},
 		{
+			name: "one call per series still has one header",
+			write: func(e *Encoder) {
+				e.Counter("hops_total", "Hops.", Sample{Labels: []Label{{Name: "backend", Value: "0"}}, Value: 1})
+				e.Counter("hops_total", "Hops.", Sample{Labels: []Label{{Name: "backend", Value: "1"}}, Value: 2})
+				e.Gauge("up", "Up.", Sample{Value: 1})
+			},
+			exactly: "# HELP hops_total Hops.\n" +
+				"# TYPE hops_total counter\n" +
+				"hops_total{backend=\"0\"} 1\n" +
+				"hops_total{backend=\"1\"} 2\n" +
+				"# HELP up Up.\n" +
+				"# TYPE up gauge\n" +
+				"up 1\n",
+		},
+		{
 			name: "help escaping",
 			write: func(e *Encoder) {
 				e.Counter("x_total", "line one\nback\\slash", Sample{Value: 0})

@@ -15,9 +15,7 @@ import (
 // parses the exposition with ParsePromText, and folds the fleet together
 // with MergeFamilies: counters and gauges sum, and histograms merge
 // bucket-wise because their _bucket/_sum/_count series are themselves
-// counters keyed by the shared `le` bounds. The merged families can be
-// re-encoded with WriteFamilies, so /clusterz can serve the whole fleet
-// as one exposition.
+// counters keyed by the shared `le` bounds.
 
 // PromSample is one parsed sample line: its full series name (which for
 // histogram families includes the _bucket/_sum/_count suffix), labels in
@@ -336,21 +334,4 @@ func FindFamily(fams []*MetricFamily, name string) *MetricFamily {
 		}
 	}
 	return nil
-}
-
-// WriteFamilies re-encodes parsed (typically merged) families in the
-// text exposition format, preserving family and sample order.
-func WriteFamilies(w io.Writer, fams []*MetricFamily) error {
-	e := NewEncoder(w)
-	for _, f := range fams {
-		typ := f.Type
-		if typ == "" {
-			typ = "untyped"
-		}
-		e.header(f.Name, f.Help, typ)
-		for _, s := range f.Samples {
-			e.series(s.Name, s.Labels, s.Value)
-		}
-	}
-	return e.Err()
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -60,13 +61,12 @@ func TestMergeEqualsCombinedLoad(t *testing.T) {
 	ew.Gauge("phpserve_workers", "Configured workers.", Sample{Value: totalWorkers})
 	ew.Histogram("phpserve_request_latency_seconds", "Render latency.", nil, combined.Snapshot())
 
-	var gotB strings.Builder
-	if err := WriteFamilies(&gotB, merged); err != nil {
-		t.Fatalf("write merged: %v", err)
+	wantFams, err := ParsePromText(strings.NewReader(wantB.String()))
+	if err != nil {
+		t.Fatalf("parse combined: %v", err)
 	}
-	if gotB.String() != wantB.String() {
-		t.Fatalf("merged exposition differs from combined-load exposition:\n--- merged:\n%s\n--- combined:\n%s",
-			gotB.String(), wantB.String())
+	if !reflect.DeepEqual(merged, wantFams) {
+		t.Fatalf("merged families differ from the combined-load exposition's:\n--- merged:\n%+v\n--- combined:\n%+v", merged, wantFams)
 	}
 
 	// The reconstructed histogram must also match the combined snapshot.

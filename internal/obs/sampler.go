@@ -37,10 +37,6 @@ func NewSampler(rate float64) *Sampler {
 	return s
 }
 
-// Interval returns the sampling interval n (every nth request sampled),
-// 0 when sampling is disabled.
-func (s *Sampler) Interval() uint64 { return s.every }
-
 // Sample reports whether the current request should carry a span,
 // advancing the request counter.
 func (s *Sampler) Sample() bool {

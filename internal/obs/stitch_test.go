@@ -40,7 +40,7 @@ func checkTelescope(t *testing.T, tree *Tree) {
 	t.Helper()
 	var selfSum sim.CategoryVec
 	tree.Root.Walk(func(sp *TreeSpan, _ int) {
-		selfSum = selfSum.Add(sp.SelfCategories())
+		selfSum = selfSum.Add(sp.selfCategories())
 	})
 	if got, want := selfSum.Total(), tree.Root.Categories.Total(); got != want {
 		t.Fatalf("telescoping broken: self sum %g != root inclusive %g", got, want)

@@ -17,7 +17,7 @@ const DefaultMaxTreeSpans = 512
 // execution (render, a PHP function call, a texturize chain) carrying
 // its wall-clock interval and the simulated cycles charged while it was
 // open, broken down by activity category. Cycles and Categories are
-// inclusive of children; SelfCycles/SelfCategories subtract them.
+// inclusive of children; SelfCycles subtracts them.
 type TreeSpan struct {
 	// Name identifies the phase ("request", "render", "php:texturize").
 	Name string
@@ -34,19 +34,10 @@ type TreeSpan struct {
 	Children []*TreeSpan
 }
 
-// SelfCategories returns the span's exclusive per-category cycles: the
-// inclusive vector minus every direct child's. Summed over a whole tree,
-// the self vectors telescope back to the root's inclusive total, which
-// is the invariant the flamegraph export relies on.
-func (s *TreeSpan) SelfCategories() sim.CategoryVec {
-	out := s.Categories
-	for _, c := range s.Children {
-		out = out.Sub(c.Categories)
-	}
-	return out
-}
-
-// SelfCycles returns the span's exclusive simulated cycle total.
+// SelfCycles returns the span's exclusive simulated cycle total: the
+// inclusive total minus every direct child's. Summed over a whole tree,
+// the self totals telescope back to the root's inclusive one, which is
+// the invariant the flamegraph export relies on.
 func (s *TreeSpan) SelfCycles() float64 {
 	t := s.Cycles
 	for _, c := range s.Children {
@@ -188,17 +179,11 @@ type TreeBuilder struct {
 	skip    int
 }
 
-// NewTreeBuilder opens a builder whose root "request" span starts now,
-// charging against mt. maxSpans bounds the tree (<=0 selects
-// DefaultMaxTreeSpans).
-func NewTreeBuilder(mt *sim.Meter, maxSpans int) *TreeBuilder {
-	return NewTreeBuilderAt(mt, maxSpans, time.Now())
-}
-
-// NewTreeBuilderAt is NewTreeBuilder with an explicit root start
-// instant, letting callers share one clock reading between the tree and
-// their own wall measurement so the root's Dur and the request's Wall
-// agree exactly.
+// NewTreeBuilderAt opens a builder whose root "request" span starts at
+// t0, charging against mt. maxSpans bounds the tree (<=0 selects
+// DefaultMaxTreeSpans). The caller passes the start instant so one
+// clock reading serves both the tree and its own wall measurement: the
+// root's Dur and the request's Wall agree exactly.
 func NewTreeBuilderAt(mt *sim.Meter, maxSpans int, t0 time.Time) *TreeBuilder {
 	if maxSpans <= 0 {
 		maxSpans = DefaultMaxTreeSpans

@@ -22,9 +22,20 @@ func chargedMeter() (*sim.Meter, func(cat sim.Category, uops float64)) {
 	}
 }
 
+// selfCategories is the span's exclusive per-category cycles: the
+// inclusive vector minus every direct child's — SelfCycles, per
+// category.
+func (s *TreeSpan) selfCategories() sim.CategoryVec {
+	out := s.Categories
+	for _, c := range s.Children {
+		out = out.Sub(c.Categories)
+	}
+	return out
+}
+
 func TestTreeBuilderAttribution(t *testing.T) {
 	mt, charge := chargedMeter()
-	b := NewTreeBuilder(mt, 0)
+	b := NewTreeBuilderAt(mt, 0, time.Now())
 
 	charge(sim.CatOther, 100) // root-exclusive work
 	b.Begin("render")
@@ -80,13 +91,13 @@ func TestTreeBuilderAttribution(t *testing.T) {
 	}
 
 	// Category attribution lands where the charge happened.
-	if got := leaf.SelfCategories()[sim.CatString]; math.Abs(got-310/ipc) > 1e-9 {
+	if got := leaf.selfCategories()[sim.CatString]; math.Abs(got-310/ipc) > 1e-9 {
 		t.Errorf("leaf string self = %v", got)
 	}
-	if got := render.SelfCategories()[sim.CatHash]; math.Abs(got-310/ipc) > 1e-9 {
+	if got := render.selfCategories()[sim.CatHash]; math.Abs(got-310/ipc) > 1e-9 {
 		t.Errorf("render hash self = %v", got)
 	}
-	if got := root.SelfCategories()[sim.CatOther]; math.Abs(got-100/ipc) > 1e-9 {
+	if got := root.selfCategories()[sim.CatOther]; math.Abs(got-100/ipc) > 1e-9 {
 		t.Errorf("root other self = %v", got)
 	}
 	if root.NumSpans() != 3 {
@@ -107,7 +118,7 @@ func TestTreeBuilderUnbalanced(t *testing.T) {
 	mt, charge := chargedMeter()
 
 	// Extra Ends are ignored; open spans are closed by Finish.
-	b := NewTreeBuilder(mt, 0)
+	b := NewTreeBuilderAt(mt, 0, time.Now())
 	b.End()
 	b.End()
 	b.Begin("a")
@@ -129,7 +140,7 @@ func TestTreeBuilderUnbalanced(t *testing.T) {
 
 func TestTreeBuilderSpanCap(t *testing.T) {
 	mt, charge := chargedMeter()
-	b := NewTreeBuilder(mt, 4)
+	b := NewTreeBuilderAt(mt, 4, time.Now())
 	// Two siblings fit (root + 2 + 1 = cap of 4)…
 	b.Begin("kept1")
 	b.End()
@@ -173,7 +184,7 @@ func TestTreeRingBounded(t *testing.T) {
 	r := NewTreeRing(3)
 	for i := 0; i < 5; i++ {
 		mt, _ := chargedMeter()
-		b := NewTreeBuilder(mt, 0)
+		b := NewTreeBuilderAt(mt, 0, time.Now())
 		tree := b.Finish(i)
 		tree.Request = uint64(i)
 		r.Add(tree)
@@ -205,7 +216,7 @@ func TestTreeRingBounded(t *testing.T) {
 // for the exporter tests.
 func buildSampleTree(req uint64, worker int) *Tree {
 	mt, charge := chargedMeter()
-	b := NewTreeBuilder(mt, 0)
+	b := NewTreeBuilderAt(mt, 0, time.Now())
 	charge(sim.CatOther, 50)
 	b.Begin("render")
 	b.Begin("php:the content") // space + nothing exotic
@@ -329,7 +340,7 @@ func TestCollectorTreeRing(t *testing.T) {
 // render work must both survive.
 func TestAddQueueSpan(t *testing.T) {
 	mt, charge := chargedMeter()
-	b := NewTreeBuilder(mt, 0)
+	b := NewTreeBuilderAt(mt, 0, time.Now())
 	charge(sim.CatOther, 100)
 	b.Begin("render")
 	charge(sim.CatHash, 200)
@@ -416,7 +427,7 @@ func TestCacheHitTreeInvariant(t *testing.T) {
 	if self := root.SelfCycles(); math.Abs(self) > 1e-9 {
 		t.Errorf("root self = %v, want 0 (all cost in the cache_hit leaf)", self)
 	}
-	if got := hit.SelfCategories()[sim.CatHash]; math.Abs(got-142.0) > 1e-9 {
+	if got := hit.selfCategories()[sim.CatHash]; math.Abs(got-142.0) > 1e-9 {
 		t.Errorf("cache_hit hash self = %v, want 142", got)
 	}
 	// A queue span composes with the synthetic tree like any other.

@@ -15,8 +15,8 @@ import (
 // the §3 "future core" interpreter-overhead reduction, and it is what
 // shifts CatOther cycles (and the Fig. 1 profile gauges) after tier-up.
 const (
-	bcUopsPerInstr   = 0.5
-	bcCallEntryUops  = 4
+	bcUopsPerInstr    = 0.5
+	bcCallEntryUops   = 4
 	bcTypeMissPenalty = 2 // generic-dispatch uops when type feedback misses
 )
 

@@ -14,45 +14,45 @@ package php
 type opcode uint8
 
 const (
-	opConst      opcode = iota // push consts[a]
-	opLoadVar                  // push slots[a]
-	opStoreVar                 // slots[a] = pop
-	opDup                      // duplicate top of stack
-	opPop                      // drop top of stack
-	opJump                     // pc = a
-	opJumpIfFalse              // pop; if !truthy pc = a
-	opAndJump                  // pop l; if !truthy push false, pc = a
-	opOrJump                   // pop l; if truthy push true, pc = a
-	opToBool                   // pop; push truthy as bool
-	opNot                      // pop; push !truthy
-	opNeg                      // pop; push typed negation
-	opBinary                   // a = binKind, b = type-feedback site (-1 none); pop r, l
-	opEcho                     // pop; write toString to output buffer
-	opInlineHTML               // write consts[a] (string) verbatim
-	opIndexNil                 // peek subject: nil → pop, push nil, pc = a; array/string → fall through; else error
-	opIndexGet                 // pop key, pop subject; a = IC site (-1), b = 1 when dynamic
-	opVivCheck                 // pop subj; array → push, pc = a; nil → push new array, fall through; else error
-	opStoreIndex               // pop key, pop arr, pop val; a = IC site (-1), b = 1 when dynamic
-	opAppendSet                // pop arr, pop val; ASet at the next auto-index
-	opCombine                  // a = combineKind; pop cur, pop val; push val <op> cur-style compound result
-	opIncDec                   // pop cur; push cur ± 1 (a = +1/-1)
-	opNewArray                 // push a fresh request-owned array
-	opArrAppend                // pop val; peek arr; ASet at next auto-index
-	opArrSet                   // pop key, pop val; peek arr; b = 1 when dynamic
-	opLoopInit                 // loops[a] = 0
-	opLoopTick                 // loops[a]++; over the limit → iteration-limit error (b = 0 while, 1 for)
-	opForeachStart             // pop subject; must be array; push iterator; pc = a (the opForeachNext)
-	opForeachNext              // a = end target; b = (keySlot+1)<<16 | valSlot; advance or exit
-	opIterPop                  // pop one foreach iterator (break)
-	opCallUser                 // a = function index, b = argc; args on stack
-	opCallBuiltin              // a = call-site index into calls; args on stack
-	opIsSet                    // pop; push v != nil
-	opUnsetVar                 // slots[a] = nil; push nil
-	opUnsetSubj                // pop; array → push, fall through; else push nil, pc = a
-	opADelete                  // pop key, pop arr; delete; push nil
-	opExtract                  // pop; import string keys into slots; push count
-	opReturn                   // pop; return value from the activation
-	opErr                      // fail with errs[a]
+	opConst        opcode = iota // push consts[a]
+	opLoadVar                    // push slots[a]
+	opStoreVar                   // slots[a] = pop
+	opDup                        // duplicate top of stack
+	opPop                        // drop top of stack
+	opJump                       // pc = a
+	opJumpIfFalse                // pop; if !truthy pc = a
+	opAndJump                    // pop l; if !truthy push false, pc = a
+	opOrJump                     // pop l; if truthy push true, pc = a
+	opToBool                     // pop; push truthy as bool
+	opNot                        // pop; push !truthy
+	opNeg                        // pop; push typed negation
+	opBinary                     // a = binKind, b = type-feedback site (-1 none); pop r, l
+	opEcho                       // pop; write toString to output buffer
+	opInlineHTML                 // write consts[a] (string) verbatim
+	opIndexNil                   // peek subject: nil → pop, push nil, pc = a; array/string → fall through; else error
+	opIndexGet                   // pop key, pop subject; a = IC site (-1), b = 1 when dynamic
+	opVivCheck                   // pop subj; array → push, pc = a; nil → push new array, fall through; else error
+	opStoreIndex                 // pop key, pop arr, pop val; a = IC site (-1), b = 1 when dynamic
+	opAppendSet                  // pop arr, pop val; ASet at the next auto-index
+	opCombine                    // a = combineKind; pop cur, pop val; push val <op> cur-style compound result
+	opIncDec                     // pop cur; push cur ± 1 (a = +1/-1)
+	opNewArray                   // push a fresh request-owned array
+	opArrAppend                  // pop val; peek arr; ASet at next auto-index
+	opArrSet                     // pop key, pop val; peek arr; b = 1 when dynamic
+	opLoopInit                   // loops[a] = 0
+	opLoopTick                   // loops[a]++; over the limit → iteration-limit error (b = 0 while, 1 for)
+	opForeachStart               // pop subject; must be array; push iterator; pc = a (the opForeachNext)
+	opForeachNext                // a = end target; b = (keySlot+1)<<16 | valSlot; advance or exit
+	opIterPop                    // pop one foreach iterator (break)
+	opCallUser                   // a = function index, b = argc; args on stack
+	opCallBuiltin                // a = call-site index into calls; args on stack
+	opIsSet                      // pop; push v != nil
+	opUnsetVar                   // slots[a] = nil; push nil
+	opUnsetSubj                  // pop; array → push, fall through; else push nil, pc = a
+	opADelete                    // pop key, pop arr; delete; push nil
+	opExtract                    // pop; import string keys into slots; push count
+	opReturn                     // pop; return value from the activation
+	opErr                        // fail with errs[a]
 )
 
 // binKind selects the operator for opBinary.
@@ -122,27 +122,12 @@ type compiledFn struct {
 // every declared function, with global counts for the inline-cache and
 // type-feedback site tables each executing Interp instantiates.
 type Compiled struct {
-	main      *compiledFn
-	fns       []*compiledFn // sorted by name
-	fnIndex   map[string]int32
-	numICs    int // polymorphic inline-cache sites (dynamic hash get/set)
-	numTFs    int // type-feedback sites (arithmetic/comparison)
-	numFuncs  int
-	srcHint   string // first function name, for diagnostics
-	totalInst int
+	main    *compiledFn
+	fns     []*compiledFn // sorted by name
+	fnIndex map[string]int32
+	numICs  int // polymorphic inline-cache sites (dynamic hash get/set)
+	numTFs  int // type-feedback sites (arithmetic/comparison)
 }
-
-// Funcs returns the number of compiled user functions (main excluded).
-func (c *Compiled) Funcs() int { return c.numFuncs }
-
-// ICSites returns the number of polymorphic inline-cache sites.
-func (c *Compiled) ICSites() int { return c.numICs }
-
-// TypeSites returns the number of type-feedback sites.
-func (c *Compiled) TypeSites() int { return c.numTFs }
-
-// Instructions returns the total opcode count across all functions.
-func (c *Compiled) Instructions() int { return c.totalInst }
 
 // --- per-Interp mutable execution state ---
 

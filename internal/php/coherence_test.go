@@ -65,11 +65,11 @@ echo $title, " ", $n;
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sw, err := RunScript(swRT(), tc.src)
+			sw, err := runScript(swRT(), tc.src)
 			if err != nil {
 				t.Fatalf("sw: %v", err)
 			}
-			hw, err := RunScript(hwRT(), tc.src)
+			hw, err := runScript(hwRT(), tc.src)
 			if err != nil {
 				t.Fatalf("hw: %v", err)
 			}

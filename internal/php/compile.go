@@ -33,14 +33,6 @@ func Compile(prog *Program) (*Compiled, error) {
 		return nil, err
 	}
 	c.main = main
-	c.numFuncs = len(c.fns)
-	c.totalInst = len(main.code)
-	for _, f := range c.fns {
-		c.totalInst += len(f.code)
-	}
-	if len(names) > 0 {
-		c.srcHint = names[0]
-	}
 	return c, nil
 }
 

@@ -122,15 +122,6 @@ func (in *Interp) Run() ([]byte, error) {
 	return in.ob.Bytes(), nil
 }
 
-// RunScript parses and runs src on rt in one call.
-func RunScript(rt *vm.Runtime, src string) ([]byte, error) {
-	prog, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return New(rt, prog).Run()
-}
-
 // charge accounts interpreter/JIT dispatch work for one AST node.
 func (in *Interp) charge(f *frame, uops float64) {
 	in.rt.Meter().AddUops(f.fn, sim.CatOther, uops)

@@ -36,15 +36,6 @@ func Parse(src string) (*Program, error) {
 	return prog, nil
 }
 
-// MustParse is Parse that panics on error, for fixtures.
-func MustParse(src string) *Program {
-	p, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 func (p *parser) cur() token  { return p.toks[p.pos] }
 func (p *parser) line() int   { return p.cur().line }
 func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }

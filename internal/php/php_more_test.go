@@ -6,7 +6,10 @@ import (
 )
 
 func TestSetGlobalInjection(t *testing.T) {
-	prog := MustParse(`<?php echo "request #$req by $user";`)
+	prog, err := Parse(`<?php echo "request #$req by $user";`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rt := swRT()
 	in := New(rt, prog)
 	in.SetGlobal("req", int64(7))
@@ -123,7 +126,7 @@ func TestArityErrors(t *testing.T) {
 		`<?php count();`,
 		`<?php max();`,
 	} {
-		if _, err := RunScript(swRT(), src); err == nil {
+		if _, err := runScript(swRT(), src); err == nil {
 			t.Errorf("%q should fail with an arity error", src)
 		} else if !strings.Contains(err.Error(), "argument") {
 			t.Errorf("%q error should mention arguments: %v", src, err)
@@ -173,17 +176,8 @@ echo firstEven([3, 7, 8, 9]), firstEven([1, 3]);
 	}
 }
 
-func TestMustParsePanicsOnBadSource(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Errorf("MustParse should panic on bad source")
-		}
-	}()
-	MustParse(`<?php if (`)
-}
-
 func TestNestedFunctionDeclarationRejected(t *testing.T) {
-	_, err := RunScript(swRT(), `<?php
+	_, err := runScript(swRT(), `<?php
 function outer() {
 	function inner() { return 1; }
 }

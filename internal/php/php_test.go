@@ -15,10 +15,19 @@ func hwRT() *vm.Runtime {
 	return vm.New(vm.Config{Features: isa.AllAccelerators(), Mitigations: sim.AllMitigations(), TraceCapacity: -1})
 }
 
+// runScript parses and runs src on rt in one call.
+func runScript(rt *vm.Runtime, src string) ([]byte, error) {
+	prog, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return New(rt, prog).Run()
+}
+
 // runSrc executes src on a software runtime and returns the output.
 func runSrc(t *testing.T, src string) string {
 	t.Helper()
-	out, err := RunScript(swRT(), src)
+	out, err := runScript(swRT(), src)
 	if err != nil {
 		t.Fatalf("RunScript: %v", err)
 	}
@@ -288,6 +297,7 @@ func TestParseErrors(t *testing.T) {
 	bad := []string{
 		`<?php echo ;`,
 		`<?php if (1) { echo 1;`,
+		`<?php if (`,
 		`<?php $x = ;`,
 		`<?php foreach ($a) {}`,
 		`<?php function f( {}`,
@@ -309,14 +319,14 @@ func TestRuntimeErrors(t *testing.T) {
 		`<?php echo preg_replace('/[/', "x", "y");`,
 	}
 	for _, src := range bad {
-		if _, err := RunScript(swRT(), src); err == nil {
-			t.Errorf("RunScript(%q) should fail", src)
+		if _, err := runScript(swRT(), src); err == nil {
+			t.Errorf("runScript(%q) should fail", src)
 		}
 	}
 }
 
 func TestRecursionDepthLimit(t *testing.T) {
-	_, err := RunScript(swRT(), `<?php
+	_, err := runScript(swRT(), `<?php
 function loop($n) { return loop($n + 1); }
 echo loop(0);
 `)
@@ -343,11 +353,11 @@ foreach ($posts as $p) {
 	echo render_item($p);
 }
 `
-	sw, err := RunScript(swRT(), src)
+	sw, err := runScript(swRT(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hw, err := RunScript(hwRT(), src)
+	hw, err := runScript(hwRT(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +373,7 @@ foreach ($posts as $p) {
 
 func TestCostsAreCharged(t *testing.T) {
 	rt := swRT()
-	_, err := RunScript(rt, `<?php
+	_, err := runScript(rt, `<?php
 $a = ['k' => "v"];
 echo strtoupper($a['k']);
 `)
@@ -380,12 +390,15 @@ echo strtoupper($a['k']);
 }
 
 func TestRequestTeardownFreesArrays(t *testing.T) {
-	rt := swRT()
-	if _, err := RunScript(rt, `<?php $a = [1, 2, 3]; $b = ['x' => $a];`); err != nil {
+	// The allocator samples its timeline on every operation, so the last
+	// sample is the state teardown left behind.
+	rt := vm.New(vm.Config{TraceCapacity: -1, HeapSampleEvery: 1})
+	if _, err := runScript(rt, `<?php $a = [1, 2, 3]; $b = ['x' => $a];`); err != nil {
 		t.Fatal(err)
 	}
-	if live := rt.CPU().Alloc.LiveCount(); live != 0 {
-		t.Errorf("request teardown leaked %d allocations", live)
+	tl := rt.CPU().Alloc.Timeline()
+	if left := tl[len(tl)-1].Bands; left != [5]int64{} {
+		t.Errorf("request teardown leaked live bytes per size band: %v", left)
 	}
 }
 

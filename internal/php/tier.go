@@ -128,10 +128,6 @@ func (in *Interp) EnableTier(comp *Compiled, mode TierMode, policy TierPolicy) e
 	return nil
 }
 
-// Compiled returns the compiled program installed by EnableTier (nil
-// when the tier is disabled), for sharing across workers.
-func (in *Interp) Compiled() *Compiled { return in.comp }
-
 // beginRequest advances the request counter and, in auto mode, rolls
 // the profile window when it fills.
 func (t *tierState) beginRequest() {
@@ -347,16 +343,4 @@ func (s *TierSnapshot) Merge(o TierSnapshot) {
 			s.PromotedFunctions++
 		}
 	}
-}
-
-// PromotedSet returns the sorted names currently on the bytecode tier —
-// what the CI determinism guard compares across same-seed runs.
-func (s TierSnapshot) PromotedSet() []string {
-	var out []string
-	for _, fn := range s.Fns {
-		if fn.Tier == "bytecode" {
-			out = append(out, fn.Name)
-		}
-	}
-	return out
 }

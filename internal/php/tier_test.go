@@ -2,6 +2,7 @@ package php
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -262,14 +263,13 @@ echo $sum;
 	if snap.Promotions == 0 {
 		t.Fatalf("expected promotions after 20 hot requests: %+v", snap)
 	}
-	promoted := snap.PromotedSet()
 	want := map[string]bool{"hot": true, "php_main": true}
-	for _, name := range promoted {
-		if !want[name] {
-			t.Errorf("unexpected promotion: %s", name)
+	for _, fn := range snap.Fns {
+		if fn.Tier == "bytecode" && !want[fn.Name] {
+			t.Errorf("unexpected promotion: %s", fn.Name)
 		}
 	}
-	if len(promoted) == 0 {
+	if snap.PromotedFunctions == 0 {
 		t.Fatal("promoted set empty")
 	}
 	if snap.BytecodeCalls == 0 || snap.InterpCalls == 0 {
@@ -302,8 +302,8 @@ echo render(["a" => $req, "b" => "x", "c" => "y"]);
 		return in.TierSnapshot()
 	}
 	a, b := run(), run()
-	if fmt.Sprint(a.PromotedSet()) != fmt.Sprint(b.PromotedSet()) {
-		t.Errorf("promotion sets differ: %v vs %v", a.PromotedSet(), b.PromotedSet())
+	if !reflect.DeepEqual(a.Fns, b.Fns) {
+		t.Errorf("per-function tiers and counters differ: %v vs %v", a.Fns, b.Fns)
 	}
 	if a.ICHits != b.ICHits || a.ICMisses != b.ICMisses {
 		t.Errorf("IC counters differ: %d/%d vs %d/%d", a.ICHits, a.ICMisses, b.ICHits, b.ICMisses)

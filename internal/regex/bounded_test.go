@@ -26,16 +26,16 @@ func TestBoundedRepetition(t *testing.T) {
 		{"[a-c]{2,3}x", "abx", true},
 	}
 	for _, c := range cases {
-		r := MustCompile(c.pattern)
-		if got := r.Match([]byte(c.input)); got != c.want {
+		r := mustCompile(c.pattern)
+		if got := r.match([]byte(c.input)); got != c.want {
 			t.Errorf("Match(%q, %q) = %v, want %v", c.pattern, c.input, got, c.want)
 		}
 	}
 }
 
 func TestBoundedLeftmostLongest(t *testing.T) {
-	r := MustCompile("a{2,4}")
-	s, e := r.Find([]byte("aaaaa"))
+	r := mustCompile("a{2,4}")
+	s, e := r.find([]byte("aaaaa"))
 	if s != 0 || e != 4 {
 		t.Errorf("Find = (%d,%d), want (0,4) leftmost-longest", s, e)
 	}
@@ -58,7 +58,7 @@ func TestLiteralBraceNotAQuantifier(t *testing.T) {
 			t.Errorf("Compile(%q): %v", c.pattern, err)
 			continue
 		}
-		if got := r.Match([]byte(c.input)); got != c.want {
+		if got := r.match([]byte(c.input)); got != c.want {
 			t.Errorf("Match(%q, %q) = %v, want %v", c.pattern, c.input, got, c.want)
 		}
 	}
@@ -78,10 +78,10 @@ func TestBoundedAgainstStdlib(t *testing.T) {
 	inputs := []string{"", "a", "aa", "aaa", "aaab", "ab", "abab", "ababab", "xy", "xxy", "xxxy", "12", "123", "1234"}
 	for _, p := range patterns {
 		std := regexp.MustCompile("^(?:" + p + ")$")
-		mine := MustCompile("^" + p + "$")
+		mine := mustCompile("^" + p + "$")
 		for _, in := range inputs {
 			want := std.MatchString(in)
-			got := mine.Match([]byte(in))
+			got := mine.match([]byte(in))
 			if got != want {
 				t.Errorf("pattern %q input %q: got %v, stdlib %v", p, in, got, want)
 			}
@@ -91,7 +91,7 @@ func TestBoundedAgainstStdlib(t *testing.T) {
 
 func TestWikitextStylePattern(t *testing.T) {
 	// A MediaWiki-flavored pattern exercising bounds: heading markers.
-	r := MustCompile("={2,6}[a-z ]+={2,6}")
+	r := mustCompile("={2,6}[a-z ]+={2,6}")
 	in := []byte("intro ==section one== body ======deep====== tail")
 	ms := r.FindAll(in)
 	if len(ms) != 2 {
@@ -104,25 +104,25 @@ func TestWikitextStylePattern(t *testing.T) {
 
 func TestBoundedFixedLenLookbehind(t *testing.T) {
 	// {n} inside a lookbehind keeps a fixed length.
-	r := MustCompile(`(?<=[a-z]{2})'`)
-	if !r.Match([]byte("ab'")) {
+	r := mustCompile(`(?<=[a-z]{2})'`)
+	if !r.match([]byte("ab'")) {
 		t.Errorf("lookbehind with {2} should match after two letters")
 	}
-	if r.Match([]byte("a'")) {
+	if r.match([]byte("a'")) {
 		t.Errorf("only one preceding letter: no match")
 	}
-	if r.LookbehindLen() != 2 {
-		t.Errorf("LookbehindLen = %d, want 2", r.LookbehindLen())
+	if r.lbLen != 2 {
+		t.Errorf("LookbehindLen = %d, want 2", r.lbLen)
 	}
 }
 
 func TestBoundedRepetitionStress(t *testing.T) {
 	// Large-but-legal expansion compiles and matches.
-	r := MustCompile("^a{200}$")
-	if !r.Match([]byte(strings.Repeat("a", 200))) {
+	r := mustCompile("^a{200}$")
+	if !r.match([]byte(strings.Repeat("a", 200))) {
 		t.Errorf("a{200} should match 200 a's")
 	}
-	if r.Match([]byte(strings.Repeat("a", 199))) {
+	if r.match([]byte(strings.Repeat("a", 199))) {
 		t.Errorf("a{200} must not match 199 a's")
 	}
 }

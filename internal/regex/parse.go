@@ -43,8 +43,6 @@ func (s *charSet) union(o charSet) {
 	}
 }
 
-func (s *charSet) empty() bool { return s[0]|s[1]|s[2]|s[3] == 0 }
-
 func singleton(b byte) charSet {
 	var s charSet
 	s.add(b)

@@ -15,7 +15,6 @@ type Observer interface {
 
 // Regex is a compiled pattern.
 type Regex struct {
-	pattern      string
 	dfa          *DFA
 	lbDFA        *DFA // fixed-length lookbehind assertion, or nil
 	lbLen        int
@@ -37,7 +36,6 @@ func Compile(pattern string) (*Regex, error) {
 		return nil, fmt.Errorf("%w (pattern %q)", err, pattern)
 	}
 	r := &Regex{
-		pattern:     pattern,
 		dfa:         dfa,
 		anchored:    p.anchored,
 		endAnchored: p.endAnchored,
@@ -57,19 +55,6 @@ func Compile(pattern string) (*Regex, error) {
 	return r, nil
 }
 
-// MustCompile is Compile that panics on error, for statically known
-// patterns in workloads and tests.
-func MustCompile(pattern string) *Regex {
-	r, err := Compile(pattern)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// Pattern returns the source pattern.
-func (r *Regex) Pattern() string { return r.pattern }
-
 // FSM returns the compiled DFA ("FSM table").
 func (r *Regex) FSM() *DFA { return r.dfa }
 
@@ -79,54 +64,19 @@ func (r *Regex) NumStates() int { return r.dfa.NumStates() }
 // Anchored reports whether the pattern begins with ^.
 func (r *Regex) Anchored() bool { return r.anchored }
 
-// MatchesEmpty reports whether the pattern matches the empty string.
-func (r *Regex) MatchesEmpty() bool { return r.matchesEmpty }
-
-// LookbehindLen returns the fixed length of the leading lookbehind
-// assertion, or 0.
-func (r *Regex) LookbehindLen() int { return r.lbLen }
-
 func (r *Regex) emitScan(n int) {
 	if r.Obs != nil {
 		r.Obs.OnScan(n)
 	}
 }
 
-// Match reports whether the pattern matches anywhere in input.
-func (r *Regex) Match(input []byte) bool {
-	s, _ := r.Find(input)
-	return s >= 0
-}
-
-// Find returns the leftmost-longest match [start, end) in input, or
-// (-1, -1). Cost: one Observer scan event covering the bytes examined.
-func (r *Regex) Find(input []byte) (start, end int) {
-	start, end, scanned := r.findFrom(input, 0)
-	r.emitScan(scanned)
-	return start, end
-}
-
-// FindFrom behaves like Find but starts the search at byte offset from.
-func (r *Regex) FindFrom(input []byte, from int) (start, end int) {
-	start, end, scanned := r.findFrom(input, from)
-	r.emitScan(scanned)
-	return start, end
-}
-
-// FindInRange returns the leftmost-longest match whose start position
-// lies in [from, to); the match itself may extend past to. The content
-// sifting shadow scan uses this to confine match attempts to candidate
-// windows around flagged segments.
-func (r *Regex) FindInRange(input []byte, from, to int) (start, end int) {
-	start, end, scanned := r.findBounded(input, from, to)
-	r.emitScan(scanned)
-	return start, end
-}
-
-// FindInRangeScanned is FindInRange that also returns the engine's
-// scanned-byte cost metric without emitting an observer event; callers
-// that batch many bounded searches into one logical scan aggregate the
-// costs themselves.
+// FindInRangeScanned returns the leftmost-longest match whose start
+// position lies in [from, to] (the match itself may extend past to), or
+// (-1, -1), plus the engine's scanned-byte cost metric; it emits no
+// observer event. The content sifting shadow scan uses it to confine
+// match attempts to candidate windows around flagged segments, batching
+// many bounded searches into one logical scan whose cost it aggregates
+// itself.
 func (r *Regex) FindInRangeScanned(input []byte, from, to int) (start, end, scanned int) {
 	return r.findBounded(input, from, to)
 }

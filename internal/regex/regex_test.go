@@ -8,10 +8,31 @@ import (
 	"testing/quick"
 )
 
+// mustCompile is Compile for the fixtures' statically known patterns.
+func mustCompile(pattern string) *Regex {
+	r, err := Compile(pattern)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// find returns the leftmost-longest match [start, end) in input, or
+// (-1, -1): the search FindAll repeats.
+func (r *Regex) find(input []byte) (start, end int) {
+	start, end, _ = r.findFrom(input, 0)
+	return start, end
+}
+
+// match reports whether the pattern matches anywhere in input.
+func (r *Regex) match(input []byte) bool {
+	s, _ := r.find(input)
+	return s >= 0
+}
+
 func mustFind(t *testing.T, pattern, input string) (int, int) {
 	t.Helper()
-	r := MustCompile(pattern)
-	return r.Find([]byte(input))
+	return mustCompile(pattern).find([]byte(input))
 }
 
 func TestLiteralMatch(t *testing.T) {
@@ -69,8 +90,8 @@ func TestAlternationAndGroups(t *testing.T) {
 		{"x(y|z)w", "xw", false},
 	}
 	for _, c := range cases {
-		r := MustCompile(c.pattern)
-		if got := r.Match([]byte(c.input)); got != c.want {
+		r := mustCompile(c.pattern)
+		if got := r.match([]byte(c.input)); got != c.want {
 			t.Errorf("Match(%q, %q) = %v, want %v", c.pattern, c.input, got, c.want)
 		}
 	}
@@ -99,8 +120,8 @@ func TestCharClasses(t *testing.T) {
 		{"a.c", "a\nc", false}, // dot excludes newline
 	}
 	for _, c := range cases {
-		r := MustCompile(c.pattern)
-		if got := r.Match([]byte(c.input)); got != c.want {
+		r := mustCompile(c.pattern)
+		if got := r.match([]byte(c.input)); got != c.want {
 			t.Errorf("Match(%q, %q) = %v, want %v", c.pattern, c.input, got, c.want)
 		}
 	}
@@ -119,8 +140,8 @@ func TestAnchors(t *testing.T) {
 		{"^only$", "only ", false},
 	}
 	for _, c := range cases {
-		r := MustCompile(c.pattern)
-		if got := r.Match([]byte(c.input)); got != c.want {
+		r := mustCompile(c.pattern)
+		if got := r.match([]byte(c.input)); got != c.want {
 			t.Errorf("Match(%q, %q) = %v, want %v", c.pattern, c.input, got, c.want)
 		}
 	}
@@ -129,19 +150,19 @@ func TestAnchors(t *testing.T) {
 func TestLookbehind(t *testing.T) {
 	// Match a quote only when preceded by a word character, the Fig. 11
 	// WordPress idiom.
-	r := MustCompile(`(?<=\w)'`)
-	s, e := r.Find([]byte("don't"))
+	r := mustCompile(`(?<=\w)'`)
+	s, e := r.find([]byte("don't"))
 	if s != 3 || e != 4 {
 		t.Errorf("lookbehind Find = (%d,%d), want (3,4)", s, e)
 	}
-	if r.Match([]byte("'start")) {
+	if r.match([]byte("'start")) {
 		t.Errorf("lookbehind should reject quote at position 0")
 	}
-	if r.Match([]byte(" 'x")) {
+	if r.match([]byte(" 'x")) {
 		t.Errorf("lookbehind should reject quote after space")
 	}
-	if r.LookbehindLen() != 1 {
-		t.Errorf("LookbehindLen = %d, want 1", r.LookbehindLen())
+	if r.lbLen != 1 {
+		t.Errorf("LookbehindLen = %d, want 1", r.lbLen)
 	}
 }
 
@@ -161,7 +182,7 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestFindAll(t *testing.T) {
-	r := MustCompile(`\d+`)
+	r := mustCompile(`\d+`)
 	ms := r.FindAll([]byte("a1b22c333"))
 	want := []MatchRange{{1, 2}, {3, 5}, {6, 9}}
 	if len(ms) != len(want) {
@@ -175,7 +196,7 @@ func TestFindAll(t *testing.T) {
 }
 
 func TestFindAllEmptyMatches(t *testing.T) {
-	r := MustCompile("x*")
+	r := mustCompile("x*")
 	ms := r.FindAll([]byte("ab"))
 	// Empty matches at every position must not loop forever.
 	if len(ms) != 3 {
@@ -184,7 +205,7 @@ func TestFindAllEmptyMatches(t *testing.T) {
 }
 
 func TestReplaceAll(t *testing.T) {
-	r := MustCompile(`\s+`)
+	r := mustCompile(`\s+`)
 	out, n := r.ReplaceAll([]byte("a  b\t\tc"), []byte(" "))
 	if string(out) != "a b c" || n != 2 {
 		t.Errorf("ReplaceAll = %q, %d", out, n)
@@ -197,7 +218,7 @@ func TestReplaceAll(t *testing.T) {
 
 func TestReplaceAllHTMLishWorkload(t *testing.T) {
 	// The paper's workloads wrap special characters in HTML entities.
-	r := MustCompile(`<`)
+	r := mustCompile(`<`)
 	out, n := r.ReplaceAll([]byte(`a<b<c`), []byte("&lt;"))
 	if string(out) != "a&lt;b&lt;c" || n != 2 {
 		t.Errorf("ReplaceAll = %q, %d", out, n)
@@ -207,7 +228,7 @@ func TestReplaceAllHTMLishWorkload(t *testing.T) {
 func TestFSMRunAndStateJump(t *testing.T) {
 	// Content reuse relies on running the FSM over a remembered prefix and
 	// resuming from the stored state.
-	r := MustCompile(`https://[a-z]+/\?author=[a-z]+`)
+	r := mustCompile(`https://[a-z]+/\?author=[a-z]+`)
 	d := r.FSM()
 	prefix := []byte("https://localhost/?author=")
 	st := d.Run(d.Start(), prefix)
@@ -228,7 +249,7 @@ func TestFSMRunAndStateJump(t *testing.T) {
 
 func TestDFADeterminismProperty(t *testing.T) {
 	// Running input i through Run must equal stepping byte by byte.
-	r := MustCompile(`[a-c]+(x|y)?[0-9]`)
+	r := mustCompile(`[a-c]+(x|y)?[0-9]`)
 	d := r.FSM()
 	f := func(input []byte) bool {
 		st := d.Start()
@@ -271,7 +292,7 @@ func TestRequiresSpecial(t *testing.T) {
 		{`&[a-z]+;`, true}, // entity
 	}
 	for _, c := range cases {
-		r := MustCompile(c.pattern)
+		r := mustCompile(c.pattern)
 		if got := r.RequiresSpecial(isRegularByte); got != c.want {
 			t.Errorf("RequiresSpecial(%q) = %v, want %v", c.pattern, got, c.want)
 		}
@@ -311,7 +332,7 @@ func TestAgainstStdlib(t *testing.T) {
 		}
 
 		loc := std.FindIndex(inputBytes)
-		s, e := mine.Find(inputBytes)
+		s, e := mine.find(inputBytes)
 		if loc == nil {
 			if s != -1 {
 				t.Errorf("pattern %q input %q: stdlib no match, ours (%d,%d)", pattern, inputBytes, s, e)
@@ -342,7 +363,7 @@ func TestObserverScanAccounting(t *testing.T) {
 		t.Fatalf("compile event missing: %v", obs.compiles)
 	}
 	input := []byte(strings.Repeat("x", 1000) + "needle")
-	if !r.Match(input) {
+	if len(r.FindAll(input)) != 1 {
 		t.Fatalf("should match")
 	}
 	if len(obs.scans) != 1 {
@@ -355,9 +376,9 @@ func TestObserverScanAccounting(t *testing.T) {
 }
 
 func TestPatternAccessors(t *testing.T) {
-	r := MustCompile("^ab")
-	if r.Pattern() != "^ab" || !r.Anchored() || r.MatchesEmpty() {
-		t.Errorf("accessors wrong: %q %v %v", r.Pattern(), r.Anchored(), r.MatchesEmpty())
+	r := mustCompile("^ab")
+	if !r.Anchored() || r.matchesEmpty {
+		t.Errorf("accessors wrong: %v %v", r.Anchored(), r.matchesEmpty)
 	}
 	if r.NumStates() < 2 {
 		t.Errorf("NumStates = %d", r.NumStates())
@@ -365,26 +386,26 @@ func TestPatternAccessors(t *testing.T) {
 }
 
 func TestAnchoredFindFrom(t *testing.T) {
-	r := MustCompile("^ab")
-	if s, _ := r.FindFrom([]byte("xxab"), 2); s != -1 {
+	r := mustCompile("^ab")
+	if s, _, _ := r.findFrom([]byte("xxab"), 2); s != -1 {
 		t.Errorf("anchored pattern must not match at offset 2")
 	}
-	if s, _ := r.FindFrom([]byte("abxx"), 0); s != 0 {
+	if s, _, _ := r.findFrom([]byte("abxx"), 0); s != 0 {
 		t.Errorf("anchored pattern should match at 0")
 	}
 }
 
 func BenchmarkFindLiteral(b *testing.B) {
-	r := MustCompile("quick brown")
+	r := mustCompile("quick brown")
 	input := []byte(strings.Repeat("the lazy dog sat. ", 100) + "the quick brown fox")
 	b.SetBytes(int64(len(input)))
 	for i := 0; i < b.N; i++ {
-		r.Find(input)
+		r.find(input)
 	}
 }
 
 func BenchmarkFindClass(b *testing.B) {
-	r := MustCompile(`<[a-z]+ href="[^"]*">`)
+	r := mustCompile(`<[a-z]+ href="[^"]*">`)
 	input := []byte(strings.Repeat(`some text <a href="https://example.com/page">link</a> `, 40))
 	b.SetBytes(int64(len(input)))
 	for i := 0; i < b.N; i++ {
@@ -394,6 +415,6 @@ func BenchmarkFindClass(b *testing.B) {
 
 func BenchmarkCompile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		MustCompile(`<(a|img|div)[^>]*>|&[a-z]+;|\d+`)
+		mustCompile(`<(a|img|div)[^>]*>|&[a-z]+;|\d+`)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -168,14 +167,6 @@ func (r *Router) SetBackendUp(id string, up bool) bool {
 		r.cfg.Events.Add(now, obs.EventRingChange, id, "virtual nodes removed")
 	}
 	return true
-}
-
-// BackendUp reports a backend's current health state.
-func (r *Router) BackendUp(id string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	b, ok := r.backends[id]
-	return ok && b.up
 }
 
 // SetDraining moves the router to the draining state: every subsequent
@@ -566,21 +557,4 @@ func (r *Router) Stats() RouterStats {
 		})
 	}
 	return rs
-}
-
-// Owners exposes the ring's fallback sequence for a key (primarily for
-// tests and the /backends endpoint).
-func (r *Router) Owners(key string, n int) []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ring.Owners(key, n)
-}
-
-// MemberIDs returns all registered backend ids, sorted.
-func (r *Router) MemberIDs() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := append([]string(nil), r.order...)
-	sort.Strings(out)
-	return out
 }

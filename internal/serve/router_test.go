@@ -246,7 +246,7 @@ func TestRouterRetryOnRefused(t *testing.T) {
 	// Find a page owned by b0, then kill b0.
 	var page int
 	for p := 0; p < 1000; p++ {
-		if owners := r.Owners("page:"+strconv.Itoa(p), 1); len(owners) == 1 && owners[0] == "0" {
+		if owners := r.ring.Owners("page:"+strconv.Itoa(p), 1); len(owners) == 1 && owners[0] == "0" {
 			page = p
 			break
 		}
@@ -264,7 +264,7 @@ func TestRouterRetryOnRefused(t *testing.T) {
 	if got := resp.Header.Get("X-Backend"); got != "1" {
 		t.Fatalf("rerouted to backend %q, want 1", got)
 	}
-	if r.BackendUp("0") {
+	if backendUp(r, "0") {
 		t.Fatal("dead backend still marked up after refused connection")
 	}
 	if rs := r.Stats(); rs.Retries == 0 {
@@ -348,7 +348,7 @@ func TestRouterHealthTransitions(t *testing.T) {
 		out := make(map[string]string)
 		for p := 0; p < 64; p++ {
 			k := "page:" + strconv.Itoa(p)
-			if o := r.Owners(k, 1); len(o) == 1 {
+			if o := r.ring.Owners(k, 1); len(o) == 1 {
 				out[k] = o[0]
 			}
 		}
@@ -450,11 +450,11 @@ func TestRouterRollingRestartZeroDrops(t *testing.T) {
 	// hard stop (refused) → restart → health loop readmits.
 	for _, b := range backends {
 		b.setDraining(true)
-		waitFor(t, 2*time.Second, func() bool { return !r.BackendUp(b.id) })
+		waitFor(t, 2*time.Second, func() bool { return !backendUp(r, b.id) })
 		b.stop()
 		time.Sleep(50 * time.Millisecond) // clients hit the refused window
 		b.restart(t)
-		waitFor(t, 2*time.Second, func() bool { return r.BackendUp(b.id) })
+		waitFor(t, 2*time.Second, func() bool { return backendUp(r, b.id) })
 		time.Sleep(50 * time.Millisecond)
 	}
 	close(stop)
@@ -475,9 +475,19 @@ func TestRouterRollingRestartZeroDrops(t *testing.T) {
 	t.Logf("rolling restart: %d served, %d typed sheds, 0 transport errors", served, shed)
 
 	// Both backends are back on the ring and own keys again.
-	if !r.BackendUp("0") || !r.BackendUp("1") {
-		t.Fatalf("backends not readmitted: up0=%v up1=%v", r.BackendUp("0"), r.BackendUp("1"))
+	if !backendUp(r, "0") || !backendUp(r, "1") {
+		t.Fatalf("backends not readmitted: up0=%v up1=%v", backendUp(r, "0"), backendUp(r, "1"))
 	}
+}
+
+// backendUp reports a backend's health as Stats shows it.
+func backendUp(r *Router, id string) bool {
+	for _, b := range r.Stats().Backends {
+		if b.ID == id {
+			return b.Up
+		}
+	}
+	return false
 }
 
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {

@@ -259,11 +259,11 @@ func TestStitchBackendTree(t *testing.T) {
 	if proxy.Cycles != 1000 || tree.Root.Cycles != 1000 {
 		t.Fatalf("cycles: proxy %g root %g, want 1000/1000", proxy.Cycles, tree.Root.Cycles)
 	}
-	// Telescoping: summed self vectors equal the root inclusive vector.
-	var selfSum sim.CategoryVec
-	tree.Root.Walk(func(sp *obs.TreeSpan, _ int) { selfSum = selfSum.Add(sp.SelfCategories()) })
-	if selfSum.Total() != tree.Root.Categories.Total() {
-		t.Fatalf("telescoping broken: %g != %g", selfSum.Total(), tree.Root.Categories.Total())
+	// Telescoping: summed self cycles equal the root's inclusive total.
+	var selfSum float64
+	tree.Root.Walk(func(sp *obs.TreeSpan, _ int) { selfSum += sp.SelfCycles() })
+	if selfSum != tree.Root.Cycles {
+		t.Fatalf("telescoping broken: %g != %g", selfSum, tree.Root.Cycles)
 	}
 	st := r.Stats()
 	if st.Stitched != 1 || st.StitchErrors != 0 {

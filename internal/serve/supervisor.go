@@ -34,7 +34,6 @@ type Proc struct {
 	cmd      *exec.Cmd
 	exited   chan struct{} // closed when the current incarnation exits
 	stopping bool          // deliberate stop in progress: don't respawn
-	starts   int           // total incarnations started
 }
 
 // StartProc launches the process described by spec.
@@ -67,7 +66,6 @@ func (p *Proc) startLocked() error {
 		return fmt.Errorf("serve: start %s: %w", p.spec.ID, err)
 	}
 	p.cmd = cmd
-	p.starts++
 	p.stopping = false
 	exited := make(chan struct{})
 	p.exited = exited
@@ -80,30 +78,6 @@ func (p *Proc) startLocked() error {
 
 // ID returns the process's spec ID.
 func (p *Proc) ID() string { return p.spec.ID }
-
-// Starts returns how many incarnations have been started (1 after
-// StartProc, +1 per Restart or respawn).
-func (p *Proc) Starts() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.starts
-}
-
-// Running reports whether the current incarnation is still alive.
-func (p *Proc) Running() bool {
-	p.mu.Lock()
-	exited := p.exited
-	p.mu.Unlock()
-	if exited == nil {
-		return false
-	}
-	select {
-	case <-exited:
-		return false
-	default:
-		return true
-	}
-}
 
 // Exited returns a channel closed when the current incarnation exits
 // (for respawn loops).

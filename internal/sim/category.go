@@ -87,16 +87,6 @@ func Categories() []Category {
 	}
 }
 
-// Accelerated reports whether the category is one of the four activities
-// targeted by the paper's specialized hardware.
-func (c Category) Accelerated() bool {
-	switch c {
-	case CatHash, CatHeap, CatString, CatRegex:
-		return true
-	}
-	return false
-}
-
 // AccelKind identifies one of the four proposed accelerators, for
 // per-accelerator energy and cycle attribution (Fig. 15).
 type AccelKind uint8

@@ -197,16 +197,6 @@ func (m *CostModel) RegexScanCost(n int) float64 {
 	return m.RegexFixed + float64(n)*m.RegexPerChar
 }
 
-// StringAccelCycles returns the accelerator cycles to stream n subject
-// bytes through the matching matrix.
-func (m *CostModel) StringAccelCycles(n int) float64 {
-	blocks := (n + m.StrBlockBytes - 1) / m.StrBlockBytes
-	if blocks < 1 {
-		blocks = 1
-	}
-	return m.StrInvokeCycles + float64(blocks)*m.StrBlockCycles
-}
-
 // Cycles converts a micro-op count into core cycles through the pipeline
 // throughput model.
 func (m *CostModel) Cycles(uops float64) float64 {

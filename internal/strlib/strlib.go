@@ -29,7 +29,6 @@ const (
 	OpAddSlashes
 	OpNL2BR
 	OpConcat
-	OpClassScan
 
 	NumOps
 )
@@ -59,8 +58,6 @@ func (o Op) String() string {
 		return "nl2br"
 	case OpConcat:
 		return "concat"
-	case OpClassScan:
-		return "class_scan"
 	default:
 		return "unknown"
 	}
@@ -131,33 +128,6 @@ func find(subject, pattern []byte) int {
 		return bytes.IndexByte(subject, pattern[0])
 	}
 	return bytes.Index(subject, pattern)
-}
-
-// findRef is the naive O(n·m) reference scan, kept for equivalence tests
-// and as the benchmark baseline.
-func findRef(subject, pattern []byte) int {
-	if len(pattern) == 0 {
-		return 0
-	}
-	if len(pattern) > len(subject) {
-		return -1
-	}
-	first := pattern[0]
-	for i := 0; i+len(pattern) <= len(subject); i++ {
-		if subject[i] != first {
-			continue
-		}
-		j := 1
-		for ; j < len(pattern); j++ {
-			if subject[i+j] != pattern[j] {
-				break
-			}
-		}
-		if j == len(pattern) {
-			return i
-		}
-	}
-	return -1
 }
 
 // Replace substitutes every occurrence of old with new in subject,
@@ -415,16 +385,11 @@ func IsRegular(c byte) bool {
 	return false
 }
 
-// ClassScan returns a bitmap with one bit per segment of segSize bytes,
-// set when the segment contains at least one special (non-regular)
-// character. This is the software reference for the hint vector (HV) the
-// string accelerator produces for the sieve regexp (§4.5).
-func (l *Lib) ClassScan(subject []byte, segSize int) []uint64 {
-	l.emit(OpClassScan, len(subject))
-	return ClassScanRef(subject, segSize)
-}
-
-// ClassScanRef is the pure reference implementation of ClassScan.
+// ClassScanRef returns a bitmap with one bit per segment of segSize
+// bytes, set when the segment contains at least one special
+// (non-regular) character. This is the software reference for the hint
+// vector (HV) the string accelerator produces for the sieve regexp
+// (§4.5).
 func ClassScanRef(subject []byte, segSize int) []uint64 {
 	if segSize <= 0 {
 		segSize = 32

@@ -312,9 +312,8 @@ func TestIsRegular(t *testing.T) {
 }
 
 func TestClassScan(t *testing.T) {
-	var l Lib
 	// 3 segments of 4 bytes: "abcd" regular, "e'fg" special, "hi" regular.
-	hv := l.ClassScan([]byte("abcde'fghi"), 4)
+	hv := ClassScanRef([]byte("abcde'fghi"), 4)
 	if len(hv) != 1 {
 		t.Fatalf("hv length %d", len(hv))
 	}
@@ -373,6 +372,33 @@ func TestObserverSeesEveryCall(t *testing.T) {
 	if obs.ops[2] != OpConcat || obs.bytes[2] != 4 {
 		t.Errorf("concat event wrong: %v %v", obs.ops[2], obs.bytes[2])
 	}
+}
+
+// findRef is the naive O(n·m) reference scan find is checked against,
+// and the benchmark baseline.
+func findRef(subject, pattern []byte) int {
+	if len(pattern) == 0 {
+		return 0
+	}
+	if len(pattern) > len(subject) {
+		return -1
+	}
+	first := pattern[0]
+	for i := 0; i+len(pattern) <= len(subject); i++ {
+		if subject[i] != first {
+			continue
+		}
+		j := 1
+		for ; j < len(pattern); j++ {
+			if subject[i+j] != pattern[j] {
+				break
+			}
+		}
+		if j == len(pattern) {
+			return i
+		}
+	}
+	return -1
 }
 
 // TestFindMatchesNaiveReference checks the bytes.Index-backed find against

@@ -2,7 +2,8 @@
 // mirroring the paper's trace-driven evaluation methodology (§5.1). The
 // VM records one event per runtime activity (hash map access, heap
 // operation, string function, regexp scan); the experiments aggregate
-// these traces, and the servers show live ones as JSON on /tracez.
+// these traces. No endpoint serves the events themselves (/tracez serves
+// obs span trees).
 //
 // A Recorder is single-writer: each simulated core (vm.Runtime) owns one
 // and records into it without locking. Fleet-level views are produced

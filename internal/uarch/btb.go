@@ -37,9 +37,6 @@ func NewBTB(entries, ways int) *BTB {
 	return b
 }
 
-// Entries returns the BTB capacity.
-func (b *BTB) Entries() int { return b.sets * b.ways }
-
 func (b *BTB) set(pc uint64) int {
 	return int((pc >> 2) % uint64(b.sets))
 }

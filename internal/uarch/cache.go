@@ -40,9 +40,6 @@ func NewCache(name string, size, lineSize, ways int, prefetch bool, next *Cache)
 	return c
 }
 
-// Name returns the cache's label.
-func (c *Cache) Name() string { return c.name }
-
 // Access touches addr, recursing into lower levels on a miss. It returns
 // true on hit at this level.
 func (c *Cache) Access(addr uint64) bool {
@@ -108,14 +105,6 @@ func (c *Cache) MPKI(instructions int64) float64 {
 		return 0
 	}
 	return 1000 * float64(c.Misses) / float64(instructions)
-}
-
-// MissRate returns the per-access miss rate.
-func (c *Cache) MissRate() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(c.Accesses)
 }
 
 // Hierarchy is the simulated L1I/L1D/shared-L2 memory system.

@@ -90,18 +90,6 @@ func SPECProfile() Profile {
 	}
 }
 
-// SPECWebProfile returns a SPECWeb2005-like profile: web-server code with
-// JIT-compiled hotspots (Fig. 1's banking/e-commerce contrast).
-func SPECWebProfile(kind string) Profile {
-	p := SPECProfile()
-	p.Name = "specweb-" + kind
-	p.Funcs = 120
-	p.CallZipf = 1.5
-	p.BranchFrac = 0.15
-	p.DataDepFrac = 0.05
-	return p
-}
-
 // instrKind classifies one static instruction slot.
 type instrKind uint8
 

@@ -222,14 +222,6 @@ func (t *TAGE) MPKI(instructions int64) float64 {
 	return 1000 * float64(t.Mispredicts) / float64(instructions)
 }
 
-// MispredictRate returns the per-branch misprediction rate.
-func (t *TAGE) MispredictRate() float64 {
-	if t.Lookups == 0 {
-		return 0
-	}
-	return float64(t.Mispredicts) / float64(t.Lookups)
-}
-
 func satUpdate3(c int8, taken bool) int8 {
 	if taken {
 		if c < 3 {

@@ -8,13 +8,19 @@ import (
 
 // --- TAGE ---
 
+// mispredictRate is the per-branch misprediction rate.
+func mispredictRate(t *TAGE) float64 { return float64(t.Mispredicts) / float64(t.Lookups) }
+
+// missRate is the per-access miss rate.
+func missRate(c *Cache) float64 { return float64(c.Misses) / float64(c.Accesses) }
+
 func TestTAGELearnsAlwaysTaken(t *testing.T) {
 	bp := NewTAGE(DefaultTAGEConfig())
 	for i := 0; i < 1000; i++ {
 		bp.Predict(0x1000)
 		bp.Update(0x1000, true)
 	}
-	if rate := bp.MispredictRate(); rate > 0.02 {
+	if rate := mispredictRate(bp); rate > 0.02 {
 		t.Errorf("always-taken branch mispredict rate %0.3f, want ~0", rate)
 	}
 }
@@ -28,7 +34,7 @@ func TestTAGELearnsAlternatingPattern(t *testing.T) {
 		bp.Predict(0x2000)
 		bp.Update(0x2000, taken)
 	}
-	if rate := bp.MispredictRate(); rate > 0.10 {
+	if rate := mispredictRate(bp); rate > 0.10 {
 		t.Errorf("alternating pattern mispredict rate %0.3f, want < 0.10", rate)
 	}
 }
@@ -57,7 +63,7 @@ func TestTAGECannotPredictRandom(t *testing.T) {
 		bp.Predict(0x4000)
 		bp.Update(0x4000, rng.Intn(2) == 0)
 	}
-	rate := bp.MispredictRate()
+	rate := mispredictRate(bp)
 	if rate < 0.4 || rate > 0.6 {
 		t.Errorf("random branch mispredict rate %0.3f, want ~0.5", rate)
 	}
@@ -115,8 +121,8 @@ func TestBTBCapacityPressure(t *testing.T) {
 }
 
 func TestBTBEntries(t *testing.T) {
-	if NewBTB(4096, 2).Entries() != 4096 {
-		t.Errorf("Entries() wrong")
+	if b := NewBTB(4096, 2); b.sets*b.ways != 4096 {
+		t.Errorf("NewBTB(4096, 2) holds %d entries", b.sets*b.ways)
 	}
 }
 
@@ -133,8 +139,8 @@ func TestCacheHitAfterMiss(t *testing.T) {
 	if !c.Access(0x1004) {
 		t.Errorf("same line should hit")
 	}
-	if c.MissRate() != 1.0/3 {
-		t.Errorf("miss rate = %v", c.MissRate())
+	if missRate(c) != 1.0/3 {
+		t.Errorf("miss rate = %v", missRate(c))
 	}
 }
 
@@ -171,8 +177,8 @@ func TestHierarchyFiltersL2(t *testing.T) {
 	for i := 0; i < 200000; i++ {
 		h.L1I.Access(uint64(0x400000 + rng.Intn(16<<10)))
 	}
-	if h.L1I.MissRate() > 0.01 {
-		t.Errorf("16KB working set should fit 32KB L1I: %0.4f", h.L1I.MissRate())
+	if missRate(h.L1I) > 0.01 {
+		t.Errorf("16KB working set should fit 32KB L1I: %0.4f", missRate(h.L1I))
 	}
 	if h.L2.Accesses > h.L1I.Misses+h.L2.Prefetches+1000 {
 		t.Errorf("L2 sees more accesses than L1 misses: %d vs %d", h.L2.Accesses, h.L1I.Misses)

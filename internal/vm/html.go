@@ -125,9 +125,6 @@ func (o *OutputBuffer) WriteString(s string) { o.Write([]byte(s)) }
 // Bytes returns the accumulated response.
 func (o *OutputBuffer) Bytes() []byte { return o.buf }
 
-// Len returns the buffered length.
-func (o *OutputBuffer) Len() int { return len(o.buf) }
-
 // --- Tag generation ---
 
 // BuildTag renders an HTML tag with escaped attribute values pulled from
@@ -180,17 +177,13 @@ type Chain struct {
 	repl  [][]byte // replacement bytes, converted once at build time
 }
 
-// NewChain compiles a chain through the regexp manager.
-func (r *Runtime) NewChain(fn string, steps []ChainStep) (*Chain, error) {
-	return r.RefreshChain(nil, fn, steps)
-}
-
-// RefreshChain is NewChain reusing a previously built chain's structure:
-// the regexp-manager lookups (and their simulated cost) run exactly as
-// in NewChain, but the Go-side slices are rebuilt in place. Passing nil
-// builds a fresh chain. A caller that re-derives the same chain every
-// request — the dataflow analysis runs per invocation even though its
-// result is stable — keeps one Chain per runtime and refreshes it.
+// RefreshChain compiles a chain through the regexp manager, reusing a
+// previously built chain's structure: the regexp-manager lookups (and
+// their simulated cost) run on every call, but the Go-side slices are
+// rebuilt in place. Passing nil builds a fresh chain. A caller that
+// re-derives the same chain every request — the dataflow analysis runs
+// per invocation even though its result is stable — keeps one Chain per
+// runtime and refreshes it.
 func (r *Runtime) RefreshChain(c *Chain, fn string, steps []ChainStep) (*Chain, error) {
 	if c == nil {
 		c = &Chain{}

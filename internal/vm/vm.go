@@ -168,13 +168,6 @@ func (r *Runtime) BeginRequest() uint64 {
 // protocol, §4.6).
 func (r *Runtime) ContextSwitch() { r.cpu.ContextSwitch() }
 
-// RemoteTouch models another core accessing the array's memory: the
-// hardware hash table gives up its cached entries so the remote reader
-// observes a coherent software map (§4.1 design principle e / §4.2).
-func (r *Runtime) RemoteTouch(fn string, a *Array) {
-	r.cpu.RemoteCoherence(fn, a.m)
-}
-
 // --- Arrays (PHP hash maps) ---
 
 // Array is a PHP array handle: the ordered hash map plus its heap
@@ -187,9 +180,6 @@ type Array struct {
 
 // Map exposes the underlying ordered hash map.
 func (a *Array) Map() *hashmap.Map { return a.m }
-
-// Size returns the number of live pairs.
-func (a *Array) Size() int { return a.m.Size() }
 
 // NewArray allocates a PHP array (the map structure itself comes from the
 // heap, as in the VM). The structure is recycled from the runtime's free
@@ -296,9 +286,6 @@ type Str struct {
 
 // Bytes exposes the string contents.
 func (s *Str) Bytes() []byte { return s.b }
-
-// Len returns the byte length.
-func (s *Str) Len() int { return len(s.b) }
 
 // NewStr allocates a PHP string object holding b (not copied). The
 // handle comes from the runtime's free list when one is available —

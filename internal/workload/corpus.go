@@ -87,18 +87,12 @@ func (c *Corpus) Post(i int) []byte { return c.Posts[i%len(c.Posts)] }
 // Title returns post i's title.
 func (c *Corpus) Title(i int) []byte { return c.Titles[i%len(c.Titles)] }
 
-// Author returns post i's author name.
-func (c *Corpus) Author(i int) string { return c.Authors[i%len(c.Authors)] }
-
-// AuthorBytes returns post i's author name as read-only bytes
-// (precomputed; callers must not mutate).
-func (c *Corpus) AuthorBytes(i int) []byte { return c.authorBytes[i%len(c.authorBytes)] }
-
 // AuthorVal returns post i's author name pre-boxed as an interface
 // value, for storing into arrays without a per-store allocation.
 func (c *Corpus) AuthorVal(i int) any { return c.authorVals[i%len(c.authorVals)] }
 
-// AuthorBytesVal is AuthorBytes pre-boxed the same way.
+// AuthorBytesVal is the same name as read-only bytes (precomputed;
+// callers must not mutate), pre-boxed the same way.
 func (c *Corpus) AuthorBytesVal(i int) any { return c.authorByteVals[i%len(c.authorByteVals)] }
 
 // Comment returns comment i.

@@ -49,9 +49,8 @@ func TestTierDeterminismGuard(t *testing.T) {
 	if a.Promotions == 0 || a.BytecodeCalls == 0 {
 		t.Fatalf("load never promoted — it is not exercising the tier: %+v", a)
 	}
-	if !reflect.DeepEqual(a.PromotedSet(), b.PromotedSet()) {
-		t.Errorf("promoted sets diverge across identical seeded runs:\n a %v\n b %v",
-			a.PromotedSet(), b.PromotedSet())
+	if !reflect.DeepEqual(a.Fns, b.Fns) {
+		t.Errorf("per-function tiers diverge across identical seeded runs:\n a %v\n b %v", a.Fns, b.Fns)
 	}
 	if a.Requests != b.Requests || a.Promotions != b.Promotions || a.Demotions != b.Demotions ||
 		a.BytecodeCalls != b.BytecodeCalls || a.InterpCalls != b.InterpCalls ||

@@ -71,8 +71,8 @@ func TestPoolTierPromotionDeterminism(t *testing.T) {
 		return p.TierSnapshot()
 	}
 	a, b := run(), run()
-	if !reflect.DeepEqual(a.PromotedSet(), b.PromotedSet()) {
-		t.Errorf("promotion set differs across identical runs:\n a %v\n b %v", a.PromotedSet(), b.PromotedSet())
+	if !reflect.DeepEqual(a.Fns, b.Fns) {
+		t.Errorf("per-function tiers differ across identical runs:\n a %v\n b %v", a.Fns, b.Fns)
 	}
 	if a.Promotions != b.Promotions || a.BytecodeCalls != b.BytecodeCalls {
 		t.Errorf("tier counters differ across identical runs:\n a %+v\n b %+v", a, b)

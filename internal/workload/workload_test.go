@@ -50,7 +50,7 @@ func TestAppsDeterministic(t *testing.T) {
 
 func TestResponsesNonTrivial(t *testing.T) {
 	rt := swRuntime()
-	for _, app := range Apps(3) {
+	for _, app := range []App{NewWordPress(3), NewDrupal(3), NewMediaWiki(3)} {
 		page := app.ServeRequest(rt)
 		if len(page) < 1000 {
 			t.Errorf("%s page too small: %d bytes", app.Name(), len(page))

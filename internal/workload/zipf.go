@@ -61,19 +61,3 @@ func (z *ZipfKeys) Next() int {
 func (z *ZipfKeys) pick(u float64) int {
 	return sort.SearchFloat64s(z.cdf, u)
 }
-
-// Pages returns the size of the page set.
-func (z *ZipfKeys) Pages() int { return len(z.cdf) }
-
-// TopShare returns the fraction of draws expected to land on the n most
-// popular pages — the analytic hit-rate ceiling for a cache holding n
-// entries under this distribution.
-func (z *ZipfKeys) TopShare(n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	if n >= len(z.cdf) {
-		return 1
-	}
-	return z.cdf[n-1]
-}

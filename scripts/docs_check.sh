@@ -117,7 +117,7 @@ fi
 # binary emits must be documented, so a new series cannot land without
 # an operator-facing definition.
 if [ -n "$router_src" ] && [ -f "$opsdoc" ]; then
-	series=$(grep -oh '"phprouter_[a-z_]*"' $router_src | tr -d '"' | sort -u)
+	series=$(grep -oh '"phprouter_[a-z0-9_]*"' $router_src | tr -d '"' | sort -u)
 	for s in $series; do
 		if ! grep -qF -- "$s" "$opsdoc"; then
 			echo "docs-check: metric series $s (from cmd/phprouter) is not documented in $opsdoc" >&2
@@ -129,7 +129,7 @@ fi
 # Server metrics coverage: the same rule for every phpserve_* series the
 # server binary emits, across every non-test file in the package.
 if [ -n "$server_src" ] && [ -f "$opsdoc" ]; then
-	series=$(grep -oh '"phpserve_[a-z_]*"' $server_src | tr -d '"' | sort -u)
+	series=$(grep -oh '"phpserve_[a-z0-9_]*"' $server_src | tr -d '"' | sort -u)
 	for s in $series; do
 		if ! grep -qF -- "$s" "$opsdoc"; then
 			echo "docs-check: metric series $s (from cmd/phpserve) is not documented in $opsdoc" >&2
