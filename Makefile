@@ -19,8 +19,9 @@ vet:
 
 # Fail if exported identifiers in the operator-facing packages lack doc
 # comments — their API is the surface docs/OPERATIONS.md describes —
-# if any phpserve/phprouter HTTP endpoint, CLI flag, or phprouter_*
-# metric series is missing from OPERATIONS.md, or if EXPERIMENTS.md's
+# if any phpserve/phprouter HTTP endpoint or CLI flag is missing from
+# OPERATIONS.md (its metric tables are rendered from the servers and
+# held by `go test`, not grepped for here), or if EXPERIMENTS.md's
 # generated block is not the rendering of FIGURES.json (no experiment is
 # run). internal/serve is in the list because the router/supervisor/
 # cluster API is what the cluster section documents.

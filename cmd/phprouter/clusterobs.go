@@ -1,13 +1,12 @@
 // Cluster observability plane: the router-side halves of request-ID
 // propagation (serve.Router mints and stitches; this file exposes the
 // results), the /tracez | /clusterz | /eventz endpoints, and the
-// cluster-level gauge block on /metrics built from fleet scrapes.
+// cluster view whose tagged fields are the phprouter_cluster_* gauges.
 package main
 
 import (
 	"context"
 	"net/http"
-	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -48,9 +47,9 @@ func (rt *router) handleTracez(w http.ResponseWriter, r *http.Request) {
 	obs.ServeTracez(w, r, rt.treeRing)
 }
 
-// clusterzBackendRow is one backend's slice of the fleet in /clusterz:
-// the skew table that shows how the affinity ring split the load.
-type clusterzBackendRow struct {
+// clusterBackend is one backend's slice of the fleet in /clusterz: the
+// skew table that shows how the affinity ring split the load.
+type clusterBackend struct {
 	ID           string  `json:"id"`
 	Addr         string  `json:"addr"`
 	Requests     float64 `json:"requests"`
@@ -61,47 +60,56 @@ type clusterzBackendRow struct {
 	Error        string  `json:"error,omitempty"`
 }
 
-// clusterzProfile is the fleet-merged flat profile's headline block —
+// clusterProfile is the fleet-merged flat profile's headline block —
 // the paper's Fig. 1 numbers computed over the whole cluster's windowed
 // cycles, not any single process.
-type clusterzProfile struct {
+type clusterProfile struct {
 	TotalCycles float64 `json:"total_cycles"`
-	Functions   int     `json:"functions"`
+	Functions   int     `json:"functions" prom:"cluster_profile_functions,gauge" help:"Distinct functions in the fleet-merged profile window."`
 	Hottest     string  `json:"hottest,omitempty"`
-	HottestFrac float64 `json:"hottest_frac"`
-	FuncsFor65  int     `json:"funcs_for_65"`
+	HottestFrac float64 `json:"hottest_frac" prom:"cluster_profile_hottest_frac,gauge" help:"Hottest function's share of fleet-merged windowed cycles (cluster Fig. 1 headline)."`
+	FuncsFor65  int     `json:"funcs_for_65" prom:"cluster_profile_funcs_for_65,gauge" help:"Hottest functions covering 65% of fleet-merged cycles (cluster Fig. 1 headline)."`
 }
 
-// clusterzResponse is the GET /clusterz JSON shape.
-type clusterzResponse struct {
-	Time            string               `json:"time"`
-	BackendsUp      int                  `json:"backends_up"`
-	BackendsScraped int                  `json:"backends_scraped"`
-	Requests        float64              `json:"requests"`
-	CacheHitRatio   float64              `json:"cache_hit_ratio"`
-	LatencyP50Ms    float64              `json:"latency_p50_ms"`
-	LatencyP95Ms    float64              `json:"latency_p95_ms"`
-	LatencyP99Ms    float64              `json:"latency_p99_ms"`
-	Profile         clusterzProfile      `json:"profile"`
-	Backends        []clusterzBackendRow `json:"backends"`
+// clusterStats is the merged fleet view, declared once: GET /clusterz
+// is its JSON and the phprouter_cluster_* gauges are the tagged fields.
+// Latency comes from the bucket-wise merged histograms, in milliseconds
+// on /clusterz and in seconds per quantile on /metrics.
+type clusterStats struct {
+	Time            string           `json:"time"`
+	BackendsUp      int              `json:"backends_up"`
+	BackendsScraped int              `json:"backends_scraped" prom:"cluster_backends_scraped,gauge" help:"Backends whose /metrics and /profilez answered the last fleet scrape."`
+	ScrapeErrors    int              `json:"-" prom:"cluster_scrape_errors,gauge" help:"Healthy backends the last fleet scrape failed to read."`
+	Requests        float64          `json:"requests" prom:"cluster_requests,gauge" help:"Fleet-wide served requests (merged backend counters at the last scrape)."`
+	CacheHitRatio   float64          `json:"cache_hit_ratio" prom:"cluster_cache_hit_ratio,gauge" help:"Aggregate response-cache hit fraction across the fleet, from merged counters."`
+	LatencyP50Ms    float64          `json:"latency_p50_ms"`
+	LatencyP95Ms    float64          `json:"latency_p95_ms"`
+	LatencyP99Ms    float64          `json:"latency_p99_ms"`
+	Latency         obs.Vec          `json:"-" prom:"cluster_latency_seconds,gauge,by=quantile" help:"Fleet request latency quantiles from the bucket-wise merged histograms."`
+	Profile         clusterProfile   `json:"profile"`
+	Backends        []clusterBackend `json:"backends"`
 }
 
-// handleClusterz serves the merged fleet view: aggregate hit ratio and
-// latency quantiles from bucket-wise merged histograms, the per-backend
+// cluster builds the merged fleet view from a (TTL-coalesced) fleet
+// scrape: aggregate hit ratio and latency quantiles, the per-backend
 // skew table, and the cluster-wide Fig. 1 profile headline.
-func (rt *router) handleClusterz(w http.ResponseWriter, r *http.Request) {
-	fs := rt.fleet(r.Context())
+func (rt *router) cluster(ctx context.Context, rs serve.RouterStats) clusterStats {
+	fs := rt.fleet(ctx)
 	lat := fs.Latency()
-	resp := clusterzResponse{
+	p50, p95, p99 := lat.Quantile(0.5), lat.Quantile(0.95), lat.Quantile(0.99)
+	total := fs.Requests()
+	cs := clusterStats{
 		Time:            fs.Time.UTC().Format(time.RFC3339Nano),
-		BackendsUp:      rt.r.Stats().UpCount(),
+		BackendsUp:      rs.UpCount(),
 		BackendsScraped: fs.Scraped(),
-		Requests:        fs.Requests(),
+		ScrapeErrors:    len(fs.Backends) - fs.Scraped(),
+		Requests:        total,
 		CacheHitRatio:   obs.Finite(fs.CacheHitRatio()),
-		LatencyP50Ms:    1000 * lat.Quantile(0.5),
-		LatencyP95Ms:    1000 * lat.Quantile(0.95),
-		LatencyP99Ms:    1000 * lat.Quantile(0.99),
-		Profile: clusterzProfile{
+		LatencyP50Ms:    1000 * p50,
+		LatencyP95Ms:    1000 * p95,
+		LatencyP99Ms:    1000 * p99,
+		Latency:         obs.Vec{{Name: "0.5", Value: p50}, {Name: "0.95", Value: p95}, {Name: "0.99", Value: p99}},
+		Profile: clusterProfile{
 			TotalCycles: fs.Profile.Total,
 			Functions:   fs.Profile.NumFunctions(),
 			HottestFrac: obs.Finite(fs.Profile.HottestFrac()),
@@ -109,11 +117,10 @@ func (rt *router) handleClusterz(w http.ResponseWriter, r *http.Request) {
 		},
 	}
 	if fs.Profile.NumFunctions() > 0 {
-		resp.Profile.Hottest = fs.Profile.Entries[0].Name
+		cs.Profile.Hottest = fs.Profile.Entries[0].Name
 	}
-	total := fs.Requests()
 	for _, b := range fs.Backends {
-		row := clusterzBackendRow{ID: b.ID, Addr: b.Addr}
+		row := clusterBackend{ID: b.ID, Addr: b.Addr}
 		if b.Err != nil {
 			row.Error = b.Err.Error()
 		} else {
@@ -127,9 +134,14 @@ func (rt *router) handleClusterz(w http.ResponseWriter, r *http.Request) {
 				row.LoadShare = row.Requests / total
 			}
 		}
-		resp.Backends = append(resp.Backends, row)
+		cs.Backends = append(cs.Backends, row)
 	}
-	obs.WriteJSON(w, http.StatusOK, resp)
+	return cs
+}
+
+// handleClusterz serves the merged fleet view.
+func (rt *router) handleClusterz(w http.ResponseWriter, r *http.Request) {
+	obs.WriteJSON(w, http.StatusOK, rt.cluster(r.Context(), rt.r.Stats()))
 }
 
 // eventzResponse is the GET /eventz JSON shape: the bounded cluster
@@ -154,66 +166,4 @@ func (rt *router) handleEventz(w http.ResponseWriter, r *http.Request) {
 		resp.Events = []obs.Event{}
 	}
 	obs.WriteJSON(w, http.StatusOK, resp)
-}
-
-// clusterMetrics appends the observability-plane series to the router's
-// /metrics exposition: event and stitching counters plus the
-// cluster-level gauges computed from a (TTL-coalesced) fleet scrape.
-func (rt *router) clusterMetrics(ctx context.Context, e *obs.Encoder, rs serve.RouterStats) {
-	e.Counter("phprouter_stitched_trees_total",
-		"Backend span trees fetched and grafted under a router proxy span.",
-		obs.Sample{Value: float64(rs.Stitched)})
-	e.Counter("phprouter_stitch_errors_total",
-		"Backend tree fetches that failed (tree evicted, backend gone, decode error).",
-		obs.Sample{Value: float64(rs.StitchErrors)})
-	if rt.treeRing != nil {
-		e.Counter("phprouter_trace_trees_total",
-			"Sampled router span trees ever retained in the /tracez ring.",
-			obs.Sample{Value: float64(rt.treeRing.Total())})
-	}
-
-	counts := rt.events.Counts()
-	kinds := make([]string, 0, len(counts))
-	for k := range counts {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	evs := make([]obs.Sample, 0, len(kinds))
-	for _, k := range kinds {
-		evs = append(evs, obs.Sample{
-			Labels: []obs.Label{{Name: "kind", Value: k}},
-			Value:  float64(counts[k]),
-		})
-	}
-	e.Counter("phprouter_events_total",
-		"Cluster events recorded (backend up/down, ring changes, restart phases), by kind.", evs...)
-
-	fs := rt.fleet(ctx)
-	e.Gauge("phprouter_cluster_backends_scraped",
-		"Backends whose /metrics and /profilez answered the last fleet scrape.",
-		obs.Sample{Value: float64(fs.Scraped())})
-	e.Gauge("phprouter_cluster_scrape_errors",
-		"Healthy backends the last fleet scrape failed to read.",
-		obs.Sample{Value: float64(len(fs.Backends) - fs.Scraped())})
-	e.Gauge("phprouter_cluster_requests",
-		"Fleet-wide served requests (merged backend counters at the last scrape).",
-		obs.Sample{Value: fs.Requests()})
-	e.Gauge("phprouter_cluster_cache_hit_ratio",
-		"Aggregate response-cache hit fraction across the fleet, from merged counters.",
-		obs.Sample{Value: obs.Finite(fs.CacheHitRatio())})
-	lat := fs.Latency()
-	e.Gauge("phprouter_cluster_latency_seconds",
-		"Fleet request latency quantiles from the bucket-wise merged histograms.",
-		obs.Sample{Labels: []obs.Label{{Name: "quantile", Value: "0.5"}}, Value: lat.Quantile(0.5)},
-		obs.Sample{Labels: []obs.Label{{Name: "quantile", Value: "0.95"}}, Value: lat.Quantile(0.95)},
-		obs.Sample{Labels: []obs.Label{{Name: "quantile", Value: "0.99"}}, Value: lat.Quantile(0.99)})
-	e.Gauge("phprouter_cluster_profile_hottest_frac",
-		"Hottest function's share of fleet-merged windowed cycles (cluster Fig. 1 headline).",
-		obs.Sample{Value: obs.Finite(fs.Profile.HottestFrac())})
-	e.Gauge("phprouter_cluster_profile_funcs_for_65",
-		"Hottest functions covering 65% of fleet-merged cycles (cluster Fig. 1 headline).",
-		obs.Sample{Value: float64(fs.Profile.FuncsForFrac(0.65))})
-	e.Gauge("phprouter_cluster_profile_functions",
-		"Distinct functions in the fleet-merged profile window.",
-		obs.Sample{Value: float64(fs.Profile.NumFunctions())})
 }

@@ -45,6 +45,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -154,94 +155,54 @@ func (rt *router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	obs.WriteJSON(w, status, resp)
 }
 
-// handleBackends dumps per-backend routing state as JSON (a debugging
-// view; /metrics carries the same numbers as series).
+// handleBackends dumps the routing state as JSON — the tagged
+// serve.RouterStats itself, the numbers /metrics carries as series.
 func (rt *router) handleBackends(w http.ResponseWriter, _ *http.Request) {
-	rs := rt.r.Stats()
-	type row struct {
-		ID        string `json:"id"`
-		Addr      string `json:"addr"`
-		Up        bool   `json:"up"`
-		Inflight  int    `json:"inflight"`
-		Requests  int64  `json:"requests"`
-		Errors    int64  `json:"errors"`
-		Shed      int64  `json:"shed"`
-		CacheHits int64  `json:"cache_hits"`
-	}
-	out := struct {
-		Draining bool  `json:"draining"`
-		Retries  int64 `json:"retries"`
-		Rows     []row `json:"backends"`
-	}{Draining: rs.Draining, Retries: rs.Retries}
-	for _, b := range rs.Backends {
-		out.Rows = append(out.Rows, row{b.ID, b.Addr, b.Up, b.Inflight, b.Requests, b.Errors, b.Shed, b.CacheHits})
-	}
-	obs.WriteJSON(w, http.StatusOK, out)
+	obs.WriteJSON(w, http.StatusOK, rt.r.Stats())
+}
+
+// routerMetrics is everything on the router's /metrics and the one
+// declaration of each series: the router's own gauges, the tagged
+// serve.RouterStats with its per-backend rows, the observability
+// plane's counters, and the cluster view /clusterz also serves.
+type routerMetrics struct {
+	UptimeSec   float64 `prom:"uptime_seconds,gauge" help:"Seconds since the router started."`
+	NumBackends int     `prom:"backends,gauge" help:"Configured backend count."`
+	BackendsUp  int     `prom:"backends_up,gauge" help:"Backends currently healthy and on the ring."`
+	serve.RouterStats
+	TraceTrees *int64  `prom:"trace_trees_total,counter" help:"Sampled router span trees ever retained in the /tracez ring."`
+	Events     obs.Vec `prom:"events_total,counter,by=kind" help:"Cluster events recorded (backend up/down, ring changes, restart phases), by kind."`
+	Cluster    clusterStats
 }
 
 // handleMetrics renders the phprouter_* series in the Prometheus text
-// format, including the cluster-level aggregates scraped from the
-// backends (see clusterMetrics).
+// format, the cluster-level aggregates of a (TTL-coalesced) fleet scrape
+// included.
 func (rt *router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	rs := rt.r.Stats()
+	m := routerMetrics{
+		UptimeSec:   time.Since(rt.start).Seconds(),
+		NumBackends: len(rs.Backends),
+		BackendsUp:  rs.UpCount(),
+		RouterStats: rs,
+		Events:      obs.Vec{},
+		Cluster:     rt.cluster(r.Context(), rs),
+	}
+	if rt.treeRing != nil {
+		total := rt.treeRing.Total()
+		m.TraceTrees = &total
+	}
+	for kind, n := range rt.events.Counts() {
+		m.Events = append(m.Events, obs.VecEntry{Name: kind, Value: float64(n)})
+	}
+	sort.Slice(m.Events, func(i, j int) bool { return m.Events[i].Name < m.Events[j].Name })
+
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	e := obs.NewEncoder(w)
-
-	e.Gauge("phprouter_uptime_seconds", "Seconds since the router started.",
-		obs.Sample{Value: time.Since(rt.start).Seconds()})
-	e.Gauge("phprouter_backends", "Configured backend count.",
-		obs.Sample{Value: float64(len(rs.Backends))})
-	e.Gauge("phprouter_backends_up", "Backends currently healthy and on the ring.",
-		obs.Sample{Value: float64(rs.UpCount())})
-	e.Gauge("phprouter_draining", "1 while the router is draining for shutdown.",
-		obs.Sample{Value: boolGauge(rs.Draining)})
-
-	up := make([]obs.Sample, 0, len(rs.Backends))
-	inflight := make([]obs.Sample, 0, len(rs.Backends))
-	reqs := make([]obs.Sample, 0, len(rs.Backends))
-	errs := make([]obs.Sample, 0, len(rs.Backends))
-	hits := make([]obs.Sample, 0, len(rs.Backends))
-	sheds := make([]obs.Sample, 0, len(rs.Backends))
-	for _, b := range rs.Backends {
-		l := []obs.Label{{Name: "backend", Value: b.ID}}
-		up = append(up, obs.Sample{Labels: l, Value: boolGauge(b.Up)})
-		inflight = append(inflight, obs.Sample{Labels: l, Value: float64(b.Inflight)})
-		reqs = append(reqs, obs.Sample{Labels: l, Value: float64(b.Requests)})
-		errs = append(errs, obs.Sample{Labels: l, Value: float64(b.Errors)})
-		hits = append(hits, obs.Sample{Labels: l, Value: float64(b.CacheHits)})
-		sheds = append(sheds, obs.Sample{Labels: l, Value: float64(b.Shed)})
-	}
-	e.Gauge("phprouter_backend_up", "1 while the labelled backend is healthy and owns its key range.", up...)
-	e.Gauge("phprouter_backend_inflight", "Requests currently proxied to the labelled backend.", inflight...)
-	e.Counter("phprouter_requests_total", "Requests answered by the labelled backend.", reqs...)
-	e.Counter("phprouter_backend_errors_total", "Transport failures against the labelled backend.", errs...)
-	e.Counter("phprouter_backend_cache_hits_total", "Responses the labelled backend served from its cache (X-Cache: HIT).", hits...)
-	e.Counter("phprouter_backend_shed_total", "Requests shed at the labelled backend's inflight cap.", sheds...)
-
-	e.Counter("phprouter_shed_total", "Router-level sheds by reason.",
-		obs.Sample{Labels: []obs.Label{{Name: "reason", Value: serve.RouterShedOverload}}, Value: float64(rs.ShedOverload)},
-		obs.Sample{Labels: []obs.Label{{Name: "reason", Value: serve.RouterShedNoBackend}}, Value: float64(rs.ShedNoBackend)},
-		obs.Sample{Labels: []obs.Label{{Name: "reason", Value: serve.RouterShedDraining}}, Value: float64(rs.ShedDraining)})
-	e.Counter("phprouter_retries_total", "Reroutes to a fallback ring owner (refused connection or backend-side 503).",
-		obs.Sample{Value: float64(rs.Retries)})
-
-	for _, b := range rs.Backends {
-		e.Histogram("phprouter_backend_latency_seconds",
-			"Proxied request latency through the labelled backend.",
-			[]obs.Label{{Name: "backend", Value: b.ID}}, b.Latency)
-	}
-	rt.clusterMetrics(r.Context(), e, rs)
+	e.Struct("phprouter_", nil, m)
 	if err := e.Err(); err != nil {
 		fmt.Fprintf(os.Stderr, "phprouter: metrics write: %v\n", err)
 	}
-}
-
-// boolGauge renders a bool as 0/1.
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // handleRestart rolls every supervised backend: drain (evict from the

@@ -7,15 +7,18 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
+	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cache"
 	"repro/internal/obs"
+	"repro/internal/profile"
 	"repro/internal/serve"
+	"repro/internal/sim"
 )
 
 // TestProxyPageIdentity: the router hashes the page a request names,
@@ -76,21 +79,22 @@ func TestProxyPageIdentity(t *testing.T) {
 
 // fakeBackend answers what the router asks of a phpserve: renders, the
 // /metrics families the fleet scrape sums and /profilez?format=json.
-func fakeBackend(t *testing.T, id string, requests float64) string {
+func fakeBackend(t *testing.T, id string, requests int64) string {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, id) })
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		lat := obs.NewHistogram(obs.DefLatencyBuckets())
 		lat.Observe(0.002)
-		e := obs.NewEncoder(w)
-		e.Counter("phpserve_requests_total", "Requests served.", obs.Sample{Value: requests})
-		e.Counter("phpserve_cache_hits_total", "Cache hits.", obs.Sample{Value: requests / 2})
-		e.Counter("phpserve_cache_misses_total", "Cache misses.", obs.Sample{Value: requests / 2})
-		e.Histogram("phpserve_request_latency_seconds", "Render latency.", nil, lat.Snapshot())
+		// The tagged types phpserve renders, so the names are the server's.
+		obs.NewEncoder(w).Struct("phpserve_", nil, struct {
+			obs.Snapshot
+			Cache cache.Stats
+		}{obs.Snapshot{Requests: requests, Latency: lat.Snapshot()}, cache.Stats{Hits: requests / 2, Misses: requests / 2}})
 	})
 	mux.HandleFunc("/profilez", func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, `{"top":[{"name":"render_`+id+`","category":"string","cycles":100}]}`)
+		p := profile.FromCycles([]profile.RawEntry{{Name: "render_" + id, Category: sim.CatString, Cycles: 100}})
+		obs.WriteJSON(w, http.StatusOK, profile.NewDoc("wordpress", "accelerated", p, profile.WindowInfo{}, nil, 0))
 	})
 	be := httptest.NewServer(mux)
 	t.Cleanup(be.Close)
@@ -99,9 +103,9 @@ func fakeBackend(t *testing.T, id string, requests float64) string {
 
 // TestOperatorSurface drives every read-only operator endpoint of a
 // router in front of two backends: /metrics is valid text exposition
-// (one # TYPE line per family, however many backends share it) carrying
-// every phprouter_* series the source names — the list docs_check.sh
-// holds OPERATIONS.md to; /clusterz and /backends list both backends;
+// (one # TYPE line per family, however many backends share it) and is,
+// family for family — name, type, labels, HELP — the signals table of
+// docs/OPERATIONS.md; /clusterz and /backends list both backends;
 // /eventz reads ?n= the way /tracez and /profilez do.
 func TestOperatorSurface(t *testing.T) {
 	events := obs.NewEventRing(64)
@@ -115,10 +119,11 @@ func TestOperatorSurface(t *testing.T) {
 	}
 	rt.r.AddBackend("0", fakeBackend(t, "0", 30))
 	rt.r.AddBackend("1", fakeBackend(t, "1", 10))
-	for i := 0; i < 2; i++ { // four events per round trip, ten retained in all
+	for i := 0; i < 2; i++ { // four events per round trip
 		rt.r.SetBackendUp("1", false)
 		rt.r.SetBackendUp("1", true)
 	}
+	events.Add(time.Now(), obs.EventRestartPhase, "", "complete") // every kind on /metrics; eleven retained in all
 	front := httptest.NewServer(rt.handler())
 	defer front.Close()
 	for page := 0; page < 8; page++ {
@@ -127,22 +132,6 @@ func TestOperatorSurface(t *testing.T) {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-	}
-
-	var sources []byte
-	files, _ := filepath.Glob("*.go")
-	for _, f := range files {
-		if !strings.HasSuffix(f, "_test.go") {
-			b, err := os.ReadFile(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sources = append(sources, b...)
-		}
-	}
-	series := regexp.MustCompile(`"(phprouter_[a-z0-9_]*)"`).FindAllSubmatch(sources, -1)
-	if len(series) < 25 {
-		t.Fatalf("found %d phprouter_* names in the source, want the 25 OPERATIONS.md documents", len(series))
 	}
 
 	type backendRow struct {
@@ -161,8 +150,8 @@ func TestOperatorSurface(t *testing.T) {
 			if err := json.Unmarshal(body, &ez); err != nil {
 				t.Fatal(err)
 			}
-			if ez.Total != 10 || len(ez.Events) != want {
-				t.Errorf("total %d with %d events returned, want 10 and %d", ez.Total, len(ez.Events), want)
+			if ez.Total != 11 || len(ez.Events) != want {
+				t.Errorf("total %d with %d events returned, want 11 and %d", ez.Total, len(ez.Events), want)
 			}
 		}
 	}
@@ -186,11 +175,7 @@ func TestOperatorSurface(t *testing.T) {
 					t.Errorf("family %s has %d # TYPE lines, the format allows one", name, n)
 				}
 			}
-			for _, m := range series {
-				if obs.FindFamily(fams, string(m[1])) == nil {
-					t.Errorf("series %s is named in the source and absent from /metrics", m[1])
-				}
-			}
+			checkSignalsDoc(t, fams)
 			if got := obs.FindFamily(fams, "phprouter_requests_total").Sum(); got != 8 {
 				t.Errorf("phprouter_requests_total sums to %g over both backends, want 8", got)
 			}
@@ -199,7 +184,7 @@ func TestOperatorSurface(t *testing.T) {
 			}
 		}},
 		{"/clusterz", func(t *testing.T, body []byte) {
-			var cz clusterzResponse
+			var cz clusterStats
 			if err := json.Unmarshal(body, &cz); err != nil {
 				t.Fatal(err)
 			}
@@ -227,10 +212,10 @@ func TestOperatorSurface(t *testing.T) {
 			}
 			bothListed(t, bz.Rows[0].ID, bz.Rows[1].ID)
 		}},
-		{"/eventz", eventz(10)},
+		{"/eventz", eventz(11)},
 		{"/eventz?n=2", eventz(2)},
 		{"/eventz?n=07", eventz(7)},
-		{"/eventz?n=abc", eventz(10)},
+		{"/eventz?n=abc", eventz(11)},
 	} {
 		t.Run(tc.path, func(t *testing.T) {
 			resp, err := http.Get(front.URL + tc.path)
@@ -244,5 +229,110 @@ func TestOperatorSurface(t *testing.T) {
 			}
 			tc.check(t, body)
 		})
+	}
+}
+
+// checkSignalsDoc holds the signals:phprouter block of docs/OPERATIONS.md
+// to the exposition: one row per family, in order, everything in it
+// parsed from what the router wrote. On a mismatch the expected block is
+// printed; paste it between the markers.
+func checkSignalsDoc(t *testing.T, fams []*obs.MetricFamily) {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString("| Series | Type | Labels | Meaning |\n|---|---|---|---|\n")
+	for _, f := range fams {
+		fmt.Fprintf(&b, "| `%s` | %s | %s | %s |\n", f.Name, f.Type, labelCell(f), f.Help)
+	}
+	raw, err := os.ReadFile("../../docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const begin, end = "<!-- signals:phprouter:begin -->\n", "<!-- signals:phprouter:end -->"
+	_, rest, ok := strings.Cut(string(raw), begin)
+	got, _, ok2 := strings.Cut(rest, end)
+	if !ok || !ok2 {
+		t.Fatalf("docs/OPERATIONS.md has no %s … %s block", strings.TrimSpace(begin), end)
+	}
+	if got != b.String() {
+		t.Errorf("docs/OPERATIONS.md: the signals:phprouter block is not what the router exposes; it should read:\n%s%s%s", begin, b.String(), end)
+	}
+}
+
+// labelCell renders a family's labels in exposition order. A label whose
+// values are the signal's own (not the process's identity, a backend's
+// or a bucket bound) is listed with them.
+func labelCell(f *obs.MetricFamily) string {
+	var names []string
+	values := map[string][]string{}
+	for _, smp := range f.Samples {
+		for _, l := range smp.Labels {
+			if values[l.Name] == nil {
+				names = append(names, l.Name)
+			}
+			if v := "`" + l.Value + "`"; !slices.Contains(values[l.Name], v) {
+				values[l.Name] = append(values[l.Name], v)
+			}
+		}
+	}
+	for i, n := range names {
+		names[i] = "`" + n + "`"
+		if !strings.Contains(" le app config tier backend ", " "+n+" ") {
+			names[i] += ": " + strings.Join(values[n], ", ")
+		}
+	}
+	return strings.Join(names, "; ")
+}
+
+// TestSignalTags: every prom tag under routerMetrics is well formed —
+// name, kind, options — a family's fields are adjacent (one header), and
+// the first field of a family carries its help.
+func TestSignalTags(t *testing.T) {
+	name := regexp.MustCompile(`^[a-z0-9_]+$`)
+	seen, last, families := map[string]bool{}, "", 0
+	var walk func(reflect.Type)
+	walk = func(typ reflect.Type) {
+		for typ.Kind() == reflect.Pointer || typ.Kind() == reflect.Slice {
+			typ = typ.Elem()
+		}
+		for i := 0; typ.Kind() == reflect.Struct && i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			tag, tagged := f.Tag.Lookup("prom")
+			if !tagged {
+				walk(f.Type)
+				continue
+			}
+			where := typ.Name() + "." + f.Name + " `" + string(f.Tag) + "`"
+			opts := strings.Split(tag, ",")
+			if len(opts) < 2 || !name.MatchString(opts[0]) {
+				t.Errorf("%s: want prom:\"name,kind[,options]\" with a [a-z0-9_]+ name", where)
+				continue
+			}
+			switch opts[1] {
+			case "label":
+				continue
+			case "counter", "gauge", "histogram":
+			default:
+				t.Errorf("%s: kind %q, want counter, gauge, histogram or label", where, opts[1])
+			}
+			for _, o := range opts[2:] {
+				if k, v, ok := strings.Cut(o, "="); o != "base" && (!ok || !name.MatchString(k) || v == "") {
+					t.Errorf("%s: option %q, want base, by=label or label=value", where, o)
+				}
+			}
+			if opts[0] != last {
+				families++
+				if seen[opts[0]] {
+					t.Errorf("%s: family %s is split across non-adjacent fields (it would get two headers)", where, opts[0])
+				}
+				if f.Tag.Get("help") == "" {
+					t.Errorf("%s: the first field of family %s carries its help", where, opts[0])
+				}
+			}
+			seen[opts[0]], last = true, opts[0]
+		}
+	}
+	walk(reflect.TypeOf(routerMetrics{}))
+	if families != 25 {
+		t.Errorf("walk found %d families under routerMetrics, want the 25 phprouter_* series", families)
 	}
 }

@@ -347,363 +347,205 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	obs.WriteJSON(w, status, resp)
 }
 
-// statsResponse is the /stats JSON shape. Latencies are reported in
-// microseconds; simulated totals cover the whole fleet since startup.
-type statsResponse struct {
-	App            string  `json:"app"`
-	Config         string  `json:"config"`
-	Workers        int     `json:"workers"`
-	Requests       int64   `json:"requests"`
-	SampledSpans   int64   `json:"sampled_spans"`
-	ResponseBytes  int64   `json:"response_bytes"`
-	UptimeSec      float64 `json:"uptime_sec"`
-	RequestsPerSec float64 `json:"requests_per_sec"`
+// stats is the server's one snapshot and the one declaration of every
+// number on it: /stats is its JSON, /metrics is obs.Encoder.Struct of it
+// (prefix phpserve_, base labels app and config), and the signals table
+// in docs/OPERATIONS.md is rendered from the tags. Embedded library
+// snapshots carry their own tags; nil pointers and nil vectors are the
+// "absent without -cache / -tracebuf -1 / -treering 0 / -tier" rule.
+// Latencies are reported in microseconds on /stats; simulated totals
+// cover the whole fleet since warmup.
+type stats struct {
+	App         string `json:"app" help:"The -app the server was started with."`
+	Config      string `json:"config" help:"The -config the server was started with."`
+	Workers     int    `json:"workers" prom:"workers,gauge" help:"Configured pool size (request workers)."`
+	WorkersBusy int    `json:"-" prom:"workers_busy,gauge" help:"Workers currently serving a request (instantaneous)."`
+	obs.Snapshot
+	UptimeSec      float64 `json:"uptime_sec" prom:"uptime_seconds,gauge" help:"Seconds since the server started."`
+	RequestsPerSec float64 `json:"requests_per_sec" help:"requests / uptime_sec."`
 
-	State        string `json:"state"`
-	QueueDepth   int    `json:"queue_depth"`
-	QueueLimit   int    `json:"queue_limit"`
-	ShedOverload int64  `json:"shed_overload"`
-	ShedTimeout  int64  `json:"shed_timeout"`
-	ShedCanceled int64  `json:"shed_canceled"`
-	ShedDraining int64  `json:"shed_draining"`
+	State      string `json:"state" help:"Lifecycle state: ready, draining or drained."`
+	Draining   bool   `json:"-" prom:"draining,gauge" help:"1 once the server stopped admitting (draining or drained), else 0."`
+	QueueDepth int    `json:"queue_depth" prom:"queue_depth,gauge" help:"Admitted requests waiting for a worker (instantaneous)."`
+	QueueLimit int    `json:"queue_limit" prom:"queue_limit,gauge" help:"Admission queue capacity beyond the worker count (-queue)."`
+	serve.Stats
 
-	LatencyP50Us  int64 `json:"latency_p50_us"`
-	LatencyP95Us  int64 `json:"latency_p95_us"`
-	LatencyP99Us  int64 `json:"latency_p99_us"`
-	LatencyMaxUs  int64 `json:"latency_max_us"`
-	LatencyMeanUs int64 `json:"latency_mean_us"`
+	// lat summarizes the bounded reservoir: the latency_*_us keys here,
+	// the quantiles of the hand-written summary on /metrics.
+	lat           workload.LatencyStats
+	LatencyP50Us  int64 `json:"latency_p50_us" help:"Nearest-rank p50 wall latency over the bounded reservoir of recent requests, microseconds."`
+	LatencyP95Us  int64 `json:"latency_p95_us" help:"Same reservoir, p95."`
+	LatencyP99Us  int64 `json:"latency_p99_us" help:"Same reservoir, p99."`
+	LatencyMaxUs  int64 `json:"latency_max_us" help:"Same reservoir, maximum."`
+	LatencyMeanUs int64 `json:"latency_mean_us" help:"Same reservoir, mean."`
 
-	SimCycles        float64 `json:"sim_cycles"`
-	SimUops          float64 `json:"sim_uops"`
-	SimEnergyPJ      float64 `json:"sim_energy_pj"`
-	CyclesPerRequest float64 `json:"cycles_per_request"`
+	SimCycles         float64 `json:"sim_cycles" help:"Total simulated cycles, all workers merged (cache lookup charges included)."`
+	SimUops           float64 `json:"sim_uops" prom:"sim_uops_total,counter" help:"Simulated micro-ops executed on the general-purpose cores."`
+	SimEnergyPJ       float64 `json:"sim_energy_pj" prom:"sim_energy_picojoules_total,counter" help:"Simulated energy in picojoules (core + accelerators)."`
+	CyclesPerRequest  float64 `json:"cycles_per_request" help:"sim_cycles / requests; the per-row figure loadgen prints."`
+	SimCategoryCycles obs.Vec `json:"sim_category_cycles" prom:"sim_cycles_total,counter,by=category" help:"Simulated cycles by activity category, fleet-wide since warmup."`
+	SimCategoryShare  obs.Vec `json:"sim_category_share" help:"sim_category_cycles, each divided by sim_cycles; sums to 1 once requests have been served."`
+	AccelCycles       obs.Vec `json:"-" prom:"accel_cycles_total,counter,by=accel" help:"Cycles spent inside each accelerator datapath."`
+	AccelCalls        obs.Vec `json:"-" prom:"accel_calls_total,counter,by=accel" help:"Invocations of each accelerator."`
 
-	SimCategoryCycles map[string]float64 `json:"sim_category_cycles"`
-	SimCategoryShare  map[string]float64 `json:"sim_category_share"`
+	workload.AccelStats
+	HashTableHitRatio  float64 `json:"hashtable_hit_ratio" prom:"hashtable_hit_ratio,gauge" help:"Hardware hash table GET hit fraction (0 when no GETs)."`
+	RegexCacheHitRatio float64 `json:"regex_cache_hit_ratio" prom:"regex_cache_hit_ratio,gauge" help:"Regexp manager cache hit fraction (0 when no lookups)."`
 
-	HashTableHitRatio  float64 `json:"hashtable_hit_ratio"`
-	HashMapRebuilds    int64   `json:"hashmap_rebuilds"`
-	RegexCacheHitRatio float64 `json:"regex_cache_hit_ratio"`
+	Cache       *cache.Stats `json:"cache,omitempty"`
+	TraceEvents obs.Vec      `json:"-" prom:"trace_events_total,counter,by=kind" help:"Operation trace events recorded, by kind, since warmup."`
+	TraceTrees  *int64       `json:"-" prom:"trace_trees_total,counter,base" help:"Sampled request span trees ever retained in the /tracez ring."`
 
-	// Cache is present only when the response cache is enabled (-cache).
-	Cache *cacheStatsResponse `json:"cache,omitempty"`
+	// Window and Tier are filled by /metrics only: a /stats scrape must
+	// neither rotate the scrape-to-scrape windows nor take the tier
+	// plane's second pool barrier.
+	Window *scrapeWindow     `json:"-"`
+	Tier   *php.TierSnapshot `json:"-"`
 }
 
-// cacheStatsResponse is the /stats response-cache block.
-type cacheStatsResponse struct {
-	Capacity  int     `json:"capacity"`
-	Shards    int     `json:"shards"`
-	Hits      int64   `json:"hits"`
-	Misses    int64   `json:"misses"`
-	Coalesced int64   `json:"coalesced"`
-	Evictions int64   `json:"evictions"`
-	Expired   int64   `json:"expired"`
-	Entries   int     `json:"entries"`
-	Bytes     int64   `json:"bytes"`
-	HitRatio  float64 `json:"hit_ratio"`
+// scrapeWindow is what a /metrics scrape measures since the previous
+// one: Go-heap allocation rates — the operational view of the
+// arena-per-request serve path, near zero in steady state — and the
+// paper's Fig. 1 headline numbers over the /profilez window.
+type scrapeWindow struct {
+	AllocsPerReq     float64 `prom:"go_allocs_per_request,gauge,base" help:"Go heap allocations per served request since the previous /metrics scrape."`
+	AllocBytesPerReq float64 `prom:"go_alloc_bytes_per_request,gauge,base" help:"Go heap bytes allocated per served request since the previous /metrics scrape."`
+	HottestFrac      float64 `prom:"profile_hottest_frac,gauge,base" help:"Hottest leaf function's share of windowed cycles (Fig. 1 headline)."`
+	FuncsFor65       int     `prom:"profile_funcs_for_65,gauge,base" help:"Hottest functions needed to cover 65% of windowed cycles (Fig. 1 headline)."`
+	Functions        int     `prom:"profile_functions,gauge,base" help:"Distinct leaf functions with cycles in the profile window."`
+}
+
+// vec builds the ordered vector of val over keys, named by String.
+func vec[K fmt.Stringer](keys []K, val func(K) float64) obs.Vec {
+	v := make(obs.Vec, len(keys))
+	for i, k := range keys {
+		v[i] = obs.VecEntry{Name: k.String(), Value: val(k)}
+	}
+	return v
+}
+
+// snapshot computes the one coherent view both /stats and /metrics
+// render, and returns the merged meter it read for the live profile.
+// Pool.Snapshot drains the free list, so it is also the barrier:
+// in-flight renders finish before their costs are aggregated. The
+// cache's fixed lookup charges merge into the same meter so the
+// category totals cover hits too. Every ratio goes through obs.Finite,
+// so a cold scrape reports 0, never NaN. /healthz never comes here — it is
+// probed every 500 ms and must not quiesce the pool.
+func (s *server) snapshot() (*stats, *sim.Meter) {
+	ps := s.pool.Snapshot()
+	state := s.sched.State()
+	st := &stats{
+		App:         s.app,
+		Config:      s.config,
+		Workers:     s.pool.Size(),
+		WorkersBusy: s.pool.Size() - s.pool.Idle(),
+		Snapshot:    s.col.Snapshot(),
+		UptimeSec:   time.Since(s.start).Seconds(),
+		State:       state.String(),
+		Draining:    state != serve.StateRunning,
+		QueueDepth:  s.sched.QueueDepth(),
+		QueueLimit:  s.sched.QueueLimit(),
+		Stats:       s.sched.Stats(),
+		AccelStats:  ps.Accel,
+	}
+	if s.cache != nil {
+		s.cache.MergeMeter(ps.Meter)
+		cs := s.cache.Stats()
+		st.Cache = &cs
+	}
+	st.lat = workload.LatencyStatsFrom(st.Latencies)
+	st.LatencyP50Us = st.lat.P50.Microseconds()
+	st.LatencyP95Us = st.lat.P95.Microseconds()
+	st.LatencyP99Us = st.lat.P99.Microseconds()
+	st.LatencyMaxUs = st.lat.Max.Microseconds()
+	st.LatencyMeanUs = st.lat.Mean.Microseconds()
+	st.RequestsPerSec = obs.Finite(float64(st.Requests) / st.UptimeSec)
+
+	cats := ps.Meter.CategoryCyclesVec()
+	st.SimCycles = cats.Total()
+	st.SimUops = ps.Meter.TotalUops()
+	st.SimEnergyPJ = ps.Meter.TotalEnergy()
+	st.CyclesPerRequest = obs.Finite(st.SimCycles / float64(st.Requests))
+	st.SimCategoryCycles = vec(sim.Categories(), func(c sim.Category) float64 { return cats[c] })
+	st.SimCategoryShare = vec(sim.Categories(), func(c sim.Category) float64 { return obs.Finite(cats[c] / st.SimCycles) })
+	st.AccelCycles = vec(sim.AccelKinds(), ps.Meter.AccelCycles)
+	st.AccelCalls = vec(sim.AccelKinds(), func(k sim.AccelKind) float64 { return float64(ps.Meter.AccelCalls(k)) })
+	st.HashTableHitRatio = ps.Accel.HashTable.HitRate()
+	st.RegexCacheHitRatio = obs.Finite(float64(ps.Accel.RegexHits) / float64(ps.Accel.RegexLookups))
+
+	if ps.Trace != nil {
+		totals := ps.Trace.KindTotals()
+		st.TraceEvents = make(obs.Vec, trace.NumKinds)
+		for k := range st.TraceEvents {
+			st.TraceEvents[k] = obs.VecEntry{Name: trace.Kind(k).String(), Value: float64(totals[k])}
+		}
+	}
+	if ring := s.col.TreeRing(); ring != nil {
+		total := ring.Total()
+		st.TraceTrees = &total
+	}
+	return st, ps.Meter
 }
 
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	snap := s.col.Snapshot()
-	lat := workload.LatencyStatsFrom(snap.Latencies)
-	// Pool.Snapshot drains the free list, so it also acts as a barrier:
-	// in-flight renders finish before their costs are aggregated. The
-	// cache's fixed lookup charges merge into the same meter so the
-	// category totals cover hits too.
-	ps := s.pool.Snapshot()
-	if s.cache != nil {
-		s.cache.MergeMeter(ps.Meter)
-	}
-	cats := ps.Meter.CategoryCyclesVec()
-	total := cats.Total()
-
-	up := time.Since(s.start).Seconds()
-	sched := s.sched.Stats()
-	resp := statsResponse{
-		App:               s.app,
-		Config:            s.config,
-		Workers:           s.pool.Size(),
-		State:             s.sched.State().String(),
-		QueueDepth:        s.sched.QueueDepth(),
-		QueueLimit:        s.sched.QueueLimit(),
-		ShedOverload:      sched.ShedOverload,
-		ShedTimeout:       sched.ShedDeadline,
-		ShedCanceled:      sched.ShedCanceled,
-		ShedDraining:      sched.ShedDraining,
-		Requests:          snap.Requests,
-		SampledSpans:      snap.SampledSpans,
-		ResponseBytes:     snap.ResponseBytes,
-		UptimeSec:         up,
-		LatencyP50Us:      lat.P50.Microseconds(),
-		LatencyP95Us:      lat.P95.Microseconds(),
-		LatencyP99Us:      lat.P99.Microseconds(),
-		LatencyMaxUs:      lat.Max.Microseconds(),
-		LatencyMeanUs:     lat.Mean.Microseconds(),
-		SimCycles:         total,
-		SimUops:           ps.Meter.TotalUops(),
-		SimEnergyPJ:       ps.Meter.TotalEnergy(),
-		SimCategoryCycles: make(map[string]float64, sim.NumCategories),
-		SimCategoryShare:  make(map[string]float64, sim.NumCategories),
-		HashMapRebuilds:   ps.Accel.MapRebuilds,
-	}
-	if up > 0 {
-		resp.RequestsPerSec = obs.Finite(float64(snap.Requests) / up)
-	}
-	if snap.Requests > 0 {
-		resp.CyclesPerRequest = obs.Finite(total / float64(snap.Requests))
-	}
-	for _, c := range sim.Categories() {
-		resp.SimCategoryCycles[c.String()] = cats[c]
-		if total > 0 {
-			resp.SimCategoryShare[c.String()] = obs.Finite(cats[c] / total)
-		} else {
-			resp.SimCategoryShare[c.String()] = 0
-		}
-	}
-	resp.HashTableHitRatio = obs.Finite(ps.Accel.HashTable.HitRate())
-	if ps.Accel.RegexLookups > 0 {
-		resp.RegexCacheHitRatio = obs.Finite(float64(ps.Accel.RegexHits) / float64(ps.Accel.RegexLookups))
-	}
-	if s.cache != nil {
-		cs := s.cache.Stats()
-		resp.Cache = &cacheStatsResponse{
-			Capacity:  s.cache.Capacity(),
-			Shards:    s.cache.Shards(),
-			Hits:      cs.Hits,
-			Misses:    cs.Misses,
-			Coalesced: cs.Coalesced,
-			Evictions: cs.Evictions,
-			Expired:   cs.Expired,
-			Entries:   cs.Entries,
-			Bytes:     cs.Bytes,
-			HitRatio:  obs.Finite(cs.HitRatio()),
-		}
-	}
-	obs.WriteJSON(w, http.StatusOK, resp)
+	st, _ := s.snapshot()
+	obs.WriteJSON(w, http.StatusOK, st)
 }
 
-// handleMetrics renders the Prometheus text-format exposition. Every
-// series it exports is documented in docs/OPERATIONS.md.
+// handleMetrics renders the Prometheus text-format exposition: the
+// snapshot with its scrape window rotated and the tier plane read, plus
+// the one family no field can carry — the reservoir's quantiles, as a
+// summary whose _sum and _count are the latency histogram's (exact
+// since start; the reservoir halves itself, and a summary's are
+// counters).
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	snap := s.col.Snapshot()
-	lat := workload.LatencyStatsFrom(snap.Latencies)
-	ps := s.pool.Snapshot()
-	if s.cache != nil {
-		// Lookup charges land in the same meter, so the per-category
-		// cycle totals stay exact with the cache on.
-		s.cache.MergeMeter(ps.Meter)
+	st, mt := s.snapshot()
+	st.Window = s.scrapeWindow(mt, st.Requests)
+	if s.tier != "" {
+		ts := s.pool.TierSnapshot()
+		st.Tier = &ts
 	}
-	cats := ps.Meter.CategoryCyclesVec()
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	e := obs.NewEncoder(w)
-	base := []obs.Label{{Name: "app", Value: s.app}, {Name: "config", Value: s.config}}
-
-	e.Counter("phpserve_requests_total",
-		"Requests served since startup.",
-		obs.Sample{Labels: base, Value: float64(snap.Requests)})
-	e.Counter("phpserve_response_bytes_total",
-		"Response body bytes written since startup.",
-		obs.Sample{Labels: base, Value: float64(snap.ResponseBytes)})
-	e.Counter("phpserve_sampled_spans_total",
-		"Requests that carried a per-request attribution span.",
-		obs.Sample{Labels: base, Value: float64(snap.SampledSpans)})
-	e.Gauge("phpserve_uptime_seconds",
-		"Seconds since the server started.",
-		obs.Sample{Value: time.Since(s.start).Seconds()})
-	e.Gauge("phpserve_workers",
-		"Configured pool size (request workers).",
-		obs.Sample{Value: float64(s.pool.Size())})
-	e.Gauge("phpserve_workers_busy",
-		"Workers currently serving a request (instantaneous).",
-		obs.Sample{Value: float64(s.pool.Size() - s.pool.Idle())})
-
-	sched := s.sched.Stats()
-	e.Gauge("phpserve_queue_depth",
-		"Admitted requests waiting for a worker (instantaneous).",
-		obs.Sample{Value: float64(s.sched.QueueDepth())})
-	e.Gauge("phpserve_queue_limit",
-		"Admission queue capacity beyond the worker count (-queue).",
-		obs.Sample{Value: float64(s.sched.QueueLimit())})
-	draining := 0.0
-	if s.sched.State() != serve.StateRunning {
-		draining = 1
-	}
-	e.Gauge("phpserve_draining",
-		"1 once the server stopped admitting (draining or drained), else 0.",
-		obs.Sample{Value: draining})
-	e.Counter("phpserve_shed_total",
-		"Requests rejected by the lifecycle layer, by reason.",
-		obs.Sample{Labels: []obs.Label{{Name: "reason", Value: "overload"}}, Value: float64(sched.ShedOverload)},
-		obs.Sample{Labels: []obs.Label{{Name: "reason", Value: "timeout"}}, Value: float64(sched.ShedDeadline)},
-		obs.Sample{Labels: []obs.Label{{Name: "reason", Value: "canceled"}}, Value: float64(sched.ShedCanceled)},
-		obs.Sample{Labels: []obs.Label{{Name: "reason", Value: "draining"}}, Value: float64(sched.ShedDraining)})
-	e.Histogram("phpserve_queue_wait_seconds",
-		"Time admitted requests spent waiting for a worker.", nil, sched.QueueWait)
-
-	e.Histogram("phpserve_request_latency_seconds",
-		"Request wall latency, queueing included.", nil, snap.Latency)
+	e.Struct("phpserve_", []obs.Label{{Name: "app", Value: s.app}, {Name: "config", Value: s.config}}, st)
 	e.Summary("phpserve_request_latency_summary_seconds",
 		"Recent-request latency quantiles from the bounded reservoir.",
 		nil,
 		[]obs.Quantile{
-			{Q: 0.5, Value: lat.P50.Seconds()},
-			{Q: 0.95, Value: lat.P95.Seconds()},
-			{Q: 0.99, Value: lat.P99.Seconds()},
+			{Q: 0.5, Value: st.lat.P50.Seconds()},
+			{Q: 0.95, Value: st.lat.P95.Seconds()},
+			{Q: 0.99, Value: st.lat.P99.Seconds()},
 		},
-		lat.Mean.Seconds()*float64(lat.Count), uint64(lat.Count))
-
-	catSamples := make([]obs.Sample, 0, sim.NumCategories)
-	for _, c := range sim.Categories() {
-		catSamples = append(catSamples, obs.Sample{
-			Labels: []obs.Label{{Name: "category", Value: c.String()}},
-			Value:  cats[c],
-		})
+		st.Latency.Sum, st.Latency.Count)
+	if err := e.Err(); err != nil {
+		fmt.Fprintf(os.Stderr, "phpserve: metrics write: %v\n", err)
 	}
-	e.Counter("phpserve_sim_cycles_total",
-		"Simulated cycles by activity category, fleet-wide since warmup.",
-		catSamples...)
-	e.Counter("phpserve_sim_uops_total",
-		"Simulated micro-ops executed on the general-purpose cores.",
-		obs.Sample{Value: ps.Meter.TotalUops()})
-	e.Counter("phpserve_sim_energy_picojoules_total",
-		"Simulated energy in picojoules (core + accelerators).",
-		obs.Sample{Value: ps.Meter.TotalEnergy()})
-
-	accelCyc := make([]obs.Sample, 0, 4)
-	accelCalls := make([]obs.Sample, 0, 4)
-	for _, k := range sim.AccelKinds() {
-		l := []obs.Label{{Name: "accel", Value: k.String()}}
-		accelCyc = append(accelCyc, obs.Sample{Labels: l, Value: ps.Meter.AccelCycles(k)})
-		accelCalls = append(accelCalls, obs.Sample{Labels: l, Value: float64(ps.Meter.AccelCalls(k))})
-	}
-	e.Counter("phpserve_accel_cycles_total",
-		"Cycles spent inside each accelerator datapath.", accelCyc...)
-	e.Counter("phpserve_accel_calls_total",
-		"Invocations of each accelerator.", accelCalls...)
-
-	ht := ps.Accel.HashTable
-	e.Counter("phpserve_hashtable_gets_total",
-		"Hardware hash table GET requests.", obs.Sample{Value: float64(ht.Gets)})
-	e.Counter("phpserve_hashtable_get_hits_total",
-		"Hardware hash table GETs served without software.", obs.Sample{Value: float64(ht.GetHits)})
-	e.Counter("phpserve_hashtable_sets_total",
-		"Hardware hash table SET requests.", obs.Sample{Value: float64(ht.Sets)})
-	e.Counter("phpserve_hashtable_writebacks_total",
-		"Key/value pairs written back to software maps.", obs.Sample{Value: float64(ht.Writebacks)})
-	e.Gauge("phpserve_hashtable_hit_ratio",
-		"Hardware hash table GET hit fraction (0 when no GETs).",
-		obs.Sample{Value: obs.Finite(ht.HitRate())})
-	e.Counter("phpserve_hashmap_rebuilds_total",
-		"Stale hash-index rebuilds (coherence events) across all workers.",
-		obs.Sample{Value: float64(ps.Accel.MapRebuilds)})
-
-	e.Counter("phpserve_regex_cache_lookups_total",
-		"Regexp manager pattern-cache probes.",
-		obs.Sample{Value: float64(ps.Accel.RegexLookups)})
-	e.Counter("phpserve_regex_cache_hits_total",
-		"Regexp manager probes that found a compiled FSM.",
-		obs.Sample{Value: float64(ps.Accel.RegexHits)})
-	ratio := 0.0
-	if ps.Accel.RegexLookups > 0 {
-		ratio = obs.Finite(float64(ps.Accel.RegexHits) / float64(ps.Accel.RegexLookups))
-	}
-	e.Gauge("phpserve_regex_cache_hit_ratio",
-		"Regexp manager cache hit fraction (0 when no lookups).",
-		obs.Sample{Value: ratio})
-
-	if s.cache != nil {
-		cs := s.cache.Stats()
-		e.Counter("phpserve_cache_hits_total",
-			"Response cache lookups answered from a fresh cached entry.",
-			obs.Sample{Value: float64(cs.Hits)})
-		e.Counter("phpserve_cache_misses_total",
-			"Response cache lookups that rendered on a worker and filled.",
-			obs.Sample{Value: float64(cs.Misses)})
-		e.Counter("phpserve_cache_coalesced_total",
-			"Response cache lookups that waited on another request's in-flight render.",
-			obs.Sample{Value: float64(cs.Coalesced)})
-		e.Counter("phpserve_cache_evictions_total",
-			"Response cache entries evicted by the LRU capacity bound.",
-			obs.Sample{Value: float64(cs.Evictions)})
-		e.Counter("phpserve_cache_expired_total",
-			"Response cache entries dropped because their TTL passed.",
-			obs.Sample{Value: float64(cs.Expired)})
-		e.Gauge("phpserve_cache_entries",
-			"Responses currently cached (instantaneous).",
-			obs.Sample{Value: float64(cs.Entries)})
-		e.Gauge("phpserve_cache_bytes",
-			"Body bytes currently cached (instantaneous).",
-			obs.Sample{Value: float64(cs.Bytes)})
-		e.Gauge("phpserve_cache_hit_ratio",
-			"Fraction of cache lookups answered from a cached entry (0 when no lookups).",
-			obs.Sample{Value: obs.Finite(cs.HitRatio())})
-	}
-
-	if ps.Trace != nil {
-		totals := ps.Trace.KindTotals()
-		kinds := make([]obs.Sample, 0, trace.NumKinds)
-		for k := 0; k < trace.NumKinds; k++ {
-			kinds = append(kinds, obs.Sample{
-				Labels: []obs.Label{{Name: "kind", Value: trace.Kind(k).String()}},
-				Value:  float64(totals[k]),
-			})
-		}
-		e.Counter("phpserve_trace_events_total",
-			"Operation trace events recorded, by kind, since warmup.", kinds...)
-	}
-
-	// Go-heap allocation rates over the inter-scrape window: the
-	// operational view of the arena-per-request serve path (near zero in
-	// steady state; a jump means a new allocation crept onto it).
-	allocsPR, allocBytesPR := s.goMemGauges(snap.Requests)
-	e.Gauge("phpserve_go_allocs_per_request",
-		"Go heap allocations per served request since the previous /metrics scrape.",
-		obs.Sample{Labels: base, Value: obs.Finite(allocsPR)})
-	e.Gauge("phpserve_go_alloc_bytes_per_request",
-		"Go heap bytes allocated per served request since the previous /metrics scrape.",
-		obs.Sample{Labels: base, Value: obs.Finite(allocBytesPR)})
-
-	// The paper's Fig. 1 headline numbers as live gauges, computed over
-	// the same windowed profile /profilez reports.
-	lp, _ := s.observeLive(ps.Meter)
-	e.Gauge("phpserve_profile_hottest_frac",
-		"Hottest leaf function's share of windowed cycles (Fig. 1 headline).",
-		obs.Sample{Labels: base, Value: obs.Finite(lp.HottestFrac())})
-	e.Gauge("phpserve_profile_funcs_for_65",
-		"Hottest functions needed to cover 65% of windowed cycles (Fig. 1 headline).",
-		obs.Sample{Labels: base, Value: float64(lp.FuncsForFrac(0.65))})
-	e.Gauge("phpserve_profile_functions",
-		"Distinct leaf functions with cycles in the profile window.",
-		obs.Sample{Labels: base, Value: float64(lp.NumFunctions())})
-	if s.col.TreeRing() != nil {
-		e.Counter("phpserve_trace_trees_total",
-			"Sampled request span trees ever retained in the /tracez ring.",
-			obs.Sample{Labels: base, Value: float64(s.col.TreeRing().Total())})
-	}
-
-	s.tierMetrics(e, base)
 }
 
-// goMemGauges reports Go heap allocation rates — allocations and bytes
-// per served request — over the window since the previous /metrics
-// scrape. The caller reads MemStats after the Pool.Snapshot barrier, so
-// renders in flight at scrape time are in both the allocation and the
-// request delta. The first scrape establishes the baseline (and reports
-// 0); a scrape window with no served requests repeats the last value
-// rather than dividing by zero.
-func (s *server) goMemGauges(requests int64) (allocsPerReq, bytesPerReq float64) {
+// scrapeWindow rotates both scrape-to-scrape windows — the MemStats
+// baseline and the live profile — and reports them. The caller has
+// taken the Pool.Snapshot barrier, so renders in flight at scrape time
+// are in both the allocation and the request delta. The first scrape
+// establishes the allocation baseline (and reports 0); a window with no
+// served requests repeats the last value rather than dividing by zero.
+func (s *server) scrapeWindow(mt *sim.Meter, requests int64) *scrapeWindow {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	s.memMu.Lock()
-	defer s.memMu.Unlock()
 	if dr := requests - s.prevRequests; s.memInitialized && dr > 0 {
 		s.allocsPerReq = float64(ms.Mallocs-s.prevMallocs) / float64(dr)
 		s.allocBytesPerRq = float64(ms.TotalAlloc-s.prevTotalAlloc) / float64(dr)
 	}
 	s.prevMallocs, s.prevTotalAlloc, s.prevRequests = ms.Mallocs, ms.TotalAlloc, requests
 	s.memInitialized = true
-	return s.allocsPerReq, s.allocBytesPerRq
+	w := &scrapeWindow{AllocsPerReq: s.allocsPerReq, AllocBytesPerReq: s.allocBytesPerRq}
+	s.memMu.Unlock()
+
+	lp, _ := s.observeLive(mt)
+	w.HottestFrac, w.FuncsFor65, w.Functions = lp.HottestFrac(), lp.FuncsForFrac(0.65), lp.NumFunctions()
+	return w
 }
 
 // observeLive rotates a fresh epoch into the live profile from an
@@ -731,31 +573,6 @@ func (s *server) handleTracez(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	obs.ServeTracez(w, r, ring)
-}
-
-// profilezResponse is the /profilez?format=json shape.
-type profilezResponse struct {
-	App           string             `json:"app"`
-	Config        string             `json:"config"`
-	WindowSince   string             `json:"window_since"`
-	WindowUntil   string             `json:"window_until"`
-	WindowEpochs  int                `json:"window_epochs"`
-	SinceBoot     bool               `json:"since_boot"`
-	TotalCycles   float64            `json:"total_cycles"`
-	Functions     int                `json:"functions"`
-	HottestFrac   float64            `json:"hottest_frac"`
-	FuncsFor65    int                `json:"funcs_for_65"`
-	CDF           map[string]float64 `json:"cdf"`
-	CategoryShare map[string]float64 `json:"category_share"`
-	Top           []profilezEntry    `json:"top"`
-}
-
-type profilezEntry struct {
-	Name     string  `json:"name"`
-	Category string  `json:"category"`
-	Cycles   float64 `json:"cycles"`
-	Frac     float64 `json:"frac"`
-	Cum      float64 `json:"cum"`
 }
 
 // cdfPoints are the function counts the table and JSON forms report the
@@ -806,34 +623,7 @@ func (s *server) handleProfilez(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		io.WriteString(w, p.Folded())
 	case "json":
-		resp := profilezResponse{
-			App:           s.app,
-			Config:        s.config,
-			WindowSince:   info.Since.UTC().Format(time.RFC3339Nano),
-			WindowUntil:   info.Until.UTC().Format(time.RFC3339Nano),
-			WindowEpochs:  info.Epochs,
-			SinceBoot:     info.SinceBoot,
-			TotalCycles:   p.Total,
-			Functions:     p.NumFunctions(),
-			HottestFrac:   obs.Finite(p.HottestFrac()),
-			FuncsFor65:    p.FuncsForFrac(0.65),
-			CDF:           map[string]float64{},
-			CategoryShare: map[string]float64{},
-		}
-		cdf := p.CDF(cdfPoints)
-		for i, np := range cdfPoints {
-			resp.CDF[strconv.Itoa(np)] = obs.Finite(cdf[i])
-		}
-		for c, share := range p.CategoryShares() {
-			resp.CategoryShare[c.String()] = obs.Finite(share)
-		}
-		for _, e := range p.TopN(n) {
-			resp.Top = append(resp.Top, profilezEntry{
-				Name: e.Name, Category: e.Category.String(),
-				Cycles: e.Cycles, Frac: e.Frac, Cum: e.Cum,
-			})
-		}
-		obs.WriteJSON(w, http.StatusOK, resp)
+		obs.WriteJSON(w, http.StatusOK, profile.NewDoc(s.app, s.config, p, info, cdfPoints, n))
 	default:
 		http.Error(w, fmt.Sprintf("profilez: unknown format %q (want table, folded, or json)", format), http.StatusBadRequest)
 	}
@@ -1009,8 +799,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
+		cs := srv.cache.Stats()
 		fmt.Printf("phpserve: response cache on: %d entries, %d shards, ttl %v, %d pages, zipf %g\n",
-			srv.cache.Capacity(), srv.cache.Shards(), *cacheTTL, *pages, *zipf)
+			cs.Capacity, cs.Shards, *cacheTTL, *pages, *zipf)
 	}
 	fmt.Printf("phpserve: listening on %s (queue %d, timeout %v, sample rate %g", *addr, *queue, *timeout, *sample)
 	if *backend >= 0 {
@@ -1053,7 +844,7 @@ func main() {
 	if srv.cache != nil {
 		cs := srv.cache.Stats()
 		fmt.Printf("phpserve: cache: %d hits, %d misses, %d coalesced, %d evictions, hit ratio %.3f\n",
-			cs.Hits, cs.Misses, cs.Coalesced, cs.Evictions, cs.HitRatio())
+			cs.Hits, cs.Misses, cs.Coalesced, cs.Evictions, cs.HitRatio)
 	}
 	if logC != nil {
 		logC.Close()

@@ -35,6 +35,27 @@ type logLine struct {
 	Breakdown map[string]float64 `json:"cycles_by_category"`
 }
 
+// statsResponse is the decode shape of /stats these tests read. (The
+// server's stats type only encodes: its ordered vectors marshal as JSON
+// objects.)
+type statsResponse struct {
+	App                string             `json:"app"`
+	Config             string             `json:"config"`
+	Workers            int                `json:"workers"`
+	Requests           int64              `json:"requests"`
+	SampledSpans       int64              `json:"sampled_spans"`
+	ResponseBytes      int64              `json:"response_bytes"`
+	RequestsPerSec     float64            `json:"requests_per_sec"`
+	LatencyP50Us       int64              `json:"latency_p50_us"`
+	LatencyP99Us       int64              `json:"latency_p99_us"`
+	LatencyMaxUs       int64              `json:"latency_max_us"`
+	SimCycles          float64            `json:"sim_cycles"`
+	CyclesPerRequest   float64            `json:"cycles_per_request"`
+	SimCategoryCycles  map[string]float64 `json:"sim_category_cycles"`
+	SimCategoryShare   map[string]float64 `json:"sim_category_share"`
+	RegexCacheHitRatio float64            `json:"regex_cache_hit_ratio"`
+}
+
 // testServer builds a warmed server with a roomy admission queue and no
 // deadline. sampleRate 1 profiles every request; logW may be nil.
 func testServer(t *testing.T, workers, warmup int, sampleRate float64, logW io.Writer) *server {
@@ -711,7 +732,7 @@ func TestProfilezMatchesOffline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var pr profilezResponse
+	var pr profile.Doc
 	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
 		t.Fatalf("/profilez json: %v", err)
 	}

@@ -84,11 +84,11 @@ func TestTierzEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("content type = %q", ct)
 	}
-	var tz tierzResponse
+	var tz php.TierSnapshot
 	if err := json.NewDecoder(resp.Body).Decode(&tz); err != nil {
 		t.Fatal(err)
 	}
-	if !tz.Enabled || tz.Tier != "auto" {
+	if !tz.Enabled || tz.Mode != "auto" {
 		t.Errorf("tierz should report the enabled auto tier: %+v", tz)
 	}
 	if tz.Promotions == 0 || tz.BytecodeCalls == 0 {
@@ -97,7 +97,7 @@ func TestTierzEndpoint(t *testing.T) {
 	if tz.ICSites == 0 || tz.ICHits == 0 {
 		t.Errorf("promoted code should exercise inline caches: %+v", tz)
 	}
-	if len(tz.Functions) == 0 {
+	if len(tz.Fns) == 0 {
 		t.Error("tierz json should list per-function rows")
 	}
 }

@@ -130,38 +130,27 @@ func ValidateFlags(capacity, shards, pages int, ttl time.Duration, zipf float64)
 	return nil
 }
 
-// Stats is a consistent snapshot of the cache's lifetime counters and
-// current occupancy.
+// Stats is a consistent snapshot of the cache's configuration, lifetime
+// counters and current occupancy. The tags are the signals' one
+// declaration: phpserve's /stats cache block is this struct's JSON and
+// its phpserve_cache_* series are obs.Encoder.Struct of it.
 type Stats struct {
-	// Hits counts lookups answered from a fresh cached entry.
-	Hits int64
-	// Misses counts lookups that rendered and filled (fill errors
-	// included — the render was attempted).
-	Misses int64
-	// Coalesced counts lookups that waited on another caller's in-flight
-	// render instead of rendering themselves.
-	Coalesced int64
-	// Evictions counts entries removed by the LRU capacity bound.
-	Evictions int64
-	// Expired counts entries dropped because their TTL had passed.
-	Expired int64
-	// Entries is the current number of cached responses.
-	Entries int
-	// Bytes is the current sum of cached response body sizes.
-	Bytes int64
+	Capacity  int     `json:"capacity" help:"Total entry capacity across all shards (-cache rounded up to a multiple of the shard count)."`
+	Shards    int     `json:"shards" help:"Shards actually in use (-cacheshards after rounding)."`
+	Hits      int64   `json:"hits" prom:"cache_hits_total,counter" help:"Response cache lookups answered from a fresh cached entry."`
+	Misses    int64   `json:"misses" prom:"cache_misses_total,counter" help:"Response cache lookups that rendered on a worker and filled."`
+	Coalesced int64   `json:"coalesced" prom:"cache_coalesced_total,counter" help:"Response cache lookups that waited on another request's in-flight render."`
+	Evictions int64   `json:"evictions" prom:"cache_evictions_total,counter" help:"Response cache entries evicted by the LRU capacity bound."`
+	Expired   int64   `json:"expired" prom:"cache_expired_total,counter" help:"Response cache entries dropped because their TTL passed."`
+	Entries   int     `json:"entries" prom:"cache_entries,gauge" help:"Responses currently cached (instantaneous)."`
+	Bytes     int64   `json:"bytes" prom:"cache_bytes,gauge" help:"Body bytes currently cached (instantaneous)."`
+	HitRatio  float64 `json:"hit_ratio" prom:"cache_hit_ratio,gauge" help:"Fraction of cache lookups answered from a cached entry (0 when no lookups)."`
 }
 
-// Lookups returns the total GetOrFill calls the stats cover.
+// Lookups returns the total GetOrFill calls the stats cover: fill
+// errors count as misses (the render was attempted), coalesced waiters
+// are lookups but never hits.
 func (s Stats) Lookups() int64 { return s.Hits + s.Misses + s.Coalesced }
-
-// HitRatio returns the fraction of lookups answered from a cached entry
-// (coalesced waiters excluded; 0 when there were no lookups).
-func (s Stats) HitRatio() float64 {
-	if l := s.Lookups(); l > 0 {
-		return float64(s.Hits) / float64(l)
-	}
-	return 0
-}
 
 // entry is one cached response, linked into its shard's LRU list.
 type entry struct {
@@ -400,24 +389,12 @@ func (c *Cache) LookupCostVec() sim.CategoryVec {
 	return v
 }
 
-// Shards returns the number of shards actually in use (after rounding).
-func (c *Cache) Shards() int { return len(c.shards) }
-
-// Capacity returns the total entry capacity across all shards (the
-// configured capacity rounded up to a multiple of the shard count).
-func (c *Cache) Capacity() int {
-	total := 0
-	for _, sh := range c.shards {
-		total += sh.cap
-	}
-	return total
-}
-
 // Stats sums every shard's counters and occupancy into one snapshot.
 func (c *Cache) Stats() Stats {
-	var s Stats
+	s := Stats{Shards: len(c.shards)}
 	for _, sh := range c.shards {
 		sh.mu.Lock()
+		s.Capacity += sh.cap
 		s.Hits += sh.hits
 		s.Misses += sh.misses
 		s.Coalesced += sh.coalesced
@@ -426,6 +403,9 @@ func (c *Cache) Stats() Stats {
 		s.Entries += sh.lru.Len()
 		s.Bytes += sh.bytes
 		sh.mu.Unlock()
+	}
+	if l := s.Lookups(); l > 0 {
+		s.HitRatio = float64(s.Hits) / float64(l)
 	}
 	return s
 }

@@ -234,8 +234,8 @@ func TestShardRounding(t *testing.T) {
 		{Config{Capacity: 4, Shards: 64}, 4}, // capped to capacity
 	}
 	for _, tc := range cases {
-		if got := New(tc.cfg).Shards(); got != tc.want {
-			t.Errorf("New(%+v).Shards() = %d, want %d", tc.cfg, got, tc.want)
+		if got := New(tc.cfg).Stats().Shards; got != tc.want {
+			t.Errorf("New(%+v).Stats().Shards = %d, want %d", tc.cfg, got, tc.want)
 		}
 	}
 }

@@ -91,17 +91,19 @@ type rttEntry struct {
 }
 
 // Stats counts accelerator activity for the evaluation (Fig. 7, Fig. 15).
+// The tagged fields are the ones a serving fleet exports (see
+// obs.Encoder.Struct); the rest are the differential tests' oracles.
 type Stats struct {
-	Gets       int64 // GET requests
-	GetHits    int64 // served without software
-	Sets       int64 // SET requests
+	Gets       int64 `prom:"hashtable_gets_total,counter" help:"Hardware hash table GET requests."`
+	GetHits    int64 `prom:"hashtable_get_hits_total,counter" help:"Hardware hash table GETs served without software."`
+	Sets       int64 `prom:"hashtable_sets_total,counter" help:"Hardware hash table SET requests."`
 	SetHits    int64 // SET found the key already cached
 	Bypasses   int64 // keys too long for the hardware
 	EvictClean int64 // clean-entry replacements (hardware only)
 	EvictDirty int64 // dirty-entry replacements (software writeback)
 	Frees      int64 // Free requests
 	FreeScans  int64 // Frees that scanned the table (RTT overflow)
-	Writebacks int64 // pairs written back to software maps
+	Writebacks int64 `prom:"hashtable_writebacks_total,counter" help:"Key/value pairs written back to software maps."`
 }
 
 // Add folds another counter snapshot into this one — the fleet

@@ -24,7 +24,6 @@ type Collector struct {
 	requests  int64
 	respBytes int64
 	sampled   int64
-	shed      int64
 	hist      *Histogram
 	latencies []time.Duration
 }
@@ -141,32 +140,26 @@ func (c *Collector) ObserveHTTP(sp Span, respBytes int, meta RequestMeta) Span {
 }
 
 // ObserveShed records a request the lifecycle layer rejected before it
-// reached a worker. Sheds bypass the latency histogram (there was no
-// render) but bump the shed counter, and — unlike served requests,
-// which are sampled — every shed is written to the access log: sheds
-// are rare, and each one is an operator-relevant event.
+// reached a worker. Sheds bypass the counters and the latency histogram
+// (there was no render; serve.Stats counts them by reason), and — unlike
+// served requests, which are sampled — every shed is written to the
+// access log: sheds are rare, and each one is an operator-relevant event.
 func (c *Collector) ObserveShed(meta RequestMeta) {
-	c.mu.Lock()
-	c.shed++
-	c.mu.Unlock()
 	if c.log != nil {
 		c.log.WriteMeta(Span{Worker: -1, Wall: meta.QueueWait}, 0, meta)
 	}
 }
 
-// Snapshot is a consistent copy of the collector's state for a /stats or
-// /metrics render.
+// Snapshot is a consistent copy of the collector's state; its tags are
+// the one declaration of the request counters on /stats and /metrics.
 type Snapshot struct {
-	Requests      int64
-	ResponseBytes int64
-	SampledSpans  int64
-	// Shed counts requests rejected by the lifecycle layer (recorded
-	// via ObserveShed; not included in Requests).
-	Shed    int64
-	Latency HistogramSnapshot
+	Requests      int64             `json:"requests" prom:"requests_total,counter,base" help:"Requests served since startup."`
+	ResponseBytes int64             `json:"response_bytes" prom:"response_bytes_total,counter,base" help:"Response body bytes written since startup."`
+	SampledSpans  int64             `json:"sampled_spans" prom:"sampled_spans_total,counter,base" help:"Requests that carried a per-request attribution span."`
+	Latency       HistogramSnapshot `json:"-" prom:"request_latency_seconds,histogram" help:"Request wall latency, queueing included."`
 	// Latencies is a copy of the bounded recent-latency reservoir, for
 	// quantile computation (workload.LatencyStatsFrom).
-	Latencies []time.Duration
+	Latencies []time.Duration `json:"-"`
 }
 
 // Snapshot returns a consistent copy of the counters, histogram, and
@@ -178,7 +171,6 @@ func (c *Collector) Snapshot() Snapshot {
 		Requests:      c.requests,
 		ResponseBytes: c.respBytes,
 		SampledSpans:  c.sampled,
-		Shed:          c.shed,
 		Latency:       c.hist.Snapshot(),
 		Latencies:     append([]time.Duration(nil), c.latencies...),
 	}

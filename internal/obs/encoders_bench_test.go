@@ -49,24 +49,25 @@ func BenchmarkAccessLogUnsampled(b *testing.B) {
 }
 
 // BenchmarkPromEncoder measures a representative /metrics scrape
-// fragment: labelled counters, a gauge, and a histogram. The reused
-// line buffer keeps allocs/op flat regardless of series count.
+// fragment — labelled counters, a gauge, and a histogram — through the
+// reflection walker, the way the servers render it.
 func BenchmarkPromEncoder(b *testing.B) {
 	labels := []Label{{Name: "app", Value: "wordpress"}, {Name: "config", Value: "accelerated"}}
 	h := NewHistogram(DefLatencyBuckets())
 	for i := 0; i < 64; i++ {
 		h.Observe(float64(i) / 100)
 	}
-	snap := h.Snapshot()
+	snap := struct {
+		Requests int               `prom:"bench_requests_total,counter,base" help:"Requests served."`
+		Shed     int               `prom:"bench_shed_total,counter,reason=overload" help:"Sheds."`
+		Queue    int               `prom:"bench_queue_depth,gauge" help:"Queue depth."`
+		Latency  HistogramSnapshot `prom:"bench_latency_seconds,histogram" help:"Latency."`
+	}{12345, 17, 3, h.Snapshot()}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := NewEncoder(io.Discard)
-		e.Counter("bench_requests_total", "Requests served.",
-			Sample{Labels: labels, Value: 12345},
-			Sample{Labels: []Label{{Name: "reason", Value: "overload"}}, Value: 17})
-		e.Gauge("bench_queue_depth", "Queue depth.", Sample{Value: 3})
-		e.Histogram("bench_latency_seconds", "Latency.", nil, snap)
+		e.Struct("", labels, snap)
 		if err := e.Err(); err != nil {
 			b.Fatal(err)
 		}

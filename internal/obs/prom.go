@@ -15,12 +15,6 @@ type Label struct {
 	Value string
 }
 
-// Sample is one series of a metric family: its labels and current value.
-type Sample struct {
-	Labels []Label
-	Value  float64
-}
-
 // Quantile is one φ-quantile of a summary metric.
 type Quantile struct {
 	Q     float64 // e.g. 0.5, 0.95, 0.99
@@ -29,10 +23,11 @@ type Quantile struct {
 
 // Encoder writes metric families in the Prometheus text exposition
 // format (version 0.0.4): a # HELP and # TYPE header per family followed
-// by one line per series. The format allows one TYPE line per family, so
-// consecutive calls for the same family name (one Histogram call per
-// labelled series, say) share the first call's header. Errors are
-// sticky; check Err once at the end.
+// by one line per series. Counters and gauges are written by Struct,
+// from tagged fields; Histogram and Summary are its siblings. The format
+// allows one TYPE line per family, so consecutive writes of the same
+// family name (one Histogram call per labelled series, say) share the
+// first one's header. Errors are sticky; check Err once at the end.
 //
 // The encoder is deliberately snapshot-oriented: the serving layer keeps
 // plain counters and histograms on the hot path and renders them here
@@ -183,22 +178,6 @@ func (e *Encoder) derived(labels []Label, name, value string) []Label {
 	e.lbl = append(e.lbl[:0], labels...)
 	e.lbl = append(e.lbl, Label{name, value})
 	return e.lbl
-}
-
-// Counter writes one counter family with the given samples.
-func (e *Encoder) Counter(name, help string, samples ...Sample) {
-	e.header(name, help, "counter")
-	for _, s := range samples {
-		e.series(name, s.Labels, s.Value)
-	}
-}
-
-// Gauge writes one gauge family with the given samples.
-func (e *Encoder) Gauge(name, help string, samples ...Sample) {
-	e.header(name, help, "gauge")
-	for _, s := range samples {
-		e.series(name, s.Labels, s.Value)
-	}
 }
 
 // Histogram writes one histogram family from a cumulative snapshot:

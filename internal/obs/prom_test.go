@@ -6,7 +6,15 @@ import (
 	"testing"
 )
 
+// TestEncoderCounterAndGauge: the text a counter or gauge field becomes —
+// header, label block, escaping, non-finite spellings — through Struct,
+// the one writer of those kinds.
 func TestEncoderCounterAndGauge(t *testing.T) {
+	base := []Label{{Name: "app", Value: "wordpress"}, {Name: "config", Value: "accelerated"}}
+	type hop struct {
+		Backend string `prom:"backend,label"`
+		Hops    int    `prom:"hops_total,counter" help:"Hops."`
+	}
 	tests := []struct {
 		name    string
 		write   func(e *Encoder)
@@ -16,7 +24,9 @@ func TestEncoderCounterAndGauge(t *testing.T) {
 		{
 			name: "bare counter",
 			write: func(e *Encoder) {
-				e.Counter("requests_total", "Requests served.", Sample{Value: 42})
+				e.Struct("", nil, struct {
+					N int `prom:"requests_total,counter" help:"Requests served."`
+				}{42})
 			},
 			exactly: "# HELP requests_total Requests served.\n" +
 				"# TYPE requests_total counter\n" +
@@ -25,19 +35,18 @@ func TestEncoderCounterAndGauge(t *testing.T) {
 		{
 			name: "labeled gauge",
 			write: func(e *Encoder) {
-				e.Gauge("workers", "Pool size.", Sample{
-					Labels: []Label{{Name: "app", Value: "wordpress"}, {Name: "config", Value: "accelerated"}},
-					Value:  4,
-				})
+				e.Struct("", base, struct {
+					N int `prom:"workers,gauge,base" help:"Pool size."`
+				}{4})
 			},
 			want: []string{`workers{app="wordpress",config="accelerated"} 4`, "# TYPE workers gauge"},
 		},
 		{
 			name: "multi-series family has one header",
 			write: func(e *Encoder) {
-				e.Counter("cycles_total", "Cycles.",
-					Sample{Labels: []Label{{Name: "category", Value: "hash"}}, Value: 1},
-					Sample{Labels: []Label{{Name: "category", Value: "heap"}}, Value: 2})
+				e.Struct("", nil, struct {
+					V Vec `prom:"cycles_total,counter,by=category" help:"Cycles."`
+				}{Vec{{"hash", 1}, {"heap", 2}}})
 			},
 			exactly: "# HELP cycles_total Cycles.\n" +
 				"# TYPE cycles_total counter\n" +
@@ -47,9 +56,11 @@ func TestEncoderCounterAndGauge(t *testing.T) {
 		{
 			name: "one call per series still has one header",
 			write: func(e *Encoder) {
-				e.Counter("hops_total", "Hops.", Sample{Labels: []Label{{Name: "backend", Value: "0"}}, Value: 1})
-				e.Counter("hops_total", "Hops.", Sample{Labels: []Label{{Name: "backend", Value: "1"}}, Value: 2})
-				e.Gauge("up", "Up.", Sample{Value: 1})
+				e.Struct("", nil, hop{"0", 1})
+				e.Struct("", nil, hop{"1", 2})
+				e.Struct("", nil, struct {
+					Up bool `prom:"up,gauge" help:"Up."`
+				}{true})
 			},
 			exactly: "# HELP hops_total Hops.\n" +
 				"# TYPE hops_total counter\n" +
@@ -62,27 +73,28 @@ func TestEncoderCounterAndGauge(t *testing.T) {
 		{
 			name: "help escaping",
 			write: func(e *Encoder) {
-				e.Counter("x_total", "line one\nback\\slash", Sample{Value: 0})
+				e.Struct("", nil, struct {
+					X int `prom:"x_total,counter" help:"line one\nback\\slash"`
+				}{})
 			},
 			want: []string{`# HELP x_total line one\nback\\slash`},
 		},
 		{
 			name: "label value escaping",
 			write: func(e *Encoder) {
-				e.Counter("x_total", "h", Sample{
-					Labels: []Label{{Name: "path", Value: `a"b\c` + "\nd"}},
-					Value:  1,
-				})
+				e.Struct("", nil, struct {
+					Path string `prom:"path,label"`
+					X    int    `prom:"x_total,counter" help:"h"`
+				}{`a"b\c` + "\nd", 1})
 			},
 			want: []string{`x_total{path="a\"b\\c\nd"} 1`},
 		},
 		{
 			name: "non-finite values spelled out",
 			write: func(e *Encoder) {
-				e.Gauge("g", "h",
-					Sample{Labels: []Label{{Name: "k", Value: "inf"}}, Value: math.Inf(1)},
-					Sample{Labels: []Label{{Name: "k", Value: "ninf"}}, Value: math.Inf(-1)},
-					Sample{Labels: []Label{{Name: "k", Value: "nan"}}, Value: math.NaN()})
+				e.Struct("", nil, struct {
+					G Vec `prom:"g,gauge,by=k" help:"h"`
+				}{Vec{{"inf", math.Inf(1)}, {"ninf", math.Inf(-1)}, {"nan", math.NaN()}}})
 			},
 			want: []string{`g{k="inf"} +Inf`, `g{k="ninf"} -Inf`, `g{k="nan"} NaN`},
 		},
@@ -159,7 +171,9 @@ func TestEncoderZeroSampleSeries(t *testing.T) {
 	var b strings.Builder
 	e := NewEncoder(&b)
 	e.Histogram("empty_seconds", "Never observed.", nil, NewHistogram([]float64{1, 2}).Snapshot())
-	e.Counter("zero_total", "Zero.", Sample{Value: 0})
+	e.Struct("", nil, struct {
+		Zero int `prom:"zero_total,counter" help:"Zero."`
+	}{})
 	if err := e.Err(); err != nil {
 		t.Fatal(err)
 	}

@@ -7,16 +7,20 @@ import (
 	"testing"
 )
 
+// backendSnapshot is the tagged shape encodeSnapshot renders.
+type backendSnapshot struct {
+	Requests float64           `prom:"requests_total,counter,base" help:"Requests served."`
+	Workers  float64           `prom:"workers,gauge" help:"Configured workers."`
+	Latency  HistogramSnapshot `prom:"request_latency_seconds,histogram" help:"Render latency."`
+}
+
 // encodeSnapshot renders a small exposition the way a backend's /metrics
 // does: a counter with labels, an unlabelled gauge, and a histogram.
 func encodeSnapshot(t *testing.T, requests float64, workers float64, h *Histogram) string {
 	t.Helper()
 	var b strings.Builder
 	e := NewEncoder(&b)
-	e.Counter("phpserve_requests_total", "Requests served.",
-		Sample{Labels: []Label{{"app", "wordpress"}}, Value: requests})
-	e.Gauge("phpserve_workers", "Configured workers.", Sample{Value: workers})
-	e.Histogram("phpserve_request_latency_seconds", "Render latency.", nil, h.Snapshot())
+	e.Struct("phpserve_", []Label{{"app", "wordpress"}}, backendSnapshot{requests, workers, h.Snapshot()})
 	if err := e.Err(); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -54,14 +58,7 @@ func TestMergeEqualsCombinedLoad(t *testing.T) {
 		merged = MergeFamilies(merged, fams)
 	}
 
-	var wantB strings.Builder
-	ew := NewEncoder(&wantB)
-	ew.Counter("phpserve_requests_total", "Requests served.",
-		Sample{Labels: []Label{{"app", "wordpress"}}, Value: totalReqs})
-	ew.Gauge("phpserve_workers", "Configured workers.", Sample{Value: totalWorkers})
-	ew.Histogram("phpserve_request_latency_seconds", "Render latency.", nil, combined.Snapshot())
-
-	wantFams, err := ParsePromText(strings.NewReader(wantB.String()))
+	wantFams, err := ParsePromText(strings.NewReader(encodeSnapshot(t, totalReqs, totalWorkers, combined)))
 	if err != nil {
 		t.Fatalf("parse combined: %v", err)
 	}

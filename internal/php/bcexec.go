@@ -36,7 +36,6 @@ type bcMachine struct {
 	icHits, icMisses   int64
 	megamorphic        int64 // sites that overflowed their ways (cumulative marks)
 	tfStable, tfMisses int64
-	bcCalls            int64
 }
 
 // bcIter is a foreach iterator over a snapshot of the array's pairs in
@@ -113,7 +112,6 @@ func (in *Interp) bcCall(fn *compiledFn, args []interface{}) (interface{}, error
 		in.rt.BeginSpan("php:" + fn.name)
 	}
 	m := in.bc
-	m.bcCalls++
 	sbase, lbase, ibase, spBase := len(m.slots), len(m.loops), len(m.iters), m.sp
 	for i := 0; i < fn.nSlots; i++ {
 		m.slots = append(m.slots, nil)

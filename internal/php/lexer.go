@@ -35,7 +35,6 @@ const (
 type token struct {
 	kind tokenKind
 	text string
-	pos  int // byte offset, for error messages
 	line int
 }
 
@@ -72,7 +71,7 @@ func lex(src string) ([]token, error) {
 }
 
 func (l *lexer) emit(kind tokenKind, text string) {
-	l.tokens = append(l.tokens, token{kind: kind, text: text, pos: l.pos, line: l.line})
+	l.tokens = append(l.tokens, token{kind: kind, text: text, line: l.line})
 }
 
 func (l *lexer) lexHTML() error {

@@ -220,32 +220,34 @@ func (in *Interp) callFn(fd *funcDecl, args []interface{}) (interface{}, error) 
 
 // TierFnStat is one function's row in a tier snapshot.
 type TierFnStat struct {
-	Name       string
-	Tier       string // "bytecode", "interp", or "mixed" after merging
-	Calls      int64
-	Promotions int64
-	Demotions  int64
+	Name       string `json:"name"`
+	Tier       string `json:"tier"` // "bytecode", "interp", or "mixed" after merging
+	Calls      int64  `json:"calls"`
+	Promotions int64  `json:"promotions"`
+	Demotions  int64  `json:"demotions"`
 }
 
 // TierSnapshot is a point-in-time view of one interpreter's (or, after
-// Merge, a worker pool's) tier and inline-cache state — the data behind
-// /tierz and the phpserve_tier_* metrics.
+// Merge, a worker pool's) tier and inline-cache state. It is its own
+// wire shape: /tierz?format=json is this struct's JSON and the
+// phpserve_tier_* series are obs.Encoder.Struct of it, each labelled
+// with the mode.
 type TierSnapshot struct {
-	Enabled           bool
-	Mode              string
-	Requests          int64
-	Promotions        int64
-	Demotions         int64
-	BytecodeCalls     int64
-	InterpCalls       int64
-	ICHits            int64
-	ICMisses          int64
-	ICSites           int
-	MegamorphicSites  int64
-	TypeStableHits    int64
-	TypeMisses        int64
-	PromotedFunctions int
-	Fns               []TierFnStat
+	Enabled           bool         `json:"enabled"`
+	Mode              string       `json:"tier" prom:"tier,label"`
+	Requests          int64        `json:"requests" prom:"tier_requests_total,counter,base" help:"Requests seen by the tier controller across all workers."`
+	Promotions        int64        `json:"promotions" prom:"tier_promotions_total,counter,base" help:"Function promotions to the bytecode tier across all workers."`
+	Demotions         int64        `json:"demotions" prom:"tier_demotions_total,counter,base" help:"Function demotions back to the tree-walking interpreter."`
+	BytecodeCalls     int64        `json:"bytecode_calls" prom:"tier_bytecode_calls_total,counter,base" help:"Function calls executed in the bytecode tier."`
+	InterpCalls       int64        `json:"interp_calls" prom:"tier_interp_calls_total,counter,base" help:"Function calls executed by the tree-walking interpreter."`
+	ICSites           int          `json:"ic_sites" prom:"tier_ic_sites,gauge,base" help:"Polymorphic inline-cache sites materialized in compiled code."`
+	ICHits            int64        `json:"ic_hits" prom:"tier_ic_hits_total,counter,base" help:"Inline-cache hits at static hash-access sites."`
+	ICMisses          int64        `json:"ic_misses" prom:"tier_ic_misses_total,counter,base" help:"Inline-cache misses (lookup fell back to the full path)."`
+	MegamorphicSites  int64        `json:"megamorphic_sites" prom:"tier_megamorphic_sites,gauge,base" help:"Inline-cache sites gone megamorphic (cap exceeded, caching off)."`
+	TypeStableHits    int64        `json:"type_stable_hits" prom:"tier_type_stable_hits_total,counter,base" help:"Type-check sites whose observed type matched the cached one."`
+	TypeMisses        int64        `json:"type_misses" prom:"tier_type_misses_total,counter,base" help:"Type-check sites observing a new type (feedback updated)."`
+	PromotedFunctions int          `json:"promoted_functions" prom:"tier_promoted_functions,gauge,base" help:"Functions currently resident in the bytecode tier (any worker)."`
+	Fns               []TierFnStat `json:"functions"`
 }
 
 // TierSnapshot captures the current tier state. Safe only from the

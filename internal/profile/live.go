@@ -27,7 +27,6 @@ type epochKey struct {
 
 type epochRow struct {
 	cycles float64
-	calls  int64
 }
 
 // Live maintains a windowed flat profile over a running fleet. Callers
@@ -69,7 +68,7 @@ func NewLive(maxEpochs int, now time.Time) *Live {
 func (l *Live) Observe(mt *sim.Meter, now time.Time) {
 	e := epoch{at: now, fns: make(map[epochKey]epochRow, 256)}
 	for _, f := range mt.Functions() {
-		e.fns[epochKey{f.Name, f.Category}] = epochRow{cycles: f.Cycles(&mt.Model), calls: f.Calls}
+		e.fns[epochKey{f.Name, f.Category}] = epochRow{cycles: f.Cycles(&mt.Model)}
 	}
 	l.epochs = append(l.epochs, e)
 	if len(l.epochs) > l.max {

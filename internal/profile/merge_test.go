@@ -1,7 +1,9 @@
 package profile
 
 import (
+	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -91,5 +93,44 @@ func TestTopNAll(t *testing.T) {
 	}
 	if got := len(p.TopN(-5)); got != 1 {
 		t.Fatalf("TopN(-5) = %d entries, want all (1)", got)
+	}
+}
+
+// TestDocRoundTrip: the /profilez?format=json shape carries a whole
+// profile across the wire when rendered with n=0 — the fleet scraper's
+// contract — a top-n doc keeps the headline numbers of the full window,
+// and a category name this build does not know folds into "other"
+// instead of failing the decode.
+func TestDocRoundTrip(t *testing.T) {
+	p := FromCycles([]RawEntry{
+		{Name: "zend_hash_find", Category: sim.CatHash, Cycles: 500},
+		{Name: "_emalloc", Category: sim.CatHeap, Cycles: 250},
+		{Name: "memcpy", Category: sim.CatString, Cycles: 250},
+	})
+	wire, err := json.Marshal(NewDoc("wordpress", "accelerated", p, WindowInfo{Epochs: 2, SinceBoot: true}, []int{1, 2}, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d Doc
+	if err := json.Unmarshal(wire, &d); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Profile(); !reflect.DeepEqual(got, p) {
+		t.Errorf("n=0 round trip = %+v, want %+v", got, p)
+	}
+	if d.App != "wordpress" || d.WindowEpochs != 2 || !d.SinceBoot || d.CDF["1"] != 0.5 || d.CDF["2"] != 0.75 || d.CategoryShare["heap"] != 0.25 {
+		t.Errorf("doc header = %+v", d)
+	}
+
+	top := NewDoc("", "", p, WindowInfo{}, nil, 1)
+	if len(top.Top) != 1 || top.Functions != 3 || top.TotalCycles != 1000 || top.HottestFrac != 0.5 || top.FuncsFor65 != 2 {
+		t.Errorf("n=1 doc = %+v, want one row under the whole window's headline", top)
+	}
+
+	if err := json.Unmarshal([]byte(`{"top":[{"name":"f","category":"quantum","cycles":7}]}`), &d); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Profile(); got.Total != 7 || got.Entries[0].Category != sim.CatOther {
+		t.Errorf("unknown category decoded as %+v, want 7 cycles under other", got)
 	}
 }

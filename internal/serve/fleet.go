@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/profile"
-	"repro/internal/sim"
 )
 
 // Fleet aggregation: the router scrapes each healthy backend's /metrics
@@ -165,11 +164,14 @@ func (r *Router) scrapeBackend(ctx context.Context, id, addr string) BackendScra
 		b.Err = err
 		return b
 	}
-	b.Profile, err = decodeProfilez(pb)
+	var doc profile.Doc
+	err = json.NewDecoder(io.LimitReader(pb, 8<<20)).Decode(&doc)
 	pb.Close()
 	if err != nil {
-		b.Err = err
+		b.Err = fmt.Errorf("serve: profilez decode: %w", err)
+		return b
 	}
+	b.Profile = doc.Profile() // requested with n=0: every function
 	return b
 }
 
@@ -190,32 +192,4 @@ func (r *Router) fetchBody(ctx context.Context, url string) (io.ReadCloser, erro
 		return nil, fmt.Errorf("serve: scrape %s: %s", url, resp.Status)
 	}
 	return resp.Body, nil
-}
-
-// profilezDoc is the subset of phpserve's /profilez?format=json shape
-// the merger needs: the complete per-function cycle rows.
-type profilezDoc struct {
-	Top []struct {
-		Name     string  `json:"name"`
-		Category string  `json:"category"`
-		Cycles   float64 `json:"cycles"`
-	} `json:"top"`
-}
-
-// decodeProfilez rebuilds a profile.Profile from a backend's
-// /profilez?format=json body (requested with n=0, so Top holds every
-// function). Unknown category names fold into CatOther rather than
-// failing the scrape: profiles merge by cycles, and a version-skewed
-// backend's new category should not blind the fleet view.
-func decodeProfilez(r io.Reader) (profile.Profile, error) {
-	var doc profilezDoc
-	if err := json.NewDecoder(io.LimitReader(r, 8<<20)).Decode(&doc); err != nil {
-		return profile.Profile{}, fmt.Errorf("serve: profilez decode: %w", err)
-	}
-	raw := make([]profile.RawEntry, 0, len(doc.Top))
-	for _, e := range doc.Top {
-		cat, _ := sim.CategoryByName(e.Category)
-		raw = append(raw, profile.RawEntry{Name: e.Name, Category: cat, Cycles: e.Cycles})
-	}
-	return profile.FromCycles(raw), nil
 }

@@ -10,7 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/obs"
+	"repro/internal/profile"
+	"repro/internal/sim"
 )
 
 // metricsBackend is a stub phpserve exposing just /healthz, /metrics,
@@ -35,24 +38,19 @@ func startMetricsBackend(t *testing.T, b *metricsBackend) string {
 		for i := 0.0; i < b.requests; i++ {
 			h.Observe(0.005)
 		}
-		e := obs.NewEncoder(w)
-		e.Counter("phpserve_requests_total", "Requests served.",
-			obs.Sample{Labels: []obs.Label{{Name: "app", Value: "wordpress"}}, Value: b.requests})
-		e.Counter("phpserve_cache_hits_total", "Cache hits.", obs.Sample{Value: b.hits})
-		e.Counter("phpserve_cache_misses_total", "Cache misses.", obs.Sample{Value: b.misses})
-		e.Histogram("phpserve_request_latency_seconds", "Latency.", nil, h.Snapshot())
+		// The tagged types phpserve renders, so the names are the server's.
+		obs.NewEncoder(w).Struct("phpserve_", []obs.Label{{Name: "app", Value: "wordpress"}}, struct {
+			obs.Snapshot
+			Cache cache.Stats
+		}{obs.Snapshot{Requests: int64(b.requests), Latency: h.Snapshot()}, cache.Stats{Hits: int64(b.hits), Misses: int64(b.misses)}})
 	})
 	mux.HandleFunc("/profilez", func(w http.ResponseWriter, _ *http.Request) {
-		type entry struct {
-			Name     string  `json:"name"`
-			Category string  `json:"category"`
-			Cycles   float64 `json:"cycles"`
-		}
-		var top []entry
+		var raw []profile.RawEntry
 		for name, cyc := range b.funcs {
-			top = append(top, entry{Name: name, Category: "hash", Cycles: cyc})
+			raw = append(raw, profile.RawEntry{Name: name, Category: sim.CatHash, Cycles: cyc})
 		}
-		json.NewEncoder(w).Encode(map[string]any{"top": top})
+		// The wire shape phpserve encodes, every function (n=0).
+		json.NewEncoder(w).Encode(profile.NewDoc("wordpress", "accelerated", profile.FromCycles(raw), profile.WindowInfo{}, nil, 0))
 	})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

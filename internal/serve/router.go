@@ -474,44 +474,38 @@ func (r *Router) WaitHealthy(ctx context.Context, addr string, interval time.Dur
 	}
 }
 
-// BackendStats is one backend's row in RouterStats.
+// BackendStats is one backend's row in RouterStats: a /backends row as
+// JSON, and on /metrics one series per tagged field labelled
+// backend=<ID> (obs.Encoder.Struct).
 type BackendStats struct {
-	// ID and Addr identify the backend.
-	ID   string
-	Addr string
+	ID   string `json:"id" prom:"backend,label"`
+	Addr string `json:"addr"`
 	// Up is the router's current health view.
-	Up bool
-	// Inflight is the number of requests currently proxied to it.
-	Inflight int
-	// Requests, Errors, Shed, CacheHits count proxied answers,
-	// transport failures, inflight-cap sheds, and X-Cache: HIT answers.
-	Requests  int64
-	Errors    int64
-	Shed      int64
-	CacheHits int64
-	// Latency is the backend's proxied-request latency distribution in
-	// seconds.
-	Latency obs.HistogramSnapshot
+	Up        bool  `json:"up" prom:"backend_up,gauge" help:"1 while the labelled backend is healthy and owns its key range."`
+	Inflight  int   `json:"inflight" prom:"backend_inflight,gauge" help:"Requests currently proxied to the labelled backend."`
+	Requests  int64 `json:"requests" prom:"requests_total,counter" help:"Requests answered by the labelled backend."`
+	Errors    int64 `json:"errors" prom:"backend_errors_total,counter" help:"Transport failures against the labelled backend."`
+	Shed      int64 `json:"shed" prom:"backend_shed_total,counter" help:"Requests shed at the labelled backend's inflight cap."`
+	CacheHits int64 `json:"cache_hits" prom:"backend_cache_hits_total,counter" help:"Responses the labelled backend served from its cache (X-Cache: HIT)."`
+	// Latency is in seconds.
+	Latency obs.HistogramSnapshot `json:"-" prom:"backend_latency_seconds,histogram" help:"Proxied request latency through the labelled backend."`
 }
 
-// RouterStats is a consistent snapshot of the router's state for
-// /metrics, /backends, and tests.
+// RouterStats is a consistent snapshot of the router's state: /backends
+// is its JSON, the phprouter_* routing series are obs.Encoder.Struct of
+// it. The shed reasons in the tags are the RouterShed* constants.
 type RouterStats struct {
-	// Draining reports the router-level lifecycle state.
-	Draining bool
-	// ShedOverload, ShedNoBackend, ShedDraining count router-level
-	// sheds by reason; Retries counts reroutes to a fallback owner.
-	ShedOverload  int64
-	ShedNoBackend int64
-	ShedDraining  int64
-	Retries       int64
-	// Stitched counts backend span trees grafted under a router proxy
-	// span; StitchErrors counts stitch fetches that failed or found no
-	// matching tree at the backend.
-	Stitched     int64
-	StitchErrors int64
+	Draining bool `json:"draining" prom:"draining,gauge" help:"1 while the router is draining for shutdown."`
 	// Backends holds per-backend rows in registration order.
-	Backends []BackendStats
+	Backends      []BackendStats `json:"backends"`
+	ShedOverload  int64          `json:"-" prom:"shed_total,counter,reason=overload" help:"Router-level sheds by reason."`
+	ShedNoBackend int64          `json:"-" prom:"shed_total,counter,reason=no_backend"`
+	ShedDraining  int64          `json:"-" prom:"shed_total,counter,reason=draining"`
+	Retries       int64          `json:"retries" prom:"retries_total,counter" help:"Reroutes to a fallback ring owner (refused connection or backend-side 503)."`
+	// StitchErrors includes fetches that found no matching tree at the
+	// backend.
+	Stitched     int64 `json:"-" prom:"stitched_trees_total,counter" help:"Backend span trees fetched and grafted under a router proxy span."`
+	StitchErrors int64 `json:"-" prom:"stitch_errors_total,counter" help:"Backend tree fetches that failed (tree evicted, backend gone, decode error)."`
 }
 
 // Requests sums proxied requests across backends.

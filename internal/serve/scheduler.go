@@ -88,25 +88,27 @@ type Config struct {
 }
 
 // Stats is a consistent snapshot of the scheduler's lifetime counters.
+// The tags are the one declaration of phpserve's shed_* /stats keys and
+// its phpserve_shed_total / phpserve_queue_wait_seconds series.
 type Stats struct {
 	// Admitted counts requests that passed admission (they were served,
 	// or timed out while queued).
-	Admitted int64
+	Admitted int64 `json:"-"`
 	// Served counts requests whose worker function ran to completion.
-	Served int64
-	// ShedOverload counts requests rejected because the queue was full.
-	ShedOverload int64
-	// ShedDeadline counts requests whose deadline expired before
-	// execution (at admission, while queued, or at worker pickup).
-	ShedDeadline int64
-	// ShedCanceled counts requests whose client abandoned them (context
-	// canceled) before execution — disconnects, not server slowness.
-	ShedCanceled int64
-	// ShedDraining counts requests rejected during shutdown.
-	ShedDraining int64
+	Served int64 `json:"-"`
+	// ShedOverload counts requests rejected because the queue was full;
+	// ShedDeadline those whose deadline expired before execution (at
+	// admission, while queued, or at worker pickup); ShedCanceled those
+	// whose client abandoned them (context canceled) before execution —
+	// disconnects, not server slowness; ShedDraining those rejected
+	// during shutdown.
+	ShedOverload int64 `json:"shed_overload" prom:"shed_total,counter,reason=overload" help:"Requests rejected by the lifecycle layer, by reason."`
+	ShedDeadline int64 `json:"shed_timeout" prom:"shed_total,counter,reason=timeout"`
+	ShedCanceled int64 `json:"shed_canceled" prom:"shed_total,counter,reason=canceled"`
+	ShedDraining int64 `json:"shed_draining" prom:"shed_total,counter,reason=draining"`
 	// QueueWait is the histogram of time admitted requests spent
 	// waiting for a worker.
-	QueueWait obs.HistogramSnapshot
+	QueueWait obs.HistogramSnapshot `json:"-" prom:"queue_wait_seconds,histogram" help:"Time admitted requests spent waiting for a worker."`
 }
 
 // Shed returns the total requests rejected for any reason.

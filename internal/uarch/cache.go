@@ -4,7 +4,6 @@ package uarch
 // optional next-line prefetcher, matching the paper's "aggressive memory
 // system with prefetchers at every cache level".
 type Cache struct {
-	name     string
 	lineBits uint
 	sets     int
 	ways     int
@@ -21,7 +20,7 @@ type Cache struct {
 
 // NewCache builds a cache of size bytes with the given line size and
 // associativity, forwarding misses to next (nil for memory).
-func NewCache(name string, size, lineSize, ways int, prefetch bool, next *Cache) *Cache {
+func NewCache(size, lineSize, ways int, prefetch bool, next *Cache) *Cache {
 	lineBits := uint(0)
 	for 1<<lineBits < lineSize {
 		lineBits++
@@ -30,7 +29,7 @@ func NewCache(name string, size, lineSize, ways int, prefetch bool, next *Cache)
 	if sets <= 0 {
 		sets = 1
 	}
-	c := &Cache{name: name, lineBits: lineBits, sets: sets, ways: ways, prefetch: prefetch, next: next}
+	c := &Cache{lineBits: lineBits, sets: sets, ways: ways, prefetch: prefetch, next: next}
 	c.tags = make([][]uint64, sets)
 	c.lru = make([][]uint64, sets)
 	for i := range c.tags {
@@ -134,10 +133,10 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	if cfg.LineSize == 0 {
 		cfg = DefaultHierarchyConfig()
 	}
-	l2 := NewCache("L2", cfg.L2Size, cfg.LineSize, cfg.L2Ways, true, nil)
+	l2 := NewCache(cfg.L2Size, cfg.LineSize, cfg.L2Ways, true, nil)
 	return &Hierarchy{
-		L1I: NewCache("L1I", cfg.L1ISize, cfg.LineSize, cfg.L1Ways, true, l2),
-		L1D: NewCache("L1D", cfg.L1DSize, cfg.LineSize, cfg.L1Ways, true, l2),
+		L1I: NewCache(cfg.L1ISize, cfg.LineSize, cfg.L1Ways, true, l2),
+		L1D: NewCache(cfg.L1DSize, cfg.LineSize, cfg.L1Ways, true, l2),
 		L2:  l2,
 	}
 }

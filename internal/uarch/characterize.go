@@ -4,8 +4,7 @@ package uarch
 // model set — TAGE, BTB, cache hierarchy — and collects the Section 2
 // statistics.
 type Characterization struct {
-	Profile Profile
-	Stats   StreamStats
+	Stats StreamStats
 }
 
 // CharacterizeConfig parameterizes one characterization run.
@@ -98,7 +97,7 @@ func Characterize(p Profile, cfg CharacterizeConfig) Characterization {
 			st.BTBMissPKI -= 1000 * rescued / float64(n)
 		}
 	}
-	return Characterization{Profile: p, Stats: st}
+	return Characterization{Stats: st}
 }
 
 // dispatchBase is the code address region of the megamorphic dispatch

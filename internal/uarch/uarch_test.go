@@ -129,7 +129,7 @@ func TestBTBEntries(t *testing.T) {
 // --- Caches ---
 
 func TestCacheHitAfterMiss(t *testing.T) {
-	c := NewCache("L1", 32<<10, 64, 8, false, nil)
+	c := NewCache(32<<10, 64, 8, false, nil)
 	if c.Access(0x1000) {
 		t.Errorf("cold access should miss")
 	}
@@ -146,7 +146,7 @@ func TestCacheHitAfterMiss(t *testing.T) {
 
 func TestCacheLRUWithinSet(t *testing.T) {
 	// 2-way, 2 sets: lines mapping to set 0 are multiples of 2*64.
-	c := NewCache("tiny", 256, 64, 2, false, nil)
+	c := NewCache(256, 64, 2, false, nil)
 	c.Access(0x0000)
 	c.Access(0x0080) // same set, second way
 	c.Access(0x0000) // refresh LRU of first
@@ -160,7 +160,7 @@ func TestCacheLRUWithinSet(t *testing.T) {
 }
 
 func TestNextLinePrefetch(t *testing.T) {
-	c := NewCache("L1", 32<<10, 64, 8, true, nil)
+	c := NewCache(32<<10, 64, 8, true, nil)
 	c.Access(0x1000) // miss, prefetches 0x1040
 	if !c.Access(0x1040) {
 		t.Errorf("sequential access should hit via prefetch")

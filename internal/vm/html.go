@@ -171,10 +171,9 @@ type ChainStep struct {
 // `<[a-z]+>`) is not eligible for a replacement chain and should be run
 // through RegexShadow as a scan instead.
 type Chain struct {
-	r     *Runtime
-	steps []ChainStep
-	res   []*regex.Regex
-	repl  [][]byte // replacement bytes, converted once at build time
+	r    *Runtime
+	res  []*regex.Regex
+	repl [][]byte // replacement bytes, converted once at build time
 }
 
 // RefreshChain compiles a chain through the regexp manager, reusing a
@@ -189,7 +188,6 @@ func (r *Runtime) RefreshChain(c *Chain, fn string, steps []ChainStep) (*Chain, 
 		c = &Chain{}
 	}
 	c.r = r
-	c.steps = steps
 	c.res = c.res[:0]
 	sameRepl := len(c.repl) == len(steps)
 	for i, s := range steps {

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/hashmap"
 	"repro/internal/sim"
@@ -46,7 +45,6 @@ type params struct {
 	prefix       string
 	items        int            // posts / nodes / sections per page
 	attrsPerItem int            // attributes per rendered tag
-	textLen      int            // body bytes per item
 	comments     int            // comments rendered per page
 	optionReads  int            // static-key configuration lookups
 	symtabOps    int            // dynamic-key symbol table traffic (extract)
@@ -56,7 +54,6 @@ type params struct {
 	stringOps    int            // extra shortcode/needle scans per item
 	excerptLen   int            // bytes of each body the texturize chain sees
 	chain        []vm.ChainStep // texturize regexp chain (content sifting)
-	otherFns     int            // distinct "other" leaf functions
 	otherUops    float64        // per-request uops spread over other functions
 	jitUops      float64        // per-request uops in the hottest JIT function
 }
@@ -88,7 +85,6 @@ type appBase struct {
 	p      params
 	corpus *Corpus
 	cat    *catalog
-	rng    *rand.Rand
 	reqSeq int
 
 	dbCache *vm.Array // persistent metadata cache (the "database")

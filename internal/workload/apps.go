@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 	"sync/atomic"
 
 	"repro/internal/hashmap"
@@ -21,7 +20,6 @@ func NewWordPress(seed int64) App {
 			prefix:       "wp_",
 			items:        6,
 			attrsPerItem: 4,
-			textLen:      900,
 			comments:     5,
 			optionReads:  60,
 			symtabOps:    12,
@@ -31,13 +29,11 @@ func NewWordPress(seed int64) App {
 			stringOps:    18,
 			excerptLen:   115,
 			chain:        fig11Chain(),
-			otherFns:     150,
 			otherUops:    158000,
 			jitUops:      45000,
 		},
 		corpus: NewCorpus(seed, 64, 900),
 		cat:    newCatalog("wp_", 150),
-		rng:    rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -52,7 +48,6 @@ func NewDrupal(seed int64) App {
 			prefix:       "drupal_",
 			items:        4,
 			attrsPerItem: 3,
-			textLen:      350,
 			comments:     2,
 			optionReads:  90,
 			symtabOps:    16,
@@ -62,13 +57,11 @@ func NewDrupal(seed int64) App {
 			stringOps:    4,
 			excerptLen:   80,
 			chain:        fig11Chain()[:2],
-			otherFns:     170,
 			otherUops:    197000,
 			jitUops:      46000,
 		},
 		corpus: NewCorpus(seed, 64, 350),
 		cat:    newCatalog("drupal_", 170),
-		rng:    rand.New(rand.NewSource(seed)),
 	}}
 }
 
@@ -114,7 +107,6 @@ func NewMediaWiki(seed int64) App {
 			prefix:       "wf",
 			items:        3,
 			attrsPerItem: 3,
-			textLen:      1600,
 			comments:     2,
 			optionReads:  40,
 			symtabOps:    10,
@@ -124,13 +116,11 @@ func NewMediaWiki(seed int64) App {
 			stringOps:    20,
 			excerptLen:   170,
 			chain:        fig11Chain()[:3],
-			otherFns:     140,
 			otherUops:    170000,
 			jitUops:      42000,
 		},
 		corpus: NewCorpus(seed, 48, 1600),
 		cat:    newCatalog("wf", 140),
-		rng:    rand.New(rand.NewSource(seed)),
 	}}
 }
 

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/hashmap"
 	"repro/internal/vm"
@@ -27,7 +26,6 @@ func NewLaravel(seed int64) App {
 			prefix:       "blade_",
 			items:        5,
 			attrsPerItem: 5,
-			textLen:      700,
 			comments:     3,
 			optionReads:  45,
 			symtabOps:    14,
@@ -37,13 +35,11 @@ func NewLaravel(seed int64) App {
 			stringOps:    22,
 			excerptLen:   160,
 			chain:        fig11Chain()[:3],
-			otherFns:     160,
 			otherUops:    165000,
 			jitUops:      44000,
 		},
 		corpus: NewCorpus(seed+100, 56, 700),
 		cat:    newCatalog("blade_", 160),
-		rng:    rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -57,7 +53,6 @@ func NewSymfony(seed int64) App {
 			prefix:       "sf_",
 			items:        4,
 			attrsPerItem: 3,
-			textLen:      420,
 			comments:     2,
 			optionReads:  70,
 			symtabOps:    18,
@@ -67,13 +62,11 @@ func NewSymfony(seed int64) App {
 			stringOps:    8,
 			excerptLen:   120,
 			chain:        fig11Chain()[:2],
-			otherFns:     180,
 			otherUops:    190000,
 			jitUops:      50000,
 		},
 		corpus: NewCorpus(seed+200, 56, 420),
 		cat:    newCatalog("sf_", 180),
-		rng:    rand.New(rand.NewSource(seed)),
 	}}
 }
 

@@ -462,14 +462,12 @@ func (p *Pool) TierSnapshot() php.TierSnapshot {
 type AccelStats struct {
 	// HashTable sums every worker's hardware hash table counters
 	// (zero-valued when the config has no hash table).
-	HashTable hashtable.Stats
-	// MapRebuilds counts stale-index rebuilds across all workers' maps
-	// (§4.2 coherence events; the paper expects these to be rare).
-	MapRebuilds int64
-	// RegexLookups and RegexHits are the regexp manager pattern-cache
-	// probes and hits across the fleet.
-	RegexLookups int64
-	RegexHits    int64
+	HashTable hashtable.Stats `json:"-"`
+	// MapRebuilds are §4.2 coherence events; the paper expects them to
+	// be rare.
+	MapRebuilds  int64 `json:"hashmap_rebuilds" prom:"hashmap_rebuilds_total,counter" help:"Stale hash-index rebuilds (coherence events) across all workers."`
+	RegexLookups int64 `json:"-" prom:"regex_cache_lookups_total,counter" help:"Regexp manager pattern-cache probes."`
+	RegexHits    int64 `json:"-" prom:"regex_cache_hits_total,counter" help:"Regexp manager probes that found a compiled FSM."`
 }
 
 // accelStatsOwned requires the caller to hold every worker.
