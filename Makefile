@@ -55,7 +55,8 @@ bench-check:
 	$(GO) run ./scripts
 
 # Differential fuzzing, ~10 s per target: each accelerator model against
-# its software substrate and its cell-at-a-time oracle. `go test -fuzz`
+# its software substrate and its cell-at-a-time oracle, and the heap
+# manager + slab allocator against a map model of operation sequences. `go test -fuzz`
 # takes one target of one package per run, so the matrix is this list of
 # package:Target pairs — a new Fuzz* function is one more word here. The
 # committed seed corpora (testdata/fuzz/) also run as plain tests under
@@ -64,7 +65,8 @@ bench-check:
 FUZZ_TARGETS = \
 	internal/core/straccel:FuzzFindReplace \
 	internal/core/straccel:FuzzTranslate \
-	internal/core/straccel:FuzzEscape
+	internal/core/straccel:FuzzEscape \
+	internal/core/heapmgr:FuzzHeapSequence
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

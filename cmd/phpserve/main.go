@@ -37,7 +37,7 @@
 //	         [-queue 64] [-timeout 0] [-drain 30s] [-arenacap 0]
 //	         [-cache 0] [-cachettl 0] [-cacheshards 16]
 //	         [-pages 512] [-zipf 1.0]
-//	         [-sample 0.01] [-accesslog path|-] [-pprof] [-tracebuf 4096]
+//	         [-sample 0.01] [-accesslog path|-] [-pprof]
 //	         [-treering 64] [-profepochs 16] [-tier interp|auto|bytecode]
 //
 // Endpoints:
@@ -352,7 +352,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // (prefix phpserve_, base labels app and config), and the signals table
 // in docs/OPERATIONS.md is rendered from the tags. Embedded library
 // snapshots carry their own tags; nil pointers and nil vectors are the
-// "absent without -cache / -tracebuf -1 / -treering 0 / -tier" rule.
+// "absent without -cache / -treering 0 / -tier" rule.
 // Latencies are reported in microseconds on /stats; simulated totals
 // cover the whole fleet since warmup.
 type stats struct {
@@ -474,12 +474,10 @@ func (s *server) snapshot() (*stats, *sim.Meter) {
 	st.HashTableHitRatio = ps.Accel.HashTable.HitRate()
 	st.RegexCacheHitRatio = obs.Finite(float64(ps.Accel.RegexHits) / float64(ps.Accel.RegexLookups))
 
-	if ps.Trace != nil {
-		totals := ps.Trace.KindTotals()
-		st.TraceEvents = make(obs.Vec, trace.NumKinds)
-		for k := range st.TraceEvents {
-			st.TraceEvents[k] = obs.VecEntry{Name: trace.Kind(k).String(), Value: float64(totals[k])}
-		}
+	totals := ps.Trace.KindTotals()
+	st.TraceEvents = make(obs.Vec, trace.NumKinds)
+	for k := range st.TraceEvents {
+		st.TraceEvents[k] = obs.VecEntry{Name: trace.Kind(k).String(), Value: float64(totals[k])}
 	}
 	if ring := s.col.TreeRing(); ring != nil {
 		total := ring.Total()
@@ -686,7 +684,6 @@ func main() {
 	sample := flag.Float64("sample", 0.01, "per-request span sampling rate in [0,1]")
 	accessLog := flag.String("accesslog", "", "JSON-lines access log for sampled spans and sheds (path, - for stdout, empty disables)")
 	pprofFlag := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-	traceBuf := flag.Int("tracebuf", 4096, "per-worker operation trace ring size (0 unbounded — leaks on a long-running server; -1 disables tracing)")
 	treeRing := flag.Int("treering", 64, "sampled span trees retained for /tracez (0 disables)")
 	profEpochs := flag.Int("profepochs", profile.DefaultLiveEpochs, "cumulative profile epochs retained; the /profilez window spans up to profepochs-1 scrapes")
 	fpm := flag.Bool("fpm", false, "run as a cluster backend process (FPM-style, behind phprouter): implies -backend 0 unless set")
@@ -723,7 +720,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	cfg.TraceCapacity = *traceBuf
+	cfg.TraceCapacity = -1 // count trace events by kind, keep none: nothing here reads one
 	if *arenaCap < 0 {
 		fmt.Fprintf(os.Stderr, "phpserve: -arenacap must be >= 0, got %d\n", *arenaCap)
 		flag.Usage()

@@ -71,7 +71,7 @@ func testServerSched(t *testing.T, workers, warmup int, sampleRate float64, logW
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.TraceCapacity = 1024
+	cfg.TraceCapacity = -1
 	pool, err := workload.NewPool(workers, cfg, "wordpress", 1)
 	if err != nil {
 		t.Fatal(err)

@@ -38,7 +38,7 @@ func newRenderFixture(t *testing.T, cached bool) renderFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.TraceCapacity = 1024
+	cfg.TraceCapacity = -1
 	var f renderFixture
 	if cached {
 		f.pool, err = workload.NewPoolSharedSeed(1, cfg, "wordpress", 1)

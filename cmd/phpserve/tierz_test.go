@@ -24,7 +24,7 @@ func tieredTestServer(t *testing.T, mode php.TierMode) *server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.TraceCapacity = 1024
+	cfg.TraceCapacity = -1
 	pool, err := workload.NewPoolSharedSeed(2, cfg, "phpscript-blog", 1)
 	if err != nil {
 		t.Fatal(err)

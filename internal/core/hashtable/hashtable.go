@@ -25,12 +25,15 @@
 package hashtable
 
 import (
+	"math/bits"
+
 	"repro/internal/hashmap"
 )
 
 // Config sizes the accelerator.
 type Config struct {
-	// Entries is the hash table capacity (paper: 512).
+	// Entries is the hash table capacity (paper: 512), rounded up to a
+	// power of two so a lookup indexes with a mask.
 	Entries int
 	// ProbeWindow is how many consecutive entries one lookup examines in
 	// parallel (paper: 4).
@@ -52,6 +55,7 @@ func (c Config) sanitized() Config {
 	if c.Entries <= 0 {
 		c.Entries = 512
 	}
+	c.Entries = 1 << bits.Len(uint(c.Entries-1))
 	if c.ProbeWindow <= 0 {
 		c.ProbeWindow = 4
 	}
@@ -408,10 +412,10 @@ func (t *Table) FlushAll() int {
 // -1. Hardware examines the window's entries in parallel; cost is
 // constant regardless of where in the window the key sits.
 func (t *Table) lookup(mapID uint64, k hashmap.Key) int {
+	mask := uint64(len(t.entries) - 1)
 	h := t.hash(mapID, k)
-	base := int(h % uint64(len(t.entries)))
 	for w := 0; w < t.cfg.ProbeWindow; w++ {
-		i := (base + w) % len(t.entries)
+		i := int((h + uint64(w)) & mask)
 		e := &t.entries[i]
 		if e.valid && e.mapID == mapID && keyEq(e.key, k) {
 			return i
@@ -435,13 +439,13 @@ func keyEq(a, b hashmap.Key) bool {
 // costs a software writeback). It reports whether a dirty writeback
 // happened.
 func (t *Table) install(m *hashmap.Map, k hashmap.Key, v interface{}, seq uint64, dirty bool) bool {
+	mask := uint64(len(t.entries) - 1)
 	h := t.hash(m.ID(), k)
-	base := int(h % uint64(len(t.entries)))
 
 	victim, victimKind := -1, 3 // 0 invalid, 1 clean, 2 dirty
 	var victimLRU uint64
 	for w := 0; w < t.cfg.ProbeWindow; w++ {
-		i := (base + w) % len(t.entries)
+		i := int((h + uint64(w)) & mask)
 		e := &t.entries[i]
 		kind := 2
 		if !e.valid {

@@ -59,6 +59,12 @@ func TestConfigSanitize(t *testing.T) {
 	if c.ProbeWindow > c.Entries {
 		t.Errorf("probe window must not exceed entries: %+v", c)
 	}
+	// Entries rounds up to a power of two (lookups index with a mask).
+	for in, want := range map[int]int{1: 1, 2: 2, 3: 4, 500: 512, 512: 512, 513: 1024} {
+		if got := (Config{Entries: in}).sanitized().Entries; got != want {
+			t.Errorf("Entries %d sanitized to %d, want %d", in, got, want)
+		}
+	}
 }
 
 func TestGetMissThenHit(t *testing.T) {

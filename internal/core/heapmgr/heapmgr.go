@@ -85,21 +85,26 @@ func (s Stats) MallocHitRate() float64 {
 // Manager is the hardware heap manager bound to the software slab
 // allocator it stays lazily coherent with.
 type Manager struct {
-	cfg     Config
-	sw      *heap.Allocator
-	lists   [][]uint64 // per small class; index 0 is the head end
-	scratch []uint64   // prefetch prepend staging, reused across refills
+	cfg Config
+	sw  *heap.Allocator
+	// lists holds one free list per small class, each on a fixed
+	// ListEntries backing it never leaves: index 0 is the tail (the
+	// coldest block, where the prefetcher inserts and overflow spills),
+	// the last entry the head (where the core pops and pushes).
+	lists   [][]uint64
+	scratch []uint64 // prefetch staging, reused across refills
 	stats   Stats
 }
 
 // New builds a manager over the given software allocator.
 func New(cfg Config, sw *heap.Allocator) *Manager {
 	cfg = cfg.sanitized()
-	return &Manager{
-		cfg:   cfg,
-		sw:    sw,
-		lists: make([][]uint64, heap.NumSmallClasses),
+	h := &Manager{cfg: cfg, sw: sw, lists: make([][]uint64, heap.NumSmallClasses)}
+	backing := make([]uint64, heap.NumSmallClasses*cfg.ListEntries)
+	for c := range h.lists {
+		h.lists[c] = backing[c*cfg.ListEntries : c*cfg.ListEntries : (c+1)*cfg.ListEntries]
 	}
+	return h
 }
 
 // Stats returns a snapshot of the activity counters.
@@ -131,29 +136,28 @@ func (h *Manager) Malloc(size int) (heap.Block, MallocResult) {
 		h.stats.MallocHits++
 	}
 	// Pop at the head.
-	addr := h.lists[c][len(h.lists[c])-1]
-	h.lists[c] = h.lists[c][:len(h.lists[c])-1]
+	l := h.lists[c]
+	addr := l[len(l)-1]
+	l = l[:len(l)-1]
 	h.sw.MarkLive(addr, c)
 
 	// The prefetcher tops the list back up through the tail pointer.
-	if len(h.lists[c]) < h.cfg.PrefetchLow {
-		n := h.cfg.PrefetchBatch
-		if room := h.cfg.ListEntries - len(h.lists[c]); n > room {
-			n = room
-		}
+	if len(l) < h.cfg.PrefetchLow {
+		n := min(h.cfg.PrefetchBatch, h.cfg.ListEntries-len(l))
 		if n > 0 {
 			// Refilled blocks go at the tail end (the front of the slice)
-			// ahead of whatever survived; staged through h.scratch so the
-			// prepend reuses the list's own backing instead of allocating.
-			h.scratch = append(h.scratch[:0], h.lists[c]...)
-			refilled := h.sw.PopFree(c, n, h.lists[c][:0])
-			got := len(refilled)
-			h.lists[c] = append(refilled, h.scratch...)
+			// ahead of whatever survived.
+			h.scratch = h.sw.PopFree(c, n, h.scratch[:0])
+			got := len(h.scratch)
+			l = l[:len(l)+got]
+			copy(l[got:], l)
+			copy(l, h.scratch)
 			h.stats.Prefetches++
 			h.stats.PrefetchedBl += int64(got)
 			res.Prefetch = true
 		}
 	}
+	h.lists[c] = l
 	return heap.Block{Addr: addr, Class: c, Size: size}, res
 }
 
@@ -177,15 +181,15 @@ func (h *Manager) Free(b heap.Block) FreeResult {
 	h.sw.MarkDead(b.Addr, b.Class)
 	res := FreeResult{Hit: true}
 	h.stats.FreeHits++
-	if len(h.lists[b.Class]) >= h.cfg.ListEntries {
+	l := h.lists[b.Class]
+	if len(l) >= h.cfg.ListEntries {
 		// Overflow: spill the tail block (the coldest) to memory.
 		h.stats.Overflows++
 		res.Overflow = true
-		spill := h.lists[b.Class][0]
-		h.lists[b.Class] = h.lists[b.Class][1:]
-		h.sw.PushFree(b.Class, []uint64{spill})
+		h.sw.PushFree(b.Class, l[:1])
+		l = l[:copy(l, l[1:])]
 	}
-	h.lists[b.Class] = append(h.lists[b.Class], b.Addr)
+	h.lists[b.Class] = append(l, b.Addr)
 	return res
 }
 
@@ -201,7 +205,7 @@ func (h *Manager) Flush() int {
 		}
 		h.sw.PushFree(c, h.lists[c])
 		n += len(h.lists[c])
-		h.lists[c] = nil
+		h.lists[c] = h.lists[c][:0]
 	}
 	return n
 }

@@ -137,6 +137,33 @@ func TestFreeOverflowSpills(t *testing.T) {
 	}
 }
 
+// TestFreeListsAllocationFree holds the hardware free lists to their
+// fixed ListEntries backing: rounds of 64 mallocs (cold misses and
+// prefetches), 64 frees (32 of them spilling) and an hmflush — the
+// steady state of a worker between context switches — allocate nothing
+// once the software free list has grown to the working set.
+func TestFreeListsAllocationFree(t *testing.T) {
+	h := New(DefaultConfig(), heap.NewAllocator(nil, 0))
+	blocks := make([]heap.Block, 64)
+	round := func() {
+		for i := range blocks {
+			blocks[i], _ = h.Malloc(16)
+		}
+		for _, b := range blocks {
+			h.Free(b)
+		}
+		h.Flush()
+	}
+	round()
+	if n := testing.AllocsPerRun(50, round); n != 0 {
+		t.Errorf("%.2f Go allocations per round, want 0", n)
+	}
+	st := h.Stats()
+	if st.Overflows == 0 || st.Prefetches == 0 || st.Flushes == 0 {
+		t.Fatalf("rounds must overflow, prefetch and flush: %+v", st)
+	}
+}
+
 func TestFlushReturnsEverything(t *testing.T) {
 	h, sw := newMgr()
 	for i := 0; i < 5; i++ {

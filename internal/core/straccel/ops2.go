@@ -40,19 +40,14 @@ func (a *Accel) NL2BR(subject []byte) []byte {
 	return out
 }
 
-// chargeBlocks accounts a whole-subject streaming pass with nRows active.
+// chargeBlocks accounts a streaming pass over n bytes with nRows active:
+// one charge per block entered, summed in closed form (an empty subject
+// still enters one zero-length block).
 func (a *Accel) chargeBlocks(n, nRows int) {
-	for rem := n; ; {
-		blk := a.cfg.BlockBytes
-		if rem < blk {
-			blk = rem
-		}
-		a.charge(blk, nRows)
-		rem -= blk
-		if rem <= 0 {
-			break
-		}
-	}
+	a.stats.Blocks += int64(max((n+a.cfg.BlockBytes-1)/a.cfg.BlockBytes, 1))
+	a.stats.Bytes += int64(n)
+	a.stats.ActiveCells += int64(n * nRows)
+	a.stats.GatedCells += int64(n * (a.cfg.Rows - nRows))
 }
 
 // AddSlashes implements stringop[addslashes]: equality rows for quote,

@@ -7,14 +7,21 @@
 //
 //   - ASCII compare plane: a matching matrix of configurable pattern rows
 //     by subject-block columns, populated combinationally — every cell is
-//     independent, so a whole block is compared per cycle. Modeled as a
-//     column-mask table: col[c] has bit k set iff row k fires on byte c,
-//     so one lookup evaluates a whole column.
+//     independent, so a whole block is compared per cycle. Trim's
+//     set-membership rows are modeled as a column-mask table (col[c] is
+//     nonzero iff a row fires on byte c), substitution rows as a 256-entry
+//     output lookup.
 //   - Diagonal AND gates: consecutive-character matches for multi-byte
 //     patterns (string_find of "abc" in "babc" in the paper's example).
-//     Modeled as shift-and on one uint64: d = (d<<1 | 1) & col[c].
+//     The host computes what they and the priority encoder report — the
+//     first full match — with bytes.Index; the model charges, in closed
+//     form, every block the diagonal would enter: each block up to the
+//     one holding the match's last byte, or all of them when there is
+//     none (the cell-at-a-time oracle in straccel_test.go walks the
+//     diagonal and holds results and Stats equal).
 //   - Priority encoder: index of the first valid match (the first column
-//     that sets diagonal bit m-1; the lowest firing row for substitution).
+//     that completes the diagonal; the lowest firing row for
+//     substitution).
 //   - Output logic: forwards substituted ASCII values for functions that
 //     write a result string (translate, case conversion, escaping).
 //   - Shifting logic: aligns results to the destination offset.
@@ -27,8 +34,8 @@
 // invocation step (the synthesized design handles a 64-character block in
 // at most 3 cycles at 2 GHz); Stats records blocks and active matrix
 // cells so the simulation can charge cycles and clock-gated energy.
-// Invariant: host shortcuts may skip cells, never charge calls — every
-// block the hardware would enter is charged at its full length.
+// Invariant: host shortcuts may skip cells, never blocks — every block
+// the hardware would enter is charged at its full length.
 package straccel
 
 import (
@@ -37,8 +44,8 @@ import (
 	"repro/internal/strlib"
 )
 
-// maxRows is the widest matrix the model holds: the diagonal is one
-// uint64 (the paper's matrix is 32 rows).
+// maxRows is the widest matrix the model holds; wider configurations are
+// clamped to it (the paper's matrix is 32 rows).
 const maxRows = 64
 
 // Config sizes the matching matrix.
@@ -216,41 +223,22 @@ func (a *Accel) Find(subject, pattern []byte) (int, bool) {
 	return a.matchScan(subject, pattern), true
 }
 
-// matchScan runs the matching matrix over subject looking for pattern
-// (1..Rows bytes), charging per-block costs but not the per-op counter.
+// matchScan finds the first occurrence of pattern (1..Rows bytes) in
+// subject and charges the blocks the matrix enters to find it — every
+// block up to the one holding the match's last byte, all of them when
+// there is no match, none for an empty subject — but not the per-op
+// counter.
 func (a *Accel) matchScan(subject, pattern []byte) int {
-	m := len(pattern)
-	for k, c := range pattern {
-		a.col[c] |= 1 << uint(k)
+	pos := bytes.Index(subject, pattern)
+	n := len(subject)
+	if pos >= 0 {
+		last := pos + len(pattern) - 1
+		n = min(n, (last/a.cfg.BlockBytes+1)*a.cfg.BlockBytes)
 	}
-	defer a.clearCols(pattern)
-	// Diagonal state: bit k of d means pattern[:k+1] matched ending at
-	// the previous byte; carried across blocks (wrap-around buffering).
-	var d uint64
-	hit := uint64(1) << uint(m-1)
-	for base := 0; base < len(subject); base += a.cfg.BlockBytes {
-		end := base + a.cfg.BlockBytes
-		if end > len(subject) {
-			end = len(subject)
-		}
-		a.charge(end-base, m)
-		for i := base; i < end; i++ {
-			if d == 0 {
-				// Only row 0 firing can change an all-zero diagonal:
-				// skip to the next column where it does.
-				j := bytes.IndexByte(subject[i:end], pattern[0])
-				if j < 0 {
-					break
-				}
-				i += j
-			}
-			d = (d<<1 | 1) & a.col[subject[i]]
-			if d&hit != 0 {
-				return i - m + 1
-			}
-		}
+	if n > 0 {
+		a.chargeBlocks(n, len(pattern))
 	}
-	return -1
+	return pos
 }
 
 // Compare implements stringop[compare]: blocks of both strings are

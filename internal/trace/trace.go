@@ -6,12 +6,10 @@
 // obs span trees).
 //
 // A Recorder is single-writer: each simulated core (vm.Runtime) owns one
-// and records into it without locking. Fleet-level views are produced
-// after the fact with Merge, which appends another recorder's retained
-// events (grouped by worker, not interleaved by time) while preserving
-// the total and per-kind counts past ring eviction — so KindTotals stays
-// exact even when the bounded ring has dropped old events. The serving
-// stack's /metrics endpoint exports those totals as event counters.
+// and records into it without locking. It keeps every event, the last N,
+// or none — counting only, all the servers need for their per-kind event
+// counters. Merge builds fleet-level views after the fact: counts stay
+// exact past ring eviction, kept events are grouped by worker.
 package trace
 
 // Kind is the event type.
@@ -76,33 +74,41 @@ type Event struct {
 	C    uint64
 }
 
-// Recorder collects events in memory with an optional capacity bound
-// (0 = unbounded). When bounded it keeps the most recent events.
+// Recorder counts events by kind and keeps all of them, the most recent
+// ones, or none (see NewRecorder).
 type Recorder struct {
 	cap    int
 	events []Event
-	total  int64
 	byKind [NumKinds]int64
 	start  int
 }
 
-// NewRecorder creates a recorder holding at most capacity events
-// (0 for unbounded).
+// NewRecorder creates a recorder holding at most capacity events: 0 for
+// unbounded, negative to keep none and only count.
 func NewRecorder(capacity int) *Recorder {
 	return &Recorder{cap: capacity}
 }
 
-// Record appends an event.
+// Counting reports whether the recorder keeps no events, so a caller can
+// skip building one and call Count.
+func (r *Recorder) Counting() bool { return r.cap < 0 }
+
+// Count counts one event of kind k without keeping it: all Record does on
+// a counting recorder.
+func (r *Recorder) Count(k Kind) { r.byKind[k]++ }
+
+// Record counts an event and, unless the recorder is counting, keeps it.
 func (r *Recorder) Record(e Event) {
-	r.total++
-	if int(e.Kind) < NumKinds {
-		r.byKind[e.Kind]++
+	r.Count(e.Kind)
+	if r.cap >= 0 {
+		r.keep(e)
 	}
-	if r.cap <= 0 {
-		r.events = append(r.events, e)
-		return
-	}
-	if len(r.events) < r.cap {
+}
+
+// keep appends e, overwriting the oldest kept event once a bounded ring
+// is full.
+func (r *Recorder) keep(e Event) {
+	if r.cap == 0 || len(r.events) < r.cap {
 		r.events = append(r.events, e)
 		return
 	}
@@ -114,43 +120,42 @@ func (r *Recorder) Record(e Event) {
 }
 
 // Total returns the number of events ever recorded.
-func (r *Recorder) Total() int64 { return r.total }
+func (r *Recorder) Total() int64 {
+	var n int64
+	for _, c := range r.byKind {
+		n += c
+	}
+	return n
+}
 
 // KindTotals returns how many events of each kind were ever recorded,
 // including events a bounded ring has since evicted. Merge folds the
 // source recorder's full history in, so fleet-level totals stay exact.
 func (r *Recorder) KindTotals() [NumKinds]int64 { return r.byKind }
 
-// Events returns the retained events in record order.
+// Events returns the retained events in record order (a full ring's
+// oldest sits at start).
 func (r *Recorder) Events() []Event {
-	if r.cap <= 0 || len(r.events) < r.cap {
-		return append([]Event(nil), r.events...)
-	}
-	out := make([]Event, 0, r.cap)
-	out = append(out, r.events[r.start:]...)
-	out = append(out, r.events[:r.start]...)
-	return out
+	return append(append([]Event(nil), r.events[r.start:]...), r.events[:r.start]...)
 }
 
-// Merge appends another recorder's retained events to this one (honoring
-// this recorder's capacity bound) and folds in its total count. Workers
-// record privately while serving; the pool merges the per-worker traces
-// after the goroutines join, so merged events are grouped by worker, not
-// interleaved by time.
+// Merge folds another recorder's per-kind counts — its full history —
+// into this one and, unless this recorder is counting, appends o's
+// retained events within this recorder's bound. The pool merges the
+// per-worker traces after the goroutines join, so merged events are
+// grouped by worker, not interleaved by time.
 func (r *Recorder) Merge(o *Recorder) {
-	dropped := o.total - int64(len(o.events))
-	var retained [NumKinds]int64
-	for _, e := range o.Events() {
-		r.Record(e)
-		if int(e.Kind) < NumKinds {
-			retained[e.Kind]++
-		}
-	}
-	r.total += dropped // events o's ring already evicted still count
 	for i := range r.byKind {
-		// Record counted the retained events; top up with o's evicted ones
-		// so per-kind totals reflect o's full history.
-		r.byKind[i] += o.byKind[i] - retained[i]
+		r.byKind[i] += o.byKind[i]
+	}
+	if r.cap < 0 {
+		return
+	}
+	for _, e := range o.events[o.start:] {
+		r.keep(e)
+	}
+	for _, e := range o.events[:o.start] {
+		r.keep(e)
 	}
 }
 
@@ -158,6 +163,5 @@ func (r *Recorder) Merge(o *Recorder) {
 func (r *Recorder) Reset() {
 	r.events = r.events[:0]
 	r.start = 0
-	r.total = 0
 	r.byKind = [NumKinds]int64{}
 }

@@ -95,6 +95,36 @@ func TestRecorderMergeBounded(t *testing.T) {
 	}
 }
 
+func TestRecorderCounting(t *testing.T) {
+	r := NewRecorder(-1)
+	if !r.Counting() || NewRecorder(0).Counting() || NewRecorder(4).Counting() {
+		t.Fatal("only a negative capacity makes a counting recorder")
+	}
+	r.Record(Event{Kind: KindAlloc})
+	r.Count(KindFree)
+	r.Count(KindFree)
+	if len(r.Events()) != 0 || r.Total() != 3 || r.KindTotals()[KindFree] != 2 || r.KindTotals()[KindAlloc] != 1 {
+		t.Fatalf("counting recorder: %d events kept, total %d, kinds %v", len(r.Events()), r.Total(), r.KindTotals())
+	}
+
+	// Counts merge in both directions; a counting destination keeps no
+	// events, a keeping one gets only what the source kept.
+	ring := NewRecorder(2)
+	for i := 0; i < 3; i++ {
+		ring.Record(Event{Kind: KindHashGet, A: uint64(i)})
+	}
+	r.Merge(ring)
+	if len(r.Events()) != 0 || r.Total() != 6 || r.KindTotals()[KindHashGet] != 3 {
+		t.Errorf("merge into counting: %d events kept, total %d, kinds %v", len(r.Events()), r.Total(), r.KindTotals())
+	}
+	all := NewRecorder(0)
+	all.Merge(r)
+	all.Merge(ring)
+	if ev := all.Events(); len(ev) != 2 || ev[0].A != 1 || ev[1].A != 2 || all.Total() != 9 {
+		t.Errorf("merge into unbounded: events %+v, total %d", ev, all.Total())
+	}
+}
+
 func TestKindTotals(t *testing.T) {
 	r := NewRecorder(2) // ring evicts, totals must not
 	for i := 0; i < 5; i++ {

@@ -12,7 +12,7 @@ import (
 // --- String function wrappers (trace-recording) ---
 
 func (r *Runtime) recStr(fn string, op strlib.Op, n int) {
-	r.record(trace.Event{Kind: trace.KindStringOp, Fn: fn, A: uint64(op), B: uint64(n)})
+	r.record(trace.KindStringOp, fn, uint64(op), uint64(n), 0)
 }
 
 // EscapeHTML escapes HTML metacharacters (htmlspecialchars).
@@ -221,7 +221,7 @@ func (c *Chain) Apply(fn string, content []byte) ([]byte, int) {
 	}
 	c.r.spans.Begin("vm:chain_apply")
 	defer c.r.spans.End()
-	c.r.record(trace.Event{Kind: trace.KindRegexScan, Fn: fn, B: uint64(len(content))})
+	c.r.record(trace.KindRegexScan, fn, 0, uint64(len(content)), 0)
 	total := 0
 	_, hv := c.r.cpu.RegexSieve(fn, c.res[0], content)
 	for i, re := range c.res {
@@ -238,6 +238,6 @@ func (c *Chain) Apply(fn string, content []byte) ([]byte, int) {
 // string (the Fig. 13 pattern). pc identifies the call site. It returns
 // the length of the longest accepted prefix, or -1.
 func (r *Runtime) ScanURL(fn string, re *regex.Regex, pc uint64, content []byte) int {
-	r.record(trace.Event{Kind: trace.KindRegexScan, Fn: fn, A: pc, B: uint64(len(content))})
+	r.record(trace.KindRegexScan, fn, pc, uint64(len(content)), 0)
 	return r.cpu.RegexScanReuse(fn, re, pc, content)
 }

@@ -32,8 +32,9 @@ type Config struct {
 	Mitigations sim.Mitigations
 	// Model is the cost model; zero value selects the default.
 	Model sim.CostModel
-	// TraceCapacity bounds the in-memory operation trace (0 = unbounded,
-	// -1 = tracing disabled).
+	// TraceCapacity bounds the in-memory operation trace: 0 keeps every
+	// event, N > 0 the most recent N, -1 none — every event is counted by
+	// kind and none is built or kept (the serving configuration).
 	TraceCapacity int
 	// HeapSampleEvery sets the allocator timeline sampling period for
 	// Fig. 8 (0 disables).
@@ -109,9 +110,7 @@ func New(cfg Config) *Runtime {
 	cpu := isa.New(meter, cfg.Features, cfg.HeapSampleEvery)
 	r := &Runtime{cpu: cpu, mem: arena.New(0, cfg.ArenaRetain)}
 	cpu.SetMem(r.mem)
-	if cfg.TraceCapacity >= 0 {
-		r.rec = trace.NewRecorder(cfg.TraceCapacity)
-	}
+	r.rec = trace.NewRecorder(cfg.TraceCapacity)
 	r.regexMgr = cpu.NewMap()
 	return r
 }
@@ -126,7 +125,7 @@ func (r *Runtime) CPU() *isa.CPU { return r.cpu }
 // Meter exposes the cost meter.
 func (r *Runtime) Meter() *sim.Meter { return r.cpu.Meter }
 
-// Trace returns the recorded operation trace (nil if disabled).
+// Trace returns the recorded operation trace.
 func (r *Runtime) Trace() *trace.Recorder { return r.rec }
 
 // SetSpans attaches (or, with nil, detaches) the span-tree builder for
@@ -147,10 +146,14 @@ func (r *Runtime) BeginSpan(name string) { r.spans.Begin(name) }
 // EndSpan closes the innermost open span. A nil builder makes it a no-op.
 func (r *Runtime) EndSpan() { r.spans.End() }
 
-func (r *Runtime) record(e trace.Event) {
-	if r.rec != nil {
-		r.rec.Record(e)
+// record traces one operation (see trace.Event for the fields' meaning
+// per kind). A counting recorder takes only the kind: no Event is built.
+func (r *Runtime) record(k trace.Kind, fn string, a, b, c uint64) {
+	if r.rec.Counting() {
+		r.rec.Count(k)
+		return
 	}
+	r.rec.Record(trace.Event{Kind: k, Fn: fn, A: a, B: b, C: c})
 }
 
 // BeginRequest marks a request boundary in the trace and returns its
@@ -160,7 +163,7 @@ func (r *Runtime) record(e trace.Event) {
 func (r *Runtime) BeginRequest() uint64 {
 	r.mem.Reset()
 	r.requestSeq++
-	r.record(trace.Event{Kind: trace.KindRequest, Fn: "request", A: r.requestSeq})
+	r.record(trace.KindRequest, "request", r.requestSeq, 0, 0)
 	return r.requestSeq
 }
 
@@ -199,7 +202,7 @@ func (r *Runtime) NewArray(fn string) *Array {
 	} else {
 		a = &Array{m: r.cpu.NewMap(), block: b}
 	}
-	r.record(trace.Event{Kind: trace.KindAlloc, Fn: fn, A: b.Addr, B: uint64(b.Size)})
+	r.record(trace.KindAlloc, fn, b.Addr, uint64(b.Size), 0)
 	return a
 }
 
@@ -213,7 +216,7 @@ func (r *Runtime) FreeArray(fn string, a *Array) {
 		panic("vm: double free of array")
 	}
 	a.freed = true
-	r.record(trace.Event{Kind: trace.KindFree, Fn: fn, A: a.block.Addr, B: uint64(a.block.Size)})
+	r.record(trace.KindFree, fn, a.block.Addr, uint64(a.block.Size), 0)
 	r.cpu.HashFree(fn, a.m)
 	r.cpu.Free(fn, a.block)
 	r.arrFree = append(r.arrFree, a)
@@ -227,7 +230,7 @@ func (r *Runtime) AGet(fn string, a *Array, k hashmap.Key, dynamic bool) (interf
 	if dynamic {
 		dyn = 1
 	}
-	r.record(trace.Event{Kind: trace.KindHashGet, Fn: fn, A: a.m.ID(), B: uint64(k.Len()), C: dyn})
+	r.record(trace.KindHashGet, fn, a.m.ID(), uint64(k.Len()), dyn)
 	return v, ok
 }
 
@@ -238,12 +241,12 @@ func (r *Runtime) ASet(fn string, a *Array, k hashmap.Key, v interface{}, dynami
 	if dynamic {
 		dyn = 1
 	}
-	r.record(trace.Event{Kind: trace.KindHashSet, Fn: fn, A: a.m.ID(), B: uint64(k.Len()), C: dyn})
+	r.record(trace.KindHashSet, fn, a.m.ID(), uint64(k.Len()), dyn)
 }
 
 // ADelete removes a key (PHP unset).
 func (r *Runtime) ADelete(fn string, a *Array, k hashmap.Key) bool {
-	r.record(trace.Event{Kind: trace.KindHashDelete, Fn: fn, A: a.m.ID(), B: uint64(k.Len())})
+	r.record(trace.KindHashDelete, fn, a.m.ID(), uint64(k.Len()), 0)
 	return r.cpu.HashDelete(fn, a.m, k)
 }
 
@@ -256,7 +259,7 @@ func (r *Runtime) ASize(fn string, a *Array) int {
 
 // AForeach iterates in insertion order (PHP foreach).
 func (r *Runtime) AForeach(fn string, a *Array, f func(k hashmap.Key, v interface{}) bool) {
-	r.record(trace.Event{Kind: trace.KindHashIterate, Fn: fn, A: a.m.ID()})
+	r.record(trace.KindHashIterate, fn, a.m.ID(), 0, 0)
 	r.cpu.HashForeach(fn, a.m, f)
 }
 
@@ -293,7 +296,7 @@ func (s *Str) Bytes() []byte { return s.b }
 func (r *Runtime) NewStr(fn string, b []byte) *Str {
 	size := len(b) + 16 // header + payload
 	blk := r.cpu.Malloc(fn, size)
-	r.record(trace.Event{Kind: trace.KindAlloc, Fn: fn, A: blk.Addr, B: uint64(size)})
+	r.record(trace.KindAlloc, fn, blk.Addr, uint64(size), 0)
 	var s *Str
 	if n := len(r.strFree); n > 0 {
 		s = r.strFree[n-1]
@@ -313,7 +316,7 @@ func (r *Runtime) FreeStr(fn string, s *Str) {
 		panic("vm: double free of string")
 	}
 	s.freed = true
-	r.record(trace.Event{Kind: trace.KindFree, Fn: fn, A: s.block.Addr, B: uint64(s.block.Size)})
+	r.record(trace.KindFree, fn, s.block.Addr, uint64(s.block.Size), 0)
 	r.cpu.Free(fn, s.block)
 	r.strFree = append(r.strFree, s)
 }
@@ -332,7 +335,7 @@ func (r *Runtime) Regex(fn, pattern string) (*regex.Regex, error) {
 	const mgrFn = "regex_cache_lookup"
 	k := hashmap.StrKey(pattern)
 	v, ok := r.cpu.HashGet(mgrFn, r.regexMgr, k, true)
-	r.record(trace.Event{Kind: trace.KindHashGet, Fn: mgrFn, A: r.regexMgr.ID(), B: uint64(k.Len()), C: 1})
+	r.record(trace.KindHashGet, mgrFn, r.regexMgr.ID(), uint64(k.Len()), 1)
 	r.regexLookups++
 	if ok {
 		r.regexHits++
@@ -346,11 +349,11 @@ func (r *Runtime) Regex(fn, pattern string) (*regex.Regex, error) {
 	r.spans.End()
 	if err != nil {
 		r.cpu.HashSet(mgrFn, r.regexMgr, k, err, true)
-		r.record(trace.Event{Kind: trace.KindHashSet, Fn: mgrFn, A: r.regexMgr.ID(), B: uint64(k.Len()), C: 1})
+		r.record(trace.KindHashSet, mgrFn, r.regexMgr.ID(), uint64(k.Len()), 1)
 		return nil, err
 	}
 	r.cpu.HashSet(mgrFn, r.regexMgr, k, re, true)
-	r.record(trace.Event{Kind: trace.KindHashSet, Fn: mgrFn, A: r.regexMgr.ID(), B: uint64(k.Len()), C: 1})
+	r.record(trace.KindHashSet, mgrFn, r.regexMgr.ID(), uint64(k.Len()), 1)
 	return re, nil
 }
 

@@ -278,12 +278,30 @@ func TestRegexCacheLookupTraced(t *testing.T) {
 	}
 }
 
-func TestTracingDisabled(t *testing.T) {
-	r := New(Config{TraceCapacity: -1})
-	if r.Trace() != nil {
-		t.Errorf("TraceCapacity -1 should disable tracing")
+// TestTraceCountOnly: TraceCapacity -1 (the serving configuration)
+// keeps no event but counts every one, by kind, exactly as a recorder
+// that keeps them all.
+func TestTraceCountOnly(t *testing.T) {
+	run := func(capacity int) *trace.Recorder {
+		r := New(Config{Features: isa.AllAccelerators(), TraceCapacity: capacity})
+		r.BeginRequest()
+		a := r.NewArray("f")
+		r.ASet("f", a, hashmap.StrKey("k"), 1, true)
+		r.AGet("f", a, hashmap.StrKey("k"), false)
+		r.ADelete("f", a, hashmap.StrKey("k"))
+		r.FreeStr("f", r.NewStr("f", r.EscapeHTML("f", []byte("<x>"))))
+		r.MustRegex("f", `<[a-z]+>`)
+		r.FreeArray("f", a)
+		return r.Trace()
 	}
-	r.BeginRequest() // must not panic
+	counted, kept := run(-1), run(0)
+	if len(counted.Events()) != 0 {
+		t.Errorf("counting trace kept %d events", len(counted.Events()))
+	}
+	if counted.KindTotals() != kept.KindTotals() || counted.Total() != int64(len(kept.Events())) {
+		t.Errorf("counted kinds %v (total %d), kept %v (%d events)",
+			counted.KindTotals(), counted.Total(), kept.KindTotals(), len(kept.Events()))
+	}
 }
 
 func TestStringWrappersEquivalent(t *testing.T) {

@@ -166,9 +166,7 @@ func (lg LoadGenerator) Run(rt *vm.Runtime, app App) Result {
 	// Discard warmup costs but keep hardware state warm, mirroring the
 	// steady-state measurement window.
 	rt.Meter().Reset()
-	if rt.Trace() != nil {
-		rt.Trace().Reset()
-	}
+	rt.Trace().Reset()
 
 	res := Result{App: app.Name(), Requests: lg.Requests, Workers: 1}
 	lats := make([]time.Duration, 0, lg.Requests)
@@ -190,9 +188,6 @@ func (lg LoadGenerator) Run(rt *vm.Runtime, app App) Result {
 
 func keyStatsFromTrace(rec *trace.Recorder) KeyStats {
 	var ks KeyStats
-	if rec == nil {
-		return ks
-	}
 	for _, e := range rec.Events() {
 		switch e.Kind {
 		case trace.KindHashGet:

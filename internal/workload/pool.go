@@ -156,9 +156,7 @@ func (w *Worker) serve(pa PageApp, page int, profile bool) ([]byte, obs.Span) {
 // reset discards accumulated measurements but keeps runtime state warm.
 func (w *Worker) reset() {
 	w.rt.Meter().Reset()
-	if w.rt.Trace() != nil {
-		w.rt.Trace().Reset()
-	}
+	w.rt.Trace().Reset()
 	w.served = 0
 	w.respBytes = 0
 	w.latencies = w.latencies[:0]
@@ -298,14 +296,12 @@ func (p *Pool) mergedMeterOwned() *sim.Meter {
 	return mt
 }
 
-// mergedTraceOwned returns a fresh unbounded recorder holding every
-// worker's retained events, grouped by worker, or nil when tracing is
-// disabled. It requires the caller to hold every worker.
-func (p *Pool) mergedTraceOwned() *trace.Recorder {
-	if p.workers[0].rt.Trace() == nil {
-		return nil
-	}
-	rec := trace.NewRecorder(0)
+// mergedTraceOwned returns a fresh recorder of the given capacity (see
+// trace.NewRecorder) holding every worker's counts and, unless counting,
+// retained events grouped by worker. It requires the caller to hold every
+// worker.
+func (p *Pool) mergedTraceOwned(capacity int) *trace.Recorder {
+	rec := trace.NewRecorder(capacity)
 	for _, w := range p.workers {
 		rec.Merge(w.rt.Trace())
 	}
@@ -407,7 +403,7 @@ func (p *Pool) gatherResultOwned(wall time.Duration) Result {
 	res.Uops = mt.TotalUops()
 	res.EnergyPJ = mt.TotalEnergy()
 	res.Categories = mt.CategoryCyclesVec()
-	res.Keys = keyStatsFromTrace(p.mergedTraceOwned())
+	res.Keys = keyStatsFromTrace(p.mergedTraceOwned(0))
 	return res
 }
 
@@ -487,9 +483,9 @@ func (p *Pool) accelStatsOwned() AccelStats {
 }
 
 // PoolSnapshot is one consistent fleet-level view: merged meter, merged
-// trace (nil when tracing is disabled), and accelerator statistics, all
-// taken under the same quiescence barrier so a /metrics scrape reads one
-// coherent moment.
+// trace counts (a counting recorder: every reader wants KindTotals, so no
+// event is copied), and accelerator statistics, all taken under the same
+// quiescence barrier so a /metrics scrape reads one coherent moment.
 type PoolSnapshot struct {
 	Meter *sim.Meter
 	Trace *trace.Recorder
@@ -497,15 +493,15 @@ type PoolSnapshot struct {
 }
 
 // Snapshot drains the free list (waiting for in-flight requests) and
-// returns the merged meter, merged trace, and accelerator statistics in
-// one barrier, instead of the three separate drains MergedMeter +
-// MergedTrace + per-worker reads would cost.
+// returns the merged meter, merged trace counts, and accelerator
+// statistics in one barrier, instead of the three separate drains
+// MergedMeter + MergedTrace + per-worker reads would cost.
 func (p *Pool) Snapshot() PoolSnapshot {
 	p.acquireAll()
 	defer p.releaseAll()
 	return PoolSnapshot{
 		Meter: p.mergedMeterOwned(),
-		Trace: p.mergedTraceOwned(),
+		Trace: p.mergedTraceOwned(-1),
 		Accel: p.accelStatsOwned(),
 	}
 }

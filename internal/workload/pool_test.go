@@ -393,6 +393,28 @@ func TestPoolSnapshot(t *testing.T) {
 	}
 }
 
+// TestPoolSnapshotIndependentOfRing: Pool.Snapshot, behind every /stats
+// and /metrics scrape, merges the workers' per-kind counts only — what it
+// allocates does not grow with how many events their rings hold.
+func TestPoolSnapshotIndependentOfRing(t *testing.T) {
+	allocs := func(capacity int) float64 {
+		cfg := swConfig()
+		cfg.TraceCapacity = capacity
+		p, err := NewPool(2, cfg, "wordpress", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Run(LoadGenerator{Requests: 20}, 0) // ~12k events per worker: both rings full
+		if n := p.Snapshot().Trace.Total(); n < 2*4096 {
+			t.Fatalf("%d events recorded, want more than the rings hold", n)
+		}
+		return testing.AllocsPerRun(5, func() { p.Snapshot() })
+	}
+	if small, large := allocs(16), allocs(4096); large != small {
+		t.Errorf("Pool.Snapshot allocates %.0f times with 4096-event rings, %.0f with 16-event ones", large, small)
+	}
+}
+
 // TestPoolSnapshotConcurrent is the regression test for the scrape
 // deadlock: two overlapping whole-pool drains (a /metrics scrape racing
 // /stats, or duplicate scraper replicas) used to each pull a subset of
@@ -480,10 +502,10 @@ func BenchmarkPoolServeSampledAll(b *testing.B) {
 }
 
 func benchmarkPoolServe(b *testing.B, col *obs.Collector) {
-	// The server's trace ring (phpserve -tracebuf default): unbounded, the
-	// zero value, would make this a benchmark of growslice.
+	// The server's trace: counted, not kept. Unbounded, the zero value,
+	// would make this a benchmark of growslice.
 	cfg := hwConfig()
-	cfg.TraceCapacity = 4096
+	cfg.TraceCapacity = -1
 	p, err := NewPool(1, cfg, "wordpress", 1)
 	if err != nil {
 		b.Fatal(err)
@@ -690,7 +712,7 @@ func TestSampledTracingBudget(t *testing.T) {
 	}
 	run := func(rate float64) outcome {
 		cfg := hwConfig()
-		cfg.TraceCapacity = 4096
+		cfg.TraceCapacity = -1 // the server's trace: counted, not kept
 		p, err := NewPool(1, cfg, "wordpress", 1)
 		if err != nil {
 			t.Fatal(err)
@@ -709,7 +731,7 @@ func TestSampledTracingBudget(t *testing.T) {
 			o.fns = append(o.fns, *f)
 			o.calls += f.Calls
 		}
-		o.events = p.mergedTraceOwned().KindTotals()
+		o.events = p.mergedTraceOwned(-1).KindTotals()
 		o.sampled = col.Snapshot().SampledSpans
 		o.trees = col.TreeRing().Last(64)
 		return o
