@@ -29,6 +29,20 @@ import (
 
 // --- Ablations (§4 design-consideration studies from DESIGN.md) ---
 
+// ablate serves the ablation window — 20 warmup and 30 measured
+// WordPress requests, a context switch every 64 — on a one-worker pool of
+// cfg with every mitigation on, and returns the worker's runtime and the
+// measured result.
+func ablate(b *testing.B, cfg vm.Config) (*vm.Runtime, workload.Result) {
+	cfg.Mitigations, cfg.TraceCapacity = sim.AllMitigations(), -1
+	pool, err := workload.NewPool(1, cfg, "wordpress", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res := pool.Run(workload.LoadGenerator{Warmup: 20, Requests: 30, ContextSwitchEvery: 64}, 0)
+	return pool.Acquire().Runtime(), res
+}
+
 // BenchmarkAblationProbeWindow sweeps the hash table's parallel probe
 // window (§4.2: 4 consecutive entries accessed in parallel).
 func BenchmarkAblationProbeWindow(b *testing.B) {
@@ -37,9 +51,7 @@ func BenchmarkAblationProbeWindow(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				feats := isa.AllAccelerators()
 				feats.HTConfig.ProbeWindow = window
-				rt := vm.New(vm.Config{Features: feats, Mitigations: sim.AllMitigations(), TraceCapacity: -1})
-				app, _ := workload.ByName("wordpress", 1)
-				workload.LoadGenerator{Warmup: 20, Requests: 30, ContextSwitchEvery: 64}.Run(rt, app)
+				rt, _ := ablate(b, vm.Config{Features: feats})
 				b.ReportMetric(100*rt.CPU().HT.Stats().HitRate(), "get-hit-%")
 			}
 		})
@@ -54,9 +66,7 @@ func BenchmarkAblationKeyWidth(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				feats := isa.AllAccelerators()
 				feats.HTConfig.MaxKeyBytes = width
-				rt := vm.New(vm.Config{Features: feats, Mitigations: sim.AllMitigations(), TraceCapacity: -1})
-				app, _ := workload.ByName("wordpress", 1)
-				workload.LoadGenerator{Warmup: 20, Requests: 30, ContextSwitchEvery: 64}.Run(rt, app)
+				rt, _ := ablate(b, vm.Config{Features: feats})
 				st := rt.CPU().HT.Stats()
 				total := st.Gets + st.Sets + st.Bypasses
 				b.ReportMetric(100*float64(st.Bypasses)/float64(total+1), "bypass-%")
@@ -76,9 +86,7 @@ func BenchmarkAblationHeapListEntries(b *testing.B) {
 				if feats.HMConfig.PrefetchLow > entries {
 					feats.HMConfig.PrefetchLow = entries / 2
 				}
-				rt := vm.New(vm.Config{Features: feats, Mitigations: sim.AllMitigations(), TraceCapacity: -1})
-				app, _ := workload.ByName("wordpress", 1)
-				workload.LoadGenerator{Warmup: 20, Requests: 30, ContextSwitchEvery: 64}.Run(rt, app)
+				rt, _ := ablate(b, vm.Config{Features: feats})
 				b.ReportMetric(100*rt.CPU().HM.Stats().MallocHitRate(), "malloc-hit-%")
 			}
 		})
@@ -95,9 +103,7 @@ func BenchmarkAblationStringBlockWidth(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				feats := isa.AllAccelerators()
 				feats.SAConfig.BlockBytes = width
-				rt := vm.New(vm.Config{Features: feats, Mitigations: sim.AllMitigations(), Model: model, TraceCapacity: -1})
-				app, _ := workload.ByName("wordpress", 1)
-				res := workload.LoadGenerator{Warmup: 20, Requests: 30, ContextSwitchEvery: 64}.Run(rt, app)
+				_, res := ablate(b, vm.Config{Features: feats, Model: model})
 				b.ReportMetric(res.CyclesPerRequest(), "cycles/req")
 			}
 		})
@@ -112,9 +118,7 @@ func BenchmarkAblationSegSize(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				feats := isa.AllAccelerators()
 				feats.RAConfig.SegSize = seg
-				rt := vm.New(vm.Config{Features: feats, Mitigations: sim.AllMitigations(), TraceCapacity: -1})
-				app, _ := workload.ByName("wordpress", 1)
-				workload.LoadGenerator{Warmup: 20, Requests: 30, ContextSwitchEvery: 64}.Run(rt, app)
+				rt, _ := ablate(b, vm.Config{Features: feats})
 				st := rt.CPU().RA.Stats()
 				b.ReportMetric(100*float64(st.BytesSkippedSift)/float64(st.BytesPresented+1), "sift-skip-%")
 			}
@@ -129,9 +133,7 @@ func BenchmarkAblationSiftVsReuse(b *testing.B) {
 			feats := isa.AllAccelerators()
 			feats.RAConfig.SegSize = segSize
 			feats.RAConfig.ReuseEntries = reuseEntries
-			rt := vm.New(vm.Config{Features: feats, Mitigations: sim.AllMitigations(), TraceCapacity: -1})
-			app, _ := workload.ByName("wordpress", 1)
-			res := workload.LoadGenerator{Warmup: 20, Requests: 30, ContextSwitchEvery: 64}.Run(rt, app)
+			_, res := ablate(b, vm.Config{Features: feats})
 			b.ReportMetric(res.CyclesPerRequest(), "cycles/req")
 		}
 	}

@@ -470,16 +470,9 @@ func cacheLine(ls serve.LoadStats, rc *cache.Cache) string {
 }
 
 // fig1Line renders the run's flat-profile headline — the paper's Fig. 1
-// numbers (hottest-function share, functions covering 65% of cycles) —
-// from the pool's merged meter.
+// numbers — from the pool's merged meter, in its one-line form.
 func fig1Line(pool *workload.Pool) string {
-	p := profile.FromMeter(pool.MergedMeter())
-	hottest := "-"
-	if p.NumFunctions() > 0 {
-		hottest = p.Entries[0].Name
-	}
-	return fmt.Sprintf("fig1: hottest %s %.1f%%, %d functions for 65%% of cycles (%d total)",
-		hottest, 100*p.HottestFrac(), p.FuncsForFrac(0.65), p.NumFunctions())
+	return "fig1: " + profile.FromMeter(pool.MergedMeter()).Headline().String()
 }
 
 // writeTraceFile exports the retained span trees as trace_event JSON.

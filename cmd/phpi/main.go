@@ -24,7 +24,7 @@ import (
 func main() {
 	accel := flag.Bool("accel", true, "run with the four accelerators")
 	stats := flag.Bool("stats", false, "print the simulation cost report after the output")
-	topN := flag.Int("profile", 0, "also print the hottest N leaf functions")
+	topN := flag.Int("profile", 0, "also print the leaf-function profile: headline, CDF, categories and the hottest N rows")
 	tier := flag.String("tier", "interp", "execution tier: interp, auto (profile-guided promotion), or bytecode")
 	requests := flag.Int("requests", 1, "run the script n times (only the last run's output prints; lets -tier auto cross its promotion window)")
 	flag.Parse()

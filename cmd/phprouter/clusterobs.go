@@ -98,6 +98,7 @@ func (rt *router) cluster(ctx context.Context, rs serve.RouterStats) clusterStat
 	lat := fs.Latency()
 	p50, p95, p99 := lat.Quantile(0.5), lat.Quantile(0.95), lat.Quantile(0.99)
 	total := fs.Requests()
+	h := fs.Profile.Headline()
 	cs := clusterStats{
 		Time:            fs.Time.UTC().Format(time.RFC3339Nano),
 		BackendsUp:      rs.UpCount(),
@@ -109,15 +110,7 @@ func (rt *router) cluster(ctx context.Context, rs serve.RouterStats) clusterStat
 		LatencyP95Ms:    1000 * p95,
 		LatencyP99Ms:    1000 * p99,
 		Latency:         obs.Vec{{Name: "0.5", Value: p50}, {Name: "0.95", Value: p95}, {Name: "0.99", Value: p99}},
-		Profile: clusterProfile{
-			TotalCycles: fs.Profile.Total,
-			Functions:   fs.Profile.NumFunctions(),
-			HottestFrac: obs.Finite(fs.Profile.HottestFrac()),
-			FuncsFor65:  fs.Profile.FuncsForFrac(0.65),
-		},
-	}
-	if fs.Profile.NumFunctions() > 0 {
-		cs.Profile.Hottest = fs.Profile.Entries[0].Name
+		Profile:         clusterProfile{TotalCycles: h.Total, Functions: h.Functions, Hottest: h.Hottest, HottestFrac: h.HottestFrac, FuncsFor65: h.FuncsFor65},
 	}
 	for _, b := range fs.Backends {
 		row := clusterBackend{ID: b.ID, Addr: b.Addr}

@@ -93,7 +93,7 @@ func fakeBackend(t *testing.T, id string, requests int64) string {
 		}{obs.Snapshot{Requests: requests, Latency: lat.Snapshot()}, cache.Stats{Hits: requests / 2, Misses: requests / 2}})
 	})
 	mux.HandleFunc("/profilez", func(w http.ResponseWriter, r *http.Request) {
-		p := profile.FromCycles([]profile.RawEntry{{Name: "render_" + id, Category: sim.CatString, Cycles: 100}})
+		p := profile.Merge(profile.Profile{Entries: []profile.Entry{{Name: "render_" + id, Category: sim.CatString, Cycles: 100}}})
 		obs.WriteJSON(w, http.StatusOK, profile.NewDoc("wordpress", "accelerated", p, profile.WindowInfo{}, nil, 0))
 	})
 	be := httptest.NewServer(mux)

@@ -38,7 +38,7 @@
 //	         [-cache 0] [-cachettl 0] [-cacheshards 16]
 //	         [-pages 512] [-zipf 1.0]
 //	         [-sample 0.01] [-accesslog path|-] [-pprof]
-//	         [-treering 64] [-profepochs 16] [-tier interp|auto|bytecode]
+//	         [-treering 64] [-tier interp|auto|bytecode]
 //
 // Endpoints:
 //
@@ -542,7 +542,8 @@ func (s *server) scrapeWindow(mt *sim.Meter, requests int64) *scrapeWindow {
 	s.memMu.Unlock()
 
 	lp, _ := s.observeLive(mt)
-	w.HottestFrac, w.FuncsFor65, w.Functions = lp.HottestFrac(), lp.FuncsForFrac(0.65), lp.NumFunctions()
+	h := lp.Headline()
+	w.HottestFrac, w.FuncsFor65, w.Functions = h.HottestFrac, h.FuncsFor65, h.Functions
 	return w
 }
 
@@ -573,10 +574,6 @@ func (s *server) handleTracez(w http.ResponseWriter, r *http.Request) {
 	obs.ServeTracez(w, r, ring)
 }
 
-// cdfPoints are the function counts the table and JSON forms report the
-// cumulative distribution at (the Fig. 1 x-axis landmarks).
-var cdfPoints = []int{1, 10, 50, 100}
-
 // handleProfilez serves the live windowed flat profile — the paper's
 // Fig. 1/Fig. 4 analysis over current traffic. Parameters: n (top-N
 // rows, default 30), format=table (default) | folded (flamegraph
@@ -593,35 +590,12 @@ func (s *server) handleProfilez(w http.ResponseWriter, r *http.Request) {
 		if !info.SinceBoot {
 			window = fmt.Sprintf("last %s (%d epochs)", info.Until.Sub(info.Since).Round(time.Millisecond), info.Epochs)
 		}
-		fmt.Fprintf(w, "live flat profile: %s (%s), window %s\n", s.app, s.config, window)
-		fmt.Fprintf(w, "functions: %d   total cycles: %.0f\n", p.NumFunctions(), p.Total)
-		hottest := "-"
-		if p.NumFunctions() > 0 {
-			hottest = p.Entries[0].Name
-		}
-		fmt.Fprintf(w, "hottest: %s %.2f%%   functions for 65%%: %d\n",
-			hottest, 100*obs.Finite(p.HottestFrac()), p.FuncsForFrac(0.65))
-		cdf := p.CDF(cdfPoints)
-		fmt.Fprint(w, "cdf:")
-		for i, np := range cdfPoints {
-			fmt.Fprintf(w, " top%d=%.1f%%", np, 100*cdf[i])
-		}
-		fmt.Fprintln(w)
-		fmt.Fprint(w, "categories:")
-		shares := p.CategoryShares()
-		for _, c := range sim.Categories() {
-			if shares[c] > 0 {
-				fmt.Fprintf(w, " %s=%.1f%%", c, 100*shares[c])
-			}
-		}
-		fmt.Fprintln(w)
-		fmt.Fprintln(w)
-		fmt.Fprint(w, p.Render(n))
+		fmt.Fprintf(w, "live flat profile: %s (%s), window %s\n%s", s.app, s.config, window, p.Render(n))
 	case "folded":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		io.WriteString(w, p.Folded())
 	case "json":
-		obs.WriteJSON(w, http.StatusOK, profile.NewDoc(s.app, s.config, p, info, cdfPoints, n))
+		obs.WriteJSON(w, http.StatusOK, profile.NewDoc(s.app, s.config, p, info, profile.Landmarks, n))
 	default:
 		http.Error(w, fmt.Sprintf("profilez: unknown format %q (want table, folded, or json)", format), http.StatusBadRequest)
 	}
@@ -685,7 +659,6 @@ func main() {
 	accessLog := flag.String("accesslog", "", "JSON-lines access log for sampled spans and sheds (path, - for stdout, empty disables)")
 	pprofFlag := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	treeRing := flag.Int("treering", 64, "sampled span trees retained for /tracez (0 disables)")
-	profEpochs := flag.Int("profepochs", profile.DefaultLiveEpochs, "cumulative profile epochs retained; the /profilez window spans up to profepochs-1 scrapes")
 	fpm := flag.Bool("fpm", false, "run as a cluster backend process (FPM-style, behind phprouter): implies -backend 0 unless set")
 	backend := flag.Int("backend", -1, "cluster backend id stamped on X-Backend, /healthz, and access-log lines (-1 standalone)")
 	listen := flag.String("listen", "", "backend listen address; overrides -addr (the flag phprouter's spawner sets per backend)")
@@ -779,7 +752,6 @@ func main() {
 	}
 	sched := serve.NewScheduler(pool, serve.Config{QueueDepth: *queue, Timeout: *timeout, CtxSwitchEvery: *ctxSwitch})
 	srv := newServer(sched, col, *app, *config)
-	srv.live = profile.NewLive(*profEpochs, time.Now())
 	srv.pprofEnabled = *pprofFlag
 	srv.tier = *tier
 	srv.backendID = *backend

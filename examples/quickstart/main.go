@@ -32,7 +32,7 @@ func main() {
 	fmt.Print(rt.Meter().Report())
 
 	p := profile.FromMeter(rt.Meter())
-	fmt.Printf("\nhottest 8 leaf functions:\n%s", p.Render(8))
+	fmt.Printf("\nleaf-function profile, hottest 8:\n%s", p.Render(8))
 
 	// Accelerator activity for this single request.
 	ht := rt.CPU().HT.Stats()

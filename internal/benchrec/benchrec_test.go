@@ -3,6 +3,7 @@ package benchrec
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -70,6 +71,15 @@ func TestMatrixShape(t *testing.T) {
 				t.Errorf("%s: category %q missing from breakdown", name, cat)
 			}
 		}
+		// The leaf rows are what the category totals sum, equal up to
+		// summation order.
+		var rows float64
+		for _, c := range sc.SimFnCycles {
+			rows += c
+		}
+		if total := sc.SimCyclesPerReq * float64(sc.Served); len(sc.SimFnCycles) < 20 || math.Abs(rows-total) > 1e-9*total {
+			t.Errorf("%s: %d leaf rows sum to %v, want the %v cycles of the run", name, len(sc.SimFnCycles), rows, total)
+		}
 	}
 
 	// The accelerator sweep must show the paper's direction: the
@@ -122,9 +132,7 @@ func TestMatrixShape(t *testing.T) {
 	// Scripted tier pair: the interp baseline must stay on the
 	// tree-walker, the auto side must have promoted during warmup and
 	// served the measured phase (mostly) from the bytecode tier, and the
-	// promotion must show up as cheaper simulated dispatch. Both record
-	// the Fig. 1 profile gauges so the trajectory captures the flat
-	// profile reshaping under tier-up.
+	// promotion must show up as cheaper simulated dispatch.
 	si, _ := rec.scenario("scripted_zipf_interp")
 	sa, _ := rec.scenario("scripted_zipf")
 	if si.Tier != "interp" || si.TierBytecodeCalls != 0 || si.TierInterpCalls == 0 {
@@ -135,10 +143,6 @@ func TestMatrixShape(t *testing.T) {
 	}
 	if sa.TierBytecodeCalls == 0 || sa.TierICHits == 0 {
 		t.Errorf("scripted_zipf should serve bytecode calls with inline-cache hits: %+v", sa)
-	}
-	if si.ProfileHottestFrac <= 0 || si.ProfileFuncsFor65 <= 0 ||
-		sa.ProfileHottestFrac <= 0 || sa.ProfileFuncsFor65 <= 0 {
-		t.Errorf("scripted scenarios should record the Fig. 1 profile gauges: interp %+v auto %+v", si, sa)
 	}
 	if sa.SimCyclesPerReq >= si.SimCyclesPerReq {
 		t.Errorf("bytecode tier should simulate cheaper dispatch: auto %.0f cycles/req vs interp %.0f",
@@ -236,7 +240,7 @@ func TestLoadRejectsNonRecords(t *testing.T) {
 		"not JSON":       "BENCH",
 		"no schema":      `{"scenarios":[{"name":"direct"}]}`,
 		"no scenarios":   `{"schema":2}`,
-		"future schema":  `{"schema":3,"scenarios":[{"name":"direct"}]}`,
+		"future schema":  `{"schema":4,"scenarios":[{"name":"direct"}]}`,
 		"another format": `{"command":["sh","benchmark/run.sh"]}`,
 	} {
 		path := filepath.Join(t.TempDir(), "rec.json")
@@ -253,11 +257,12 @@ func TestLoadRejectsNonRecords(t *testing.T) {
 var removedV1Keys = []string{"req_per_sec", "wall_ms", "p50_us", "p95_us", "p99_us",
 	"calib_ops_per_sec", "created_at", "scale", "db_wait_ms"}
 
-// TestLoadCommittedTrajectory: the schema 1 records stay readable. It
+// TestLoadCommittedTrajectory: the older records stay readable. It
 // runs nothing — the last schema 1 record loads, compares clean against
-// itself and against its own schema 2 rewrite (the comparison sees only
-// the fields both schemas carry), and against the first committed
-// schema 2 record.
+// itself and against its own rewrite at the current schema (the
+// comparison sees only the fields both schemas carry), and against the
+// one committed schema 2 record, which compares clean against the first
+// schema 3 record.
 func TestLoadCommittedTrajectory(t *testing.T) {
 	const root = "../.."
 	v1Path := filepath.Join(root, Filename(6))
@@ -309,6 +314,44 @@ func TestLoadCommittedTrajectory(t *testing.T) {
 	}
 	if drift := SimDrift(v1, first2); len(drift) != 0 {
 		t.Errorf("BENCH_6.json vs BENCH_7.json: %v", drift)
+	}
+
+	first3, err := Load(filepath.Join(root, Filename(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first3.Schema != 3 || len(first3.Scenarios[0].SimFnCycles) == 0 {
+		t.Errorf("BENCH_8.json is schema %d with %d leaf rows, want 3 and every row", first3.Schema, len(first3.Scenarios[0].SimFnCycles))
+	}
+	if drift := SimDrift(first2, first3); len(drift) != 0 {
+		t.Errorf("BENCH_7.json vs BENCH_8.json: %v", drift)
+	}
+}
+
+// TestSimDriftNamesTheLeaf: a moved leaf function prints its own line
+// after its category's, and a base that predates the leaf rows (schema
+// 2) compares nothing there.
+func TestSimDriftNamesTheLeaf(t *testing.T) {
+	record := func(hash, lookup float64) Record {
+		return Record{Schema: SchemaVersion, Seed: 1, Scenarios: []Scenario{{
+			Name:              "cache_zipf",
+			SimCategoryCycles: map[string]float64{"hash": hash, "other": 500},
+			SimFnCycles:       map[string]float64{"zend_hash_find [hash]": 426120, "response_cache_lookup [hash]": lookup, "jit_compiled_code [other]": 500},
+		}}}
+	}
+	base, fresh := record(426249, 129), record(426378, 258)
+	want := []string{
+		"cache_zipf: SimCategoryCycles[hash] 426249 -> 426378",
+		"cache_zipf: SimFnCycles[response_cache_lookup [hash]] 129 -> 258",
+	}
+	if drift := SimDrift(base, fresh); strings.Join(drift, "\n") != strings.Join(want, "\n") {
+		t.Errorf("drift = %q, want %q", drift, want)
+	}
+
+	schema2 := record(426378, 0)
+	schema2.Schema, schema2.Scenarios[0].SimFnCycles = 2, nil
+	if drift := SimDrift(schema2, fresh); len(drift) != 0 {
+		t.Errorf("schema 2 base against schema 3: drift = %q, want none", drift)
 	}
 }
 

@@ -22,12 +22,16 @@ const (
 // SimDrift is the whole record comparison: it returns one "scenario:
 // Field base -> fresh" line for every way fresh differs from base. The
 // seed, the set of scenarios, and every Scenario field — pinned
-// configuration, simulated cycles and energy, category cycles (one line
-// per category), served/shed/cache counts, tier counters — are compared
-// exactly: for one seed they are a pure function of the code, so any
-// difference is a behaviour change that needs a new committed baseline
-// and a reason. AllocsPerOp alone gets a slack (see the constants
-// above) and only reports a rise.
+// configuration, simulated cycles and energy, served/shed/cache counts,
+// tier counters — are compared exactly: for one seed they are a pure
+// function of the code, so any difference is a behaviour change that
+// needs a new committed baseline and a reason. A map field compares key
+// by key, one "scenario: Field[key] base -> fresh" line per key that
+// moved, so a category's line is followed by the lines of the leaf
+// functions that moved it; a base record that predates the field (a
+// schema 2 record has no SimFnCycles) compares nothing there.
+// AllocsPerOp alone gets a slack (see the constants above) and only
+// reports a rise.
 func SimDrift(base, fresh Record) []string {
 	var drift []string
 	if base.Seed != fresh.Seed {
@@ -80,14 +84,19 @@ func scenarioDrift(b, f Scenario) []string {
 				drift = append(drift, fmt.Sprintf("%s: AllocsPerOp %.2f -> %.2f (limit %.2f)",
 					b.Name, b.AllocsPerOp, f.AllocsPerOp, limit))
 			}
-		case "SimCategoryCycles":
-			for _, cat := range unionKeys(b.SimCategoryCycles, f.SimCategoryCycles) {
-				if bc, fc := b.SimCategoryCycles[cat], f.SimCategoryCycles[cat]; bc != fc {
-					drift = append(drift, fmt.Sprintf("%s: SimCategoryCycles[%s] %v -> %v", b.Name, cat, bc, fc))
-				}
-			}
 		default:
-			if bf, ff := bv.Field(i).Interface(), fv.Field(i).Interface(); !reflect.DeepEqual(bf, ff) {
+			bf, ff := bv.Field(i).Interface(), fv.Field(i).Interface()
+			bm, isMap := bf.(map[string]float64)
+			switch {
+			case isMap && bm == nil: // the base record predates the field
+			case isMap:
+				fm := ff.(map[string]float64)
+				for _, k := range unionKeys(bm, fm) {
+					if bm[k] != fm[k] {
+						drift = append(drift, fmt.Sprintf("%s: %s[%s] %v -> %v", b.Name, field, k, bm[k], fm[k]))
+					}
+				}
+			case !reflect.DeepEqual(bf, ff):
 				drift = append(drift, fmt.Sprintf("%s: %s %v -> %v", b.Name, field, bf, ff))
 			}
 		}

@@ -32,9 +32,10 @@ import (
 // SchemaVersion is the record schema this package writes. Schema 2
 // dropped every measured-time field of schema 1 (throughput, wall,
 // latency percentiles, calibration, timestamp) along with the scale and
-// the cluster stall; what remains is a subset, so Load still reads
-// schema 1 records and SimDrift compares them on the fields both carry.
-const SchemaVersion = 2
+// the cluster stall; schema 3 adds sim_fn_cycles and drops the two
+// Fig. 1 profile fields the rows derive. Load reads every schema and
+// SimDrift compares two records on the fields both carry.
+const SchemaVersion = 3
 
 // Record is one benchmark run: the environment it ran in, the knobs
 // that pin the matrix, and one Scenario per matrix entry.
@@ -114,6 +115,10 @@ type Scenario struct {
 	// category (hash, heap, string, regex, ...) over the measured phase,
 	// including the response cache's lookup charges when present.
 	SimCategoryCycles map[string]float64 `json:"sim_category_cycles"`
+	// SimFnCycles is every leaf function's cycle total over the measured
+	// phase, keyed "name [category]" (profile.RowKey): the rows the
+	// category totals are sums of, so drift names the function that moved.
+	SimFnCycles map[string]float64 `json:"sim_fn_cycles,omitempty"`
 
 	// Tier names the script execution tier on scripted scenarios
 	// ("interp", "auto", "bytecode"; empty elsewhere). The tier counters
@@ -126,12 +131,6 @@ type Scenario struct {
 	TierBytecodeCalls     int64  `json:"tier_bytecode_calls,omitempty"`
 	TierInterpCalls       int64  `json:"tier_interp_calls,omitempty"`
 	TierICHits            int64  `json:"tier_ic_hits,omitempty"`
-	// ProfileHottestFrac and ProfileFuncsFor65 are the paper's Fig. 1
-	// headline numbers computed over the scenario's merged profile —
-	// recorded on scripted scenarios so the trajectory shows the flat
-	// profile shifting as the tier promotes hot functions.
-	ProfileHottestFrac float64 `json:"profile_hottest_frac,omitempty"`
-	ProfileFuncsFor65  int     `json:"profile_funcs_for_65,omitempty"`
 }
 
 // MarshalIndent renders the record as stable, human-reviewable JSON

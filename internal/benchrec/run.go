@@ -172,7 +172,8 @@ func baseScenario(workers, measure int, accelerated bool) Scenario {
 
 // simFields fills the simulated-cost fields from a merged meter: cycles
 // from the dense category vector, energy from the meter's fixed-order
-// total, both reproducible bit for bit.
+// total, the leaf rows from the profile builder, all reproducible bit
+// for bit.
 func (sc *Scenario) simFields(mt *sim.Meter, requests int) {
 	if requests <= 0 {
 		return
@@ -183,6 +184,11 @@ func (sc *Scenario) simFields(mt *sim.Meter, requests int) {
 	sc.SimCategoryCycles = make(map[string]float64, sim.NumCategories)
 	for _, c := range sim.Categories() {
 		sc.SimCategoryCycles[c.String()] = vec[c]
+	}
+	p := profile.FromMeter(mt)
+	sc.SimFnCycles = make(map[string]float64, len(p.Entries))
+	for _, e := range p.Entries {
+		sc.SimFnCycles[profile.RowKey(e.Name, e.Category)] = e.Cycles
 	}
 }
 
@@ -326,8 +332,7 @@ func runCluster(opts Options, backends int) (Scenario, error) {
 // (TierAuto with the default policy). Warmup drives each worker's
 // per-worker interpreter through the promotion window in auto mode, so
 // the measured phase runs mostly in the bytecode tier; the recorded
-// tier counters and Fig. 1 profile gauges pin that state in the
-// trajectory.
+// tier counters and leaf rows pin that state in the trajectory.
 func runScriptedZipf(opts Options, mode php.TierMode) (Scenario, error) {
 	pool, err := workload.NewPoolSharedSeed(matrixWorkers, vmConfig(true), scriptedApp, opts.Seed)
 	if err != nil {
@@ -364,8 +369,7 @@ func runScriptedZipf(opts Options, mode php.TierMode) (Scenario, error) {
 	sc.ZipfS = zipfExponent
 	sc.fillLoadStats(ls)
 	sc.AllocsPerOp = allocs
-	mt := pool.MergedMeter()
-	sc.simFields(mt, ls.Served)
+	sc.simFields(pool.MergedMeter(), ls.Served)
 
 	snap := pool.TierSnapshot()
 	sc.Tier = snap.Mode
@@ -374,9 +378,6 @@ func runScriptedZipf(opts Options, mode php.TierMode) (Scenario, error) {
 	sc.TierBytecodeCalls = snap.BytecodeCalls
 	sc.TierInterpCalls = snap.InterpCalls
 	sc.TierICHits = snap.ICHits
-	p := profile.FromMeter(mt)
-	sc.ProfileHottestFrac = p.HottestFrac()
-	sc.ProfileFuncsFor65 = p.FuncsForFrac(0.65)
 	return sc, nil
 }
 

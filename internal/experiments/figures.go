@@ -58,10 +58,10 @@ func ratio(num, den int64) float64 {
 func (b *builder) fig1() {
 	for _, app := range fig1Apps {
 		rt, _ := b.run(app, config("baseline"))
-		p := profile.FromMeter(rt.Meter())
-		b.add(app, "hottest%", 100*p.HottestFrac())
-		b.add(app, "funcs@65%", float64(p.FuncsForFrac(0.65)))
-		b.add(app, "funcs", float64(p.NumFunctions()))
+		h := profile.FromMeter(rt.Meter()).Headline()
+		b.add(app, "hottest%", 100*h.HottestFrac)
+		b.add(app, "funcs@65%", float64(h.FuncsFor65))
+		b.add(app, "funcs", float64(h.Functions))
 	}
 }
 
@@ -80,7 +80,7 @@ func (b *builder) fig3() {
 	after, _ := b.run("wordpress", config("mitigated"))
 	diffs := profile.Diff(profile.FromMeter(before.Meter()), profile.FromMeter(after.Meter()))
 	for _, d := range diffs[:min(25, len(diffs))] {
-		row := d.Name + " [" + d.Category.String() + "]"
+		row := profile.RowKey(d.Name, d.Category)
 		b.add(row, "before%", 100*d.BeforeFrac)
 		b.add(row, "after%", 100*d.AfterFrac)
 	}
@@ -89,7 +89,7 @@ func (b *builder) fig3() {
 func (b *builder) fig4() {
 	rt, _ := b.run("wordpress", config("mitigated"))
 	for _, e := range profile.FromMeter(rt.Meter()).TopN(25) {
-		b.add(e.Name+" ["+e.Category.String()+"]", "share%", 100*e.Frac)
+		b.add(profile.RowKey(e.Name, e.Category), "share%", 100*e.Frac)
 	}
 }
 

@@ -159,18 +159,20 @@ func config(name string) vm.Config {
 	return cfg
 }
 
-// run serves the measured window of app on cfg, once per distinct pair.
+// run serves the measured window of app on cfg, once per distinct pair,
+// on a one-worker pool whose worker the builder then keeps: the figures
+// read its runtime's meter and accelerator state.
 func (b *builder) run(app string, cfg vm.Config) (*vm.Runtime, workload.Result) {
 	key := runKey{app, cfg}
 	if out, ok := b.runs[key]; ok {
 		return out.rt, out.res
 	}
-	a, err := workload.ByName(app, seed)
+	pool, err := workload.NewPool(1, cfg, app, seed)
 	if err != nil {
 		panic(err) // the names are this package's constants
 	}
-	rt := vm.New(cfg)
-	res := workload.LoadGenerator{Warmup: warmup, Requests: requests, ContextSwitchEvery: 64}.Run(rt, a)
+	res := pool.Run(workload.LoadGenerator{Warmup: warmup, Requests: requests, ContextSwitchEvery: 64}, 0)
+	rt := pool.Acquire().Runtime()
 	b.runs[key] = runOut{rt, res}
 	return rt, res
 }

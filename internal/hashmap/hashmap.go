@@ -11,10 +11,7 @@
 // (paper average: 90.66 micro-ops per walk).
 package hashmap
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Key is a PHP array key: either an integer or a string.
 type Key struct {
@@ -36,14 +33,6 @@ func (k Key) Len() int {
 		return 8
 	}
 	return len(k.Str)
-}
-
-// String renders the key for debugging.
-func (k Key) String() string {
-	if k.IsInt {
-		return fmt.Sprintf("#%d", k.Int)
-	}
-	return k.Str
 }
 
 // Hash returns the key's hash. String keys use FNV-1a; integer keys use a

@@ -255,15 +255,12 @@ func TestKeyHashStability(t *testing.T) {
 	}
 }
 
-func TestKeyLenAndString(t *testing.T) {
+func TestKeyLen(t *testing.T) {
 	if IntKey(5).Len() != 8 {
 		t.Errorf("int key Len = %d", IntKey(5).Len())
 	}
 	if StrKey("abcde").Len() != 5 {
 		t.Errorf("str key Len wrong")
-	}
-	if IntKey(5).String() != "#5" || StrKey("x").String() != "x" {
-		t.Errorf("key String() wrong")
 	}
 }
 

@@ -41,7 +41,7 @@ func TestHashOpsEquivalentAcrossCores(t *testing.T) {
 			}
 		}
 		c.HashForeach("wp_each", m, func(k hashmap.Key, v interface{}) bool {
-			log = append(log, fmt.Sprintf("%s=%v", k, v))
+			log = append(log, fmt.Sprintf("%s=%v", k.Str, v))
 			return true
 		})
 		c.HashDelete("wp_del", m, hashmap.StrKey("key3"))

@@ -3,8 +3,6 @@ package profile
 import (
 	"strconv"
 	"time"
-
-	"repro/internal/sim"
 )
 
 // Doc is the /profilez?format=json wire shape, declared once for both
@@ -23,16 +21,7 @@ type Doc struct {
 	FuncsFor65    int                `json:"funcs_for_65"`
 	CDF           map[string]float64 `json:"cdf"`
 	CategoryShare map[string]float64 `json:"category_share"`
-	Top           []docEntry         `json:"top"`
-}
-
-// docEntry is one function's row of Doc.Top.
-type docEntry struct {
-	Name     string  `json:"name"`
-	Category string  `json:"category"`
-	Cycles   float64 `json:"cycles"`
-	Frac     float64 `json:"frac"`
-	Cum      float64 `json:"cum"`
+	Top           []Entry            `json:"top"`
 }
 
 // NewDoc renders the window profile p of the named server: headline
@@ -40,6 +29,7 @@ type docEntry struct {
 // category shares, and the hottest n rows — every function when n <= 0,
 // which is how a fleet scraper asks for the complete profile.
 func NewDoc(app, config string, p Profile, info WindowInfo, cdfAt []int, n int) Doc {
+	h := p.Headline()
 	d := Doc{
 		App:           app,
 		Config:        config,
@@ -47,12 +37,13 @@ func NewDoc(app, config string, p Profile, info WindowInfo, cdfAt []int, n int) 
 		WindowUntil:   info.Until.UTC().Format(time.RFC3339Nano),
 		WindowEpochs:  info.Epochs,
 		SinceBoot:     info.SinceBoot,
-		TotalCycles:   p.Total,
-		Functions:     p.NumFunctions(),
-		HottestFrac:   p.HottestFrac(),
-		FuncsFor65:    p.FuncsForFrac(0.65),
+		TotalCycles:   h.Total,
+		Functions:     h.Functions,
+		HottestFrac:   h.HottestFrac,
+		FuncsFor65:    h.FuncsFor65,
 		CDF:           map[string]float64{},
 		CategoryShare: map[string]float64{},
+		Top:           p.TopN(n),
 	}
 	for i, share := range p.CDF(cdfAt) {
 		d.CDF[strconv.Itoa(cdfAt[i])] = share
@@ -60,22 +51,12 @@ func NewDoc(app, config string, p Profile, info WindowInfo, cdfAt []int, n int) 
 	for c, share := range p.CategoryShares() {
 		d.CategoryShare[c.String()] = share
 	}
-	for _, e := range p.TopN(n) {
-		d.Top = append(d.Top, docEntry{e.Name, e.Category.String(), e.Cycles, e.Frac, e.Cum})
-	}
 	return d
 }
 
 // Profile rebuilds the profile from the doc's rows — the sender's whole
-// window when the doc was requested with n=0. Unknown category names
-// fold into CatOther rather than failing: profiles merge by cycles, and
-// a version-skewed backend's new category should not blind the fleet
-// view.
-func (d Doc) Profile() Profile {
-	raw := make([]RawEntry, 0, len(d.Top))
-	for _, e := range d.Top {
-		cat, _ := sim.CategoryByName(e.Category)
-		raw = append(raw, RawEntry{Name: e.Name, Category: cat, Cycles: e.Cycles})
-	}
-	return FromCycles(raw)
-}
+// window when the doc was requested with n=0. A category name this
+// build does not know decodes as other (sim.Category.UnmarshalJSON):
+// profiles merge by cycles, and a version-skewed backend's new category
+// should not blind the fleet view.
+func (d Doc) Profile() Profile { return build(d.Top) }

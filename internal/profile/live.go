@@ -1,32 +1,23 @@
 package profile
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/sim"
 )
 
-// DefaultLiveEpochs is how many cumulative snapshots a Live keeps: the
-// windowed profile spans at most DefaultLiveEpochs-1 rotation periods.
-const DefaultLiveEpochs = 16
+// defaultEpochs is how many cumulative snapshots a Live keeps unless
+// told otherwise: the windowed profile spans at most defaultEpochs-1
+// rotation periods.
+const defaultEpochs = 16
 
-// epoch is one cumulative per-function snapshot: the fleet meter's state
-// at a rotation instant. Function rows are keyed by name+category like
-// the meter itself so windowed deltas stay category-exact.
+// epoch is one cumulative snapshot: the fleet meter's rows at a
+// rotation instant, one per (function, category) like the meter's own
+// so windowed deltas stay category-exact.
 type epoch struct {
 	at   time.Time
-	fns  map[epochKey]epochRow
+	rows []Entry
 	boot bool // the synthetic zero epoch planted at construction
-}
-
-type epochKey struct {
-	name string
-	cat  sim.Category
-}
-
-type epochRow struct {
-	cycles float64
 }
 
 // Live maintains a windowed flat profile over a running fleet. Callers
@@ -46,18 +37,18 @@ type Live struct {
 }
 
 // NewLive builds a live profile keeping up to maxEpochs cumulative
-// snapshots (<=0 selects DefaultLiveEpochs; 2 is the useful minimum —
+// snapshots (<=0 selects the default of 16; 2 is the useful minimum —
 // one window). The ring starts with a zero epoch at time now.
 func NewLive(maxEpochs int, now time.Time) *Live {
 	if maxEpochs <= 0 {
-		maxEpochs = DefaultLiveEpochs
+		maxEpochs = defaultEpochs
 	}
 	if maxEpochs < 2 {
 		maxEpochs = 2
 	}
 	return &Live{
 		max:    maxEpochs,
-		epochs: []epoch{{at: now, fns: map[epochKey]epochRow{}, boot: true}},
+		epochs: []epoch{{at: now, boot: true}},
 	}
 }
 
@@ -66,11 +57,7 @@ func NewLive(maxEpochs int, now time.Time) *Live {
 // merged cumulative snapshot (never reset between observations); Live
 // only reads it.
 func (l *Live) Observe(mt *sim.Meter, now time.Time) {
-	e := epoch{at: now, fns: make(map[epochKey]epochRow, 256)}
-	for _, f := range mt.Functions() {
-		e.fns[epochKey{f.Name, f.Category}] = epochRow{cycles: f.Cycles(&mt.Model)}
-	}
-	l.epochs = append(l.epochs, e)
+	l.epochs = append(l.epochs, epoch{at: now, rows: meterRows(mt)})
 	if len(l.epochs) > l.max {
 		l.epochs = l.epochs[1:]
 	}
@@ -92,9 +79,10 @@ type WindowInfo struct {
 
 // Window returns the flat profile of the current window — the cycles
 // charged between the oldest and newest retained epochs — plus window
-// metadata. Counters are cumulative and meters are never reset, so every
-// per-function delta is non-negative; functions with no cycles in the
-// window are dropped.
+// metadata. The builder sums the newest rows with the oldest negated, so
+// each function's delta is its newest minus its oldest cycles. Counters
+// are cumulative and meters are never reset, so no delta is negative;
+// a function with no cycles in the window sorts last and is dropped.
 func (l *Live) Window() (Profile, WindowInfo) {
 	oldest, newest := l.epochs[0], l.epochs[len(l.epochs)-1]
 	info := WindowInfo{
@@ -103,45 +91,14 @@ func (l *Live) Window() (Profile, WindowInfo) {
 		Epochs:    len(l.epochs),
 		SinceBoot: oldest.boot,
 	}
-
-	type row struct {
-		key    epochKey
-		cycles float64
+	rows := append([]Entry(nil), newest.rows...)
+	for _, e := range oldest.rows {
+		e.Cycles = -e.Cycles
+		rows = append(rows, e)
 	}
-	rows := make([]row, 0, len(newest.fns))
-	var total float64
-	for k, nw := range newest.fns {
-		d := nw.cycles - oldest.fns[k].cycles
-		if d <= 0 {
-			continue
-		}
-		rows = append(rows, row{key: k, cycles: d})
-		total += d
-	}
-	// Hottest-first with a name tiebreak, matching sim.Meter.Functions so
-	// live and offline profiles rank identically.
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].cycles != rows[j].cycles {
-			return rows[i].cycles > rows[j].cycles
-		}
-		return rows[i].key.name < rows[j].key.name
-	})
-
-	p := Profile{Entries: make([]Entry, 0, len(rows)), Total: total}
-	cum := 0.0
-	for _, r := range rows {
-		frac := 0.0
-		if total > 0 {
-			frac = r.cycles / total
-		}
-		cum += frac
-		p.Entries = append(p.Entries, Entry{
-			Name:     r.key.name,
-			Category: r.key.cat,
-			Cycles:   r.cycles,
-			Frac:     frac,
-			Cum:      cum,
-		})
+	p := build(rows)
+	for n := len(p.Entries); n > 0 && p.Entries[n-1].Cycles <= 0; n-- {
+		p.Entries = p.Entries[:n-1]
 	}
 	return p, info
 }

@@ -44,12 +44,11 @@ func TestLiveFirstWindowEqualsOffline(t *testing.T) {
 	if live.NumFunctions() != off.NumFunctions() {
 		t.Fatalf("live %d functions, offline %d", live.NumFunctions(), off.NumFunctions())
 	}
-	if math.Abs(live.HottestFrac()-off.HottestFrac()) > 1e-12 {
-		t.Errorf("hottest: live %v offline %v", live.HottestFrac(), off.HottestFrac())
+	if live.Total != off.Total || live.HottestFrac() != off.HottestFrac() {
+		t.Errorf("live total %v hottest %v, offline %v %v", live.Total, live.HottestFrac(), off.Total, off.HottestFrac())
 	}
 	for i := range off.Entries {
-		lo, of := live.Entries[i], off.Entries[i]
-		if lo.Name != of.Name || math.Abs(lo.Frac-of.Frac) > 1e-12 {
+		if lo, of := live.Entries[i], off.Entries[i]; lo != of {
 			t.Errorf("entry %d: live %+v offline %+v", i, lo, of)
 		}
 	}

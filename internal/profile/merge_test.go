@@ -2,9 +2,13 @@ package profile
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -60,13 +64,13 @@ func TestMergeEqualsCombinedLoad(t *testing.T) {
 	}
 }
 
-func TestFromCyclesSumsDuplicates(t *testing.T) {
-	p := FromCycles([]RawEntry{
+func TestMergeSumsDuplicates(t *testing.T) {
+	p := Merge(Profile{Entries: []Entry{
 		{Name: "f", Category: sim.CatHash, Cycles: 10},
 		{Name: "f", Category: sim.CatHash, Cycles: 30},
 		{Name: "f", Category: sim.CatHeap, Cycles: 20}, // distinct category = distinct row
 		{Name: "g", Category: sim.CatOther, Cycles: 40},
-	})
+	}})
 	if len(p.Entries) != 3 || p.Total != 100 {
 		t.Fatalf("entries=%d total=%g", len(p.Entries), p.Total)
 	}
@@ -87,7 +91,7 @@ func TestMergeEmpty(t *testing.T) {
 }
 
 func TestTopNAll(t *testing.T) {
-	p := FromCycles([]RawEntry{{Name: "f", Category: sim.CatHash, Cycles: 1}})
+	p := Merge(Profile{Entries: []Entry{{Name: "f", Category: sim.CatHash, Cycles: 1}}})
 	if got := len(p.TopN(0)); got != 1 {
 		t.Fatalf("TopN(0) = %d entries, want all (1)", got)
 	}
@@ -102,11 +106,11 @@ func TestTopNAll(t *testing.T) {
 // and a category name this build does not know folds into "other"
 // instead of failing the decode.
 func TestDocRoundTrip(t *testing.T) {
-	p := FromCycles([]RawEntry{
+	p := Merge(Profile{Entries: []Entry{
 		{Name: "zend_hash_find", Category: sim.CatHash, Cycles: 500},
 		{Name: "_emalloc", Category: sim.CatHeap, Cycles: 250},
 		{Name: "memcpy", Category: sim.CatString, Cycles: 250},
-	})
+	}})
 	wire, err := json.Marshal(NewDoc("wordpress", "accelerated", p, WindowInfo{Epochs: 2, SinceBoot: true}, []int{1, 2}, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -132,5 +136,58 @@ func TestDocRoundTrip(t *testing.T) {
 	}
 	if got := d.Profile(); got.Total != 7 || got.Entries[0].Category != sim.CatOther {
 		t.Errorf("unknown category decoded as %+v, want 7 cycles under other", got)
+	}
+}
+
+// TestTotalsIndependentOfRowOrder: a profile is a pure function of its
+// rows. The same ~200 rows, spanning 1…1e12 cycles, built twenty times
+// through Merge (in a fresh order each time) and twenty times through
+// Live.Window must give bit for bit the Total, Frac and Cum of one sum
+// taken in the sorted (hottest-first) order — float addition is not
+// associative, so a sum in any other order moves the last bits, and
+// with them funcs_for_65 whenever a Cum sits on 0.65.
+func TestTotalsIndependentOfRowOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	mt := sim.NewMeter(sim.DefaultCostModel())
+	for i := 0; i < 200; i++ {
+		mt.AddUops(fmt.Sprintf("fn_%03d", i), sim.Category(i%sim.NumCategories), math.Pow(10, 12*rng.Float64()))
+	}
+	var rows []Entry
+	for _, f := range mt.Functions() {
+		rows = append(rows, Entry{Name: f.Name, Category: f.Category, Cycles: f.Cycles(&mt.Model)})
+	}
+	// The reference: rows hottest-first, every sum taken in that order.
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Cycles > rows[j].Cycles })
+	var total, cum float64
+	for _, r := range rows {
+		total += r.Cycles
+	}
+	want := make([]Entry, len(rows))
+	for i, r := range rows {
+		r.Frac = r.Cycles / total
+		cum += r.Frac
+		r.Cum = cum
+		want[i] = r
+	}
+	check := func(how string, p Profile) {
+		t.Helper()
+		if p.Total != total || len(p.Entries) != len(want) {
+			t.Fatalf("%s: total %v over %d rows, want %v over %d", how, p.Total, len(p.Entries), total, len(want))
+		}
+		for i, e := range p.Entries {
+			if e != want[i] {
+				t.Fatalf("%s: row %d = %+v, want %+v", how, i, e, want[i])
+			}
+		}
+	}
+	for k := 0; k < 20; k++ {
+		shuffled := append([]Entry(nil), rows...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		check(fmt.Sprintf("Merge #%d", k), Merge(Profile{Entries: shuffled}))
+
+		l := NewLive(2, time.Unix(0, 0))
+		l.Observe(mt, time.Unix(1, 0))
+		p, _ := l.Window()
+		check(fmt.Sprintf("Live.Window #%d", k), p)
 	}
 }

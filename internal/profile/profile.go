@@ -3,23 +3,31 @@
 // analysis: the flat cycle distributions of Fig. 1, the before/after
 // mitigation comparison of Fig. 3, the category coloring of Fig. 4, and
 // the execution-time breakdowns of Figs. 5 and 15.
+//
+// A profile is made one way (build): every constructor — FromMeter,
+// Merge, Live.Window, Doc.Profile — hands it (function, category,
+// cycles) rows, and it sorts them and sums Total, Frac and Cum in that
+// sorted order, so a profile is a pure function of its rows.
 package profile
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/sim"
 )
 
-// Entry is one leaf function's share of execution.
+// Entry is one leaf function's share of execution, and the row of a
+// /profilez?format=json document's top list.
 type Entry struct {
-	Name     string
-	Category sim.Category
-	Cycles   float64
-	Frac     float64 // fraction of total cycles
-	Cum      float64 // cumulative fraction up to and including this entry
+	Name     string       `json:"name"`
+	Category sim.Category `json:"category"`
+	Cycles   float64      `json:"cycles"`
+	Frac     float64      `json:"frac"` // fraction of total cycles
+	Cum      float64      `json:"cum"`  // cumulative fraction up to and including this entry
 }
 
 // Profile is a leaf-function execution profile sorted hottest-first.
@@ -28,30 +36,73 @@ type Profile struct {
 	Total   float64
 }
 
-// FromMeter builds a profile from the meter's current attribution.
-func FromMeter(mt *sim.Meter) Profile {
-	fns := mt.Functions()
-	p := Profile{Entries: make([]Entry, 0, len(fns))}
-	for _, f := range fns {
-		p.Total += f.Cycles(&mt.Model)
+// RowKey is a row's one spelling as a key, "name [category]": the row
+// label of Figs. 3 and 4 and the key of a benchmark record's
+// sim_fn_cycles.
+func RowKey(name string, c sim.Category) string { return name + " [" + c.String() + "]" }
+
+// build is the one way a Profile is made. Rows with the same function
+// and category sum, in input order; the result sorts by cycles
+// descending, then name, then category (the sim.Meter.Functions order);
+// and Total, Frac and Cum are summed in that sorted order. Float
+// addition is not associative, so any other order — a map's, say —
+// would move the last bits of Total and, with them, every share.
+func build(rows []Entry) Profile {
+	byKey := slices.Clone(rows)
+	slices.SortStableFunc(byKey, func(a, b Entry) int {
+		return cmp.Or(strings.Compare(a.Name, b.Name), cmp.Compare(a.Category, b.Category))
+	})
+	var out []Entry
+	for _, e := range byKey {
+		if n := len(out); n > 0 && out[n-1].Name == e.Name && out[n-1].Category == e.Category {
+			out[n-1].Cycles += e.Cycles
+			continue
+		}
+		out = append(out, Entry{Name: e.Name, Category: e.Category, Cycles: e.Cycles})
+	}
+	slices.SortFunc(out, func(a, b Entry) int {
+		return cmp.Or(cmp.Compare(b.Cycles, a.Cycles), strings.Compare(a.Name, b.Name), cmp.Compare(a.Category, b.Category))
+	})
+	p := Profile{Entries: out}
+	for _, e := range out {
+		p.Total += e.Cycles
 	}
 	cum := 0.0
-	for _, f := range fns {
-		cyc := f.Cycles(&mt.Model)
-		frac := 0.0
+	for i := range out {
 		if p.Total > 0 {
-			frac = cyc / p.Total
+			out[i].Frac = out[i].Cycles / p.Total
 		}
-		cum += frac
-		p.Entries = append(p.Entries, Entry{
-			Name:     f.Name,
-			Category: f.Category,
-			Cycles:   cyc,
-			Frac:     frac,
-			Cum:      cum,
-		})
+		cum += out[i].Frac
+		out[i].Cum = cum
 	}
 	return p
+}
+
+// meterRows reads the meter's current attribution as builder rows.
+func meterRows(mt *sim.Meter) []Entry {
+	fns := mt.Functions()
+	rows := make([]Entry, len(fns))
+	for i, f := range fns {
+		rows[i] = Entry{Name: f.Name, Category: f.Category, Cycles: f.Cycles(&mt.Model)}
+	}
+	return rows
+}
+
+// FromMeter builds a profile from the meter's current attribution.
+func FromMeter(mt *sim.Meter) Profile { return build(meterRows(mt)) }
+
+// Merge folds profiles into one by summing per-(function, category)
+// cycles and recomputing shares — fractions do not merge, cycles do.
+// Each backend in a cluster serves its own /profilez; the router merges
+// them here into the whole fleet's Fig. 1 profile, which equals the
+// profile one meter would have produced had it observed the combined
+// load.
+func Merge(profiles ...Profile) Profile {
+	var rows []Entry
+	for _, p := range profiles {
+		rows = append(rows, p.Entries...)
+	}
+	return build(rows)
 }
 
 // HottestFrac returns the hottest function's share (Fig. 1: ~10–12% for
@@ -74,6 +125,34 @@ func (p Profile) FuncsForFrac(target float64) int {
 	return len(p.Entries)
 }
 
+// Headline is a profile's Fig. 1 numbers, read one way for every
+// surface: /profilez, the profile gauges, /clusterz, loadgen's fig1:
+// line, the figures and the text table.
+type Headline struct {
+	Total       float64 // cycles in the profile
+	Functions   int     // distinct leaf functions
+	Hottest     string  // the hottest function's name; empty for an empty profile
+	HottestFrac float64 // its share of Total
+	FuncsFor65  int     // hottest functions covering 65% of Total
+}
+
+// Headline returns the profile's Fig. 1 numbers; an empty profile has
+// zero for each and no hottest function.
+func (p Profile) Headline() Headline {
+	h := Headline{Total: p.Total, Functions: p.NumFunctions(), HottestFrac: p.HottestFrac(), FuncsFor65: p.FuncsForFrac(0.65)}
+	if h.Functions > 0 {
+		h.Hottest = p.Entries[0].Name
+	}
+	return h
+}
+
+// String is the headline's one-line form, the first line of Render and
+// loadgen's fig1: line.
+func (h Headline) String() string {
+	return fmt.Sprintf("hottest: %s %.2f%%   functions for 65%%: %d of %d   total cycles: %.0f",
+		cmp.Or(h.Hottest, "-"), 100*h.HottestFrac, h.FuncsFor65, h.Functions, h.Total)
+}
+
 // CDF returns the cumulative fraction covered by the hottest n functions
 // for each n in ns.
 func (p Profile) CDF(ns []int) []float64 {
@@ -91,6 +170,10 @@ func (p Profile) CDF(ns []int) []float64 {
 	}
 	return out
 }
+
+// Landmarks are the function counts the text and JSON renderings report
+// the cumulative distribution at (the Fig. 1 x-axis landmarks).
+var Landmarks = []int{1, 10, 50, 100}
 
 // CategoryShares returns each activity category's share of total cycles
 // (Figs. 4 and 5).
@@ -110,18 +193,31 @@ func (p Profile) TopN(n int) []Entry {
 	if n <= 0 || n > len(p.Entries) {
 		n = len(p.Entries)
 	}
-	out := make([]Entry, n)
-	copy(out, p.Entries[:n])
-	return out
+	return append([]Entry(nil), p.Entries[:n]...)
 }
 
 // NumFunctions returns the number of distinct leaf functions.
 func (p Profile) NumFunctions() int { return len(p.Entries) }
 
-// Render prints the hottest n functions as an aligned table.
+// Render is the one text rendering of a profile, which /profilez,
+// phpi -profile and the quickstart print: the headline, the cumulative
+// share at each of the Landmarks, the category shares, and the hottest
+// n functions as an aligned table (every function when n <= 0).
 func (p Profile) Render(n int) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-34s %-10s %8s %8s\n", "function", "category", "frac%", "cum%")
+	fmt.Fprintln(&b, p.Headline())
+	b.WriteString("cdf:")
+	for i, share := range p.CDF(Landmarks) {
+		fmt.Fprintf(&b, " top%d=%.1f%%", Landmarks[i], 100*share)
+	}
+	b.WriteString("\ncategories:")
+	shares := p.CategoryShares()
+	for _, c := range sim.Categories() {
+		if shares[c] > 0 {
+			fmt.Fprintf(&b, " %s=%.1f%%", c, 100*shares[c])
+		}
+	}
+	fmt.Fprintf(&b, "\n\n%-34s %-10s %8s %8s\n", "function", "category", "frac%", "cum%")
 	for _, e := range p.TopN(n) {
 		fmt.Fprintf(&b, "%-34s %-10s %8.2f %8.2f\n", e.Name, e.Category, 100*e.Frac, 100*e.Cum)
 	}

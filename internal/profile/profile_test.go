@@ -94,6 +94,26 @@ func TestEmptyProfile(t *testing.T) {
 	}
 }
 
+// TestHeadline: one reading of the Fig. 1 numbers, the zero profile
+// included, whose one-line form opens the text table.
+func TestHeadline(t *testing.T) {
+	h := FromMeter(meterWith(map[string]float64{"a": 0.4, "b": 0.3, "c": 0.2, "d": 0.1})).Headline()
+	if h.Functions != 4 || h.Hottest != "a" || h.HottestFrac != 0.4 || h.FuncsFor65 != 2 || h.Total <= 0 {
+		t.Errorf("headline = %+v", h)
+	}
+	empty := FromMeter(sim.NewMeter(sim.DefaultCostModel()))
+	if got := empty.Headline(); got != (Headline{}) {
+		t.Errorf("empty headline = %+v, want zero", got)
+	}
+	want := "hottest: - 0.00%   functions for 65%: 0 of 0   total cycles: 0"
+	if got := empty.Headline().String(); got != want {
+		t.Errorf("empty one-line form = %q, want %q", got, want)
+	}
+	if first, _, _ := strings.Cut(empty.Render(5), "\n"); first != want {
+		t.Errorf("table opens with %q, want the headline %q", first, want)
+	}
+}
+
 func TestDiff(t *testing.T) {
 	before := FromMeter(meterWith(map[string]float64{"refcount": 0.5, "hash": 0.3, "other": 0.2}))
 	after := FromMeter(meterWith(map[string]float64{"hash": 0.6, "other": 0.4}))

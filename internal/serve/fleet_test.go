@@ -45,12 +45,12 @@ func startMetricsBackend(t *testing.T, b *metricsBackend) string {
 		}{obs.Snapshot{Requests: int64(b.requests), Latency: h.Snapshot()}, cache.Stats{Hits: int64(b.hits), Misses: int64(b.misses)}})
 	})
 	mux.HandleFunc("/profilez", func(w http.ResponseWriter, _ *http.Request) {
-		var raw []profile.RawEntry
+		var rows []profile.Entry
 		for name, cyc := range b.funcs {
-			raw = append(raw, profile.RawEntry{Name: name, Category: sim.CatHash, Cycles: cyc})
+			rows = append(rows, profile.Entry{Name: name, Category: sim.CatHash, Cycles: cyc})
 		}
 		// The wire shape phpserve encodes, every function (n=0).
-		json.NewEncoder(w).Encode(profile.NewDoc("wordpress", "accelerated", profile.FromCycles(raw), profile.WindowInfo{}, nil, 0))
+		json.NewEncoder(w).Encode(profile.NewDoc("wordpress", "accelerated", profile.Merge(profile.Profile{Entries: rows}), profile.WindowInfo{}, nil, 0))
 	})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

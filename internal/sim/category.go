@@ -12,6 +12,8 @@
 // energy per micro-op plus per-accelerator-access energies.
 package sim
 
+import "encoding/json"
+
 // Category classifies a leaf function (or a slice of its work) into the
 // activity groups used throughout the paper's analysis (Figs. 4, 5, 15).
 type Category uint8
@@ -67,16 +69,26 @@ func (c Category) String() string {
 	}
 }
 
-// CategoryByName maps a short name back to its Category — the inverse
-// of String, for decoding serialized profiles (a router rebuilding a
-// backend's /profilez JSON). Unknown names report false.
-func CategoryByName(name string) (Category, bool) {
-	for _, c := range Categories() {
-		if c.String() == name {
-			return c, true
+// MarshalJSON encodes the category as its short name, the spelling of
+// every serialized profile row.
+func (c Category) MarshalJSON() ([]byte, error) { return json.Marshal(c.String()) }
+
+// UnmarshalJSON is the inverse of MarshalJSON, for a router rebuilding a
+// backend's /profilez JSON. A name this build does not know decodes as
+// CatOther rather than failing: profiles merge by cycles, and a
+// version-skewed backend's new category should not blind the fleet view.
+func (c *Category) UnmarshalJSON(b []byte) error {
+	var name string
+	if err := json.Unmarshal(b, &name); err != nil {
+		return err
+	}
+	*c = CatOther
+	for _, k := range Categories() {
+		if k.String() == name {
+			*c = k
 		}
 	}
-	return CatOther, false
+	return nil
 }
 
 // Categories lists every category in presentation order.

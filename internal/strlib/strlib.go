@@ -33,36 +33,6 @@ const (
 	NumOps
 )
 
-// String returns the PHP-facing function name.
-func (o Op) String() string {
-	switch o {
-	case OpFind:
-		return "strpos"
-	case OpReplace:
-		return "str_replace"
-	case OpCompare:
-		return "strcmp"
-	case OpTrim:
-		return "trim"
-	case OpToUpper:
-		return "strtoupper"
-	case OpToLower:
-		return "strtolower"
-	case OpTranslate:
-		return "strtr"
-	case OpHTMLSpecial:
-		return "htmlspecialchars"
-	case OpAddSlashes:
-		return "addslashes"
-	case OpNL2BR:
-		return "nl2br"
-	case OpConcat:
-		return "concat"
-	default:
-		return "unknown"
-	}
-}
-
 // Observer receives one event per string library call.
 type Observer interface {
 	OnStringOp(op Op, subjectBytes int)

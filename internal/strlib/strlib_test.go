@@ -17,17 +17,6 @@ func (r *recObs) OnStringOp(op Op, n int) {
 	r.bytes = append(r.bytes, n)
 }
 
-func TestOpNames(t *testing.T) {
-	for op := Op(0); op < NumOps; op++ {
-		if op.String() == "unknown" || op.String() == "" {
-			t.Errorf("op %d has no name", op)
-		}
-	}
-	if Op(200).String() != "unknown" {
-		t.Errorf("out-of-range op should be unknown")
-	}
-}
-
 func TestFind(t *testing.T) {
 	var l Lib
 	cases := []struct {

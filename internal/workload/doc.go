@@ -11,8 +11,9 @@
 //     key-size and SET-ratio distributions, the Fig. 11 texturize chain.
 //     ByName constructs one.
 //
-//   - Load generation. LoadGenerator runs warmup (costs discarded,
-//     accelerator state kept warm) then a measured phase, producing a
+//   - Load generation. A LoadGenerator names a warmup (costs discarded,
+//     accelerator state kept warm) and a measured phase; Pool.Run
+//     serves it — a serial run is a one-worker pool — producing a
 //     Result: simulated cycles/µops/energy, per-category cycle
 //     breakdown, hash-key statistics, wall latency quantiles
 //     (LatencyStatsFrom), and throughput.

@@ -6,12 +6,12 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/vm"
 )
 
-// LoadGenerator drives requests at a runtime the way the oss-performance
-// suite's generator does (§5.1): a fixed warmup phase whose costs are
-// discarded, then a measured phase.
+// LoadGenerator is a run the way the oss-performance suite's generator
+// drives one (§5.1): a fixed warmup phase whose costs are discarded,
+// then a measured phase. Pool.Run serves it; a serial run is a
+// one-worker pool.
 type LoadGenerator struct {
 	// Warmup requests served before measurement (oss-performance: 300).
 	Warmup int
@@ -102,8 +102,8 @@ func LatencyStatsFrom(d []time.Duration) LatencyStats {
 	}
 }
 
-// Result is one measured load-generation run. Serial runs set Workers to
-// 1; Pool.Run reports the fleet-level aggregate across all workers.
+// Result is one measured load-generation run: Pool.Run's fleet-level
+// aggregate across all workers.
 type Result struct {
 	App           string
 	Requests      int
@@ -144,46 +144,6 @@ func (r Result) Throughput() float64 {
 		return 0
 	}
 	return float64(r.Requests) / r.Wall.Seconds()
-}
-
-// Run drives the workload: warmup (costs discarded, accelerator state
-// kept warm), then the measured phase.
-func (lg LoadGenerator) Run(rt *vm.Runtime, app App) Result {
-	// serve is request i of a phase: the render, timed, then the
-	// context-switch cadence (untimed, as between real requests).
-	serve := func(i int) ([]byte, time.Duration) {
-		reqStart := time.Now()
-		page := app.ServeRequest(rt)
-		lat := time.Since(reqStart)
-		if lg.ContextSwitchEvery > 0 && (i+1)%lg.ContextSwitchEvery == 0 {
-			rt.ContextSwitch()
-		}
-		return page, lat
-	}
-	for i := 0; i < lg.Warmup; i++ {
-		serve(i)
-	}
-	// Discard warmup costs but keep hardware state warm, mirroring the
-	// steady-state measurement window.
-	rt.Meter().Reset()
-	rt.Trace().Reset()
-
-	res := Result{App: app.Name(), Requests: lg.Requests, Workers: 1}
-	lats := make([]time.Duration, 0, lg.Requests)
-	start := time.Now()
-	for i := 0; i < lg.Requests; i++ {
-		page, lat := serve(i)
-		lats = append(lats, lat)
-		res.ResponseBytes += int64(len(page))
-	}
-	res.Wall = time.Since(start)
-	res.Latency = LatencyStatsFrom(lats)
-	res.Cycles = rt.Meter().TotalCycles()
-	res.Uops = rt.Meter().TotalUops()
-	res.EnergyPJ = rt.Meter().TotalEnergy()
-	res.Categories = rt.Meter().CategoryCyclesVec()
-	res.Keys = keyStatsFromTrace(rt.Trace())
-	return res
 }
 
 func keyStatsFromTrace(rec *trace.Recorder) KeyStats {

@@ -352,8 +352,8 @@ func (p *Pool) RunCtx(ctx context.Context, lg LoadGenerator, concurrency int) Re
 		wg.Wait()
 	}
 
-	// Both phases count the cadence from a freshly reset worker, so the
-	// warmup's switches land where a bare LoadGenerator.Run puts them.
+	// Both phases count the cadence from a freshly reset worker: every
+	// ContextSwitchEvery-th request of each phase ends with a switch.
 	runPhase(func(w *Worker, _ int) {
 		w.reset()
 		for i := 0; i < lg.Warmup && ctx.Err() == nil; i++ {

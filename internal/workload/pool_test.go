@@ -24,6 +24,18 @@ func hwConfig() vm.Config {
 	return vm.Config{Features: isa.AllAccelerators(), Mitigations: sim.AllMitigations()}
 }
 
+// serial serves lg on a one-worker pool — a serial run — of app seeded
+// seed on cfg, and returns the result and the worker's runtime.
+func serial(t *testing.T, cfg vm.Config, app string, seed int64, lg LoadGenerator) (Result, *vm.Runtime) {
+	t.Helper()
+	p, err := NewPool(1, cfg, app, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := p.Run(lg, 0)
+	return res, p.Acquire().Runtime()
+}
+
 func TestNewPoolValidation(t *testing.T) {
 	if _, err := NewPool(0, swConfig(), "wordpress", 1); err == nil {
 		t.Errorf("0 workers should error")
@@ -99,16 +111,14 @@ func TestPoolDeterministicMetrics(t *testing.T) {
 }
 
 // TestPoolRatiosMatchSerial: per-config normalized cycle ratios from a
-// 4-worker pool must match the serial run within noise (the workers see
-// slightly different request streams via their per-worker seeds).
+// 4-worker pool must match a one-worker pool's within noise (the workers
+// see slightly different request streams via their per-worker seeds).
 func TestPoolRatiosMatchSerial(t *testing.T) {
 	lg := LoadGenerator{Warmup: 20, Requests: 40, ContextSwitchEvery: 32}
 
 	serialRatio := func(name string) float64 {
-		base, _ := ByName(name, 4)
-		accel, _ := ByName(name, 4)
-		sw := lg.Run(vm.New(swConfig()), base)
-		hw := lg.Run(vm.New(hwConfig()), accel)
+		sw, _ := serial(t, swConfig(), name, 4, lg)
+		hw, _ := serial(t, hwConfig(), name, 4, lg)
 		return hw.Cycles / sw.Cycles
 	}
 	poolRatio := func(name string) float64 {

@@ -77,10 +77,7 @@ func TestAcceleratedRenderingEquivalentModuloPadding(t *testing.T) {
 }
 
 func TestLoadGeneratorWarmupDiscarded(t *testing.T) {
-	rt := swRuntime()
-	app := NewWordPress(5)
-	lg := LoadGenerator{Warmup: 5, Requests: 3}
-	res := lg.Run(rt, app)
+	res, _ := serial(t, swConfig(), "wordpress", 5, LoadGenerator{Warmup: 5, Requests: 3})
 	if res.Requests != 3 || res.App != "wordpress" {
 		t.Errorf("result header wrong: %+v", res)
 	}
@@ -89,9 +86,7 @@ func TestLoadGeneratorWarmupDiscarded(t *testing.T) {
 	}
 	// Cycles must reflect only the measured phase: a run with more warmup
 	// must not cost more.
-	rt2 := swRuntime()
-	app2 := NewWordPress(5)
-	res2 := LoadGenerator{Warmup: 20, Requests: 3}.Run(rt2, app2)
+	res2, _ := serial(t, swConfig(), "wordpress", 5, LoadGenerator{Warmup: 20, Requests: 3})
 	ratio := res2.Cycles / res.Cycles
 	if ratio > 1.25 || ratio < 0.75 {
 		t.Errorf("warmup leaked into measurement: %0.0f vs %0.0f", res2.Cycles, res.Cycles)
@@ -99,9 +94,7 @@ func TestLoadGeneratorWarmupDiscarded(t *testing.T) {
 }
 
 func TestKeyStatsMatchPaperObservations(t *testing.T) {
-	rt := hwRuntime()
-	app := NewWordPress(9)
-	res := LoadGenerator{Warmup: 20, Requests: 50, ContextSwitchEvery: 16}.Run(rt, app)
+	res, _ := serial(t, hwConfig(), "wordpress", 9, LoadGenerator{Warmup: 20, Requests: 50, ContextSwitchEvery: 16})
 	ks := res.Keys
 	if ks.TotalKeys == 0 {
 		t.Fatalf("no key stats recorded")
@@ -120,13 +113,12 @@ func TestKeyStatsMatchPaperObservations(t *testing.T) {
 }
 
 func TestProfileShapeFlatForPHPHotForSPECWeb(t *testing.T) {
-	runProfile := func(app App) profile.Profile {
-		rt := swRuntime()
-		LoadGenerator{Warmup: 10, Requests: 30}.Run(rt, app)
+	runProfile := func(app string) profile.Profile {
+		_, rt := serial(t, swConfig(), app, 2, LoadGenerator{Warmup: 10, Requests: 30})
 		return profile.FromMeter(rt.Meter())
 	}
-	wp := runProfile(NewWordPress(2))
-	sw := runProfile(NewSPECWebBanking(2))
+	wp := runProfile("wordpress")
+	sw := runProfile("specweb-banking")
 
 	// Fig. 1: PHP hottest ~10-12%, ~100 functions to reach 65%.
 	if h := wp.HottestFrac(); h < 0.06 || h > 0.18 {
@@ -147,10 +139,8 @@ func TestProfileShapeFlatForPHPHotForSPECWeb(t *testing.T) {
 func TestAcceleratorsImproveEveryApp(t *testing.T) {
 	lg := LoadGenerator{Warmup: 20, Requests: 40, ContextSwitchEvery: 32}
 	for _, name := range []string{"wordpress", "drupal", "mediawiki"} {
-		swApp, _ := ByName(name, 4)
-		hwApp, _ := ByName(name, 4)
-		sw := lg.Run(swRuntime(), swApp)
-		hw := lg.Run(hwRuntime(), hwApp)
+		sw, _ := serial(t, swConfig(), name, 4, lg)
+		hw, _ := serial(t, hwConfig(), name, 4, lg)
 		speedup := 1 - hw.Cycles/sw.Cycles
 		if speedup <= 0.02 {
 			t.Errorf("%s: accelerators gained only %0.3f", name, speedup)
@@ -231,8 +221,8 @@ func TestScriptedAppAcceleratedEquivalence(t *testing.T) {
 
 func TestScriptedAppBenefitsFromAccelerators(t *testing.T) {
 	lg := LoadGenerator{Warmup: 10, Requests: 25}
-	sw := lg.Run(swRuntime(), NewBlogScript())
-	hw := lg.Run(hwRuntime(), NewBlogScript())
+	sw, _ := serial(t, swConfig(), "phpscript-blog", 1, lg)
+	hw, _ := serial(t, hwConfig(), "phpscript-blog", 1, lg)
 	gain := 1 - hw.Cycles/sw.Cycles
 	if gain <= 0.02 {
 		t.Errorf("scripted workload gained only %0.3f from accelerators", gain)

@@ -3,9 +3,11 @@
 // latest BENCH_<n>.json, reruns the pinned benchrec matrix fresh at the
 // record's seed, and reports one line per difference when any
 // deterministic field — pinned configuration, simulated cycles, energy,
-// category cycles, served/shed/cache counts, tier counters — differs at
-// all, or allocs/op rose past its absolute slack (+0.5 direct, +0.1
-// serve). Then it loads FIGURES.json, rebuilds every figure of the
+// category cycles, each leaf function's cycles (its line follows its
+// category's, so a drift names the function that moved),
+// served/shed/cache counts, tier counters — differs at all, or
+// allocs/op rose past its absolute slack (+0.5 direct, +0.1 serve).
+// Then it loads FIGURES.json, rebuilds every figure of the
 // paper's evaluation (internal/experiments) and reports one
 // `figure[row].metric base -> fresh` line per value that differs at all.
 // Any line makes it exit nonzero. It compares no host time; that is
