@@ -66,7 +66,8 @@ FUZZ_TARGETS = \
 	internal/core/straccel:FuzzFindReplace \
 	internal/core/straccel:FuzzTranslate \
 	internal/core/straccel:FuzzEscape \
-	internal/core/heapmgr:FuzzHeapSequence
+	internal/core/heapmgr:FuzzHeapSequence \
+	internal/php:FuzzScriptStrings
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -337,7 +337,9 @@ func (t *Table) CoherentRead(m *hashmap.Map, k hashmap.Key) bool {
 // CoherentWrite makes a software store of (m, k) coherent with the
 // table: any cached copy of the pair is invalidated so later
 // hashtablegets refetch the stored value from memory instead of serving
-// a stale hardware copy. It reports whether an entry was dropped.
+// a stale hardware copy. A dirty copy is written back first, so a pair
+// that so far lived only in the table keeps its ordered position and the
+// store updates it in place. It reports whether an entry was dropped.
 func (t *Table) CoherentWrite(m *hashmap.Map, k hashmap.Key) bool {
 	if k.Len() > t.cfg.MaxKeyBytes {
 		return false
@@ -345,6 +347,10 @@ func (t *Table) CoherentWrite(m *hashmap.Map, k hashmap.Key) bool {
 	idx := t.lookup(m.ID(), k)
 	if idx < 0 {
 		return false
+	}
+	if e := &t.entries[idx]; e.dirty {
+		e.m.WritebackSeq(e.key, e.val, e.seq)
+		t.stats.Writebacks++
 	}
 	t.invalidate(idx)
 	return true

@@ -499,6 +499,28 @@ func TestCoherentWriteInvalidatesCachedPair(t *testing.T) {
 	}
 }
 
+// TestCoherentWriteKeepsOrderOfBufferedPair: a software store to a pair
+// that lives only in the table (dirty, never written back) updates it in
+// place. Dropping the dirty copy instead made the store append the key
+// after every later one, so foreach order changed.
+func TestCoherentWriteKeepsOrderOfBufferedPair(t *testing.T) {
+	ht := New(DefaultConfig())
+	m := newMap()
+	ht.Set(m, hashmap.StrKey("a"), 1)
+	ht.Set(m, hashmap.StrKey("b"), 2)
+	ht.CoherentWrite(m, hashmap.StrKey("a"))
+	m.Set(hashmap.StrKey("a"), 3)
+	ht.FlushMap(m)
+	var got []string
+	m.Foreach(func(k hashmap.Key, v interface{}) bool {
+		got = append(got, fmt.Sprint(k.Str, "=", v))
+		return true
+	})
+	if got := strings.Join(got, " "); got != "a=3 b=2" {
+		t.Errorf("foreach after a coherent store: %s, want a=3 b=2", got)
+	}
+}
+
 func TestSetBumpsAppendWatermark(t *testing.T) {
 	ht := New(DefaultConfig())
 	m := newMap()

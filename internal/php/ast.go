@@ -91,9 +91,9 @@ func (*continueStmt) stmtNode()   {}
 
 // --- Expressions ---
 
-// litExpr is a literal constant (nil, bool, int64, float64, or string).
+// litExpr is a literal constant (null, bool, int, float, or string).
 type litExpr struct {
-	val interface{}
+	val Value
 }
 
 // varExpr reads a variable.

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/hashmap"
 	"repro/internal/sim"
-	"repro/internal/vm"
 )
 
 // Modeled dispatch costs for the bytecode tier. A threaded opcode costs
@@ -24,9 +23,9 @@ const (
 // shared value stack, the slot/loop/iterator stacks (windowed per
 // activation), and this worker's inline-cache and type-feedback tables.
 type bcMachine struct {
-	stack []interface{}
+	stack []Value
 	sp    int
-	slots []interface{}
+	slots []Value
 	loops []int
 	iters []bcIter
 
@@ -39,10 +38,11 @@ type bcMachine struct {
 }
 
 // bcIter is a foreach iterator over a snapshot of the array's pairs in
-// insertion order (PHP iterates a copy).
+// insertion order (PHP iterates a copy). Popped iterators keep their
+// slices for the next foreach at the same depth.
 type bcIter struct {
 	keys []hashmap.Key
-	vals []interface{}
+	vals []Value
 	idx  int
 }
 
@@ -53,7 +53,7 @@ func newBCMachine(c *Compiled) *bcMachine {
 	}
 }
 
-func (m *bcMachine) push(v interface{}) {
+func (m *bcMachine) push(v Value) {
 	if m.sp == len(m.stack) {
 		m.stack = append(m.stack, v)
 		m.sp++
@@ -63,75 +63,61 @@ func (m *bcMachine) push(v interface{}) {
 	m.sp++
 }
 
-func (m *bcMachine) pop() interface{} {
+func (m *bcMachine) pop() Value {
 	m.sp--
 	v := m.stack[m.sp]
-	m.stack[m.sp] = nil
+	m.stack[m.sp] = null
 	return v
 }
 
 // popN drops the top n values (post-call argument cleanup).
 func (m *bcMachine) popN(n int) {
-	for i := 0; i < n; i++ {
-		m.sp--
-		m.stack[m.sp] = nil
-	}
+	clear(m.stack[m.sp-n : m.sp])
+	m.sp -= n
 }
 
-// bcKey converts a value to an array key with the tree-walker's
-// evalKey coercions.
-func bcKey(v interface{}) (hashmap.Key, error) {
-	switch k := v.(type) {
-	case int64:
-		return hashmap.IntKey(k), nil
-	case bool:
-		if k {
-			return hashmap.IntKey(1), nil
-		}
-		return hashmap.IntKey(0), nil
-	case float64:
-		return hashmap.IntKey(int64(k)), nil
-	case string:
-		return hashmap.StrKey(k), nil
-	case nil:
-		return hashmap.StrKey(""), nil
-	default:
-		return hashmap.Key{}, fmt.Errorf("php: illegal array key type %T", v)
+// enter opens an activation's windows — nSlots null slots and nLoops
+// loop counters — and returns their bases.
+func (m *bcMachine) enter(fn *compiledFn) (sbase, lbase, ibase, spBase int) {
+	sbase, lbase, ibase, spBase = len(m.slots), len(m.loops), len(m.iters), m.sp
+	for i := 0; i < fn.nSlots; i++ {
+		m.slots = append(m.slots, null)
 	}
+	for i := 0; i < fn.nLoops; i++ {
+		m.loops = append(m.loops, 0)
+	}
+	return
+}
+
+// leave closes the activation enter opened.
+func (m *bcMachine) leave(sbase, lbase, ibase, spBase int) {
+	clear(m.slots[sbase:])
+	m.slots = m.slots[:sbase]
+	m.loops = m.loops[:lbase]
+	m.iters = m.iters[:ibase]
+	m.popN(m.sp - spBase)
 }
 
 // bcCall invokes a compiled function: depth check, tracing span, a slot
 // window for locals, then the opcode loop. args may alias the caller's
 // stack; they are copied into slots before anything else executes.
-func (in *Interp) bcCall(fn *compiledFn, args []interface{}) (interface{}, error) {
+func (in *Interp) bcCall(fn *compiledFn, args []Value) (Value, error) {
 	if in.depth >= maxCallDepth {
-		return nil, fmt.Errorf("php: call depth limit exceeded in %s", fn.name)
+		return null, fmt.Errorf("php: call depth limit exceeded in %s", fn.name)
 	}
 	in.depth++
 	if in.rt.Tracing() { // skip the name concat on the unsampled path
 		in.rt.BeginSpan("php:" + fn.name)
 	}
 	m := in.bc
-	sbase, lbase, ibase, spBase := len(m.slots), len(m.loops), len(m.iters), m.sp
-	for i := 0; i < fn.nSlots; i++ {
-		m.slots = append(m.slots, nil)
-	}
-	for i := 0; i < fn.nLoops; i++ {
-		m.loops = append(m.loops, 0)
-	}
+	sbase, lbase, ibase, spBase := m.enter(fn)
 	for i, p := range fn.params {
 		if i < len(args) {
 			m.slots[sbase+int(p)] = args[i]
 		}
 	}
 	ret, err := in.bcExec(fn, sbase, lbase, ibase)
-	for i := sbase; i < len(m.slots); i++ {
-		m.slots[i] = nil
-	}
-	m.slots = m.slots[:sbase]
-	m.loops = m.loops[:lbase]
-	m.iters = m.iters[:ibase]
-	m.popN(m.sp - spBase)
+	m.leave(sbase, lbase, ibase, spBase)
 	if in.rt.Tracing() {
 		in.rt.EndSpan()
 	}
@@ -140,27 +126,14 @@ func (in *Interp) bcCall(fn *compiledFn, args []interface{}) (interface{}, error
 }
 
 // bcRunMain executes the compiled script main as one request, mirroring
-// the tree-walking Run: fresh output buffer, preset globals, owned
+// the tree-walking Run: reset output buffer, preset globals, owned
 // arrays freed at teardown.
 func (in *Interp) bcRunMain() ([]byte, error) {
-	in.rt.BeginRequest()
-	in.ob = in.rt.NewOutputBuffer("php_main")
-	in.owned = in.owned[:0]
-	defer func() {
-		for _, a := range in.owned {
-			in.rt.FreeArray("php_main", a)
-		}
-		in.owned = in.owned[:0]
-	}()
+	in.beginRequest()
+	defer in.endRequest()
 	m := in.bc
 	fn := in.comp.main
-	sbase, lbase, ibase, spBase := len(m.slots), len(m.loops), len(m.iters), m.sp
-	for i := 0; i < fn.nSlots; i++ {
-		m.slots = append(m.slots, nil)
-	}
-	for i := 0; i < fn.nLoops; i++ {
-		m.loops = append(m.loops, 0)
-	}
+	sbase, lbase, ibase, spBase := m.enter(fn)
 	for k, v := range in.preset {
 		if s, ok := fn.slotOf[k]; ok {
 			m.slots[sbase+int(s)] = v
@@ -169,13 +142,7 @@ func (in *Interp) bcRunMain() ([]byte, error) {
 	in.rt.BeginSpan("php:exec")
 	_, err := in.bcExec(fn, sbase, lbase, ibase)
 	in.rt.EndSpan()
-	for i := sbase; i < len(m.slots); i++ {
-		m.slots[i] = nil
-	}
-	m.slots = m.slots[:sbase]
-	m.loops = m.loops[:lbase]
-	m.iters = m.iters[:ibase]
-	m.popN(m.sp - spBase)
+	m.leave(sbase, lbase, ibase, spBase)
 	if err != nil {
 		return nil, err
 	}
@@ -186,14 +153,14 @@ func (in *Interp) bcRunMain() ([]byte, error) {
 // through the same vm.Runtime calls as the tree-walker, so accelerator
 // and mitigation accounting is identical; only the interpreter-dispatch
 // charge differs (one batched CatOther flush per activation).
-func (in *Interp) bcExec(fn *compiledFn, sbase, lbase, ibase int) (ret interface{}, err error) {
+func (in *Interp) bcExec(fn *compiledFn, sbase, lbase, ibase int) (ret Value, err error) {
 	m := in.bc
-	f := frame{fn: fn.name}
+	name := fn.name
 	code := fn.code
 	ni := 0
 	extra := 0.0
 	defer func() {
-		in.rt.Meter().AddUops(fn.name, sim.CatOther, bcCallEntryUops+float64(ni)*bcUopsPerInstr+extra)
+		in.rt.Meter().AddUops(name, sim.CatOther, bcCallEntryUops+float64(ni)*bcUopsPerInstr+extra)
 	}()
 	for pc := 0; pc < len(code); pc++ {
 		ins := code[pc]
@@ -212,32 +179,25 @@ func (in *Interp) bcExec(fn *compiledFn, sbase, lbase, ibase int) (ret interface
 		case opJump:
 			pc = int(ins.a) - 1
 		case opJumpIfFalse:
-			if !in.truthy(&f, m.pop()) {
+			if !in.truthy(name, m.pop()) {
 				pc = int(ins.a) - 1
 			}
 		case opAndJump:
-			if !in.truthy(&f, m.pop()) {
-				m.push(false)
+			if !in.truthy(name, m.pop()) {
+				m.push(boolV(false))
 				pc = int(ins.a) - 1
 			}
 		case opOrJump:
-			if in.truthy(&f, m.pop()) {
-				m.push(true)
+			if in.truthy(name, m.pop()) {
+				m.push(boolV(true))
 				pc = int(ins.a) - 1
 			}
 		case opToBool:
-			m.push(in.truthy(&f, m.pop()))
+			m.push(boolV(in.truthy(name, m.pop())))
 		case opNot:
-			m.push(!in.truthy(&f, m.pop()))
+			m.push(boolV(!in.truthy(name, m.pop())))
 		case opNeg:
-			switch x := m.pop().(type) {
-			case int64:
-				m.push(-x)
-			case float64:
-				m.push(-x)
-			default:
-				m.push(-toFloat(x))
-			}
+			m.push(negate(m.pop()))
 		case opBinary:
 			r := m.pop()
 			l := m.pop()
@@ -245,7 +205,7 @@ func (in *Interp) bcExec(fn *compiledFn, sbase, lbase, ibase int) (ret interface
 				// Type feedback: a site observing the same operand-type
 				// pair as last time runs as one (checked-load-elidable)
 				// type check; a changing site pays generic dispatch.
-				tag := typeTag(l)<<8 | typeTag(r)
+				tag := uint16(l.k)<<8 | uint16(r.k)
 				s := &m.tfs[ins.b]
 				if s.seen && s.pair == tag {
 					m.tfStable++
@@ -258,7 +218,7 @@ func (in *Interp) bcExec(fn *compiledFn, sbase, lbase, ibase int) (ret interface
 			}
 			switch binKind(ins.a) {
 			case bkConcat:
-				m.push(in.concat(l, r, &f))
+				m.push(in.concat(name, l, r))
 			case bkAdd:
 				m.push(arith("+", l, r))
 			case bkSub:
@@ -270,96 +230,79 @@ func (in *Interp) bcExec(fn *compiledFn, sbase, lbase, ibase int) (ret interface
 			case bkMod:
 				m.push(arith("%", l, r))
 			case bkEq:
-				m.push(looseEq(l, r))
+				m.push(boolV(looseEq(l, r)))
 			case bkNe:
-				m.push(!looseEq(l, r))
+				m.push(boolV(!looseEq(l, r)))
 			case bkSeq:
-				m.push(strictEq(l, r))
+				m.push(boolV(strictEq(l, r)))
 			case bkSne:
-				m.push(!strictEq(l, r))
+				m.push(boolV(!strictEq(l, r)))
 			case bkLt:
-				m.push(compare(l, r) < 0)
+				m.push(boolV(compare(l, r) < 0))
 			case bkGt:
-				m.push(compare(l, r) > 0)
+				m.push(boolV(compare(l, r) > 0))
 			case bkLe:
-				m.push(compare(l, r) <= 0)
+				m.push(boolV(compare(l, r) <= 0))
 			case bkGe:
-				m.push(compare(l, r) >= 0)
+				m.push(boolV(compare(l, r) >= 0))
 			case bkCmp:
-				m.push(int64(compare(l, r)))
+				m.push(Int(int64(compare(l, r))))
 			}
 		case opEcho:
-			in.ob.Write([]byte(in.toString(m.pop(), &f)))
+			in.ob.WriteString(in.str(m.pop()))
 		case opInlineHTML:
-			in.ob.WriteString(fn.consts[ins.a].(string))
+			in.ob.WriteString(fn.consts[ins.a].s)
 		case opIndexNil:
-			switch v := m.stack[m.sp-1].(type) {
-			case *vm.Array, string:
+			switch v := m.stack[m.sp-1]; v.k {
+			case kArray, kString:
 				// fall through to the key code
-			case nil:
-				pc = int(ins.a) - 1 // the nil stays as the read's result
+			case kNull:
+				pc = int(ins.a) - 1 // the null stays as the read's result
 			default:
-				return nil, fmt.Errorf("php: line %d: cannot index %T", ins.line, v)
+				return null, fmt.Errorf("php: line %d: cannot index %s", ins.line, goType[v.k])
 			}
 		case opIndexGet:
 			key := m.pop()
-			switch subj := m.pop().(type) {
-			case *vm.Array:
-				k, kerr := bcKey(key)
+			switch subj := m.pop(); subj.k {
+			case kArray:
+				k, kerr := key.key()
 				if kerr != nil {
-					return nil, kerr
+					return null, kerr
 				}
-				dynamic := ins.b == 1
-				if dynamic && ins.a >= 0 && !k.IsInt {
-					if m.ics[ins.a].lookupCounted(m, k.Str) {
-						dynamic = false // IC hit: monomorphic access
-					}
-				}
-				v, _ := in.rt.AGet(f.fn, subj, k, dynamic)
-				m.push(v)
-			case string:
-				i := toInt(key)
-				if i < 0 || i >= int64(len(subj)) {
-					m.push("")
-				} else {
-					m.push(string(subj[i]))
-				}
+				v, _ := in.rt.AGet(name, subj.a, k, m.dynamic(ins, k))
+				m.push(unbox(v))
+			case kString:
+				m.push(strIndex(subj.s, key))
 			}
 		case opVivCheck:
-			switch v := m.pop().(type) {
-			case *vm.Array:
+			switch v := m.pop(); v.k {
+			case kArray:
 				m.push(v)
 				pc = int(ins.a) - 1
-			case nil:
-				m.push(in.newArray(&f)) // auto-vivification
+			case kNull:
+				m.push(arrV(in.newArray(name))) // auto-vivification
 			default:
-				return nil, fmt.Errorf("php: line %d: cannot index non-array", ins.line)
+				return null, fmt.Errorf("php: line %d: cannot index non-array", ins.line)
 			}
 		case opStoreIndex:
 			key := m.pop()
-			arr := m.pop().(*vm.Array)
+			arr := m.pop().a
 			val := m.pop()
-			k, kerr := bcKey(key)
+			k, kerr := key.key()
 			if kerr != nil {
-				return nil, kerr
+				return null, kerr
 			}
-			dynamic := ins.b == 1
-			if dynamic && ins.a >= 0 && !k.IsInt {
-				if m.ics[ins.a].lookupCounted(m, k.Str) {
-					dynamic = false
-				}
-			}
-			in.rt.ASet(f.fn, arr, k, val, dynamic)
+			in.rt.ASet(name, arr, k, in.box(val), m.dynamic(ins, k))
 		case opAppendSet:
-			arr := m.pop().(*vm.Array)
+			arr := m.pop().a
 			val := m.pop()
-			in.rt.ASet(f.fn, arr, hashmap.IntKey(arr.Map().NextIntKey()), val, false)
+			in.rt.ASet(name, arr, hashmap.IntKey(arr.Map().NextIntKey()), in.box(val), false)
 		case opCombine:
 			cur := m.pop()
 			val := m.pop()
 			switch combineKind(ins.a) {
 			case ckConcat:
-				m.push(in.concat(cur, val, &f))
+				m.push(in.concat(name, cur, val))
 			case ckAdd:
 				m.push(arith("+", cur, val))
 			case ckSub:
@@ -370,32 +313,22 @@ func (in *Interp) bcExec(fn *compiledFn, sbase, lbase, ibase int) (ret interface
 				m.push(arith("/", cur, val))
 			}
 		case opIncDec:
-			delta := int64(ins.a)
-			switch x := m.pop().(type) {
-			case int64:
-				m.push(x + delta)
-			case float64:
-				m.push(x + float64(delta))
-			case nil:
-				m.push(delta)
-			default:
-				m.push(toInt(x) + delta)
-			}
+			m.push(incDec(m.pop(), int64(ins.a)))
 		case opNewArray:
-			m.push(in.newArray(&f))
+			m.push(arrV(in.newArray(name)))
 		case opArrAppend:
 			val := m.pop()
-			arr := m.stack[m.sp-1].(*vm.Array)
-			in.rt.ASet(f.fn, arr, hashmap.IntKey(arr.Map().NextIntKey()), val, false)
+			arr := m.stack[m.sp-1].a
+			in.rt.ASet(name, arr, hashmap.IntKey(arr.Map().NextIntKey()), in.box(val), false)
 		case opArrSet:
 			key := m.pop()
 			val := m.pop()
-			arr := m.stack[m.sp-1].(*vm.Array)
-			k, kerr := bcKey(key)
+			arr := m.stack[m.sp-1].a
+			k, kerr := key.key()
 			if kerr != nil {
-				return nil, kerr
+				return null, kerr
 			}
-			in.rt.ASet(f.fn, arr, k, val, ins.b == 1)
+			in.rt.ASet(name, arr, k, in.box(val), ins.b == 1)
 		case opLoopInit:
 			m.loops[lbase+int(ins.a)] = 0
 		case opLoopTick:
@@ -407,20 +340,25 @@ func (in *Interp) bcExec(fn *compiledFn, sbase, lbase, ibase int) (ret interface
 				if ins.b == 1 {
 					kind = "for"
 				}
-				return nil, fmt.Errorf("php: line %d: %s loop exceeded iteration limit", ins.line, kind)
+				return null, fmt.Errorf("php: line %d: %s loop exceeded iteration limit", ins.line, kind)
 			}
 		case opForeachStart:
-			arr, ok := m.pop().(*vm.Array)
-			if !ok {
-				return nil, fmt.Errorf("php: line %d: foreach over non-array", ins.line)
+			subj := m.pop()
+			if subj.k != kArray {
+				return null, fmt.Errorf("php: line %d: foreach over non-array", ins.line)
 			}
-			var it bcIter
-			in.rt.AForeach(f.fn, arr, func(k hashmap.Key, v interface{}) bool {
+			if n := len(m.iters); n < cap(m.iters) {
+				m.iters = m.iters[:n+1]
+			} else {
+				m.iters = append(m.iters, bcIter{})
+			}
+			it := &m.iters[len(m.iters)-1]
+			it.keys, it.vals, it.idx = it.keys[:0], it.vals[:0], 0
+			in.rt.AForeach(name, subj.a, func(k hashmap.Key, v interface{}) bool {
 				it.keys = append(it.keys, k)
-				it.vals = append(it.vals, v)
+				it.vals = append(it.vals, unbox(v))
 				return true
 			})
-			m.iters = append(m.iters, it)
 		case opForeachNext:
 			it := &m.iters[len(m.iters)-1]
 			if it.idx >= len(it.keys) {
@@ -439,80 +377,83 @@ func (in *Interp) bcExec(fn *compiledFn, sbase, lbase, ibase int) (ret interface
 		case opCallUser:
 			argc := int(ins.b)
 			callee := in.comp.fns[ins.a]
-			args := m.stack[m.sp-argc : m.sp]
-			v, cerr := in.callFn(callee.decl, args)
+			v, cerr := in.callFn(callee.decl, m.stack[m.sp-argc:m.sp])
 			if cerr != nil {
-				return nil, cerr
+				return null, cerr
 			}
 			m.popN(argc)
 			m.push(v)
 		case opCallBuiltin:
 			cs := fn.calls[ins.a]
-			argc := int(ins.b)
-			args := m.stack[m.sp-argc : m.sp]
-			bfn, ok := builtins[cs.node.name]
-			if !ok {
-				return nil, fmt.Errorf("php: line %d: call to undefined function %s()", cs.node.line, cs.node.name)
+			if cs.fn == nil {
+				return null, fmt.Errorf("php: line %d: call to undefined function %s()", cs.node.line, cs.node.name)
 			}
+			argc := int(ins.b)
 			if in.rt.Tracing() {
 				in.rt.BeginSpan("php:" + cs.node.name)
 			}
-			v, cerr := bfn(in, &f, cs.node, args)
+			v, cerr := cs.fn(in, name, cs.node, m.stack[m.sp-argc:m.sp])
 			if in.rt.Tracing() {
 				in.rt.EndSpan()
 			}
 			if cerr != nil {
-				return nil, cerr
+				return null, cerr
 			}
 			m.popN(argc)
 			m.push(v)
 		case opIsSet:
-			m.push(m.pop() != nil)
+			m.push(boolV(m.pop().k != kNull))
 		case opUnsetVar:
-			m.slots[sbase+int(ins.a)] = nil
-			m.push(nil)
+			m.slots[sbase+int(ins.a)] = null
+			m.push(null)
 		case opUnsetSubj:
-			v := m.pop()
-			if arr, ok := v.(*vm.Array); ok {
-				m.push(arr)
-			} else {
-				m.push(nil)
+			if m.stack[m.sp-1].k != kArray {
+				m.pop()
+				m.push(null)
 				pc = int(ins.a) - 1
 			}
 		case opADelete:
 			key := m.pop()
-			arr := m.pop().(*vm.Array)
-			k, kerr := bcKey(key)
+			arr := m.pop().a
+			k, kerr := key.key()
 			if kerr != nil {
-				return nil, kerr
+				return null, kerr
 			}
-			in.rt.ADelete(f.fn, arr, k)
-			m.push(nil)
+			in.rt.ADelete(name, arr, k)
+			m.push(null)
 		case opExtract:
 			v := m.pop()
-			arr, ok := v.(*vm.Array)
-			if !ok {
-				m.push(int64(0))
+			if v.k != kArray {
+				m.push(Int(0))
 				break
 			}
 			count := int64(0)
-			in.rt.AForeach("extract", arr, func(k hashmap.Key, v interface{}) bool {
+			in.rt.AForeach("extract", v.a, func(k hashmap.Key, v interface{}) bool {
 				if !k.IsInt {
 					if s, ok := fn.slotOf[k.Str]; ok {
-						m.slots[sbase+int(s)] = v
+						m.slots[sbase+int(s)] = unbox(v)
 					}
 					count++
 				}
 				return true
 			})
-			m.push(count)
+			m.push(Int(count))
 		case opReturn:
 			return m.pop(), nil
 		case opErr:
-			return nil, errors.New(fn.errs[ins.a])
+			return null, errors.New(fn.errs[ins.a])
 		}
 	}
-	return nil, nil
+	return null, nil
+}
+
+// dynamic reports whether the hash access ins makes with key k is a
+// dynamic-key access: an IC hit at a dynamic site makes it monomorphic.
+func (m *bcMachine) dynamic(ins instr, k hashmap.Key) bool {
+	if ins.b != 1 {
+		return false
+	}
+	return ins.a < 0 || k.IsInt || !m.ics[ins.a].lookupCounted(m, k.Str)
 }
 
 // lookupCounted is lookup plus hit/miss/megamorphic accounting.

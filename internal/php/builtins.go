@@ -14,13 +14,15 @@ import (
 // evalCall dispatches a call expression: user functions first, then the
 // built-in library. Built-ins route through the vm.Runtime so the string,
 // hash, heap, and regexp work they do is metered and accelerated.
-func (in *Interp) evalCall(n *callExpr, f *frame) (interface{}, error) {
+func (in *Interp) evalCall(n *callExpr, f *frame) (Value, error) {
 	if fd, ok := in.prog.funcs[n.name]; ok {
 		args, err := in.evalArgs(n.args, f)
 		if err != nil {
-			return nil, err
+			return null, err
 		}
-		return in.callFn(fd, args)
+		v, err := in.callFn(fd, args)
+		in.popArgs(len(args))
+		return v, err
 	}
 	if in.rt.Tracing() { // skip the name concat on the unsampled path
 		in.rt.BeginSpan("php:" + n.name)
@@ -31,151 +33,159 @@ func (in *Interp) evalCall(n *callExpr, f *frame) (interface{}, error) {
 	switch n.name {
 	case "isset":
 		if len(n.args) != 1 {
-			return nil, errArity(n, 1)
+			return null, errArity(n, 1)
 		}
 		v, err := in.eval(n.args[0], f)
 		if err != nil {
-			return nil, err
+			return null, err
 		}
-		return v != nil, nil
+		return boolV(v.k != kNull), nil
 	case "unset":
 		if len(n.args) != 1 {
-			return nil, errArity(n, 1)
+			return null, errArity(n, 1)
 		}
 		ix, ok := n.args[0].(*indexExpr)
 		if !ok {
 			if v, ok := n.args[0].(*varExpr); ok {
 				delete(f.vars, v.name)
-				return nil, nil
+				return null, nil
 			}
-			return nil, fmt.Errorf("php: line %d: unset expects a variable or element", n.line)
+			return null, fmt.Errorf("php: line %d: unset expects a variable or element", n.line)
 		}
 		subject, err := in.eval(ix.subject, f)
 		if err != nil {
-			return nil, err
+			return null, err
 		}
-		arr, ok := subject.(*vm.Array)
-		if !ok {
-			return nil, nil
+		if subject.k != kArray {
+			return null, nil
 		}
 		k, _, err := in.evalKey(ix.key, f)
 		if err != nil {
-			return nil, err
+			return null, err
 		}
-		in.rt.ADelete(f.fn, arr, k)
-		return nil, nil
+		in.rt.ADelete(f.fn, subject.a, k)
+		return null, nil
 	case "extract":
 		// The §4.2 pattern: import an array's pairs into the local scope
 		// using dynamic key names.
 		if len(n.args) != 1 {
-			return nil, errArity(n, 1)
+			return null, errArity(n, 1)
 		}
 		v, err := in.eval(n.args[0], f)
 		if err != nil {
-			return nil, err
+			return null, err
 		}
-		arr, ok := v.(*vm.Array)
-		if !ok {
-			return int64(0), nil
+		if v.k != kArray {
+			return Int(0), nil
 		}
 		count := int64(0)
-		in.rt.AForeach("extract", arr, func(k hashmap.Key, v interface{}) bool {
+		in.rt.AForeach("extract", v.a, func(k hashmap.Key, v interface{}) bool {
 			if !k.IsInt {
-				f.vars[k.Str] = v
+				f.vars[k.Str] = unbox(v)
 				count++
 			}
 			return true
 		})
-		return count, nil
+		return Int(count), nil
 	}
 
 	args, err := in.evalArgs(n.args, f)
 	if err != nil {
-		return nil, err
+		return null, err
 	}
+	defer in.popArgs(len(args))
 	fn, ok := builtins[n.name]
 	if !ok {
-		return nil, fmt.Errorf("php: line %d: call to undefined function %s()", n.line, n.name)
+		return null, fmt.Errorf("php: line %d: call to undefined function %s()", n.line, n.name)
 	}
-	return fn(in, f, n, args)
+	return fn(in, f.fn, n, args)
 }
 
-func (in *Interp) evalArgs(args []expr, f *frame) ([]interface{}, error) {
-	out := make([]interface{}, len(args))
-	for i, a := range args {
+// evalArgs evaluates call arguments onto the argument stack and returns
+// them as its top; the caller pops them with popArgs after the call.
+func (in *Interp) evalArgs(args []expr, f *frame) ([]Value, error) {
+	base := len(in.args)
+	for _, a := range args {
 		v, err := in.eval(a, f)
 		if err != nil {
+			in.popArgs(len(in.args) - base)
 			return nil, err
 		}
-		out[i] = v
+		in.args = append(in.args, v)
 	}
-	return out, nil
+	return in.args[base:], nil
+}
+
+func (in *Interp) popArgs(n int) {
+	top := len(in.args) - n
+	clear(in.args[top:])
+	in.args = in.args[:top]
 }
 
 func errArity(n *callExpr, want int) error {
 	return fmt.Errorf("php: line %d: %s() expects %d argument(s), got %d", n.line, n.name, want, len(n.args))
 }
 
-type builtinFn func(in *Interp, f *frame, n *callExpr, args []interface{}) (interface{}, error)
+// builtinFn is one library function. fn is the calling PHP function, the
+// leaf every charge is attributed to.
+type builtinFn func(in *Interp, fn string, n *callExpr, args []Value) (Value, error)
 
 // builtins maps PHP function names to implementations. String and regexp
 // functions call the runtime's accelerated operations; array functions
 // operate on vm.Array handles.
 var builtins = map[string]builtinFn{
 	// --- strings (accelerated) ---
-	"strlen": func(in *Interp, f *frame, n *callExpr, args []interface{}) (interface{}, error) {
+	"strlen": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) != 1 {
-			return nil, errArity(n, 1)
+			return null, errArity(n, 1)
 		}
-		return int64(len(in.str(args[0], f))), nil
+		return Int(int64(len(in.str(args[0])))), nil
 	},
-	"strtoupper": stringOp1(func(in *Interp, f *frame, s []byte) []byte { return in.rt.ToUpper(f.fn, s) }),
-	"strtolower": stringOp1(func(in *Interp, f *frame, s []byte) []byte { return in.rt.ToLower(f.fn, s) }),
-	"trim":       stringOp1(func(in *Interp, f *frame, s []byte) []byte { return in.rt.Trim(f.fn, s) }),
-	"nl2br":      stringOp1(func(in *Interp, f *frame, s []byte) []byte { return in.rt.NL2BR(f.fn, s) }),
-	"addslashes": stringOp1(func(in *Interp, f *frame, s []byte) []byte { return in.rt.AddSlashes(f.fn, s) }),
-	"htmlspecialchars": stringOp1(func(in *Interp, f *frame, s []byte) []byte {
-		return in.rt.EscapeHTML(f.fn, s)
-	}),
-	"str_replace": func(in *Interp, f *frame, n *callExpr, args []interface{}) (interface{}, error) {
+	"strtoupper":       stringOp1((*vm.Runtime).ToUpper),
+	"strtolower":       stringOp1((*vm.Runtime).ToLower),
+	"trim":             stringOp1((*vm.Runtime).Trim),
+	"nl2br":            stringOp1((*vm.Runtime).NL2BR),
+	"addslashes":       stringOp1((*vm.Runtime).AddSlashes),
+	"htmlspecialchars": stringOp1((*vm.Runtime).EscapeHTML),
+	"str_replace": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) != 3 {
-			return nil, errArity(n, 3)
+			return null, errArity(n, 3)
 		}
-		search, repl, subject := in.str(args[0], f), in.str(args[1], f), in.str(args[2], f)
-		return string(in.rt.Replace(f.fn, []byte(subject), []byte(search), []byte(repl))), nil
+		search, repl, subject := in.str(args[0]), in.str(args[1]), in.str(args[2])
+		return strV(viewOf(in.rt.Replace(fn, bytesOf(subject), bytesOf(search), bytesOf(repl)))), nil
 	},
-	"strpos": func(in *Interp, f *frame, n *callExpr, args []interface{}) (interface{}, error) {
+	"strpos": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) != 2 {
-			return nil, errArity(n, 2)
+			return null, errArity(n, 2)
 		}
-		pos := in.rt.Find(f.fn, []byte(in.str(args[0], f)), []byte(in.str(args[1], f)))
+		pos := in.rt.Find(fn, bytesOf(in.str(args[0])), bytesOf(in.str(args[1])))
 		if pos < 0 {
-			return false, nil
+			return boolV(false), nil
 		}
-		return int64(pos), nil
+		return Int(int64(pos)), nil
 	},
-	"strcmp": func(in *Interp, f *frame, n *callExpr, args []interface{}) (interface{}, error) {
+	"strcmp": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) != 2 {
-			return nil, errArity(n, 2)
+			return null, errArity(n, 2)
 		}
-		return int64(in.rt.Compare(f.fn, []byte(in.str(args[0], f)), []byte(in.str(args[1], f)))), nil
+		return Int(int64(in.rt.Compare(fn, bytesOf(in.str(args[0])), bytesOf(in.str(args[1]))))), nil
 	},
-	"strtr": func(in *Interp, f *frame, n *callExpr, args []interface{}) (interface{}, error) {
+	"strtr": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) != 3 {
-			return nil, errArity(n, 3)
+			return null, errArity(n, 3)
 		}
-		from, to := in.str(args[1], f), in.str(args[2], f)
+		from, to := in.str(args[1]), in.str(args[2])
 		if len(from) != len(to) {
-			return nil, fmt.Errorf("php: line %d: strtr tables must have equal length", n.line)
+			return null, fmt.Errorf("php: line %d: strtr tables must have equal length", n.line)
 		}
-		return string(in.rt.Translate(f.fn, []byte(in.str(args[0], f)), []byte(from), []byte(to))), nil
+		return strV(viewOf(in.rt.Translate(fn, bytesOf(in.str(args[0])), bytesOf(from), bytesOf(to)))), nil
 	},
-	"substr": func(in *Interp, f *frame, n *callExpr, args []interface{}) (interface{}, error) {
+	"substr": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) < 2 || len(args) > 3 {
-			return nil, errArity(n, 2)
+			return null, errArity(n, 2)
 		}
-		s := in.str(args[0], f)
-		start := int(toInt(args[1]))
+		s := in.str(args[0])
+		start := int(args[1].toInt())
 		if start < 0 {
 			start += len(s)
 		}
@@ -183,11 +193,11 @@ var builtins = map[string]builtinFn{
 			start = 0
 		}
 		if start > len(s) {
-			return "", nil
+			return strV(""), nil
 		}
 		end := len(s)
 		if len(args) == 3 {
-			l := int(toInt(args[2]))
+			l := int(args[2].toInt())
 			if l < 0 {
 				end += l
 			} else if start+l < end {
@@ -197,265 +207,264 @@ var builtins = map[string]builtinFn{
 		if end < start {
 			end = start
 		}
-		return s[start:end], nil
+		return strV(s[start:end]), nil
 	},
-	"str_repeat": func(in *Interp, f *frame, n *callExpr, args []interface{}) (interface{}, error) {
+	"str_repeat": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) != 2 {
-			return nil, errArity(n, 2)
+			return null, errArity(n, 2)
 		}
-		count := int(toInt(args[1]))
+		count := int(args[1].toInt())
 		if count < 0 || count > 1<<20 {
-			return nil, fmt.Errorf("php: line %d: str_repeat count out of range", n.line)
+			return null, fmt.Errorf("php: line %d: str_repeat count out of range", n.line)
 		}
-		return strings.Repeat(in.str(args[0], f), count), nil
+		s := in.str(args[0])
+		out := in.rt.Arena().Buf(len(s) * count)
+		for i := 0; i < count; i++ {
+			out = append(out, s...)
+		}
+		return strV(viewOf(out)), nil
 	},
-	"implode": func(in *Interp, f *frame, n *callExpr, args []interface{}) (interface{}, error) {
+	"implode": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) != 2 {
-			return nil, errArity(n, 2)
+			return null, errArity(n, 2)
 		}
-		glue := in.str(args[0], f)
-		arr, ok := args[1].(*vm.Array)
-		if !ok {
-			return nil, fmt.Errorf("php: line %d: implode expects an array", n.line)
+		glue := bytesOf(in.str(args[0]))
+		if args[1].k != kArray {
+			return null, fmt.Errorf("php: line %d: implode expects an array", n.line)
 		}
 		var parts [][]byte
-		in.rt.AForeach(f.fn, arr, func(k hashmap.Key, v interface{}) bool {
+		in.rt.AForeach(fn, args[1].a, func(k hashmap.Key, v interface{}) bool {
 			if len(parts) > 0 {
-				parts = append(parts, []byte(glue))
+				parts = append(parts, glue)
 			}
-			parts = append(parts, []byte(in.toString(v, f)))
+			parts = append(parts, bytesOf(in.str(unbox(v))))
 			return true
 		})
-		return string(in.rt.Concat(f.fn, parts...)), nil
+		return strV(viewOf(in.rt.Concat(fn, parts...))), nil
 	},
-	"explode": func(in *Interp, f *frame, n *callExpr, args []interface{}) (interface{}, error) {
+	"explode": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) != 2 {
-			return nil, errArity(n, 2)
+			return null, errArity(n, 2)
 		}
-		delim, s := in.str(args[0], f), in.str(args[1], f)
+		delim, s := in.str(args[0]), in.str(args[1])
 		if delim == "" {
-			return nil, fmt.Errorf("php: line %d: explode with empty delimiter", n.line)
+			return null, fmt.Errorf("php: line %d: explode with empty delimiter", n.line)
 		}
-		arr := in.newArray(f)
+		arr := in.newArray(fn)
 		for i, part := range strings.Split(s, delim) {
-			in.rt.ASet(f.fn, arr, hashmap.IntKey(int64(i)), part, false)
+			in.rt.ASet(fn, arr, hashmap.IntKey(int64(i)), in.box(strV(part)), false)
 		}
-		return arr, nil
+		return arrV(arr), nil
 	},
-	"sprintf": func(in *Interp, f *frame, n *callExpr, args []interface{}) (interface{}, error) {
+	"sprintf": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) < 1 {
-			return nil, errArity(n, 1)
+			return null, errArity(n, 1)
 		}
-		return phpSprintf(in, f, in.str(args[0], f), args[1:]), nil
+		return strV(phpSprintf(in, in.str(args[0]), args[1:])), nil
 	},
 
 	// --- regexps (accelerated) ---
-	"preg_replace": func(in *Interp, f *frame, n *callExpr, args []interface{}) (interface{}, error) {
+	"preg_replace": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) != 3 {
-			return nil, errArity(n, 3)
+			return null, errArity(n, 3)
 		}
-		re, err := in.compilePattern(in.str(args[0], f), n.line)
+		re, err := in.compilePattern(in.str(args[0]), n.line)
 		if err != nil {
-			return nil, err
+			return null, err
 		}
-		subject := in.str(args[2], f)
+		subject := bytesOf(in.str(args[2]))
 		cpu := in.rt.CPU()
 		if cpu.RA == nil {
-			out, _ := cpu.RegexReplaceAll(f.fn, re, []byte(subject), []byte(in.str(args[1], f)))
-			return string(out), nil
+			out, _ := cpu.RegexReplaceAll(fn, re, subject, bytesOf(in.str(args[1])))
+			return strV(viewOf(out)), nil
 		}
-		hv := in.hintFor(f, re, subject)
-		out, newHV, _ := cpu.RegexShadowReplace(f.fn, re, []byte(subject), []byte(in.str(args[1], f)), hv)
-		in.lastContent, in.lastHV = string(out), newHV
-		return string(out), nil
+		hv := in.hintFor(fn, re, subject)
+		out, newHV, _ := cpu.RegexShadowReplace(fn, re, subject, bytesOf(in.str(args[1])), hv)
+		in.remember(out, newHV)
+		return strV(viewOf(out)), nil
 	},
-	"preg_match": func(in *Interp, f *frame, n *callExpr, args []interface{}) (interface{}, error) {
+	"preg_match": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) != 2 {
-			return nil, errArity(n, 2)
+			return null, errArity(n, 2)
 		}
-		re, err := in.compilePattern(in.str(args[0], f), n.line)
+		re, err := in.compilePattern(in.str(args[0]), n.line)
 		if err != nil {
-			return nil, err
+			return null, err
 		}
-		if len(in.pregMatches(f, re, in.str(args[1], f))) > 0 {
-			return int64(1), nil
+		if len(in.pregMatches(fn, re, bytesOf(in.str(args[1])))) > 0 {
+			return Int(1), nil
 		}
-		return int64(0), nil
+		return Int(0), nil
 	},
-	"preg_match_all": func(in *Interp, f *frame, n *callExpr, args []interface{}) (interface{}, error) {
+	"preg_match_all": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) != 2 {
-			return nil, errArity(n, 2)
+			return null, errArity(n, 2)
 		}
-		re, err := in.compilePattern(in.str(args[0], f), n.line)
+		re, err := in.compilePattern(in.str(args[0]), n.line)
 		if err != nil {
-			return nil, err
+			return null, err
 		}
-		return int64(len(in.pregMatches(f, re, in.str(args[1], f)))), nil
+		return Int(int64(len(in.pregMatches(fn, re, bytesOf(in.str(args[1])))))), nil
 	},
-	"preg_split": func(in *Interp, f *frame, n *callExpr, args []interface{}) (interface{}, error) {
+	"preg_split": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) != 2 {
-			return nil, errArity(n, 2)
+			return null, errArity(n, 2)
 		}
-		re, err := in.compilePattern(in.str(args[0], f), n.line)
+		re, err := in.compilePattern(in.str(args[0]), n.line)
 		if err != nil {
-			return nil, err
+			return null, err
 		}
-		subject := []byte(in.str(args[1], f))
-		ms := in.rt.CPU().RegexFindAll(f.fn, re, subject)
-		arr := in.newArray(f)
+		subject := in.str(args[1])
+		ms := in.rt.CPU().RegexFindAll(fn, re, bytesOf(subject))
+		arr := in.newArray(fn)
 		prev, idx := 0, int64(0)
 		for _, m := range ms {
-			in.rt.ASet(f.fn, arr, hashmap.IntKey(idx), string(subject[prev:m.Start]), false)
+			in.rt.ASet(fn, arr, hashmap.IntKey(idx), in.box(strV(subject[prev:m.Start])), false)
 			idx++
 			prev = m.End
 		}
-		in.rt.ASet(f.fn, arr, hashmap.IntKey(idx), string(subject[prev:]), false)
-		return arr, nil
+		in.rt.ASet(fn, arr, hashmap.IntKey(idx), in.box(strV(subject[prev:])), false)
+		return arrV(arr), nil
 	},
 
 	// --- arrays ---
-	"count": func(in *Interp, f *frame, n *callExpr, args []interface{}) (interface{}, error) {
+	"count": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) != 1 {
-			return nil, errArity(n, 1)
+			return null, errArity(n, 1)
 		}
-		if arr, ok := args[0].(*vm.Array); ok {
-			return int64(in.rt.ASize(f.fn, arr)), nil
+		if args[0].k == kArray {
+			return Int(int64(in.rt.ASize(fn, args[0].a))), nil
 		}
-		return int64(1), nil
+		return Int(1), nil
 	},
-	"array_keys": func(in *Interp, f *frame, n *callExpr, args []interface{}) (interface{}, error) {
+	"array_keys": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) != 1 {
-			return nil, errArity(n, 1)
+			return null, errArity(n, 1)
 		}
-		arr, ok := args[0].(*vm.Array)
-		if !ok {
-			return nil, fmt.Errorf("php: line %d: array_keys expects an array", n.line)
+		if args[0].k != kArray {
+			return null, fmt.Errorf("php: line %d: array_keys expects an array", n.line)
 		}
-		out := in.newArray(f)
+		out := in.newArray(fn)
 		i := int64(0)
-		in.rt.AForeach(f.fn, arr, func(k hashmap.Key, v interface{}) bool {
-			in.rt.ASet(f.fn, out, hashmap.IntKey(i), keyValue(k), false)
+		in.rt.AForeach(fn, args[0].a, func(k hashmap.Key, v interface{}) bool {
+			in.rt.ASet(fn, out, hashmap.IntKey(i), in.box(keyValue(k)), false)
 			i++
 			return true
 		})
-		return out, nil
+		return arrV(out), nil
 	},
-	"array_values": func(in *Interp, f *frame, n *callExpr, args []interface{}) (interface{}, error) {
+	"array_values": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) != 1 {
-			return nil, errArity(n, 1)
+			return null, errArity(n, 1)
 		}
-		arr, ok := args[0].(*vm.Array)
-		if !ok {
-			return nil, fmt.Errorf("php: line %d: array_values expects an array", n.line)
+		if args[0].k != kArray {
+			return null, fmt.Errorf("php: line %d: array_values expects an array", n.line)
 		}
-		out := in.newArray(f)
+		out := in.newArray(fn)
 		i := int64(0)
-		in.rt.AForeach(f.fn, arr, func(k hashmap.Key, v interface{}) bool {
-			in.rt.ASet(f.fn, out, hashmap.IntKey(i), v, false)
+		in.rt.AForeach(fn, args[0].a, func(k hashmap.Key, v interface{}) bool {
+			in.rt.ASet(fn, out, hashmap.IntKey(i), v, false)
 			i++
 			return true
 		})
-		return out, nil
+		return arrV(out), nil
 	},
-	"array_key_exists": func(in *Interp, f *frame, n *callExpr, args []interface{}) (interface{}, error) {
+	"array_key_exists": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) != 2 {
-			return nil, errArity(n, 2)
+			return null, errArity(n, 2)
 		}
-		arr, ok := args[1].(*vm.Array)
-		if !ok {
-			return false, nil
+		if args[1].k != kArray {
+			return boolV(false), nil
 		}
-		k := toKey(args[0])
-		_, found := in.rt.AGet("array_key_exists", arr, k, true)
-		return found, nil
+		k, err := args[0].key()
+		if err != nil {
+			return null, err
+		}
+		_, found := in.rt.AGet("array_key_exists", args[1].a, k, true)
+		return boolV(found), nil
 	},
-	"in_array": func(in *Interp, f *frame, n *callExpr, args []interface{}) (interface{}, error) {
+	"in_array": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) != 2 {
-			return nil, errArity(n, 2)
+			return null, errArity(n, 2)
 		}
-		arr, ok := args[1].(*vm.Array)
-		if !ok {
-			return false, nil
+		if args[1].k != kArray {
+			return boolV(false), nil
 		}
 		found := false
-		in.rt.AForeach(f.fn, arr, func(k hashmap.Key, v interface{}) bool {
-			if looseEq(v, args[0]) {
-				found = true
-				return false
-			}
-			return true
+		in.rt.AForeach(fn, args[1].a, func(k hashmap.Key, v interface{}) bool {
+			found = looseEq(unbox(v), args[0])
+			return !found
 		})
-		return found, nil
+		return boolV(found), nil
 	},
-	"array_merge": func(in *Interp, f *frame, n *callExpr, args []interface{}) (interface{}, error) {
-		out := in.newArray(f)
+	"array_merge": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
+		out := in.newArray(fn)
 		auto := int64(0)
 		for _, a := range args {
-			arr, ok := a.(*vm.Array)
-			if !ok {
-				return nil, fmt.Errorf("php: line %d: array_merge expects arrays", n.line)
+			if a.k != kArray {
+				return null, fmt.Errorf("php: line %d: array_merge expects arrays", n.line)
 			}
-			in.rt.AForeach(f.fn, arr, func(k hashmap.Key, v interface{}) bool {
+			in.rt.AForeach(fn, a.a, func(k hashmap.Key, v interface{}) bool {
 				if k.IsInt {
-					in.rt.ASet(f.fn, out, hashmap.IntKey(auto), v, false)
+					in.rt.ASet(fn, out, hashmap.IntKey(auto), v, false)
 					auto++
 				} else {
-					in.rt.ASet(f.fn, out, k, v, true)
+					in.rt.ASet(fn, out, k, v, true)
 				}
 				return true
 			})
 		}
-		return out, nil
+		return arrV(out), nil
 	},
 
 	// --- misc ---
-	"intval": func(in *Interp, f *frame, n *callExpr, args []interface{}) (interface{}, error) {
+	"intval": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) != 1 {
-			return nil, errArity(n, 1)
+			return null, errArity(n, 1)
 		}
-		return toInt(args[0]), nil
+		return Int(args[0].toInt()), nil
 	},
-	"strval": func(in *Interp, f *frame, n *callExpr, args []interface{}) (interface{}, error) {
+	"strval": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) != 1 {
-			return nil, errArity(n, 1)
+			return null, errArity(n, 1)
 		}
-		return in.toString(args[0], f), nil
+		return strV(in.str(args[0])), nil
 	},
-	"abs": func(in *Interp, f *frame, n *callExpr, args []interface{}) (interface{}, error) {
+	"abs": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) != 1 {
-			return nil, errArity(n, 1)
+			return null, errArity(n, 1)
 		}
-		if x, ok := args[0].(int64); ok {
-			if x < 0 {
-				return -x, nil
+		if x := args[0]; x.k == kInt {
+			if x.n < 0 {
+				return Int(-x.n), nil
 			}
 			return x, nil
 		}
-		x := toFloat(args[0])
+		x := args[0].toFloat()
 		if x < 0 {
-			return -x, nil
+			return floatV(-x), nil
 		}
-		return x, nil
+		return floatV(x), nil
 	},
-	"max": reduce2(func(a, b interface{}) bool { return compare(a, b) >= 0 }),
-	"min": reduce2(func(a, b interface{}) bool { return compare(a, b) <= 0 }),
+	"max": reduce2(func(a, b Value) bool { return compare(a, b) >= 0 }),
+	"min": reduce2(func(a, b Value) bool { return compare(a, b) <= 0 }),
 }
 
 // stringOp1 adapts a one-subject runtime string op into a builtin.
-func stringOp1(op func(in *Interp, f *frame, s []byte) []byte) builtinFn {
-	return func(in *Interp, f *frame, n *callExpr, args []interface{}) (interface{}, error) {
+func stringOp1(op func(rt *vm.Runtime, fn string, s []byte) []byte) builtinFn {
+	return func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) != 1 {
-			return nil, errArity(n, 1)
+			return null, errArity(n, 1)
 		}
-		return string(op(in, f, []byte(in.str(args[0], f)))), nil
+		return strV(viewOf(op(in.rt, fn, bytesOf(in.str(args[0]))))), nil
 	}
 }
 
 // reduce2 adapts a binary keep-left predicate into max/min over args.
-func reduce2(keepLeft func(a, b interface{}) bool) builtinFn {
-	return func(in *Interp, f *frame, n *callExpr, args []interface{}) (interface{}, error) {
+func reduce2(keepLeft func(a, b Value) bool) builtinFn {
+	return func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) == 0 {
-			return nil, errArity(n, 1)
+			return null, errArity(n, 1)
 		}
 		best := args[0]
 		for _, a := range args[1:] {
@@ -464,20 +473,6 @@ func reduce2(keepLeft func(a, b interface{}) bool) builtinFn {
 			}
 		}
 		return best, nil
-	}
-}
-
-// str coerces a value to string for builtin arguments.
-func (in *Interp) str(v interface{}, f *frame) string { return in.toString(v, f) }
-
-func toKey(v interface{}) hashmap.Key {
-	switch k := v.(type) {
-	case int64:
-		return hashmap.IntKey(k)
-	case string:
-		return hashmap.StrKey(k)
-	default:
-		return hashmap.StrKey(fmt.Sprint(v))
 	}
 }
 
@@ -500,7 +495,15 @@ func (in *Interp) compilePattern(pat string, line int) (*regexHandle, error) {
 			return nil, fmt.Errorf("php: line %d: unsupported pattern flag %q", line, fl)
 		}
 	}
-	return in.rt.Regex("pcre_compile", body)
+	key, ok := in.patterns[body]
+	if !ok {
+		if in.patterns == nil {
+			in.patterns = map[string]string{}
+		}
+		key = strings.Clone(body)
+		in.patterns[key] = key
+	}
+	return in.rt.Regex("pcre_compile", key)
 }
 
 // regexHandle aliases the engine's compiled pattern type.
@@ -508,58 +511,62 @@ type regexHandle = regex.Regex
 
 // hintFor returns the hint vector for subject, generating it with a
 // sieve scan when the content was not produced by the previous regexp.
-func (in *Interp) hintFor(f *frame, re *regexHandle, subject string) *isa.HV {
-	if subject == in.lastContent && in.lastHV != nil && in.lastHV.Covers(len(subject)) {
+func (in *Interp) hintFor(fn string, re *regexHandle, subject []byte) *isa.HV {
+	if in.lastHV != nil && string(subject) == string(in.lastContent) && in.lastHV.Covers(len(subject)) {
 		return in.lastHV
 	}
-	_, hv := in.rt.CPU().RegexSieve(f.fn, re, []byte(subject))
-	in.lastContent, in.lastHV = subject, hv
+	_, hv := in.rt.CPU().RegexSieve(fn, re, subject)
+	in.remember(subject, hv)
 	return hv
 }
 
-// pregMatches runs a scan, sifted when a hint vector is available.
-func (in *Interp) pregMatches(f *frame, re *regexHandle, subject string) []regex.MatchRange {
-	cpu := in.rt.CPU()
-	if cpu.RA == nil {
-		return cpu.RegexFindAll(f.fn, re, []byte(subject))
-	}
-	hv := in.hintFor(f, re, subject)
-	return cpu.RegexShadow(f.fn, re, []byte(subject), hv)
+// remember makes content, copied, the previous regexp's content.
+func (in *Interp) remember(content []byte, hv *isa.HV) {
+	in.lastContent, in.lastHV = append(in.lastContent[:0], content...), hv
 }
 
-// phpSprintf implements a %s/%d/%f/%% subset of sprintf.
-func phpSprintf(in *Interp, f *frame, format string, args []interface{}) string {
-	var sb strings.Builder
+// pregMatches runs a scan, sifted when a hint vector is available.
+func (in *Interp) pregMatches(fn string, re *regexHandle, subject []byte) []regex.MatchRange {
+	cpu := in.rt.CPU()
+	if cpu.RA == nil {
+		return cpu.RegexFindAll(fn, re, subject)
+	}
+	return cpu.RegexShadow(fn, re, subject, in.hintFor(fn, re, subject))
+}
+
+// phpSprintf implements a %s/%d/%f/%% subset of sprintf, into the
+// request arena.
+func phpSprintf(in *Interp, format string, args []Value) string {
+	out := in.rt.Arena().Buf(len(format) + 16*len(args))
 	ai := 0
 	for i := 0; i < len(format); i++ {
 		c := format[i]
 		if c != '%' || i+1 >= len(format) {
-			sb.WriteByte(c)
+			out = append(out, c)
 			continue
 		}
 		i++
 		switch format[i] {
 		case '%':
-			sb.WriteByte('%')
+			out = append(out, '%')
 		case 's':
 			if ai < len(args) {
-				sb.WriteString(in.toString(args[ai], f))
+				out = append(out, in.str(args[ai])...)
 				ai++
 			}
 		case 'd':
 			if ai < len(args) {
-				sb.WriteString(strconv.FormatInt(toInt(args[ai]), 10))
+				out = strconv.AppendInt(out, args[ai].toInt(), 10)
 				ai++
 			}
 		case 'f':
 			if ai < len(args) {
-				sb.WriteString(strconv.FormatFloat(toFloat(args[ai]), 'f', 6, 64))
+				out = strconv.AppendFloat(out, args[ai].toFloat(), 'f', 6, 64)
 				ai++
 			}
 		default:
-			sb.WriteByte('%')
-			sb.WriteByte(format[i])
+			out = append(out, '%', format[i])
 		}
 	}
-	return sb.String()
+	return viewOf(out)
 }

@@ -1,5 +1,7 @@
 package php
 
+import "strings"
+
 // The bytecode tier compiles the parsed AST into a compact opcode
 // stream executed by a stack machine (bcexec.go). The motivation is the
 // paper's §3 "future core" baseline: a profile-guided runtime that
@@ -96,9 +98,12 @@ type instr struct {
 }
 
 // callSite is the metadata an opCallBuiltin needs: the original call
-// node (builtins format arity errors from it) and the resolved name.
+// node (builtins format arity errors from it) and the builtin it names,
+// resolved at compile time (nil when there is none: the call fails when
+// it executes, as in the tree-walker).
 type callSite struct {
 	node *callExpr
+	fn   builtinFn
 }
 
 // compiledFn is one function (or the script main) lowered to bytecode.
@@ -112,7 +117,7 @@ type compiledFn struct {
 	nSlots int
 	slotOf map[string]int32 // variable name → slot
 	code   []instr
-	consts []interface{}
+	consts []Value
 	errs   []string    // preformatted runtime error messages for opErr
 	calls  []*callSite // opCallBuiltin metadata
 	nLoops int         // while/for iteration-limit counters
@@ -147,7 +152,9 @@ type icSite struct {
 }
 
 // lookup reports whether key is cached, recording it when a way is
-// free. A site that overflows its ways goes megamorphic permanently.
+// free. A site that overflows its ways goes megamorphic permanently. A
+// recorded key is a copy: the site outlives the request, key may be a
+// view into its arena.
 func (s *icSite) lookup(key string) bool {
 	for i := uint8(0); i < s.n; i++ {
 		if s.keys[i] == key {
@@ -158,7 +165,7 @@ func (s *icSite) lookup(key string) bool {
 		return false
 	}
 	if s.n < icWays {
-		s.keys[s.n] = key
+		s.keys[s.n] = strings.Clone(key)
 		s.n++
 		return false
 	}
@@ -172,22 +179,4 @@ func (s *icSite) lookup(key string) bool {
 type tfSite struct {
 	pair uint16
 	seen bool
-}
-
-// typeTag classifies a PHP value for type feedback.
-func typeTag(v interface{}) uint16 {
-	switch v.(type) {
-	case nil:
-		return 0
-	case bool:
-		return 1
-	case int64:
-		return 2
-	case float64:
-		return 3
-	case string:
-		return 4
-	default:
-		return 5
-	}
 }

@@ -69,7 +69,7 @@ func compileBody(c *Compiled, prog *Program, name string, decl *funcDecl, params
 		return nil, err
 	}
 	// Implicit return null at the end of every body.
-	fc.emit(opConst, fc.konst(nil), 0, 0)
+	fc.emit(opConst, fc.konst(null), 0, 0)
 	fc.emit(opReturn, 0, 0, 0)
 	return fn, nil
 }
@@ -94,7 +94,7 @@ func (fc *fnc) patch(pc int, target int) { fc.fn.code[pc].a = int32(target) }
 
 func (fc *fnc) here() int { return len(fc.fn.code) }
 
-func (fc *fnc) konst(v interface{}) int32 {
+func (fc *fnc) konst(v Value) int32 {
 	fc.fn.consts = append(fc.fn.consts, v)
 	return int32(len(fc.fn.consts) - 1)
 }
@@ -131,7 +131,7 @@ func (fc *fnc) stmts(list []stmt) error {
 func (fc *fnc) stmt(s stmt) error {
 	switch n := s.(type) {
 	case *inlineHTMLStmt:
-		fc.emit(opInlineHTML, fc.konst(n.html), 0, 0)
+		fc.emit(opInlineHTML, fc.konst(strV(n.html)), 0, 0)
 	case *echoStmt:
 		for _, a := range n.args {
 			if err := fc.expr(a); err != nil {
@@ -235,7 +235,7 @@ func (fc *fnc) stmt(s stmt) error {
 				return err
 			}
 		} else {
-			fc.emit(opConst, fc.konst(nil), 0, 0)
+			fc.emit(opConst, fc.konst(null), 0, 0)
 		}
 		fc.emit(opReturn, 0, 0, n.line)
 	case *breakStmt:
@@ -244,7 +244,7 @@ func (fc *fnc) stmt(s stmt) error {
 			// tree-walker's callUser ignores a propagated break); at main
 			// scope it is the tree-walker's outside-a-loop error.
 			if fc.fn.decl != nil {
-				fc.emit(opConst, fc.konst(nil), 0, 0)
+				fc.emit(opConst, fc.konst(null), 0, 0)
 				fc.emit(opReturn, 0, 0, n.line)
 			} else {
 				fc.emit(opErr, fc.errIdx("php: break/continue outside a loop"), 0, n.line)
@@ -259,7 +259,7 @@ func (fc *fnc) stmt(s stmt) error {
 	case *continueStmt:
 		if len(fc.loops) == 0 {
 			if fc.fn.decl != nil {
-				fc.emit(opConst, fc.konst(nil), 0, 0)
+				fc.emit(opConst, fc.konst(null), 0, 0)
 				fc.emit(opReturn, 0, 0, n.line)
 			} else {
 				fc.emit(opErr, fc.errIdx("php: break/continue outside a loop"), 0, n.line)
@@ -577,7 +577,7 @@ func (fc *fnc) call(n *callExpr) error {
 			return err
 		}
 	}
-	fc.fn.calls = append(fc.fn.calls, &callSite{node: n})
+	fc.fn.calls = append(fc.fn.calls, &callSite{node: n, fn: builtins[n.name]})
 	fc.emit(opCallBuiltin, int32(len(fc.fn.calls)-1), int32(len(n.args)), n.line)
 	return nil
 }

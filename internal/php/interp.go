@@ -2,7 +2,6 @@ package php
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/hashmap"
 	"repro/internal/isa"
@@ -10,29 +9,36 @@ import (
 	"repro/internal/vm"
 )
 
-// Values are represented as: nil, bool, int64, float64, string, and
-// *vm.Array. Arrays are handles (reference semantics) rather than PHP's
-// copy-on-write value semantics — a documented simplification; scripts in
-// this repository treat arrays as objects.
-
 // Interp executes a parsed Program against a vm.Runtime, so every array
 // access, allocation, string function, and regexp the script performs is
 // metered (and accelerated when the runtime has hardware).
 type Interp struct {
 	rt   *vm.Runtime
 	prog *Program
-	ob   *vm.OutputBuffer
+	// ob is the response buffer, reset by every Run: the body Run returns
+	// is valid until the next Run (workload.App's ownership contract).
+	ob *vm.OutputBuffer
 
 	globals frame
 	depth   int
-	preset  map[string]interface{}
+	preset  map[string]Value
+	// frames recycles the tree-walker's variable maps, one per call depth;
+	// args is its call-argument stack; boxes is the free part of the block
+	// box carves array values from.
+	frames []map[string]Value
+	args   []Value
+	boxes  []Value
 
 	// Content-locality tracking for consecutive regexps over the same
 	// text: the dynamic equivalent of the paper's function-level dataflow
 	// analysis (§4.5). When a preg_* call sees the content produced by
 	// the previous one, it runs as a shadow under the cached hint vector.
-	lastContent string
+	// The content is a copy: the hint outlives the request.
+	lastContent []byte
 	lastHV      *isa.HV
+	// patterns holds each regexp pattern once, copied: the runtime's
+	// regexp manager keeps it as a key across requests.
+	patterns map[string]string
 
 	// arrays allocated by the script, freed when Run returns (request
 	// teardown, the short-lived map pattern).
@@ -50,14 +56,14 @@ type Interp struct {
 // access models JIT frame slots (cheap); only symbol-table operations
 // like extract() touch hash maps.
 type frame struct {
-	vars map[string]interface{}
+	vars map[string]Value
 	fn   string
 }
 
 // control is the non-local exit signal used for return/break/continue.
 type control struct {
 	kind controlKind
-	val  interface{}
+	val  Value
 }
 
 type controlKind uint8
@@ -74,19 +80,24 @@ const maxCallDepth = 128
 
 // New prepares an interpreter for one program on one runtime.
 func New(rt *vm.Runtime, prog *Program) *Interp {
-	return &Interp{rt: rt, prog: prog}
+	return &Interp{
+		rt: rt, prog: prog,
+		ob:      rt.NewOutputBuffer("php_main"),
+		globals: frame{vars: map[string]Value{}, fn: "php_main"},
+	}
 }
 
 // SetGlobal presets a global variable for subsequent Run calls — the
 // host's way of injecting request parameters (PHP's superglobals).
-func (in *Interp) SetGlobal(name string, v interface{}) {
+func (in *Interp) SetGlobal(name string, v Value) {
 	if in.preset == nil {
-		in.preset = map[string]interface{}{}
+		in.preset = map[string]Value{}
 	}
 	in.preset[name] = v
 }
 
-// Run executes the script as one request and returns the response body.
+// Run executes the script as one request and returns the response body,
+// valid until the next Run.
 func (in *Interp) Run() ([]byte, error) {
 	if t := in.tier; t != nil {
 		t.beginRequest()
@@ -96,20 +107,12 @@ func (in *Interp) Run() ([]byte, error) {
 			return in.bcRunMain()
 		}
 	}
-	in.rt.BeginRequest()
-	in.ob = in.rt.NewOutputBuffer("php_main")
-	in.globals = frame{vars: map[string]interface{}{}, fn: "php_main"}
+	in.beginRequest()
+	defer in.endRequest()
+	clear(in.globals.vars)
 	for k, v := range in.preset {
 		in.globals.vars[k] = v
 	}
-	in.owned = in.owned[:0]
-	defer func() {
-		// Request teardown: script-allocated arrays are short-lived maps.
-		for _, a := range in.owned {
-			in.rt.FreeArray(in.globals.fn, a)
-		}
-		in.owned = in.owned[:0]
-	}()
 	in.rt.BeginSpan("php:exec")
 	ctl, err := in.execBlock(in.prog.stmts, &in.globals)
 	in.rt.EndSpan()
@@ -120,6 +123,23 @@ func (in *Interp) Run() ([]byte, error) {
 		return nil, fmt.Errorf("php: break/continue outside a loop")
 	}
 	return in.ob.Bytes(), nil
+}
+
+// beginRequest resets the runtime's request arena and the response
+// buffer; both executors start a request here.
+func (in *Interp) beginRequest() {
+	in.rt.BeginRequest()
+	in.ob.Reset("php_main")
+	in.owned = in.owned[:0]
+}
+
+// endRequest is request teardown: script-allocated arrays are
+// short-lived maps.
+func (in *Interp) endRequest() {
+	for _, a := range in.owned {
+		in.rt.FreeArray("php_main", a)
+	}
+	in.owned = in.owned[:0]
 }
 
 // charge accounts interpreter/JIT dispatch work for one AST node.
@@ -152,7 +172,7 @@ func (in *Interp) execStmt(s stmt, f *frame) (control, error) {
 			if err != nil {
 				return control{}, err
 			}
-			in.ob.Write([]byte(in.toString(v, f)))
+			in.ob.WriteString(in.str(v))
 		}
 		return control{}, nil
 	case *exprStmt:
@@ -165,7 +185,7 @@ func (in *Interp) execStmt(s stmt, f *frame) (control, error) {
 		if err != nil {
 			return control{}, err
 		}
-		if in.truthy(f, cond) {
+		if in.truthy(f.fn, cond) {
 			return in.execBlock(n.then, f)
 		}
 		return in.execBlock(n.els, f)
@@ -179,7 +199,7 @@ func (in *Interp) execStmt(s stmt, f *frame) (control, error) {
 			if err != nil {
 				return control{}, err
 			}
-			if !in.truthy(f, cond) {
+			if !in.truthy(f.fn, cond) {
 				return control{}, nil
 			}
 			ctl, err := in.execBlock(n.body, f)
@@ -209,7 +229,7 @@ func (in *Interp) execStmt(s stmt, f *frame) (control, error) {
 				if err != nil {
 					return control{}, err
 				}
-				if !in.truthy(f, cond) {
+				if !in.truthy(f.fn, cond) {
 					return control{}, nil
 				}
 			}
@@ -234,18 +254,17 @@ func (in *Interp) execStmt(s stmt, f *frame) (control, error) {
 		if err != nil {
 			return control{}, err
 		}
-		arr, ok := subject.(*vm.Array)
-		if !ok {
+		if subject.k != kArray {
 			return control{}, fmt.Errorf("php: line %d: foreach over non-array", n.line)
 		}
 		// Iterate a snapshot in insertion order (PHP iterates a copy).
 		type pair struct {
 			k hashmap.Key
-			v interface{}
+			v Value
 		}
 		var pairs []pair
-		in.rt.AForeach(f.fn, arr, func(k hashmap.Key, v interface{}) bool {
-			pairs = append(pairs, pair{k, v})
+		in.rt.AForeach(f.fn, subject.a, func(k hashmap.Key, v interface{}) bool {
+			pairs = append(pairs, pair{k, unbox(v)})
 			return true
 		})
 		for _, kv := range pairs {
@@ -287,14 +306,7 @@ func (in *Interp) execStmt(s stmt, f *frame) (control, error) {
 	}
 }
 
-func keyValue(k hashmap.Key) interface{} {
-	if k.IsInt {
-		return k.Int
-	}
-	return k.Str
-}
-
-func (in *Interp) eval(e expr, f *frame) (interface{}, error) {
+func (in *Interp) eval(e expr, f *frame) (Value, error) {
 	switch n := e.(type) {
 	case *litExpr:
 		return n.val, nil
@@ -311,18 +323,12 @@ func (in *Interp) eval(e expr, f *frame) (interface{}, error) {
 		in.charge(f, 1)
 		v, err := in.eval(n.e, f)
 		if err != nil {
-			return nil, err
+			return null, err
 		}
 		if n.op == "!" {
-			return !in.truthy(f, v), nil
+			return boolV(!in.truthy(f.fn, v)), nil
 		}
-		switch x := v.(type) {
-		case int64:
-			return -x, nil
-		case float64:
-			return -x, nil
-		}
-		return -toFloat(v), nil
+		return negate(v), nil
 	case *callExpr:
 		return in.evalCall(n, f)
 	case *arrayLit:
@@ -331,9 +337,9 @@ func (in *Interp) eval(e expr, f *frame) (interface{}, error) {
 		in.charge(f, 2)
 		c, err := in.eval(n.cond, f)
 		if err != nil {
-			return nil, err
+			return null, err
 		}
-		if in.truthy(f, c) {
+		if in.truthy(f.fn, c) {
 			return in.eval(n.then, f)
 		}
 		return in.eval(n.els, f)
@@ -341,46 +347,61 @@ func (in *Interp) eval(e expr, f *frame) (interface{}, error) {
 		in.charge(f, 2)
 		cur, err := in.eval(n.target, f)
 		if err != nil {
-			return nil, err
+			return null, err
 		}
 		delta := int64(1)
 		if n.op == "--" {
 			delta = -1
 		}
-		var next interface{}
-		switch x := cur.(type) {
-		case int64:
-			next = x + delta
-		case float64:
-			next = x + float64(delta)
-		case nil:
-			next = delta
-		default:
-			next = toInt(cur) + delta
-		}
+		next := incDec(cur, delta)
 		if err := in.store(n.target, next, f); err != nil {
-			return nil, err
+			return null, err
 		}
 		return next, nil
 	default:
-		return nil, fmt.Errorf("php: unknown expression %T", e)
+		return null, fmt.Errorf("php: unknown expression %T", e)
 	}
 }
 
-func (in *Interp) evalAssign(n *assignExpr, f *frame) (interface{}, error) {
+// negate is unary minus: ints and floats keep their type, anything else
+// goes through float.
+func negate(v Value) Value {
+	switch v.k {
+	case kInt:
+		return Int(-v.n)
+	case kFloat:
+		return floatV(-v.float())
+	}
+	return floatV(-v.toFloat())
+}
+
+// incDec is ++/-- by delta: null counts from 0, non-numbers go through int.
+func incDec(v Value, delta int64) Value {
+	switch v.k {
+	case kInt:
+		return Int(v.n + delta)
+	case kFloat:
+		return floatV(v.float() + float64(delta))
+	case kNull:
+		return Int(delta)
+	}
+	return Int(v.toInt() + delta)
+}
+
+func (in *Interp) evalAssign(n *assignExpr, f *frame) (Value, error) {
 	in.charge(f, 2)
 	val, err := in.eval(n.value, f)
 	if err != nil {
-		return nil, err
+		return null, err
 	}
 	if n.op != "=" {
 		cur, err := in.eval(n.target, f)
 		if err != nil {
-			return nil, err
+			return null, err
 		}
 		switch n.op {
 		case ".=":
-			val = in.concat(cur, val, f)
+			val = in.concat(f.fn, cur, val)
 		case "+=":
 			val = arith("+", cur, val)
 		case "-=":
@@ -392,13 +413,13 @@ func (in *Interp) evalAssign(n *assignExpr, f *frame) (interface{}, error) {
 		}
 	}
 	if err := in.store(n.target, val, f); err != nil {
-		return nil, err
+		return null, err
 	}
 	return val, nil
 }
 
 // store writes to a variable or array element target.
-func (in *Interp) store(target expr, val interface{}, f *frame) error {
+func (in *Interp) store(target expr, val Value, f *frame) error {
 	switch t := target.(type) {
 	case *varExpr:
 		f.vars[t.name] = val
@@ -408,65 +429,69 @@ func (in *Interp) store(target expr, val interface{}, f *frame) error {
 		if err != nil {
 			return err
 		}
-		arr, ok := subject.(*vm.Array)
-		if !ok {
+		arr := subject.a
+		if subject.k != kArray {
 			// Auto-vivification: assigning into null creates an array.
-			if subject == nil {
-				arr = in.newArray(f)
-				if err := in.store(t.subject, arr, f); err != nil {
-					return err
-				}
-			} else {
+			if subject.k != kNull {
 				return fmt.Errorf("php: line %d: cannot index non-array", t.line)
+			}
+			arr = in.newArray(f.fn)
+			if err := in.store(t.subject, arrV(arr), f); err != nil {
+				return err
 			}
 		}
 		if t.key == nil { // $a[] = v: PHP's next auto-index
-			in.rt.ASet(f.fn, arr, hashmap.IntKey(arr.Map().NextIntKey()), val, false)
+			in.rt.ASet(f.fn, arr, hashmap.IntKey(arr.Map().NextIntKey()), in.box(val), false)
 			return nil
 		}
 		k, dynamic, err := in.evalKey(t.key, f)
 		if err != nil {
 			return err
 		}
-		in.rt.ASet(f.fn, arr, k, val, dynamic)
+		in.rt.ASet(f.fn, arr, k, in.box(val), dynamic)
 		return nil
 	default:
 		return fmt.Errorf("php: invalid assignment target %T", target)
 	}
 }
 
-func (in *Interp) evalIndex(n *indexExpr, f *frame) (interface{}, error) {
+func (in *Interp) evalIndex(n *indexExpr, f *frame) (Value, error) {
 	in.charge(f, 1)
 	subject, err := in.eval(n.subject, f)
 	if err != nil {
-		return nil, err
+		return null, err
 	}
 	if n.key == nil {
-		return nil, fmt.Errorf("php: line %d: cannot read the append form $a[]", n.line)
+		return null, fmt.Errorf("php: line %d: cannot read the append form $a[]", n.line)
 	}
-	switch s := subject.(type) {
-	case *vm.Array:
+	switch subject.k {
+	case kArray:
 		k, dynamic, err := in.evalKey(n.key, f)
 		if err != nil {
-			return nil, err
+			return null, err
 		}
-		v, _ := in.rt.AGet(f.fn, s, k, dynamic)
-		return v, nil
-	case string:
+		v, _ := in.rt.AGet(f.fn, subject.a, k, dynamic)
+		return unbox(v), nil
+	case kString:
 		kv, err := in.eval(n.key, f)
 		if err != nil {
-			return nil, err
+			return null, err
 		}
-		i := toInt(kv)
-		if i < 0 || i >= int64(len(s)) {
-			return "", nil
-		}
-		return string(s[i]), nil
-	case nil:
-		return nil, nil
+		return strIndex(subject.s, kv), nil
+	case kNull:
+		return null, nil
 	default:
-		return nil, fmt.Errorf("php: line %d: cannot index %T", n.line, subject)
+		return null, fmt.Errorf("php: line %d: cannot index %s", n.line, goType[subject.k])
 	}
+}
+
+// strIndex is $s[$i]: the byte at i, or "" out of range.
+func strIndex(s string, i Value) Value {
+	n := i.toInt()
+	if n < 0 || n >= int64(len(s)) {
+		return strV("")
+	}
+	return strV(s[n : n+1])
 }
 
 // evalKey computes an array key and whether it counts as a dynamic key
@@ -477,128 +502,119 @@ func (in *Interp) evalKey(e expr, f *frame) (hashmap.Key, bool, error) {
 	if err != nil {
 		return hashmap.Key{}, false, err
 	}
-	switch k := v.(type) {
-	case int64:
-		return hashmap.IntKey(k), !isLit, nil
-	case bool:
-		if k {
-			return hashmap.IntKey(1), !isLit, nil
-		}
-		return hashmap.IntKey(0), !isLit, nil
-	case float64:
-		return hashmap.IntKey(int64(k)), !isLit, nil
-	case string:
-		return hashmap.StrKey(k), !isLit, nil
-	case nil:
-		return hashmap.StrKey(""), !isLit, nil
-	default:
-		return hashmap.Key{}, false, fmt.Errorf("php: illegal array key type %T", v)
-	}
+	k, err := v.key()
+	return k, !isLit, err
 }
 
-func (in *Interp) evalBinary(n *binaryExpr, f *frame) (interface{}, error) {
+func (in *Interp) evalBinary(n *binaryExpr, f *frame) (Value, error) {
 	// Short-circuit logical operators.
 	if n.op == "&&" || n.op == "||" {
 		in.charge(f, 1)
 		l, err := in.eval(n.l, f)
 		if err != nil {
-			return nil, err
+			return null, err
 		}
-		if n.op == "&&" && !in.truthy(f, l) {
-			return false, nil
+		if n.op == "&&" && !in.truthy(f.fn, l) {
+			return boolV(false), nil
 		}
-		if n.op == "||" && in.truthy(f, l) {
-			return true, nil
+		if n.op == "||" && in.truthy(f.fn, l) {
+			return boolV(true), nil
 		}
 		r, err := in.eval(n.r, f)
 		if err != nil {
-			return nil, err
+			return null, err
 		}
-		return in.truthy(f, r), nil
+		return boolV(in.truthy(f.fn, r)), nil
 	}
 	in.charge(f, 1)
 	l, err := in.eval(n.l, f)
 	if err != nil {
-		return nil, err
+		return null, err
 	}
 	r, err := in.eval(n.r, f)
 	if err != nil {
-		return nil, err
+		return null, err
 	}
 	switch n.op {
 	case ".":
-		return in.concat(l, r, f), nil
+		return in.concat(f.fn, l, r), nil
 	case "+", "-", "*", "/", "%":
 		return arith(n.op, l, r), nil
 	case "==":
-		return looseEq(l, r), nil
+		return boolV(looseEq(l, r)), nil
 	case "!=":
-		return !looseEq(l, r), nil
+		return boolV(!looseEq(l, r)), nil
 	case "===":
-		return strictEq(l, r), nil
+		return boolV(strictEq(l, r)), nil
 	case "!==":
-		return !strictEq(l, r), nil
+		return boolV(!strictEq(l, r)), nil
 	case "<", ">", "<=", ">=", "<=>":
 		c := compare(l, r)
 		switch n.op {
 		case "<":
-			return c < 0, nil
+			return boolV(c < 0), nil
 		case ">":
-			return c > 0, nil
+			return boolV(c > 0), nil
 		case "<=":
-			return c <= 0, nil
+			return boolV(c <= 0), nil
 		case ">=":
-			return c >= 0, nil
+			return boolV(c >= 0), nil
 		default:
-			return int64(c), nil
+			return Int(int64(c)), nil
 		}
 	}
-	return nil, fmt.Errorf("php: line %d: unknown operator %q", n.line, n.op)
+	return null, fmt.Errorf("php: line %d: unknown operator %q", n.line, n.op)
 }
 
 // concat runs string concatenation through the runtime so it is charged
-// (and traced) as string work.
-func (in *Interp) concat(l, r interface{}, f *frame) string {
-	return string(in.rt.Concat(f.fn, []byte(in.toString(l, f)), []byte(in.toString(r, f))))
+// (and traced) as string work. Operands go in as views and the result
+// comes back as one: the bytes are copied once, into the request arena.
+func (in *Interp) concat(fn string, l, r Value) Value {
+	return strV(viewOf(in.rt.Concat(fn, bytesOf(in.str(l)), bytesOf(in.str(r)))))
 }
 
-func (in *Interp) evalArrayLit(n *arrayLit, f *frame) (interface{}, error) {
-	arr := in.newArray(f)
+func (in *Interp) evalArrayLit(n *arrayLit, f *frame) (Value, error) {
+	arr := in.newArray(f.fn)
 	auto := int64(0)
 	for i := range n.vals {
 		v, err := in.eval(n.vals[i], f)
 		if err != nil {
-			return nil, err
+			return null, err
 		}
 		if n.keys[i] == nil {
-			in.rt.ASet(f.fn, arr, hashmap.IntKey(auto), v, false)
+			in.rt.ASet(f.fn, arr, hashmap.IntKey(auto), in.box(v), false)
 			auto++
 			continue
 		}
 		k, dynamic, err := in.evalKey(n.keys[i], f)
 		if err != nil {
-			return nil, err
+			return null, err
 		}
 		if k.IsInt && k.Int >= auto {
 			auto = k.Int + 1
 		}
-		in.rt.ASet(f.fn, arr, k, v, dynamic)
+		in.rt.ASet(f.fn, arr, k, in.box(v), dynamic)
 	}
-	return arr, nil
+	return arrV(arr), nil
 }
 
 // newArray allocates a script array, owned by the request.
-func (in *Interp) newArray(f *frame) *vm.Array {
-	a := in.rt.NewArray(f.fn)
+func (in *Interp) newArray(fn string) *vm.Array {
+	a := in.rt.NewArray(fn)
 	in.owned = append(in.owned, a)
 	return a
 }
 
 // callUser invokes a user-declared function.
-func (in *Interp) callUser(fd *funcDecl, args []interface{}) (interface{}, error) {
+func (in *Interp) callUser(fd *funcDecl, args []Value) (Value, error) {
 	if in.depth >= maxCallDepth {
-		return nil, fmt.Errorf("php: call depth limit exceeded in %s", fd.name)
+		return null, fmt.Errorf("php: call depth limit exceeded in %s", fd.name)
 	}
+	if len(in.frames) <= in.depth {
+		in.frames = append(in.frames, map[string]Value{})
+	}
+	local := frame{vars: in.frames[in.depth], fn: fd.name}
+	clear(local.vars)
 	in.depth++
 	defer func() { in.depth-- }()
 	if in.rt.Tracing() { // skip the name concat on the unsampled path
@@ -606,7 +622,6 @@ func (in *Interp) callUser(fd *funcDecl, args []interface{}) (interface{}, error
 		defer in.rt.EndSpan()
 	}
 
-	local := frame{vars: map[string]interface{}{}, fn: fd.name}
 	for i, p := range fd.params {
 		if i < len(args) {
 			local.vars[p] = args[i]
@@ -616,216 +631,20 @@ func (in *Interp) callUser(fd *funcDecl, args []interface{}) (interface{}, error
 	in.charge(&local, 8)
 	ctl, err := in.execBlock(fd.body, &local)
 	if err != nil {
-		return nil, err
+		return null, err
 	}
 	if ctl.kind == ctrlReturn {
 		return ctl.val, nil
 	}
-	return nil, nil
+	return null, nil
 }
-
-// --- conversions and operators ---
 
 // truthy applies PHP boolean conversion. Arrays go through the runtime
 // size read so inserts still buffered in the hardware hash table count
 // toward non-emptiness.
-func (in *Interp) truthy(f *frame, v interface{}) bool {
-	if a, ok := v.(*vm.Array); ok {
-		return in.rt.ASize(f.fn, a) > 0
+func (in *Interp) truthy(fn string, v Value) bool {
+	if v.k == kArray {
+		return in.rt.ASize(fn, v.a) > 0
 	}
-	return truthyScalar(v)
-}
-
-func truthyScalar(v interface{}) bool {
-	switch x := v.(type) {
-	case nil:
-		return false
-	case bool:
-		return x
-	case int64:
-		return x != 0
-	case float64:
-		return x != 0
-	case string:
-		return x != "" && x != "0"
-	default:
-		return true
-	}
-}
-
-func (in *Interp) toString(v interface{}, f *frame) string {
-	switch x := v.(type) {
-	case nil:
-		return ""
-	case bool:
-		if x {
-			return "1"
-		}
-		return ""
-	case int64:
-		return strconv.FormatInt(x, 10)
-	case float64:
-		return strconv.FormatFloat(x, 'G', 14, 64)
-	case string:
-		return x
-	case *vm.Array:
-		return "Array"
-	default:
-		return fmt.Sprint(x)
-	}
-}
-
-func toInt(v interface{}) int64 {
-	switch x := v.(type) {
-	case nil:
-		return 0
-	case bool:
-		if x {
-			return 1
-		}
-		return 0
-	case int64:
-		return x
-	case float64:
-		return int64(x)
-	case string:
-		n, _ := strconv.ParseInt(leadingInt(x), 10, 64)
-		return n
-	default:
-		return 0
-	}
-}
-
-func leadingInt(s string) string {
-	i := 0
-	if i < len(s) && (s[i] == '-' || s[i] == '+') {
-		i++
-	}
-	for i < len(s) && s[i] >= '0' && s[i] <= '9' {
-		i++
-	}
-	return s[:i]
-}
-
-func toFloat(v interface{}) float64 {
-	switch x := v.(type) {
-	case int64:
-		return float64(x)
-	case float64:
-		return x
-	case string:
-		f, _ := strconv.ParseFloat(x, 64)
-		return f
-	default:
-		return float64(toInt(v))
-	}
-}
-
-func isNumeric(v interface{}) bool {
-	switch v.(type) {
-	case int64, float64:
-		return true
-	}
-	return false
-}
-
-func arith(op string, l, r interface{}) interface{} {
-	li, lInt := l.(int64)
-	ri, rInt := r.(int64)
-	if lInt && rInt {
-		switch op {
-		case "+":
-			return li + ri
-		case "-":
-			return li - ri
-		case "*":
-			return li * ri
-		case "%":
-			if ri == 0 {
-				return int64(0)
-			}
-			return li % ri
-		case "/":
-			if ri != 0 && li%ri == 0 {
-				return li / ri
-			}
-		}
-	}
-	lf, rf := toFloat(l), toFloat(r)
-	switch op {
-	case "+":
-		return lf + rf
-	case "-":
-		return lf - rf
-	case "*":
-		return lf * rf
-	case "/":
-		if rf == 0 {
-			return 0.0
-		}
-		return lf / rf
-	case "%":
-		ri := toInt(r)
-		if ri == 0 {
-			return int64(0)
-		}
-		return toInt(l) % ri
-	}
-	return nil
-}
-
-func looseEq(l, r interface{}) bool {
-	ls, lIsStr := l.(string)
-	rs, rIsStr := r.(string)
-	if isNumeric(l) || isNumeric(r) {
-		// PHP8-style: numeric vs numeric-string compares numerically;
-		// otherwise string comparison.
-		if (lIsStr && !numericString(ls)) || (rIsStr && !numericString(rs)) {
-			return fmt.Sprint(l) == fmt.Sprint(r)
-		}
-		return toFloat(l) == toFloat(r)
-	}
-	// Two numeric strings compare numerically (PHP 8), keeping == and
-	// the relational operators (compare) consistent: "10" == "1e1".
-	if lIsStr && rIsStr && numericString(ls) && numericString(rs) {
-		return toFloat(l) == toFloat(r)
-	}
-	return strictEq(l, r)
-}
-
-func numericString(s string) bool {
-	_, err := strconv.ParseFloat(s, 64)
-	return err == nil
-}
-
-func strictEq(l, r interface{}) bool {
-	switch lv := l.(type) {
-	case *vm.Array:
-		rv, ok := r.(*vm.Array)
-		return ok && lv == rv
-	default:
-		return l == r
-	}
-}
-
-func compare(l, r interface{}) int {
-	ls, lIsStr := l.(string)
-	rs, rIsStr := r.(string)
-	if lIsStr && rIsStr && !(numericString(ls) && numericString(rs)) {
-		switch {
-		case ls < rs:
-			return -1
-		case ls > rs:
-			return 1
-		}
-		return 0
-	}
-	lf, rf := toFloat(l), toFloat(r)
-	switch {
-	case lf < rf:
-		return -1
-	case lf > rf:
-		return 1
-	}
-	return 0
+	return v.truthyScalar()
 }

@@ -468,17 +468,17 @@ func (p *parser) primary() (expr, error) {
 		if err != nil {
 			return nil, fmt.Errorf("php: line %d: bad integer %q", t.line, t.text)
 		}
-		return &litExpr{val: v}, nil
+		return &litExpr{val: Int(v)}, nil
 	case tFloat:
 		p.next()
 		v, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
 			return nil, fmt.Errorf("php: line %d: bad float %q", t.line, t.text)
 		}
-		return &litExpr{val: v}, nil
+		return &litExpr{val: floatV(v)}, nil
 	case tString:
 		p.next()
-		return &litExpr{val: t.text}, nil
+		return &litExpr{val: strV(t.text)}, nil
 	case tVar:
 		p.next()
 		return &varExpr{name: t.text, line: t.line}, nil
@@ -486,13 +486,13 @@ func (p *parser) primary() (expr, error) {
 		switch t.text {
 		case "true":
 			p.next()
-			return &litExpr{val: true}, nil
+			return &litExpr{val: boolV(true)}, nil
 		case "false":
 			p.next()
-			return &litExpr{val: false}, nil
+			return &litExpr{val: boolV(false)}, nil
 		case "null":
 			p.next()
-			return &litExpr{val: nil}, nil
+			return &litExpr{}, nil
 		case "array":
 			p.next()
 			if _, err := p.expect(tOp, "("); err != nil {

@@ -12,21 +12,22 @@ func TestSetGlobalInjection(t *testing.T) {
 	}
 	rt := swRT()
 	in := New(rt, prog)
-	in.SetGlobal("req", int64(7))
-	in.SetGlobal("user", "alice")
+	in.SetGlobal("req", Int(7))
+	in.SetGlobal("user", strV("alice"))
 	out, err := in.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(out) != "request #7 by alice" {
-		t.Errorf("output = %q", out)
+	first := string(out) // the next Run reuses the body's buffer
+	if first != "request #7 by alice" {
+		t.Errorf("output = %q", first)
 	}
 	// Presets persist across runs.
 	out2, err := in.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(out2) != string(out) {
+	if string(out2) != first {
 		t.Errorf("second run differs: %q", out2)
 	}
 }

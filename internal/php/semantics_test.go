@@ -24,9 +24,9 @@ func TestLooseEqCompareConsistency(t *testing.T) {
 		{"int-numstr", int64(10), "1e1", true, 0},
 		{"float-numstr", 1.5, "1.5", true, 0},
 		{"int-numstr-lt", int64(9), "10", false, -1},
-		// Number vs non-numeric string: looseEq compares the printed
-		// forms; compare() coerces the string through toFloat (0), so
-		// 10 > "10abc" — unequal on both paths.
+		// Number vs non-numeric string: never loosely equal (PHP 8
+		// compares them as strings); compare() coerces the string through
+		// toFloat (0), so 10 > "10abc" — unequal on both paths.
 		{"int-str", int64(10), "10abc", false, 1},
 		{"int-str-eq", int64(10), "10", true, 0},
 		// Non-numeric string pairs: plain string semantics.
@@ -40,13 +40,14 @@ func TestLooseEqCompareConsistency(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := looseEq(tc.l, tc.r); got != tc.eq {
+			l, r := testValue(tc.l), testValue(tc.r)
+			if got := looseEq(l, r); got != tc.eq {
 				t.Errorf("looseEq(%#v, %#v) = %v, want %v", tc.l, tc.r, got, tc.eq)
 			}
-			if got := looseEq(tc.r, tc.l); got != tc.eq {
+			if got := looseEq(r, l); got != tc.eq {
 				t.Errorf("looseEq(%#v, %#v) = %v, want %v (symmetry)", tc.r, tc.l, got, tc.eq)
 			}
-			c := compare(tc.l, tc.r)
+			c := compare(l, r)
 			sign := 0
 			if c < 0 {
 				sign = -1
@@ -74,4 +75,19 @@ if ("10" <= "1e1") { echo "le"; } else { echo "gt"; }
 	if out != "eq le" {
 		t.Fatalf("numeric-string ==/<= mismatch: got %q, want %q", out, "eq le")
 	}
+}
+
+// testValue converts a Go literal of the table to its Value.
+func testValue(x interface{}) Value {
+	switch x := x.(type) {
+	case bool:
+		return boolV(x)
+	case int64:
+		return Int(x)
+	case float64:
+		return floatV(x)
+	case string:
+		return strV(x)
+	}
+	return null
 }

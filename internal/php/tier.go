@@ -207,7 +207,7 @@ func (in *Interp) useBytecode(name string) bool {
 // callFn dispatches a user-function call to whichever tier the function
 // currently runs on. Both tiers route here, so interp code calls
 // promoted functions on bytecode and vice versa.
-func (in *Interp) callFn(fd *funcDecl, args []interface{}) (interface{}, error) {
+func (in *Interp) callFn(fd *funcDecl, args []Value) (Value, error) {
 	bc := in.useBytecode(fd.name)
 	if t := in.tier; t != nil {
 		t.count(fd.name, bc)

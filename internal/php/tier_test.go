@@ -12,7 +12,7 @@ import (
 
 // runTier parses src and runs it on the given runtime at the given
 // tier, with optional preset globals.
-func runTier(t *testing.T, rt *vm.Runtime, src string, mode TierMode, globals map[string]interface{}) (string, error) {
+func runTier(t *testing.T, rt *vm.Runtime, src string, mode TierMode, globals map[string]Value) (string, error) {
 	t.Helper()
 	prog, err := Parse(src)
 	if err != nil {
@@ -65,6 +65,9 @@ var tierCases = []struct {
 	{"sprintf-misc", `<?php echo sprintf("%s has %d items (%f)", "cart", 3, 2.5), " ", intval("42x"), " ", strval(9), " ", abs(-7), " ", max(1, 9, 4), " ", min(2, 8); ?>`},
 	{"numeric-strings", `<?php echo "10" == "1e1" ? "eq" : "ne", " ", "10" <= "1e1" ? "le" : "gt", " ", "abc" == "abd" ? "eq" : "ne"; ?>`},
 	{"global-preset", `<?php echo "req=", $req, " next=", $req + 1; ?>`},
+	{"key-exists-float", `<?php $a = [1 => "x", "" => "e"]; echo array_key_exists(1.0, $a) ? "y" : "n", isset($a[1.0]) ? "y" : "n"; ?>`},
+	{"key-exists-bool", `<?php $a = [1 => "x", "" => "e"]; echo array_key_exists(true, $a) ? "y" : "n", isset($a[true]) ? "y" : "n"; ?>`},
+	{"key-exists-null", `<?php $a = [1 => "x", "" => "e"]; echo array_key_exists(null, $a) ? "y" : "n", isset($a[null]) ? "y" : "n"; ?>`},
 	{"mixed-key-types", `<?php $a = []; $a[true] = "t"; $a[2.9] = "f"; $a[null] = "n"; $a["s"] = "s"; foreach ($a as $k => $v) { echo $k === "" ? "(empty)" : $k, ":", $v, " "; } ?>`},
 }
 
@@ -77,7 +80,7 @@ func TestTierOutputEquivalence(t *testing.T) {
 	norm := func(s string) string { return strings.ReplaceAll(s, " ", "") }
 	for _, tc := range tierCases {
 		t.Run(tc.name, func(t *testing.T) {
-			globals := map[string]interface{}{"req": int64(3)}
+			globals := map[string]Value{"req": Int(3)}
 			ref, refErr := runTier(t, swRT(), tc.src, TierInterp, globals)
 			if refErr != nil {
 				t.Fatalf("interp/sw: %v", refErr)
@@ -104,6 +107,22 @@ func TestTierOutputEquivalence(t *testing.T) {
 				t.Errorf("bytecode/hw diverges from interp/hw:\n ref: %q\n got: %q", hwRef, bcHW)
 			}
 		})
+	}
+}
+
+// TestArrayKeyExistsCoercesLikeIndexing: array_key_exists converts its
+// key the way indexing does — 1.0 and true are 1, null is "" — so it
+// agrees with isset on every key-exists-* case (PHP 8 prints yy for all).
+func TestArrayKeyExistsCoercesLikeIndexing(t *testing.T) {
+	for _, tc := range tierCases {
+		if !strings.HasPrefix(tc.name, "key-exists-") {
+			continue
+		}
+		for _, mode := range []TierMode{TierInterp, TierBytecode} {
+			if got, err := runTier(t, swRT(), tc.src, mode, nil); err != nil || got != "yy" {
+				t.Errorf("%s %s: %q %v, want yy", tc.name, mode, got, err)
+			}
+		}
 	}
 }
 
@@ -294,7 +313,7 @@ echo render(["a" => $req, "b" => "x", "c" => "y"]);
 			t.Fatal(err)
 		}
 		for i := 0; i < 50; i++ {
-			in.SetGlobal("req", int64(i))
+			in.SetGlobal("req", Int(int64(i)))
 			if _, err := in.Run(); err != nil {
 				t.Fatal(err)
 			}

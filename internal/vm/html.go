@@ -114,13 +114,20 @@ func (o *OutputBuffer) Reset(fn string) {
 
 // Write appends raw bytes.
 func (o *OutputBuffer) Write(b []byte) {
-	o.r.recStr(o.fn, strlib.OpConcat, len(b))
-	o.r.cpu.Meter.AddUops(o.fn, sim.CatString, o.r.cpu.Meter.Model.StringCost(len(b)))
+	o.charge(len(b))
 	o.buf = append(o.buf, b...)
 }
 
-// WriteString appends a string.
-func (o *OutputBuffer) WriteString(s string) { o.Write([]byte(s)) }
+// WriteString appends a string, charged as Write is.
+func (o *OutputBuffer) WriteString(s string) {
+	o.charge(len(s))
+	o.buf = append(o.buf, s...)
+}
+
+func (o *OutputBuffer) charge(n int) {
+	o.r.recStr(o.fn, strlib.OpConcat, n)
+	o.r.cpu.Meter.AddUops(o.fn, sim.CatString, o.r.cpu.Meter.Model.StringCost(n))
+}
 
 // Bytes returns the accumulated response.
 func (o *OutputBuffer) Bytes() []byte { return o.buf }

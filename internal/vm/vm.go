@@ -330,7 +330,8 @@ func (r *Runtime) FreeStr(fn string, s *Str) {
 // caller. Failed compiles are cached too (negative caching): an invalid
 // pattern pays pcre_compile once and its error is replayed from the
 // manager afterwards, so one bad pattern in a hot path cannot defeat
-// the cache.
+// the cache. The manager keeps pattern as a key for the runtime's
+// lifetime, so it must not be request-arena memory.
 func (r *Runtime) Regex(fn, pattern string) (*regex.Regex, error) {
 	const mgrFn = "regex_cache_lookup"
 	k := hashmap.StrKey(pattern)

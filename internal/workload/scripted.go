@@ -137,10 +137,11 @@ func (s *ScriptedApp) ServeRequest(rt *vm.Runtime) []byte {
 }
 
 // ServePage runs the script once with $req set to the page index (see
-// PageApp).
+// PageApp). The body is rt's engine's output buffer, which its next
+// render reuses (App's ownership contract).
 func (s *ScriptedApp) ServePage(rt *vm.Runtime, page int) []byte {
 	in := s.engine(rt)
-	in.SetGlobal("req", int64(page))
+	in.SetGlobal("req", php.Int(int64(page)))
 	out, err := in.Run()
 	if err != nil {
 		panic("workload: scripted app failed: " + err.Error())
