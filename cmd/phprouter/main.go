@@ -413,8 +413,9 @@ func main() {
 		}
 	})
 
-	fmt.Printf("phprouter: routing on %s (%d backends, %d ring replicas, maxinflight %d)\n",
-		*addr, len(rt.addrs), *replicas, *maxInflight)
+	procs := serve.SetProcs(1)
+	fmt.Printf("phprouter: routing on %s (%d backends, %d ring replicas, maxinflight %d, procs %d)\n",
+		*addr, len(rt.addrs), *replicas, *maxInflight, procs)
 	httpSrv := &http.Server{Addr: *addr, Handler: rt.handler()}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()

@@ -27,7 +27,7 @@ import (
 // caches under — and a ?page= the backends would reject is a 400 at
 // the router, never its own ring key.
 func TestProxyPageIdentity(t *testing.T) {
-	rt := &router{r: serve.NewRouter(serve.RouterConfig{Client: &http.Client{Timeout: 5 * time.Second}})}
+	rt := &router{r: serve.NewRouter(serve.RouterConfig{})}
 	ring := cache.NewRing(0) // the router's ring: same replicas, same members
 	for _, id := range []string{"0", "1", "2"} {
 		ring.Add(id)

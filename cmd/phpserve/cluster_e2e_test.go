@@ -109,7 +109,6 @@ func TestClusterEndToEndObservability(t *testing.T) {
 
 	routerRing := obs.NewTreeRing(64)
 	r := serve.NewRouter(serve.RouterConfig{
-		Client:     &http.Client{Timeout: 10 * time.Second},
 		SampleRate: 1,
 		TreeRing:   routerRing,
 		AccessLog:  obs.NewAccessLog(&routerLog),

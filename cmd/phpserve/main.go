@@ -266,6 +266,8 @@ func (s *server) handleRender(w http.ResponseWriter, r *http.Request) {
 	s.col.ObserveHTTP(resp.Span, len(resp.Body), meta)
 
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
+	// Unframed, net/http would chunk any page past 2 KB on both hops.
+	w.Header().Set("Content-Length", strconv.Itoa(len(resp.Body)))
 	if s.cache != nil {
 		w.Header().Set("X-Cache", strings.ToUpper(resp.Cache.String()))
 	}
@@ -745,6 +747,8 @@ func main() {
 	// Every worker serves the warmup so the server answers steady-state
 	// traffic from the start; the warmup's costs are discarded.
 	pool.Run(workload.LoadGenerator{Warmup: *warmup, ContextSwitchEvery: *ctxSwitch}, 0)
+	// After warm-up, which keeps every CPU for the GC's parallel mark.
+	procs := serve.SetProcs(*workers)
 
 	col := obs.NewCollector(*sample, logW, nil)
 	if *treeRing > 0 {
@@ -772,7 +776,7 @@ func main() {
 		fmt.Printf("phpserve: response cache on: %d entries, %d shards, ttl %v, %d pages, zipf %g\n",
 			cs.Capacity, cs.Shards, *cacheTTL, *pages, *zipf)
 	}
-	fmt.Printf("phpserve: listening on %s (queue %d, timeout %v, sample rate %g", *addr, *queue, *timeout, *sample)
+	fmt.Printf("phpserve: listening on %s (queue %d, timeout %v, sample rate %g, procs %d", *addr, *queue, *timeout, *sample, procs)
 	if *backend >= 0 {
 		fmt.Printf(", backend %d", *backend)
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"repro/internal/cache"
@@ -218,6 +219,46 @@ func testRenderPath(t *testing.T, cached, sampled, paged bool) {
 	}
 	if want := ref.simCycles(); st.SimCycles != want {
 		t.Errorf("/stats sim_cycles = %v, in-process replay = %v", st.SimCycles, want)
+	}
+}
+
+// TestRenderLengthFramed: every rendered page — a cache bypass, miss or
+// hit, standalone or as an -fpm backend — goes out with Content-Length
+// equal to its body and never chunked. The pages are past net/http's
+// 2 KB chunking threshold, so an unframed write would be chunked.
+func TestRenderLengthFramed(t *testing.T) {
+	for _, backendID := range []int{-1, 0} {
+		for _, cached := range []bool{false, true} {
+			fix := newRenderFixture(t, cached)
+			srv := newServer(serve.NewScheduler(fix.pool, serve.Config{QueueDepth: 4}), obs.NewCollector(0, nil, nil), "wordpress", "accelerated")
+			srv.backendID = backendID
+			srv.cache, srv.pageKeys = fix.cache, fix.keys
+			ts := httptest.NewServer(srv.handler())
+			want := []string{""} // X-Cache of each request for page 5
+			if cached {
+				want = []string{"MISS", "HIT"}
+			}
+			for i, xc := range want {
+				resp, err := http.Get(ts.URL + "/?page=5")
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				name := fmt.Sprintf("backend=%d cache=%v request %d", backendID, cached, i)
+				if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != xc {
+					t.Fatalf("%s: status %d, X-Cache %q, want 200 %q", name, resp.StatusCode, resp.Header.Get("X-Cache"), xc)
+				}
+				if len(body) <= 2048 {
+					t.Fatalf("%s: %d-byte page is under the chunking threshold; the test needs a larger one", name, len(body))
+				}
+				if resp.TransferEncoding != nil || resp.Header.Get("Content-Length") != strconv.Itoa(len(body)) {
+					t.Errorf("%s: Transfer-Encoding %v, Content-Length %q, want none and %d",
+						name, resp.TransferEncoding, resp.Header.Get("Content-Length"), len(body))
+				}
+			}
+			ts.Close()
+		}
 	}
 }
 

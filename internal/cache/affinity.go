@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -134,12 +135,11 @@ func (r *Ring) Owners(key string, n int) []string {
 	if n > len(r.members) {
 		n = len(r.members)
 	}
+	// n is at most the member count, so scanning out deduplicates
+	// without a per-call map.
 	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
 	for i, start := 0, r.search(key); i < len(r.points) && len(out) < n; i++ {
-		m := r.points[(start+i)%len(r.points)].member
-		if !seen[m] {
-			seen[m] = true
+		if m := r.points[(start+i)%len(r.points)].member; !slices.Contains(out, m) {
 			out = append(out, m)
 		}
 	}

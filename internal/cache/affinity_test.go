@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -149,6 +150,47 @@ func TestRingOwnersFallbackOrder(t *testing.T) {
 	}
 	if got := r.Owners("page:1", 10); len(got) != 3 {
 		t.Fatalf("Owners capped at member count: got %v", got)
+	}
+}
+
+// ownersByMap is Owners as it was written with a seen-set map: the
+// reference order the scanning version must keep.
+func ownersByMap(r *Ring, key string, n int) []string {
+	if n > len(r.members) {
+		n = len(r.members)
+	}
+	var out []string
+	seen := make(map[string]bool)
+	for i, start := 0, r.search(key); i < len(r.points) && len(out) < n; i++ {
+		if m := r.points[(start+i)%len(r.points)].member; !seen[m] {
+			seen[m] = true
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// TestRingOwnersOneAllocation: the fallback sequence costs the router one
+// allocation per proxied request, the result slice, and walks the ring
+// in the same order the map-deduplicating version did.
+func TestRingOwnersOneAllocation(t *testing.T) {
+	r := NewRing(64)
+	for i := 0; i < 3; i++ {
+		r.Add(fmt.Sprintf("b%d", i))
+	}
+	for _, k := range ringKeys(200) {
+		for _, n := range []int{1, 2, 3, 10} {
+			if got, want := r.Owners(k, n), ownersByMap(r, k, n); !slices.Equal(got, want) {
+				t.Fatalf("Owners(%s, %d) = %v, want %v", k, n, got, want)
+			}
+		}
+	}
+
+	two := NewRing(DefaultRingReplicas)
+	two.Add("0")
+	two.Add("1")
+	if n := testing.AllocsPerRun(100, func() { two.Owners("page:7", 2) }); n != 1 {
+		t.Fatalf("Owners over 2 members allocates %v times, want 1 (the result slice)", n)
 	}
 }
 

@@ -175,21 +175,22 @@ func (r *Router) scrapeBackend(ctx context.Context, id, addr string) BackendScra
 	return b
 }
 
-// fetchBody issues one GET and returns the response body reader, or an
-// error for any non-200 answer.
+// fetchBody issues one GET to a backend — health probe, fleet scrape or
+// trace-stitch fetch — and returns the response body reader, or an
+// error for any non-2xx answer.
 func (r *Router) fetchBody(ctx context.Context, url string) (io.ReadCloser, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := r.client.Do(req)
+	resp, err := r.transport.RoundTrip(req)
 	if err != nil {
 		return nil, err
 	}
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode/100 != 2 {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 		resp.Body.Close()
-		return nil, fmt.Errorf("serve: scrape %s: %s", url, resp.Status)
+		return nil, fmt.Errorf("serve: GET %s: %s", url, resp.Status)
 	}
 	return resp.Body, nil
 }

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/obs"
@@ -71,7 +70,7 @@ func TestScrapeFleetMerges(t *testing.T) {
 		funcs: map[string]float64{"zend_hash_find": 500, "only_b0": 100}}
 	b1 := &metricsBackend{requests: 30, hits: 9, misses: 21,
 		funcs: map[string]float64{"zend_hash_find": 1500, "only_b1": 400}}
-	r := NewRouter(RouterConfig{Client: &http.Client{Timeout: 5 * time.Second}})
+	r := NewRouter(RouterConfig{})
 	r.AddBackend("0", startMetricsBackend(t, b0))
 	r.AddBackend("1", startMetricsBackend(t, b1))
 
@@ -120,7 +119,7 @@ func TestScrapeFleetMerges(t *testing.T) {
 // contributes nothing; a failing backend appears with Err set.
 func TestScrapeFleetSkipsDownBackends(t *testing.T) {
 	b0 := &metricsBackend{requests: 10, funcs: map[string]float64{"f": 1}}
-	r := NewRouter(RouterConfig{Client: &http.Client{Timeout: 2 * time.Second}})
+	r := NewRouter(RouterConfig{})
 	r.AddBackend("0", startMetricsBackend(t, b0))
 	r.AddBackend("1", "127.0.0.1:1") // nothing listens here
 	r.SetBackendUp("1", false)
@@ -149,7 +148,7 @@ func TestScrapeFleetSkipsDownBackends(t *testing.T) {
 
 // TestScrapeFleetEmptyRouter: no backends, no panic, empty views.
 func TestScrapeFleetEmptyRouter(t *testing.T) {
-	r := NewRouter(RouterConfig{Client: &http.Client{Timeout: time.Second}})
+	r := NewRouter(RouterConfig{})
 	fs := r.ScrapeFleet(context.Background())
 	if fs.Scraped() != 0 || fs.Requests() != 0 || fs.CacheHitRatio() != 0 {
 		t.Fatalf("empty fleet: %+v", fs)

@@ -37,9 +37,9 @@ type RouterConfig struct {
 	// beyond it the router sheds 503 rather than queueing onto a
 	// saturated backend (<= 0 means unlimited).
 	MaxInflight int
-	// Client issues proxied and health requests (nil selects a
-	// keep-alive-enabled default with a 30s request timeout).
-	Client *http.Client
+	// Transport carries every request to a backend (nil selects the
+	// synchronous hop: 30s per exchange, MaxInflight idle conns each).
+	Transport http.RoundTripper
 	// HealthTimeout bounds one /healthz probe (<= 0 selects 1s).
 	HealthTimeout time.Duration
 
@@ -82,8 +82,8 @@ type routerBackend struct {
 // refused so a mid-restart backend costs a reroute, never a client-
 // visible connection error. Safe for concurrent use.
 type Router struct {
-	cfg    RouterConfig
-	client *http.Client
+	cfg       RouterConfig
+	transport http.RoundTripper
 
 	// ids mints X-Request-Id values for requests that arrive without
 	// one; sampler decides which proxies record a span tree. Both are
@@ -111,17 +111,17 @@ func NewRouter(cfg RouterConfig) *Router {
 	if cfg.HealthTimeout <= 0 {
 		cfg.HealthTimeout = time.Second
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
+	transport := cfg.Transport
+	if transport == nil {
+		transport = &hop{timeout: 30 * time.Second, maxIdle: cfg.MaxInflight, idle: make(map[string][]*hopConn)}
 	}
 	return &Router{
-		cfg:      cfg,
-		client:   client,
-		ids:      obs.NewIDSource(),
-		sampler:  obs.NewSampler(cfg.SampleRate),
-		ring:     cache.NewRing(cfg.RingReplicas),
-		backends: make(map[string]*routerBackend),
+		cfg:       cfg,
+		transport: transport,
+		ids:       obs.NewIDSource(),
+		sampler:   obs.NewSampler(cfg.SampleRate),
+		ring:      cache.NewRing(cfg.RingReplicas),
+		backends:  make(map[string]*routerBackend),
 	}
 }
 
@@ -328,7 +328,9 @@ func (r *Router) attempt(w http.ResponseWriter, req *http.Request, id string, bo
 	}
 	w.Header().Set("X-Routed-Backend", id)
 	w.WriteHeader(resp.StatusCode)
-	n, _ := io.Copy(w, resp.Body)
+	bufp := relayBufs.Get().(*[]byte)
+	n, _ := io.CopyBuffer(writerOnly{w}, resp.Body, *bufp)
+	relayBufs.Put(bufp)
 	po.noteServed(id, addr, try > 0, resp.StatusCode, int(n),
 		resp.Header.Get(obs.HeaderTraceSampled) == "1")
 	return 0, nil, nil
@@ -348,8 +350,14 @@ func (r *Router) forward(req *http.Request, addr string, body []byte) (*http.Res
 	for k, vs := range req.Header {
 		out.Header[k] = vs
 	}
-	return r.client.Do(out)
+	return r.transport.RoundTrip(out)
 }
+
+// relayBufs recycles attempt's copy buffer. writerOnly hides the
+// ResponseWriter's ReadFrom, which allocates 32 KB per framed body.
+var relayBufs = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
+
+type writerOnly struct{ io.Writer }
 
 // bumpRetries counts one reroute.
 func (r *Router) bumpRetries() {
@@ -417,19 +425,12 @@ func (r *Router) CheckBackends(ctx context.Context) []HealthTransition {
 func (r *Router) probeHealth(ctx context.Context, addr string) (bool, error) {
 	ctx, cancel := context.WithTimeout(ctx, r.cfg.HealthTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/healthz", nil)
+	body, err := r.fetchBody(ctx, "http://"+addr+"/healthz")
 	if err != nil {
 		return false, err
 	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return false, err
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-	resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return false, fmt.Errorf("healthz %s: %s", addr, resp.Status)
-	}
+	io.Copy(io.Discard, io.LimitReader(body, 1<<16))
+	body.Close()
 	return true, nil
 }
 

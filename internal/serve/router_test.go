@@ -140,10 +140,7 @@ func (b *testBackend) pagesSeen() map[int]int {
 }
 
 func newTestRouter(backends ...*testBackend) *Router {
-	r := NewRouter(RouterConfig{
-		Client:        &http.Client{Timeout: 5 * time.Second},
-		HealthTimeout: time.Second,
-	})
+	r := NewRouter(RouterConfig{HealthTimeout: time.Second})
 	for _, b := range backends {
 		r.AddBackend(b.id, b.addr)
 	}
@@ -288,7 +285,7 @@ func TestRouterShedOverload(t *testing.T) {
 	defer slow.Close()
 	defer close(release)
 
-	r := NewRouter(RouterConfig{MaxInflight: 1, Client: &http.Client{Timeout: 5 * time.Second}})
+	r := NewRouter(RouterConfig{MaxInflight: 1})
 	r.AddBackend("0", slow.Listener.Addr().String())
 	front := routerServer(t, r)
 

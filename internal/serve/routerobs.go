@@ -210,22 +210,13 @@ const stitchFetchTimeout = 2 * time.Second
 func (r *Router) fetchBackendTree(addr, rid string) (*obs.Tree, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), stitchFetchTimeout)
 	defer cancel()
-	u := "http://" + addr + "/tracez?format=tree&rid=" + url.QueryEscape(rid)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	body, err := r.fetchBody(ctx, "http://"+addr+"/tracez?format=tree&rid="+url.QueryEscape(rid))
 	if err != nil {
 		return nil, err
 	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-		return nil, fmt.Errorf("serve: tracez %s: %s", addr, resp.Status)
-	}
+	defer body.Close()
 	var trees []*obs.Tree
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&trees); err != nil {
+	if err := json.NewDecoder(io.LimitReader(body, 8<<20)).Decode(&trees); err != nil {
 		return nil, fmt.Errorf("serve: tracez %s: %w", addr, err)
 	}
 	for i := len(trees) - 1; i >= 0; i-- {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"runtime"
 	"sync"
 	"syscall"
 	"time"
@@ -260,3 +261,15 @@ func (s *Supervisor) logf(format string, args ...any) {
 		s.Logf(format, args...)
 	}
 }
+
+// SetProcs runs the process on one Go P per unit of CPU parallelism in
+// its work, at most one per CPU, unless GOMAXPROCS is set, and returns
+// the P count: phpserve's workers, or 1 for phprouter's event loop.
+func SetProcs(workers int) int {
+	if os.Getenv("GOMAXPROCS") == "" {
+		runtime.GOMAXPROCS(procs(workers, runtime.NumCPU()))
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+func procs(workers, ncpu int) int { return max(1, min(workers, ncpu)) }
