@@ -36,11 +36,10 @@
 // split. The same seed drives the same page sequence for every config
 // row, so hit ratios are reproducible and comparable.
 //
-// With -cluster N the measured phase runs the in-process FPM-style
-// cluster instead: N backend stacks (pool + scheduler + response cache)
-// behind a consistent-hash ring, each request routed to the backend
-// that owns its page key — the same topology phprouter builds out of
-// real processes. Cluster mode implies the cache (capacity defaults to
+// With -cluster N the measured phase runs on a cluster in this process:
+// N phpserve -fpm servers behind a phprouter, on loopback sockets
+// (serve.Loopback), each request routed to the backend that owns its
+// page key. Cluster mode implies the cache (capacity defaults to
 // 128 when -cache is unset); -dbwait adds a simulated per-render
 // database stall held FPM-style on the worker, which is what lets N
 // backends overlap I/O and scale on few cores. Each row reports cluster
@@ -128,7 +127,7 @@ func main() {
 	cacheShards := flag.Int("cacheshards", cache.DefaultShards, "response cache shard count (rounded up to a power of two)")
 	pages := flag.Int("pages", 512, "distinct page identities requests draw from in cache mode")
 	zipf := flag.Float64("zipf", 1.0, "Zipf popularity exponent for page identities in cache mode")
-	cluster := flag.Int("cluster", 0, "run the measured phase on an in-process N-backend cluster behind a cache-affinity ring (0 disables; implies -cache)")
+	cluster := flag.Int("cluster", 0, "run the measured phase on N phpserve backends behind a phprouter, in this process over loopback (0 disables; implies -cache)")
 	dbwait := flag.Duration("dbwait", 0, "cluster mode: simulated per-render database stall held on the worker (0 disables)")
 	record := flag.Bool("record", false, "run the pinned benchmark matrix and append a BENCH_<n>.json trajectory record instead of the comparison table")
 	recordDir := flag.String("recorddir", ".", "directory trajectory records are read from and written to in -record mode")
@@ -170,25 +169,26 @@ func main() {
 	defer stop()
 
 	if *cluster > 0 {
-		opts := serve.ClusterOptions{
-			Backends:          *cluster,
-			WorkersPerBackend: *workers,
-			Seed:              *seed,
-			QueueDepth:        *queue,
-			Timeout:           *timeout,
-			CacheCapacity:     *cacheCap,
-			Pages:             *pages,
-			ZipfS:             *zipf,
-			DBWait:            *dbwait,
-			RingReplicas:      512,
+		cfg := serve.ServerConfig{
+			Workers:       *workers,
+			Seed:          *seed,
+			Warmup:        *warmup,
+			QueueDepth:    *queue,
+			Timeout:       *timeout,
+			CacheCapacity: *cacheCap,
+			CacheShards:   *cacheShards,
+			CacheTTL:      *cacheTTL,
+			Pages:         *pages,
+			ZipfS:         *zipf,
+			DBWait:        *dbwait,
 		}
-		if opts.CacheCapacity == 0 {
-			opts.CacheCapacity = 128 // cluster implies the cache; server default budget
+		if cfg.CacheCapacity == 0 {
+			cfg.CacheCapacity = 128 // cluster implies the cache; server default budget
 		}
-		if opts.QueueDepth < 0 {
-			opts.QueueDepth = 64
+		if cfg.QueueDepth < 0 {
+			cfg.QueueDepth = 64
 		}
-		if err := runClusterCompare(ctx, *apps, *requests, *warmup, *breakdown, opts); err != nil {
+		if err := runClusterCompare(ctx, *apps, *requests, *breakdown, *cluster, cfg); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -357,12 +357,13 @@ func validateClusterFlags(cluster int, dbwait time.Duration) error {
 }
 
 // runClusterCompare is -cluster mode: for each workload and config row,
-// build an in-process cluster from opts (App and Config are the row's),
-// warm every backend, replay the shared Zipf stream partitioned by ring
-// owner, and report cluster throughput with the per-backend split.
-func runClusterCompare(ctx context.Context, apps string, requests, warmup int, breakdown bool, opts serve.ClusterOptions) error {
+// start n phpserve backends built from cfg (App and Core are the row's)
+// behind a router on loopback, replay the shared Zipf stream partitioned
+// by ring owner, and report cluster throughput with the per-backend
+// split.
+func runClusterCompare(ctx context.Context, apps string, requests int, breakdown bool, n int, cfg serve.ServerConfig) error {
 	fmt.Printf("cluster: %d backends x %d workers, cache %d total, %d pages zipf %.2f, dbwait %v\n",
-		opts.Backends, opts.WorkersPerBackend, opts.CacheCapacity, opts.Pages, opts.ZipfS, opts.DBWait)
+		n, cfg.Workers, cfg.CacheCapacity, cfg.Pages, cfg.ZipfS, cfg.DBWait)
 	fmt.Printf("%-12s %-12s %10s %10s %9s %9s %9s %16s\n",
 		"workload", "config", "req/s", "hit ratio", "p50", "p95", "p99", "sim cycles/req")
 	for _, appName := range strings.Split(apps, ",") {
@@ -372,13 +373,13 @@ func runClusterCompare(ctx context.Context, apps string, requests, warmup int, b
 				fmt.Println("loadgen: interrupted")
 				return nil
 			}
-			opts.App, opts.Config = appName, rowConfig(cfgName)
-			cl, err := serve.NewCluster(opts)
+			cfg.App, cfg.Core = appName, cfgName
+			cl, err := serve.StartLoopback(n, cfg, serve.RouterConfig{RingReplicas: 512})
 			if err != nil {
 				return err
 			}
-			cl.Warm(warmup)
 			cs, err := cl.RunZipf(ctx, requests)
+			cl.Close()
 			if err != nil {
 				return err
 			}
@@ -387,13 +388,12 @@ func runClusterCompare(ctx context.Context, apps string, requests, warmup int, b
 				fmt.Printf("%-12s %-12s  (no requests completed)\n", appName, cfgName)
 				continue
 			}
-			mt := cl.MergedMeter()
 			fmt.Printf("%-12s %-12s %10.0f %10.3f %9s %9s %9s %16.0f\n",
 				appName, cfgName,
 				float64(agg.Served)/agg.Wall.Seconds(),
 				agg.CacheHitRatio(),
 				fmtLatency(agg.Latency.P50), fmtLatency(agg.Latency.P95), fmtLatency(agg.Latency.P99),
-				mt.CategoryCyclesVec().Total()/float64(agg.Served))
+				cl.MergedMeter().CategoryCyclesVec().Total()/float64(agg.Served))
 			if breakdown {
 				var b strings.Builder
 				b.WriteString("backends:")

@@ -27,7 +27,7 @@ import (
 // caches under — and a ?page= the backends would reject is a 400 at
 // the router, never its own ring key.
 func TestProxyPageIdentity(t *testing.T) {
-	rt := &router{r: serve.NewRouter(serve.RouterConfig{})}
+	r := serve.NewRouter(serve.RouterConfig{})
 	ring := cache.NewRing(0) // the router's ring: same replicas, same members
 	for _, id := range []string{"0", "1", "2"} {
 		ring.Add(id)
@@ -36,9 +36,9 @@ func TestProxyPageIdentity(t *testing.T) {
 			io.WriteString(w, id+" "+r.URL.RawQuery)
 		}))
 		defer be.Close()
-		rt.r.AddBackend(id, strings.TrimPrefix(be.URL, "http://"))
+		r.AddBackend(id, strings.TrimPrefix(be.URL, "http://"))
 	}
-	front := httptest.NewServer(rt.handler())
+	front := httptest.NewServer(r.Handler())
 	defer front.Close()
 
 	get := func(query string) (int, string) {
@@ -110,21 +110,15 @@ func fakeBackend(t *testing.T, id string, requests int64) string {
 func TestOperatorSurface(t *testing.T) {
 	events := obs.NewEventRing(64)
 	treeRing := obs.NewTreeRing(4)
-	rt := &router{
-		r:        serve.NewRouter(serve.RouterConfig{Events: events, TreeRing: treeRing}),
-		start:    time.Now(),
-		events:   events,
-		treeRing: treeRing,
-		scrapeTO: 5 * time.Second,
-	}
-	rt.r.AddBackend("0", fakeBackend(t, "0", 30))
-	rt.r.AddBackend("1", fakeBackend(t, "1", 10))
+	r := serve.NewRouter(serve.RouterConfig{Events: events, TreeRing: treeRing, ScrapeTimeout: 5 * time.Second})
+	r.AddBackend("0", fakeBackend(t, "0", 30))
+	r.AddBackend("1", fakeBackend(t, "1", 10))
 	for i := 0; i < 2; i++ { // four events per round trip
-		rt.r.SetBackendUp("1", false)
-		rt.r.SetBackendUp("1", true)
+		r.SetBackendUp("1", false)
+		r.SetBackendUp("1", true)
 	}
 	events.Add(time.Now(), obs.EventRestartPhase, "", "complete") // every kind on /metrics; eleven retained in all
-	front := httptest.NewServer(rt.handler())
+	front := httptest.NewServer(r.Handler())
 	defer front.Close()
 	for page := 0; page < 8; page++ {
 		resp, err := http.Get(fmt.Sprintf("%s/?page=%d", front.URL, page))
@@ -146,7 +140,10 @@ func TestOperatorSurface(t *testing.T) {
 	}
 	eventz := func(want int) func(*testing.T, []byte) {
 		return func(t *testing.T, body []byte) {
-			var ez eventzResponse
+			var ez struct {
+				Total  int64       `json:"total"`
+				Events []obs.Event `json:"events"`
+			}
 			if err := json.Unmarshal(body, &ez); err != nil {
 				t.Fatal(err)
 			}
@@ -184,7 +181,7 @@ func TestOperatorSurface(t *testing.T) {
 			}
 		}},
 		{"/clusterz", func(t *testing.T, body []byte) {
-			var cz clusterStats
+			var cz serve.ClusterView
 			if err := json.Unmarshal(body, &cz); err != nil {
 				t.Fatal(err)
 			}
@@ -283,7 +280,7 @@ func labelCell(f *obs.MetricFamily) string {
 	return strings.Join(names, "; ")
 }
 
-// TestSignalTags: every prom tag under routerMetrics is well formed —
+// TestSignalTags: every prom tag under serve.RouterMetrics is well formed —
 // name, kind, options — a family's fields are adjacent (one header), and
 // the first field of a family carries its help.
 func TestSignalTags(t *testing.T) {
@@ -331,8 +328,8 @@ func TestSignalTags(t *testing.T) {
 			seen[opts[0]], last = true, opts[0]
 		}
 	}
-	walk(reflect.TypeOf(routerMetrics{}))
+	walk(reflect.TypeOf(serve.RouterMetrics{}))
 	if families != 25 {
-		t.Errorf("walk found %d families under routerMetrics, want the 25 phprouter_* series", families)
+		t.Errorf("walk found %d families under serve.RouterMetrics, want the 25 phprouter_* series", families)
 	}
 }

@@ -14,39 +14,24 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/vm"
-	"repro/internal/workload"
 )
 
-// startClusterBackend builds a real phpserve server (pool + scheduler +
-// cache + collector, sampling every request) and serves it over HTTP —
-// the full production handler, not a stub.
+// startClusterBackend builds a real phpserve -fpm server (cache on,
+// sampling every request) and serves it over HTTP — the full production
+// handler, not a stub.
 func startClusterBackend(t *testing.T, backendID int, logW io.Writer) *httptest.Server {
 	t.Helper()
-	cfg, err := vm.ConfigByName("accelerated")
+	srv, err := serve.NewServer(serve.ServerConfig{
+		App: "wordpress", Core: "accelerated", Workers: 1, Seed: 1, QueueDepth: 16,
+		CacheCapacity: 64, CacheShards: 4, Pages: 8, ZipfS: 1.0,
+		SampleRate: 1, TreeRing: 64, AccessLog: logW, Backend: backendID,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.TraceCapacity = -1
-	pool, err := workload.NewPoolSharedSeed(1, cfg, "wordpress", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := obs.NewCollector(1, logW, nil)
-	col.SetTreeRing(obs.NewTreeRing(64))
-	sched := serve.NewScheduler(pool, serve.Config{QueueDepth: 16})
-	srv := newServer(sched, col, "wordpress", "accelerated")
-	srv.backendID = backendID
-	col.SetBackend(srv.backendLabel())
-	srv.cache = cache.New(cache.Config{Capacity: 64, Shards: 4})
-	srv.pageKeys, err = workload.NewZipfKeys(1, 1.0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.handler())
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -117,14 +102,7 @@ func TestClusterEndToEndObservability(t *testing.T) {
 	r.AddBackend("0", strings.TrimPrefix(ts0.URL, "http://"))
 	r.AddBackend("1", strings.TrimPrefix(ts1.URL, "http://"))
 
-	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		page, err := serve.ParsePage(req.URL.RawQuery)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		r.Proxy(w, req, serve.PageKey(page))
-	}))
+	front := httptest.NewServer(r.Handler())
 	defer front.Close()
 
 	// Two rounds over 8 pages: round one fills both backends' caches,

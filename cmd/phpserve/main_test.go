@@ -17,10 +17,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/serve"
-	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -56,37 +54,47 @@ type statsResponse struct {
 	RegexCacheHitRatio float64            `json:"regex_cache_hit_ratio"`
 }
 
-// testServer builds a warmed server with a roomy admission queue and no
-// deadline. sampleRate 1 profiles every request; logW may be nil.
-func testServer(t *testing.T, workers, warmup int, sampleRate float64, logW io.Writer) *server {
-	t.Helper()
-	return testServerSched(t, workers, warmup, sampleRate, logW, serve.Config{QueueDepth: 64})
+// testConfig is a warmed wordpress server with a roomy admission queue,
+// no deadline and a tree ring. sampleRate 1 profiles every request;
+// logW may be nil.
+func testConfig(workers, warmup int, sampleRate float64, logW io.Writer) serve.ServerConfig {
+	return serve.ServerConfig{
+		App: "wordpress", Core: "accelerated", Workers: workers, Seed: 1,
+		Warmup: warmup, CtxSwitchEvery: 8, QueueDepth: 64,
+		SampleRate: sampleRate, AccessLog: logW, TreeRing: 64, Backend: -1,
+	}
 }
 
-// testServerSched is testServer with an explicit lifecycle config, for
-// the overload/deadline/drain tests.
-func testServerSched(t *testing.T, workers, warmup int, sampleRate float64, logW io.Writer, sc serve.Config) *server {
+// newTestServer builds the server c describes, the way phpserve does.
+func newTestServer(t *testing.T, c serve.ServerConfig) *serve.Server {
 	t.Helper()
-	cfg, err := vm.ConfigByName("accelerated")
+	s, err := serve.NewServer(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.TraceCapacity = -1
-	pool, err := workload.NewPool(workers, cfg, "wordpress", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool.Run(workload.LoadGenerator{Warmup: warmup}, 0)
-	col := obs.NewCollector(sampleRate, logW, nil)
-	col.SetTreeRing(obs.NewTreeRing(64))
-	sc.CtxSwitchEvery = 8
-	return newServer(serve.NewScheduler(pool, sc), col, "wordpress", "accelerated")
+	return s
+}
+
+// testServer is newTestServer(testConfig(...)).
+func testServer(t *testing.T, workers, warmup int, sampleRate float64, logW io.Writer) *serve.Server {
+	t.Helper()
+	return newTestServer(t, testConfig(workers, warmup, sampleRate, logW))
+}
+
+// healthzResponse is the decode shape of /healthz these tests read.
+type healthzResponse struct {
+	Status     string `json:"status"`
+	Ready      bool   `json:"ready"`
+	Backend    string `json:"backend"`
+	Workers    int    `json:"workers"`
+	QueueDepth int    `json:"queue_depth"`
+	QueueLimit int    `json:"queue_limit"`
 }
 
 func TestServeConcurrentRequests(t *testing.T) {
 	var logBuf bytes.Buffer
 	s := testServer(t, 4, 2, 1, &logBuf)
-	ts := httptest.NewServer(s.handler())
+	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	const clients, perClient = 8, 4
@@ -188,7 +196,7 @@ func TestServeConcurrentRequests(t *testing.T) {
 // /stats before it has measured a single request.
 func TestStatsZeroRequests(t *testing.T) {
 	s := testServer(t, 2, 0, 0.01, nil)
-	ts := httptest.NewServer(s.handler())
+	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/stats")
@@ -223,7 +231,7 @@ var metricLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? (NaN|
 // pooled workload and validates the Prometheus text format.
 func TestMetricsEndpoint(t *testing.T) {
 	s := testServer(t, 2, 2, 1, nil)
-	ts := httptest.NewServer(s.handler())
+	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	for i := 0; i < 6; i++ {
@@ -312,7 +320,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // (zero-sample series).
 func TestMetricsZeroRequests(t *testing.T) {
 	s := testServer(t, 1, 0, 0.01, nil)
-	ts := httptest.NewServer(s.handler())
+	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -331,8 +339,8 @@ func TestMetricsZeroRequests(t *testing.T) {
 }
 
 func TestPprofGated(t *testing.T) {
-	s := testServer(t, 1, 0, 0, nil)
-	ts := httptest.NewServer(s.handler())
+	c := testConfig(1, 0, 0, nil)
+	ts := httptest.NewServer(newTestServer(t, c).Handler())
 	resp, err := http.Get(ts.URL + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)
@@ -343,8 +351,8 @@ func TestPprofGated(t *testing.T) {
 	}
 	ts.Close()
 
-	s.pprofEnabled = true
-	ts = httptest.NewServer(s.handler())
+	c.Pprof = http.DefaultServeMux
+	ts = httptest.NewServer(newTestServer(t, c).Handler())
 	defer ts.Close()
 	resp, err = http.Get(ts.URL + "/debug/pprof/")
 	if err != nil {
@@ -359,7 +367,7 @@ func TestPprofGated(t *testing.T) {
 
 func TestNotFoundAndHealthz(t *testing.T) {
 	s := testServer(t, 1, 1, 0, nil)
-	ts := httptest.NewServer(s.handler())
+	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/nosuch")
@@ -395,8 +403,10 @@ func TestNotFoundAndHealthz(t *testing.T) {
 // the server serve again.
 func TestOverloadShed503(t *testing.T) {
 	var logBuf bytes.Buffer
-	s := testServerSched(t, 1, 1, 0, &logBuf, serve.Config{QueueDepth: 0})
-	ts := httptest.NewServer(s.handler())
+	c := testConfig(1, 1, 0, &logBuf)
+	c.QueueDepth = 0
+	s := newTestServer(t, c)
+	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	// Saturate through the scheduler itself: one in-flight request holds
@@ -405,7 +415,7 @@ func TestOverloadShed503(t *testing.T) {
 	release := make(chan struct{})
 	blocked := make(chan error, 1)
 	go func() {
-		_, err := s.sched.Do(context.Background(), func(*workload.Worker) error {
+		_, err := s.Sched.Do(context.Background(), func(*workload.Worker) error {
 			close(entered)
 			<-release
 			return nil
@@ -433,7 +443,7 @@ func TestOverloadShed503(t *testing.T) {
 	if after := runtime.NumGoroutine(); after > before+burst/2 {
 		t.Errorf("goroutines grew %d -> %d during shed burst", before, after)
 	}
-	st := s.sched.Stats()
+	st := s.Sched.Stats()
 	if st.ShedOverload != burst {
 		t.Errorf("shed_overload = %d, want %d", st.ShedOverload, burst)
 	}
@@ -475,22 +485,24 @@ func TestOverloadShed503(t *testing.T) {
 // TestDeadline504: a request whose deadline expires before a worker
 // frees up answers 504, and the shed is counted as a timeout.
 func TestDeadline504(t *testing.T) {
-	s := testServerSched(t, 1, 1, 0, nil, serve.Config{QueueDepth: 4, Timeout: 5 * time.Millisecond})
-	ts := httptest.NewServer(s.handler())
+	c := testConfig(1, 1, 0, nil)
+	c.QueueDepth, c.Timeout = 4, 5*time.Millisecond
+	s := newTestServer(t, c)
+	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	wk := s.pool.Acquire() // saturate: the request must queue, then expire
+	wk := s.Pool.Acquire() // saturate: the request must queue, then expire
 	resp, err := http.Get(ts.URL + "/")
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	s.pool.Release(wk)
+	s.Pool.Release(wk)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("expired deadline: status %d, want 504", resp.StatusCode)
 	}
-	if st := s.sched.Stats(); st.ShedDeadline != 1 {
+	if st := s.Sched.Stats(); st.ShedDeadline != 1 {
 		t.Errorf("shed_deadline = %d, want 1", st.ShedDeadline)
 	}
 }
@@ -500,8 +512,10 @@ func TestDeadline504(t *testing.T) {
 // (200), sheds new ones (503), flips /healthz to 503/draining, and
 // leaves every worker back on the free list.
 func TestDrainLifecycle(t *testing.T) {
-	s := testServerSched(t, 2, 1, 0, nil, serve.Config{QueueDepth: 8})
-	ts := httptest.NewServer(s.handler())
+	c := testConfig(2, 1, 0, nil)
+	c.QueueDepth = 8
+	s := newTestServer(t, c)
+	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	// In-flight load while the drain starts.
@@ -523,7 +537,7 @@ func TestDrainLifecycle(t *testing.T) {
 	}
 	dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := s.sched.Drain(dctx); err != nil {
+	if err := s.Sched.Drain(dctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	wg.Wait()
@@ -534,11 +548,11 @@ func TestDrainLifecycle(t *testing.T) {
 		}
 	}
 
-	if st := s.sched.State(); st != serve.StateDrained {
+	if st := s.Sched.State(); st != serve.StateDrained {
 		t.Errorf("state after drain = %v, want drained", st)
 	}
-	if idle := s.pool.Idle(); idle != s.pool.Size() {
-		t.Errorf("drained pool has %d/%d workers free", idle, s.pool.Size())
+	if idle := s.Pool.Idle(); idle != s.Pool.Size() {
+		t.Errorf("drained pool has %d/%d workers free", idle, s.Pool.Size())
 	}
 
 	// New requests and /healthz both answer 503 now.
@@ -567,7 +581,7 @@ func TestDrainLifecycle(t *testing.T) {
 // documented names.
 func TestQueueMetricsExported(t *testing.T) {
 	s := testServer(t, 1, 1, 0, nil)
-	ts := httptest.NewServer(s.handler())
+	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	drive(t, ts.URL, 3)
 
@@ -594,20 +608,26 @@ func TestQueueMetricsExported(t *testing.T) {
 	}
 }
 
-// TestValidateFlags exercises the fail-fast flag validation.
+// TestValidateFlags exercises the fail-fast flag validation: each bad
+// value is refused before a worker is built.
 func TestValidateFlags(t *testing.T) {
-	if err := validateFlags(4, 300, 64, 0.01, 0, 30*time.Second); err != nil {
+	if _, err := serve.NewServer(testConfig(1, 0, 0.01, nil)); err != nil {
 		t.Errorf("valid flags rejected: %v", err)
 	}
-	for name, err := range map[string]error{
-		"workers": validateFlags(0, 300, 64, 0.01, 0, 0),
-		"warmup":  validateFlags(4, -1, 64, 0.01, 0, 0),
-		"queue":   validateFlags(4, 300, -1, 0.01, 0, 0),
-		"sample":  validateFlags(4, 300, 64, 1.5, 0, 0),
-		"timeout": validateFlags(4, 300, 64, 0.01, -time.Second, 0),
-		"drain":   validateFlags(4, 300, 64, 0.01, 0, -time.Second),
+	for name, mutate := range map[string]func(*serve.ServerConfig){
+		"workers":  func(c *serve.ServerConfig) { c.Workers = 0 },
+		"warmup":   func(c *serve.ServerConfig) { c.Warmup = -1 },
+		"queue":    func(c *serve.ServerConfig) { c.QueueDepth = -1 },
+		"sample":   func(c *serve.ServerConfig) { c.SampleRate = 1.5 },
+		"timeout":  func(c *serve.ServerConfig) { c.Timeout = -time.Second },
+		"drain":    func(c *serve.ServerConfig) { c.Drain = -time.Second },
+		"arenacap": func(c *serve.ServerConfig) { c.ArenaCap = -1 },
+		"config":   func(c *serve.ServerConfig) { c.Core = "turbo" },
+		"cache":    func(c *serve.ServerConfig) { c.CacheCapacity = 8 }, // no -cacheshards
 	} {
-		if err == nil {
+		c := testConfig(1, 0, 0.01, nil)
+		mutate(&c)
+		if _, err := serve.NewServer(c); err == nil {
 			t.Errorf("bad -%s accepted", name)
 		}
 	}
@@ -631,7 +651,7 @@ func drive(t *testing.T, url string, n int) {
 // to its root total.
 func TestTracezEndpoint(t *testing.T) {
 	s := testServer(t, 2, 2, 1, nil) // sample every request
-	ts := httptest.NewServer(s.handler())
+	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	drive(t, ts.URL, 5)
 
@@ -720,12 +740,12 @@ func TestTracezEndpoint(t *testing.T) {
 // internal/profile result for the same fleet meter within 1% absolute.
 func TestProfilezMatchesOffline(t *testing.T) {
 	s := testServer(t, 2, 2, 0.25, nil)
-	ts := httptest.NewServer(s.handler())
+	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	drive(t, ts.URL, 20)
 
 	// Offline reference: batch profile over the merged fleet meter.
-	off := profile.FromMeter(s.pool.Snapshot().Meter)
+	off := profile.FromMeter(s.Pool.Snapshot().Meter)
 
 	resp, err := http.Get(ts.URL + "/profilez?format=json")
 	if err != nil {
@@ -801,7 +821,7 @@ func TestProfilezMatchesOffline(t *testing.T) {
 // as gauges, consistent with the same scrape's windowed profile.
 func TestProfileGaugesOnMetrics(t *testing.T) {
 	s := testServer(t, 1, 2, 1, nil)
-	ts := httptest.NewServer(s.handler())
+	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	drive(t, ts.URL, 4)
 
@@ -842,16 +862,10 @@ func TestProfileGaugesOnMetrics(t *testing.T) {
 // TestTracezDisabled: without a tree ring the endpoint reports 404
 // rather than an empty export.
 func TestTracezDisabled(t *testing.T) {
-	cfg, err := vm.ConfigByName("accelerated")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := workload.NewPool(1, cfg, "wordpress", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newServer(serve.NewScheduler(pool, serve.Config{QueueDepth: 8}), obs.NewCollector(0, nil, nil), "wordpress", "accelerated")
-	ts := httptest.NewServer(s.handler())
+	c := testConfig(1, 0, 0, nil)
+	c.TreeRing = 0
+	s := newTestServer(t, c)
+	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/tracez")
 	if err != nil {
@@ -875,10 +889,10 @@ func min(a, b int) int {
 // standalone servers log "-" and send no X-Backend header.
 func TestBackendIdentityStamping(t *testing.T) {
 	var buf bytes.Buffer
-	srv := testServer(t, 1, 2, 1, &buf)
-	srv.backendID = 3
-	srv.col.SetBackend(srv.backendLabel())
-	ts := httptest.NewServer(srv.handler())
+	c := testConfig(1, 2, 1, &buf)
+	c.Backend = 3
+	srv := newTestServer(t, c)
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/")
@@ -919,7 +933,7 @@ func TestBackendIdentityStamping(t *testing.T) {
 func TestStandaloneBackendDefaults(t *testing.T) {
 	var buf bytes.Buffer
 	srv := testServer(t, 1, 2, 1, &buf)
-	ts := httptest.NewServer(srv.handler())
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/")
@@ -957,9 +971,10 @@ func TestStandaloneBackendDefaults(t *testing.T) {
 // TestDBWaitPacesRenders: -dbwait holds the worker through the stall,
 // so request latency is bounded below by it.
 func TestDBWaitPacesRenders(t *testing.T) {
-	srv := testServer(t, 1, 2, 0, nil)
-	srv.dbWait = 40 * time.Millisecond
-	ts := httptest.NewServer(srv.handler())
+	const dbWait = 40 * time.Millisecond
+	c := testConfig(1, 2, 0, nil)
+	c.DBWait = dbWait
+	ts := httptest.NewServer(newTestServer(t, c).Handler())
 	defer ts.Close()
 
 	t0 := time.Now()
@@ -969,22 +984,26 @@ func TestDBWaitPacesRenders(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if elapsed := time.Since(t0); elapsed < srv.dbWait {
-		t.Errorf("request finished in %v, faster than the %v db stall", elapsed, srv.dbWait)
+	if elapsed := time.Since(t0); elapsed < dbWait {
+		t.Errorf("request finished in %v, faster than the %v db stall", elapsed, dbWait)
 	}
 }
 
 func TestValidateClusterFlags(t *testing.T) {
-	if err := validateClusterFlags(-1, 0); err != nil {
-		t.Errorf("standalone defaults rejected: %v", err)
-	}
-	if err := validateClusterFlags(2, 25*time.Millisecond); err != nil {
-		t.Errorf("valid cluster flags rejected: %v", err)
-	}
-	if err := validateClusterFlags(-2, 0); err == nil {
-		t.Error("bad -backend accepted")
-	}
-	if err := validateClusterFlags(0, -time.Second); err == nil {
-		t.Error("negative -dbwait accepted")
+	for _, tc := range []struct {
+		backend int
+		dbwait  time.Duration
+		ok      bool
+	}{
+		{-1, 0, true},                    // standalone defaults
+		{2, 25 * time.Millisecond, true}, // a backend with a stall
+		{-2, 0, false},                   // bad -backend
+		{0, -time.Second, false},         // negative -dbwait
+	} {
+		c := testConfig(1, 0, 0, nil)
+		c.Backend, c.DBWait = tc.backend, tc.dbwait
+		if _, err := serve.NewServer(c); (err == nil) != tc.ok {
+			t.Errorf("backend %d dbwait %v: error %v, want ok=%v", tc.backend, tc.dbwait, err, tc.ok)
+		}
 	}
 }

@@ -59,6 +59,18 @@ func newRenderFixture(t *testing.T, cached bool) renderFixture {
 	return f
 }
 
+// renderConfig is the server whose requests a fixture replays.
+func renderConfig(cached bool) serve.ServerConfig {
+	c := serve.ServerConfig{
+		App: "wordpress", Core: "accelerated", Workers: 1, Seed: 1,
+		Warmup: renderWarmup, CtxSwitchEvery: renderCtxSwitch, QueueDepth: 4, Backend: -1,
+	}
+	if cached {
+		c.CacheCapacity, c.CacheShards, c.Pages, c.ZipfS = 64, 4, renderPages, 1.0
+	}
+	return c
+}
+
 // replay is the request path written out by hand on the fixture's own
 // worker — render, cadence, copy — with no Scheduler in between: what
 // the server must have done for the same request, and the in-process
@@ -116,18 +128,18 @@ func TestRenderPath(t *testing.T) {
 }
 
 func testRenderPath(t *testing.T, cached, sampled, paged bool) {
-	fix, ref := newRenderFixture(t, cached), newRenderFixture(t, cached)
-	rate := 0.0
+	ref := newRenderFixture(t, cached)
+	c := renderConfig(cached)
 	if sampled {
-		rate = 1
+		c.SampleRate = 1
 	}
-	col := obs.NewCollector(rate, nil, nil)
-	col.SetTreeRing(obs.NewTreeRing(16))
-	sched := serve.NewScheduler(fix.pool, serve.Config{QueueDepth: 4, CtxSwitchEvery: renderCtxSwitch})
-	srv := newServer(sched, col, "wordpress", "accelerated")
-	srv.backendID = 2
-	srv.cache, srv.pageKeys = fix.cache, fix.keys
-	ts := httptest.NewServer(srv.handler())
+	c.TreeRing, c.Backend = 16, 2
+	srv, err := serve.NewServer(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := srv.Col
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	// Page 5 twice (the second is the cached modes' hit), then its
@@ -229,11 +241,13 @@ func testRenderPath(t *testing.T, cached, sampled, paged bool) {
 func TestRenderLengthFramed(t *testing.T) {
 	for _, backendID := range []int{-1, 0} {
 		for _, cached := range []bool{false, true} {
-			fix := newRenderFixture(t, cached)
-			srv := newServer(serve.NewScheduler(fix.pool, serve.Config{QueueDepth: 4}), obs.NewCollector(0, nil, nil), "wordpress", "accelerated")
-			srv.backendID = backendID
-			srv.cache, srv.pageKeys = fix.cache, fix.keys
-			ts := httptest.NewServer(srv.handler())
+			c := renderConfig(cached)
+			c.Backend = backendID
+			srv, err := serve.NewServer(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv.Handler())
 			want := []string{""} // X-Cache of each request for page 5
 			if cached {
 				want = []string{"MISS", "HIT"}
@@ -267,10 +281,11 @@ func TestRenderLengthFramed(t *testing.T) {
 // -cache — never a silently different page.
 func TestRenderBadPage(t *testing.T) {
 	for _, cached := range []bool{false, true} {
-		fix := newRenderFixture(t, cached)
-		srv := newServer(serve.NewScheduler(fix.pool, serve.Config{QueueDepth: 4}), obs.NewCollector(0, nil, nil), "wordpress", "accelerated")
-		srv.cache, srv.pageKeys = fix.cache, fix.keys
-		ts := httptest.NewServer(srv.handler())
+		srv, err := serve.NewServer(renderConfig(cached))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
 		for _, q := range []string{"?page=-3", "?page=abc", "?page=1e3", "?page=99999999999999999999", "?page=1&page=2", "?page=%zz"} {
 			resp, err := http.Get(ts.URL + "/" + q)
 			if err != nil {
@@ -281,7 +296,7 @@ func TestRenderBadPage(t *testing.T) {
 				t.Errorf("cache=%v %s: status %d, want 400", cached, q, resp.StatusCode)
 			}
 		}
-		if n := srv.col.Snapshot().Requests; n != 0 {
+		if n := srv.Col.Snapshot().Requests; n != 0 {
 			t.Errorf("cache=%v: %d malformed requests reached a worker", cached, n)
 		}
 		ts.Close()

@@ -14,9 +14,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/obs"
 	"repro/internal/php"
+	"repro/internal/serve"
 )
 
 // scrape GETs path from a test server and returns the 200 body.
@@ -83,7 +83,7 @@ func signalsOf(t reflect.Type, key string, on bool, out []field) []field {
 // the first field of a family and every JSON-only key carry the help
 // text the documentation is rendered from.
 func TestSignalTags(t *testing.T) {
-	sigs := signalsOf(reflect.TypeOf(stats{}), "", true, nil)
+	sigs := signalsOf(reflect.TypeOf(serve.ServerStats{}), "", true, nil)
 	name := regexp.MustCompile(`^[a-z0-9_]+$`)
 	seen, last := map[string]bool{}, ""
 	for _, s := range sigs {
@@ -126,10 +126,9 @@ func TestSignalTags(t *testing.T) {
 // trace — so every signal the binary can expose is on its surfaces.
 func everyPlaneServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	s := tieredTestServer(t, php.TierAuto)
-	s.col.SetTreeRing(obs.NewTreeRing(4))
-	s.cache = cache.New(cache.Config{Capacity: 8, Shards: 1})
-	ts := httptest.NewServer(s.handler())
+	c := tieredConfig(php.TierAuto)
+	c.TreeRing, c.CacheCapacity, c.CacheShards, c.Pages, c.ZipfS = 4, 8, 1, 512, 1.0
+	ts := httptest.NewServer(newTestServer(t, c).Handler())
 	t.Cleanup(ts.Close)
 	for page := 0; page < 6; page++ {
 		scrape(t, ts.URL, fmt.Sprintf("/?page=%d", page%4))
@@ -154,7 +153,7 @@ func TestSignalsDoc(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sigs := signalsOf(reflect.TypeOf(stats{}), "", true, nil)
+	sigs := signalsOf(reflect.TypeOf(serve.ServerStats{}), "", true, nil)
 	keys := map[string][]string{} // family -> /stats keys of its fields
 	// declared holds /stats keys and families alike; the summary is the
 	// one hand-written family.
@@ -263,7 +262,7 @@ func checkDocBlock(t *testing.T, name, want string) {
 // halves itself at 65,536 entries, and _count is the request count.
 func TestSummaryCountersMonotonic(t *testing.T) {
 	s := testServer(t, 1, 0, 0, nil)
-	ts := httptest.NewServer(s.handler())
+	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	read := func() (count, sum, requests float64) {
 		fams, err := obs.ParsePromText(strings.NewReader(scrape(t, ts.URL, "/metrics")))
@@ -282,7 +281,7 @@ func TestSummaryCountersMonotonic(t *testing.T) {
 	}
 	observe := func(n int) {
 		for i := 0; i < n; i++ {
-			s.col.Observe(obs.Span{Wall: time.Millisecond}, 0)
+			s.Col.Observe(obs.Span{Wall: time.Millisecond}, 0)
 		}
 	}
 	observe(1<<16 - 1)

@@ -8,47 +8,24 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/php"
 	"repro/internal/serve"
-	"repro/internal/vm"
-	"repro/internal/workload"
 )
 
-// tieredTestServer builds a warmed scripted-workload server with the
-// tier plane configured in the given mode, promotion tuned aggressively
-// enough to cross the tier boundary during warmup.
-func tieredTestServer(t *testing.T, mode php.TierMode) *server {
-	t.Helper()
-	cfg, err := vm.ConfigByName("accelerated")
-	if err != nil {
-		t.Fatal(err)
+// tieredConfig is a scripted-workload server with the tier plane in the
+// given mode, warmed long enough for the default promotion policy to
+// cross the tier boundary.
+func tieredConfig(mode php.TierMode) serve.ServerConfig {
+	return serve.ServerConfig{
+		App: "phpscript-blog", Core: "accelerated", Workers: 2, Seed: 1,
+		Warmup: 64, QueueDepth: 64, SampleRate: 1, Tier: mode.String(), Backend: -1,
 	}
-	cfg.TraceCapacity = -1
-	pool, err := workload.NewPoolSharedSeed(2, cfg, "phpscript-blog", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	policy := php.TierPolicy{WindowRequests: 4, HotCalls: 1, HotWindows: 1, ColdCalls: 0, ColdWindows: 8}
-	supported, err := pool.ConfigureScriptTier(mode, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !supported {
-		t.Fatal("phpscript-blog should support script tiering")
-	}
-	pool.Run(workload.LoadGenerator{Warmup: 16}, 0)
-	col := obs.NewCollector(1, nil, nil)
-	s := newServer(serve.NewScheduler(pool, serve.Config{QueueDepth: 64}), col, "phpscript-blog", "accelerated")
-	s.tier = mode.String()
-	return s
 }
 
 // TestTierzEndpoint drives a tiered scripted server and checks /tierz
 // reports promotion and per-tier call counts in both formats.
 func TestTierzEndpoint(t *testing.T) {
-	s := tieredTestServer(t, php.TierAuto)
-	ts := httptest.NewServer(s.handler())
+	ts := httptest.NewServer(newTestServer(t, tieredConfig(php.TierAuto)).Handler())
 	defer ts.Close()
 
 	for i := 0; i < 8; i++ {
@@ -106,7 +83,7 @@ func TestTierzEndpoint(t *testing.T) {
 // without the tier plane.
 func TestTierzDisabled(t *testing.T) {
 	s := testServer(t, 1, 1, 0, nil)
-	ts := httptest.NewServer(s.handler())
+	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/tierz")
@@ -126,8 +103,7 @@ func TestTierzDisabled(t *testing.T) {
 // TestTierMetricsSeries checks the phpserve_tier_* series appear on
 // /metrics for a tiered server and are absent on an untiered one.
 func TestTierMetricsSeries(t *testing.T) {
-	s := tieredTestServer(t, php.TierBytecode)
-	ts := httptest.NewServer(s.handler())
+	ts := httptest.NewServer(newTestServer(t, tieredConfig(php.TierBytecode)).Handler())
 	defer ts.Close()
 
 	for i := 0; i < 4; i++ {
@@ -169,7 +145,7 @@ func TestTierMetricsSeries(t *testing.T) {
 	}
 
 	untiered := testServer(t, 1, 1, 0, nil)
-	ts2 := httptest.NewServer(untiered.handler())
+	ts2 := httptest.NewServer(untiered.Handler())
 	defer ts2.Close()
 	resp, err = http.Get(ts2.URL + "/metrics")
 	if err != nil {

@@ -1,9 +1,10 @@
 // Package benchrec keeps the repo's simulated-clock trajectory as a
 // reviewed artifact. It runs a pinned scenario matrix — the direct pool
 // loop, the accelerator on/off sweep EXPERIMENTS.md documents, the
-// scheduler path, the cached Zipf path, the in-process cluster sweep and
-// the scripted tier pair — and serializes one schema-versioned Record
-// per run into BENCH_<n>.json at the repo root. Committed records form
+// scheduler path, the cached Zipf path, the cluster sweep (real servers
+// behind the real router, on loopback in one process) and the scripted
+// tier pair — and serializes one schema-versioned Record per run into
+// BENCH_<n>.json at the repo root. Committed records form
 // the trajectory; scripts/bench_compare.go (`make bench-check`, a step
 // of `make ci`) reruns the matrix and fails on any difference from the
 // latest committed record.
@@ -15,7 +16,8 @@
 // TestMatrixDeterministic pins and SimDrift compares with no tolerance.
 // The exception is allocs_per_op, which does not depend on host speed
 // but moves by a few hundredths with the runtime's background
-// allocations; SimDrift gives it a small absolute slack. Host time —
+// allocations (a few tenths over loopback sockets); SimDrift gives it a
+// small absolute slack. Host time —
 // throughput, latency, CPU per request — is benchmark/'s clock
 // (BENCHMARK.json), measured over real sockets.
 package benchrec

@@ -280,29 +280,29 @@ func runCacheZipf(opts Options) (Scenario, error) {
 }
 
 // runCluster is the FPM-style cluster sweep: `backends` single-worker
-// stacks behind the consistent-hash ring, serving the shared Zipf
+// servers behind the router, on loopback, serving the shared Zipf
 // stream partitioned by key ownership. The 1/2/4 points committed
 // together are the affinity claim: the aggregate hit ratio stays within
 // a few points of the single-process figure (each page's cache entry
 // lives on exactly one backend).
 func runCluster(opts Options, backends int) (Scenario, error) {
-	cl, err := serve.NewCluster(serve.ClusterOptions{
-		Backends:          backends,
-		WorkersPerBackend: clusterWorkers,
-		Config:            vmConfig(true),
-		App:               matrixApp,
-		Seed:              opts.Seed,
-		QueueDepth:        schedQueueDepth,
-		Timeout:           schedTimeout,
-		CacheCapacity:     cacheCapacity,
-		Pages:             zipfPages,
-		ZipfS:             zipfExponent,
-		RingReplicas:      clusterRingReplicas,
-	})
+	cl, err := serve.StartLoopback(backends, serve.ServerConfig{
+		App:           matrixApp,
+		Core:          "accelerated",
+		Workers:       clusterWorkers,
+		Seed:          opts.Seed,
+		Warmup:        matrixWarmup,
+		QueueDepth:    schedQueueDepth,
+		Timeout:       schedTimeout,
+		CacheCapacity: cacheCapacity,
+		CacheShards:   cache.DefaultShards,
+		Pages:         zipfPages,
+		ZipfS:         zipfExponent,
+	}, serve.RouterConfig{RingReplicas: clusterRingReplicas})
 	if err != nil {
 		return Scenario{}, err
 	}
-	cl.Warm(matrixWarmup)
+	defer cl.Close()
 	var cs serve.ClusterStats
 	var runErr error
 	allocs := measureAllocs(clusterMeasure, func() {

@@ -2,159 +2,128 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/cache"
 	"repro/internal/sim"
-	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
-// ClusterOptions configures an in-process FPM-style cluster: N complete
-// backend stacks (pool + scheduler + response cache) behind one
-// consistent-hash ring, the same topology cmd/phprouter builds out of
-// real processes. The in-process form exists for benchmarks and tests,
-// where process spawning would cost determinism and wall clock.
-type ClusterOptions struct {
-	// Backends is the number of backend stacks (>= 1).
-	Backends int
-	// WorkersPerBackend sizes each backend's pool (>= 1).
-	WorkersPerBackend int
-	// Config is the per-worker VM configuration.
-	Config vm.Config
-	// App names the workload every backend serves (must support pages).
-	App string
-	// Seed is the base RNG seed; backends share it so page identity is
-	// cluster-wide (page N renders identically on every backend).
-	Seed int64
-	// QueueDepth and Timeout configure each backend's scheduler.
-	QueueDepth int
-	Timeout    time.Duration
-	// CacheCapacity is the TOTAL cached-response budget across the
-	// cluster, split evenly per backend (minimum 1 each). Fixing the
-	// total keeps the aggregate hit ratio comparable across backend
-	// counts: the ring partitions pages by hash, not popularity, so
-	// each backend sees a popularity-scaled slice of the same Zipf
-	// curve and a proportional slice of the capacity.
-	CacheCapacity int
-	// Pages and ZipfS describe the page popularity distribution.
-	Pages int
-	ZipfS float64
-	// DBWait is the simulated per-render backend I/O stall (database
-	// round trips) each miss holds its worker for — the reason FPM
-	// fleets run many processes per core. Zero disables it.
-	DBWait time.Duration
-	// RingReplicas is the virtual-node count per backend (<= 0 selects
-	// cache.DefaultRingReplicas).
-	RingReplicas int
+// Loopback is a whole cluster in one process: Servers built by NewServer
+// behind a Router, each serving its own loopback listener — the
+// phprouter + phpserve -fpm topology with the processes folded into one
+// and the sockets kept. The benchrec cluster scenarios, loadgen -cluster
+// and the cluster tests run on it, so they measure the servers and the
+// hop the binaries run.
+type Loopback struct {
+	// Servers are the backends, index == backend id; Router fronts them.
+	Servers []*Server
+	Router  *Router
+
+	cfg   ServerConfig
+	ring  *cache.Ring // the router's ring, rebuilt: it partitions a run's stream
+	front string
+	hs    []*http.Server
+	hop   *hop // the clients' one connection pool, one keep-alive connection per stream
 }
 
-func (o *ClusterOptions) normalize() error {
-	if o.Backends <= 0 {
-		return fmt.Errorf("serve: cluster needs at least 1 backend, got %d", o.Backends)
+// StartLoopback builds n backends from cfg — backend i is cfg as -fpm
+// backend i — warming them concurrently, and serves them behind a router
+// built from rcfg. cfg.CacheCapacity is the cluster's total: each
+// backend caches the share of it that its share of cfg.Pages on the ring
+// is, which keeps the aggregate hit ratio comparable across backend
+// counts (the ring splits pages by hash, not popularity).
+func StartLoopback(n int, cfg ServerConfig, rcfg RouterConfig) (*Loopback, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("serve: a cluster needs at least 1 backend, got %d", n)
 	}
-	if o.WorkersPerBackend <= 0 {
-		return fmt.Errorf("serve: cluster needs at least 1 worker per backend, got %d", o.WorkersPerBackend)
-	}
-	if o.CacheCapacity <= 0 {
-		return fmt.Errorf("serve: cluster needs a positive total cache capacity, got %d", o.CacheCapacity)
-	}
-	if o.Pages <= 0 {
-		return fmt.Errorf("serve: cluster needs a positive page count, got %d", o.Pages)
-	}
-	if o.DBWait < 0 {
-		return fmt.Errorf("serve: cluster dbwait must be >= 0, got %v", o.DBWait)
-	}
-	return nil
-}
-
-// ClusterBackend is one backend stack of an in-process Cluster.
-type ClusterBackend struct {
-	// ID is the backend's ring member name ("0", "1", ...).
-	ID string
-	// Pool, Sched, Cache are the backend's serving stack.
-	Pool  *workload.Pool
-	Sched *Scheduler
-	Cache *cache.Cache
-}
-
-// Cluster is the in-process cluster harness: the benchrec cluster_zipf
-// scenarios (stall-free; they record simulated results only), loadgen
-// -cluster (with -dbwait, the way to reproduce the I/O-overlap scaling
-// claim) and the cluster e2e tests drive it directly, with no processes
-// or sockets between router math and backend stacks.
-type Cluster struct {
-	// Opts echoes the normalized construction options.
-	Opts ClusterOptions
-	// Backends holds the stacks, index == backend id.
-	Backends []*ClusterBackend
-	// Ring is the cache-affinity ring over backend ids.
-	Ring *cache.Ring
-}
-
-// NewCluster builds the backend stacks and ring. Pools share the base
-// seed (page identity is cluster-wide); each backend's cache gets an
-// even share of the total capacity.
-func NewCluster(opts ClusterOptions) (*Cluster, error) {
-	if err := opts.normalize(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	cl := &Cluster{Opts: opts, Ring: cache.NewRing(opts.RingReplicas)}
-	for i := 0; i < opts.Backends; i++ {
-		cl.Ring.Add(strconv.Itoa(i))
+	l := &Loopback{
+		Servers: make([]*Server, n),
+		cfg:     cfg,
+		ring:    cache.NewRing(rcfg.RingReplicas),
+		hop:     &hop{timeout: 30 * time.Second, idle: make(map[string][]*hopConn)},
 	}
-	// Split the total capacity budget proportionally to each backend's
-	// owned share of the page universe (which the cluster, unlike a
-	// generic router, knows exactly). A plain total/N split leaves the
-	// backend that hashes slightly more pages under-provisioned, which
-	// shows up directly as an aggregate hit-ratio gap vs. single-process.
-	owned := make([]int, opts.Backends)
-	for p := 0; p < opts.Pages; p++ {
-		owned[cl.OwnerOf(p)]++
+	for i := 0; i < n; i++ {
+		l.ring.Add(strconv.Itoa(i))
 	}
-	for i := 0; i < opts.Backends; i++ {
-		perCache := opts.CacheCapacity * owned[i] / opts.Pages
-		if perCache < 1 {
-			perCache = 1
+	owned := make([]int, n)
+	for p := 0; p < cfg.Pages; p++ {
+		owned[l.owner(p)]++
+	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range l.Servers {
+		bc := cfg
+		bc.Backend = i
+		if cfg.CacheCapacity > 0 {
+			bc.CacheCapacity = max(1, cfg.CacheCapacity*owned[i]/cfg.Pages)
 		}
-		pool, err := workload.NewPoolSharedSeed(opts.WorkersPerBackend, opts.Config, opts.App, opts.Seed)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			l.Servers[i], errs[i] = NewServer(bc)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	l.Router = NewRouter(rcfg)
+	for i, s := range l.Servers {
+		addr, err := l.listen(s.Handler())
 		if err != nil {
+			l.Close()
 			return nil, err
 		}
-		b := &ClusterBackend{
-			ID:    strconv.Itoa(i),
-			Pool:  pool,
-			Sched: NewScheduler(pool, Config{QueueDepth: opts.QueueDepth, Timeout: opts.Timeout}),
-			Cache: cache.New(cache.Config{Capacity: perCache}),
-		}
-		cl.Backends = append(cl.Backends, b)
+		l.Router.AddBackend(strconv.Itoa(i), addr)
 	}
-	return cl, nil
+	var err error
+	if l.front, err = l.listen(l.Router.Handler()); err != nil {
+		l.Close()
+		return nil, err
+	}
+	return l, nil
 }
 
-// OwnerOf returns the backend index owning a page's key.
-func (c *Cluster) OwnerOf(page int) int {
-	m, _ := c.Ring.Owner(PageKey(page))
+// listen serves h on a fresh loopback port and returns its address.
+func (l *Loopback) listen(h http.Handler) (string, error) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", err
+	}
+	hs := &http.Server{Handler: h}
+	l.hs = append(l.hs, hs)
+	go hs.Serve(lis)
+	return lis.Addr().String(), nil
+}
+
+// owner returns the index of the backend whose ring range holds page.
+func (l *Loopback) owner(page int) int {
+	m, _ := l.ring.Owner(PageKey(page))
 	i, _ := strconv.Atoi(m)
 	return i
 }
 
-// Warm runs warmup requests on every backend pool concurrently (each
-// pool's warmup stream is deterministic on its own, so overlapping them
-// costs nothing but saves wall clock).
-func (c *Cluster) Warm(warmup int) {
-	var wg sync.WaitGroup
-	for _, b := range c.Backends {
-		wg.Add(1)
-		go func(b *ClusterBackend) {
-			defer wg.Done()
-			b.Pool.Run(workload.LoadGenerator{Warmup: warmup}, 0)
-		}(b)
+// Close stops every listener and drops the idle connections of both
+// hops, the clients' and the router's.
+func (l *Loopback) Close() {
+	for _, hs := range l.hs {
+		hs.Close()
 	}
-	wg.Wait()
+	l.hop.closeIdle()
+	if h, ok := l.Router.transport.(*hop); ok {
+		h.closeIdle()
+	}
 }
 
 // BackendClusterStats pairs one backend with what it observed during a
@@ -165,78 +134,66 @@ type BackendClusterStats struct {
 	// Pages is how many distinct pages the ring assigned this backend
 	// during the run.
 	Pages int
-	// Load is the backend's own closed-loop stats (Wall covers only
-	// this backend's serving span).
+	// Load is the backend's stream as its client saw it (Wall covers
+	// only this stream).
 	Load LoadStats
 }
 
 // ClusterStats aggregates a RunZipf across backends.
 type ClusterStats struct {
 	// Aggregate sums outcome counts across backends; its Wall is the
-	// whole run's span (max over backends), so Aggregate throughput is
-	// cluster throughput.
+	// whole run's span, so Aggregate throughput is cluster throughput.
 	Aggregate LoadStats
 	// PerBackend holds each backend's own view, index == backend id.
 	PerBackend []BackendClusterStats
 }
 
-// RunZipf draws `requests` pages from the cluster's Zipf distribution,
-// partitions them by ring owner, and serves each backend's share on
-// that backend — RunLoad with one closed-loop client per backend, pages
-// in draw order, each render stalling DBWait on its worker.
-// Serial-per-backend serving keeps every cache outcome deterministic
-// (no cross-client races, no coalescing) while backends overlap in wall
-// clock; with a DBWait stall per render, N backends overlap N stalls,
-// which is the cluster's near-linear scaling claim.
-func (c *Cluster) RunZipf(ctx context.Context, requests int) (ClusterStats, error) {
+// RunZipf draws requests pages from Zipf(cfg.ZipfS) over cfg.Pages,
+// seeded with cfg.Seed, partitions the draws by ring owner and sends
+// each backend's share through the router from one closed-loop client
+// of its own, in draw order. Serial per backend, every cache outcome and
+// simulated cycle is a function of the seed (no cross-client races, no
+// coalescing) while the backends overlap in wall clock; with a DBWait
+// stall per render, n backends overlap n stalls, which is the cluster's
+// near-linear scaling claim. A request that gets no HTTP answer fails
+// the run.
+func (l *Loopback) RunZipf(ctx context.Context, requests int) (ClusterStats, error) {
 	if requests <= 0 {
 		return ClusterStats{}, fmt.Errorf("serve: cluster run needs a positive request count, got %d", requests)
 	}
-	keys, err := workload.NewZipfKeys(c.Opts.Seed, c.Opts.ZipfS, c.Opts.Pages)
+	keys, err := workload.NewZipfKeys(l.cfg.Seed, l.cfg.ZipfS, l.cfg.Pages)
 	if err != nil {
 		return ClusterStats{}, err
 	}
-	// Partition the draw stream up front: request k goes to the ring
-	// owner of its page key, preserving draw order within each backend.
-	streams := make([][]int, len(c.Backends))
-	pageSets := make([]map[int]bool, len(c.Backends))
+	n := len(l.Servers)
+	streams := make([][]int, n)
+	pageSets := make([]map[int]bool, n)
 	for i := range pageSets {
 		pageSets[i] = make(map[int]bool)
 	}
 	for k := 0; k < requests; k++ {
 		page := keys.Next()
-		owner := c.OwnerOf(page)
+		owner := l.owner(page)
 		streams[owner] = append(streams[owner], page)
 		pageSets[owner][page] = true
 	}
 
-	stats := ClusterStats{PerBackend: make([]BackendClusterStats, len(c.Backends))}
+	stats := ClusterStats{PerBackend: make([]BackendClusterStats, n)}
+	errs := make([]error, n)
 	start := time.Now()
 	var wg sync.WaitGroup
-	for i, b := range c.Backends {
+	for i := range streams {
 		wg.Add(1)
-		go func(i int, b *ClusterBackend) {
+		go func() {
 			defer wg.Done()
-			pages := streams[i]
-			stats.PerBackend[i] = BackendClusterStats{
-				ID:    b.ID,
-				Pages: len(pageSets[i]),
-				Load: RunLoad(ctx, b.Sched, LoadOptions{
-					Requests: len(pages),
-					Clients:  1,
-					Cache:    b.Cache,
-					Stall:    c.Opts.DBWait,
-					PageKey: func() int {
-						page := pages[0]
-						pages = pages[1:]
-						return page
-					},
-				}),
-			}
-		}(i, b)
+			stats.PerBackend[i] = BackendClusterStats{ID: strconv.Itoa(i), Pages: len(pageSets[i])}
+			stats.PerBackend[i].Load, errs[i] = l.stream(ctx, streams[i])
+		}()
 	}
 	wg.Wait()
-	wall := time.Since(start)
+	if err := errors.Join(errs...); err != nil {
+		return stats, err
+	}
 
 	agg := &stats.Aggregate
 	var lats []time.Duration
@@ -246,26 +203,79 @@ func (c *Cluster) RunZipf(ctx context.Context, requests int) (ClusterStats, erro
 		agg.ShedOverload += pb.Load.ShedOverload
 		agg.ShedDeadline += pb.Load.ShedDeadline
 		agg.ShedCanceled += pb.Load.ShedCanceled
-		agg.ShedDraining += pb.Load.ShedDraining
 		agg.CacheHits += pb.Load.CacheHits
 		agg.CacheMisses += pb.Load.CacheMisses
 		agg.CacheCoalesced += pb.Load.CacheCoalesced
 		lats = append(lats, pb.Load.rawLatencies...)
 	}
-	agg.Wall = wall
+	agg.Wall = time.Since(start)
 	agg.Latency = workload.LatencyStatsFrom(lats)
 	return stats, nil
+}
+
+// stream is one closed-loop client: GET /?page=N at the router for each
+// page in order, the answer counted by its status and X-Cache header.
+func (l *Loopback) stream(ctx context.Context, pages []int) (LoadStats, error) {
+	var ls LoadStats
+	start := time.Now()
+	for _, page := range pages {
+		if ctx.Err() != nil {
+			break
+		}
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+l.front+"/?page="+strconv.Itoa(page), nil)
+		if err != nil {
+			return ls, err
+		}
+		t0 := time.Now()
+		resp, err := l.hop.RoundTrip(req)
+		if err != nil {
+			return ls, err
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return ls, err
+		}
+		lat := time.Since(t0)
+		ls.Submitted++
+		switch resp.StatusCode {
+		case http.StatusOK:
+			ls.Served++
+			ls.rawLatencies = append(ls.rawLatencies, lat)
+			switch resp.Header.Get("X-Cache") {
+			case "HIT":
+				ls.CacheHits++
+			case "COALESCED":
+				ls.CacheCoalesced++
+			case "MISS":
+				ls.CacheMisses++
+			}
+		case http.StatusServiceUnavailable:
+			ls.ShedOverload++
+		case http.StatusGatewayTimeout:
+			ls.ShedDeadline++
+		case statusClientClosedRequest:
+			ls.ShedCanceled++
+		default:
+			return ls, fmt.Errorf("serve: page %d: status %s", page, resp.Status)
+		}
+	}
+	ls.Wall = time.Since(start)
+	ls.Latency = workload.LatencyStatsFrom(ls.rawLatencies)
+	return ls, nil
 }
 
 // MergedMeter aggregates simulated costs across every backend: all pool
 // meters merged in backend order, then each backend cache's lookup
 // charges, so cluster totals stay exact the way single-process totals
 // are.
-func (c *Cluster) MergedMeter() *sim.Meter {
+func (l *Loopback) MergedMeter() *sim.Meter {
 	mt := sim.NewMeter(sim.DefaultCostModel())
-	for _, b := range c.Backends {
-		mt.Merge(b.Pool.MergedMeter())
-		b.Cache.MergeMeter(mt)
+	for _, s := range l.Servers {
+		mt.Merge(s.Pool.MergedMeter())
+		if s.Cache != nil {
+			s.Cache.MergeMeter(mt)
+		}
 	}
 	return mt
 }

@@ -6,41 +6,43 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/sim"
-	"repro/internal/vm"
 )
 
-func testClusterOpts(backends int) ClusterOptions {
-	return ClusterOptions{
-		Backends:          backends,
-		WorkersPerBackend: 1,
-		Config:            vm.Config{},
-		App:               "wordpress",
-		Seed:              7,
-		QueueDepth:        16,
-		Timeout:           30 * time.Second,
-		CacheCapacity:     64,
-		Pages:             128,
-		ZipfS:             1.0,
+// testClusterConfig is every backend of the test clusters: one
+// software-only wordpress worker behind a 64-entry share of the cache.
+func testClusterConfig() ServerConfig {
+	return ServerConfig{
+		App: "wordpress", Core: "baseline", Workers: 1, Seed: 7, Warmup: 2,
+		QueueDepth: 16, Timeout: 30 * time.Second,
+		CacheCapacity: 64, CacheShards: cache.DefaultShards, Pages: 128, ZipfS: 1.0,
 	}
+}
+
+// startTestCluster starts backends servers from cfg behind a router.
+func startTestCluster(t *testing.T, backends int, cfg ServerConfig) *Loopback {
+	t.Helper()
+	cl, err := StartLoopback(backends, cfg, RouterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	return cl
 }
 
 // TestClusterDisjointOwnershipAndDeterminism: the ring partitions the
 // page stream so no page is served by two backends, outcome counts are
 // exact, and a second identical cluster reproduces them bit-for-bit.
 func TestClusterDisjointOwnershipAndDeterminism(t *testing.T) {
-	run := func() (ClusterStats, *Cluster) {
-		opts := testClusterOpts(4)
+	run := func() (ClusterStats, *Loopback) {
+		cfg := testClusterConfig()
 		// Generous capacity (the cache is sharded LRU, so bare
 		// capacity == distinct keys can still evict within an unlucky
 		// shard): with no eviction pressure, each distinct page misses
 		// exactly once, making ownership exact.
-		opts.CacheCapacity = opts.Pages * 8
-		cl, err := NewCluster(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl.Warm(2)
+		cfg.CacheCapacity = cfg.Pages * 8
+		cl := startTestCluster(t, 4, cfg)
 		cs, err := cl.RunZipf(context.Background(), 120)
 		if err != nil {
 			t.Fatal(err)
@@ -67,11 +69,15 @@ func TestClusterDisjointOwnershipAndDeterminism(t *testing.T) {
 		t.Fatal("Zipf stream produced no cache hits")
 	}
 
-	// Every backend's cache saw only pages the ring assigned to it, and
-	// per-backend cache stats agree with the harness's own counts.
+	// Every request crossed the router to its page's owner at the first
+	// try, and every backend's cache saw only pages the ring assigned to
+	// it: per-backend cache stats agree with the harness's own counts.
+	if rs := cl.Router.Stats(); rs.Requests() != 120 || rs.Retries != 0 {
+		t.Fatalf("router proxied %d requests with %d retries, want 120 and none", rs.Requests(), rs.Retries)
+	}
 	served := 0
 	for i, pb := range cs.PerBackend {
-		st := cl.Backends[i].Cache.Stats()
+		st := cl.Servers[i].Cache.Stats()
 		if int(st.Hits) != pb.Load.CacheHits || int(st.Misses) != pb.Load.CacheMisses {
 			t.Fatalf("backend %d: cache stats %d/%d vs harness %d/%d",
 				i, st.Hits, st.Misses, pb.Load.CacheHits, pb.Load.CacheMisses)
@@ -110,11 +116,7 @@ func TestClusterDisjointOwnershipAndDeterminism(t *testing.T) {
 // percentage points.
 func TestClusterAggregateHitRatioParity(t *testing.T) {
 	ratio := func(backends int) float64 {
-		cl, err := NewCluster(testClusterOpts(backends))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl.Warm(2)
+		cl := startTestCluster(t, backends, testClusterConfig())
 		cs, err := cl.RunZipf(context.Background(), 400)
 		if err != nil {
 			t.Fatal(err)
@@ -146,13 +148,9 @@ func TestClusterDBWaitOverlaps(t *testing.T) {
 	// backends run, exactly like real FPM fleets sized for I/O-bound
 	// pages.
 	const dbWait = 40 * time.Millisecond
-	opts := testClusterOpts(4)
-	opts.DBWait = dbWait
-	cl, err := NewCluster(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.Warm(2)
+	cfg := testClusterConfig()
+	cfg.DBWait = dbWait
+	cl := startTestCluster(t, 4, cfg)
 	cs, err := cl.RunZipf(context.Background(), 60)
 	if err != nil {
 		t.Fatal(err)
@@ -184,13 +182,9 @@ func backendCounts(pb BackendClusterStats) [5]int {
 // with no stall.
 func TestClusterStallLeavesRecordUnchanged(t *testing.T) {
 	run := func(backends int, dbWait time.Duration) ([][5]int, sim.CategoryVec) {
-		opts := testClusterOpts(backends)
-		opts.DBWait = dbWait
-		cl, err := NewCluster(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl.Warm(2)
+		cfg := testClusterConfig()
+		cfg.DBWait = dbWait
+		cl := startTestCluster(t, backends, cfg)
 		cs, err := cl.RunZipf(context.Background(), 80)
 		if err != nil {
 			t.Fatal(err)
@@ -214,41 +208,69 @@ func TestClusterStallLeavesRecordUnchanged(t *testing.T) {
 }
 
 func TestClusterOptionValidation(t *testing.T) {
-	bad := []func(*ClusterOptions){
-		func(o *ClusterOptions) { o.Backends = 0 },
-		func(o *ClusterOptions) { o.WorkersPerBackend = 0 },
-		func(o *ClusterOptions) { o.CacheCapacity = 0 },
-		func(o *ClusterOptions) { o.Pages = 0 },
-		func(o *ClusterOptions) { o.DBWait = -time.Second },
+	if _, err := StartLoopback(0, testClusterConfig(), RouterConfig{}); err == nil {
+		t.Fatal("a cluster of no backends accepted")
 	}
-	for i, mutate := range bad {
-		opts := testClusterOpts(1)
-		mutate(&opts)
-		if _, err := NewCluster(opts); err == nil {
+	for i, mutate := range []func(*ServerConfig){
+		func(c *ServerConfig) { c.Workers = 0 },
+		func(c *ServerConfig) { c.CacheCapacity = -1 },
+		func(c *ServerConfig) { c.Pages = 0 },
+		func(c *ServerConfig) { c.DBWait = -time.Second },
+	} {
+		cfg := testClusterConfig()
+		mutate(&cfg)
+		if cl, err := StartLoopback(1, cfg, RouterConfig{}); err == nil {
+			cl.Close()
 			t.Fatalf("case %d: invalid options accepted", i)
 		}
 	}
-	cl, err := NewCluster(testClusterOpts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := startTestCluster(t, 1, testClusterConfig())
 	if _, err := cl.RunZipf(context.Background(), 0); err == nil {
 		t.Fatal("zero-request run accepted")
 	}
 }
 
-// TestClusterRunZipfThroughRunLoad pins RunZipf's move onto RunLoad: the
-// per-backend served/distinct-page/hit/miss/coalesced counts and the
-// merged per-category cycles for seed 1 are the values the hand-rolled
-// per-backend loop produced before it was deleted.
-func TestClusterRunZipfThroughRunLoad(t *testing.T) {
-	opts := testClusterOpts(4)
-	opts.Seed = 1
-	cl, err := NewCluster(opts)
+// TestLoopbackCloseDropsIdleConnections: after a run both hops hold idle
+// keep-alive connections (client to router, router to each backend);
+// Close leaves neither holding one, so a process that builds a Loopback
+// per scenario does not accumulate sockets.
+func TestLoopbackCloseDropsIdleConnections(t *testing.T) {
+	cl, err := StartLoopback(2, testClusterConfig(), RouterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.Warm(2)
+	if _, err := cl.RunZipf(context.Background(), 20); err != nil {
+		cl.Close()
+		t.Fatal(err)
+	}
+	idle := func(h *hop) int {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		n := 0
+		for _, conns := range h.idle {
+			n += len(conns)
+		}
+		return n
+	}
+	client, router := cl.hop, cl.Router.transport.(*hop)
+	if idle(client) != 2 || idle(router) != 2 {
+		t.Fatalf("after the run: %d client and %d router idle connections, want 2 and 2", idle(client), idle(router))
+	}
+	cl.Close()
+	if idle(client) != 0 || idle(router) != 0 {
+		t.Errorf("after Close: %d client and %d router idle connections, want none", idle(client), idle(router))
+	}
+}
+
+// TestClusterRunZipfThroughRunLoad pins RunZipf's counts and cycles:
+// the per-backend served/distinct-page/hit/miss/coalesced counts and
+// the merged per-category cycles for seed 1 are the values the
+// in-process harness produced (through RunLoad, and before that its
+// hand-rolled loop) before real servers behind the router replaced it.
+func TestClusterRunZipfThroughRunLoad(t *testing.T) {
+	cfg := testClusterConfig()
+	cfg.Seed = 1
+	cl := startTestCluster(t, 4, cfg)
 	cs, err := cl.RunZipf(context.Background(), 200)
 	if err != nil {
 		t.Fatal(err)

@@ -84,6 +84,19 @@ func (h *hop) exchange(ctx context.Context, c *hopConn, req *http.Request) (resp
 	return resp, true, nil
 }
 
+// closeIdle closes every pooled connection; one in use still returns to
+// the list when its body ends.
+func (h *hop) closeIdle() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for addr, conns := range h.idle {
+		for _, c := range conns {
+			c.Close()
+		}
+		delete(h.idle, addr)
+	}
+}
+
 // hopErr names what ended an exchange: the caller (the context's error),
 // the bound (errHopTimeout) or the network (err itself).
 func hopErr(ctx context.Context, err error) error {

@@ -14,8 +14,7 @@ import (
 )
 
 // Request is one page request as every driver of the scheduler states
-// it — cmd/phpserve's handler, RunLoad's closed-loop clients, and
-// through RunLoad the in-process Cluster.
+// it — Server's render handler and RunLoad's closed-loop clients.
 type Request struct {
 	// Page is the page identity to render; negative means the next
 	// request of whichever worker picks it up (the worker's own

@@ -106,7 +106,7 @@ func TestServeStallHoldsWorkerAndHonoursDeadline(t *testing.T) {
 	if _, err := s.Serve(context.Background(), Request{Page: -1, Cache: c}, nil); err == nil || c.Stats().Entries != 0 {
 		t.Errorf("cached request without a page: err = %v, %d entries cached", err, c.Stats().Entries)
 	}
-	checkPoolIntact(t, s.Pool())
+	checkPoolIntact(t, s.pool)
 }
 
 // budgetPool is the pool the budget tests of this package measure on:

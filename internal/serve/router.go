@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // Router shed reasons, exported so the metrics layer and tests name the
@@ -58,6 +59,20 @@ type RouterConfig struct {
 	// Events, when non-nil, records cluster lifecycle transitions
 	// (backend up/down, ring membership changes) for GET /eventz.
 	Events *obs.EventRing
+
+	// PageKeys draws a page for a request that names none, rewritten
+	// into the query so the backend renders the page the router hashed
+	// (nil keys such a request on its path).
+	PageKeys *workload.ZipfKeys
+	// ScrapeTimeout bounds one fleet scrape pass behind /clusterz and the
+	// cluster gauges (<= 0 selects 2s).
+	ScrapeTimeout time.Duration
+	// DrainGrace bounds the router's own drain in ListenAndServe and each
+	// backend's during a rolling restart.
+	DrainGrace time.Duration
+	// HealthInterval is how often ListenAndServe probes every backend,
+	// after waiting up to StartupWait for all of them to answer first.
+	HealthInterval, StartupWait time.Duration
 }
 
 // routerBackend is the router's view of one backend process.
@@ -103,13 +118,26 @@ type Router struct {
 	retries       int64
 	stitched      int64 // backend trees grafted under a router proxy span
 	stitchErrors  int64 // stitch fetches that failed or found no tree
+
+	start time.Time
+	sup   *Supervisor // spawned backends (Spawn), nil when they are external
+	// restartMu serializes rolling restarts (a second POST /restart
+	// while one runs answers 409).
+	restartMu sync.Mutex
+	// scrapeMu guards the TTL-coalesced fleet scrape behind /clusterz
+	// and the cluster gauges.
+	scrapeMu   sync.Mutex
+	lastScrape *FleetScrape
 }
 
 // NewRouter builds a router with no backends; register them with
-// AddBackend.
+// AddBackend or Spawn.
 func NewRouter(cfg RouterConfig) *Router {
 	if cfg.HealthTimeout <= 0 {
 		cfg.HealthTimeout = time.Second
+	}
+	if cfg.ScrapeTimeout <= 0 {
+		cfg.ScrapeTimeout = 2 * time.Second
 	}
 	transport := cfg.Transport
 	if transport == nil {
@@ -122,6 +150,7 @@ func NewRouter(cfg RouterConfig) *Router {
 		sampler:   obs.NewSampler(cfg.SampleRate),
 		ring:      cache.NewRing(cfg.RingReplicas),
 		backends:  make(map[string]*routerBackend),
+		start:     time.Now(),
 	}
 }
 

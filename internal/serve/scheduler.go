@@ -166,9 +166,6 @@ func NewScheduler(pool *workload.Pool, cfg Config) *Scheduler {
 	}
 }
 
-// Pool returns the worker pool the scheduler serves from.
-func (s *Scheduler) Pool() *workload.Pool { return s.pool }
-
 // QueueDepth returns the instantaneous number of admitted requests
 // waiting for a worker — the /metrics queue-depth gauge.
 func (s *Scheduler) QueueDepth() int {

@@ -87,7 +87,7 @@ func TestShedWhenQueueFull(t *testing.T) {
 	if st.Served != 1 || st.ShedOverload != 1 || st.Admitted != 1 {
 		t.Errorf("stats = %+v", st)
 	}
-	checkPoolIntact(t, s.Pool())
+	checkPoolIntact(t, s.pool)
 }
 
 func TestDeadlineWhileQueued(t *testing.T) {
@@ -122,7 +122,7 @@ func TestDeadlineWhileQueued(t *testing.T) {
 	if st.QueueWait.Count != 2 {
 		t.Errorf("queue-wait observations = %d, want 2", st.QueueWait.Count)
 	}
-	checkPoolIntact(t, s.Pool())
+	checkPoolIntact(t, s.pool)
 }
 
 func TestExpiredBeforeAdmission(t *testing.T) {
@@ -140,7 +140,7 @@ func TestExpiredBeforeAdmission(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("after expired shed: %v", err)
 	}
-	checkPoolIntact(t, s.Pool())
+	checkPoolIntact(t, s.pool)
 }
 
 // TestCanceledBeforeAdmission: a context the client already abandoned
@@ -160,7 +160,7 @@ func TestCanceledBeforeAdmission(t *testing.T) {
 	if st.Shed() != 1 {
 		t.Errorf("Shed() = %d, want 1 (canceled must count)", st.Shed())
 	}
-	checkPoolIntact(t, s.Pool())
+	checkPoolIntact(t, s.pool)
 }
 
 // TestCanceledWhileQueued: a client disconnecting while its request is
@@ -200,7 +200,7 @@ func TestCanceledWhileQueued(t *testing.T) {
 	if st.ShedCanceled != 1 || st.ShedDeadline != 0 {
 		t.Errorf("sheds = canceled %d, deadline %d; want 1, 0", st.ShedCanceled, st.ShedDeadline)
 	}
-	checkPoolIntact(t, s.Pool())
+	checkPoolIntact(t, s.pool)
 }
 
 // TestFnCanceledMapsToErrCanceled: a worker function reporting a
@@ -297,7 +297,7 @@ func TestDrainDuringLoad(t *testing.T) {
 	if st.ShedDraining != int64(outcomes[ErrDraining]) {
 		t.Errorf("draining counter %d != observed %d", st.ShedDraining, outcomes[ErrDraining])
 	}
-	checkPoolIntact(t, s.Pool())
+	checkPoolIntact(t, s.pool)
 
 	if _, err := s.Do(context.Background(), func(*workload.Worker) error { return nil }); !errors.Is(err, ErrDraining) {
 		t.Errorf("post-drain Do: err = %v, want ErrDraining", err)
@@ -384,7 +384,7 @@ func TestDrainLateQuiescence(t *testing.T) {
 	if err := s.Drain(ectx); err != nil {
 		t.Errorf("re-drain after quiescence with expired ctx: %v", err)
 	}
-	checkPoolIntact(t, s.Pool())
+	checkPoolIntact(t, s.pool)
 }
 
 // TestRunLoadServesAll: an unsaturated closed loop serves everything,
@@ -455,7 +455,7 @@ func TestRunLoadOverload(t *testing.T) {
 	if ls2.Served == 0 {
 		t.Errorf("overload starved everything after release: %+v", ls2)
 	}
-	checkPoolIntact(t, s.Pool())
+	checkPoolIntact(t, s.pool)
 }
 
 // TestRunLoadErrorSamples: with an ID source set, shed submissions

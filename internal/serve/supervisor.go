@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"os/exec"
+	"os/signal"
 	"runtime"
 	"sync"
 	"syscall"
@@ -273,3 +275,30 @@ func SetProcs(workers int) int {
 }
 
 func procs(workers, ncpu int) int { return max(1, min(workers, ncpu)) }
+
+// signalContext is done at the process's first SIGTERM or SIGINT.
+func signalContext() (context.Context, context.CancelFunc) {
+	return signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+}
+
+// serveUntilSignal serves h on addr until the listener fails or sig (a
+// signalContext) is done; then it hands drain the http.Server and a
+// context bounded by grace, and drain decides what stops in which order
+// around Shutdown. A second signal kills the process the default way.
+// It returns only the listener's error.
+func serveUntilSignal(sig context.Context, name, addr string, h http.Handler, grace time.Duration, drain func(context.Context, *http.Server)) error {
+	hs := &http.Server{Addr: addr, Handler: h}
+	errCh := make(chan error, 1)
+	go func() { errCh <- hs.ListenAndServe() }()
+	select {
+	case err := <-errCh:
+		return err
+	case <-sig.Done():
+	}
+	signal.Reset(syscall.SIGTERM, os.Interrupt)
+	fmt.Printf("%s: draining (grace %v)\n", name, grace)
+	ctx, cancel := context.WithTimeout(context.Background(), grace)
+	defer cancel()
+	drain(ctx, hs)
+	return nil
+}

@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"io"
+	"net"
+	"net/http"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -112,4 +114,61 @@ func TestSupervisorRespawnsCrashes(t *testing.T) {
 	cancel()
 	<-done
 	s.StopAll(stopCtx)
+}
+
+// TestServeUntilSignal: the lifecycle both binaries share serves until
+// its signal context is done, then hands drain a live http.Server and a
+// context bounded by the grace; a listener that cannot start is the
+// error, with drain never called.
+func TestServeUntilSignal(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := lis.Addr().String()
+	lis.Close()
+	sig, stop := context.WithCancel(context.Background())
+	served := make(chan struct{})
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, "ok") })
+	done := make(chan error, 1)
+	var drained atomic.Bool
+	go func() {
+		done <- serveUntilSignal(sig, "test", addr, h, time.Minute, func(ctx context.Context, hs *http.Server) {
+			if dl, ok := ctx.Deadline(); !ok || time.Until(dl) > time.Minute {
+				t.Errorf("drain context deadline %v (set %v), want within the grace", dl, ok)
+			}
+			drained.Store(true)
+			hs.Shutdown(ctx)
+		})
+	}()
+	go func() {
+		for {
+			if resp, err := http.Get("http://" + addr + "/"); err == nil {
+				resp.Body.Close()
+				close(served)
+				return
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}()
+	<-served
+	stop()
+	if err := <-done; err != nil || !drained.Load() {
+		t.Fatalf("after the signal: error %v, drained %v; want nil and true", err, drained.Load())
+	}
+	if _, err := http.Get("http://" + addr + "/"); err == nil {
+		t.Error("listener still answering after the drain")
+	}
+
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	err = serveUntilSignal(context.Background(), "test", busy.Addr().String(), h, time.Minute, func(context.Context, *http.Server) {
+		t.Error("drain called for a listener that never started")
+	})
+	if err == nil {
+		t.Error("a taken address served")
+	}
 }

@@ -1,4 +1,4 @@
-package main
+package serve
 
 // The /tierz endpoint and phpserve_tier_* metric series: the serving
 // view of the bytecode execution tier for scripted workloads. The
@@ -21,10 +21,10 @@ import (
 // identity; the per-function rows come hottest-first either way. With
 // the tier plane off it answers from a zero snapshot, skipping the pool
 // quiescence barrier.
-func (s *server) handleTierz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleTierz(w http.ResponseWriter, r *http.Request) {
 	var snap php.TierSnapshot
-	if s.tier != "" {
-		snap = s.pool.TierSnapshot()
+	if s.cfg.Tier != "" {
+		snap = s.Pool.TierSnapshot()
 	}
 	snap.Fns = append([]php.TierFnStat{}, snap.Fns...) // "functions": [] when there are none
 	sort.Slice(snap.Fns, func(i, j int) bool {
@@ -33,15 +33,16 @@ func (s *server) handleTierz(w http.ResponseWriter, r *http.Request) {
 		}
 		return snap.Fns[i].Name < snap.Fns[j].Name
 	})
+	app, config := s.cfg.App, s.cfg.Core
 
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "table":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		if !snap.Enabled {
-			fmt.Fprintf(w, "tiering off: %s (%s) — start with -tier interp|auto|bytecode on a scripted workload\n", s.app, s.config)
+			fmt.Fprintf(w, "tiering off: %s (%s) — start with -tier interp|auto|bytecode on a scripted workload\n", app, config)
 			return
 		}
-		fmt.Fprintf(w, "script tier: %s (%s), mode %s\n", s.app, s.config, snap.Mode)
+		fmt.Fprintf(w, "script tier: %s (%s), mode %s\n", app, config, snap.Mode)
 		fmt.Fprintf(w, "requests %d   bytecode calls %d   interp calls %d\n",
 			snap.Requests, snap.BytecodeCalls, snap.InterpCalls)
 		fmt.Fprintf(w, "promotions %d   demotions %d   promoted functions %d\n",
@@ -58,7 +59,7 @@ func (s *server) handleTierz(w http.ResponseWriter, r *http.Request) {
 			App    string `json:"app"`
 			Config string `json:"config"`
 			php.TierSnapshot
-		}{s.app, s.config, snap})
+		}{app, config, snap})
 	default:
 		http.Error(w, "unknown format "+format+" (want table or json)", http.StatusBadRequest)
 	}

@@ -11,9 +11,10 @@
 #    `const (`/`var (` blocks are covered by the block's own doc comment
 #    and are not inspected per name.
 #
-# 2. Server surface: every HTTP route cmd/phpserve and cmd/phprouter
-#    register (mux.HandleFunc, with /debug/pprof/* collapsed to its
-#    index entry) and every CLI flag they define must be mentioned in
+# 2. Server surface: every HTTP route phpserve and phprouter register
+#    (mux.HandleFunc or mux.Handle in serve.Server and serve.Router)
+#    and every CLI flag
+#    cmd/phpserve and cmd/phprouter define must be mentioned in
 #    docs/OPERATIONS.md, so none can land without operator
 #    documentation. (The metric series and /stats keys are not grepped
 #    for here: the guide's signals tables are rendered from the running
@@ -63,15 +64,23 @@ if [ "$status" -ne 0 ]; then
 fi
 
 # Endpoint coverage: each route phpserve serves must appear in the
-# operations guide. pprof sub-routes are collapsed to /debug/pprof/,
-# which the guide documents as one surface. The binary spans several
-# files (main.go, tierz.go), so every non-test .go file in the package
-# is scanned.
+# operations guide. pprof is mounted as one /debug/pprof/ subtree, which
+# the guide documents as one surface. The routes are serve.Server's
+# (internal/serve/server.go), the flags cmd/phpserve's.
 server_src=$(ls cmd/phpserve/*.go 2>/dev/null | grep -v '_test\.go$')
 opsdoc=docs/OPERATIONS.md
+# flagnames FILE... lists the flags defined as flag.Type("name", ...) or
+# flag.TypeVar(&v, "name", ...).
+flagnames() {
+	sed -n 's/.*flag\.[A-Za-z0-9]*(\(&[^,]*, *\)\{0,1\}"\([^"]*\)".*/\2/p' "$@" | sort -u
+}
+# routenames FILE lists the routes registered as mux.HandleFunc("route", ...)
+# or mux.Handle("route", ...).
+routenames() {
+	sed -n 's/.*mux\.Handle\(Func\)\{0,1\}("\([^"]*\)".*/\2/p' "$1" | sort -u
+}
 if [ -n "$server_src" ] && [ -f "$opsdoc" ]; then
-	routes=$(sed -n 's/.*mux\.HandleFunc("\([^"]*\)".*/\1/p' $server_src |
-		sed 's|^/debug/pprof/.*|/debug/pprof/|' | sort -u)
+	routes=$(routenames internal/serve/server.go)
 	for route in $routes; do
 		if ! grep -qF "$route" "$opsdoc"; then
 			echo "docs-check: endpoint $route (from cmd/phpserve) is not documented in $opsdoc" >&2
@@ -80,10 +89,10 @@ if [ -n "$server_src" ] && [ -f "$opsdoc" ]; then
 	done
 fi
 
-# Flag coverage: every flag phpserve defines (flag.Type("name", ...))
-# must be documented as -name in the operations guide.
+# Flag coverage: every flag phpserve defines must be documented as
+# -name in the operations guide.
 if [ -n "$server_src" ] && [ -f "$opsdoc" ]; then
-	flags=$(sed -n 's/.*flag\.[A-Za-z0-9]*("\([^"]*\)".*/\1/p' $server_src | sort -u)
+	flags=$(flagnames $server_src)
 	for f in $flags; do
 		if ! grep -qF -- "-$f" "$opsdoc"; then
 			echo "docs-check: flag -$f (from cmd/phpserve) is not documented in $opsdoc" >&2
@@ -93,20 +102,19 @@ if [ -n "$server_src" ] && [ -f "$opsdoc" ]; then
 fi
 
 # Router coverage: the phprouter binary gets the same endpoint and flag
-# treatment as phpserve — every route it registers and every flag it
-# defines must be documented in the operations guide's cluster section.
-# The binary spans several files (main.go, clusterobs.go), so every
-# non-test .go file in the package is scanned.
+# treatment as phpserve — every route serve.Router registers
+# (internal/serve/front.go) and every flag cmd/phprouter defines must be
+# documented in the operations guide's cluster section.
 router_src=$(ls cmd/phprouter/*.go 2>/dev/null | grep -v '_test\.go$')
 if [ -n "$router_src" ] && [ -f "$opsdoc" ]; then
-	routes=$(sed -n 's/.*mux\.HandleFunc("\([^"]*\)".*/\1/p' $router_src | sort -u)
+	routes=$(routenames internal/serve/front.go)
 	for route in $routes; do
 		if ! grep -qF "$route" "$opsdoc"; then
 			echo "docs-check: endpoint $route (from cmd/phprouter) is not documented in $opsdoc" >&2
 			status=1
 		fi
 	done
-	flags=$(sed -n 's/.*flag\.[A-Za-z0-9]*("\([^"]*\)".*/\1/p' $router_src | sort -u)
+	flags=$(flagnames $router_src)
 	for f in $flags; do
 		if ! grep -qF -- "-$f" "$opsdoc"; then
 			echo "docs-check: flag -$f (from cmd/phprouter) is not documented in $opsdoc" >&2
