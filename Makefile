@@ -54,9 +54,11 @@ bench-record:
 bench-check:
 	$(GO) run ./scripts
 
-# Differential fuzzing, ~10 s per target: each accelerator model against
-# its software substrate and its cell-at-a-time oracle, and the heap
-# manager + slab allocator against a map model of operation sequences. `go test -fuzz`
+# Fuzzing, ~10 s per target: each accelerator model against its software
+# substrate and its cell-at-a-time oracle, the heap manager + slab
+# allocator against a map model of operation sequences, the script
+# engines against each other, and the two parsers of client-supplied
+# request bytes (?page= and X-Request-Id) against their contracts. `go test -fuzz`
 # takes one target of one package per run, so the matrix is this list of
 # package:Target pairs — a new Fuzz* function is one more word here. The
 # committed seed corpora (testdata/fuzz/) also run as plain tests under
@@ -67,7 +69,9 @@ FUZZ_TARGETS = \
 	internal/core/straccel:FuzzTranslate \
 	internal/core/straccel:FuzzEscape \
 	internal/core/heapmgr:FuzzHeapSequence \
-	internal/php:FuzzScriptStrings
+	internal/php:FuzzScriptStrings \
+	internal/serve:FuzzParsePage \
+	internal/obs:FuzzSanitizeRequestID
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

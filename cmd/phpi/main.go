@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	phpi [-accel] [-stats] [-tier interp|auto|bytecode] [-requests n] script.php
+//	phpi [-accel] [-stats] [-tier interp|bytecode] [-requests n] script.php
 //	echo '<?php echo strtoupper("hi");' | phpi -
 package main
 
@@ -25,11 +25,11 @@ func main() {
 	accel := flag.Bool("accel", true, "run with the four accelerators")
 	stats := flag.Bool("stats", false, "print the simulation cost report after the output")
 	topN := flag.Int("profile", 0, "also print the leaf-function profile: headline, CDF, categories and the hottest N rows")
-	tier := flag.String("tier", "interp", "execution tier: interp, auto (profile-guided promotion), or bytecode")
-	requests := flag.Int("requests", 1, "run the script n times (only the last run's output prints; lets -tier auto cross its promotion window)")
+	tier := flag.String("tier", "interp", "execution engine: interp or bytecode (auto is accepted as bytecode)")
+	requests := flag.Int("requests", 1, "run the script n times on one engine (only the last run's output prints; the cost report covers every run)")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: phpi [-accel] [-stats] [-tier interp|auto|bytecode] script.php  (use - for stdin)")
+		fmt.Fprintln(os.Stderr, "usage: phpi [-accel] [-stats] [-tier interp|bytecode] [-requests n] script.php  (use - for stdin)")
 		os.Exit(2)
 	}
 
@@ -63,7 +63,7 @@ func main() {
 	}
 	in := php.New(rt, prog)
 	if mode != php.TierInterp {
-		if err := in.EnableTier(nil, mode, php.DefaultTierPolicy()); err != nil {
+		if err := in.EnableTier(nil, mode); err != nil {
 			fmt.Fprintln(os.Stderr, "phpi:", err)
 			os.Exit(1)
 		}
@@ -86,9 +86,8 @@ func main() {
 	if *stats {
 		fmt.Fprintf(os.Stderr, "\n--- simulation ---\n%s", rt.Meter().Report())
 		if snap := in.TierSnapshot(); snap.Enabled {
-			fmt.Fprintf(os.Stderr, "--- tier (%s) ---\nrequests %d  bytecode calls %d  interp calls %d  promotions %d\nic hits %d  ic misses %d  type-stable %d  type misses %d\n",
-				snap.Mode, snap.Requests, snap.BytecodeCalls, snap.InterpCalls, snap.Promotions,
-				snap.ICHits, snap.ICMisses, snap.TypeStableHits, snap.TypeMisses)
+			fmt.Fprintf(os.Stderr, "--- tier (%s) ---\nrequests %d  ic hits %d  ic misses %d  type-stable %d  type misses %d\n",
+				snap.Mode, snap.Requests, snap.ICHits, snap.ICMisses, snap.TypeStableHits, snap.TypeMisses)
 		}
 	}
 	if *topN > 0 {

@@ -15,7 +15,7 @@
 //	         [-cache 0] [-cachettl 0] [-cacheshards 16]
 //	         [-pages 512] [-zipf 1.0]
 //	         [-sample 0.01] [-accesslog path|-] [-pprof]
-//	         [-treering 64] [-tier interp|auto|bytecode]
+//	         [-treering 64] [-tier interp|bytecode]
 //	         [-fpm] [-backend -1] [-listen addr] [-dbwait 0]
 //
 // Endpoints: / renders a page (?page=N names one), /stats, /metrics,
@@ -62,7 +62,7 @@ func main() {
 	flag.IntVar(&c.Backend, "backend", -1, "cluster backend id stamped on X-Backend, /healthz, and access-log lines (-1 standalone)")
 	listen := flag.String("listen", "", "backend listen address; overrides -addr (the flag phprouter's spawner sets per backend)")
 	flag.DurationVar(&c.DBWait, "dbwait", 0, "simulated per-render database stall, held on the worker FPM-style (0 disables)")
-	flag.StringVar(&c.Tier, "tier", "", "script execution tier for scripted workloads: interp, auto (profile-guided promotion), or bytecode (empty leaves the tier plane off)")
+	flag.StringVar(&c.Tier, "tier", "", "script execution engine for scripted workloads: interp or bytecode, auto accepted as bytecode (empty leaves the tier plane off)")
 	flag.Parse()
 
 	if *listen != "" {

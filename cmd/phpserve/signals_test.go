@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/php"
 	"repro/internal/serve"
 )
 
@@ -122,11 +121,11 @@ func TestSignalTags(t *testing.T) {
 }
 
 // everyPlaneServer is a server with every optional plane on — scripted
-// workload in the auto tier, response cache, span-tree ring, operation
+// workload on the bytecode engine, response cache, span-tree ring, operation
 // trace — so every signal the binary can expose is on its surfaces.
 func everyPlaneServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	c := tieredConfig(php.TierAuto)
+	c := tieredConfig("bytecode")
 	c.TreeRing, c.CacheCapacity, c.CacheShards, c.Pages, c.ZipfS = 4, 8, 1, 512, 1.0
 	ts := httptest.NewServer(newTestServer(t, c).Handler())
 	t.Cleanup(ts.Close)

@@ -12,20 +12,20 @@ import (
 	"repro/internal/serve"
 )
 
-// tieredConfig is a scripted-workload server with the tier plane in the
-// given mode, warmed long enough for the default promotion policy to
-// cross the tier boundary.
-func tieredConfig(mode php.TierMode) serve.ServerConfig {
+// tieredConfig is a scripted-workload server with the tier plane on,
+// started with the given -tier spelling.
+func tieredConfig(tier string) serve.ServerConfig {
 	return serve.ServerConfig{
 		App: "phpscript-blog", Core: "accelerated", Workers: 2, Seed: 1,
-		Warmup: 64, QueueDepth: 64, SampleRate: 1, Tier: mode.String(), Backend: -1,
+		Warmup: 64, QueueDepth: 64, SampleRate: 1, Tier: tier, Backend: -1,
 	}
 }
 
-// TestTierzEndpoint drives a tiered scripted server and checks /tierz
-// reports promotion and per-tier call counts in both formats.
+// TestTierzEndpoint drives a server started with -tier auto and checks
+// /tierz reports the bytecode engine's request and inline-cache counts
+// in both formats.
 func TestTierzEndpoint(t *testing.T) {
-	ts := httptest.NewServer(newTestServer(t, tieredConfig(php.TierAuto)).Handler())
+	ts := httptest.NewServer(newTestServer(t, tieredConfig("auto")).Handler())
 	defer ts.Close()
 
 	for i := 0; i < 8; i++ {
@@ -47,7 +47,7 @@ func TestTierzEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := string(body)
-	for _, want := range []string{"mode auto", "promotions", "inline caches:", "render_post"} {
+	for _, want := range []string{"mode bytecode", "requests 136", "inline caches:", "type feedback:"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/tierz table missing %q:\n%s", want, text)
 		}
@@ -65,17 +65,11 @@ func TestTierzEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&tz); err != nil {
 		t.Fatal(err)
 	}
-	if !tz.Enabled || tz.Mode != "auto" {
-		t.Errorf("tierz should report the enabled auto tier: %+v", tz)
-	}
-	if tz.Promotions == 0 || tz.BytecodeCalls == 0 {
-		t.Errorf("warmup should have promoted hot functions: %+v", tz)
+	if !tz.Enabled || tz.Mode != "bytecode" || tz.Requests != 136 {
+		t.Errorf("tierz should report 136 bytecode requests: %+v", tz)
 	}
 	if tz.ICSites == 0 || tz.ICHits == 0 {
-		t.Errorf("promoted code should exercise inline caches: %+v", tz)
-	}
-	if len(tz.Fns) == 0 {
-		t.Error("tierz json should list per-function rows")
+		t.Errorf("bytecode should exercise inline caches: %+v", tz)
 	}
 }
 
@@ -103,7 +97,7 @@ func TestTierzDisabled(t *testing.T) {
 // TestTierMetricsSeries checks the phpserve_tier_* series appear on
 // /metrics for a tiered server and are absent on an untiered one.
 func TestTierMetricsSeries(t *testing.T) {
-	ts := httptest.NewServer(newTestServer(t, tieredConfig(php.TierBytecode)).Handler())
+	ts := httptest.NewServer(newTestServer(t, tieredConfig("bytecode")).Handler())
 	defer ts.Close()
 
 	for i := 0; i < 4; i++ {
@@ -126,10 +120,8 @@ func TestTierMetricsSeries(t *testing.T) {
 	text := string(body)
 	for _, want := range []string{
 		`phpserve_tier_requests_total{app="phpscript-blog",config="accelerated",tier="bytecode"}`,
-		`phpserve_tier_bytecode_calls_total`,
-		`phpserve_tier_interp_calls_total`,
 		`phpserve_tier_ic_hits_total`,
-		`phpserve_tier_promoted_functions`,
+		`phpserve_tier_type_stable_hits_total`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %s", want)

@@ -3,7 +3,7 @@
 // loop, the accelerator on/off sweep EXPERIMENTS.md documents, the
 // scheduler path, the cached Zipf path, the cluster sweep (real servers
 // behind the real router, on loopback in one process) and the scripted
-// tier pair — and serializes one schema-versioned Record per run into
+// engine pair — and serializes one schema-versioned Record per run into
 // BENCH_<n>.json at the repo root. Committed records form
 // the trajectory; scripts/bench_compare.go (`make bench-check`, a step
 // of `make ci`) reruns the matrix and fails on any difference from the
@@ -12,8 +12,8 @@
 // A record holds no measured time. Every field but one is a pure
 // function of code and seed: the matrix uses a single closed-loop client
 // over the pool's FIFO worker rotation, so simulated cycles and energy,
-// cache outcomes, shed counts and tier counters reproduce exactly, which
-// TestMatrixDeterministic pins and SimDrift compares with no tolerance.
+// cache outcomes, shed counts and inline-cache hits reproduce exactly,
+// which TestMatrixDeterministic pins and SimDrift compares with no tolerance.
 // The exception is allocs_per_op, which does not depend on host speed
 // but moves by a few hundredths with the runtime's background
 // allocations (a few tenths over loopback sockets); SimDrift gives it a
@@ -63,7 +63,8 @@ type Scenario struct {
 	// Name identifies the scenario within the matrix: "direct",
 	// "accel_off", "scheduler", "cache_zipf", the cluster sweep
 	// "cluster_zipf_<n>" at 1, 2, and 4 backends, or the scripted
-	// bytecode-tier pair "scripted_zipf_interp"/"scripted_zipf".
+	// engine pair "scripted_zipf_interp"/"scripted_zipf" (tree-walker,
+	// bytecode).
 	Name string `json:"name"`
 	// App is the workload application served (wordpress throughout).
 	App string `json:"app"`
@@ -122,17 +123,12 @@ type Scenario struct {
 	// category totals are sums of, so drift names the function that moved.
 	SimFnCycles map[string]float64 `json:"sim_fn_cycles,omitempty"`
 
-	// Tier names the script execution tier on scripted scenarios
-	// ("interp", "auto", "bytecode"; empty elsewhere). The tier counters
-	// below are fleet totals merged across pool workers and are
-	// deterministic for a given seed (single closed-loop client,
-	// FIFO worker rotation, request-count promotion windows).
-	Tier                  string `json:"tier,omitempty"`
-	TierPromotions        int64  `json:"tier_promotions,omitempty"`
-	TierPromotedFunctions int    `json:"tier_promoted_functions,omitempty"`
-	TierBytecodeCalls     int64  `json:"tier_bytecode_calls,omitempty"`
-	TierInterpCalls       int64  `json:"tier_interp_calls,omitempty"`
-	TierICHits            int64  `json:"tier_ic_hits,omitempty"`
+	// Tier names the script execution engine on scripted scenarios
+	// ("interp", "bytecode"; empty elsewhere). TierICHits is the fleet
+	// total of inline-cache hits merged across pool workers, deterministic
+	// for a given seed (single closed-loop client, FIFO worker rotation).
+	Tier       string `json:"tier,omitempty"`
+	TierICHits int64  `json:"tier_ic_hits,omitempty"`
 }
 
 // MarshalIndent renders the record as stable, human-reviewable JSON

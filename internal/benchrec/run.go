@@ -54,11 +54,10 @@ const (
 	clusterMeasure      = 400
 
 	// Scripted scenario: the PHP blog script served page-keyed (uncached)
-	// over the same Zipf page universe as cache_zipf, once pinned to the
-	// tree-walking interpreter and once with profile-guided tier
-	// promotion. The pair is the trajectory's view of the bytecode tier:
-	// same requests, same pages, same output bytes, different execution
-	// engine once the hot functions cross the promotion threshold.
+	// over the same Zipf page universe as cache_zipf, once on the
+	// tree-walking interpreter and once on the bytecode engine. The pair
+	// is the trajectory's view of the bytecode engine: same requests,
+	// same pages, same output bytes, different execution engine.
 	scriptedApp = "phpscript-blog"
 )
 
@@ -116,7 +115,7 @@ func RunMatrix(opts Options) (Record, error) {
 		case "scripted_zipf_interp":
 			sc, err = runScriptedZipf(opts, php.TierInterp)
 		case "scripted_zipf":
-			sc, err = runScriptedZipf(opts, php.TierAuto)
+			sc, err = runScriptedZipf(opts, php.TierBytecode)
 		}
 		if err != nil {
 			return Record{}, fmt.Errorf("benchrec: scenario %s: %w", name, err)
@@ -327,12 +326,9 @@ func runCluster(opts Options, backends int) (Scenario, error) {
 }
 
 // runScriptedZipf serves the scripted blog workload page-keyed (no
-// response cache — every request renders) through the scheduler, with
-// the execution tier pinned to the interpreter or free to promote
-// (TierAuto with the default policy). Warmup drives each worker's
-// per-worker interpreter through the promotion window in auto mode, so
-// the measured phase runs mostly in the bytecode tier; the recorded
-// tier counters and leaf rows pin that state in the trajectory.
+// response cache — every request renders) through the scheduler on the
+// given engine. Warmup fills each worker's inline caches; the recorded
+// inline-cache hits and leaf rows pin that state in the trajectory.
 func runScriptedZipf(opts Options, mode php.TierMode) (Scenario, error) {
 	pool, err := workload.NewPoolSharedSeed(matrixWorkers, vmConfig(true), scriptedApp, opts.Seed)
 	if err != nil {
@@ -373,10 +369,6 @@ func runScriptedZipf(opts Options, mode php.TierMode) (Scenario, error) {
 
 	snap := pool.TierSnapshot()
 	sc.Tier = snap.Mode
-	sc.TierPromotions = snap.Promotions
-	sc.TierPromotedFunctions = snap.PromotedFunctions
-	sc.TierBytecodeCalls = snap.BytecodeCalls
-	sc.TierInterpCalls = snap.InterpCalls
 	sc.TierICHits = snap.ICHits
 	return sc, nil
 }

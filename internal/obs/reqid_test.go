@@ -79,3 +79,26 @@ func TestSanitizeRequestID(t *testing.T) {
 		}
 	}
 }
+
+// FuzzSanitizeRequestID: whatever comes in, what goes out is at most
+// maxRequestIDLen bytes, each printable ASCII other than '"' and '\',
+// and sanitizing it again changes nothing.
+func FuzzSanitizeRequestID(f *testing.F) {
+	for _, seed := range []string{"", "abc-123", "evil\"quote", "back\\slash", "new\nline\ttab", "caf\xc3\xa9", strings.Repeat("x", 200), "\x00\x7f\xff"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, id string) {
+		got := SanitizeRequestID(id)
+		if len(got) > maxRequestIDLen {
+			t.Fatalf("SanitizeRequestID(%q) is %d bytes, over %d", id, len(got), maxRequestIDLen)
+		}
+		for i := 0; i < len(got); i++ {
+			if c := got[i]; c < 0x21 || c > 0x7e || c == '"' || c == '\\' {
+				t.Fatalf("SanitizeRequestID(%q) = %q keeps byte %#x at %d", id, got, c, i)
+			}
+		}
+		if again := SanitizeRequestID(got); again != got {
+			t.Fatalf("not idempotent: %q -> %q -> %q", id, got, again)
+		}
+	})
+}

@@ -8,11 +8,12 @@ import (
 	"repro/internal/sim"
 )
 
-// Modeled dispatch costs for the bytecode tier. A threaded opcode costs
-// half an interpreter uop against the tree-walker's 1–4 per AST node,
-// and a compiled prologue costs 4 against the tree-walker's 8 — this is
-// the §3 "future core" interpreter-overhead reduction, and it is what
-// shifts CatOther cycles (and the Fig. 1 profile gauges) after tier-up.
+// Modeled dispatch costs for the bytecode engine. A threaded opcode
+// costs half an interpreter uop against the tree-walker's 1–4 per AST
+// node, and a compiled prologue costs 4 against the tree-walker's 8 —
+// this is the §3 "future core" interpreter-overhead reduction, and it is
+// what separates the two engines' CatOther cycles (and the Fig. 1
+// profile gauges).
 const (
 	bcUopsPerInstr    = 0.5
 	bcCallEntryUops   = 4
@@ -377,7 +378,7 @@ func (in *Interp) bcExec(fn *compiledFn, sbase, lbase, ibase int) (ret Value, er
 		case opCallUser:
 			argc := int(ins.b)
 			callee := in.comp.fns[ins.a]
-			v, cerr := in.callFn(callee.decl, m.stack[m.sp-argc:m.sp])
+			v, cerr := in.bcCall(callee, m.stack[m.sp-argc:m.sp])
 			if cerr != nil {
 				return null, cerr
 			}

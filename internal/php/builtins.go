@@ -20,7 +20,7 @@ func (in *Interp) evalCall(n *callExpr, f *frame) (Value, error) {
 		if err != nil {
 			return null, err
 		}
-		v, err := in.callFn(fd, args)
+		v, err := in.callUser(fd, args)
 		in.popArgs(len(args))
 		return v, err
 	}

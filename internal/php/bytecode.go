@@ -43,7 +43,7 @@ const (
 	opArrSet                     // pop key, pop val; peek arr; b = 1 when dynamic
 	opLoopInit                   // loops[a] = 0
 	opLoopTick                   // loops[a]++; over the limit → iteration-limit error (b = 0 while, 1 for)
-	opForeachStart               // pop subject; must be array; push iterator; pc = a (the opForeachNext)
+	opForeachStart               // pop subject; must be array; push iterator; falls through to its opForeachNext
 	opForeachNext                // a = end target; b = (keySlot+1)<<16 | valSlot; advance or exit
 	opIterPop                    // pop one foreach iterator (break)
 	opCallUser                   // a = function index, b = argc; args on stack

@@ -26,7 +26,7 @@ echo isset($a[$s]) ? "set" : "unset", array_key_exists("k" . $s, $a) ? "+" : "-"
 `
 
 // FuzzScriptStrings feeds arbitrary bytes as $s through fuzzScript. The
-// tree-walker and the bytecode tier must render identical bytes, twice in
+// tree-walker and the bytecode engine must render identical bytes, twice in
 // a row on the same engine (the second render reuses the request arena
 // the first one's strings lived in), and the accelerated runtime must
 // render the software runtime's bytes modulo the whitespace padding
@@ -40,6 +40,8 @@ func FuzzScriptStrings(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// $s is data, not code: every input runs this one program.
+	mustVerify(f, comp)
 	// "" found a hash-table coherence bug: the store $a[$s . $s] hits an
 	// inline cache and goes to memory, and the table dropped the dirty
 	// pair $a[$s] instead of writing it back, so foreach order changed on
@@ -53,7 +55,7 @@ func FuzzScriptStrings(f *testing.F) {
 		}
 		render := func(rt *vm.Runtime, mode TierMode) string {
 			in := New(rt, prog)
-			if err := in.EnableTier(comp, mode, DefaultTierPolicy()); err != nil {
+			if err := in.EnableTier(comp, mode); err != nil {
 				t.Fatal(err)
 			}
 			in.SetGlobal("s", strV(string(s)))

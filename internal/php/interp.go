@@ -44,12 +44,14 @@ type Interp struct {
 	// teardown, the short-lived map pattern).
 	owned []*vm.Array
 
-	// Bytecode tier (tier.go / bcexec.go): the shared compiled program,
-	// this worker's private execution machine (value stack, inline
-	// caches, type feedback), and the promotion controller.
-	comp *Compiled
-	bc   *bcMachine
-	tier *tierState
+	// Bytecode engine (bcexec.go): the shared compiled program and this
+	// worker's private execution machine (value stack, inline caches,
+	// type feedback). nil bc runs the tree-walker. tiered turns the
+	// snapshot on (tier.go); requests counts Run calls.
+	comp     *Compiled
+	bc       *bcMachine
+	tiered   bool
+	requests int64
 }
 
 // frame is one function activation's variable bindings. Plain-variable
@@ -99,13 +101,9 @@ func (in *Interp) SetGlobal(name string, v Value) {
 // Run executes the script as one request and returns the response body,
 // valid until the next Run.
 func (in *Interp) Run() ([]byte, error) {
-	if t := in.tier; t != nil {
-		t.beginRequest()
-		bc := in.useBytecode("php_main")
-		t.count("php_main", bc)
-		if bc {
-			return in.bcRunMain()
-		}
+	in.requests++
+	if in.bc != nil {
+		return in.bcRunMain()
 	}
 	in.beginRequest()
 	defer in.endRequest()

@@ -2,7 +2,6 @@ package php
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -10,8 +9,9 @@ import (
 	"repro/internal/vm"
 )
 
-// runTier parses src and runs it on the given runtime at the given
-// tier, with optional preset globals.
+// runTier parses src and runs it on the given runtime on the given
+// engine, with optional preset globals. A bytecode program is verified
+// before it runs.
 func runTier(t *testing.T, rt *vm.Runtime, src string, mode TierMode, globals map[string]Value) (string, error) {
 	t.Helper()
 	prog, err := Parse(src)
@@ -19,10 +19,11 @@ func runTier(t *testing.T, rt *vm.Runtime, src string, mode TierMode, globals ma
 		t.Fatalf("Parse: %v", err)
 	}
 	in := New(rt, prog)
-	if mode != TierInterp {
-		if err := in.EnableTier(nil, mode, DefaultTierPolicy()); err != nil {
-			t.Fatalf("EnableTier: %v", err)
-		}
+	if err := in.EnableTier(nil, mode); err != nil {
+		t.Fatalf("EnableTier: %v", err)
+	}
+	if in.comp != nil {
+		mustVerify(t, in.comp)
 	}
 	for k, v := range globals {
 		in.SetGlobal(k, v)
@@ -196,7 +197,7 @@ echo "ok";
 		t.Fatal(err)
 	}
 	in := New(hwRT(), prog)
-	if err := in.EnableTier(nil, TierBytecode, DefaultTierPolicy()); err != nil {
+	if err := in.EnableTier(nil, TierBytecode); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := in.Run(); err != nil {
@@ -230,7 +231,7 @@ func TestMegamorphicSiteFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := New(hwRT(), prog)
-	if err := in.EnableTier(nil, TierBytecode, DefaultTierPolicy()); err != nil {
+	if err := in.EnableTier(nil, TierBytecode); err != nil {
 		t.Fatal(err)
 	}
 	out, err := in.Run()
@@ -245,59 +246,9 @@ func TestMegamorphicSiteFallsBack(t *testing.T) {
 	}
 }
 
-// TestTierAutoPromotesHotFunctions runs enough identical requests for
-// the auto policy to promote the script's hot functions, and verifies
-// promotion changes the executing tier without changing output.
-func TestTierAutoPromotesHotFunctions(t *testing.T) {
-	src := `<?php
-function hot($n) { return $n * 2 + 1; }
-$sum = 0;
-for ($i = 0; $i < 40; $i++) { $sum += hot($i); }
-echo $sum;
-?>`
-	prog, err := Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := New(swRT(), prog)
-	policy := TierPolicy{WindowRequests: 4, HotCalls: 32, HotWindows: 2, ColdCalls: 1, ColdWindows: 4}
-	if err := in.EnableTier(nil, TierAuto, policy); err != nil {
-		t.Fatal(err)
-	}
-	var first, last string
-	for i := 0; i < 20; i++ {
-		out, err := in.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			first = string(out)
-		}
-		last = string(out)
-	}
-	if first != last {
-		t.Fatalf("output changed across tier-up: %q vs %q", first, last)
-	}
-	snap := in.TierSnapshot()
-	if snap.Promotions == 0 {
-		t.Fatalf("expected promotions after 20 hot requests: %+v", snap)
-	}
-	want := map[string]bool{"hot": true, "php_main": true}
-	for _, fn := range snap.Fns {
-		if fn.Tier == "bytecode" && !want[fn.Name] {
-			t.Errorf("unexpected promotion: %s", fn.Name)
-		}
-	}
-	if snap.PromotedFunctions == 0 {
-		t.Fatal("promoted set empty")
-	}
-	if snap.BytecodeCalls == 0 || snap.InterpCalls == 0 {
-		t.Errorf("expected mixed-tier execution across the run: bc=%d interp=%d", snap.BytecodeCalls, snap.InterpCalls)
-	}
-}
-
 // TestTierDeterminism: same program, same request sequence → identical
-// promotion sets and identical IC counters on two fresh interpreters.
+// request, inline-cache and type-feedback counters on two fresh
+// bytecode interpreters.
 func TestTierDeterminism(t *testing.T) {
 	src := `<?php
 function render($post) { $s = ""; foreach (["a", "b", "c"] as $f) { $s .= $post[$f]; } return $s; }
@@ -309,7 +260,7 @@ echo render(["a" => $req, "b" => "x", "c" => "y"]);
 			t.Fatal(err)
 		}
 		in := New(hwRT(), prog)
-		if err := in.EnableTier(nil, TierAuto, TierPolicy{WindowRequests: 4, HotCalls: 1, HotWindows: 2, ColdCalls: 0, ColdWindows: 4}); err != nil {
+		if err := in.EnableTier(nil, TierBytecode); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 50; i++ {
@@ -321,13 +272,10 @@ echo render(["a" => $req, "b" => "x", "c" => "y"]);
 		return in.TierSnapshot()
 	}
 	a, b := run(), run()
-	if !reflect.DeepEqual(a.Fns, b.Fns) {
-		t.Errorf("per-function tiers and counters differ: %v vs %v", a.Fns, b.Fns)
+	if a.Requests != 50 || a.ICHits == 0 {
+		t.Fatalf("50 requests should hit the inline caches: %+v", a)
 	}
-	if a.ICHits != b.ICHits || a.ICMisses != b.ICMisses {
-		t.Errorf("IC counters differ: %d/%d vs %d/%d", a.ICHits, a.ICMisses, b.ICHits, b.ICMisses)
-	}
-	if a.Promotions != b.Promotions || a.Requests != b.Requests {
+	if a != b {
 		t.Errorf("tier counters differ: %+v vs %+v", a, b)
 	}
 }
@@ -353,10 +301,8 @@ echo work(60);
 			t.Fatal(err)
 		}
 		in := New(rt, prog)
-		if mode != TierInterp {
-			if err := in.EnableTier(nil, mode, DefaultTierPolicy()); err != nil {
-				t.Fatal(err)
-			}
+		if err := in.EnableTier(nil, mode); err != nil {
+			t.Fatal(err)
 		}
 		if _, err := in.Run(); err != nil {
 			t.Fatal(err)

@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"context"
+	"math"
 	"runtime/debug"
+	"strconv"
 	"testing"
 	"time"
 
@@ -56,6 +58,34 @@ func TestParsePageCanonical(t *testing.T) {
 			t.Errorf("PageKey(%d) = %q, want %q", page, got, want)
 		}
 	}
+}
+
+// FuzzParsePage feeds arbitrary raw queries to ParsePage, and a page
+// number to spell as page=<n>. ParsePage must not panic and must answer
+// one of three ways — no page (-1, nil), a page (>= 0, nil) or a
+// rejection (-1, error) — and the canonical spelling of every page >= 0
+// must parse back to that page.
+func FuzzParsePage(f *testing.F) {
+	for _, q := range []string{"", "page=7", "page=07", "page=%2B7", "page=-3", "page=1e3", "page=", "page=7&page=8", "page=%zz", "x=1&page=4095", "page=99999999999999999999", ";", "page=7;x"} {
+		f.Add(q, 7)
+	}
+	f.Add("page=0", 0)
+	f.Add("page=-0", math.MaxInt)
+	f.Fuzz(func(t *testing.T, query string, p int) {
+		page, err := ParsePage(query)
+		switch {
+		case err != nil && page != -1:
+			t.Fatalf("ParsePage(%q) = %d with error %v; a rejection must return -1", query, page, err)
+		case page < -1:
+			t.Fatalf("ParsePage(%q) = %d, below -1", query, page)
+		}
+		if p < 0 {
+			return
+		}
+		if got, err := ParsePage("page=" + strconv.Itoa(p)); got != p || err != nil {
+			t.Fatalf("ParsePage(page=%d) = %d, %v; want %d, nil", p, got, err, p)
+		}
+	})
 }
 
 // TestServeCopiesOutBeforeRelease: an uncached body lands in the caller's

@@ -57,8 +57,9 @@ type ServerConfig struct {
 	CacheTTL                   time.Duration
 	Pages                      int
 	ZipfS                      float64
-	// Tier is the script execution tier of a scripted workload (interp,
-	// auto or bytecode); "" leaves the tier plane off.
+	// Tier is the script execution engine of a scripted workload (interp
+	// or bytecode; auto is accepted as bytecode); "" leaves the tier
+	// plane off.
 	Tier string
 	// SampleRate is the fraction of requests profiled, TreeRing how many
 	// sampled span trees /tracez keeps (0: none), AccessLog the JSON-lines
@@ -177,8 +178,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			return nil, err
 		}
 	}
-	// The tier is set before warm-up, so auto mode's promotion windows
-	// count the warm-up and the server opens already tiered up.
+	// The engine is set before warm-up, so the server opens with its
+	// inline caches filled.
 	if cfg.Tier != "" {
 		mode, err := php.ParseTierMode(cfg.Tier)
 		if err != nil {

@@ -407,18 +407,19 @@ func (p *Pool) gatherResultOwned(wall time.Duration) Result {
 	return res
 }
 
-// ScriptTiered is implemented by apps that execute PHP source through
-// the tiered interpreter (ScriptedApp): the pool can switch their
-// execution tier and collect per-worker tier state.
+// ScriptTiered is implemented by apps that execute PHP source
+// (ScriptedApp): the pool can pick their execution engine and collect
+// per-worker inline-cache state.
 type ScriptTiered interface {
 	SetScriptTier(mode php.TierMode, policy php.TierPolicy) error
 	TierSnapshotFor(rt *vm.Runtime) php.TierSnapshot
 }
 
 // ConfigureScriptTier switches every scripted worker app to the given
-// execution tier, quiescing the pool first so no request observes the
-// switch mid-render. It reports whether any worker's app supports
-// tiering (false for Go-coded recipe apps, where the flag is a no-op).
+// execution engine (the policy is ignored), quiescing the pool first so
+// no request observes the switch mid-render. It reports whether any
+// worker's app runs a script (false for Go-coded recipe apps, where the
+// flag is a no-op).
 func (p *Pool) ConfigureScriptTier(mode php.TierMode, policy php.TierPolicy) (bool, error) {
 	p.acquireAll()
 	defer p.releaseAll()
@@ -436,10 +437,10 @@ func (p *Pool) ConfigureScriptTier(mode php.TierMode, policy php.TierPolicy) (bo
 	return any, nil
 }
 
-// TierSnapshot drains the pool and merges every scripted worker's tier
+// TierSnapshot drains the pool and merges every scripted worker's engine
 // state into one fleet-aggregate view — the data behind /tierz and the
 // phpserve_tier_* metrics. The zero snapshot (Enabled false) comes back
-// when no worker runs a tiered script.
+// when no worker runs a configured script.
 func (p *Pool) TierSnapshot() php.TierSnapshot {
 	p.acquireAll()
 	defer p.releaseAll()

@@ -32,9 +32,9 @@ func (e *scriptEntry) compiled() (*php.Compiled, error) {
 // from real script execution rather than a Go-coded request recipe.
 //
 // Each worker runtime gets a persistent php.Interp engine, so inline
-// caches, type feedback, and tier promotion state survive across
-// requests (per-worker, like a PHP-FPM process's JIT state), while the
-// compiled program itself is shared read-only across the pool.
+// caches and type feedback survive across requests (per-worker, like a
+// PHP-FPM process's JIT state), while the compiled program itself is
+// shared read-only across the pool.
 type ScriptedApp struct {
 	name string
 	ent  *scriptEntry
@@ -43,7 +43,6 @@ type ScriptedApp struct {
 	mu         sync.Mutex
 	configured bool
 	tier       php.TierMode
-	policy     php.TierPolicy
 	engines    sync.Map // *vm.Runtime -> *php.Interp
 }
 
@@ -67,19 +66,18 @@ func NewScripted(name, src string) (*ScriptedApp, error) {
 // Name returns the workload name.
 func (s *ScriptedApp) Name() string { return s.name }
 
-// SetScriptTier selects the execution tier for subsequent requests and
-// compiles the shared program. Existing per-runtime
-// engines are discarded so every worker picks the new mode up on its
-// next request; call it while the pool is quiesced (Pool.ConfigureScriptTier
-// holds every worker).
-func (s *ScriptedApp) SetScriptTier(mode php.TierMode, policy php.TierPolicy) error {
+// SetScriptTier selects the execution engine for subsequent requests and
+// compiles the shared program; the policy is ignored. Existing
+// per-runtime engines are discarded so every worker picks the new mode
+// up on its next request; call it while the pool is quiesced
+// (Pool.ConfigureScriptTier holds every worker).
+func (s *ScriptedApp) SetScriptTier(mode php.TierMode, _ php.TierPolicy) error {
 	if _, err := s.ent.compiled(); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	s.configured = true
 	s.tier = mode
-	s.policy = policy
 	s.mu.Unlock()
 	s.engines.Range(func(k, _ interface{}) bool {
 		s.engines.Delete(k)
@@ -107,20 +105,14 @@ func (s *ScriptedApp) engine(rt *vm.Runtime) *php.Interp {
 		return v.(*php.Interp)
 	}
 	s.mu.Lock()
-	configured, mode, policy := s.configured, s.tier, s.policy
+	configured, mode := s.configured, s.tier
 	s.mu.Unlock()
 	in := php.New(rt, s.ent.prog)
 	if configured {
-		// An explicit interp tier still installs the controller, so
-		// /tierz reports call counts even before any promotion policy
-		// is in play; an unconfigured app pays no tier overhead at all.
-		comp, err := s.ent.compiled()
-		if err != nil {
-			panic("workload: scripted app compile failed: " + err.Error())
-		}
-		if err := in.EnableTier(comp, mode, policy); err != nil {
-			panic("workload: scripted app tier setup failed: " + err.Error())
-		}
+		// SetScriptTier compiled the program and returned any error, and
+		// EnableTier fails only when it has to compile: neither can fail.
+		comp, _ := s.ent.compiled()
+		_ = in.EnableTier(comp, mode)
 	}
 	if v, loaded := s.engines.LoadOrStore(rt, in); loaded {
 		return v.(*php.Interp)

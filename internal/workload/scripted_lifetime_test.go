@@ -54,7 +54,7 @@ func TestScriptStringsOutliveNoRequest(t *testing.T) {
 		if accel {
 			cfg.Features = isa.AllAccelerators()
 		}
-		for _, mode := range []php.TierMode{php.TierInterp, php.TierBytecode, php.TierAuto} {
+		for _, mode := range []php.TierMode{php.TierInterp, php.TierBytecode} {
 			for _, script := range scripts {
 				name, src := script[0], script[1]
 				app := scriptedApp(t, name, src, mode)
@@ -82,15 +82,14 @@ func TestScriptStringsOutliveNoRequest(t *testing.T) {
 	}
 }
 
-// scriptedApp builds an app over src at the given tier; auto promotes
-// after one 4-request window, so it changes tier mid-run.
+// scriptedApp builds an app over src on the given engine.
 func scriptedApp(t *testing.T, name, src string, mode php.TierMode) *ScriptedApp {
 	t.Helper()
 	app, err := NewScripted(name, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := app.SetScriptTier(mode, aggressiveTier()); err != nil {
+	if err := app.SetScriptTier(mode, php.DefaultTierPolicy()); err != nil {
 		t.Fatal(err)
 	}
 	return app
