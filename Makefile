@@ -56,9 +56,11 @@ bench-check:
 
 # Fuzzing, ~10 s per target: each accelerator model against its software
 # substrate and its cell-at-a-time oracle, the heap manager + slab
-# allocator against a map model of operation sequences, the script
-# engines against each other, and the two parsers of client-supplied
-# request bytes (?page= and X-Request-Id) against their contracts. `go test -fuzz`
+# allocator against a map model of operation sequences, the hardware
+# hash table against a software core over operation sequences, the
+# script engines against each other, the two parsers of client-supplied
+# request bytes (?page= and X-Request-Id) against their contracts, and
+# the parser of scraped /metrics bodies against a round trip. `go test -fuzz`
 # takes one target of one package per run, so the matrix is this list of
 # package:Target pairs — a new Fuzz* function is one more word here. The
 # committed seed corpora (testdata/fuzz/) also run as plain tests under
@@ -69,9 +71,11 @@ FUZZ_TARGETS = \
 	internal/core/straccel:FuzzTranslate \
 	internal/core/straccel:FuzzEscape \
 	internal/core/heapmgr:FuzzHeapSequence \
+	internal/isa:FuzzHashSequence \
 	internal/php:FuzzScriptStrings \
 	internal/serve:FuzzParsePage \
-	internal/obs:FuzzSanitizeRequestID
+	internal/obs:FuzzSanitizeRequestID \
+	internal/obs:FuzzParsePromText
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

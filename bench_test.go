@@ -169,7 +169,7 @@ func BenchmarkAccelHashTableGet(b *testing.B) {
 	ht := hashtable.New(hashtable.DefaultConfig())
 	rt := vm.New(vm.Config{TraceCapacity: -1})
 	m := rt.CPU().NewMap()
-	ht.Set(m, hashmap.StrKey("key"), 1)
+	ht.Set(m, hashmap.StrKey("key"), hashmap.IntValue(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ht.Get(m, hashmap.StrKey("key"))
@@ -254,11 +254,11 @@ func TestMeterChargeAllocGuard(t *testing.T) {
 
 // TestRenderBufferAllocGuard bounds a steady-state uncached render —
 // the full page through the pooled output buffer, request arena, and
-// recycled VM structures. Measured ~45 allocs/request on the
+// recycled VM structures. Measured 39.41 allocs/request on the
 // accelerated WordPress page (down from ~1750 before the arena
 // refactor); the budget of 120 leaves headroom for small drift while
 // still catching any layer losing its reuse (each regression class —
-// boxing, chain rebuild, map churn — costs hundreds per request).
+// chain rebuild, map churn — costs hundreds per request).
 func TestRenderBufferAllocGuard(t *testing.T) {
 	pool, err := workload.NewPool(1, allocGuardVMConfig(), "wordpress", 1)
 	if err != nil {
@@ -280,18 +280,17 @@ func TestRenderBufferAllocGuard(t *testing.T) {
 
 // TestScriptedRenderAllocGuard bounds a steady-state render of the PHP
 // blog script on the bytecode engine: string results stay views into
-// the request arena, only a string or number stored into a vm.Array is
-// boxed (as a *Value carved from a block of 64, so one store in 64
-// allocates; null, bools and arrays box without allocating), and the
-// output buffer is reused. Measured 61.84 allocs/request (598 before
-// the script engine stopped copying and boxing its strings): ~13 are the
-// hash map's foreach snapshot (hashmap.Map.Foreach), about one is box's
-// block, and the rest are the regexp accelerator model's hint vectors
-// (regexaccel ShadowReplace and Sieve). As for
+// the request arena, an array element is the tagged value itself (a
+// store allocates nothing), and the output buffer is reused. Measured
+// 61.30 allocs/request (598 before the script engine stopped copying
+// its strings): ~13 are the hash map's foreach snapshot
+// (hashmap.Map.Foreach) and the rest are the regexp accelerator
+// model's hint vectors (regexaccel ShadowReplace and Sieve). As for
 // TestRenderBufferAllocGuard, the budget of 100 leaves headroom for
-// drift below the cheapest regression class: boxing every array store
-// again costs ~47 per page, copying strings across the runtime boundary
-// several hundred.
+// drift below the cheapest regression class: one allocation per array
+// store — a value slot typed interface{} again, or a value escaping to
+// the heap on the store path — costs ~35 per page (35 stores), copying
+// strings across the runtime boundary several hundred.
 func TestScriptedRenderAllocGuard(t *testing.T) {
 	pool, err := workload.NewPool(1, allocGuardVMConfig(), "phpscript-blog", 1)
 	if err != nil {

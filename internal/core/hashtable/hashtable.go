@@ -77,7 +77,7 @@ type entry struct {
 	dirty  bool
 	mapID  uint64 // 8-byte base address of the software hash map
 	key    hashmap.Key
-	val    interface{}
+	val    hashmap.Value
 	seq    uint64 // ordered-table position for writeback
 	lru    uint64 // last-access timestamp
 	rttPos int    // back-pointer slot in the RTT entry, -1 if untracked
@@ -191,7 +191,7 @@ type GetResult struct {
 // Get performs a hashtableget. On a hit the value comes straight from the
 // table. On a miss, control falls back to software (the map walk), and
 // the retrieved pair is installed in the table.
-func (t *Table) Get(m *hashmap.Map, k hashmap.Key) (interface{}, GetResult) {
+func (t *Table) Get(m *hashmap.Map, k hashmap.Key) (hashmap.Value, GetResult) {
 	if k.Len() > t.cfg.MaxKeyBytes {
 		t.stats.Bypasses++
 		v, ok := m.Get(k)
@@ -206,7 +206,7 @@ func (t *Table) Get(m *hashmap.Map, k hashmap.Key) (interface{}, GetResult) {
 	// Software fallback: regular hash map access in memory.
 	v, seq, ok := m.GetWithSeq(k)
 	if !ok {
-		return nil, GetResult{}
+		return hashmap.Value{}, GetResult{}
 	}
 	res := GetResult{Found: true}
 	res.EvictedDirty = t.install(m, k, v, seq, false)
@@ -223,7 +223,7 @@ type SetResult struct {
 // Set performs a hashtableset. The pair lands in the table with the dirty
 // bit set; memory is updated lazily (§4.2: "a SET operation silently
 // updates the hash table ... without updating the memory").
-func (t *Table) Set(m *hashmap.Map, k hashmap.Key, v interface{}) SetResult {
+func (t *Table) Set(m *hashmap.Map, k hashmap.Key, v hashmap.Value) SetResult {
 	if k.Len() > t.cfg.MaxKeyBytes {
 		t.stats.Bypasses++
 		m.Set(k, v)
@@ -264,13 +264,17 @@ func (t *Table) seqOf(m *hashmap.Map, k hashmap.Key) (uint64, bool) {
 }
 
 // Delete removes a key from both the table and the software map (PHP
-// unset). The cached copy is dropped without writeback since the pair is
-// being destroyed.
+// unset), reporting whether it was present in either. The cached copy is
+// dropped without writeback since the pair is being destroyed; a pair a
+// SET buffered in the table never reached the software map, so only the
+// table knows it existed.
 func (t *Table) Delete(m *hashmap.Map, k hashmap.Key) bool {
+	cached := false
 	if idx := t.lookup(m.ID(), k); idx >= 0 {
 		t.invalidate(idx)
+		cached = true
 	}
-	return m.Delete(k)
+	return m.Delete(k) || cached
 }
 
 // FreeResult reports how a Free was served.
@@ -444,7 +448,7 @@ func keyEq(a, b hashmap.Key) bool {
 // probe window: invalid first, then LRU clean, then LRU dirty (which
 // costs a software writeback). It reports whether a dirty writeback
 // happened.
-func (t *Table) install(m *hashmap.Map, k hashmap.Key, v interface{}, seq uint64, dirty bool) bool {
+func (t *Table) install(m *hashmap.Map, k hashmap.Key, v hashmap.Value, seq uint64, dirty bool) bool {
 	mask := uint64(len(t.entries) - 1)
 	h := t.hash(m.ID(), k)
 

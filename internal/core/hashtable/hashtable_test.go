@@ -29,9 +29,13 @@ func validEntries(t *Table) int {
 	return n
 }
 
+// iv and sv build the int and string values the tests store.
+func iv(i int) hashmap.Value    { return hashmap.IntValue(int64(i)) }
+func sv(s string) hashmap.Value { return hashmap.StrValue(s) }
+
 // foreach is the hmforeach protocol isa.CPU runs: flush the map's dirty
 // pairs in insertion order, then iterate the now-coherent software map.
-func foreach(t *Table, m *hashmap.Map, f func(k hashmap.Key, v interface{}) bool) {
+func foreach(t *Table, m *hashmap.Map, f func(k hashmap.Key, v hashmap.Value) bool) {
 	t.FlushMap(m)
 	m.Foreach(f)
 }
@@ -70,14 +74,14 @@ func TestConfigSanitize(t *testing.T) {
 func TestGetMissThenHit(t *testing.T) {
 	ht := New(DefaultConfig())
 	m := newMap()
-	m.Set(hashmap.StrKey("title"), "Hello")
+	m.Set(hashmap.StrKey("title"), sv("Hello"))
 
 	v, res := ht.Get(m, hashmap.StrKey("title"))
-	if v != "Hello" || res.Hit || !res.Found {
+	if v != sv("Hello") || res.Hit || !res.Found {
 		t.Fatalf("first Get should miss but find: %v %+v", v, res)
 	}
 	v, res = ht.Get(m, hashmap.StrKey("title"))
-	if v != "Hello" || !res.Hit {
+	if v != sv("Hello") || !res.Hit {
 		t.Fatalf("second Get should hit: %v %+v", v, res)
 	}
 	st := ht.Stats()
@@ -90,7 +94,7 @@ func TestGetAbsentKey(t *testing.T) {
 	ht := New(DefaultConfig())
 	m := newMap()
 	v, res := ht.Get(m, hashmap.StrKey("nope"))
-	if v != nil || res.Found || res.Hit {
+	if v != (hashmap.Value{}) || res.Found || res.Hit {
 		t.Errorf("absent key: %v %+v", v, res)
 	}
 }
@@ -100,13 +104,13 @@ func TestSetNeverMisses(t *testing.T) {
 	// lands in the table without software involvement.
 	ht := New(DefaultConfig())
 	m := newMap()
-	res := ht.Set(m, hashmap.StrKey("k"), 1)
+	res := ht.Set(m, hashmap.StrKey("k"), iv(1))
 	if res.Bypass || res.Hit {
 		t.Fatalf("fresh SET: %+v", res)
 	}
 	// The pair is visible through the accelerator immediately...
 	v, g := ht.Get(m, hashmap.StrKey("k"))
-	if v != 1 || !g.Hit {
+	if v != iv(1) || !g.Hit {
 		t.Fatalf("SET pair not readable: %v %+v", v, g)
 	}
 	// ...but memory has not been updated (silent SET).
@@ -118,12 +122,12 @@ func TestSetNeverMisses(t *testing.T) {
 func TestSetHitUpdatesValue(t *testing.T) {
 	ht := New(DefaultConfig())
 	m := newMap()
-	ht.Set(m, hashmap.StrKey("k"), 1)
-	res := ht.Set(m, hashmap.StrKey("k"), 2)
+	ht.Set(m, hashmap.StrKey("k"), iv(1))
+	res := ht.Set(m, hashmap.StrKey("k"), iv(2))
 	if !res.Hit {
 		t.Fatalf("second SET should hit: %+v", res)
 	}
-	if v, _ := ht.Get(m, hashmap.StrKey("k")); v != 2 {
+	if v, _ := ht.Get(m, hashmap.StrKey("k")); v != iv(2) {
 		t.Errorf("value not updated: %v", v)
 	}
 }
@@ -132,8 +136,8 @@ func TestLongKeysBypass(t *testing.T) {
 	ht := New(DefaultConfig())
 	m := newMap()
 	long := hashmap.StrKey(strings.Repeat("k", 25))
-	ht.Set(m, long, "v")
-	if v, ok := m.Get(long); !ok || v != "v" {
+	ht.Set(m, long, sv("v"))
+	if v, ok := m.Get(long); !ok || v != sv("v") {
 		t.Fatalf("bypassed SET must write memory directly: %v %v", v, ok)
 	}
 	_, res := ht.Get(m, long)
@@ -152,7 +156,7 @@ func TestExactly24ByteKeyIsCached(t *testing.T) {
 	ht := New(DefaultConfig())
 	m := newMap()
 	k := hashmap.StrKey(strings.Repeat("x", 24))
-	ht.Set(m, k, 1)
+	ht.Set(m, k, iv(1))
 	if _, res := ht.Get(m, k); !res.Hit {
 		t.Errorf("24-byte key should be hardware eligible")
 	}
@@ -162,7 +166,7 @@ func TestFreeInvalidatesViaRTT(t *testing.T) {
 	ht := New(DefaultConfig())
 	m := newMap()
 	for i := 0; i < 10; i++ {
-		ht.Set(m, hashmap.IntKey(int64(i)), i)
+		ht.Set(m, hashmap.IntKey(int64(i)), iv(i))
 	}
 	res := ht.Free(m)
 	if res.Scanned {
@@ -186,7 +190,7 @@ func TestRTTOverflowFallsBackToScan(t *testing.T) {
 	ht := New(cfg)
 	m := newMap()
 	for i := 0; i < 10; i++ {
-		ht.Set(m, hashmap.IntKey(int64(i)), i)
+		ht.Set(m, hashmap.IntKey(int64(i)), iv(i))
 	}
 	res := ht.Free(m)
 	if !res.Scanned {
@@ -205,10 +209,10 @@ func TestForeachInsertionOrder(t *testing.T) {
 	m := newMap()
 	keys := []string{"zeta", "alpha", "mid", "last"}
 	for i, k := range keys {
-		ht.Set(m, hashmap.StrKey(k), i)
+		ht.Set(m, hashmap.StrKey(k), iv(i))
 	}
 	var got []string
-	foreach(ht, m, func(k hashmap.Key, v interface{}) bool {
+	foreach(ht, m, func(k hashmap.Key, v hashmap.Value) bool {
 		got = append(got, k.Str)
 		return true
 	})
@@ -227,10 +231,10 @@ func TestForeachOrderSurvivesEvictions(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		k := fmt.Sprintf("key%02d", i)
 		want = append(want, k)
-		ht.Set(m, hashmap.StrKey(k), i)
+		ht.Set(m, hashmap.StrKey(k), iv(i))
 	}
 	var got []string
-	foreach(ht, m, func(k hashmap.Key, v interface{}) bool {
+	foreach(ht, m, func(k hashmap.Key, v hashmap.Value) bool {
 		got = append(got, k.Str)
 		return true
 	})
@@ -247,7 +251,7 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 	ht := New(cfg)
 	m := newMap()
 	for i := 0; i < 8; i++ {
-		ht.Set(m, hashmap.IntKey(int64(i)), i)
+		ht.Set(m, hashmap.IntKey(int64(i)), iv(i))
 	}
 	// 8 inserts into a 2-entry table: at least 6 dirty evictions, each
 	// writing its pair back to memory.
@@ -257,7 +261,7 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 	// Every evicted pair must be recoverable through the accelerator.
 	for i := 0; i < 8; i++ {
 		v, res := ht.Get(m, hashmap.IntKey(int64(i)))
-		if v != i || !res.Found {
+		if v != iv(i) || !res.Found {
 			t.Errorf("pair %d lost after eviction: %v %+v", i, v, res)
 		}
 	}
@@ -266,7 +270,7 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 func TestDeleteDropsCachedCopy(t *testing.T) {
 	ht := New(DefaultConfig())
 	m := newMap()
-	ht.Set(m, hashmap.StrKey("k"), 1)
+	ht.Set(m, hashmap.StrKey("k"), iv(1))
 	if !ht.Delete(m, hashmap.StrKey("k")) {
 		// The pair only lived in hardware; memory delete reports false but
 		// the key must be gone either way.
@@ -283,8 +287,8 @@ func TestFlushAllMarksStale(t *testing.T) {
 	ht := New(DefaultConfig())
 	obs := &rebuildObs{}
 	m := hashmap.NewWithID(1, obs)
-	ht.Set(m, hashmap.StrKey("a"), 1)
-	ht.Set(m, hashmap.StrKey("b"), 2)
+	ht.Set(m, hashmap.StrKey("a"), iv(1))
+	ht.Set(m, hashmap.StrKey("b"), iv(2))
 	n := ht.FlushAll()
 	if n != 2 {
 		t.Errorf("FlushAll wrote %d, want 2", n)
@@ -292,7 +296,7 @@ func TestFlushAllMarksStale(t *testing.T) {
 	if obs.rebuilds != 0 {
 		t.Errorf("the flush itself must not rebuild the software index")
 	}
-	if v, ok := m.Get(hashmap.StrKey("a")); !ok || v != 1 {
+	if v, ok := m.Get(hashmap.StrKey("a")); !ok || v != iv(1) {
 		t.Errorf("software access after flush should rebuild and find: %v %v", v, ok)
 	}
 	if obs.rebuilds != 1 {
@@ -319,7 +323,7 @@ func TestHitRateGrowsWithCapacity(t *testing.T) {
 			m := maps[rng.Intn(len(maps))]
 			k := hashmap.StrKey(fmt.Sprintf("key%d", rng.Intn(40)))
 			if rng.Intn(5) == 0 {
-				ht.Set(m, k, op)
+				ht.Set(m, k, iv(op))
 			} else {
 				ht.Get(m, k)
 			}
@@ -369,14 +373,14 @@ func TestCoherenceProperty(t *testing.T) {
 					c.order = append(c.order, key)
 				}
 				c.model[key] = v
-				ht.Set(c.m, hashmap.StrKey(key), v)
+				ht.Set(c.m, hashmap.StrKey(key), iv(v))
 			case 3, 4, 5, 6: // get
 				v, res := ht.Get(c.m, hashmap.StrKey(key))
 				mv, mok := c.model[key]
 				if res.Found != mok {
 					return false
 				}
-				if mok && v != mv {
+				if mok && v != iv(mv) {
 					return false
 				}
 			case 7: // delete
@@ -393,9 +397,9 @@ func TestCoherenceProperty(t *testing.T) {
 				_ = mok
 			case 8: // foreach order check
 				var got []string
-				foreach(ht, c.m, func(k hashmap.Key, v interface{}) bool {
+				foreach(ht, c.m, func(k hashmap.Key, v hashmap.Value) bool {
 					got = append(got, k.Str)
-					if c.model[k.Str] != v {
+					if iv(c.model[k.Str]) != v {
 						got = append(got, "VALUE-MISMATCH")
 					}
 					return true
@@ -418,8 +422,8 @@ func TestCoherenceProperty(t *testing.T) {
 				return false
 			}
 			ok := true
-			c.m.Foreach(func(k hashmap.Key, v interface{}) bool {
-				if c.model[k.Str] != v {
+			c.m.Foreach(func(k hashmap.Key, v hashmap.Value) bool {
+				if iv(c.model[k.Str]) != v {
 					ok = false
 				}
 				return ok
@@ -438,7 +442,7 @@ func TestCoherenceProperty(t *testing.T) {
 func BenchmarkGetHit(b *testing.B) {
 	ht := New(DefaultConfig())
 	m := newMap()
-	ht.Set(m, hashmap.StrKey("key"), 1)
+	ht.Set(m, hashmap.StrKey("key"), iv(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ht.Get(m, hashmap.StrKey("key"))
@@ -454,14 +458,14 @@ func BenchmarkSet(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ht.Set(m, keys[i&63], i)
+		ht.Set(m, keys[i&63], iv(i))
 	}
 }
 
 func TestCoherentReadWritesBackDirtyPair(t *testing.T) {
 	ht := New(DefaultConfig())
 	m := newMap()
-	ht.Set(m, hashmap.StrKey("k"), "v")
+	ht.Set(m, hashmap.StrKey("k"), sv("v"))
 
 	if _, ok := m.Get(hashmap.StrKey("k")); ok {
 		t.Fatal("buffered SET must not reach the software map")
@@ -469,7 +473,7 @@ func TestCoherentReadWritesBackDirtyPair(t *testing.T) {
 	if !ht.CoherentRead(m, hashmap.StrKey("k")) {
 		t.Fatal("CoherentRead should write the dirty pair back")
 	}
-	if v, ok := m.Get(hashmap.StrKey("k")); !ok || v != "v" {
+	if v, ok := m.Get(hashmap.StrKey("k")); !ok || v != sv("v") {
 		t.Fatalf("software map after snoop: %v %v", v, ok)
 	}
 	if ht.CoherentRead(m, hashmap.StrKey("k")) {
@@ -484,17 +488,17 @@ func TestCoherentReadWritesBackDirtyPair(t *testing.T) {
 func TestCoherentWriteInvalidatesCachedPair(t *testing.T) {
 	ht := New(DefaultConfig())
 	m := newMap()
-	ht.Set(m, hashmap.StrKey("k"), "old")
+	ht.Set(m, hashmap.StrKey("k"), sv("old"))
 
 	if !ht.CoherentWrite(m, hashmap.StrKey("k")) {
 		t.Fatal("CoherentWrite should drop the cached pair")
 	}
-	m.Set(hashmap.StrKey("k"), "new")
+	m.Set(hashmap.StrKey("k"), sv("new"))
 	v, res := ht.Get(m, hashmap.StrKey("k"))
 	if res.Hit {
 		t.Error("invalidated entry must not serve the stale value")
 	}
-	if v != "new" || !res.Found {
+	if v != sv("new") || !res.Found {
 		t.Errorf("software fallback should return the stored value: %v %+v", v, res)
 	}
 }
@@ -506,14 +510,14 @@ func TestCoherentWriteInvalidatesCachedPair(t *testing.T) {
 func TestCoherentWriteKeepsOrderOfBufferedPair(t *testing.T) {
 	ht := New(DefaultConfig())
 	m := newMap()
-	ht.Set(m, hashmap.StrKey("a"), 1)
-	ht.Set(m, hashmap.StrKey("b"), 2)
+	ht.Set(m, hashmap.StrKey("a"), iv(1))
+	ht.Set(m, hashmap.StrKey("b"), iv(2))
 	ht.CoherentWrite(m, hashmap.StrKey("a"))
-	m.Set(hashmap.StrKey("a"), 3)
+	m.Set(hashmap.StrKey("a"), iv(3))
 	ht.FlushMap(m)
 	var got []string
-	m.Foreach(func(k hashmap.Key, v interface{}) bool {
-		got = append(got, fmt.Sprint(k.Str, "=", v))
+	m.Foreach(func(k hashmap.Key, v hashmap.Value) bool {
+		got = append(got, fmt.Sprint(k.Str, "=", v.N))
 		return true
 	})
 	if got := strings.Join(got, " "); got != "a=3 b=2" {
@@ -524,11 +528,25 @@ func TestCoherentWriteKeepsOrderOfBufferedPair(t *testing.T) {
 func TestSetBumpsAppendWatermark(t *testing.T) {
 	ht := New(DefaultConfig())
 	m := newMap()
-	ht.Set(m, hashmap.IntKey(5), "x")
+	ht.Set(m, hashmap.IntKey(5), sv("x"))
 
 	// The buffered insert must advance the software append index even
 	// though the pair itself has not been written back yet.
 	if got := m.NextIntKey(); got != 6 {
 		t.Errorf("NextIntKey after buffered Set(5) = %d, want 6", got)
+	}
+}
+
+// TestDeleteReportsBufferedPair: a pair that a SET buffered only in the
+// table is present for unset, exactly as on a software core.
+func TestDeleteReportsBufferedPair(t *testing.T) {
+	ht := New(DefaultConfig())
+	m := newMap()
+	ht.Set(m, hashmap.StrKey("k"), iv(1))
+	if !ht.Delete(m, hashmap.StrKey("k")) {
+		t.Error("Delete of a table-only pair reported it absent")
+	}
+	if ht.Delete(m, hashmap.StrKey("k")) {
+		t.Error("second Delete reported the pair present")
 	}
 }

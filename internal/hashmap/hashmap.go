@@ -9,9 +9,63 @@
 // Every operation reports its probe count and compared key bytes to an
 // optional Observer so the simulation can charge the software walk cost
 // (paper average: 90.66 micro-ops per walk).
+//
+// A stored value is a Value: PHP's type tag plus its payload, held in the
+// struct itself, so no layer from this map up boxes a value. An array
+// value is a *Map, which is also the array's handle: it carries the
+// simulated heap block of the array header. The cost model never looks
+// at a value, only at keys, probes and writebacks.
 package hashmap
 
-import "sort"
+import (
+	"sort"
+	"unsafe"
+
+	"repro/internal/heap"
+)
+
+// Kind is a Value's type tag.
+type Kind uint8
+
+// The tags. The script engine packs two of them into each type-feedback
+// pair, so the numbering must not change.
+const (
+	KindNull Kind = iota
+	KindBool
+	KindInt
+	KindFloat
+	KindString
+	KindArray
+)
+
+// Value is one PHP value: a tag and its payload. The zero Value is null.
+type Value struct {
+	K Kind
+	N int64  // bool (0/1), int, or the float's bits
+	S string // string payload, usually a view into a request arena
+	A *Map   // array handle
+}
+
+// IntValue returns an integer Value.
+func IntValue(i int64) Value { return Value{K: KindInt, N: i} }
+
+// StrValue returns a string Value.
+func StrValue(s string) Value { return Value{K: KindString, S: s} }
+
+// BytesOf returns s's bytes without copying, as the input of a string
+// operation; ViewOf returns an operation's result as a string without
+// copying. They are the runtime's only use of unsafe. Soundness: no vm
+// or isa operation writes into its inputs (each returns a fresh slice or
+// a sub-slice of its subject), and BytesOf's capacity equals its length,
+// so an append can never write into the string. ViewOf is only given a
+// slice that nothing writes after it is returned: a string-op result or
+// a buffer its caller just filled. That memory is usually a request
+// arena, so a view is valid until the runtime's next BeginRequest, and
+// whatever keeps one longer must copy it.
+func BytesOf(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
+
+// ViewOf is BytesOf's inverse (see BytesOf for when it is sound).
+func ViewOf(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // Key is a PHP array key: either an integer or a string.
 type Key struct {
@@ -92,14 +146,22 @@ const (
 
 type entry struct {
 	key  Key
-	val  interface{}
+	val  Value
 	dead bool
 	seq  uint64 // insertion sequence number (ordered-table position)
 }
 
-// Map is an insertion-ordered PHP array. The zero value is not usable;
-// call NewWithID.
+// Map is an insertion-ordered PHP array and the handle a Value holds.
+// The zero value is not usable; call NewWithID.
 type Map struct {
+	// Block is the simulated heap allocation of the array header, which
+	// the owning runtime mallocs and frees; the map itself never reads it.
+	Block heap.Block
+	// Freed marks a handle its runtime has freed and not handed out
+	// again (Reset clears it), so a double free is caught instead of
+	// aliasing a later array.
+	Freed bool
+
 	id      uint64
 	entries []entry // insertion order; dead entries are tombstones
 	index   []int32 // open-addressed hash index into entries
@@ -150,7 +212,9 @@ func (m *Map) ID() uint64 { return m.id }
 // (i.e. the map was freed through the hardware hash table first).
 func (m *Map) Reset(id uint64) {
 	m.id = id
-	// Clear interface values so recycled maps don't pin old values live.
+	m.Freed = false
+	// Clear the entries: values hold strings and array handles, which a
+	// recycled map must not keep alive.
 	for i := range m.entries {
 		m.entries[i] = entry{}
 	}
@@ -257,20 +321,20 @@ func (m *Map) findSlot(k Key) (slot uint64, pos int32, probes, keyBytes int) {
 }
 
 // Get looks up a key, returning its value and whether it was present.
-func (m *Map) Get(k Key) (interface{}, bool) {
+func (m *Map) Get(k Key) (Value, bool) {
 	m.ensureFresh()
 	_, pos, probes, kb := m.findSlot(k)
 	if m.obs != nil {
 		m.obs.OnWalk(OpGet, probes, kb, false)
 	}
 	if pos < 0 {
-		return nil, false
+		return Value{}, false
 	}
 	return m.entries[pos].val, true
 }
 
 // Set inserts or updates a key. New keys append to the insertion order.
-func (m *Map) Set(k Key, v interface{}) {
+func (m *Map) Set(k Key, v Value) {
 	m.ensureFresh()
 	slot, pos, probes, kb := m.findSlot(k)
 	inserted := pos < 0
@@ -342,13 +406,19 @@ func (m *Map) grow() {
 // entries taken at call time — PHP's foreach-over-a-copy semantics. Keys
 // live at the start of the iteration are each visited exactly once;
 // entries inserted by the callback are not visited.
-func (m *Map) Foreach(f func(k Key, v interface{}) bool) {
+func (m *Map) Foreach(f func(k Key, v Value) bool) {
 	m.ensureFresh()
 	m.ensureOrdered()
-	snap := make([]entry, 0, m.size)
+	// Only keys and values: these bytes are most of what a steady-state
+	// render allocates.
+	type pair struct {
+		key Key
+		val Value
+	}
+	snap := make([]pair, 0, m.size)
 	for i := range m.entries {
-		if !m.entries[i].dead {
-			snap = append(snap, m.entries[i])
+		if e := &m.entries[i]; !e.dead {
+			snap = append(snap, pair{e.key, e.val})
 		}
 	}
 	n := 0
@@ -385,14 +455,14 @@ func (m *Map) ReserveSeq() uint64 {
 
 // GetWithSeq is Get plus the entry's insertion sequence number, which the
 // hardware hash table caches so writebacks preserve iteration order.
-func (m *Map) GetWithSeq(k Key) (v interface{}, seq uint64, ok bool) {
+func (m *Map) GetWithSeq(k Key) (v Value, seq uint64, ok bool) {
 	m.ensureFresh()
 	_, pos, probes, kb := m.findSlot(k)
 	if m.obs != nil {
 		m.obs.OnWalk(OpGet, probes, kb, false)
 	}
 	if pos < 0 {
-		return nil, 0, false
+		return Value{}, 0, false
 	}
 	return m.entries[pos].val, m.entries[pos].seq, true
 }
@@ -403,7 +473,7 @@ func (m *Map) GetWithSeq(k Key) (v interface{}, seq uint64, ok bool) {
 // returns true if the key was already present (value updated in place,
 // original position kept). Out-of-order sequence numbers are recorded and
 // repaired on the next ordered access.
-func (m *Map) WritebackSeq(k Key, v interface{}, seq uint64) bool {
+func (m *Map) WritebackSeq(k Key, v Value, seq uint64) bool {
 	m.ensureFresh()
 	slot, pos, _, _ := m.findSlot(k)
 	if pos >= 0 {
@@ -438,11 +508,4 @@ func (m *Map) ensureOrdered() {
 	m.unordered = false
 	sort.SliceStable(m.entries, func(i, j int) bool { return m.entries[i].seq < m.entries[j].seq })
 	m.rebuildIndex(len(m.index))
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

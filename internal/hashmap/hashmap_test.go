@@ -34,24 +34,28 @@ func newMap(obs Observer) *Map {
 	return NewWithID(lastMapID, obs)
 }
 
+// iv and sv build the int and string values the tests store.
+func iv(i int) Value    { return IntValue(int64(i)) }
+func sv(s string) Value { return StrValue(s) }
+
 func TestGetSetBasic(t *testing.T) {
 	m := newMap(nil)
 	if _, ok := m.Get(StrKey("missing")); ok {
 		t.Fatalf("empty map returned a value")
 	}
-	m.Set(StrKey("a"), 1)
-	m.Set(IntKey(7), "seven")
-	if v, ok := m.Get(StrKey("a")); !ok || v != 1 {
+	m.Set(StrKey("a"), iv(1))
+	m.Set(IntKey(7), sv("seven"))
+	if v, ok := m.Get(StrKey("a")); !ok || v != iv(1) {
 		t.Errorf("Get(a) = %v %v", v, ok)
 	}
-	if v, ok := m.Get(IntKey(7)); !ok || v != "seven" {
+	if v, ok := m.Get(IntKey(7)); !ok || v != sv("seven") {
 		t.Errorf("Get(7) = %v %v", v, ok)
 	}
 	if m.Size() != 2 {
 		t.Errorf("Size = %d, want 2", m.Size())
 	}
-	m.Set(StrKey("a"), 2)
-	if v, _ := m.Get(StrKey("a")); v != 2 {
+	m.Set(StrKey("a"), iv(2))
+	if v, _ := m.Get(StrKey("a")); v != iv(2) {
 		t.Errorf("update failed: %v", v)
 	}
 	if m.Size() != 2 {
@@ -61,19 +65,19 @@ func TestGetSetBasic(t *testing.T) {
 
 func TestIntAndStrKeysDistinct(t *testing.T) {
 	m := newMap(nil)
-	m.Set(IntKey(1), "int")
-	m.Set(StrKey("1"), "str")
-	if v, _ := m.Get(IntKey(1)); v != "int" {
+	m.Set(IntKey(1), sv("int"))
+	m.Set(StrKey("1"), sv("str"))
+	if v, _ := m.Get(IntKey(1)); v != sv("int") {
 		t.Errorf("int key clobbered: %v", v)
 	}
-	if v, _ := m.Get(StrKey("1")); v != "str" {
+	if v, _ := m.Get(StrKey("1")); v != sv("str") {
 		t.Errorf("str key clobbered: %v", v)
 	}
 }
 
 func TestDelete(t *testing.T) {
 	m := newMap(nil)
-	m.Set(StrKey("x"), 1)
+	m.Set(StrKey("x"), iv(1))
 	if !m.Delete(StrKey("x")) {
 		t.Fatalf("Delete of present key returned false")
 	}
@@ -90,10 +94,10 @@ func TestDelete(t *testing.T) {
 
 func TestReinsertAfterDeleteUsesTombstone(t *testing.T) {
 	m := newMap(nil)
-	m.Set(StrKey("x"), 1)
+	m.Set(StrKey("x"), iv(1))
 	m.Delete(StrKey("x"))
-	m.Set(StrKey("x"), 2)
-	if v, ok := m.Get(StrKey("x")); !ok || v != 2 {
+	m.Set(StrKey("x"), iv(2))
+	if v, ok := m.Get(StrKey("x")); !ok || v != iv(2) {
 		t.Errorf("reinsert failed: %v %v", v, ok)
 	}
 	if m.Size() != 1 {
@@ -105,12 +109,12 @@ func TestInsertionOrderIteration(t *testing.T) {
 	m := newMap(nil)
 	keys := []string{"delta", "alpha", "zulu", "bravo", "kilo"}
 	for i, k := range keys {
-		m.Set(StrKey(k), i)
+		m.Set(StrKey(k), iv(i))
 	}
 	m.Delete(StrKey("zulu"))
-	m.Set(StrKey("zulu"), 99) // deleted and re-added: moves to the end
+	m.Set(StrKey("zulu"), iv(99)) // deleted and re-added: moves to the end
 	var got []string
-	m.Foreach(func(k Key, _ interface{}) bool {
+	m.Foreach(func(k Key, _ Value) bool {
 		got = append(got, k.Str)
 		return true
 	})
@@ -123,10 +127,10 @@ func TestInsertionOrderIteration(t *testing.T) {
 func TestForeachEarlyStop(t *testing.T) {
 	m := newMap(nil)
 	for i := 0; i < 10; i++ {
-		m.Set(IntKey(int64(i)), i)
+		m.Set(IntKey(int64(i)), iv(i))
 	}
 	n := 0
-	m.Foreach(func(Key, interface{}) bool {
+	m.Foreach(func(Key, Value) bool {
 		n++
 		return n < 3
 	})
@@ -137,19 +141,19 @@ func TestForeachEarlyStop(t *testing.T) {
 
 func TestAppendAutoKeys(t *testing.T) {
 	m := newMap(nil)
-	// PHP's `$a[] = v`, as vm.Array and the hardware table spell it.
-	push := func(v interface{}) Key {
+	// PHP's `$a[] = v`, as the runtime and the hardware table spell it.
+	push := func(v Value) Key {
 		k := IntKey(m.NextIntKey())
 		m.Set(k, v)
 		return k
 	}
-	k0 := push("a")
-	k1 := push("b")
+	k0 := push(sv("a"))
+	k1 := push(sv("b"))
 	if !k0.IsInt || k0.Int != 0 || k1.Int != 1 {
 		t.Errorf("auto keys wrong: %v %v", k0, k1)
 	}
-	m.Set(IntKey(10), "c")
-	if k := push("d"); k.Int != 11 {
+	m.Set(IntKey(10), sv("c"))
+	if k := push(sv("d")); k.Int != 11 {
 		t.Errorf("append after explicit int key = %v, want 11", k)
 	}
 }
@@ -159,13 +163,13 @@ func TestGrowthPreservesContents(t *testing.T) {
 	m := newMap(obs)
 	const n = 1000
 	for i := 0; i < n; i++ {
-		m.Set(StrKey(fmt.Sprintf("key-%04d", i)), i)
+		m.Set(StrKey(fmt.Sprintf("key-%04d", i)), iv(i))
 	}
 	if len(obs.resizes) == 0 {
 		t.Fatalf("expected at least one resize for %d inserts", n)
 	}
 	for i := 0; i < n; i++ {
-		if v, ok := m.Get(StrKey(fmt.Sprintf("key-%04d", i))); !ok || v != i {
+		if v, ok := m.Get(StrKey(fmt.Sprintf("key-%04d", i))); !ok || v != iv(i) {
 			t.Fatalf("lost key %d after growth: %v %v", i, v, ok)
 		}
 	}
@@ -177,7 +181,7 @@ func TestGrowthPreservesContents(t *testing.T) {
 func TestObserverWalkEvents(t *testing.T) {
 	obs := &recObs{}
 	m := newMap(obs)
-	m.Set(StrKey("abc"), 1)
+	m.Set(StrKey("abc"), iv(1))
 	m.Get(StrKey("abc"))
 	m.Get(StrKey("nope"))
 	m.Delete(StrKey("abc"))
@@ -201,13 +205,13 @@ func TestObserverWalkEvents(t *testing.T) {
 func TestStaleRebuild(t *testing.T) {
 	obs := &recObs{}
 	m := newMap(obs)
-	m.Set(StrKey("a"), 1)
-	m.Set(StrKey("b"), 2)
+	m.Set(StrKey("a"), iv(1))
+	m.Set(StrKey("b"), iv(2))
 	m.MarkStale()
 	if !m.stale {
 		t.Fatalf("MarkStale did not mark")
 	}
-	if v, ok := m.Get(StrKey("a")); !ok || v != 1 {
+	if v, ok := m.Get(StrKey("a")); !ok || v != iv(1) {
 		t.Errorf("Get after stale rebuild = %v %v", v, ok)
 	}
 	if m.stale {
@@ -223,21 +227,21 @@ func TestStaleRebuild(t *testing.T) {
 // an absent key lands at the end of iteration order.
 func TestSetRawWriteback(t *testing.T) {
 	m := newMap(nil)
-	m.Set(StrKey("a"), 1)
-	if !m.WritebackSeq(StrKey("a"), 5, m.ReserveSeq()) {
+	m.Set(StrKey("a"), iv(1))
+	if !m.WritebackSeq(StrKey("a"), iv(5), m.ReserveSeq()) {
 		t.Errorf("writeback on present key should return true")
 	}
-	if v, _ := m.Get(StrKey("a")); v != 5 {
+	if v, _ := m.Get(StrKey("a")); v != iv(5) {
 		t.Errorf("writeback did not update: %v", v)
 	}
-	if m.WritebackSeq(StrKey("new"), 7, m.ReserveSeq()) {
+	if m.WritebackSeq(StrKey("new"), iv(7), m.ReserveSeq()) {
 		t.Errorf("writeback on absent key should return false")
 	}
-	if v, ok := m.Get(StrKey("new")); !ok || v != 7 {
+	if v, ok := m.Get(StrKey("new")); !ok || v != iv(7) {
 		t.Errorf("writeback insert failed: %v %v", v, ok)
 	}
 	var last Key
-	m.Foreach(func(k Key, _ interface{}) bool { last = k; return true })
+	m.Foreach(func(k Key, _ Value) bool { last = k; return true })
 	if last.Str != "new" {
 		t.Errorf("writeback insert not at end: last key %v", last)
 	}
@@ -291,11 +295,11 @@ func TestModelEquivalence(t *testing.T) {
 					order = append(order, k)
 				}
 				model[k] = v
-				m.Set(StrKey(k), v)
+				m.Set(StrKey(k), iv(v))
 			case 2: // get
 				v, ok := m.Get(StrKey(k))
 				mv, mok := model[k]
-				if ok != mok || (ok && v != mv) {
+				if ok != mok || (ok && v != iv(mv)) {
 					return false
 				}
 			case 3: // delete
@@ -317,9 +321,9 @@ func TestModelEquivalence(t *testing.T) {
 			return false
 		}
 		var got []string
-		m.Foreach(func(k Key, v interface{}) bool {
+		m.Foreach(func(k Key, v Value) bool {
 			got = append(got, k.Str)
-			if model[k.Str] != v {
+			if iv(model[k.Str]) != v {
 				got = append(got, "VALUE-MISMATCH")
 			}
 			return true
@@ -339,13 +343,13 @@ func TestModelEquivalence(t *testing.T) {
 func TestForeachSurvivesStaleRebuild(t *testing.T) {
 	m := newMap(nil)
 	for i := 0; i < 20; i++ {
-		m.Set(StrKey(fmt.Sprintf("k%02d", i)), i)
+		m.Set(StrKey(fmt.Sprintf("k%02d", i)), iv(i))
 	}
 	for i := 0; i < 10; i++ {
 		m.Delete(StrKey(fmt.Sprintf("k%02d", i)))
 	}
 	visited := map[string]int{}
-	m.Foreach(func(k Key, v interface{}) bool {
+	m.Foreach(func(k Key, v Value) bool {
 		// The coherence-rebuild path: the hardware flushes, the next
 		// software access compacts the tombstoned entries.
 		m.MarkStale()
@@ -368,14 +372,14 @@ func TestForeachSurvivesStaleRebuild(t *testing.T) {
 func TestForeachSurvivesCallbackSet(t *testing.T) {
 	m := newMap(nil)
 	for i := 0; i < 8; i++ {
-		m.Set(IntKey(int64(i)), i)
+		m.Set(IntKey(int64(i)), iv(i))
 	}
 	var got []Key
 	i := 0
-	m.Foreach(func(k Key, v interface{}) bool {
+	m.Foreach(func(k Key, v Value) bool {
 		// Enough inserts to force at least one index doubling mid-flight.
 		for j := 0; j < 16; j++ {
-			m.Set(StrKey(fmt.Sprintf("new-%d-%d", i, j)), j)
+			m.Set(StrKey(fmt.Sprintf("new-%d-%d", i, j)), iv(j))
 		}
 		i++
 		got = append(got, k)
@@ -399,10 +403,10 @@ func TestForeachSurvivesCallbackSet(t *testing.T) {
 func TestForeachSurvivesCallbackDelete(t *testing.T) {
 	m := newMap(nil)
 	for i := 0; i < 12; i++ {
-		m.Set(IntKey(int64(i)), i)
+		m.Set(IntKey(int64(i)), iv(i))
 	}
 	var got []int64
-	m.Foreach(func(k Key, v interface{}) bool {
+	m.Foreach(func(k Key, v Value) bool {
 		m.Delete(IntKey((k.Int + 1) % 12)) // delete the next key
 		got = append(got, k.Int)
 		return true
@@ -419,7 +423,7 @@ func TestDeleteHeavyKeepsIndexBounded(t *testing.T) {
 	m := newMap(nil)
 	for i := 0; i < 10000; i++ {
 		k := StrKey(fmt.Sprintf("churn-%d", i))
-		m.Set(k, i)
+		m.Set(k, iv(i))
 		m.Delete(k)
 	}
 	if m.Size() != 0 {
@@ -429,8 +433,8 @@ func TestDeleteHeavyKeepsIndexBounded(t *testing.T) {
 		t.Errorf("index grew to %d slots under churn with ~0 live entries", n)
 	}
 	// The map must still work after all that compaction.
-	m.Set(StrKey("alive"), 1)
-	if v, ok := m.Get(StrKey("alive")); !ok || v != 1 {
+	m.Set(StrKey("alive"), iv(1))
+	if v, ok := m.Get(StrKey("alive")); !ok || v != iv(1) {
 		t.Errorf("map broken after churn: %v %v", v, ok)
 	}
 }
@@ -438,7 +442,7 @@ func TestDeleteHeavyKeepsIndexBounded(t *testing.T) {
 func BenchmarkMapGet(b *testing.B) {
 	m := newMap(nil)
 	for i := 0; i < 1024; i++ {
-		m.Set(StrKey(fmt.Sprintf("key-%d", i)), i)
+		m.Set(StrKey(fmt.Sprintf("key-%d", i)), iv(i))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -450,6 +454,6 @@ func BenchmarkMapSet(b *testing.B) {
 	m := newMap(nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Set(IntKey(int64(i&1023)), i)
+		m.Set(IntKey(int64(i&1023)), iv(i))
 	}
 }

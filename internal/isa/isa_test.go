@@ -11,6 +11,10 @@ import (
 	"repro/internal/sim"
 )
 
+// iv and sv build the int and string values the tests store.
+func iv(i int) hashmap.Value    { return hashmap.IntValue(int64(i)) }
+func sv(s string) hashmap.Value { return hashmap.StrValue(s) }
+
 func newCPU(feats Features) *CPU {
 	return New(sim.NewMeter(sim.DefaultCostModel()), feats, 0)
 }
@@ -35,12 +39,12 @@ func TestHashOpsEquivalentAcrossCores(t *testing.T) {
 		var log []string
 		for i := 0; i < 50; i++ {
 			k := hashmap.StrKey(fmt.Sprintf("key%d", i%17))
-			c.HashSet("wp_set", m, k, i, false)
+			c.HashStore("wp_set", m, k, iv(i), false)
 			if v, ok := c.HashGet("wp_get", m, k, false); ok {
 				log = append(log, fmt.Sprint(v))
 			}
 		}
-		c.HashForeach("wp_each", m, func(k hashmap.Key, v interface{}) bool {
+		c.HashForeach("wp_each", m, func(k hashmap.Key, v hashmap.Value) bool {
 			log = append(log, fmt.Sprintf("%s=%v", k.Str, v))
 			return true
 		})
@@ -65,7 +69,7 @@ func TestHashAccelerationReducesUops(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			k := hashmap.StrKey(fmt.Sprintf("k%d", rng.Intn(20)))
 			if rng.Intn(5) == 0 {
-				c.HashSet("f", m, k, i, false)
+				c.HashStore("f", m, k, iv(i), false)
 			} else {
 				c.HashGet("f", m, k, false)
 			}
@@ -83,7 +87,7 @@ func TestInlineCachingShortCircuitsStaticKeys(t *testing.T) {
 	c := newCPU(Features{})
 	c.Meter.Mit = sim.AllMitigations()
 	m := c.NewMap()
-	c.HashSet("f", m, hashmap.StrKey("static_prop"), 1, true)
+	c.HashStore("f", m, hashmap.StrKey("static_prop"), iv(1), true)
 	c.HashGet("f", m, hashmap.StrKey("static_prop"), true)
 	total := c.Meter.TotalUops()
 	want := 2 * c.Meter.Model.ICHitUops
@@ -205,14 +209,14 @@ func TestRegexReuseReducesUops(t *testing.T) {
 func TestContextSwitchProtocol(t *testing.T) {
 	c := newCPU(AllAccelerators())
 	m := c.NewMap()
-	c.HashSet("f", m, hashmap.StrKey("pending"), 1, false)
+	c.HashStore("f", m, hashmap.StrKey("pending"), iv(1), false)
 	b := c.Malloc("f", 64)
 	c.Free("f", b)
 
 	c.ContextSwitch()
 
 	// Hardware state flushed: the software map sees the pair.
-	if v, ok := m.Get(hashmap.StrKey("pending")); !ok || v != 1 {
+	if v, ok := m.Get(hashmap.StrKey("pending")); !ok || v != iv(1) {
 		t.Errorf("context switch lost dirty hash entry: %v %v", v, ok)
 	}
 	if n := c.HM.Flush(); n != 0 {
@@ -223,7 +227,7 @@ func TestContextSwitchProtocol(t *testing.T) {
 	}
 	// Post-switch operation still works, and starts from an empty table.
 	hits := c.HT.Stats().GetHits
-	if v, ok := c.HashGet("f", m, hashmap.StrKey("pending"), false); !ok || v != 1 {
+	if v, ok := c.HashGet("f", m, hashmap.StrKey("pending"), false); !ok || v != iv(1) {
 		t.Errorf("post-switch access broken: %v %v", v, ok)
 	}
 	if c.HT.Stats().GetHits != hits {
@@ -255,7 +259,7 @@ func TestMitigationsReduceBaseline(t *testing.T) {
 func TestAccelAttributionLandsInRightCategory(t *testing.T) {
 	c := newCPU(AllAccelerators())
 	m := c.NewMap()
-	c.HashSet("f", m, hashmap.StrKey("k"), 1, false)
+	c.HashStore("f", m, hashmap.StrKey("k"), iv(1), false)
 	b := c.Malloc("g", 32)
 	c.Free("g", b)
 	c.StrToUpper("h", []byte("abc"))

@@ -160,13 +160,16 @@ func ParsePromText(r io.Reader) ([]*MetricFamily, error) {
 		if strings.HasPrefix(line, "#") {
 			fields := strings.SplitN(line, " ", 4)
 			if len(fields) >= 3 && (fields[1] == "HELP" || fields[1] == "TYPE") {
+				if !validName(fields[2], true) {
+					return nil, fmt.Errorf("obs: prom parse line %d: bad metric name %q", lineNo, fields[2])
+				}
 				f := family(fields[2], "untyped")
 				if fields[1] == "TYPE" && len(fields) >= 4 {
 					f.Type = strings.TrimSpace(fields[3])
 					cur = f
 				} else if fields[1] == "HELP" {
 					if len(fields) >= 4 {
-						f.Help = fields[3]
+						f.Help = helpUnescaper.Replace(fields[3])
 					}
 					cur = f
 				}
@@ -189,12 +192,18 @@ func ParsePromText(r io.Reader) ([]*MetricFamily, error) {
 	return fams, nil
 }
 
+// helpUnescaper undoes escapeHelp: a HELP text spells backslash and
+// newline as \\ and \n.
+var helpUnescaper = strings.NewReplacer(`\\`, `\`, `\n`, "\n")
+
 // parseSampleLine parses `name{a="b",...} value [timestamp]`.
 func parseSampleLine(line string) (PromSample, error) {
 	var s PromSample
 	rest := line
 	if i := strings.IndexAny(rest, "{ "); i < 0 {
 		return s, fmt.Errorf("no value separator in %q", line)
+	} else if !validName(rest[:i], true) {
+		return s, fmt.Errorf("bad metric name in %q", line)
 	} else {
 		s.Name = rest[:i]
 		rest = rest[i:]
@@ -251,6 +260,9 @@ func parseLabels(s string) (int, []Label, error) {
 			return 0, nil, fmt.Errorf("unterminated label block in %q", s)
 		}
 		name := s[i : i+eq]
+		if !validName(name, false) {
+			return 0, nil, fmt.Errorf("bad label name %q in %q", name, s)
+		}
 		i += eq + 1
 		if i >= len(s) || s[i] != '"' {
 			return 0, nil, fmt.Errorf("unquoted label value in %q", s)
@@ -277,6 +289,18 @@ func parseLabels(s string) (int, []Label, error) {
 		i++ // closing quote
 		labels = append(labels, Label{Name: name, Value: val.String()})
 	}
+}
+
+// validName reports whether s is a metric name ([a-zA-Z_:][a-zA-Z0-9_:]*)
+// or, with colon false, a label name (the same without colons).
+func validName(s string, colon bool) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if !(c == '_' || colon && c == ':' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || i > 0 && '0' <= c && c <= '9') {
+			return false
+		}
+	}
+	return s != ""
 }
 
 // sampleKey is the merge identity of a sample: full series name plus the

@@ -206,7 +206,7 @@ func (in *Interp) bcExec(fn *compiledFn, sbase, lbase, ibase int) (ret Value, er
 				// Type feedback: a site observing the same operand-type
 				// pair as last time runs as one (checked-load-elidable)
 				// type check; a changing site pays generic dispatch.
-				tag := uint16(l.k)<<8 | uint16(r.k)
+				tag := uint16(l.K)<<8 | uint16(r.K)
 				s := &m.tfs[ins.b]
 				if s.seen && s.pair == tag {
 					m.tfStable++
@@ -252,31 +252,31 @@ func (in *Interp) bcExec(fn *compiledFn, sbase, lbase, ibase int) (ret Value, er
 		case opEcho:
 			in.ob.WriteString(in.str(m.pop()))
 		case opInlineHTML:
-			in.ob.WriteString(fn.consts[ins.a].s)
+			in.ob.WriteString(fn.consts[ins.a].S)
 		case opIndexNil:
-			switch v := m.stack[m.sp-1]; v.k {
+			switch v := m.stack[m.sp-1]; v.K {
 			case kArray, kString:
 				// fall through to the key code
 			case kNull:
 				pc = int(ins.a) - 1 // the null stays as the read's result
 			default:
-				return null, fmt.Errorf("php: line %d: cannot index %s", ins.line, goType[v.k])
+				return null, fmt.Errorf("php: line %d: cannot index %s", ins.line, goType[v.K])
 			}
 		case opIndexGet:
 			key := m.pop()
-			switch subj := m.pop(); subj.k {
+			switch subj := m.pop(); subj.K {
 			case kArray:
 				k, kerr := key.key()
 				if kerr != nil {
 					return null, kerr
 				}
-				v, _ := in.rt.AGet(name, subj.a, k, m.dynamic(ins, k))
-				m.push(unbox(v))
+				v, _ := in.rt.AGet(name, subj.A, k, m.dynamic(ins, k))
+				m.push(Value(v))
 			case kString:
-				m.push(strIndex(subj.s, key))
+				m.push(strIndex(subj.S, key))
 			}
 		case opVivCheck:
-			switch v := m.pop(); v.k {
+			switch v := m.pop(); v.K {
 			case kArray:
 				m.push(v)
 				pc = int(ins.a) - 1
@@ -287,17 +287,17 @@ func (in *Interp) bcExec(fn *compiledFn, sbase, lbase, ibase int) (ret Value, er
 			}
 		case opStoreIndex:
 			key := m.pop()
-			arr := m.pop().a
+			arr := m.pop().A
 			val := m.pop()
 			k, kerr := key.key()
 			if kerr != nil {
 				return null, kerr
 			}
-			in.rt.ASet(name, arr, k, in.box(val), m.dynamic(ins, k))
+			in.rt.ASet(name, arr, k, hashmap.Value(val), m.dynamic(ins, k))
 		case opAppendSet:
-			arr := m.pop().a
+			arr := m.pop().A
 			val := m.pop()
-			in.rt.ASet(name, arr, hashmap.IntKey(arr.Map().NextIntKey()), in.box(val), false)
+			in.rt.ASet(name, arr, hashmap.IntKey(arr.NextIntKey()), hashmap.Value(val), false)
 		case opCombine:
 			cur := m.pop()
 			val := m.pop()
@@ -319,17 +319,17 @@ func (in *Interp) bcExec(fn *compiledFn, sbase, lbase, ibase int) (ret Value, er
 			m.push(arrV(in.newArray(name)))
 		case opArrAppend:
 			val := m.pop()
-			arr := m.stack[m.sp-1].a
-			in.rt.ASet(name, arr, hashmap.IntKey(arr.Map().NextIntKey()), in.box(val), false)
+			arr := m.stack[m.sp-1].A
+			in.rt.ASet(name, arr, hashmap.IntKey(arr.NextIntKey()), hashmap.Value(val), false)
 		case opArrSet:
 			key := m.pop()
 			val := m.pop()
-			arr := m.stack[m.sp-1].a
+			arr := m.stack[m.sp-1].A
 			k, kerr := key.key()
 			if kerr != nil {
 				return null, kerr
 			}
-			in.rt.ASet(name, arr, k, in.box(val), ins.b == 1)
+			in.rt.ASet(name, arr, k, hashmap.Value(val), ins.b == 1)
 		case opLoopInit:
 			m.loops[lbase+int(ins.a)] = 0
 		case opLoopTick:
@@ -345,7 +345,7 @@ func (in *Interp) bcExec(fn *compiledFn, sbase, lbase, ibase int) (ret Value, er
 			}
 		case opForeachStart:
 			subj := m.pop()
-			if subj.k != kArray {
+			if subj.K != kArray {
 				return null, fmt.Errorf("php: line %d: foreach over non-array", ins.line)
 			}
 			if n := len(m.iters); n < cap(m.iters) {
@@ -355,9 +355,9 @@ func (in *Interp) bcExec(fn *compiledFn, sbase, lbase, ibase int) (ret Value, er
 			}
 			it := &m.iters[len(m.iters)-1]
 			it.keys, it.vals, it.idx = it.keys[:0], it.vals[:0], 0
-			in.rt.AForeach(name, subj.a, func(k hashmap.Key, v interface{}) bool {
+			in.rt.AForeach(name, subj.A, func(k hashmap.Key, v hashmap.Value) bool {
 				it.keys = append(it.keys, k)
-				it.vals = append(it.vals, unbox(v))
+				it.vals = append(it.vals, Value(v))
 				return true
 			})
 		case opForeachNext:
@@ -403,19 +403,19 @@ func (in *Interp) bcExec(fn *compiledFn, sbase, lbase, ibase int) (ret Value, er
 			m.popN(argc)
 			m.push(v)
 		case opIsSet:
-			m.push(boolV(m.pop().k != kNull))
+			m.push(boolV(m.pop().K != kNull))
 		case opUnsetVar:
 			m.slots[sbase+int(ins.a)] = null
 			m.push(null)
 		case opUnsetSubj:
-			if m.stack[m.sp-1].k != kArray {
+			if m.stack[m.sp-1].K != kArray {
 				m.pop()
 				m.push(null)
 				pc = int(ins.a) - 1
 			}
 		case opADelete:
 			key := m.pop()
-			arr := m.pop().a
+			arr := m.pop().A
 			k, kerr := key.key()
 			if kerr != nil {
 				return null, kerr
@@ -424,15 +424,15 @@ func (in *Interp) bcExec(fn *compiledFn, sbase, lbase, ibase int) (ret Value, er
 			m.push(null)
 		case opExtract:
 			v := m.pop()
-			if v.k != kArray {
+			if v.K != kArray {
 				m.push(Int(0))
 				break
 			}
 			count := int64(0)
-			in.rt.AForeach("extract", v.a, func(k hashmap.Key, v interface{}) bool {
+			in.rt.AForeach("extract", v.A, func(k hashmap.Key, v hashmap.Value) bool {
 				if !k.IsInt {
 					if s, ok := fn.slotOf[k.Str]; ok {
-						m.slots[sbase+int(s)] = unbox(v)
+						m.slots[sbase+int(s)] = Value(v)
 					}
 					count++
 				}

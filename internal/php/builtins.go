@@ -39,7 +39,7 @@ func (in *Interp) evalCall(n *callExpr, f *frame) (Value, error) {
 		if err != nil {
 			return null, err
 		}
-		return boolV(v.k != kNull), nil
+		return boolV(v.K != kNull), nil
 	case "unset":
 		if len(n.args) != 1 {
 			return null, errArity(n, 1)
@@ -56,14 +56,14 @@ func (in *Interp) evalCall(n *callExpr, f *frame) (Value, error) {
 		if err != nil {
 			return null, err
 		}
-		if subject.k != kArray {
+		if subject.K != kArray {
 			return null, nil
 		}
 		k, _, err := in.evalKey(ix.key, f)
 		if err != nil {
 			return null, err
 		}
-		in.rt.ADelete(f.fn, subject.a, k)
+		in.rt.ADelete(f.fn, subject.A, k)
 		return null, nil
 	case "extract":
 		// The §4.2 pattern: import an array's pairs into the local scope
@@ -75,13 +75,13 @@ func (in *Interp) evalCall(n *callExpr, f *frame) (Value, error) {
 		if err != nil {
 			return null, err
 		}
-		if v.k != kArray {
+		if v.K != kArray {
 			return Int(0), nil
 		}
 		count := int64(0)
-		in.rt.AForeach("extract", v.a, func(k hashmap.Key, v interface{}) bool {
+		in.rt.AForeach("extract", v.A, func(k hashmap.Key, v hashmap.Value) bool {
 			if !k.IsInt {
-				f.vars[k.Str] = unbox(v)
+				f.vars[k.Str] = Value(v)
 				count++
 			}
 			return true
@@ -132,7 +132,7 @@ type builtinFn func(in *Interp, fn string, n *callExpr, args []Value) (Value, er
 
 // builtins maps PHP function names to implementations. String and regexp
 // functions call the runtime's accelerated operations; array functions
-// operate on vm.Array handles.
+// operate on array handles (*hashmap.Map).
 var builtins = map[string]builtinFn{
 	// --- strings (accelerated) ---
 	"strlen": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
@@ -152,13 +152,13 @@ var builtins = map[string]builtinFn{
 			return null, errArity(n, 3)
 		}
 		search, repl, subject := in.str(args[0]), in.str(args[1]), in.str(args[2])
-		return strV(viewOf(in.rt.Replace(fn, bytesOf(subject), bytesOf(search), bytesOf(repl)))), nil
+		return strV(hashmap.ViewOf(in.rt.Replace(fn, hashmap.BytesOf(subject), hashmap.BytesOf(search), hashmap.BytesOf(repl)))), nil
 	},
 	"strpos": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) != 2 {
 			return null, errArity(n, 2)
 		}
-		pos := in.rt.Find(fn, bytesOf(in.str(args[0])), bytesOf(in.str(args[1])))
+		pos := in.rt.Find(fn, hashmap.BytesOf(in.str(args[0])), hashmap.BytesOf(in.str(args[1])))
 		if pos < 0 {
 			return boolV(false), nil
 		}
@@ -168,7 +168,7 @@ var builtins = map[string]builtinFn{
 		if len(args) != 2 {
 			return null, errArity(n, 2)
 		}
-		return Int(int64(in.rt.Compare(fn, bytesOf(in.str(args[0])), bytesOf(in.str(args[1]))))), nil
+		return Int(int64(in.rt.Compare(fn, hashmap.BytesOf(in.str(args[0])), hashmap.BytesOf(in.str(args[1]))))), nil
 	},
 	"strtr": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) != 3 {
@@ -178,7 +178,7 @@ var builtins = map[string]builtinFn{
 		if len(from) != len(to) {
 			return null, fmt.Errorf("php: line %d: strtr tables must have equal length", n.line)
 		}
-		return strV(viewOf(in.rt.Translate(fn, bytesOf(in.str(args[0])), bytesOf(from), bytesOf(to)))), nil
+		return strV(hashmap.ViewOf(in.rt.Translate(fn, hashmap.BytesOf(in.str(args[0])), hashmap.BytesOf(from), hashmap.BytesOf(to)))), nil
 	},
 	"substr": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) < 2 || len(args) > 3 {
@@ -222,25 +222,25 @@ var builtins = map[string]builtinFn{
 		for i := 0; i < count; i++ {
 			out = append(out, s...)
 		}
-		return strV(viewOf(out)), nil
+		return strV(hashmap.ViewOf(out)), nil
 	},
 	"implode": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) != 2 {
 			return null, errArity(n, 2)
 		}
-		glue := bytesOf(in.str(args[0]))
-		if args[1].k != kArray {
+		glue := hashmap.BytesOf(in.str(args[0]))
+		if args[1].K != kArray {
 			return null, fmt.Errorf("php: line %d: implode expects an array", n.line)
 		}
 		var parts [][]byte
-		in.rt.AForeach(fn, args[1].a, func(k hashmap.Key, v interface{}) bool {
+		in.rt.AForeach(fn, args[1].A, func(k hashmap.Key, v hashmap.Value) bool {
 			if len(parts) > 0 {
 				parts = append(parts, glue)
 			}
-			parts = append(parts, bytesOf(in.str(unbox(v))))
+			parts = append(parts, hashmap.BytesOf(in.str(Value(v))))
 			return true
 		})
-		return strV(viewOf(in.rt.Concat(fn, parts...))), nil
+		return strV(hashmap.ViewOf(in.rt.Concat(fn, parts...))), nil
 	},
 	"explode": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) != 2 {
@@ -252,7 +252,7 @@ var builtins = map[string]builtinFn{
 		}
 		arr := in.newArray(fn)
 		for i, part := range strings.Split(s, delim) {
-			in.rt.ASet(fn, arr, hashmap.IntKey(int64(i)), in.box(strV(part)), false)
+			in.rt.ASet(fn, arr, hashmap.IntKey(int64(i)), hashmap.StrValue(part), false)
 		}
 		return arrV(arr), nil
 	},
@@ -272,16 +272,16 @@ var builtins = map[string]builtinFn{
 		if err != nil {
 			return null, err
 		}
-		subject := bytesOf(in.str(args[2]))
+		subject := hashmap.BytesOf(in.str(args[2]))
 		cpu := in.rt.CPU()
 		if cpu.RA == nil {
-			out, _ := cpu.RegexReplaceAll(fn, re, subject, bytesOf(in.str(args[1])))
-			return strV(viewOf(out)), nil
+			out, _ := cpu.RegexReplaceAll(fn, re, subject, hashmap.BytesOf(in.str(args[1])))
+			return strV(hashmap.ViewOf(out)), nil
 		}
 		hv := in.hintFor(fn, re, subject)
-		out, newHV, _ := cpu.RegexShadowReplace(fn, re, subject, bytesOf(in.str(args[1])), hv)
+		out, newHV, _ := cpu.RegexShadowReplace(fn, re, subject, hashmap.BytesOf(in.str(args[1])), hv)
 		in.remember(out, newHV)
-		return strV(viewOf(out)), nil
+		return strV(hashmap.ViewOf(out)), nil
 	},
 	"preg_match": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) != 2 {
@@ -291,7 +291,7 @@ var builtins = map[string]builtinFn{
 		if err != nil {
 			return null, err
 		}
-		if len(in.pregMatches(fn, re, bytesOf(in.str(args[1])))) > 0 {
+		if len(in.pregMatches(fn, re, hashmap.BytesOf(in.str(args[1])))) > 0 {
 			return Int(1), nil
 		}
 		return Int(0), nil
@@ -304,7 +304,7 @@ var builtins = map[string]builtinFn{
 		if err != nil {
 			return null, err
 		}
-		return Int(int64(len(in.pregMatches(fn, re, bytesOf(in.str(args[1])))))), nil
+		return Int(int64(len(in.pregMatches(fn, re, hashmap.BytesOf(in.str(args[1])))))), nil
 	},
 	"preg_split": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) != 2 {
@@ -315,15 +315,15 @@ var builtins = map[string]builtinFn{
 			return null, err
 		}
 		subject := in.str(args[1])
-		ms := in.rt.CPU().RegexFindAll(fn, re, bytesOf(subject))
+		ms := in.rt.CPU().RegexFindAll(fn, re, hashmap.BytesOf(subject))
 		arr := in.newArray(fn)
 		prev, idx := 0, int64(0)
 		for _, m := range ms {
-			in.rt.ASet(fn, arr, hashmap.IntKey(idx), in.box(strV(subject[prev:m.Start])), false)
+			in.rt.ASet(fn, arr, hashmap.IntKey(idx), hashmap.StrValue(subject[prev:m.Start]), false)
 			idx++
 			prev = m.End
 		}
-		in.rt.ASet(fn, arr, hashmap.IntKey(idx), in.box(strV(subject[prev:])), false)
+		in.rt.ASet(fn, arr, hashmap.IntKey(idx), hashmap.StrValue(subject[prev:]), false)
 		return arrV(arr), nil
 	},
 
@@ -332,8 +332,8 @@ var builtins = map[string]builtinFn{
 		if len(args) != 1 {
 			return null, errArity(n, 1)
 		}
-		if args[0].k == kArray {
-			return Int(int64(in.rt.ASize(fn, args[0].a))), nil
+		if args[0].K == kArray {
+			return Int(int64(in.rt.ASize(fn, args[0].A))), nil
 		}
 		return Int(1), nil
 	},
@@ -341,13 +341,13 @@ var builtins = map[string]builtinFn{
 		if len(args) != 1 {
 			return null, errArity(n, 1)
 		}
-		if args[0].k != kArray {
+		if args[0].K != kArray {
 			return null, fmt.Errorf("php: line %d: array_keys expects an array", n.line)
 		}
 		out := in.newArray(fn)
 		i := int64(0)
-		in.rt.AForeach(fn, args[0].a, func(k hashmap.Key, v interface{}) bool {
-			in.rt.ASet(fn, out, hashmap.IntKey(i), in.box(keyValue(k)), false)
+		in.rt.AForeach(fn, args[0].A, func(k hashmap.Key, v hashmap.Value) bool {
+			in.rt.ASet(fn, out, hashmap.IntKey(i), hashmap.Value(keyValue(k)), false)
 			i++
 			return true
 		})
@@ -357,12 +357,12 @@ var builtins = map[string]builtinFn{
 		if len(args) != 1 {
 			return null, errArity(n, 1)
 		}
-		if args[0].k != kArray {
+		if args[0].K != kArray {
 			return null, fmt.Errorf("php: line %d: array_values expects an array", n.line)
 		}
 		out := in.newArray(fn)
 		i := int64(0)
-		in.rt.AForeach(fn, args[0].a, func(k hashmap.Key, v interface{}) bool {
+		in.rt.AForeach(fn, args[0].A, func(k hashmap.Key, v hashmap.Value) bool {
 			in.rt.ASet(fn, out, hashmap.IntKey(i), v, false)
 			i++
 			return true
@@ -373,26 +373,26 @@ var builtins = map[string]builtinFn{
 		if len(args) != 2 {
 			return null, errArity(n, 2)
 		}
-		if args[1].k != kArray {
+		if args[1].K != kArray {
 			return boolV(false), nil
 		}
 		k, err := args[0].key()
 		if err != nil {
 			return null, err
 		}
-		_, found := in.rt.AGet("array_key_exists", args[1].a, k, true)
+		_, found := in.rt.AGet("array_key_exists", args[1].A, k, true)
 		return boolV(found), nil
 	},
 	"in_array": func(in *Interp, fn string, n *callExpr, args []Value) (Value, error) {
 		if len(args) != 2 {
 			return null, errArity(n, 2)
 		}
-		if args[1].k != kArray {
+		if args[1].K != kArray {
 			return boolV(false), nil
 		}
 		found := false
-		in.rt.AForeach(fn, args[1].a, func(k hashmap.Key, v interface{}) bool {
-			found = looseEq(unbox(v), args[0])
+		in.rt.AForeach(fn, args[1].A, func(k hashmap.Key, v hashmap.Value) bool {
+			found = looseEq(Value(v), args[0])
 			return !found
 		})
 		return boolV(found), nil
@@ -401,10 +401,10 @@ var builtins = map[string]builtinFn{
 		out := in.newArray(fn)
 		auto := int64(0)
 		for _, a := range args {
-			if a.k != kArray {
+			if a.K != kArray {
 				return null, fmt.Errorf("php: line %d: array_merge expects arrays", n.line)
 			}
-			in.rt.AForeach(fn, a.a, func(k hashmap.Key, v interface{}) bool {
+			in.rt.AForeach(fn, a.A, func(k hashmap.Key, v hashmap.Value) bool {
 				if k.IsInt {
 					in.rt.ASet(fn, out, hashmap.IntKey(auto), v, false)
 					auto++
@@ -434,9 +434,9 @@ var builtins = map[string]builtinFn{
 		if len(args) != 1 {
 			return null, errArity(n, 1)
 		}
-		if x := args[0]; x.k == kInt {
-			if x.n < 0 {
-				return Int(-x.n), nil
+		if x := args[0]; x.K == kInt {
+			if x.N < 0 {
+				return Int(-x.N), nil
 			}
 			return x, nil
 		}
@@ -456,7 +456,7 @@ func stringOp1(op func(rt *vm.Runtime, fn string, s []byte) []byte) builtinFn {
 		if len(args) != 1 {
 			return null, errArity(n, 1)
 		}
-		return strV(viewOf(op(in.rt, fn, bytesOf(in.str(args[0]))))), nil
+		return strV(hashmap.ViewOf(op(in.rt, fn, hashmap.BytesOf(in.str(args[0]))))), nil
 	}
 }
 
@@ -568,5 +568,5 @@ func phpSprintf(in *Interp, format string, args []Value) string {
 			out = append(out, '%', format[i])
 		}
 	}
-	return viewOf(out)
+	return hashmap.ViewOf(out)
 }

@@ -23,11 +23,9 @@ type Interp struct {
 	depth   int
 	preset  map[string]Value
 	// frames recycles the tree-walker's variable maps, one per call depth;
-	// args is its call-argument stack; boxes is the free part of the block
-	// box carves array values from.
+	// args is its call-argument stack.
 	frames []map[string]Value
 	args   []Value
-	boxes  []Value
 
 	// Content-locality tracking for consecutive regexps over the same
 	// text: the dynamic equivalent of the paper's function-level dataflow
@@ -42,7 +40,7 @@ type Interp struct {
 
 	// arrays allocated by the script, freed when Run returns (request
 	// teardown, the short-lived map pattern).
-	owned []*vm.Array
+	owned []*hashmap.Map
 
 	// Bytecode engine (bcexec.go): the shared compiled program and this
 	// worker's private execution machine (value stack, inline caches,
@@ -252,7 +250,7 @@ func (in *Interp) execStmt(s stmt, f *frame) (control, error) {
 		if err != nil {
 			return control{}, err
 		}
-		if subject.k != kArray {
+		if subject.K != kArray {
 			return control{}, fmt.Errorf("php: line %d: foreach over non-array", n.line)
 		}
 		// Iterate a snapshot in insertion order (PHP iterates a copy).
@@ -261,8 +259,8 @@ func (in *Interp) execStmt(s stmt, f *frame) (control, error) {
 			v Value
 		}
 		var pairs []pair
-		in.rt.AForeach(f.fn, subject.a, func(k hashmap.Key, v interface{}) bool {
-			pairs = append(pairs, pair{k, unbox(v)})
+		in.rt.AForeach(f.fn, subject.A, func(k hashmap.Key, v hashmap.Value) bool {
+			pairs = append(pairs, pair{k, Value(v)})
 			return true
 		})
 		for _, kv := range pairs {
@@ -364,9 +362,9 @@ func (in *Interp) eval(e expr, f *frame) (Value, error) {
 // negate is unary minus: ints and floats keep their type, anything else
 // goes through float.
 func negate(v Value) Value {
-	switch v.k {
+	switch v.K {
 	case kInt:
-		return Int(-v.n)
+		return Int(-v.N)
 	case kFloat:
 		return floatV(-v.float())
 	}
@@ -375,9 +373,9 @@ func negate(v Value) Value {
 
 // incDec is ++/-- by delta: null counts from 0, non-numbers go through int.
 func incDec(v Value, delta int64) Value {
-	switch v.k {
+	switch v.K {
 	case kInt:
-		return Int(v.n + delta)
+		return Int(v.N + delta)
 	case kFloat:
 		return floatV(v.float() + float64(delta))
 	case kNull:
@@ -427,10 +425,10 @@ func (in *Interp) store(target expr, val Value, f *frame) error {
 		if err != nil {
 			return err
 		}
-		arr := subject.a
-		if subject.k != kArray {
+		arr := subject.A
+		if subject.K != kArray {
 			// Auto-vivification: assigning into null creates an array.
-			if subject.k != kNull {
+			if subject.K != kNull {
 				return fmt.Errorf("php: line %d: cannot index non-array", t.line)
 			}
 			arr = in.newArray(f.fn)
@@ -439,14 +437,14 @@ func (in *Interp) store(target expr, val Value, f *frame) error {
 			}
 		}
 		if t.key == nil { // $a[] = v: PHP's next auto-index
-			in.rt.ASet(f.fn, arr, hashmap.IntKey(arr.Map().NextIntKey()), in.box(val), false)
+			in.rt.ASet(f.fn, arr, hashmap.IntKey(arr.NextIntKey()), hashmap.Value(val), false)
 			return nil
 		}
 		k, dynamic, err := in.evalKey(t.key, f)
 		if err != nil {
 			return err
 		}
-		in.rt.ASet(f.fn, arr, k, in.box(val), dynamic)
+		in.rt.ASet(f.fn, arr, k, hashmap.Value(val), dynamic)
 		return nil
 	default:
 		return fmt.Errorf("php: invalid assignment target %T", target)
@@ -462,24 +460,24 @@ func (in *Interp) evalIndex(n *indexExpr, f *frame) (Value, error) {
 	if n.key == nil {
 		return null, fmt.Errorf("php: line %d: cannot read the append form $a[]", n.line)
 	}
-	switch subject.k {
+	switch subject.K {
 	case kArray:
 		k, dynamic, err := in.evalKey(n.key, f)
 		if err != nil {
 			return null, err
 		}
-		v, _ := in.rt.AGet(f.fn, subject.a, k, dynamic)
-		return unbox(v), nil
+		v, _ := in.rt.AGet(f.fn, subject.A, k, dynamic)
+		return Value(v), nil
 	case kString:
 		kv, err := in.eval(n.key, f)
 		if err != nil {
 			return null, err
 		}
-		return strIndex(subject.s, kv), nil
+		return strIndex(subject.S, kv), nil
 	case kNull:
 		return null, nil
 	default:
-		return null, fmt.Errorf("php: line %d: cannot index %s", n.line, goType[subject.k])
+		return null, fmt.Errorf("php: line %d: cannot index %s", n.line, goType[subject.K])
 	}
 }
 
@@ -568,7 +566,7 @@ func (in *Interp) evalBinary(n *binaryExpr, f *frame) (Value, error) {
 // (and traced) as string work. Operands go in as views and the result
 // comes back as one: the bytes are copied once, into the request arena.
 func (in *Interp) concat(fn string, l, r Value) Value {
-	return strV(viewOf(in.rt.Concat(fn, bytesOf(in.str(l)), bytesOf(in.str(r)))))
+	return strV(hashmap.ViewOf(in.rt.Concat(fn, hashmap.BytesOf(in.str(l)), hashmap.BytesOf(in.str(r)))))
 }
 
 func (in *Interp) evalArrayLit(n *arrayLit, f *frame) (Value, error) {
@@ -580,7 +578,7 @@ func (in *Interp) evalArrayLit(n *arrayLit, f *frame) (Value, error) {
 			return null, err
 		}
 		if n.keys[i] == nil {
-			in.rt.ASet(f.fn, arr, hashmap.IntKey(auto), in.box(v), false)
+			in.rt.ASet(f.fn, arr, hashmap.IntKey(auto), hashmap.Value(v), false)
 			auto++
 			continue
 		}
@@ -591,13 +589,13 @@ func (in *Interp) evalArrayLit(n *arrayLit, f *frame) (Value, error) {
 		if k.IsInt && k.Int >= auto {
 			auto = k.Int + 1
 		}
-		in.rt.ASet(f.fn, arr, k, in.box(v), dynamic)
+		in.rt.ASet(f.fn, arr, k, hashmap.Value(v), dynamic)
 	}
 	return arrV(arr), nil
 }
 
 // newArray allocates a script array, owned by the request.
-func (in *Interp) newArray(fn string) *vm.Array {
+func (in *Interp) newArray(fn string) *hashmap.Map {
 	a := in.rt.NewArray(fn)
 	in.owned = append(in.owned, a)
 	return a
@@ -641,8 +639,8 @@ func (in *Interp) callUser(fd *funcDecl, args []Value) (Value, error) {
 // size read so inserts still buffered in the hardware hash table count
 // toward non-emptiness.
 func (in *Interp) truthy(fn string, v Value) bool {
-	if v.k == kArray {
-		return in.rt.ASize(fn, v.a) > 0
+	if v.K == kArray {
+		return in.rt.ASize(fn, v.A) > 0
 	}
 	return v.truthyScalar()
 }

@@ -199,3 +199,16 @@ func TestEchoMultipleWithCommas(t *testing.T) {
 		t.Errorf("output = %q", got)
 	}
 }
+
+// TestTypeErrorNames pins the type names runtime errors print: they are
+// script-visible output, independent of how a value is represented.
+func TestTypeErrorNames(t *testing.T) {
+	for src, want := range map[string]string{
+		`<?php $x = 1; $x['k'];`:               "cannot index int64",
+		`<?php $a = array(); $a[array()] = 1;`: "illegal array key type *vm.Array",
+	} {
+		if _, err := runScript(swRT(), src); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: error %v, want one containing %q", src, err, want)
+		}
+	}
+}

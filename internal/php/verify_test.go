@@ -180,7 +180,7 @@ func verifyOperands(c *Compiled, fn *compiledFn, ins instr) error {
 		if err := in("constant", ins.a, len(fn.consts)); err != nil {
 			return err
 		}
-		if fn.consts[ins.a].k != kString {
+		if fn.consts[ins.a].K != kString {
 			return fmt.Errorf("inline HTML constant %d is not a string", ins.a)
 		}
 	case opLoadVar, opStoreVar, opUnsetVar:

@@ -75,12 +75,15 @@ type Event struct {
 }
 
 // Recorder counts events by kind and keeps all of them, the most recent
-// ones, or none (see NewRecorder).
+// ones, or none (see NewRecorder). The padding keeps the counters every
+// operation bumps off cache lines shared with another worker's objects.
 type Recorder struct {
+	_      [64]byte
 	cap    int
 	events []Event
 	byKind [NumKinds]int64
 	start  int
+	_      [64]byte
 }
 
 // NewRecorder creates a recorder holding at most capacity events: 0 for

@@ -138,13 +138,12 @@ func (o *OutputBuffer) Bytes() []byte { return o.buf }
 // attrs in insertion order — the "retrieve attribute values, store them
 // in string objects, concatenate" pattern behind the heap manager's
 // strong memory reuse observation (§4.3).
-func (r *Runtime) BuildTag(fn string, name string, attrs *Array, body []byte) []byte {
+func (r *Runtime) BuildTag(fn string, name string, attrs *hashmap.Map, body []byte) []byte {
 	r.spans.Begin("vm:build_tag")
 	defer r.spans.End()
 	out := r.Concat(fn, []byte("<"), []byte(name))
-	r.AForeach(fn, attrs, func(k hashmap.Key, v interface{}) bool {
-		vb, _ := v.([]byte)
-		val := r.NewStr(fn, r.EscapeHTML(fn, vb))
+	r.AForeach(fn, attrs, func(k hashmap.Key, v hashmap.Value) bool {
+		val := r.NewStr(fn, r.EscapeHTML(fn, hashmap.BytesOf(v.S)))
 		out = r.Concat(fn, out, []byte(" "), []byte(k.Str), []byte(`="`), val.Bytes(), []byte(`"`))
 		r.FreeStr(fn, val)
 		return true

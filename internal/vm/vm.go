@@ -82,10 +82,10 @@ type Runtime struct {
 	// strFree recycles Str handles request to request (PHP's strong
 	// request-scoped reuse, §4.3); FreeStr pushes, NewStr pops.
 	strFree []*Str
-	// arrFree recycles Array structures the same way; FreeArray pushes
-	// (after the accelerator has invalidated the map), NewArray pops and
-	// resets the map under a fresh identity.
-	arrFree []*Array
+	// arrFree recycles array maps the same way; FreeArray pushes (after
+	// the accelerator has invalidated the map), NewArray pops and resets
+	// the map under a fresh identity.
+	arrFree []*hashmap.Map
 
 	// spans is the current request's span-tree builder. It is non-nil
 	// only while a sampled request is being served (the worker attaches
@@ -93,7 +93,10 @@ type Runtime struct {
 	// path every hook costs a single nil check.
 	spans *obs.TreeBuilder
 
-	regexMgr   *hashmap.Map // the regexp manager's pattern -> FSM hash map
+	// regexMgr is the regexp manager's hash map from pattern to an index
+	// into regexes, which holds each compile's FSM or error.
+	regexMgr   *hashmap.Map
+	regexes    []compiledRegex
 	requestSeq uint64
 
 	regexLookups int64 // regexp manager cache probes
@@ -173,102 +176,90 @@ func (r *Runtime) ContextSwitch() { r.cpu.ContextSwitch() }
 
 // --- Arrays (PHP hash maps) ---
 
-// Array is a PHP array handle: the ordered hash map plus its heap
-// allocation.
-type Array struct {
-	m     *hashmap.Map
-	block heap.Block
-	freed bool
-}
-
-// Map exposes the underlying ordered hash map.
-func (a *Array) Map() *hashmap.Map { return a.m }
-
-// NewArray allocates a PHP array (the map structure itself comes from the
-// heap, as in the VM). The structure is recycled from the runtime's free
-// list when one is available: the simulated work — heap Malloc, map
-// identity assignment, trace event — is identical either way, only the Go
-// allocation is saved.
-func (r *Runtime) NewArray(fn string) *Array {
+// NewArray allocates a PHP array: the map is the handle, and its header
+// comes from the heap, as in the VM. The map is recycled from the
+// runtime's free list when one is available: the simulated work — heap
+// Malloc, map identity assignment, trace event — is identical either
+// way, only the Go allocation is saved.
+func (r *Runtime) NewArray(fn string) *hashmap.Map {
 	b := r.cpu.Malloc(fn, 96) // MixedArray header-sized allocation
-	var a *Array
+	var a *hashmap.Map
 	if n := len(r.arrFree); n > 0 {
 		a = r.arrFree[n-1]
 		r.arrFree[n-1] = nil
 		r.arrFree = r.arrFree[:n-1]
-		r.cpu.ResetMap(a.m)
-		a.block = b
-		a.freed = false
+		r.cpu.ResetMap(a)
 	} else {
-		a = &Array{m: r.cpu.NewMap(), block: b}
+		a = r.cpu.NewMap()
 	}
+	a.Block = b
 	r.record(trace.KindAlloc, fn, b.Addr, uint64(b.Size), 0)
 	return a
 }
 
 // FreeArray deallocates the array: the accelerator invalidates its
-// entries through the RTT and the heap reclaims the structure. The Go
-// structure goes on the runtime's free list — the *Array must not be
-// used after this call (the freed flag catches double frees, and a
-// recycled structure would otherwise alias a later array).
-func (r *Runtime) FreeArray(fn string, a *Array) {
-	if a.freed {
+// entries through the RTT and the heap reclaims the header. The map goes
+// on the runtime's free list — it must not be used after this call (its
+// Freed flag catches double frees, and a recycled map would otherwise
+// alias a later array).
+func (r *Runtime) FreeArray(fn string, a *hashmap.Map) {
+	if a.Freed {
 		panic("vm: double free of array")
 	}
-	a.freed = true
-	r.record(trace.KindFree, fn, a.block.Addr, uint64(a.block.Size), 0)
-	r.cpu.HashFree(fn, a.m)
-	r.cpu.Free(fn, a.block)
+	a.Freed = true
+	r.record(trace.KindFree, fn, a.Block.Addr, uint64(a.Block.Size), 0)
+	r.cpu.HashFree(fn, a)
+	r.cpu.Free(fn, a.Block)
 	r.arrFree = append(r.arrFree, a)
 }
 
 // AGet reads a key. dynamic marks dynamic key names that software methods
 // cannot specialize (§4.2).
-func (r *Runtime) AGet(fn string, a *Array, k hashmap.Key, dynamic bool) (interface{}, bool) {
-	v, ok := r.cpu.HashGet(fn, a.m, k, !dynamic)
+func (r *Runtime) AGet(fn string, a *hashmap.Map, k hashmap.Key, dynamic bool) (hashmap.Value, bool) {
+	v, ok := r.cpu.HashGet(fn, a, k, !dynamic)
 	dyn := uint64(0)
 	if dynamic {
 		dyn = 1
 	}
-	r.record(trace.KindHashGet, fn, a.m.ID(), uint64(k.Len()), dyn)
+	r.record(trace.KindHashGet, fn, a.ID(), uint64(k.Len()), dyn)
 	return v, ok
 }
 
 // ASet writes a key.
-func (r *Runtime) ASet(fn string, a *Array, k hashmap.Key, v interface{}, dynamic bool) {
-	r.cpu.HashSet(fn, a.m, k, v, !dynamic)
+func (r *Runtime) ASet(fn string, a *hashmap.Map, k hashmap.Key, v hashmap.Value, dynamic bool) {
+	r.cpu.HashStore(fn, a, k, v, !dynamic)
 	dyn := uint64(0)
 	if dynamic {
 		dyn = 1
 	}
-	r.record(trace.KindHashSet, fn, a.m.ID(), uint64(k.Len()), dyn)
+	r.record(trace.KindHashSet, fn, a.ID(), uint64(k.Len()), dyn)
 }
 
 // ADelete removes a key (PHP unset).
-func (r *Runtime) ADelete(fn string, a *Array, k hashmap.Key) bool {
-	r.record(trace.KindHashDelete, fn, a.m.ID(), uint64(k.Len()), 0)
-	return r.cpu.HashDelete(fn, a.m, k)
+func (r *Runtime) ADelete(fn string, a *hashmap.Map, k hashmap.Key) bool {
+	r.record(trace.KindHashDelete, fn, a.ID(), uint64(k.Len()), 0)
+	return r.cpu.HashDelete(fn, a, k)
 }
 
 // ASize returns the array's element count, flushing hardware-buffered
 // inserts first so the software size field is current (PHP count() and
 // array truthiness).
-func (r *Runtime) ASize(fn string, a *Array) int {
-	return r.cpu.HashSize(fn, a.m)
+func (r *Runtime) ASize(fn string, a *hashmap.Map) int {
+	return r.cpu.HashSize(fn, a)
 }
 
 // AForeach iterates in insertion order (PHP foreach).
-func (r *Runtime) AForeach(fn string, a *Array, f func(k hashmap.Key, v interface{}) bool) {
-	r.record(trace.KindHashIterate, fn, a.m.ID(), 0, 0)
-	r.cpu.HashForeach(fn, a.m, f)
+func (r *Runtime) AForeach(fn string, a *hashmap.Map, f func(k hashmap.Key, v hashmap.Value) bool) {
+	r.record(trace.KindHashIterate, fn, a.ID(), 0, 0)
+	r.cpu.HashForeach(fn, a, f)
 }
 
 // Extract implements the PHP extract command: it imports every key/value
 // pair of src into the symbol table dst using dynamic key names — the
 // access pattern the paper highlights as unspecializable in software.
-func (r *Runtime) Extract(fn string, dst *Array, src *Array) int {
+func (r *Runtime) Extract(fn string, dst, src *hashmap.Map) int {
 	n := 0
-	r.AForeach(fn, src, func(k hashmap.Key, v interface{}) bool {
+	r.AForeach(fn, src, func(k hashmap.Key, v hashmap.Value) bool {
 		r.ASet(fn, dst, k, v, true)
 		n++
 		return true
@@ -340,22 +331,23 @@ func (r *Runtime) Regex(fn, pattern string) (*regex.Regex, error) {
 	r.regexLookups++
 	if ok {
 		r.regexHits++
-		if err, bad := v.(error); bad {
-			return nil, err
-		}
-		return v.(*regex.Regex), nil
+		c := r.regexes[v.N]
+		return c.re, c.err
 	}
 	r.spans.Begin("regex:compile")
 	re, err := r.cpu.RegexCompile(fn, pattern)
 	r.spans.End()
-	if err != nil {
-		r.cpu.HashSet(mgrFn, r.regexMgr, k, err, true)
-		r.record(trace.KindHashSet, mgrFn, r.regexMgr.ID(), uint64(k.Len()), 1)
-		return nil, err
-	}
-	r.cpu.HashSet(mgrFn, r.regexMgr, k, re, true)
+	r.cpu.HashStore(mgrFn, r.regexMgr, k, hashmap.IntValue(int64(len(r.regexes))), true)
 	r.record(trace.KindHashSet, mgrFn, r.regexMgr.ID(), uint64(k.Len()), 1)
-	return re, nil
+	r.regexes = append(r.regexes, compiledRegex{re, err})
+	return re, err
+}
+
+// compiledRegex is one regexp manager entry: a pattern's FSM, or the
+// error its compile failed with.
+type compiledRegex struct {
+	re  *regex.Regex
+	err error
 }
 
 // RegexCacheStats returns how many regexp manager cache probes this

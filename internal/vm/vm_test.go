@@ -12,6 +12,10 @@ import (
 	"repro/internal/trace"
 )
 
+// iv and sv build the int and string values the tests store.
+func iv(i int) hashmap.Value    { return hashmap.IntValue(int64(i)) }
+func sv(s string) hashmap.Value { return hashmap.StrValue(s) }
+
 func swRuntime() *Runtime {
 	return New(Config{})
 }
@@ -23,8 +27,8 @@ func hwRuntime() *Runtime {
 func TestArrayLifecycle(t *testing.T) {
 	r := hwRuntime()
 	a := r.NewArray("f")
-	r.ASet("f", a, hashmap.StrKey("k"), []byte("v"), true)
-	if v, ok := r.AGet("f", a, hashmap.StrKey("k"), true); !ok || string(v.([]byte)) != "v" {
+	r.ASet("f", a, hashmap.StrKey("k"), sv("v"), true)
+	if v, ok := r.AGet("f", a, hashmap.StrKey("k"), true); !ok || v.S != "v" {
 		t.Errorf("AGet = %v %v", v, ok)
 	}
 	if !r.ADelete("f", a, hashmap.StrKey("k")) {
@@ -54,13 +58,13 @@ func TestExtractImportsAllPairs(t *testing.T) {
 	src := r.NewArray("f")
 	dst := r.NewArray("f")
 	for i := 0; i < 10; i++ {
-		r.ASet("f", src, hashmap.StrKey(fmt.Sprintf("var%d", i)), i, false)
+		r.ASet("f", src, hashmap.StrKey(fmt.Sprintf("var%d", i)), iv(i), false)
 	}
 	if n := r.Extract("extract", dst, src); n != 10 {
 		t.Fatalf("Extract moved %d pairs", n)
 	}
 	var order []string
-	r.AForeach("f", dst, func(k hashmap.Key, v interface{}) bool {
+	r.AForeach("f", dst, func(k hashmap.Key, v hashmap.Value) bool {
 		order = append(order, k.Str)
 		return true
 	})
@@ -120,8 +124,8 @@ func TestOutputBuffer(t *testing.T) {
 func TestBuildTagEquivalence(t *testing.T) {
 	build := func(r *Runtime) string {
 		attrs := r.NewArray("f")
-		r.ASet("f", attrs, hashmap.StrKey("href"), []byte(`/page?a=1&b=2`), false)
-		r.ASet("f", attrs, hashmap.StrKey("title"), []byte(`say "hi"`), false)
+		r.ASet("f", attrs, hashmap.StrKey("href"), sv(`/page?a=1&b=2`), false)
+		r.ASet("f", attrs, hashmap.StrKey("title"), sv(`say "hi"`), false)
 		out := r.BuildTag("f", "a", attrs, []byte("link"))
 		r.FreeArray("f", attrs)
 		return string(out)
@@ -232,7 +236,7 @@ func TestTraceRecording(t *testing.T) {
 	r := New(Config{TraceCapacity: 0})
 	r.BeginRequest()
 	a := r.NewArray("f")
-	r.ASet("f", a, hashmap.StrKey("k"), 1, true)
+	r.ASet("f", a, hashmap.StrKey("k"), iv(1), true)
 	r.AGet("f", a, hashmap.StrKey("k"), true)
 	r.EscapeHTML("f", []byte("<x>"))
 	ev := r.Trace().Events()
@@ -286,7 +290,7 @@ func TestTraceCountOnly(t *testing.T) {
 		r := New(Config{Features: isa.AllAccelerators(), TraceCapacity: capacity})
 		r.BeginRequest()
 		a := r.NewArray("f")
-		r.ASet("f", a, hashmap.StrKey("k"), 1, true)
+		r.ASet("f", a, hashmap.StrKey("k"), iv(1), true)
 		r.AGet("f", a, hashmap.StrKey("k"), false)
 		r.ADelete("f", a, hashmap.StrKey("k"))
 		r.FreeStr("f", r.NewStr("f", r.EscapeHTML("f", []byte("<x>"))))
@@ -327,9 +331,9 @@ func TestStringWrappersEquivalent(t *testing.T) {
 func TestContextSwitchPreservesState(t *testing.T) {
 	r := hwRuntime()
 	a := r.NewArray("f")
-	r.ASet("f", a, hashmap.StrKey("persist"), 42, true)
+	r.ASet("f", a, hashmap.StrKey("persist"), iv(42), true)
 	r.ContextSwitch()
-	if v, ok := r.AGet("f", a, hashmap.StrKey("persist"), true); !ok || v != 42 {
+	if v, ok := r.AGet("f", a, hashmap.StrKey("persist"), true); !ok || v != iv(42) {
 		t.Errorf("value lost across context switch: %v %v", v, ok)
 	}
 }

@@ -58,28 +58,6 @@ type params struct {
 	jitUops      float64        // per-request uops in the hottest JIT function
 }
 
-// boxedInts pre-boxes the integers the render path stores into arrays.
-// The Go runtime interns boxed values below 256 only; page- and
-// item-derived indexes go well past that, and boxing one per store shows
-// up as the hottest allocation site in a steady-state render. Indexes
-// beyond the table fall back to a plain (allocating) box.
-var boxedInts = func() []any {
-	vals := make([]any, 8192)
-	for i := range vals {
-		vals[i] = i
-	}
-	return vals
-}()
-
-// boxInt returns i as an interface value without allocating when i is
-// within the pre-boxed table.
-func boxInt(i int) any {
-	if i >= 0 && i < len(boxedInts) {
-		return boxedInts[i]
-	}
-	return i
-}
-
 // appBase implements the request flow shared by the three PHP apps.
 type appBase struct {
 	p      params
@@ -87,7 +65,7 @@ type appBase struct {
 	cat    *catalog
 	reqSeq int
 
-	dbCache *vm.Array // persistent metadata cache (the "database")
+	dbCache *hashmap.Map // persistent metadata cache (the "database")
 
 	// ob is the reusable render output buffer (reset per request); obRT
 	// remembers which runtime it charges so a fresh buffer is built if
@@ -187,7 +165,7 @@ func (a *appBase) ensureDBCache(rt *vm.Runtime) {
 	a.dbCache = rt.NewArray(fn)
 	for i := 0; i < 48; i++ {
 		k := hashmap.StrKey(metaKeys[i])
-		rt.ASet(fn, a.dbCache, k, a.corpus.AuthorBytesVal(i), true)
+		rt.ASet(fn, a.dbCache, k, a.corpus.Author(i), true)
 	}
 }
 
@@ -199,7 +177,7 @@ func (a *appBase) loadConfiguration(rt *vm.Runtime, page int) {
 	for i := 0; i < a.p.optionReads; i++ {
 		k := hashmap.StrKey(pick(optionKeys, i))
 		if i%7 == 0 {
-			rt.ASet(fn, opts, k, boxInt(i), false)
+			rt.ASet(fn, opts, k, hashmap.IntValue(int64(i)), false)
 		} else {
 			rt.AGet(pick(a.cat.hash, i), opts, k, false)
 		}
@@ -209,7 +187,7 @@ func (a *appBase) loadConfiguration(rt *vm.Runtime, page int) {
 	src := rt.NewArray("extract_locals")
 	for i := 0; i < a.p.symtabOps; i++ {
 		k := hashmap.StrKey(pick(templateVars, page+i))
-		rt.ASet(pick(a.cat.hash, i+3), src, k, a.corpus.AuthorVal(i), true)
+		rt.ASet(pick(a.cat.hash, i+3), src, k, a.corpus.Author(i), true)
 	}
 	rt.Extract("extract_locals", sym, src)
 	for i := 0; i < a.p.symtabOps; i++ {
@@ -250,7 +228,7 @@ func (a *appBase) renderItem(rt *vm.Runtime, ob *vm.OutputBuffer, idx int) {
 	attrs := rt.NewArray(heapFn)
 	for j := 0; j < a.p.attrsPerItem; j++ {
 		rt.ASet(pick(a.cat.hash, idx+j), attrs, hashmap.StrKey(pick(attrKeys, j)),
-			a.corpus.AuthorBytesVal(idx+j), true)
+			a.corpus.Author(idx+j), true)
 	}
 	tag := rt.BuildTag(a.buildTagFn, "a", attrs, titleStr.Bytes())
 	ob.Write(tag)
@@ -263,7 +241,7 @@ func (a *appBase) renderItem(rt *vm.Runtime, ob *vm.OutputBuffer, idx int) {
 	for j := 0; j < a.p.metaReads; j++ {
 		k := hashmap.StrKey(metaKeys[(idx+j)%len(metaKeys)])
 		if j%8 == 7 {
-			rt.ASet(pick(a.cat.hash, idx+j), a.dbCache, k, boxInt(idx), true)
+			rt.ASet(pick(a.cat.hash, idx+j), a.dbCache, k, hashmap.IntValue(int64(idx)), true)
 		} else {
 			rt.AGet(pick(a.cat.hash, idx+j), a.dbCache, k, true)
 		}

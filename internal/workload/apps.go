@@ -89,7 +89,7 @@ func (d *drupalApp) renderDrupalPage(rt *vm.Runtime, page int) []byte {
 	for i := 0; i < 30; i++ {
 		k := hashmap.StrKey(fmt.Sprintf("field_%s_%d", pick(templateVars, i), i%9))
 		if i%5 == 0 {
-			rt.ASet(fn, ent, k, boxInt(i), true)
+			rt.ASet(fn, ent, k, hashmap.IntValue(int64(i)), true)
 		} else {
 			rt.AGet(pick(d.cat.hash, i), ent, k, true)
 		}
@@ -212,7 +212,7 @@ func (s *specWebApp) ServePage(rt *vm.Runtime, page int) []byte {
 
 	// A little genuine runtime activity.
 	arr := rt.NewArray("sw_session_get")
-	rt.ASet("sw_session_get", arr, hashmap.StrKey("session"), boxInt(page), false)
+	rt.ASet("sw_session_get", arr, hashmap.StrKey("session"), hashmap.IntValue(int64(page)), false)
 	rt.AGet("sw_session_get", arr, hashmap.StrKey("session"), false)
 	rt.FreeArray("sw_session_get", arr)
 	ob.Write(rt.EscapeHTML("response_writer", s.corpus.Post(page)))

@@ -11,6 +11,8 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+
+	"repro/internal/hashmap"
 )
 
 // Corpus is a deterministic store of post/page content: the unstructured
@@ -24,17 +26,10 @@ type Corpus struct {
 	Authors  []string
 	Comments [][]byte
 
-	// authorBytes and authorURLs are precomputed read-only views of
-	// Authors, so the render hot path never re-converts or re-concats
-	// them per request. Callers must not mutate the returned slices.
-	authorBytes [][]byte
-	authorURLs  [][]byte
-	// authorVals and authorByteVals are the same authors pre-boxed as
-	// interface values: storing a string or []byte into a PHP array
-	// through an interface{} parameter otherwise allocates the box on
-	// every store.
-	authorVals     []any
-	authorByteVals []any
+	// authorURLs are precomputed read-only URLs over Authors, so the
+	// render hot path never re-concats them per request. Callers must
+	// not mutate the returned slices.
+	authorURLs [][]byte
 }
 
 // NewCorpus builds a corpus of n posts with the given approximate body
@@ -47,10 +42,7 @@ func NewCorpus(seed int64, n, bodyLen int) *Corpus {
 		c.Titles = append(c.Titles, c.genText(40, 0.02))
 		c.Authors = append(c.Authors, fmt.Sprintf("author%c%d", 'a'+i%26, i%37))
 		c.Comments = append(c.Comments, c.genText(bodyLen/4, 0.12))
-		c.authorBytes = append(c.authorBytes, []byte(c.Authors[i]))
 		c.authorURLs = append(c.authorURLs, []byte("https://localhost/?author="+c.Authors[i]))
-		c.authorVals = append(c.authorVals, c.Authors[i])
-		c.authorByteVals = append(c.authorByteVals, c.authorBytes[i])
 	}
 	return c
 }
@@ -87,13 +79,8 @@ func (c *Corpus) Post(i int) []byte { return c.Posts[i%len(c.Posts)] }
 // Title returns post i's title.
 func (c *Corpus) Title(i int) []byte { return c.Titles[i%len(c.Titles)] }
 
-// AuthorVal returns post i's author name pre-boxed as an interface
-// value, for storing into arrays without a per-store allocation.
-func (c *Corpus) AuthorVal(i int) any { return c.authorVals[i%len(c.authorVals)] }
-
-// AuthorBytesVal is the same name as read-only bytes (precomputed;
-// callers must not mutate), pre-boxed the same way.
-func (c *Corpus) AuthorBytesVal(i int) any { return c.authorByteVals[i%len(c.authorByteVals)] }
+// Author returns post i's author name as an array value.
+func (c *Corpus) Author(i int) hashmap.Value { return hashmap.StrValue(c.Authors[i%len(c.Authors)]) }
 
 // Comment returns comment i.
 func (c *Corpus) Comment(i int) []byte { return c.Comments[i%len(c.Comments)] }
