@@ -59,7 +59,8 @@ bench-check:
 # allocator against a map model of operation sequences, the hardware
 # hash table against a software core over operation sequences, the
 # script engines against each other, the two parsers of client-supplied
-# request bytes (?page= and X-Request-Id) against their contracts, and
+# request bytes (?page= and X-Request-Id) against their contracts, the
+# servers' HTTP/1.1 connection loop against arbitrary client bytes, and
 # the parser of scraped /metrics bodies against a round trip. `go test -fuzz`
 # takes one target of one package per run, so the matrix is this list of
 # package:Target pairs — a new Fuzz* function is one more word here. The
@@ -74,6 +75,7 @@ FUZZ_TARGETS = \
 	internal/isa:FuzzHashSequence \
 	internal/php:FuzzScriptStrings \
 	internal/serve:FuzzParsePage \
+	internal/serve:FuzzServeConn \
 	internal/obs:FuzzSanitizeRequestID \
 	internal/obs:FuzzParsePromText
 

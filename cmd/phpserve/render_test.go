@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -235,9 +236,10 @@ func testRenderPath(t *testing.T, cached, sampled, paged bool) {
 }
 
 // TestRenderLengthFramed: every rendered page — a cache bypass, miss or
-// hit, standalone or as an -fpm backend — goes out with Content-Length
-// equal to its body and never chunked. The pages are past net/http's
-// 2 KB chunking threshold, so an unframed write would be chunked.
+// hit, standalone or as an -fpm backend — goes out of the binary's HTTP
+// server with Content-Length equal to its body and never chunked. The
+// pages are past net/http's 2 KB chunking threshold, so net/http's own
+// server would chunk them.
 func TestRenderLengthFramed(t *testing.T) {
 	for _, backendID := range []int{-1, 0} {
 		for _, cached := range []bool{false, true} {
@@ -247,13 +249,18 @@ func TestRenderLengthFramed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ts := httptest.NewServer(srv.Handler())
+			lis, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs := serve.NewHTTPServer(srv.Handler())
+			go hs.Serve(lis)
 			want := []string{""} // X-Cache of each request for page 5
 			if cached {
 				want = []string{"MISS", "HIT"}
 			}
 			for i, xc := range want {
-				resp, err := http.Get(ts.URL + "/?page=5")
+				resp, err := http.Get("http://" + lis.Addr().String() + "/?page=5")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -271,7 +278,7 @@ func TestRenderLengthFramed(t *testing.T) {
 						name, resp.TransferEncoding, resp.Header.Get("Content-Length"), len(body))
 				}
 			}
-			ts.Close()
+			hs.Close()
 		}
 	}
 }

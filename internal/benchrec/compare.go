@@ -14,9 +14,10 @@ import (
 // > 0, no Backends) get the tighter one: the arena-backed serve path
 // holds steady-state allocations in the tens per request, so its gate
 // must catch even a single stray allocation amortized across a run. The
-// cluster scenarios cross loopback sockets, and net/http refilling its
-// pooled buffers after each GC moves their mean by up to 0.2, so they
-// get the looser one.
+// cluster scenarios cross loopback sockets on three connection ends per
+// request, and net/http's request and response parsers refill their
+// pooled readers after each GC, which moves their mean by up to 0.1,
+// so they get the looser one.
 const (
 	directAllocsSlack = 0.5
 	serveAllocsSlack  = 0.1

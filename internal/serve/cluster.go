@@ -30,8 +30,11 @@ type Loopback struct {
 	cfg   ServerConfig
 	ring  *cache.Ring // the router's ring, rebuilt: it partitions a run's stream
 	front string
-	hs    []*http.Server
-	hop   *hop // the clients' one connection pool, one keep-alive connection per stream
+	hs    []*HTTPServer
+	// hops are the clients, one per RunZipf stream, so each stream keeps
+	// its own keep-alive connection to the router.
+	hops []*hop
+	wrap func(net.Conn) net.Conn
 }
 
 // StartLoopback builds n backends from cfg — backend i is cfg as -fpm
@@ -41,6 +44,12 @@ type Loopback struct {
 // is, which keeps the aggregate hit ratio comparable across backend
 // counts (the ring splits pages by hash, not popularity).
 func StartLoopback(n int, cfg ServerConfig, rcfg RouterConfig) (*Loopback, error) {
+	return startLoopback(n, cfg, rcfg, nil)
+}
+
+// startLoopback is StartLoopback with every connection, accepted or
+// dialled, passed through wrap when it is non-nil.
+func startLoopback(n int, cfg ServerConfig, rcfg RouterConfig, wrap func(net.Conn) net.Conn) (*Loopback, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("serve: a cluster needs at least 1 backend, got %d", n)
 	}
@@ -51,10 +60,14 @@ func StartLoopback(n int, cfg ServerConfig, rcfg RouterConfig) (*Loopback, error
 		Servers: make([]*Server, n),
 		cfg:     cfg,
 		ring:    cache.NewRing(rcfg.RingReplicas),
-		hop:     &hop{timeout: 30 * time.Second, idle: make(map[string][]*hopConn)},
+		hops:    make([]*hop, n),
+		wrap:    wrap,
 	}
+	dial := wrapDial(wrap)
 	for i := 0; i < n; i++ {
 		l.ring.Add(strconv.Itoa(i))
+		l.hops[i] = newHop(0)
+		l.hops[i].dial = dial
 	}
 	owned := make([]int, n)
 	for p := 0; p < cfg.Pages; p++ {
@@ -79,6 +92,9 @@ func StartLoopback(n int, cfg ServerConfig, rcfg RouterConfig) (*Loopback, error
 		return nil, err
 	}
 	l.Router = NewRouter(rcfg)
+	if h, ok := l.Router.transport.(*hop); ok {
+		h.dial = dial
+	}
 	for i, s := range l.Servers {
 		addr, err := l.listen(s.Handler())
 		if err != nil {
@@ -101,10 +117,25 @@ func (l *Loopback) listen(h http.Handler) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	hs := &http.Server{Handler: h}
+	hs := NewHTTPServer(h)
+	hs.wrap = l.wrap
 	l.hs = append(l.hs, hs)
 	go hs.Serve(lis)
 	return lis.Addr().String(), nil
+}
+
+// wrapDial is a hop's dial through wrap (nil without one: the hop's own).
+func wrapDial(wrap func(net.Conn) net.Conn) func(context.Context, string) (net.Conn, error) {
+	if wrap == nil {
+		return nil
+	}
+	return func(ctx context.Context, addr string) (net.Conn, error) {
+		nc, err := (&net.Dialer{}).DialContext(ctx, "tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		return wrap(nc), nil
+	}
 }
 
 // owner returns the index of the backend whose ring range holds page.
@@ -114,13 +145,15 @@ func (l *Loopback) owner(page int) int {
 	return i
 }
 
-// Close stops every listener and drops the idle connections of both
-// hops, the clients' and the router's.
+// Close stops every listener and drops the idle connections of every
+// hop, the clients' and the router's.
 func (l *Loopback) Close() {
 	for _, hs := range l.hs {
 		hs.Close()
 	}
-	l.hop.closeIdle()
+	for _, h := range l.hops {
+		h.closeIdle()
+	}
 	if h, ok := l.Router.transport.(*hop); ok {
 		h.closeIdle()
 	}
@@ -187,7 +220,7 @@ func (l *Loopback) RunZipf(ctx context.Context, requests int) (ClusterStats, err
 		go func() {
 			defer wg.Done()
 			stats.PerBackend[i] = BackendClusterStats{ID: strconv.Itoa(i), Pages: len(pageSets[i])}
-			stats.PerBackend[i].Load, errs[i] = l.stream(ctx, streams[i])
+			stats.PerBackend[i].Load, errs[i] = l.stream(ctx, l.hops[i], streams[i])
 		}()
 	}
 	wg.Wait()
@@ -215,7 +248,7 @@ func (l *Loopback) RunZipf(ctx context.Context, requests int) (ClusterStats, err
 
 // stream is one closed-loop client: GET /?page=N at the router for each
 // page in order, the answer counted by its status and X-Cache header.
-func (l *Loopback) stream(ctx context.Context, pages []int) (LoadStats, error) {
+func (l *Loopback) stream(ctx context.Context, client *hop, pages []int) (LoadStats, error) {
 	var ls LoadStats
 	start := time.Now()
 	for _, page := range pages {
@@ -227,7 +260,7 @@ func (l *Loopback) stream(ctx context.Context, pages []int) (LoadStats, error) {
 			return ls, err
 		}
 		t0 := time.Now()
-		resp, err := l.hop.RoundTrip(req)
+		resp, err := client.RoundTrip(req)
 		if err != nil {
 			return ls, err
 		}

@@ -252,13 +252,14 @@ func TestLoopbackCloseDropsIdleConnections(t *testing.T) {
 		}
 		return n
 	}
-	client, router := cl.hop, cl.Router.transport.(*hop)
-	if idle(client) != 2 || idle(router) != 2 {
-		t.Fatalf("after the run: %d client and %d router idle connections, want 2 and 2", idle(client), idle(router))
+	router := cl.Router.transport.(*hop)
+	client := func() int { return idle(cl.hops[0]) + idle(cl.hops[1]) }
+	if client() != 2 || idle(router) != 2 {
+		t.Fatalf("after the run: %d client and %d router idle connections, want 2 and 2", client(), idle(router))
 	}
 	cl.Close()
-	if idle(client) != 0 || idle(router) != 0 {
-		t.Errorf("after Close: %d client and %d router idle connections, want none", idle(client), idle(router))
+	if client() != 0 || idle(router) != 0 {
+		t.Errorf("after Close: %d client and %d router idle connections, want none", client(), idle(router))
 	}
 }
 

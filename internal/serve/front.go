@@ -295,7 +295,7 @@ func (r *Router) ListenAndServe(addr string) error {
 	rs := r.Stats()
 	fmt.Printf("phprouter: routing on %s (%d backends, %d ring replicas, maxinflight %d, procs %d)\n",
 		addr, len(rs.Backends), r.cfg.RingReplicas, r.cfg.MaxInflight, procs)
-	err := serveUntilSignal(sig, "phprouter", addr, r.Handler(), r.cfg.DrainGrace, func(ctx context.Context, hs *http.Server) {
+	err := serveUntilSignal(sig, "phprouter", addr, r.Handler(), r.cfg.DrainGrace, func(ctx context.Context, hs *HTTPServer) {
 		r.SetDraining()
 		hs.Shutdown(ctx)
 		if r.sup != nil {

@@ -18,8 +18,43 @@ import (
 type hop struct {
 	timeout time.Duration // bound on one exchange, body included
 	maxIdle int           // idle connections kept per address (<= 0: no cap)
-	mu      sync.Mutex
-	idle    map[string][]*hopConn
+	// dial, when non-nil, replaces the TCP dial (tests count the reads
+	// and writes of the connections it returns).
+	dial func(ctx context.Context, addr string) (net.Conn, error)
+	mu   sync.Mutex
+	idle map[string][]*hopConn
+}
+
+// newHop is a hop with a 30 s exchange bound keeping maxIdle idle
+// connections per address.
+func newHop(maxIdle int) *hop {
+	return &hop{timeout: 30 * time.Second, maxIdle: maxIdle, idle: make(map[string][]*hopConn)}
+}
+
+// hopWatchAfter is how long an exchange waits for its answer before it
+// watches the request's context. An answer sooner than that never
+// touches the context, so the front end has no client connection to
+// watch for it; a cancellation sooner is noticed at that point.
+const hopWatchAfter = 5 * time.Millisecond
+
+// hopWatch is what a late exchange registered on its context: the front
+// end's request (no allocation), or context.AfterFunc's stop for any
+// other context that can be canceled.
+type hopWatch struct {
+	x    *reqCtx
+	stop func() bool
+}
+
+// release unregisters the watch and reports whether the context was
+// still live.
+func (w hopWatch) release() bool {
+	switch {
+	case w.x != nil:
+		return w.x.unexpire()
+	case w.stop != nil:
+		return w.stop()
+	}
+	return true
 }
 
 type hopConn struct {
@@ -52,7 +87,13 @@ func (h *hop) RoundTrip(req *http.Request) (*http.Response, error) {
 			return resp, hopErr(ctx, err)
 		}
 	}
-	nc, err := (&net.Dialer{Timeout: h.timeout}).DialContext(ctx, "tcp", addr)
+	var nc net.Conn
+	var err error
+	if h.dial != nil {
+		nc, err = h.dial(ctx, addr)
+	} else {
+		nc, err = (&net.Dialer{Timeout: h.timeout}).DialContext(ctx, "tcp", addr)
+	}
 	if err != nil {
 		return nil, hopErr(ctx, err)
 	}
@@ -62,25 +103,43 @@ func (h *hop) RoundTrip(req *http.Request) (*http.Response, error) {
 
 // exchange writes req on c and reads the answer's header under a
 // deadline of hop.timeout, moved into the past when the context ends
-// first (cancelled, or past its own deadline). On error c is closed.
+// first (cancelled, or past its own deadline) once the answer is
+// hopWatchAfter late. On error c is closed.
 func (h *hop) exchange(ctx context.Context, c *hopConn, req *http.Request) (resp *http.Response, answered bool, err error) {
-	c.SetDeadline(time.Now().Add(h.timeout))
-	stop := context.AfterFunc(ctx, func() { c.SetDeadline(time.Unix(1, 0)) })
+	deadline := time.Now().Add(h.timeout)
+	c.SetDeadline(deadline)
+	var watch hopWatch
 	if err = req.Write(c.bw); err == nil {
 		err = c.bw.Flush()
 	}
 	if err == nil {
-		if _, err = c.br.Peek(1); err == nil {
+		late := true
+		if soon := time.Now().Add(hopWatchAfter); soon.Before(deadline) {
+			c.SetReadDeadline(soon)
+			_, err = c.br.Peek(1)
+			c.SetReadDeadline(deadline)
+			late = errors.Is(err, os.ErrDeadlineExceeded)
+		}
+		if late {
+			if x, ok := ctx.(*reqCtx); ok {
+				watch.x = x
+				x.expire(c.Conn)
+			} else if ctx.Done() != nil {
+				watch.stop = context.AfterFunc(ctx, func() { c.SetDeadline(time.Unix(1, 0)) })
+			}
+			_, err = c.br.Peek(1)
+		}
+		if err == nil {
 			answered = true
 			resp, err = http.ReadResponse(c.br, req)
 		}
 	}
 	if err != nil {
-		stop()
+		watch.release()
 		c.Close()
 		return nil, answered, err
 	}
-	resp.Body = &hopBody{ReadCloser: resp.Body, h: h, c: c, keep: !resp.Close, stop: stop}
+	resp.Body = &hopBody{ReadCloser: resp.Body, h: h, c: c, keep: !resp.Close, watch: watch}
 	return resp, true, nil
 }
 
@@ -113,10 +172,10 @@ func hopErr(ctx context.Context, err error) error {
 // it (read error, early Close, Connection: close, cancelled, list full).
 type hopBody struct {
 	io.ReadCloser
-	h    *hop
-	c    *hopConn // nil once released
-	keep bool
-	stop func() bool
+	h     *hop
+	c     *hopConn // nil once released
+	keep  bool
+	watch hopWatch
 }
 
 // Read reads the body and releases the connection at its end.
@@ -141,7 +200,7 @@ func (b *hopBody) done(eof bool) {
 	b.c = nil
 	h.mu.Lock()
 	idle := h.idle[c.addr]
-	reuse := b.stop() && eof && b.keep && c.br.Buffered() == 0 && (h.maxIdle <= 0 || len(idle) < h.maxIdle)
+	reuse := b.watch.release() && eof && b.keep && c.br.Buffered() == 0 && (h.maxIdle <= 0 || len(idle) < h.maxIdle)
 	if reuse {
 		h.idle[c.addr] = append(idle, c)
 	}

@@ -141,7 +141,7 @@ func NewRouter(cfg RouterConfig) *Router {
 	}
 	transport := cfg.Transport
 	if transport == nil {
-		transport = &hop{timeout: 30 * time.Second, maxIdle: cfg.MaxInflight, idle: make(map[string][]*hopConn)}
+		transport = newHop(cfg.MaxInflight)
 	}
 	return &Router{
 		cfg:       cfg,
@@ -200,7 +200,7 @@ func (r *Router) SetBackendUp(id string, up bool) bool {
 
 // SetDraining moves the router to the draining state: every subsequent
 // request is shed with 503 + Retry-After while in-flight proxies
-// finish (http.Server.Shutdown provides the barrier).
+// finish (HTTPServer.Shutdown provides the barrier).
 func (r *Router) SetDraining() {
 	r.mu.Lock()
 	r.draining = true
@@ -357,9 +357,7 @@ func (r *Router) attempt(w http.ResponseWriter, req *http.Request, id string, bo
 	}
 	w.Header().Set("X-Routed-Backend", id)
 	w.WriteHeader(resp.StatusCode)
-	bufp := relayBufs.Get().(*[]byte)
-	n, _ := io.CopyBuffer(writerOnly{w}, resp.Body, *bufp)
-	relayBufs.Put(bufp)
+	n, _ := io.Copy(w, resp.Body) // HTTPServer's ReadFrom: straight into the response buffer
 	po.noteServed(id, addr, try > 0, resp.StatusCode, int(n),
 		resp.Header.Get(obs.HeaderTraceSampled) == "1")
 	return 0, nil, nil
@@ -381,12 +379,6 @@ func (r *Router) forward(req *http.Request, addr string, body []byte) (*http.Res
 	}
 	return r.transport.RoundTrip(out)
 }
-
-// relayBufs recycles attempt's copy buffer. writerOnly hides the
-// ResponseWriter's ReadFrom, which allocates 32 KB per framed body.
-var relayBufs = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
-
-type writerOnly struct{ io.Writer }
 
 // bumpRetries counts one reroute.
 func (r *Router) bumpRetries() {

@@ -248,7 +248,7 @@ func (s *Server) ListenAndServe(addr string) error {
 	sig, stop := signalContext()
 	defer stop()
 	var drainErr error
-	err := serveUntilSignal(sig, "phpserve", addr, s.Handler(), s.cfg.Drain, func(ctx context.Context, hs *http.Server) {
+	err := serveUntilSignal(sig, "phpserve", addr, s.Handler(), s.cfg.Drain, func(ctx context.Context, hs *HTTPServer) {
 		drainErr = s.Sched.Drain(ctx)
 		hs.Shutdown(ctx)
 	})
@@ -359,8 +359,6 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 	s.Col.ObserveHTTP(resp.Span, len(resp.Body), meta)
 
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	// Unframed, net/http would chunk any page past 2 KB on both hops.
-	w.Header().Set("Content-Length", strconv.Itoa(len(resp.Body)))
 	if s.Cache != nil {
 		w.Header().Set("X-Cache", strings.ToUpper(resp.Cache.String()))
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -282,14 +283,18 @@ func signalContext() (context.Context, context.CancelFunc) {
 }
 
 // serveUntilSignal serves h on addr until the listener fails or sig (a
-// signalContext) is done; then it hands drain the http.Server and a
+// signalContext) is done; then it hands drain the HTTPServer and a
 // context bounded by grace, and drain decides what stops in which order
 // around Shutdown. A second signal kills the process the default way.
 // It returns only the listener's error.
-func serveUntilSignal(sig context.Context, name, addr string, h http.Handler, grace time.Duration, drain func(context.Context, *http.Server)) error {
-	hs := &http.Server{Addr: addr, Handler: h}
+func serveUntilSignal(sig context.Context, name, addr string, h http.Handler, grace time.Duration, drain func(context.Context, *HTTPServer)) error {
+	lis, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	hs := NewHTTPServer(h)
 	errCh := make(chan error, 1)
-	go func() { errCh <- hs.ListenAndServe() }()
+	go func() { errCh <- hs.Serve(lis) }()
 	select {
 	case err := <-errCh:
 		return err

@@ -117,7 +117,7 @@ func TestSupervisorRespawnsCrashes(t *testing.T) {
 }
 
 // TestServeUntilSignal: the lifecycle both binaries share serves until
-// its signal context is done, then hands drain a live http.Server and a
+// its signal context is done, then hands drain a live HTTPServer and a
 // context bounded by the grace; a listener that cannot start is the
 // error, with drain never called.
 func TestServeUntilSignal(t *testing.T) {
@@ -133,7 +133,7 @@ func TestServeUntilSignal(t *testing.T) {
 	done := make(chan error, 1)
 	var drained atomic.Bool
 	go func() {
-		done <- serveUntilSignal(sig, "test", addr, h, time.Minute, func(ctx context.Context, hs *http.Server) {
+		done <- serveUntilSignal(sig, "test", addr, h, time.Minute, func(ctx context.Context, hs *HTTPServer) {
 			if dl, ok := ctx.Deadline(); !ok || time.Until(dl) > time.Minute {
 				t.Errorf("drain context deadline %v (set %v), want within the grace", dl, ok)
 			}
@@ -165,7 +165,7 @@ func TestServeUntilSignal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer busy.Close()
-	err = serveUntilSignal(context.Background(), "test", busy.Addr().String(), h, time.Minute, func(context.Context, *http.Server) {
+	err = serveUntilSignal(context.Background(), "test", busy.Addr().String(), h, time.Minute, func(context.Context, *HTTPServer) {
 		t.Error("drain called for a listener that never started")
 	})
 	if err == nil {
