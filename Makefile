@@ -38,18 +38,18 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 # Simulated-clock records (docs/OPERATIONS.md "Benchmark trajectory"),
-# one command per direction. bench-record runs the pinned scenario
-# matrix once and appends the next BENCH_<n>.json at the repo root, then
-# rebuilds every figure of the paper's evaluation and rewrites
-# FIGURES.json (a single file: `git log` is its trajectory) together
-# with the block of EXPERIMENTS.md generated from it; commit all three.
+# one command per direction. bench-record is `cmd/figures -write`: it
+# runs the pinned scenario matrix once and appends the next
+# BENCH_<n>.json at the repo root, then rebuilds every figure of the
+# paper's evaluation and rewrites FIGURES.json (a single file: `git log`
+# is its trajectory) together with the block of EXPERIMENTS.md generated
+# from it; commit all three.
 # bench-check reruns both and fails with one line per difference: any
 # deterministic field of the latest BENCH record, allocs/op past its
 # slack, or any value of any figure (`figure[row].metric base -> fresh`).
 # Host time is in neither record: `sh benchmark/run.sh` measures that.
 bench-record:
-	$(GO) run ./cmd/loadgen -record
-	$(GO) run ./cmd/figures -write >/dev/null
+	$(GO) run ./cmd/figures -write
 
 bench-check:
 	$(GO) run ./scripts

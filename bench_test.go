@@ -105,7 +105,7 @@ func BenchmarkAblationStringBlockWidth(b *testing.B) {
 				feats := isa.AllAccelerators()
 				feats.SAConfig.BlockBytes = width
 				_, res := ablate(b, vm.Config{Features: feats, Model: model})
-				b.ReportMetric(res.CyclesPerRequest(), "cycles/req")
+				b.ReportMetric(res.Cycles/float64(res.Requests), "cycles/req")
 			}
 		})
 	}
@@ -135,7 +135,7 @@ func BenchmarkAblationSiftVsReuse(b *testing.B) {
 			feats.RAConfig.SegSize = segSize
 			feats.RAConfig.ReuseEntries = reuseEntries
 			_, res := ablate(b, vm.Config{Features: feats})
-			b.ReportMetric(res.CyclesPerRequest(), "cycles/req")
+			b.ReportMetric(res.Cycles/float64(res.Requests), "cycles/req")
 		}
 	}
 	b.Run("both", func(b *testing.B) { run(b, 32, 32) })

@@ -6,9 +6,13 @@
 //
 //	figures [-only fig14,fig15,...] [-write]
 //
-// -write (run from the repo root, all figures) also rewrites the
-// committed record FIGURES.json and the block of EXPERIMENTS.md that is
-// generated from it; `make bench-record` runs it.
+// -write (run from the repo root, all figures) writes every committed
+// simulated-clock record, and is what `make bench-record` runs: it
+// first runs the pinned benchrec scenario matrix at its default seed and
+// appends the result as the next BENCH_<n>.json (the trajectory is
+// append-only), then rewrites FIGURES.json and the block of
+// EXPERIMENTS.md that is generated from it. The records hold no host
+// time; `sh benchmark/run.sh` measures that.
 package main
 
 import (
@@ -17,12 +21,13 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/benchrec"
 	"repro/internal/experiments"
 )
 
 func main() {
 	only := flag.String("only", "", "comma-separated figure ids (default all): "+strings.Join(experiments.IDs(), ","))
-	write := flag.Bool("write", false, "rewrite FIGURES.json and EXPERIMENTS.md's generated block in the current directory")
+	write := flag.Bool("write", false, "append the next BENCH_<n>.json and rewrite FIGURES.json and EXPERIMENTS.md's generated block in the current directory")
 	flag.Parse()
 	if err := run(strings.FieldsFunc(*only, func(r rune) bool { return r == ',' || r == ' ' }), *write); err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
@@ -34,6 +39,20 @@ func run(only []string, write bool) error {
 	if write && len(only) > 0 {
 		return fmt.Errorf("-write records every figure; drop -only")
 	}
+	// The matrix runs first, in a fresh process, as `make bench-check`
+	// reruns it: its allocs/op are then not measured on a heap the
+	// figures have grown.
+	var rec benchrec.Record
+	if write {
+		latest, err := benchrec.LatestSeq(".")
+		if err != nil {
+			return err
+		}
+		if rec, err = benchrec.RunMatrix(benchrec.Options{}); err != nil {
+			return err
+		}
+		rec.Seq = latest + 1
+	}
 	rep, err := experiments.Build(only)
 	if err != nil {
 		return err
@@ -41,7 +60,7 @@ func run(only []string, write bool) error {
 	if err := rep.Render(os.Stdout); err != nil || !write {
 		return err
 	}
-	record, err := rep.Marshal()
+	figures, err := rep.Marshal()
 	if err != nil {
 		return err
 	}
@@ -52,8 +71,20 @@ func run(only []string, write bool) error {
 	if md, err = rep.Doc(md); err != nil {
 		return err
 	}
-	if err := os.WriteFile("FIGURES.json", record, 0o644); err != nil {
+	path, err := benchrec.Write(".", rec)
+	if err != nil {
 		return err
 	}
-	return os.WriteFile("EXPERIMENTS.md", md, 0o644)
+	if err := os.WriteFile("FIGURES.json", figures, 0o644); err != nil {
+		return err
+	}
+	if err := os.WriteFile("EXPERIMENTS.md", md, 0o644); err != nil {
+		return err
+	}
+	for _, sc := range rec.Scenarios {
+		fmt.Printf("%-20s %10.0f sim cycles/req  hit ratio %.3f  %8.2f allocs/op\n",
+			sc.Name, sc.SimCyclesPerReq, sc.CacheHitRatio, sc.AllocsPerOp)
+	}
+	fmt.Printf("wrote %s (seed %d), FIGURES.json, EXPERIMENTS.md\n", path, rec.Seed)
+	return nil
 }

@@ -280,7 +280,7 @@ func TestSummaryCountersMonotonic(t *testing.T) {
 	}
 	observe := func(n int) {
 		for i := 0; i < n; i++ {
-			s.Col.Observe(obs.Span{Wall: time.Millisecond}, 0)
+			s.Col.ObserveHTTP(obs.Span{Wall: time.Millisecond}, 0, obs.RequestMeta{})
 		}
 	}
 	observe(1<<16 - 1)

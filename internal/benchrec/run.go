@@ -46,8 +46,7 @@ const (
 	// backends. No database stall: each backend serves its share from one
 	// closed-loop client, so a stall changes how long the run takes and
 	// nothing it records (serve's TestClusterStallLeavesRecordUnchanged);
-	// the I/O-overlap scaling claim is a host-clock one, reproduced with
-	// `loadgen -cluster 4 -dbwait 45ms` and gated by serve's
+	// the I/O-overlap scaling claim is a host-clock one, gated by serve's
 	// TestClusterDBWaitOverlaps.
 	clusterWorkers      = 1
 	clusterRingReplicas = 2048

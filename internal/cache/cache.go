@@ -104,7 +104,7 @@ type Config struct {
 	Clock func() time.Time
 }
 
-// ValidateFlags checks the -cache flag family phpserve and loadgen share
+// ValidateFlags checks phpserve's -cache flag family
 // (-cache, -cacheshards, -cachettl, -pages, -zipf): a negative capacity
 // is always an error, and the rest only matter — and are only checked —
 // when the cache is on (capacity > 0).

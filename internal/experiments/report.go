@@ -146,7 +146,7 @@ func (b *builder) addAverage() {
 	}
 }
 
-// config returns one of the paper's three cores (vm.ConfigNames) with no
+// config returns one of the paper's three cores (vm.ConfigByName) with no
 // operation trace — only the key-statistics table reads one — and the
 // heap timeline Fig. 8 samples.
 func config(name string) vm.Config {

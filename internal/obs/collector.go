@@ -101,17 +101,11 @@ type RequestMeta struct {
 	QueueWait time.Duration
 }
 
-// Observe records one served request: it assigns the span's request
+// ObserveHTTP records one served request: it assigns the span's request
 // sequence number, bumps the fleet counters, feeds the latency histogram
-// and reservoir, and writes sampled spans to the access log. The
-// completed span is returned.
-func (c *Collector) Observe(sp Span, respBytes int) Span {
-	return c.ObserveHTTP(sp, respBytes, RequestMeta{})
-}
-
-// ObserveHTTP is Observe plus HTTP request metadata for the access log.
-// It also stamps the span's tree (if any) with the assigned request
-// number and retains it in the tree ring.
+// and reservoir, stamps the span's tree (if any) with the request number
+// and retains it in the tree ring, and writes sampled spans with meta to
+// the access log. The completed span is returned.
 func (c *Collector) ObserveHTTP(sp Span, respBytes int, meta RequestMeta) Span {
 	c.mu.Lock()
 	c.requests++

@@ -36,7 +36,7 @@ import (
 // with only Wall and Worker set.
 type Span struct {
 	// Request is the server-assigned request sequence number (set by
-	// Collector.Observe).
+	// Collector.ObserveHTTP).
 	Request uint64
 	// Worker is the pool worker that served the request.
 	Worker int

@@ -114,11 +114,11 @@ func TestCollectorObserve(t *testing.T) {
 	sp.Categories[sim.CatHash] = 700
 	sp.Categories[sim.CatRegex] = 300
 	sp.Cycles = sp.Categories.Total()
-	out := c.Observe(sp, 512)
+	out := c.ObserveHTTP(sp, 512, RequestMeta{})
 	if out.Request != 1 {
 		t.Errorf("first request number = %d", out.Request)
 	}
-	c.Observe(Span{Wall: time.Millisecond, Sampled: c.ShouldSample()}, 100)
+	c.ObserveHTTP(Span{Wall: time.Millisecond, Sampled: c.ShouldSample()}, 100, RequestMeta{})
 
 	snap := c.Snapshot()
 	if snap.Requests != 2 || snap.ResponseBytes != 612 || snap.SampledSpans != 2 {
@@ -149,7 +149,7 @@ func TestCollectorObserve(t *testing.T) {
 func TestCollectorReservoirBounded(t *testing.T) {
 	c := NewCollector(0, nil, nil)
 	for i := 0; i < maxRetainedLatencies+100; i++ {
-		c.Observe(Span{Wall: time.Microsecond}, 1)
+		c.ObserveHTTP(Span{Wall: time.Microsecond}, 1, RequestMeta{})
 	}
 	snap := c.Snapshot()
 	if len(snap.Latencies) > maxRetainedLatencies {
@@ -198,7 +198,7 @@ func TestAccessLogConcurrent(t *testing.T) {
 func TestCollectorObserveShed(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewCollector(0, &buf, nil) // sample rate 0: served requests unlogged
-	c.Observe(Span{Wall: time.Millisecond}, 100)
+	c.ObserveHTTP(Span{Wall: time.Millisecond}, 100, RequestMeta{})
 	c.ObserveShed(RequestMeta{
 		Path:      "/overloaded",
 		Status:    503,

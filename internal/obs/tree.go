@@ -73,7 +73,7 @@ func (s *TreeSpan) NumSpans() int {
 // cost and Root.Dur its render wall time.
 type Tree struct {
 	// Request is the server-assigned request sequence number (set by
-	// Collector.Observe, 0 until then).
+	// Collector.ObserveHTTP, 0 until then).
 	Request uint64
 	// ID is the cross-process request correlation ID (X-Request-Id),
 	// empty for trees that predate ID propagation. It is what lets the

@@ -126,8 +126,8 @@ func (p Profile) FuncsForFrac(target float64) int {
 }
 
 // Headline is a profile's Fig. 1 numbers, read one way for every
-// surface: /profilez, the profile gauges, /clusterz, loadgen's fig1:
-// line, the figures and the text table.
+// surface: /profilez, the profile gauges, /clusterz, the figures and the
+// text table.
 type Headline struct {
 	Total       float64 // cycles in the profile
 	Functions   int     // distinct leaf functions
@@ -146,8 +146,7 @@ func (p Profile) Headline() Headline {
 	return h
 }
 
-// String is the headline's one-line form, the first line of Render and
-// loadgen's fig1: line.
+// String is the headline's one-line form, the first line of Render.
 func (h Headline) String() string {
 	return fmt.Sprintf("hottest: %s %.2f%%   functions for 65%%: %d of %d   total cycles: %.0f",
 		cmp.Or(h.Hottest, "-"), 100*h.HottestFrac, h.FuncsFor65, h.Functions, h.Total)

@@ -318,7 +318,7 @@ func TestRunLoadCachedZipf(t *testing.T) {
 		PageKey:  keys.Next,
 	})
 	if ls.Served != 300 {
-		t.Fatalf("served = %d/%d (shed %d)", ls.Served, ls.Submitted, ls.Shed())
+		t.Fatalf("served = %d/%d (shed %d)", ls.Served, ls.Submitted, shed(ls))
 	}
 	if got := ls.CacheHits + ls.CacheMisses + ls.CacheCoalesced; got != 300 {
 		t.Fatalf("outcome partition sums to %d, want 300", got)
@@ -327,12 +327,6 @@ func TestRunLoadCachedZipf(t *testing.T) {
 	// the hit ratio is at least (300-64)/300 ≈ 0.78 minus coalescing.
 	if ls.CacheHits < 200 {
 		t.Errorf("hits = %d over 300 zipf requests across 64 pages, expected >= 200", ls.CacheHits)
-	}
-	if ls.HitLatency.P50 <= 0 || ls.MissLatency.P50 <= 0 {
-		t.Errorf("latency split missing: hit p50 %v, miss p50 %v", ls.HitLatency.P50, ls.MissLatency.P50)
-	}
-	if ls.HitLatency.P50 >= ls.MissLatency.P50 {
-		t.Errorf("hit p50 %v not below miss p50 %v", ls.HitLatency.P50, ls.MissLatency.P50)
 	}
 	cs := c.Stats()
 	if int(cs.Hits) != ls.CacheHits || int(cs.Misses) != ls.CacheMisses {

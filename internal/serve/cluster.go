@@ -19,9 +19,9 @@ import (
 // Loopback is a whole cluster in one process: Servers built by NewServer
 // behind a Router, each serving its own loopback listener — the
 // phprouter + phpserve -fpm topology with the processes folded into one
-// and the sockets kept. The benchrec cluster scenarios, loadgen -cluster
-// and the cluster tests run on it, so they measure the servers and the
-// hop the binaries run.
+// and the sockets kept. The benchrec cluster scenarios and the cluster
+// tests run on it, so they measure the servers and the hop the binaries
+// run.
 type Loopback struct {
 	// Servers are the backends, index == backend id; Router fronts them.
 	Servers []*Server
@@ -162,8 +162,6 @@ func (l *Loopback) Close() {
 // BackendClusterStats pairs one backend with what it observed during a
 // RunZipf: its own LoadStats plus the distinct pages routed to it.
 type BackendClusterStats struct {
-	// ID is the backend's ring member name.
-	ID string
 	// Pages is how many distinct pages the ring assigned this backend
 	// during the run.
 	Pages int
@@ -175,7 +173,7 @@ type BackendClusterStats struct {
 // ClusterStats aggregates a RunZipf across backends.
 type ClusterStats struct {
 	// Aggregate sums outcome counts across backends; its Wall is the
-	// whole run's span, so Aggregate throughput is cluster throughput.
+	// whole run's span.
 	Aggregate LoadStats
 	// PerBackend holds each backend's own view, index == backend id.
 	PerBackend []BackendClusterStats
@@ -219,7 +217,7 @@ func (l *Loopback) RunZipf(ctx context.Context, requests int) (ClusterStats, err
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			stats.PerBackend[i] = BackendClusterStats{ID: strconv.Itoa(i), Pages: len(pageSets[i])}
+			stats.PerBackend[i] = BackendClusterStats{Pages: len(pageSets[i])}
 			stats.PerBackend[i].Load, errs[i] = l.stream(ctx, l.hops[i], streams[i])
 		}()
 	}
@@ -229,7 +227,6 @@ func (l *Loopback) RunZipf(ctx context.Context, requests int) (ClusterStats, err
 	}
 
 	agg := &stats.Aggregate
-	var lats []time.Duration
 	for _, pb := range stats.PerBackend {
 		agg.Submitted += pb.Load.Submitted
 		agg.Served += pb.Load.Served
@@ -239,10 +236,8 @@ func (l *Loopback) RunZipf(ctx context.Context, requests int) (ClusterStats, err
 		agg.CacheHits += pb.Load.CacheHits
 		agg.CacheMisses += pb.Load.CacheMisses
 		agg.CacheCoalesced += pb.Load.CacheCoalesced
-		lats = append(lats, pb.Load.rawLatencies...)
 	}
 	agg.Wall = time.Since(start)
-	agg.Latency = workload.LatencyStatsFrom(lats)
 	return stats, nil
 }
 
@@ -259,7 +254,6 @@ func (l *Loopback) stream(ctx context.Context, client *hop, pages []int) (LoadSt
 		if err != nil {
 			return ls, err
 		}
-		t0 := time.Now()
 		resp, err := client.RoundTrip(req)
 		if err != nil {
 			return ls, err
@@ -269,12 +263,10 @@ func (l *Loopback) stream(ctx context.Context, client *hop, pages []int) (LoadSt
 		if err != nil {
 			return ls, err
 		}
-		lat := time.Since(t0)
 		ls.Submitted++
 		switch resp.StatusCode {
 		case http.StatusOK:
 			ls.Served++
-			ls.rawLatencies = append(ls.rawLatencies, lat)
 			switch resp.Header.Get("X-Cache") {
 			case "HIT":
 				ls.CacheHits++
@@ -294,7 +286,6 @@ func (l *Loopback) stream(ctx context.Context, client *hop, pages []int) (LoadSt
 		}
 	}
 	ls.Wall = time.Since(start)
-	ls.Latency = workload.LatencyStatsFrom(ls.rawLatencies)
 	return ls, nil
 }
 

@@ -55,8 +55,8 @@ func TestClusterDisjointOwnershipAndDeterminism(t *testing.T) {
 	if agg.Served != 120 || agg.Submitted != 120 {
 		t.Fatalf("served %d submitted %d, want 120/120", agg.Served, agg.Submitted)
 	}
-	if agg.Shed() != 0 {
-		t.Fatalf("cluster run shed %d requests", agg.Shed())
+	if shed(agg) != 0 {
+		t.Fatalf("cluster run shed %d requests", shed(agg))
 	}
 	if agg.CacheHits+agg.CacheMisses+agg.CacheCoalesced != agg.Served {
 		t.Fatalf("cache outcomes %d+%d+%d don't partition served %d",
@@ -286,12 +286,12 @@ func TestClusterRunZipfThroughRunLoad(t *testing.T) {
 		if got := backendCounts(pb); got != want[i] {
 			t.Errorf("backend %d: served/pages/hits/misses/coalesced = %v, want %v", i, got, want[i])
 		}
-		if pb.Load.Latency.Count != pb.Load.Served || pb.Load.Shed() != 0 {
-			t.Errorf("backend %d: %d latencies for %d served, %d shed", i, pb.Load.Latency.Count, pb.Load.Served, pb.Load.Shed())
+		if pb.Load.Submitted != pb.Load.Served || shed(pb.Load) != 0 {
+			t.Errorf("backend %d: %d served of %d submitted, %d shed", i, pb.Load.Served, pb.Load.Submitted, shed(pb.Load))
 		}
 	}
-	if agg := cs.Aggregate; agg.Served != 200 || agg.Latency.Count != 200 {
-		t.Errorf("aggregate served %d with %d latencies, want 200/200", agg.Served, agg.Latency.Count)
+	if agg := cs.Aggregate; agg.Served != 200 || agg.Submitted != 200 {
+		t.Errorf("aggregate served %d of %d submitted, want 200/200", agg.Served, agg.Submitted)
 	}
 	wantCycles := sim.CategoryVec{9.955809523809517e+06, 1.5825182258064516e+06, 1.49264e+06,
 		1.4204335483870967e+06, 1.2174951612903224e+06, 526640, 902800, 166315.78947368424}

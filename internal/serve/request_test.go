@@ -161,17 +161,23 @@ func noGC(t *testing.T) {
 	t.Cleanup(func() { debug.SetGCPercent(old) })
 }
 
-// sameSimulation fails the test unless the two pools' workers charged
-// their meters identically since their last reset: totals, the category
-// vector and every leaf function's row.
+// sameSimulation fails the test unless the two pools' workers served
+// the same number of requests and charged their meters identically since
+// their last reset: totals, the category vector and every leaf
+// function's row.
 func sameSimulation(t *testing.T, what string, gotPool, wantPool *workload.Pool) {
 	t.Helper()
-	got, want := gotPool.GatherResult(0), wantPool.GatherResult(0)
-	if got.Requests != want.Requests || got.ResponseBytes != want.ResponseBytes || got.Cycles != want.Cycles ||
-		got.Uops != want.Uops || got.EnergyPJ != want.EnergyPJ || got.Categories != want.Categories {
-		t.Errorf("%s moved the simulation:\n got  %+v\n want %+v", what, got, want)
+	if g, w := served(gotPool), served(wantPool); g != w {
+		t.Errorf("%s served %d requests, want %d", what, g, w)
 	}
-	g, w := gotPool.MergedMeter().Functions(), wantPool.MergedMeter().Functions()
+	gm, wm := gotPool.MergedMeter(), wantPool.MergedMeter()
+	if gm.TotalCycles() != wm.TotalCycles() || gm.TotalUops() != wm.TotalUops() ||
+		gm.TotalEnergy() != wm.TotalEnergy() || gm.CategoryCyclesVec() != wm.CategoryCyclesVec() {
+		t.Errorf("%s moved the simulation:\n got  %v cycles, %v uops, %v pJ, %v\n want %v cycles, %v uops, %v pJ, %v", what,
+			gm.TotalCycles(), gm.TotalUops(), gm.TotalEnergy(), gm.CategoryCyclesVec(),
+			wm.TotalCycles(), wm.TotalUops(), wm.TotalEnergy(), wm.CategoryCyclesVec())
+	}
+	g, w := gm.Functions(), wm.Functions()
 	if len(g) != len(w) {
 		t.Fatalf("%s charged %d leaf functions, want %d", what, len(g), len(w))
 	}
@@ -180,6 +186,21 @@ func sameSimulation(t *testing.T, what string, gotPool, wantPool *workload.Pool)
 			t.Errorf("%s changed leaf function %d: %+v, want %+v", what, i, *g[i], *w[i])
 		}
 	}
+}
+
+// served is how many requests the pool's workers served since their
+// last reset. It waits for every worker to be free.
+func served(p *workload.Pool) int {
+	ws := make([]*workload.Worker, p.Size())
+	n := 0
+	for i := range ws {
+		ws[i] = p.Acquire()
+		n += ws[i].Served()
+	}
+	for _, w := range ws {
+		p.Release(w)
+	}
+	return n
 }
 
 // TestSchedulerServeBudget pins what the lifecycle layer (admission
@@ -196,21 +217,29 @@ func TestSchedulerServeBudget(t *testing.T) {
 
 	// AllocsPerRun makes two runs (one to warm up); both sides begin each
 	// from reset workers, so the second run's meters are comparable.
+	var direct workload.Result
 	directAllocs := testing.AllocsPerRun(1, func() {
-		directPool.Run(workload.LoadGenerator{Requests: requests, ContextSwitchEvery: 64}, 0)
+		direct = directPool.Run(workload.LoadGenerator{Requests: requests, ContextSwitchEvery: 64}, 0)
 	}) / requests
 
 	s := NewScheduler(schedPool, Config{QueueDepth: 64, CtxSwitchEvery: 64})
 	var scratch []byte
+	var answered int64
 	schedAllocs := testing.AllocsPerRun(1, func() {
 		schedPool.Run(workload.LoadGenerator{}, 0) // reset meter and switch cadence, as Run does
+		answered = 0
 		for i := 0; i < requests; i++ {
-			if _, err := s.Serve(context.Background(), Request{Page: -1}, &scratch); err != nil {
+			resp, err := s.Serve(context.Background(), Request{Page: -1}, &scratch)
+			if err != nil {
 				t.Fatal(err)
 			}
+			answered += int64(len(resp.Body))
 		}
 	}) / requests
 	sameSimulation(t, "Scheduler.Serve", schedPool, directPool)
+	if answered != direct.ResponseBytes {
+		t.Errorf("Scheduler.Serve answered %d bytes, the direct loop %d", answered, direct.ResponseBytes)
+	}
 	if st := s.Stats(); st.Served != 2*requests || st.Admitted != 2*requests || st.Shed() != 0 {
 		t.Errorf("scheduler stats %+v, want %d admitted and served, none shed", st, 2*requests)
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -22,6 +21,11 @@ func testPool(t *testing.T, workers int) *workload.Pool {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// shed is every request a load run rejected, for any reason.
+func shed(ls LoadStats) int {
+	return ls.ShedOverload + ls.ShedDeadline + ls.ShedCanceled + ls.ShedDraining
 }
 
 // checkPoolIntact fails the test if any worker was lost or
@@ -388,24 +392,20 @@ func TestDrainLateQuiescence(t *testing.T) {
 }
 
 // TestRunLoadServesAll: an unsaturated closed loop serves everything,
-// measures queue waits, and GatherResult agrees with the stats.
+// every request's queue wait is observed, and the pool's meter holds the
+// work.
 func TestRunLoadServesAll(t *testing.T) {
 	pool := testPool(t, 2)
 	s := NewScheduler(pool, Config{QueueDepth: 4, CtxSwitchEvery: 4})
-	col := obs.NewCollector(1, nil, nil)
-	ls := RunLoad(context.Background(), s, LoadOptions{Requests: 12, Clients: 2, Collector: col})
-	if ls.Submitted != 12 || ls.Served != 12 || ls.Shed() != 0 {
+	ls := RunLoad(context.Background(), s, LoadOptions{Requests: 12, Clients: 2})
+	if ls.Submitted != 12 || ls.Served != 12 || shed(ls) != 0 {
 		t.Fatalf("load stats = %+v", ls)
 	}
-	if ls.QueueWait.Count != 12 {
-		t.Errorf("queue-wait count = %d, want 12", ls.QueueWait.Count)
+	if st := s.Stats(); st.QueueWait.Count != 12 || st.Served != 12 {
+		t.Errorf("scheduler observed %d queue waits for %d served, want 12/12", st.QueueWait.Count, st.Served)
 	}
-	res := pool.GatherResult(ls.Wall)
-	if res.Requests != 12 || res.Cycles <= 0 {
-		t.Errorf("gathered result = %+v", res)
-	}
-	if snap := col.Snapshot(); snap.Requests != 12 || snap.SampledSpans != 12 {
-		t.Errorf("collector saw %d/%d", snap.Requests, snap.SampledSpans)
+	if cycles := pool.MergedMeter().TotalCycles(); cycles <= 0 {
+		t.Errorf("merged meter holds %v cycles after 12 requests", cycles)
 	}
 	checkPoolIntact(t, pool)
 }
@@ -436,7 +436,7 @@ func TestRunLoadOverload(t *testing.T) {
 	if ls.Submitted != 60 {
 		t.Fatalf("submitted %d, want 60", ls.Submitted)
 	}
-	if ls.Served+ls.Shed() != ls.Submitted {
+	if ls.Served+shed(ls) != ls.Submitted {
 		t.Errorf("outcomes don't partition: %+v", ls)
 	}
 	if ls.ShedOverload != 60 {
@@ -449,62 +449,13 @@ func TestRunLoadOverload(t *testing.T) {
 	}
 
 	ls2 := RunLoad(context.Background(), s, LoadOptions{Requests: 12, Clients: 8})
-	if ls2.Served+ls2.Shed() != ls2.Submitted {
+	if ls2.Served+shed(ls2) != ls2.Submitted {
 		t.Errorf("post-release outcomes don't partition: %+v", ls2)
 	}
 	if ls2.Served == 0 {
 		t.Errorf("overload starved everything after release: %+v", ls2)
 	}
 	checkPoolIntact(t, s.pool)
-}
-
-// TestRunLoadErrorSamples: with an ID source set, shed submissions
-// retain bounded (ID, error) samples; with neither IDs nor a collector,
-// minting is off and no samples are recorded (the bare benchmark path
-// must stay allocation-free).
-func TestRunLoadErrorSamples(t *testing.T) {
-	s := NewScheduler(testPool(t, 1), Config{QueueDepth: 0})
-
-	release := make(chan struct{})
-	blocked := make(chan struct{})
-	blockerDone := make(chan error, 1)
-	go func() {
-		_, err := s.Do(context.Background(), func(w *workload.Worker) error {
-			close(blocked)
-			<-release
-			return nil
-		})
-		blockerDone <- err
-	}()
-	<-blocked
-
-	ls := RunLoad(context.Background(), s, LoadOptions{Requests: 30, Clients: 4, IDs: obs.NewIDSource()})
-	if ls.ShedOverload != 30 {
-		t.Fatalf("shed %d, want 30", ls.ShedOverload)
-	}
-	if len(ls.ErrorSamples) == 0 || len(ls.ErrorSamples) > maxErrorSamples {
-		t.Fatalf("error samples = %d, want 1..%d", len(ls.ErrorSamples), maxErrorSamples)
-	}
-	seen := map[string]bool{}
-	for _, es := range ls.ErrorSamples {
-		if es.ID == "" || es.Err != ErrOverloaded {
-			t.Fatalf("bad sample: %+v", es)
-		}
-		if seen[es.ID] {
-			t.Fatalf("duplicate sampled ID %s", es.ID)
-		}
-		seen[es.ID] = true
-	}
-
-	ls2 := RunLoad(context.Background(), s, LoadOptions{Requests: 10, Clients: 4})
-	if len(ls2.ErrorSamples) != 0 {
-		t.Fatalf("samples recorded without an ID source: %+v", ls2.ErrorSamples)
-	}
-
-	close(release)
-	if err := <-blockerDone; err != nil {
-		t.Fatalf("blocker request failed: %v", err)
-	}
 }
 
 // TestRunLoadCancelled: cancelling mid-run stops submissions and still
@@ -523,7 +474,7 @@ func TestRunLoadCancelled(t *testing.T) {
 	if ls.Submitted >= 100000 {
 		t.Fatalf("cancellation did not stop the run: %+v", ls)
 	}
-	if ls.Served+ls.Shed() != ls.Submitted {
+	if ls.Served+shed(ls) != ls.Submitted {
 		t.Errorf("outcomes don't partition: %+v", ls)
 	}
 	checkPoolIntact(t, pool)

@@ -46,14 +46,12 @@ type Config struct {
 	ArenaRetain int
 }
 
-// ConfigNames lists the core configurations the paper compares, in its
-// order: stock HHVM, the §3 prior-work mitigations, and the mitigations
-// plus all four accelerators.
-var ConfigNames = []string{"baseline", "mitigated", "accelerated"}
-
-// ConfigByName returns the named core configuration (see ConfigNames),
-// the one mapping behind every binary's -config choice and comparison
-// table. Trace, heap-sampling and arena settings are the caller's.
+// ConfigByName returns the named core configuration — the paper's
+// three, in its order: "baseline" (stock HHVM), "mitigated" (the §3
+// prior-work mitigations) and "accelerated" (the mitigations plus all
+// four accelerators). It is the one mapping behind phpserve's -config
+// and every figure's rows. Trace, heap-sampling and arena settings are
+// the caller's.
 func ConfigByName(name string) (Config, error) {
 	switch name {
 	case "baseline":

@@ -385,7 +385,7 @@ func TestRegexNegativeCaching(t *testing.T) {
 }
 
 func TestConfigByName(t *testing.T) {
-	for _, name := range ConfigNames {
+	for _, name := range []string{"baseline", "mitigated", "accelerated"} {
 		if _, err := ConfigByName(name); err != nil {
 			t.Errorf("ConfigByName(%q) = %v", name, err)
 		}

@@ -15,16 +15,16 @@
 //     accelerator state kept warm) and a measured phase; Pool.Run
 //     serves it — a serial run is a one-worker pool — producing a
 //     Result: simulated cycles/µops/energy, per-category cycle
-//     breakdown, hash-key statistics, wall latency quantiles
-//     (LatencyStatsFrom), and throughput.
+//     breakdown and hash-key statistics. Host time is not a Result
+//     field: it is measured over real sockets by benchmark/.
 //
 //   - Serving. Pool owns N Workers, each with a private vm.Runtime, and
 //     hands them out one goroutine at a time (Acquire/Release); Pool.Run
 //     statically partitions a measured run across workers so simulated
 //     metrics stay deterministic under concurrency. Fleet totals are
 //     produced by merging per-worker meters and traces (Pool.Snapshot,
-//     sim.Meter.Merge, trace.Recorder.Merge). Attaching an
-//     obs.Collector (SetCollector) makes served requests flow through
-//     the observability layer: sampled requests carry per-request
-//     category-attribution spans (Worker.ServePageSpanCtx).
+//     sim.Meter.Merge, trace.Recorder.Merge). A serving path that
+//     profiles a request (Worker.ServePageSpanCtx) gets back its
+//     category-attribution span tree; the server samples which requests
+//     are profiled and hands each span to its obs.Collector.
 package workload

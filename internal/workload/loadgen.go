@@ -56,9 +56,9 @@ func (k KeyStats) DynamicFrac() float64 {
 	return float64(k.DynamicKeys) / float64(k.TotalKeys)
 }
 
-// LatencyStats summarizes the per-request wall-clock latency distribution
-// of a measured run — the tail percentiles the serving literature reports
-// alongside throughput.
+// LatencyStats summarizes a per-request wall-clock latency distribution:
+// phpserve's /stats latency_*_us keys and its /metrics summary
+// quantiles, over the collector's bounded reservoir.
 type LatencyStats struct {
 	Count int
 	Mean  time.Duration
@@ -116,34 +116,6 @@ type Result struct {
 	// the merged meter — not derived from sampled spans).
 	Categories sim.CategoryVec
 	Keys       KeyStats
-	Wall       time.Duration
-	Latency    LatencyStats
-}
-
-// CyclesPerRequest returns the mean request cost.
-func (r Result) CyclesPerRequest() float64 {
-	if r.Requests == 0 {
-		return 0
-	}
-	return r.Cycles / float64(r.Requests)
-}
-
-// CategoryShare returns the fraction of total cycles attributed to c
-// (0 when the run recorded no cycles, never NaN).
-func (r Result) CategoryShare(c sim.Category) float64 {
-	if r.Cycles <= 0 {
-		return 0
-	}
-	return r.Categories[c] / r.Cycles
-}
-
-// Throughput returns measured requests per wall-clock second (0 when the
-// run recorded no wall time).
-func (r Result) Throughput() float64 {
-	if r.Wall <= 0 {
-		return 0
-	}
-	return float64(r.Requests) / r.Wall.Seconds()
 }
 
 func keyStatsFromTrace(rec *trace.Recorder) KeyStats {

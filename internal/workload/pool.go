@@ -22,12 +22,6 @@ import (
 	"repro/internal/vm"
 )
 
-// maxWorkerLatencies bounds each worker's latency slice; beyond it the
-// oldest half is discarded, same policy as the obs.Collector reservoir,
-// so a long-running serving frontend (which never resets its workers)
-// does not grow memory without bound.
-const maxWorkerLatencies = 1 << 14
-
 // Worker is one serving slot: a private runtime plus the app instance
 // bound to it. A worker must be owned by exactly one goroutine at a time;
 // ownership is transferred through Pool.Acquire/Release.
@@ -38,7 +32,6 @@ type Worker struct {
 
 	served    int
 	respBytes int64
-	latencies []time.Duration
 }
 
 // ID returns the worker's index in the pool.
@@ -52,8 +45,8 @@ func (w *Worker) Runtime() *vm.Runtime { return w.rt }
 // reset.
 func (w *Worker) Served() int { return w.served }
 
-// ServeOne renders the worker's next request, recording its wall-clock
-// latency and response size.
+// ServeOne renders the worker's next request, counting it and its
+// response size.
 func (w *Worker) ServeOne() []byte {
 	page, _ := w.serve(nil, -1, false)
 	return page
@@ -108,8 +101,8 @@ func (w *Worker) ContextSwitchEvery(n int) {
 }
 
 // serve runs one render — page through pa, or the app's next request
-// when pa is nil — measuring wall latency and (when profile is true)
-// building the span tree. The wall clock and the tree share one
+// when pa is nil — measuring its wall time for the span and (when
+// profile is true) building the span tree. The wall clock and the tree share one
 // starting instant, so the tree root's Dur can never exceed the span's
 // Wall — and for profiled requests the two are set equal exactly (the
 // invariant the /tracez exports rely on).
@@ -144,10 +137,6 @@ func (w *Worker) serve(pa PageApp, page int, profile bool) ([]byte, obs.Span) {
 		// to the same value so root Dur == span Wall exactly.
 		tree.Root.Dur = wall
 	}
-	if len(w.latencies) >= maxWorkerLatencies {
-		w.latencies = append(w.latencies[:0], w.latencies[len(w.latencies)/2:]...)
-	}
-	w.latencies = append(w.latencies, wall)
 	w.served++
 	w.respBytes += int64(len(body))
 	return body, sp
@@ -159,7 +148,6 @@ func (w *Worker) reset() {
 	w.rt.Trace().Reset()
 	w.served = 0
 	w.respBytes = 0
-	w.latencies = w.latencies[:0]
 }
 
 // Pool owns n independent workers and hands them out one goroutine at a
@@ -169,10 +157,9 @@ func (w *Worker) reset() {
 type Pool struct {
 	workers []*Worker
 	free    chan *Worker
-	col     *obs.Collector // optional observability sink for Run
 
 	// snapMu serializes whole-pool drains (Run, Snapshot, MergedMeter,
-	// GatherResult). Without it, two overlapping drains — e.g. a /metrics
+	// TierSnapshot). Without it, two overlapping drains — e.g. a /metrics
 	// scrape racing a /stats scrape — can each pull a subset of workers
 	// off the free list and block forever holding them, wedging the
 	// server. At most one goroutine may drain the free list at a time.
@@ -226,13 +213,6 @@ func (p *Pool) Size() int { return len(p.workers) }
 // value is a racy instantaneous reading, which is all a utilization
 // gauge needs.
 func (p *Pool) Idle() int { return len(p.free) }
-
-// SetCollector attaches an observability collector: measured requests
-// served by Run flow through it (every request feeds its counters and
-// latency histogram; sampled ones carry category-attribution spans).
-// Pass nil to detach. Serving frontends that call Acquire/ServeOne
-// directly (cmd/phpserve) drive their collector themselves.
-func (p *Pool) SetCollector(c *obs.Collector) { p.col = c }
 
 // Acquire blocks until a worker is free and transfers its ownership to
 // the caller. Pair with Release.
@@ -314,17 +294,9 @@ func (p *Pool) mergedTraceOwned(capacity int) *trace.Recorder {
 // requests are statically partitioned across workers and served on one
 // goroutine per worker, at most concurrency workers executing at once
 // (<=0 means all). The static partition keeps the simulated metrics
-// deterministic for a given pool regardless of scheduling.
+// deterministic for a given pool regardless of scheduling. The Result
+// aggregates the measured phase: served counts, merged meter and trace.
 func (p *Pool) Run(lg LoadGenerator, concurrency int) Result {
-	return p.RunCtx(context.Background(), lg, concurrency)
-}
-
-// RunCtx is Run with cancellation: once ctx is done, workers stop
-// issuing new requests (a request that has started always finishes),
-// the phases join, and the partial Result covering whatever was served
-// is returned. The pool is left in a consistent state, so a cancelled
-// run can still be followed by more serving.
-func (p *Pool) RunCtx(ctx context.Context, lg LoadGenerator, concurrency int) Result {
 	p.acquireAll()
 	defer p.releaseAll()
 
@@ -356,48 +328,24 @@ func (p *Pool) RunCtx(ctx context.Context, lg LoadGenerator, concurrency int) Re
 	// ContextSwitchEvery-th request of each phase ends with a switch.
 	runPhase(func(w *Worker, _ int) {
 		w.reset()
-		for i := 0; i < lg.Warmup && ctx.Err() == nil; i++ {
+		for i := 0; i < lg.Warmup; i++ {
 			w.ServeOne()
 			w.ContextSwitchEvery(lg.ContextSwitchEvery)
 		}
 		w.reset()
 	})
-
-	start := time.Now()
 	runPhase(func(w *Worker, count int) {
-		for i := 0; i < count && ctx.Err() == nil; i++ {
-			page, sp := w.serve(nil, -1, p.col != nil && p.col.ShouldSample())
-			if p.col != nil {
-				p.col.Observe(sp, len(page))
-			}
+		for i := 0; i < count; i++ {
+			w.ServeOne()
 			w.ContextSwitchEvery(lg.ContextSwitchEvery)
 		}
 	})
-	return p.gatherResultOwned(time.Since(start))
-}
 
-// GatherResult drains the pool (waiting for in-flight requests) and
-// aggregates the fleet-level Result accumulated since the workers were
-// last reset — served counts, latencies, merged meter and trace. It is
-// how serving paths that bypass Run (the serve.Scheduler) produce the
-// same Result shape Run returns; wall is the measurement wall time the
-// caller observed.
-func (p *Pool) GatherResult(wall time.Duration) Result {
-	p.acquireAll()
-	defer p.releaseAll()
-	return p.gatherResultOwned(wall)
-}
-
-// gatherResultOwned requires the caller to hold every worker.
-func (p *Pool) gatherResultOwned(wall time.Duration) Result {
-	res := Result{App: p.workers[0].app.Name(), Workers: len(p.workers), Wall: wall}
-	var lats []time.Duration
+	res := Result{App: p.workers[0].app.Name(), Workers: n}
 	for _, w := range p.workers {
 		res.Requests += w.served
 		res.ResponseBytes += w.respBytes
-		lats = append(lats, w.latencies...)
 	}
-	res.Latency = LatencyStatsFrom(lats)
 	mt := p.mergedMeterOwned()
 	res.Cycles = mt.TotalCycles()
 	res.Uops = mt.TotalUops()
