@@ -149,13 +149,13 @@ func BenchmarkScriptedPHP(b *testing.B) {
 	run := func(b *testing.B, feats isa.Features) {
 		rt := vm.New(vm.Config{Features: feats, Mitigations: sim.AllMitigations(), TraceCapacity: -1})
 		app := workload.NewBlogScript()
-		for i := 0; i < 10; i++ {
-			app.ServeRequest(rt)
+		for page := 1; page <= 10; page++ {
+			app.ServePage(rt, page)
 		}
 		rt.Meter().Reset()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			app.ServeRequest(rt)
+			app.ServePage(rt, 11+i)
 		}
 		b.ReportMetric(rt.Meter().TotalCycles()/float64(b.N), "simcycles/req")
 	}

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/serve"
 	"repro/internal/workload"
@@ -45,8 +46,9 @@ type statsResponse struct {
 	ResponseBytes      int64              `json:"response_bytes"`
 	RequestsPerSec     float64            `json:"requests_per_sec"`
 	LatencyP50Us       int64              `json:"latency_p50_us"`
+	LatencyP95Us       int64              `json:"latency_p95_us"`
 	LatencyP99Us       int64              `json:"latency_p99_us"`
-	LatencyMaxUs       int64              `json:"latency_max_us"`
+	LatencyMeanUs      int64              `json:"latency_mean_us"`
 	SimCycles          float64            `json:"sim_cycles"`
 	CyclesPerRequest   float64            `json:"cycles_per_request"`
 	SimCategoryCycles  map[string]float64 `json:"sim_category_cycles"`
@@ -147,8 +149,8 @@ func TestServeConcurrentRequests(t *testing.T) {
 	if st.SimCycles <= 0 || st.CyclesPerRequest <= 0 {
 		t.Errorf("no simulated cost recorded: %+v", st)
 	}
-	if st.LatencyP50Us <= 0 || st.LatencyP50Us > st.LatencyP99Us || st.LatencyP99Us > st.LatencyMaxUs {
-		t.Errorf("latency percentiles out of order: %+v", st)
+	if st.LatencyP50Us <= 0 || st.LatencyP50Us > st.LatencyP95Us || st.LatencyP95Us > st.LatencyP99Us || st.LatencyMeanUs <= 0 {
+		t.Errorf("latency estimates out of order: %+v", st)
 	}
 	if st.ResponseBytes <= 0 {
 		t.Errorf("no response bytes counted")
@@ -278,7 +280,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`phpserve_sim_cycles_total{category="regex"}`,
 		`phpserve_request_latency_seconds_bucket{le="+Inf"} 6`,
 		`phpserve_request_latency_seconds_count 6`,
-		`phpserve_request_latency_summary_seconds{quantile="0.5"}`,
 		`phpserve_workers 2`,
 		`phpserve_hashtable_hit_ratio`,
 		`phpserve_hashmap_rebuilds_total`,
@@ -313,6 +314,16 @@ func TestMetricsEndpoint(t *testing.T) {
 	// Per-category cycle counters from /metrics must agree with /stats.
 	if !strings.Contains(text, "phpserve_sim_uops_total") {
 		t.Errorf("missing uops counter")
+	}
+
+	// The histogram is the one latency record: it counts every request.
+	fams, err := obs.ParsePromText(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if count, requests := obs.FindFamily(fams, "phpserve_request_latency_seconds").Histogram().Count,
+		obs.FindFamily(fams, "phpserve_requests_total").Sum(); float64(count) != requests || requests != 6 {
+		t.Errorf("phpserve_request_latency_seconds_count %d, phpserve_requests_total %g: want both 6", count, requests)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -154,6 +155,7 @@ func testRenderPath(t *testing.T, cached, sampled, paged bool) {
 	}
 	for i, q := range queries {
 		rid := fmt.Sprintf("render-%d", i)
+		sumBefore := col.Snapshot().Latency.Sum
 		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/"+q, nil)
 		req.Header.Set(obs.HeaderRequestID, rid)
 		resp, err := http.DefaultClient.Do(req)
@@ -198,12 +200,12 @@ func testRenderPath(t *testing.T, cached, sampled, paged bool) {
 			}
 			continue
 		}
-		lats := col.Snapshot().Latencies
 		if len(trees) != 1 || trees[0].ID != rid {
 			t.Fatalf("request %d: newest retained tree is not this request's: %+v", i, trees)
 		}
-		if wall := lats[len(lats)-1]; trees[0].Root.Dur != wall {
-			t.Errorf("request %d: tree root Dur %v != observed Wall %v", i, trees[0].Root.Dur, wall)
+		// The histogram's Sum grew by exactly this request's observed wall.
+		if wall := col.Snapshot().Latency.Sum - sumBefore; math.Abs(trees[0].Root.Dur.Seconds()-wall) > 1e-9 {
+			t.Errorf("request %d: tree root Dur %v != observed Wall %.9fs", i, trees[0].Root.Dur, wall)
 		}
 		wantLeaf := "render"
 		if outcome == cache.Hit {

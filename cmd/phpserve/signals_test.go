@@ -12,7 +12,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -154,9 +153,9 @@ func TestSignalsDoc(t *testing.T) {
 
 	sigs := signalsOf(reflect.TypeOf(serve.ServerStats{}), "", true, nil)
 	keys := map[string][]string{} // family -> /stats keys of its fields
-	// declared holds /stats keys and families alike; the summary is the
-	// one hand-written family.
-	declared := map[string]bool{"phpserve_request_latency_summary_seconds": true}
+	// declared holds /stats keys and families alike, every one of them
+	// from a tagged field: a hand-written family fails below.
+	declared := map[string]bool{}
 	for _, s := range sigs {
 		if s.family != "" && obs.FindFamily(fams, s.family) == nil {
 			t.Errorf("family %s is tagged on %s and absent from /metrics", s.family, s.f.Name)
@@ -253,44 +252,5 @@ func checkDocBlock(t *testing.T, name, want string) {
 	}
 	if got != want {
 		t.Errorf("docs/OPERATIONS.md: the signals:%s block is not what the server exposes; it should read:\n%s%s%s", name, begin, want, end)
-	}
-}
-
-// TestSummaryCountersMonotonic: the latency summary's _sum and _count
-// are counters — they must not go backwards when the quantile reservoir
-// halves itself at 65,536 entries, and _count is the request count.
-func TestSummaryCountersMonotonic(t *testing.T) {
-	s := testServer(t, 1, 0, 0, nil)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	read := func() (count, sum, requests float64) {
-		fams, err := obs.ParsePromText(strings.NewReader(scrape(t, ts.URL, "/metrics")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, smp := range obs.FindFamily(fams, "phpserve_request_latency_summary_seconds").Samples {
-			switch smp.Name {
-			case "phpserve_request_latency_summary_seconds_count":
-				count = smp.Value
-			case "phpserve_request_latency_summary_seconds_sum":
-				sum = smp.Value
-			}
-		}
-		return count, sum, obs.FindFamily(fams, "phpserve_requests_total").Sum()
-	}
-	observe := func(n int) {
-		for i := 0; i < n; i++ {
-			s.Col.ObserveHTTP(obs.Span{Wall: time.Millisecond}, 0, obs.RequestMeta{})
-		}
-	}
-	observe(1<<16 - 1)
-	count0, sum0, requests0 := read()
-	observe(10) // crosses the reservoir's trim
-	count1, sum1, requests1 := read()
-	if count0 != requests0 || count1 != requests1 || requests1 != 1<<16+9 {
-		t.Errorf("_count %g then %g against phpserve_requests_total %g then %g: want them equal, ending at %d", count0, count1, requests0, requests1, 1<<16+9)
-	}
-	if count1 < count0 || sum1 < sum0 {
-		t.Errorf("summary went backwards across the reservoir trim: _count %g -> %g, _sum %g -> %g", count0, count1, sum0, sum1)
 	}
 }

@@ -18,13 +18,11 @@ func main() {
 	run := func(feats isa.Features) (*vm.Runtime, []byte) {
 		rt := vm.New(vm.Config{Features: feats, Mitigations: sim.AllMitigations(), TraceCapacity: -1})
 		app := workload.NewBlogScript()
-		var page []byte
-		for i := 0; i < 12; i++ { // warm the hardware structures
-			page = app.ServeRequest(rt)
+		for page := 1; page <= 12; page++ { // warm the hardware structures
+			app.ServePage(rt, page)
 		}
 		rt.Meter().Reset()
-		page = app.ServeRequest(rt)
-		return rt, page
+		return rt, app.ServePage(rt, 13)
 	}
 
 	swRT, swPage := run(isa.Features{})

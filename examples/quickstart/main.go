@@ -21,9 +21,9 @@ func main() {
 		Mitigations: sim.AllMitigations(),
 	})
 
-	// Serve a WordPress-like page.
+	// Serve a WordPress-like page: the blog's first page.
 	app := workload.NewWordPress(42)
-	page := app.ServeRequest(rt)
+	page := app.ServePage(rt, 1)
 	fmt.Printf("rendered %d bytes of HTML\n\n", len(page))
 	fmt.Printf("first 160 bytes: %.160s...\n\n", page)
 

@@ -6,15 +6,11 @@ import (
 	"time"
 )
 
-// maxRetainedLatencies bounds the collector's latency reservoir; beyond
-// it the oldest half is discarded so quantiles track recent traffic.
-const maxRetainedLatencies = 1 << 16
-
 // Collector is the serving stack's aggregation point. Every request
-// flows through Observe, which assigns the request sequence number,
-// updates the counters and the latency histogram, and retains the
-// latency in a bounded reservoir for quantile reporting; sampled spans
-// are additionally written to the access log. Safe for concurrent use.
+// flows through ObserveHTTP, which assigns the request sequence number
+// and updates the counters and the latency histogram — the one latency
+// record, which /stats and /metrics both read; sampled spans are
+// additionally written to the access log. Safe for concurrent use.
 type Collector struct {
 	sampler *Sampler
 	log     *AccessLog // nil when access logging is disabled
@@ -25,7 +21,6 @@ type Collector struct {
 	respBytes int64
 	sampled   int64
 	hist      *Histogram
-	latencies []time.Duration
 }
 
 // NewCollector builds a collector sampling spans at rate (0 disables
@@ -102,8 +97,8 @@ type RequestMeta struct {
 }
 
 // ObserveHTTP records one served request: it assigns the span's request
-// sequence number, bumps the fleet counters, feeds the latency histogram
-// and reservoir, stamps the span's tree (if any) with the request number
+// sequence number, bumps the fleet counters, feeds the latency
+// histogram, stamps the span's tree (if any) with the request number
 // and retains it in the tree ring, and writes sampled spans with meta to
 // the access log. The completed span is returned.
 func (c *Collector) ObserveHTTP(sp Span, respBytes int, meta RequestMeta) Span {
@@ -115,10 +110,6 @@ func (c *Collector) ObserveHTTP(sp Span, respBytes int, meta RequestMeta) Span {
 		c.sampled++
 	}
 	c.hist.Observe(sp.Wall.Seconds())
-	if len(c.latencies) >= maxRetainedLatencies {
-		c.latencies = append(c.latencies[:0], c.latencies[len(c.latencies)/2:]...)
-	}
-	c.latencies = append(c.latencies, sp.Wall)
 	c.mu.Unlock()
 
 	if sp.Tree != nil {
@@ -151,13 +142,9 @@ type Snapshot struct {
 	ResponseBytes int64             `json:"response_bytes" prom:"response_bytes_total,counter,base" help:"Response body bytes written since startup."`
 	SampledSpans  int64             `json:"sampled_spans" prom:"sampled_spans_total,counter,base" help:"Requests that carried a per-request attribution span."`
 	Latency       HistogramSnapshot `json:"-" prom:"request_latency_seconds,histogram" help:"Request wall latency, queueing included."`
-	// Latencies is a copy of the bounded recent-latency reservoir, for
-	// quantile computation (workload.LatencyStatsFrom).
-	Latencies []time.Duration `json:"-"`
 }
 
-// Snapshot returns a consistent copy of the counters, histogram, and
-// latency reservoir.
+// Snapshot returns a consistent copy of the counters and histogram.
 func (c *Collector) Snapshot() Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -166,6 +153,5 @@ func (c *Collector) Snapshot() Snapshot {
 		ResponseBytes: c.respBytes,
 		SampledSpans:  c.sampled,
 		Latency:       c.hist.Snapshot(),
-		Latencies:     append([]time.Duration(nil), c.latencies...),
 	}
 }

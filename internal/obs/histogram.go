@@ -56,9 +56,9 @@ type HistogramSnapshot struct {
 // bucket counts by linear interpolation within the containing bucket,
 // the standard Prometheus histogram_quantile estimate. Observations in
 // the +Inf bucket clamp to the highest finite bound (there is no upper
-// edge to interpolate toward), and an empty snapshot returns 0. It lets
-// a scraper report latency quantiles for a merged fleet histogram,
-// where no per-observation reservoir exists.
+// edge to interpolate toward), and an empty snapshot returns 0. It is
+// how every latency quantile is reported, for one server's histogram
+// and for a merged fleet's alike.
 func (s HistogramSnapshot) Quantile(q float64) float64 {
 	if s.Count == 0 || len(s.Bounds) == 0 {
 		return 0

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -127,8 +128,8 @@ func TestCollectorObserve(t *testing.T) {
 	if snap.Latency.Count != 2 {
 		t.Errorf("histogram count = %d", snap.Latency.Count)
 	}
-	if len(snap.Latencies) != 2 {
-		t.Errorf("reservoir = %v", snap.Latencies)
+	if got := snap.Latency.Sum; math.Abs(got-0.003) > 1e-12 {
+		t.Errorf("histogram sum = %v, want the two walls' 3ms", got)
 	}
 
 	var e logEntry
@@ -143,24 +144,6 @@ func TestCollectorObserve(t *testing.T) {
 	}
 	if _, ok := e.Breakdown["heap"]; ok {
 		t.Errorf("zero categories should be omitted: %v", e.Breakdown)
-	}
-}
-
-func TestCollectorReservoirBounded(t *testing.T) {
-	c := NewCollector(0, nil, nil)
-	for i := 0; i < maxRetainedLatencies+100; i++ {
-		c.ObserveHTTP(Span{Wall: time.Microsecond}, 1, RequestMeta{})
-	}
-	snap := c.Snapshot()
-	if len(snap.Latencies) > maxRetainedLatencies {
-		t.Errorf("reservoir grew past cap: %d", len(snap.Latencies))
-	}
-	if snap.Requests != maxRetainedLatencies+100 {
-		t.Errorf("requests = %d", snap.Requests)
-	}
-	// The histogram keeps exact totals even after reservoir halving.
-	if snap.Latency.Count != maxRetainedLatencies+100 {
-		t.Errorf("histogram count = %d", snap.Latency.Count)
 	}
 }
 

@@ -15,19 +15,13 @@ type Label struct {
 	Value string
 }
 
-// Quantile is one φ-quantile of a summary metric.
-type Quantile struct {
-	Q     float64 // e.g. 0.5, 0.95, 0.99
-	Value float64
-}
-
 // Encoder writes metric families in the Prometheus text exposition
 // format (version 0.0.4): a # HELP and # TYPE header per family followed
-// by one line per series. Counters and gauges are written by Struct,
-// from tagged fields; Histogram and Summary are its siblings. The format
-// allows one TYPE line per family, so consecutive writes of the same
-// family name (one Histogram call per labelled series, say) share the
-// first one's header. Errors are sticky; check Err once at the end.
+// by one line per series. Struct writes every family from tagged
+// fields, counters and gauges directly and histograms through
+// Histogram. The format allows one TYPE line per family, so consecutive
+// writes of the same family name (one Histogram call per labelled
+// series, say) share the first one's header. Errors are sticky; check Err once at the end.
 //
 // The encoder is deliberately snapshot-oriented: the serving layer keeps
 // plain counters and histograms on the hot path and renders them here
@@ -192,16 +186,4 @@ func (e *Encoder) Histogram(name, help string, labels []Label, s HistogramSnapsh
 	e.series(name+"_bucket", e.derived(labels, "le", "+Inf"), float64(s.Count))
 	e.series(name+"_sum", labels, s.Sum)
 	e.series(name+"_count", labels, float64(s.Count))
-}
-
-// Summary writes one summary family: name{quantile="..."} lines followed
-// by name_sum and name_count. Used for the pool's precomputed
-// p50/p95/p99 latency quantiles.
-func (e *Encoder) Summary(name, help string, labels []Label, quantiles []Quantile, sum float64, count uint64) {
-	e.header(name, help, "summary")
-	for _, q := range quantiles {
-		e.series(name, e.derived(labels, "quantile", formatValue(q.Q)), q.Value)
-	}
-	e.series(name+"_sum", labels, sum)
-	e.series(name+"_count", labels, float64(count))
 }

@@ -191,25 +191,3 @@ func TestEncoderZeroSampleSeries(t *testing.T) {
 		}
 	}
 }
-
-func TestEncoderSummary(t *testing.T) {
-	var b strings.Builder
-	e := NewEncoder(&b)
-	e.Summary("lat", "Quantiles.", nil,
-		[]Quantile{{Q: 0.5, Value: 0.01}, {Q: 0.99, Value: 0.2}}, 1.5, 30)
-	if err := e.Err(); err != nil {
-		t.Fatal(err)
-	}
-	got := b.String()
-	for _, w := range []string{
-		"# TYPE lat summary",
-		`lat{quantile="0.5"} 0.01`,
-		`lat{quantile="0.99"} 0.2`,
-		"lat_sum 1.5",
-		"lat_count 30",
-	} {
-		if !strings.Contains(got, w) {
-			t.Errorf("summary missing %q:\n%s", w, got)
-		}
-	}
-}

@@ -72,7 +72,7 @@ func expand(out []labelled, v reflect.Value, labels []Label) []labelled {
 		out = append(out, labelled{v, labels})
 	case reflect.Slice:
 		if k := v.Type().Elem().Kind(); k != reflect.Struct && k != reflect.Pointer {
-			break // a latency reservoir, a histogram's bounds: nothing to find
+			break // a histogram's bounds: nothing to find
 		}
 		for i := 0; i < v.Len(); i++ {
 			out = expand(out, v.Index(i), labels)

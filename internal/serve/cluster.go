@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/sim"
@@ -165,15 +164,13 @@ type BackendClusterStats struct {
 	// Pages is how many distinct pages the ring assigned this backend
 	// during the run.
 	Pages int
-	// Load is the backend's stream as its client saw it (Wall covers
-	// only this stream).
+	// Load is the backend's stream as its client saw it.
 	Load LoadStats
 }
 
 // ClusterStats aggregates a RunZipf across backends.
 type ClusterStats struct {
-	// Aggregate sums outcome counts across backends; its Wall is the
-	// whole run's span.
+	// Aggregate sums outcome counts across backends.
 	Aggregate LoadStats
 	// PerBackend holds each backend's own view, index == backend id.
 	PerBackend []BackendClusterStats
@@ -211,7 +208,6 @@ func (l *Loopback) RunZipf(ctx context.Context, requests int) (ClusterStats, err
 
 	stats := ClusterStats{PerBackend: make([]BackendClusterStats, n)}
 	errs := make([]error, n)
-	start := time.Now()
 	var wg sync.WaitGroup
 	for i := range streams {
 		wg.Add(1)
@@ -237,7 +233,6 @@ func (l *Loopback) RunZipf(ctx context.Context, requests int) (ClusterStats, err
 		agg.CacheMisses += pb.Load.CacheMisses
 		agg.CacheCoalesced += pb.Load.CacheCoalesced
 	}
-	agg.Wall = time.Since(start)
 	return stats, nil
 }
 
@@ -245,7 +240,6 @@ func (l *Loopback) RunZipf(ctx context.Context, requests int) (ClusterStats, err
 // page in order, the answer counted by its status and X-Cache header.
 func (l *Loopback) stream(ctx context.Context, client *hop, pages []int) (LoadStats, error) {
 	var ls LoadStats
-	start := time.Now()
 	for _, page := range pages {
 		if ctx.Err() != nil {
 			break
@@ -285,7 +279,6 @@ func (l *Loopback) stream(ctx context.Context, client *hop, pages []int) (LoadSt
 			return ls, fmt.Errorf("serve: page %d: status %s", page, resp.Status)
 		}
 	}
-	ls.Wall = time.Since(start)
 	return ls, nil
 }
 

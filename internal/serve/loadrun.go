@@ -21,16 +21,14 @@ type LoadOptions struct {
 	// measurable on purpose.
 	Clients int
 	// Cache and Stall are every request's Request.Cache and
-	// Request.Stall. A Cache requires PageKey and a pool whose workload
-	// has page identity.
+	// Request.Stall. A Cache requires PageKey.
 	Cache *cache.Cache
 	Stall time.Duration
 	// PageKey draws the next request's page index (e.g. ZipfKeys.Next);
 	// it is what gives requests their popularity distribution. With a
 	// Cache it also names the cache key; without one, each render still
-	// goes through the drawn page's identity (requires a PageApp pool) —
-	// the uncached page-keyed traffic shape the scripted tier scenarios
-	// use.
+	// renders the drawn page — the uncached page-keyed traffic shape the
+	// scripted tier scenarios use.
 	PageKey func() int
 }
 
@@ -47,8 +45,6 @@ type LoadStats struct {
 	ShedDeadline int
 	ShedCanceled int
 	ShedDraining int
-	// Wall is the run's wall-clock duration.
-	Wall time.Duration
 
 	// CacheHits, CacheMisses, CacheCoalesced partition served requests
 	// by cache outcome (all zero when the run had no cache).
@@ -86,7 +82,6 @@ func RunLoad(ctx context.Context, s *Scheduler, opts LoadOptions) LoadStats {
 	var ls LoadStats
 	var outcomes [numOutcomes]int
 
-	start := time.Now()
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
@@ -120,7 +115,6 @@ func RunLoad(ctx context.Context, s *Scheduler, opts LoadOptions) LoadStats {
 		}()
 	}
 	wg.Wait()
-	ls.Wall = time.Since(start)
 	ls.Served = outcomes[OutcomeServed]
 	ls.ShedOverload = outcomes[OutcomeOverload]
 	ls.ShedDeadline = outcomes[OutcomeDeadline]

@@ -17,9 +17,8 @@ import (
 // it — Server's render handler and RunLoad's closed-loop clients.
 type Request struct {
 	// Page is the page identity to render; negative means the next
-	// request of whichever worker picks it up (the worker's own
-	// sequence). A non-negative page needs a workload with page
-	// identity.
+	// page of whichever worker picks it up (the worker's own
+	// sequence).
 	Page int
 	// Profile builds a span tree around the render (or, for a cache
 	// hit, the synthetic cache_hit tree carrying the lookup cost).

@@ -171,9 +171,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	var pageKeys *workload.ZipfKeys
 	if cfg.CacheCapacity > 0 {
-		if !pool.SupportsPages() {
-			return nil, fmt.Errorf("phpserve: -cache requires a workload with page identity; %s has none", cfg.App)
-		}
 		if pageKeys, err = workload.NewZipfKeys(cfg.Seed, cfg.ZipfS, cfg.Pages); err != nil {
 			return nil, err
 		}
@@ -427,9 +424,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // of it (prefix phpserve_, base labels app and config), and the signals
 // table in docs/OPERATIONS.md is rendered from the tags. Embedded
 // library snapshots carry their own tags; nil pointers and nil vectors
-// are the "absent without a cache / tree ring / tier" rule. Latencies
-// are in microseconds on /stats; simulated totals cover the whole fleet
-// since warm-up.
+// are the "absent without a cache / tree ring / tier" rule. The
+// latency_*_us keys are the latency histogram's estimates in
+// microseconds; simulated totals cover the whole fleet since warm-up.
 type ServerStats struct {
 	App         string `json:"app" help:"The -app the server was started with."`
 	Config      string `json:"config" help:"The -config the server was started with."`
@@ -445,14 +442,10 @@ type ServerStats struct {
 	QueueLimit int    `json:"queue_limit" prom:"queue_limit,gauge" help:"Admission queue capacity beyond the worker count (-queue)."`
 	Stats
 
-	// lat summarizes the bounded reservoir: the latency_*_us keys here,
-	// the quantiles of the hand-written summary on /metrics.
-	lat           workload.LatencyStats
-	LatencyP50Us  int64 `json:"latency_p50_us" help:"Nearest-rank p50 wall latency over the bounded reservoir of recent requests, microseconds."`
-	LatencyP95Us  int64 `json:"latency_p95_us" help:"Same reservoir, p95."`
-	LatencyP99Us  int64 `json:"latency_p99_us" help:"Same reservoir, p99."`
-	LatencyMaxUs  int64 `json:"latency_max_us" help:"Same reservoir, maximum."`
-	LatencyMeanUs int64 `json:"latency_mean_us" help:"Same reservoir, mean."`
+	LatencyP50Us  int64 `json:"latency_p50_us" help:"Request wall latency p50 since start, microseconds: a bucket estimate from the request_latency_seconds histogram."`
+	LatencyP95Us  int64 `json:"latency_p95_us" help:"Same histogram since start, p95 bucket estimate."`
+	LatencyP99Us  int64 `json:"latency_p99_us" help:"Same histogram since start, p99 bucket estimate."`
+	LatencyMeanUs int64 `json:"latency_mean_us" help:"Same histogram since start, mean (its sum / count, exact)."`
 
 	SimCycles         float64 `json:"sim_cycles" help:"Total simulated cycles, all workers merged (cache lookup charges included)."`
 	SimUops           float64 `json:"sim_uops" prom:"sim_uops_total,counter" help:"Simulated micro-ops executed on the general-purpose cores."`
@@ -528,12 +521,11 @@ func (s *Server) snapshot() (*ServerStats, *sim.Meter) {
 		cs := s.Cache.Stats()
 		st.Cache = &cs
 	}
-	st.lat = workload.LatencyStatsFrom(st.Latencies)
-	st.LatencyP50Us = st.lat.P50.Microseconds()
-	st.LatencyP95Us = st.lat.P95.Microseconds()
-	st.LatencyP99Us = st.lat.P99.Microseconds()
-	st.LatencyMaxUs = st.lat.Max.Microseconds()
-	st.LatencyMeanUs = st.lat.Mean.Microseconds()
+	us := func(sec float64) int64 { return int64(1e6 * sec) }
+	st.LatencyP50Us = us(st.Latency.Quantile(0.5))
+	st.LatencyP95Us = us(st.Latency.Quantile(0.95))
+	st.LatencyP99Us = us(st.Latency.Quantile(0.99))
+	st.LatencyMeanUs = us(obs.Finite(st.Latency.Sum / float64(st.Latency.Count)))
 	st.RequestsPerSec = obs.Finite(float64(st.Requests) / st.UptimeSec)
 
 	cats := ps.Meter.CategoryCyclesVec()
@@ -566,11 +558,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleMetrics renders the Prometheus text-format exposition: the
-// snapshot with its scrape window rotated and the tier plane read, plus
-// the one family no field can carry — the reservoir's quantiles, as a
-// summary whose _sum and _count are the latency histogram's (exact
-// since start; the reservoir halves itself, and a summary's are
-// counters).
+// snapshot with its scrape window rotated and the tier plane read.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	st, mt := s.snapshot()
 	st.Window = s.scrapeWindow(mt, st.Requests)
@@ -582,15 +570,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	e := obs.NewEncoder(w)
 	e.Struct("phpserve_", []obs.Label{{Name: "app", Value: s.cfg.App}, {Name: "config", Value: s.cfg.Core}}, st)
-	e.Summary("phpserve_request_latency_summary_seconds",
-		"Recent-request latency quantiles from the bounded reservoir.",
-		nil,
-		[]obs.Quantile{
-			{Q: 0.5, Value: st.lat.P50.Seconds()},
-			{Q: 0.95, Value: st.lat.P95.Seconds()},
-			{Q: 0.99, Value: st.lat.P99.Seconds()},
-		},
-		st.Latency.Sum, st.Latency.Count)
 	if err := e.Err(); err != nil {
 		fmt.Fprintf(os.Stderr, "phpserve: metrics write: %v\n", err)
 	}

@@ -8,8 +8,12 @@ import (
 	"repro/internal/vm"
 )
 
-// App is a synthetic web application: a deterministic request generator
-// over a vm.Runtime.
+// App is a synthetic web application: a deterministic page renderer
+// over a vm.Runtime. ServePage renders the page with the given index,
+// and the same (corpus seed, page) pair always produces the same bytes
+// regardless of request history — the identity a response cache keys
+// on. An app keeps no request sequence: the serving Worker owns it and
+// draws the next page from its own counter.
 //
 // Memory ownership: the returned body is backed by memory the app and
 // its runtime recycle between requests (the reusable output buffer and
@@ -20,19 +24,6 @@ import (
 type App interface {
 	// Name returns the workload name (wordpress, drupal, mediawiki, ...).
 	Name() string
-	// ServeRequest renders one page and returns the response body.
-	ServeRequest(rt *vm.Runtime) []byte
-}
-
-// PageApp is an App whose requests have page identity: ServePage renders
-// the page with the given index, and the same (corpus seed, page) pair
-// always produces the same bytes regardless of request history. That
-// stable identity is what makes a response cache key meaningful —
-// ServeRequest is exactly ServePage over an internally advancing page
-// sequence. Every built-in workload implements it. The App ownership
-// contract applies: the returned bytes are recycled by the next render.
-type PageApp interface {
-	App
 	// ServePage renders the page with the given index.
 	ServePage(rt *vm.Runtime, page int) []byte
 }
@@ -63,7 +54,6 @@ type appBase struct {
 	p      params
 	corpus *Corpus
 	cat    *catalog
-	reqSeq int
 
 	dbCache *hashmap.Map // persistent metadata cache (the "database")
 
@@ -96,26 +86,13 @@ func fig11Chain() []vm.ChainStep {
 	}
 }
 
-// ServeRequest renders the next page in the app's request sequence.
-func (a *appBase) ServeRequest(rt *vm.Runtime) []byte {
-	a.reqSeq++
-	return a.renderPage(rt, a.reqSeq)
-}
-
-// ServePage renders the page with the given index, independent of the
-// request sequence: the same (corpus seed, page) pair yields the same
-// bytes on any worker with the same seed, which is the identity the
-// response cache keys on.
+// ServePage is the shared request flow: everything that varies per
+// request derives from the page index, so the same (corpus seed, page)
+// pair yields the same bytes on any worker with the same seed, which is
+// the identity the response cache keys on. The returned bytes alias the
+// app's reusable output buffer and are valid only until the next render
+// (see the App contract).
 func (a *appBase) ServePage(rt *vm.Runtime, page int) []byte {
-	return a.renderPage(rt, page)
-}
-
-// renderPage is the shared request flow: every place the legacy path
-// used the advancing reqSeq now derives from the explicit page index, so
-// ServeRequest(n-th call) and ServePage(n) are bit-for-bit identical.
-// The returned bytes alias the app's reusable output buffer and are
-// valid only until the next render (see the App contract).
-func (a *appBase) renderPage(rt *vm.Runtime, page int) []byte {
 	rt.BeginRequest()
 	if a.renderFn == "" {
 		a.renderFn = a.p.prefix + "render_page"

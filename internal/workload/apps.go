@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/hashmap"
 	"repro/internal/sim"
@@ -71,18 +70,9 @@ type drupalApp struct {
 	appBase
 }
 
-func (d *drupalApp) ServeRequest(rt *vm.Runtime) []byte {
-	d.reqSeq++
-	return d.renderDrupalPage(rt, d.reqSeq)
-}
-
-// ServePage renders the Drupal page with the given index (see PageApp).
+// ServePage renders the Drupal page with the given index.
 func (d *drupalApp) ServePage(rt *vm.Runtime, page int) []byte {
-	return d.renderDrupalPage(rt, page)
-}
-
-func (d *drupalApp) renderDrupalPage(rt *vm.Runtime, page int) []byte {
-	out := d.renderPage(rt, page)
+	out := d.appBase.ServePage(rt, page)
 	// Entity field lookups: short-lived maps with dynamic keys.
 	fn := "drupal_entity_field_get"
 	ent := rt.NewArray(fn)
@@ -129,18 +119,9 @@ type mediaWikiApp struct {
 	appBase
 }
 
-func (m *mediaWikiApp) ServeRequest(rt *vm.Runtime) []byte {
-	m.reqSeq++
-	return m.renderWikiPage(rt, m.reqSeq)
-}
-
-// ServePage renders the MediaWiki page with the given index (see PageApp).
+// ServePage renders the MediaWiki page with the given index.
 func (m *mediaWikiApp) ServePage(rt *vm.Runtime, page int) []byte {
-	return m.renderWikiPage(rt, page)
-}
-
-func (m *mediaWikiApp) renderWikiPage(rt *vm.Runtime, page int) []byte {
-	out := m.renderPage(rt, page)
+	out := m.appBase.ServePage(rt, page)
 	// Wikitext parsing: sieve over the article, then shadow scans for
 	// link and entity patterns.
 	fn := "wfParseWikitext"
@@ -165,7 +146,6 @@ func (m *mediaWikiApp) renderWikiPage(rt *vm.Runtime, page int) []byte {
 type specWebApp struct {
 	name   string
 	corpus *Corpus
-	seq    atomic.Int64
 }
 
 // NewSPECWebBanking builds the SPECWeb2005 banking workload.
@@ -190,12 +170,7 @@ var swTailFns = func() []string {
 	return fns
 }()
 
-func (s *specWebApp) ServeRequest(rt *vm.Runtime) []byte {
-	return s.ServePage(rt, int(s.seq.Add(1)))
-}
-
-// ServePage renders the SPECWeb response for the given page index (see
-// PageApp).
+// ServePage renders the SPECWeb response for the given page index.
 func (s *specWebApp) ServePage(rt *vm.Runtime, page int) []byte {
 	rt.BeginRequest()
 	ob := rt.NewOutputBuffer("specweb_render")

@@ -75,18 +75,9 @@ type symfonyApp struct {
 	appBase
 }
 
-func (s *symfonyApp) ServeRequest(rt *vm.Runtime) []byte {
-	s.reqSeq++
-	return s.renderSymfonyPage(rt, s.reqSeq)
-}
-
-// ServePage renders the Symfony page with the given index (see PageApp).
+// ServePage renders the Symfony page with the given index.
 func (s *symfonyApp) ServePage(rt *vm.Runtime, page int) []byte {
-	return s.renderSymfonyPage(rt, page)
-}
-
-func (s *symfonyApp) renderSymfonyPage(rt *vm.Runtime, page int) []byte {
-	out := s.renderPage(rt, page)
+	out := s.appBase.ServePage(rt, page)
 	// Service container: dynamic-key service id lookups against the
 	// persistent cache (the container is built once per worker).
 	for i := 0; i < 25; i++ {

@@ -1,12 +1,6 @@
 package workload
 
-import (
-	"sort"
-	"time"
-
-	"repro/internal/sim"
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // LoadGenerator is a run the way the oss-performance suite's generator
 // drives one (§5.1): a fixed warmup phase whose costs are discarded,
@@ -56,66 +50,14 @@ func (k KeyStats) DynamicFrac() float64 {
 	return float64(k.DynamicKeys) / float64(k.TotalKeys)
 }
 
-// LatencyStats summarizes a per-request wall-clock latency distribution:
-// phpserve's /stats latency_*_us keys and its /metrics summary
-// quantiles, over the collector's bounded reservoir.
-type LatencyStats struct {
-	Count int
-	Mean  time.Duration
-	P50   time.Duration
-	P95   time.Duration
-	P99   time.Duration
-	Max   time.Duration
-}
-
-// LatencyStatsFrom computes the distribution summary over per-request
-// wall latencies. The input is not modified.
-func LatencyStatsFrom(d []time.Duration) LatencyStats {
-	if len(d) == 0 {
-		return LatencyStats{}
-	}
-	s := append([]time.Duration(nil), d...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	pct := func(q float64) time.Duration {
-		// Nearest-rank percentile: the smallest value with at least q of
-		// the distribution at or below it.
-		idx := int(q*float64(len(s))+0.9999999) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(s) {
-			idx = len(s) - 1
-		}
-		return s[idx]
-	}
-	var sum time.Duration
-	for _, v := range s {
-		sum += v
-	}
-	return LatencyStats{
-		Count: len(s),
-		Mean:  sum / time.Duration(len(s)),
-		P50:   pct(0.50),
-		P95:   pct(0.95),
-		P99:   pct(0.99),
-		Max:   s[len(s)-1],
-	}
-}
-
 // Result is one measured load-generation run: Pool.Run's fleet-level
 // aggregate across all workers.
 type Result struct {
-	App           string
 	Requests      int
-	Workers       int
 	ResponseBytes int64
 	Cycles        float64
-	Uops          float64
 	EnergyPJ      float64
-	// Categories breaks Cycles down by activity category (exact, from
-	// the merged meter — not derived from sampled spans).
-	Categories sim.CategoryVec
-	Keys       KeyStats
+	Keys          KeyStats
 }
 
 func keyStatsFromTrace(rec *trace.Recorder) KeyStats {

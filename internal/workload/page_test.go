@@ -11,48 +11,69 @@ import (
 	"repro/internal/vm"
 )
 
-// pageApps is every built-in workload name; all must have page identity.
+// pageApps is every built-in workload name.
 var pageApps = []string{
 	"wordpress", "drupal", "mediawiki", "laravel", "symfony",
 	"specweb-banking", "specweb-ecommerce", "phpscript-blog",
 }
 
-func TestEveryAppImplementsPageApp(t *testing.T) {
-	for _, name := range pageApps {
-		app, err := ByName(name, 1)
+// TestWorkerPageSequence is the page-identity contract at the seam that
+// owns the sequence: worker A's n-th page < 0 render must produce the
+// same bytes as an explicit render of page n on a fresh, identically
+// seeded worker B, so a cache keyed on page index returns exactly what
+// a sequential render would. The sequence survives Pool.Run's warm-up
+// (the counter is not reset with the measurements), and an explicit
+// page render between two sequential ones does not shift it.
+func TestWorkerPageSequence(t *testing.T) {
+	ctx := context.Background()
+	explicit := func(w *Worker, page int) []byte {
+		b, _, err := w.ServePageSpanCtx(ctx, page, false)
 		if err != nil {
-			t.Fatalf("ByName(%s): %v", name, err)
+			t.Fatal(err)
 		}
-		if _, ok := app.(PageApp); !ok {
-			t.Errorf("%s does not implement PageApp", name)
-		}
+		return b
 	}
-}
-
-// TestServePageMatchesServeRequest is the page-identity contract: the
-// n-th ServeRequest and ServePage(n) on an identically seeded app must
-// produce the same bytes, so a cache keyed on page index returns exactly
-// what a fresh render would.
-func TestServePageMatchesServeRequest(t *testing.T) {
-	for _, name := range pageApps {
-		seqApp, err := ByName(name, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pageApp, err := ByName(name, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqRT := vm.New(vm.Config{})
-		pageRT := vm.New(vm.Config{})
-		pa := pageApp.(PageApp)
-		for n := 1; n <= 4; n++ {
-			seq := seqApp.ServeRequest(seqRT)
-			byPage := pa.ServePage(pageRT, n)
-			if !bytes.Equal(seq, byPage) {
-				t.Errorf("%s request %d: ServeRequest and ServePage differ (%d vs %d bytes)",
-					name, n, len(seq), len(byPage))
-				break
+	cases := []struct {
+		name string
+		// run drives worker A and returns its bodies in order.
+		run  func(p *Pool) [][]byte
+		want []int // the page each body must be
+	}{
+		{"ServeOne", func(p *Pool) [][]byte {
+			w := p.Acquire()
+			var out [][]byte
+			for i := 0; i < 4; i++ {
+				out = append(out, bytes.Clone(w.ServeOne()))
+			}
+			return out
+		}, []int{1, 2, 3, 4}},
+		{"after Run warm-up", func(p *Pool) [][]byte {
+			p.Run(LoadGenerator{Warmup: 3}, 0)
+			return [][]byte{bytes.Clone(p.Acquire().ServeOne())}
+		}, []int{4}},
+		{"explicit page between", func(p *Pool) [][]byte {
+			w := p.Acquire()
+			a := bytes.Clone(w.ServeOne())
+			e := bytes.Clone(explicit(w, 9))
+			return [][]byte{a, e, bytes.Clone(w.ServeOne())}
+		}, []int{1, 9, 2}},
+	}
+	for _, tc := range cases {
+		for _, name := range pageApps {
+			pa, err := NewPool(1, vm.Config{}, name, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pb, err := NewPool(1, vm.Config{}, name, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, b := tc.run(pa), pb.Acquire()
+			for i, page := range tc.want {
+				if want := explicit(b, page); !bytes.Equal(got[i], want) {
+					t.Errorf("%s/%s body %d: sequential render and ServePage(%d) differ (%d vs %d bytes)",
+						tc.name, name, i, page, len(got[i]), len(want))
+				}
 			}
 		}
 	}
@@ -72,8 +93,8 @@ func TestServePageDeterministicAcrossWorkers(t *testing.T) {
 		a2, _ := ByName("wordpress", 7)
 		rt1, rt2 := vm.New(cfg), vm.New(cfg)
 		for _, page := range []int{1, 3, 120, 7} {
-			b1 := a1.(PageApp).ServePage(rt1, page)
-			b2 := a2.(PageApp).ServePage(rt2, page)
+			b1 := a1.ServePage(rt1, page)
+			b2 := a2.ServePage(rt2, page)
 			if !bytes.Equal(b1, b2) {
 				t.Errorf("%s page %d: same-seed workers render different bytes", cfgName, page)
 			}
@@ -85,9 +106,6 @@ func TestSharedSeedPool(t *testing.T) {
 	p, err := NewPoolSharedSeed(2, vm.Config{}, "wordpress", 5)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !p.SupportsPages() {
-		t.Fatal("wordpress pool must support pages")
 	}
 	w1 := p.Acquire()
 	b1, _, err := w1.ServePageSpanCtx(context.Background(), 9, false)

@@ -30,6 +30,11 @@ type Worker struct {
 	rt  *vm.Runtime
 	app App
 
+	// seq is the worker's request sequence: the last page a page < 0
+	// render drew. Unlike served it survives reset, so the n-th request
+	// after a warm-up of w is page w+n; an explicit-page render never
+	// advances it.
+	seq       int
 	served    int
 	respBytes int64
 }
@@ -45,10 +50,10 @@ func (w *Worker) Runtime() *vm.Runtime { return w.rt }
 // reset.
 func (w *Worker) Served() int { return w.served }
 
-// ServeOne renders the worker's next request, counting it and its
-// response size.
+// ServeOne renders the next page of the worker's sequence, counting it
+// and its response size.
 func (w *Worker) ServeOne() []byte {
-	page, _ := w.serve(nil, -1, false)
+	page, _ := w.serve(-1, false)
 	return page
 }
 
@@ -67,26 +72,18 @@ func (w *Worker) ServeOneCtx(ctx context.Context) ([]byte, error) {
 // ServePageSpanCtx is the one deadline-aware render every serving path
 // goes through: it checks the request's deadline at worker pickup, then
 // renders, profiling the request when profile is true. A non-negative
-// page renders that page through the app's PageApp identity — how cache
-// fills render the exact page the cache key names — and errors when the
-// app lacks page identity; a negative page renders the next request of
-// the worker's own sequence. The returned span always carries worker
+// page renders that page — how cache fills render the exact page the
+// cache key names — and a negative page renders the next page of the
+// worker's own sequence. The returned span always carries worker
 // identity and render wall time; a profiled one additionally attributes
 // the request's simulated cycles to the paper's activity categories in
 // a span tree, which is why callers sample rather than profile every
 // request.
 func (w *Worker) ServePageSpanCtx(ctx context.Context, page int, profile bool) ([]byte, obs.Span, error) {
-	var pa PageApp
-	if page >= 0 {
-		var ok bool
-		if pa, ok = w.app.(PageApp); !ok {
-			return nil, obs.Span{}, fmt.Errorf("workload: app %s does not support page identity", w.app.Name())
-		}
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, obs.Span{}, err
 	}
-	body, sp := w.serve(pa, page, profile)
+	body, sp := w.serve(page, profile)
 	return body, sp, nil
 }
 
@@ -100,13 +97,17 @@ func (w *Worker) ContextSwitchEvery(n int) {
 	}
 }
 
-// serve runs one render — page through pa, or the app's next request
-// when pa is nil — measuring its wall time for the span and (when
-// profile is true) building the span tree. The wall clock and the tree share one
+// serve runs one render — page, or the worker's next page when page is
+// negative — measuring its wall time for the span and (when profile is
+// true) building the span tree. The wall clock and the tree share one
 // starting instant, so the tree root's Dur can never exceed the span's
 // Wall — and for profiled requests the two are set equal exactly (the
 // invariant the /tracez exports rely on).
-func (w *Worker) serve(pa PageApp, page int, profile bool) ([]byte, obs.Span) {
+func (w *Worker) serve(page int, profile bool) ([]byte, obs.Span) {
+	if page < 0 {
+		w.seq++
+		page = w.seq
+	}
 	start := time.Now()
 	var tb *obs.TreeBuilder
 	if profile {
@@ -118,12 +119,7 @@ func (w *Worker) serve(pa PageApp, page int, profile bool) ([]byte, obs.Span) {
 		w.rt.SetSpans(tb)
 		w.rt.BeginSpan("render")
 	}
-	var body []byte
-	if pa != nil {
-		body = pa.ServePage(w.rt, page)
-	} else {
-		body = w.app.ServeRequest(w.rt)
-	}
+	body := w.app.ServePage(w.rt, page)
 	wall := time.Since(start)
 	sp := obs.Span{Worker: w.id, Wall: wall}
 	if profile {
@@ -142,7 +138,8 @@ func (w *Worker) serve(pa PageApp, page int, profile bool) ([]byte, obs.Span) {
 	return body, sp
 }
 
-// reset discards accumulated measurements but keeps runtime state warm.
+// reset discards accumulated measurements but keeps runtime state warm
+// and the page sequence where it is.
 func (w *Worker) reset() {
 	w.rt.Meter().Reset()
 	w.rt.Trace().Reset()
@@ -196,13 +193,6 @@ func newPool(n int, cfg vm.Config, appName string, seedFor func(i int) int64) (*
 		p.free <- w
 	}
 	return p, nil
-}
-
-// SupportsPages reports whether the pool's workload has page identity
-// (implements PageApp) — a precondition for the cached serving path.
-func (p *Pool) SupportsPages() bool {
-	_, ok := p.workers[0].app.(PageApp)
-	return ok
 }
 
 // Size returns the number of workers.
@@ -341,16 +331,14 @@ func (p *Pool) Run(lg LoadGenerator, concurrency int) Result {
 		}
 	})
 
-	res := Result{App: p.workers[0].app.Name(), Workers: n}
+	var res Result
 	for _, w := range p.workers {
 		res.Requests += w.served
 		res.ResponseBytes += w.respBytes
 	}
 	mt := p.mergedMeterOwned()
 	res.Cycles = mt.TotalCycles()
-	res.Uops = mt.TotalUops()
 	res.EnergyPJ = mt.TotalEnergy()
-	res.Categories = mt.CategoryCyclesVec()
 	res.Keys = keyStatsFromTrace(p.mergedTraceOwned(0))
 	return res
 }

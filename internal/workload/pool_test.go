@@ -59,10 +59,10 @@ func TestPoolRunFourWorkers(t *testing.T) {
 	}
 	lg := LoadGenerator{Warmup: 6, Requests: 24, ContextSwitchEvery: 8}
 	res := p.Run(lg, 0)
-	if res.Requests != 24 || res.Workers != 4 {
+	if res.Requests != 24 {
 		t.Fatalf("fleet result header wrong: %+v", res)
 	}
-	if res.Cycles <= 0 || res.Uops <= 0 || res.ResponseBytes <= 0 {
+	if res.Cycles <= 0 || res.EnergyPJ <= 0 || res.ResponseBytes <= 0 {
 		t.Errorf("no measured work: %+v", res)
 	}
 	if res.Keys.TotalKeys == 0 {
@@ -88,7 +88,7 @@ func TestPoolDeterministicMetrics(t *testing.T) {
 		return math.Abs(x-y) <= 1e-9*math.Max(math.Abs(x), math.Abs(y))
 	}
 	a, b, c := run(0), run(0), run(2)
-	if !same(a.Cycles, b.Cycles) || !same(a.Uops, b.Uops) || !same(a.EnergyPJ, b.EnergyPJ) {
+	if !same(a.Cycles, b.Cycles) || !same(a.EnergyPJ, b.EnergyPJ) {
 		t.Errorf("pool metrics not deterministic: %v vs %v cycles", a.Cycles, b.Cycles)
 	}
 	if a.ResponseBytes != b.ResponseBytes {
@@ -187,29 +187,6 @@ func TestPoolMoreWorkersThanRequests(t *testing.T) {
 	}
 }
 
-func TestLatencyStatsPercentiles(t *testing.T) {
-	var d []time.Duration
-	for i := 1; i <= 100; i++ {
-		d = append(d, time.Duration(i)*time.Millisecond)
-	}
-	l := LatencyStatsFrom(d)
-	if l.Count != 100 {
-		t.Errorf("count %d", l.Count)
-	}
-	if l.P50 != 50*time.Millisecond || l.P95 != 95*time.Millisecond || l.P99 != 99*time.Millisecond {
-		t.Errorf("percentiles wrong: p50=%v p95=%v p99=%v", l.P50, l.P95, l.P99)
-	}
-	if l.Max != 100*time.Millisecond {
-		t.Errorf("max %v", l.Max)
-	}
-	if l.Mean != 50500*time.Microsecond {
-		t.Errorf("mean %v", l.Mean)
-	}
-	if z := LatencyStatsFrom(nil); z.Count != 0 || z.P99 != 0 {
-		t.Errorf("empty input should zero out: %+v", z)
-	}
-}
-
 // TestServeOneProfiledSpan: a profiled next-request render must attribute the
 // request's cycles to the paper's categories, and the breakdown must sum
 // to the request's total cycle delta.
@@ -286,7 +263,7 @@ func TestServeOneProfiledTree(t *testing.T) {
 	if w.Runtime().Tracing() {
 		t.Error("runtime still tracing after profiled request")
 	}
-	_, sp2 := w.serve(nil, -1, false)
+	_, sp2 := w.serve(-1, false)
 	if sp2.Tree != nil {
 		t.Error("unsampled request grew a tree")
 	}
@@ -342,15 +319,17 @@ func TestPoolRunWithCollector(t *testing.T) {
 	}
 }
 
-// TestResultCategories: Run's category breakdown sums to the total.
+// TestResultCategories: the merged meter's category breakdown sums to
+// Run's total.
 func TestResultCategories(t *testing.T) {
 	p, err := NewPool(2, swConfig(), "wordpress", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := p.Run(LoadGenerator{Warmup: 2, Requests: 8}, 0)
-	if res.Cycles <= 0 || math.Abs(res.Categories.Total()-res.Cycles) > 1e-9*res.Cycles {
-		t.Errorf("categories sum %v != cycles %v", res.Categories.Total(), res.Cycles)
+	cats := p.MergedMeter().CategoryCyclesVec()
+	if res.Cycles <= 0 || math.Abs(cats.Total()-res.Cycles) > 1e-9*res.Cycles {
+		t.Errorf("categories sum %v != cycles %v", cats.Total(), res.Cycles)
 	}
 }
 
@@ -598,36 +577,6 @@ func TestAcquireCtxContention(t *testing.T) {
 		}
 		seen[w.ID()] = true
 		defer p.Release(w)
-	}
-}
-
-// TestLatencyStatsSmallSamples pins the nearest-rank percentile math at
-// the degenerate sizes a short run can produce: with one sample
-// every percentile is that sample; with two, p50 is the smaller value
-// (rank ceil(0.5*2) = 1) and p95/p99 the larger (rank ceil(1.9) =
-// ceil(1.98) = 2).
-func TestLatencyStatsSmallSamples(t *testing.T) {
-	one := LatencyStatsFrom([]time.Duration{42 * time.Millisecond})
-	if one.Count != 1 {
-		t.Fatalf("count = %d, want 1", one.Count)
-	}
-	for name, got := range map[string]time.Duration{
-		"mean": one.Mean, "p50": one.P50, "p95": one.P95, "p99": one.P99, "max": one.Max,
-	} {
-		if got != 42*time.Millisecond {
-			t.Errorf("single sample %s = %v, want 42ms", name, got)
-		}
-	}
-
-	two := LatencyStatsFrom([]time.Duration{20 * time.Millisecond, 10 * time.Millisecond})
-	if two.Count != 2 || two.Mean != 15*time.Millisecond || two.Max != 20*time.Millisecond {
-		t.Fatalf("two-sample summary = %+v", two)
-	}
-	if two.P50 != 10*time.Millisecond {
-		t.Errorf("two-sample p50 = %v, want the smaller value (nearest rank 1)", two.P50)
-	}
-	if two.P95 != 20*time.Millisecond || two.P99 != 20*time.Millisecond {
-		t.Errorf("two-sample tail = p95 %v, p99 %v; want the larger value", two.P95, two.P99)
 	}
 }
 

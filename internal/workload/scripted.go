@@ -2,7 +2,6 @@ package workload
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/php"
 	"repro/internal/vm"
@@ -38,7 +37,6 @@ func (e *scriptEntry) compiled() (*php.Compiled, error) {
 type ScriptedApp struct {
 	name string
 	ent  *scriptEntry
-	seq  atomic.Int64
 
 	mu         sync.Mutex
 	configured bool
@@ -120,17 +118,9 @@ func (s *ScriptedApp) engine(rt *vm.Runtime) *php.Interp {
 	return in
 }
 
-// ServeRequest runs the script once with $req set to the request number.
-// The sequence counter is atomic: a ScriptedApp may be shared across
-// pool workers (compiled programs are cached per source), so requests
-// can arrive from several goroutines at once.
-func (s *ScriptedApp) ServeRequest(rt *vm.Runtime) []byte {
-	return s.ServePage(rt, int(s.seq.Add(1)))
-}
-
-// ServePage runs the script once with $req set to the page index (see
-// PageApp). The body is rt's engine's output buffer, which its next
-// render reuses (App's ownership contract).
+// ServePage runs the script once with $req set to the page index. The
+// body is rt's engine's output buffer, which its next render reuses
+// (App's ownership contract).
 func (s *ScriptedApp) ServePage(rt *vm.Runtime, page int) []byte {
 	in := s.engine(rt)
 	in.SetGlobal("req", php.Int(int64(page)))

@@ -9,8 +9,8 @@ import (
 
 // TestScriptedAppConcurrentServe hammers a single ScriptedApp from many
 // goroutines, each with its own runtime — the shape the shared
-// compiled-program cache creates. Run under -race this is the
-// regression test for the formerly unsynchronized seq counter.
+// compiled-program cache creates. Run under -race it holds the app's
+// per-runtime engine map to concurrent first use.
 func TestScriptedAppConcurrentServe(t *testing.T) {
 	app := NewBlogScript()
 	const goroutines = 8
@@ -21,22 +21,19 @@ func TestScriptedAppConcurrentServe(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			rt := vm.New(vm.Config{})
-			for i := 0; i < perG; i++ {
-				if out := app.ServeRequest(rt); len(out) == 0 {
-					t.Error("empty response from concurrent ServeRequest")
+			for i := 1; i <= perG; i++ {
+				if out := app.ServePage(rt, i); len(out) == 0 {
+					t.Error("empty response from concurrent ServePage")
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if got := app.seq.Load(); got != goroutines*perG {
-		t.Fatalf("seq = %d after %d requests, want %d (lost increments)", got, goroutines*perG, goroutines*perG)
-	}
 }
 
-// TestSpecWebAppConcurrentServe gives the same treatment to specWebApp,
-// which shared the unsynchronized counter pattern.
+// TestSpecWebAppConcurrentServe gives the same treatment to specWebApp:
+// one app, many runtimes, no shared mutable state.
 func TestSpecWebAppConcurrentServe(t *testing.T) {
 	app := NewSPECWebBanking(1)
 	const goroutines = 8
@@ -47,16 +44,13 @@ func TestSpecWebAppConcurrentServe(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			rt := vm.New(vm.Config{})
-			for i := 0; i < perG; i++ {
-				if out := app.ServeRequest(rt); len(out) == 0 {
-					t.Error("empty response from concurrent ServeRequest")
+			for i := 1; i <= perG; i++ {
+				if out := app.ServePage(rt, i); len(out) == 0 {
+					t.Error("empty response from concurrent ServePage")
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if got := app.(*specWebApp).seq.Load(); got != goroutines*perG {
-		t.Fatalf("seq = %d after %d requests, want %d (lost increments)", got, goroutines*perG, goroutines*perG)
-	}
 }

@@ -37,8 +37,8 @@ func TestAppsDeterministic(t *testing.T) {
 			rt := swRuntime()
 			app, _ := ByName(name, 7)
 			var out []byte
-			for i := 0; i < 3; i++ {
-				out = append(out, app.ServeRequest(rt)...)
+			for page := 1; page <= 3; page++ {
+				out = append(out, app.ServePage(rt, page)...)
 			}
 			return out
 		}
@@ -51,7 +51,7 @@ func TestAppsDeterministic(t *testing.T) {
 func TestResponsesNonTrivial(t *testing.T) {
 	rt := swRuntime()
 	for _, app := range []App{NewWordPress(3), NewDrupal(3), NewMediaWiki(3)} {
-		page := app.ServeRequest(rt)
+		page := app.ServePage(rt, 1)
 		if len(page) < 1000 {
 			t.Errorf("%s page too small: %d bytes", app.Name(), len(page))
 		}
@@ -66,11 +66,11 @@ func TestAcceleratedRenderingEquivalentModuloPadding(t *testing.T) {
 		swApp, _ := ByName(name, 11)
 		hwApp, _ := ByName(name, 11)
 		swRt, hwRt := swRuntime(), hwRuntime()
-		for i := 0; i < 3; i++ {
-			sw := string(swApp.ServeRequest(swRt))
-			hw := string(hwApp.ServeRequest(hwRt))
+		for page := 1; page <= 3; page++ {
+			sw := string(swApp.ServePage(swRt, page))
+			hw := string(hwApp.ServePage(hwRt, page))
 			if strings.ReplaceAll(sw, " ", "") != strings.ReplaceAll(hw, " ", "") {
-				t.Fatalf("%s request %d: accelerated output differs beyond padding", name, i)
+				t.Fatalf("%s page %d: accelerated output differs beyond padding", name, page)
 			}
 		}
 	}
@@ -78,7 +78,7 @@ func TestAcceleratedRenderingEquivalentModuloPadding(t *testing.T) {
 
 func TestLoadGeneratorWarmupDiscarded(t *testing.T) {
 	res, _ := serial(t, swConfig(), "wordpress", 5, LoadGenerator{Warmup: 5, Requests: 3})
-	if res.Requests != 3 || res.App != "wordpress" {
+	if res.Requests != 3 {
 		t.Errorf("result header wrong: %+v", res)
 	}
 	if res.Cycles <= 0 || res.ResponseBytes <= 0 {
@@ -188,7 +188,7 @@ func TestScriptedBlogApp(t *testing.T) {
 	rt := swRuntime()
 	// The next render on rt recycles the body's buffer (App's ownership
 	// contract), and this test renders twice more.
-	page := bytes.Clone(app.ServeRequest(rt))
+	page := bytes.Clone(app.ServePage(rt, 1))
 	if len(page) < 2000 {
 		t.Fatalf("page too small: %d bytes", len(page))
 	}
@@ -197,14 +197,14 @@ func TestScriptedBlogApp(t *testing.T) {
 			t.Errorf("page missing %q", want)
 		}
 	}
-	// Deterministic for the same request sequence.
+	// Deterministic for the same page.
 	rt2 := swRuntime()
 	app2 := NewBlogScript()
-	if !bytes.Equal(page, app2.ServeRequest(rt2)) {
+	if !bytes.Equal(page, app2.ServePage(rt2, 1)) {
 		t.Errorf("scripted app not deterministic")
 	}
-	// Second request differs (post ids advance).
-	if bytes.Equal(page, app.ServeRequest(rt)) {
+	// The next page differs (post ids advance).
+	if bytes.Equal(page, app.ServePage(rt, 2)) {
 		t.Errorf("successive requests should render different posts")
 	}
 }
@@ -212,11 +212,11 @@ func TestScriptedBlogApp(t *testing.T) {
 func TestScriptedAppAcceleratedEquivalence(t *testing.T) {
 	swApp, hwApp := NewBlogScript(), NewBlogScript()
 	swRt, hwRt := swRuntime(), hwRuntime()
-	for i := 0; i < 3; i++ {
-		sw := string(swApp.ServeRequest(swRt))
-		hw := string(hwApp.ServeRequest(hwRt))
+	for page := 1; page <= 3; page++ {
+		sw := string(swApp.ServePage(swRt, page))
+		hw := string(hwApp.ServePage(hwRt, page))
 		if strings.ReplaceAll(sw, " ", "") != strings.ReplaceAll(hw, " ", "") {
-			t.Fatalf("request %d: accelerated scripted output differs beyond padding", i)
+			t.Fatalf("page %d: accelerated scripted output differs beyond padding", page)
 		}
 	}
 }
@@ -243,7 +243,7 @@ func TestNewScriptedRejectsBadSource(t *testing.T) {
 // way. A warmed request now allocates fewer times than the tail is long.
 func TestSPECWebTailNamesBuiltOnce(t *testing.T) {
 	rt := vm.New(vm.Config{Features: isa.AllAccelerators(), Mitigations: sim.AllMitigations(), TraceCapacity: 4096})
-	app := NewSPECWebBanking(1).(PageApp)
+	app := NewSPECWebBanking(1)
 	for i := 0; i < 20; i++ {
 		app.ServePage(rt, i)
 	}
