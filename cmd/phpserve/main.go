@@ -39,7 +39,7 @@ import (
 func main() {
 	var c serve.ServerConfig
 	addr := flag.String("addr", ":8080", "listen address")
-	flag.StringVar(&c.App, "app", "wordpress", "workload to serve (wordpress, drupal, mediawiki)")
+	flag.StringVar(&c.App, "app", "wordpress", "workload to serve (wordpress, drupal, mediawiki, specweb-banking, specweb-ecommerce, phpscript-blog)")
 	flag.StringVar(&c.Core, "config", "accelerated", "core config: baseline, mitigated, accelerated")
 	flag.IntVar(&c.Workers, "workers", 4, "request workers (independent runtimes)")
 	flag.Int64Var(&c.Seed, "seed", 1, "workload seed (worker i uses seed+i)")

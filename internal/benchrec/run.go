@@ -127,17 +127,15 @@ func RunMatrix(opts Options) (Record, error) {
 
 // vmConfig builds the scenario VM config: mitigations always on (the
 // paper's §3 baseline for the serving experiments), accelerators per
-// the on/off sweep. The trace is bounded: benchmark scenarios never
-// read the event ring (per-kind totals stay exact past eviction), and
-// an unbounded ring's growth dominated the recorded allocs/op without
-// informing any metric.
+// the on/off sweep. The operation trace counts events by kind and keeps
+// none, as in phpserve.
 func vmConfig(accelerated bool) vm.Config {
 	name := "mitigated"
 	if accelerated {
 		name = "accelerated"
 	}
 	cfg, _ := vm.ConfigByName(name)
-	cfg.TraceCapacity = 4096
+	cfg.TraceCapacity = -1
 	return cfg
 }
 

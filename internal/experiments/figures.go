@@ -9,7 +9,6 @@ import (
 	"repro/internal/profile"
 	"repro/internal/sim"
 	"repro/internal/uarch"
-	"repro/internal/workload"
 )
 
 // figures is every table cmd/figures prints, in presentation order:
@@ -37,8 +36,6 @@ var figures = []struct {
 	{"fig15", "Figure 15: per-accelerator benefit (% of mitigated time)", "workload", (*builder).fig15},
 	{"keys", "Section 4.2: hash key statistics (% of hash requests)", "workload", (*builder).keys},
 	{"uops", "Section 5.2: software-path micro-op costs (hash-walk: the typical walk, 2 probes over a 12B key)", "operation", (*builder).uops},
-	{"indirect", "Extension: indirect target prediction on VM dispatch (cf. section 2)", "workload", (*builder).indirect},
-	{"general", "Extension: other PHP frameworks (the conclusion's claim; % of unmodified time)", "workload", (*builder).general},
 }
 
 var phpApps = []string{"wordpress", "drupal", "mediawiki"}
@@ -181,30 +178,26 @@ func (b *builder) fig12() {
 	}
 }
 
-// normalized adds app's mitigated and accelerated time against the
-// unmodified core and the accelerators' gain over the mitigated one —
-// "even more prominent as future server processors incorporate the
-// prior optimizations". It returns the two runs the gain compares.
-func (b *builder) normalized(app string) (mit, acc workload.Result) {
-	_, base := b.run(app, config("baseline"))
-	_, mit = b.run(app, config("mitigated"))
-	_, acc = b.run(app, config("accelerated"))
-	b.add(app, "mitigated%", 100*mit.Cycles/base.Cycles)
-	b.add(app, "accelerated%", 100*acc.Cycles/base.Cycles)
-	b.add(app, "rel.gain%", 100*(1-acc.Cycles/mit.Cycles))
-	return mit, acc
-}
-
-// fig14: the energy saving is quoted on top of the prior proposals'.
+// fig14: mitigated and accelerated time against the unmodified core,
+// and the accelerators' gain over the mitigated one — "even more
+// prominent as future server processors incorporate the prior
+// optimizations". The energy saving is quoted on top of the prior
+// proposals' too.
 func (b *builder) fig14() {
 	for _, app := range phpApps {
-		mit, acc := b.normalized(app)
+		_, base := b.run(app, config("baseline"))
+		_, mit := b.run(app, config("mitigated"))
+		_, acc := b.run(app, config("accelerated"))
+		b.add(app, "mitigated%", 100*mit.Cycles/base.Cycles)
+		b.add(app, "accelerated%", 100*acc.Cycles/base.Cycles)
+		b.add(app, "rel.gain%", 100*(1-acc.Cycles/mit.Cycles))
 		b.add(app, "energy-save%", 100*(1-acc.EnergyPJ/mit.EnergyPJ))
 	}
 	b.addAverage()
 }
 
-// fig15 runs each accelerator alone on the mitigated core.
+// fig15 runs each accelerator alone on the mitigated core. The bars sum
+// to fig14's rel.gain%: the models do not interact (DESIGN.md).
 func (b *builder) fig15() {
 	all := isa.AllAccelerators()
 	alone := map[sim.AccelKind]isa.Features{
@@ -229,8 +222,6 @@ func (b *builder) fig15() {
 		for _, kind := range sim.AccelKinds() {
 			b.add(app, kind.String(), gain[kind])
 		}
-		_, acc := b.run(app, config("accelerated"))
-		b.add(app, "total", 100*(1-acc.Cycles/mit.Cycles))
 	}
 	b.addAverage()
 }
@@ -255,38 +246,27 @@ func (b *builder) uops() {
 	b.add("hash-walk", "uops", m.HashWalkCost(2, 12))
 }
 
-func (b *builder) general() {
-	for _, app := range []string{"laravel", "symfony"} {
-		b.normalized(app)
-	}
-}
-
 // characterize runs p's synthesized instruction stream through the
 // default server core (uarch.DefaultCharacterizeConfig), once per
-// distinct stream: the MPKI table and Fig. 2b read the same three.
-func (b *builder) characterize(p uarch.Profile, instructions int64, ittage bool) uarch.StreamStats {
-	key := streamKey{p.Name, instructions, ittage}
-	if st, ok := b.streams[key]; ok {
+// profile: the MPKI table and Fig. 2b read the same three streams.
+func (b *builder) characterize(p uarch.Profile) uarch.StreamStats {
+	if st, ok := b.streams[p.Name]; ok {
 		return st
 	}
-	cfg := uarch.DefaultCharacterizeConfig()
-	cfg.Instructions = instructions
-	cfg.Seed = seed
-	cfg.WithITTAGE = ittage
-	st := uarch.Characterize(p, cfg).Stats
-	b.streams[key] = st
+	st := uarch.Characterize(p, uarch.DefaultCharacterizeConfig()).Stats
+	b.streams[p.Name] = st
 	return st
 }
 
 func (b *builder) mpki() {
 	for _, p := range []uarch.Profile{uarch.PHPProfile("wordpress"), uarch.PHPProfile("drupal"), uarch.PHPProfile("mediawiki"), uarch.SPECProfile()} {
-		b.add(p.Name, "MPKI", b.characterize(p, uarchInstructions, false).BranchMPKI)
+		b.add(p.Name, "MPKI", b.characterize(p).BranchMPKI)
 	}
 }
 
 func (b *builder) fig2a() {
 	points := uarch.SweepBTB(uarch.PHPProfile("wordpress"),
-		[]int{4096, 8192, 16384, 32768, 65536}, []int{32 << 10, 64 << 10, 128 << 10}, uarchInstructions)
+		[]int{4096, 8192, 16384, 32768, 65536}, []int{32 << 10, 64 << 10, 128 << 10})
 	for _, pt := range points {
 		row := fmt.Sprintf("%dK/%dK", pt.BTBEntries>>10, pt.L1ISize>>10)
 		b.add(row, "time%", 100*pt.ExecCycles/points[0].ExecCycles)
@@ -296,7 +276,7 @@ func (b *builder) fig2a() {
 
 func (b *builder) fig2b() {
 	for _, app := range phpApps {
-		st := b.characterize(uarch.PHPProfile(app), uarchInstructions, false)
+		st := b.characterize(uarch.PHPProfile(app))
 		b.add(app, "L1I", st.L1IMPKI)
 		b.add(app, "L1D", st.L1DMPKI)
 		b.add(app, "L2", st.L2MPKI)
@@ -304,27 +284,10 @@ func (b *builder) fig2b() {
 }
 
 func (b *builder) fig2c() {
-	points := uarch.SweepCores(uarch.PHPProfile("wordpress"), uarchInstructions)
+	points := uarch.SweepCores(uarch.PHPProfile("wordpress"))
 	for i, pt := range points {
 		b.add(pt.Core.Name, "time%", 100*pt.ExecCycles/points[0].ExecCycles)
 		above := points[max(0, i-1)].ExecCycles
 		b.add(pt.Core.Name, "step-gain%", 100*(above-pt.ExecCycles)/above)
-	}
-}
-
-// indirect compares the plain BTB with an added ITTAGE-style indirect
-// target predictor on the megamorphic dispatch sites — the front-end
-// remedy section 2's analysis points to. Dispatches are rare (~1.4/KI),
-// so the stream is three times longer to train the predictor tables.
-func (b *builder) indirect() {
-	for _, app := range phpApps {
-		base := b.characterize(uarch.PHPProfile(app), 3*uarchInstructions, false)
-		ext := b.characterize(uarch.PHPProfile(app), 3*uarchInstructions, true)
-		b.add(app, "ind/KI", base.IndirectPerKI)
-		b.add(app, "BTB-miss%", 100*base.IndirectBTBMiss)
-		b.add(app, "ITTAGE-miss%", 100*ext.ITTAGEMiss)
-		b.add(app, "bubbles/KI", base.BTBMissPKI)
-		b.add(app, "bubbles/KI+ITTAGE", ext.BTBMissPKI)
-		b.add(app, "RAS-miss%", 100*base.RASMispredicts)
 	}
 }

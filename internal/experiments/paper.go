@@ -55,6 +55,4 @@ var paperTable = []paper{
 	{"uops", "malloc", "uops", 69, 0, ""},
 	{"uops", "free", "uops", 37, 0, ""},
 	{"uops", "hash-walk", "uops", 90.66, 7, "the paper's is an average over all walks, ours the cost of the typical one"},
-	{"general", "laravel", "rel.gain%", 19.79, 4, "no number in the paper: its conclusion expects other frameworks to gain like the three studied apps, whose average this is"},
-	{"general", "symfony", "rel.gain%", 19.79, 4, ""},
 }

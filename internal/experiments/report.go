@@ -27,15 +27,12 @@ import (
 
 // The one scale. VM-driven figures follow the paper's methodology
 // (oss-performance: 300 warmup requests, then the measured window). The
-// uarch figures run at the stream length internal/uarch's synthetic
-// profiles were calibrated at: at 4M instructions branch MPKI reads
-// 15.35 / 12.57 / 13.57 / 2.09 against the paper's 17.26 / 14.48 /
-// 15.14 / 2.9 (EXPERIMENTS.md, DESIGN.md).
+// uarch figures, sweeps included, run uarch.DefaultCharacterizeConfig's
+// stream length and seed.
 const (
-	seed              = 1
-	warmup            = 300
-	requests          = 200
-	uarchInstructions = 1_500_000
+	seed     = 1
+	warmup   = 300
+	requests = 200
 )
 
 // Value is one number of one figure.
@@ -83,20 +80,13 @@ type runOut struct {
 	res workload.Result
 }
 
-// streamKey identifies one uarch characterization the same way.
-type streamKey struct {
-	profile      string
-	instructions int64
-	ittage       bool
-}
-
 // builder fills a Report figure by figure, simulating each distinct
-// (app, config) and characterizing each distinct instruction stream once.
+// (app, config) and characterizing each profile's stream once.
 type builder struct {
 	rep     Report
 	fig     string
 	runs    map[runKey]runOut
-	streams map[streamKey]uarch.StreamStats
+	streams map[string]uarch.StreamStats
 }
 
 // Build runs the named figures (all of them when only is empty) and
@@ -112,7 +102,7 @@ func Build(only []string) (Report, error) {
 		}
 		want[id] = true
 	}
-	b := &builder{runs: map[runKey]runOut{}, streams: map[streamKey]uarch.StreamStats{}}
+	b := &builder{runs: map[runKey]runOut{}, streams: map[string]uarch.StreamStats{}}
 	for _, f := range figures {
 		if len(only) == 0 || want[f.id] {
 			b.fig = f.id

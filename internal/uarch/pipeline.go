@@ -42,12 +42,6 @@ type StreamStats struct {
 	L1DMPKI      float64
 	L2MPKI       float64
 	BTBHitRate   float64
-
-	// Extension metrics (not part of the paper's baseline tables).
-	RASMispredicts  float64 // per-pop return mispredict rate
-	IndirectPerKI   float64 // megamorphic dispatches per 1K instructions
-	IndirectBTBMiss float64 // BTB miss rate on dispatch sites
-	ITTAGEMiss      float64 // ITTAGE miss rate on the same sites (if present)
 }
 
 // ExecCycles estimates execution cycles for the stream on the given core.

@@ -237,28 +237,15 @@ type Hooks struct {
 	OnTakenBranch func(pc, target uint64)
 	// OnData fires for data accesses.
 	OnData func(addr uint64, write bool)
-	// OnCall fires when a call pushes a return address (RAS push).
-	OnCall func(returnAddr uint64)
-	// OnReturn fires when a return consumes a return address (RAS pop);
-	// actual is the true return target.
-	OnReturn func(actual uint64)
-	// OnIndirect fires for megamorphic dispatch transfers with their
-	// resolved target — the stream an indirect target predictor sees.
-	OnIndirect func(site, target uint64)
 }
 
 // Run synthesizes approximately n instructions through the hooks,
 // returning the exact count executed.
 func (s *Synth) Run(n int64, h Hooks) int64 {
 	var executed int64
-	// Call-stack walk: calls push return addresses, returns pop them, so
-	// the RAS model sees a realistic push/pop stream. Depth is bounded;
-	// bursts beyond the RAS capacity exercise its overflow wraparound.
-	type frame struct {
-		fi      int
-		retAddr uint64
-	}
-	var stack []frame
+	// Call-stack walk: a call pushes the caller, a return resumes it.
+	// Depth is bounded at 48 frames.
+	var stack []int
 	fi := s.pickFunc()
 	for executed < n {
 		base := s.funcPC[fi]
@@ -295,25 +282,17 @@ func (s *Synth) Run(n int64, h Hooks) int64 {
 		executed++
 		doReturn := len(stack) > 0 && (s.rng.Float64() < 0.45 || len(stack) >= 48)
 		if doReturn {
-			top := stack[len(stack)-1]
+			fi = stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if h.OnReturn != nil {
-				h.OnReturn(top.retAddr)
-			}
-			fi = top.fi
 			continue
 		}
-		if h.OnCall != nil {
-			h.OnCall(callPC + 4)
-		}
-		stack = append(stack, frame{fi: fi, retAddr: callPC + 4})
+		stack = append(stack, fi)
 		if s.rng.Float64() < s.p.IndirectFrac {
 			// Dispatch site shared by many targets — VM handler dispatch.
 			// Most transfers follow the site's recurring sequence (repeated
 			// bytecode runs, path-predictable); the rest are data-dependent.
 			// Interpreter-style burstiness: dispatch loops re-execute the
-			// same site many times in a row, so the global path history an
-			// indirect predictor folds is dominated by that site's targets.
+			// same site many times in a row.
 			sid := fi % len(s.dispatchSeq)
 			if s.lastDispatch >= 0 && s.rng.Float64() < 0.90 {
 				sid = s.lastDispatch
@@ -330,9 +309,6 @@ func (s *Synth) Run(n int64, h Hooks) int64 {
 			site := uint64(0x7f0000) + uint64(sid)*8
 			if h.OnTakenBranch != nil {
 				h.OnTakenBranch(site, s.funcPC[next])
-			}
-			if h.OnIndirect != nil {
-				h.OnIndirect(site, s.funcPC[next])
 			}
 			fi = next
 		} else {

@@ -229,9 +229,7 @@ func TestCharacterizePHPBranchMPKINearPaper(t *testing.T) {
 	// §2: branch MPKI of 17.26 / 14.48 / 15.14 for the three apps.
 	want := map[string]float64{"wordpress": 17.26, "drupal": 14.48, "mediawiki": 15.14}
 	for app, target := range want {
-		cfg := DefaultCharacterizeConfig()
-		cfg.Instructions = 1_500_000
-		ch := Characterize(PHPProfile(app), cfg)
+		ch := Characterize(PHPProfile(app), DefaultCharacterizeConfig())
 		if math.Abs(ch.Stats.BranchMPKI-target) > 4.5 {
 			t.Errorf("%s branch MPKI %0.2f, want near %0.2f", app, ch.Stats.BranchMPKI, target)
 		}
@@ -253,7 +251,7 @@ func TestCharacterizeSPECFarMorePredictable(t *testing.T) {
 }
 
 func TestSweepBTBMonotonicHitRate(t *testing.T) {
-	points := SweepBTB(PHPProfile("wordpress"), []int{4096, 16384, 65536}, []int{32 << 10}, 800_000)
+	points := SweepBTB(PHPProfile("wordpress"), []int{4096, 16384, 65536}, []int{32 << 10})
 	if len(points) != 3 {
 		t.Fatalf("got %d points", len(points))
 	}
@@ -270,7 +268,7 @@ func TestSweepBTBMonotonicHitRate(t *testing.T) {
 func TestSweepCoresShape(t *testing.T) {
 	// Fig. 2c: in-order -> OoO is a big jump, 2->4 wide helps, 4->8 is
 	// nearly flat (<3% in the paper; we allow <6%).
-	points := SweepCores(PHPProfile("wordpress"), 800_000)
+	points := SweepCores(PHPProfile("wordpress"))
 	if len(points) != 4 {
 		t.Fatalf("got %d core points", len(points))
 	}

@@ -207,10 +207,6 @@ func ByName(name string, seed int64) (App, error) {
 		return NewSPECWebBanking(seed), nil
 	case "specweb-ecommerce":
 		return NewSPECWebEcommerce(seed), nil
-	case "laravel":
-		return NewLaravel(seed), nil
-	case "symfony":
-		return NewSymfony(seed), nil
 	case "phpscript-blog":
 		return NewBlogScript(), nil
 	}

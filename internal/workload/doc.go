@@ -4,8 +4,8 @@
 //
 // It has three layers:
 //
-//   - Applications. App implementations (wordpress, drupal, mediawiki,
-//     the SPECWeb-like hotspots, and the framework workloads) are
+//   - Applications. App implementations (wordpress, drupal, mediawiki
+//     and the SPECWeb-like hotspots) are
 //     deterministic request generators calibrated to the paper's
 //     measured activity mix — hash/heap/string/regex traffic per page,
 //     key-size and SET-ratio distributions, the Fig. 11 texturize chain.

@@ -13,7 +13,7 @@ import (
 
 // pageApps is every built-in workload name.
 var pageApps = []string{
-	"wordpress", "drupal", "mediawiki", "laravel", "symfony",
+	"wordpress", "drupal", "mediawiki",
 	"specweb-banking", "specweb-ecommerce", "phpscript-blog",
 }
 

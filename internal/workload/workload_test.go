@@ -20,7 +20,7 @@ func hwRuntime() *vm.Runtime {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{"wordpress", "drupal", "mediawiki", "specweb-banking", "specweb-ecommerce", "laravel", "symfony", "phpscript-blog"} {
+	for _, name := range []string{"wordpress", "drupal", "mediawiki", "specweb-banking", "specweb-ecommerce", "phpscript-blog"} {
 		app, err := ByName(name, 1)
 		if err != nil || app.Name() != name {
 			t.Errorf("ByName(%q) = %v, %v", name, app, err)
