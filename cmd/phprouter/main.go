@@ -4,8 +4,8 @@
 // space (the PHP-FPM topology, with cache-affinity dispatch). The router
 // is serve.Router: health-checked ring membership, typed 503 sheds
 // before a backend saturates, reroute on a refused connection, request
-// IDs and stitched traces, the merged fleet view, and POST /restart
-// rolling every spawned backend. This command fills its
+// IDs and stitched traces, and POST /restart rolling every spawned
+// backend. This command fills its
 // serve.RouterConfig from flags, registers the backends — -backends
 // addresses of external phpserve -fpm processes, or -spawn N children
 // it supervises — and serves it.
@@ -18,11 +18,10 @@
 //	          [-maxinflight 32] [-health 500ms] [-healthtimeout 1s]
 //	          [-retrywait 60s] [-drain 30s]
 //	          [-accesslog path|-] [-sample 0.01] [-treering 64]
-//	          [-eventbuf 256] [-scrapetimeout 2s]
+//	          [-eventbuf 256]
 //
 // Endpoints: / proxies renders; /metrics, /healthz, /backends, /tracez,
-// /clusterz, /eventz and POST /restart (docs/OPERATIONS.md describes
-// each).
+// /eventz and POST /restart (docs/OPERATIONS.md describes each).
 package main
 
 import (
@@ -59,7 +58,6 @@ func main() {
 	flag.Float64Var(&c.SampleRate, "sample", 0.01, "per-request router span-tree sampling rate in [0,1]")
 	treeRing := flag.Int("treering", 64, "sampled router span trees retained for /tracez, backend trees stitched in (0 disables)")
 	eventBuf := flag.Int("eventbuf", 256, "cluster events retained for /eventz")
-	flag.DurationVar(&c.ScrapeTimeout, "scrapetimeout", 2*time.Second, "budget for one fleet scrape pass behind /clusterz and the phprouter_cluster_* gauges")
 	flag.Parse()
 
 	var external []string
@@ -83,7 +81,6 @@ func main() {
 		{c.SampleRate < 0 || c.SampleRate > 1, fmt.Sprintf("-sample must be in [0,1], got %g", c.SampleRate)},
 		{*treeRing < 0, fmt.Sprintf("-treering must be >= 0, got %d", *treeRing)},
 		{*eventBuf <= 0, fmt.Sprintf("-eventbuf must be positive, got %d", *eventBuf)},
-		{c.ScrapeTimeout <= 0, fmt.Sprintf("-scrapetimeout must be positive, got %v", c.ScrapeTimeout)},
 	} {
 		if chk.bad {
 			usage(fmt.Errorf("phprouter: %s", chk.msg))

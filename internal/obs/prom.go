@@ -122,12 +122,6 @@ func appendLabelBlock(b []byte, labels []Label) []byte {
 	return append(b, '}')
 }
 
-// labelString renders {a="b",c="d"}, or "" for no labels — the merge
-// identity used by the parse side.
-func labelString(labels []Label) string {
-	return string(appendLabelBlock(nil, labels))
-}
-
 func (e *Encoder) write(b []byte) {
 	e.buf = b
 	if e.err != nil {

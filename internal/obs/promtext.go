@@ -10,12 +10,8 @@ import (
 	"strings"
 )
 
-// Prometheus text-format parsing and merging — the read side of the
-// Encoder in prom.go. A cluster router scrapes each backend's /metrics,
-// parses the exposition with ParsePromText, and folds the fleet together
-// with MergeFamilies: counters and gauges sum, and histograms merge
-// bucket-wise because their _bucket/_sum/_count series are themselves
-// counters keyed by the shared `le` bounds.
+// Prometheus text-format parsing — the read side of the Encoder in
+// prom.go, for a reader of a server's /metrics.
 
 // PromSample is one parsed sample line: its full series name (which for
 // histogram families includes the _bucket/_sum/_count suffix), labels in
@@ -301,53 +297,6 @@ func validName(s string, colon bool) bool {
 		}
 	}
 	return s != ""
-}
-
-// sampleKey is the merge identity of a sample: full series name plus the
-// exact label rendering.
-func sampleKey(s PromSample) string {
-	return s.Name + labelString(s.Labels)
-}
-
-// MergeFamilies folds src into dst and returns dst: samples with the
-// same series name and label set have their values summed (counters
-// accumulate; histogram _bucket/_sum/_count series are counters, so
-// histograms merge bucket-wise), new samples and families are appended
-// in first-seen order. Gauges sum too — the fleet view of `workers` or
-// `cache_entries` is the total across backends — so gauges that are
-// ratios should be recomputed from merged counters rather than read off
-// the merged exposition. dst's samples are mutated in place.
-func MergeFamilies(dst, src []*MetricFamily) []*MetricFamily {
-	byName := make(map[string]*MetricFamily, len(dst))
-	for _, f := range dst {
-		byName[f.Name] = f
-	}
-	for _, sf := range src {
-		df, ok := byName[sf.Name]
-		if !ok {
-			cp := &MetricFamily{Name: sf.Name, Help: sf.Help, Type: sf.Type,
-				Samples: append([]PromSample(nil), sf.Samples...)}
-			byName[sf.Name] = cp
-			dst = append(dst, cp)
-			continue
-		}
-		if df.Help == "" {
-			df.Help = sf.Help
-		}
-		idx := make(map[string]int, len(df.Samples))
-		for i, s := range df.Samples {
-			idx[sampleKey(s)] = i
-		}
-		for _, s := range sf.Samples {
-			if i, ok := idx[sampleKey(s)]; ok {
-				df.Samples[i].Value += s.Value
-			} else {
-				idx[sampleKey(s)] = len(df.Samples)
-				df.Samples = append(df.Samples, s)
-			}
-		}
-	}
-	return dst
 }
 
 // FindFamily returns the family with the given name, or nil.

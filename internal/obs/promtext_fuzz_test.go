@@ -3,11 +3,12 @@ package obs
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 )
 
-// FuzzParsePromText feeds arbitrary bytes to the parser the router's
-// fleet scrape runs on every backend's /metrics body. It must never
+// FuzzParsePromText feeds arbitrary bytes to the parser a reader of a
+// server's /metrics body runs. It must never
 // panic, and whatever it accepts must survive a round trip: written back
 // out in the Encoder's format (writeFamilies), it parses to the same
 // families, with NaN equal to NaN.
@@ -68,7 +69,7 @@ func sameFamilies(a, b []*MetricFamily) bool {
 		}
 		for j, sa := range fa.Samples {
 			sb := fb.Samples[j]
-			if sa.Name != sb.Name || labelString(sa.Labels) != labelString(sb.Labels) || len(sa.Labels) != len(sb.Labels) {
+			if sa.Name != sb.Name || !slices.Equal(sa.Labels, sb.Labels) {
 				return false
 			}
 			if sa.Value != sb.Value && !(math.IsNaN(sa.Value) && math.IsNaN(sb.Value)) {

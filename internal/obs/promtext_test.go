@@ -27,65 +27,24 @@ func encodeSnapshot(t *testing.T, requests float64, workers float64, h *Histogra
 	return b.String()
 }
 
-// TestMergeEqualsCombinedLoad is the merge-correctness gate: parsing N
-// per-backend expositions and merging them must yield exactly the
-// exposition of one backend that saw the combined load.
-func TestMergeEqualsCombinedLoad(t *testing.T) {
-	bounds := []float64{0.001, 0.01, 0.1, 1}
-	loads := [][]float64{
-		{0.0005, 0.002, 0.05, 0.5},
-		{0.003, 0.004, 2.5}, // 2.5 lands in +Inf
-		{0.0001, 0.9},
+// TestParsedHistogramEqualsSnapshot: a histogram written by the Encoder
+// and parsed back reconstructs the snapshot it was written from, bucket
+// for bucket, and a counter's Sum reads its value.
+func TestParsedHistogramEqualsSnapshot(t *testing.T) {
+	h := NewHistogram([]float64{0.001, 0.01, 0.1, 1})
+	for _, v := range []float64{0.0005, 0.002, 0.05, 0.5, 2.5} { // 2.5 lands in +Inf
+		h.Observe(v)
 	}
-
-	var merged []*MetricFamily
-	combined := NewHistogram(bounds)
-	var totalReqs, totalWorkers float64
-	for i, load := range loads {
-		h := NewHistogram(bounds)
-		for _, v := range load {
-			h.Observe(v)
-			combined.Observe(v)
-		}
-		reqs := float64(len(load))
-		totalReqs += reqs
-		totalWorkers += 4
-		text := encodeSnapshot(t, reqs, 4, h)
-		fams, err := ParsePromText(strings.NewReader(text))
-		if err != nil {
-			t.Fatalf("parse backend %d: %v", i, err)
-		}
-		merged = MergeFamilies(merged, fams)
-	}
-
-	wantFams, err := ParsePromText(strings.NewReader(encodeSnapshot(t, totalReqs, totalWorkers, combined)))
+	fams, err := ParsePromText(strings.NewReader(encodeSnapshot(t, 5, 4, h)))
 	if err != nil {
-		t.Fatalf("parse combined: %v", err)
+		t.Fatalf("parse: %v", err)
 	}
-	if !reflect.DeepEqual(merged, wantFams) {
-		t.Fatalf("merged families differ from the combined-load exposition's:\n--- merged:\n%+v\n--- combined:\n%+v", merged, wantFams)
+	got, want := FindFamily(fams, "phpserve_request_latency_seconds").Histogram(), h.Snapshot()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("parsed histogram = %+v, want the snapshot %+v", got, want)
 	}
-
-	// The reconstructed histogram must also match the combined snapshot.
-	f := FindFamily(merged, "phpserve_request_latency_seconds")
-	if f == nil {
-		t.Fatal("histogram family missing after merge")
-	}
-	got, want := f.Histogram(), combined.Snapshot()
-	if got.Count != want.Count || got.Sum != want.Sum {
-		t.Fatalf("histogram count/sum: got %d/%g want %d/%g", got.Count, got.Sum, want.Count, want.Sum)
-	}
-	if len(got.Bounds) != len(want.Bounds) {
-		t.Fatalf("bounds: got %v want %v", got.Bounds, want.Bounds)
-	}
-	for i := range got.Bounds {
-		if got.Bounds[i] != want.Bounds[i] || got.Counts[i] != want.Counts[i] {
-			t.Fatalf("bucket %d: got (%g,%d) want (%g,%d)",
-				i, got.Bounds[i], got.Counts[i], want.Bounds[i], want.Counts[i])
-		}
-	}
-	if got := FindFamily(merged, "phpserve_requests_total").Sum(); got != totalReqs {
-		t.Fatalf("requests sum: got %g want %g", got, totalReqs)
+	if got := FindFamily(fams, "phpserve_requests_total").Sum(); got != 5 {
+		t.Fatalf("requests sum: got %g want 5", got)
 	}
 }
 
@@ -151,24 +110,5 @@ func TestParsePromTextErrors(t *testing.T) {
 		if _, err := ParsePromText(strings.NewReader(bad)); err == nil {
 			t.Errorf("expected parse error for %q", bad)
 		}
-	}
-}
-
-func TestMergeDisjointFamilies(t *testing.T) {
-	a, err := ParsePromText(strings.NewReader("# TYPE a counter\na 1\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ParsePromText(strings.NewReader("# TYPE b counter\nb 2\na 5\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged := MergeFamilies(nil, a)
-	merged = MergeFamilies(merged, b)
-	if got := FindFamily(merged, "a").Sum(); got != 6 {
-		t.Fatalf("a: got %g want 6", got)
-	}
-	if got := FindFamily(merged, "b").Sum(); got != 2 {
-		t.Fatalf("b: got %g want 2", got)
 	}
 }

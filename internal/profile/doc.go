@@ -5,9 +5,8 @@ import (
 	"time"
 )
 
-// Doc is the /profilez?format=json wire shape, declared once for both
-// ends: phpserve encodes NewDoc, the router's fleet scrape decodes the
-// same type and rebuilds the backend's profile with Profile.
+// Doc is the /profilez?format=json wire shape, which phpserve encodes
+// from NewDoc.
 type Doc struct {
 	App           string             `json:"app"`
 	Config        string             `json:"config"`
@@ -26,8 +25,7 @@ type Doc struct {
 
 // NewDoc renders the window profile p of the named server: headline
 // numbers, the cumulative share at each function count in cdfAt, the
-// category shares, and the hottest n rows — every function when n <= 0,
-// which is how a fleet scraper asks for the complete profile.
+// category shares, and the hottest n rows — every function when n <= 0.
 func NewDoc(app, config string, p Profile, info WindowInfo, cdfAt []int, n int) Doc {
 	h := p.Headline()
 	d := Doc{
@@ -53,10 +51,3 @@ func NewDoc(app, config string, p Profile, info WindowInfo, cdfAt []int, n int) 
 	}
 	return d
 }
-
-// Profile rebuilds the profile from the doc's rows — the sender's whole
-// window when the doc was requested with n=0. A category name this
-// build does not know decodes as other (sim.Category.UnmarshalJSON):
-// profiles merge by cycles, and a version-skewed backend's new category
-// should not blind the fleet view.
-func (d Doc) Profile() Profile { return build(d.Top) }

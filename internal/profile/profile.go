@@ -4,8 +4,8 @@
 // mitigation comparison of Fig. 3, the category coloring of Fig. 4, and
 // the execution-time breakdowns of Figs. 5 and 15.
 //
-// A profile is made one way (build): every constructor — FromMeter,
-// Merge, Live.Window, Doc.Profile — hands it (function, category,
+// A profile is made one way (build): both constructors — FromMeter and
+// Live.Window — hand it (function, category,
 // cycles) rows, and it sorts them and sums Total, Frac and Cum in that
 // sorted order, so a profile is a pure function of its rows.
 package profile
@@ -91,20 +91,6 @@ func meterRows(mt *sim.Meter) []Entry {
 // FromMeter builds a profile from the meter's current attribution.
 func FromMeter(mt *sim.Meter) Profile { return build(meterRows(mt)) }
 
-// Merge folds profiles into one by summing per-(function, category)
-// cycles and recomputing shares — fractions do not merge, cycles do.
-// Each backend in a cluster serves its own /profilez; the router merges
-// them here into the whole fleet's Fig. 1 profile, which equals the
-// profile one meter would have produced had it observed the combined
-// load.
-func Merge(profiles ...Profile) Profile {
-	var rows []Entry
-	for _, p := range profiles {
-		rows = append(rows, p.Entries...)
-	}
-	return build(rows)
-}
-
 // HottestFrac returns the hottest function's share (Fig. 1: ~10–12% for
 // the PHP applications, far higher for SPECWeb).
 func (p Profile) HottestFrac() float64 {
@@ -126,8 +112,8 @@ func (p Profile) FuncsForFrac(target float64) int {
 }
 
 // Headline is a profile's Fig. 1 numbers, read one way for every
-// surface: /profilez, the profile gauges, /clusterz, the figures and the
-// text table.
+// surface: /profilez, the profile gauges, the figures and the text
+// table.
 type Headline struct {
 	Total       float64 // cycles in the profile
 	Functions   int     // distinct leaf functions
@@ -184,10 +170,9 @@ func (p Profile) CategoryShares() map[sim.Category]float64 {
 	return out
 }
 
-// TopN returns the hottest n entries; n <= 0 returns every entry, which
-// is how a fleet scraper asks a backend for its complete profile. The
+// TopN returns the hottest n entries; n <= 0 returns every entry. The
 // result is a copy: callers may sort or mutate it without silently
-// reordering the live profile (or anything Merge produced).
+// reordering the live profile.
 func (p Profile) TopN(n int) []Entry {
 	if n <= 0 || n > len(p.Entries) {
 		n = len(p.Entries)

@@ -18,11 +18,11 @@ import (
 )
 
 // Handler routes the proxy path and the operator surface: / proxies a
-// render; /healthz, /backends and /metrics (phprouter_* series, cluster
-// aggregates included) report router state; /tracez serves sampled
-// router trees with backend trees stitched in; /clusterz the merged
-// fleet view; /eventz the cluster event timeline; POST /restart rolls
-// every spawned backend through drain → restart → readmit.
+// render; /healthz, /backends and /metrics (phprouter_* series) report
+// what the router itself saw; /tracez serves sampled router trees with
+// backend trees stitched in; /eventz the cluster event timeline; POST
+// /restart rolls every spawned backend through drain → restart →
+// readmit. No read-only endpoint contacts a backend.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", r.handleProxy)
@@ -30,7 +30,6 @@ func (r *Router) Handler() http.Handler {
 	mux.HandleFunc("/backends", r.handleBackends)
 	mux.HandleFunc("/metrics", r.handleMetrics)
 	mux.HandleFunc("/tracez", r.handleTracez)
-	mux.HandleFunc("/clusterz", r.handleClusterz)
 	mux.HandleFunc("/eventz", r.handleEventz)
 	mux.HandleFunc("/restart", r.handleRestart)
 	return mux
@@ -104,8 +103,8 @@ func (r *Router) handleBackends(w http.ResponseWriter, _ *http.Request) {
 
 // RouterMetrics is everything on the router's /metrics and the one
 // declaration of each series: the router's own gauges, the tagged
-// RouterStats with its per-backend rows, the observability plane's
-// counters, and the cluster view /clusterz also serves.
+// RouterStats with its per-backend rows, and the observability plane's
+// counters. Fleet-wide numbers are sums over the per-backend series.
 type RouterMetrics struct {
 	UptimeSec   float64 `prom:"uptime_seconds,gauge" help:"Seconds since the router started."`
 	NumBackends int     `prom:"backends,gauge" help:"Configured backend count."`
@@ -113,13 +112,11 @@ type RouterMetrics struct {
 	RouterStats
 	TraceTrees *int64  `prom:"trace_trees_total,counter" help:"Sampled router span trees ever retained in the /tracez ring."`
 	Events     obs.Vec `prom:"events_total,counter,by=kind" help:"Cluster events recorded (backend up/down, ring changes, restart phases), by kind."`
-	Cluster    ClusterView
 }
 
 // handleMetrics renders the phprouter_* series in the Prometheus text
-// format, the cluster-level aggregates of a (TTL-coalesced) fleet scrape
-// included.
-func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
+// format.
+func (r *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	rs := r.Stats()
 	m := RouterMetrics{
 		UptimeSec:   time.Since(r.start).Seconds(),
@@ -127,7 +124,6 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		BackendsUp:  rs.UpCount(),
 		RouterStats: rs,
 		Events:      obs.Vec{},
-		Cluster:     r.cluster(req.Context(), rs),
 	}
 	if r.cfg.TreeRing != nil {
 		total := r.cfg.TreeRing.Total()
@@ -156,11 +152,6 @@ func (r *Router) handleTracez(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	obs.ServeTracez(w, req, r.cfg.TreeRing)
-}
-
-// handleClusterz serves the merged fleet view.
-func (r *Router) handleClusterz(w http.ResponseWriter, req *http.Request) {
-	obs.WriteJSON(w, http.StatusOK, r.cluster(req.Context(), r.Stats()))
 }
 
 // handleEventz serves the retained cluster events (backend up/down, ring

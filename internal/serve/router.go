@@ -64,9 +64,6 @@ type RouterConfig struct {
 	// into the query so the backend renders the page the router hashed
 	// (nil keys such a request on its path).
 	PageKeys *workload.ZipfKeys
-	// ScrapeTimeout bounds one fleet scrape pass behind /clusterz and the
-	// cluster gauges (<= 0 selects 2s).
-	ScrapeTimeout time.Duration
 	// DrainGrace bounds the router's own drain in ListenAndServe and each
 	// backend's during a rolling restart.
 	DrainGrace time.Duration
@@ -124,10 +121,6 @@ type Router struct {
 	// restartMu serializes rolling restarts (a second POST /restart
 	// while one runs answers 409).
 	restartMu sync.Mutex
-	// scrapeMu guards the TTL-coalesced fleet scrape behind /clusterz
-	// and the cluster gauges.
-	scrapeMu   sync.Mutex
-	lastScrape *FleetScrape
 }
 
 // NewRouter builds a router with no backends; register them with
@@ -135,9 +128,6 @@ type Router struct {
 func NewRouter(cfg RouterConfig) *Router {
 	if cfg.HealthTimeout <= 0 {
 		cfg.HealthTimeout = time.Second
-	}
-	if cfg.ScrapeTimeout <= 0 {
-		cfg.ScrapeTimeout = 2 * time.Second
 	}
 	transport := cfg.Transport
 	if transport == nil {
@@ -207,6 +197,10 @@ func (r *Router) SetDraining() {
 	r.mu.Unlock()
 }
 
+// maxProxyBody is the largest request body the router buffers and
+// forwards.
+const maxProxyBody = 1 << 20
+
 // errRerouted marks attempt outcomes that should move on to the next
 // ring owner instead of answering the client.
 var errRerouted = errors.New("serve: attempt rerouted")
@@ -233,13 +227,26 @@ func (r *Router) Proxy(w http.ResponseWriter, req *http.Request, key string) {
 	r.mu.Unlock()
 	po.noteRoute()
 
-	// Buffer a small request body once so reroutes can replay it; the
+	// Buffer the request body once so reroutes can replay it; the
 	// workload is GET-only, so this path is a correctness guard, not a
-	// hot path.
+	// hot path. A body is forwarded whole or not at all: one past
+	// maxProxyBody is a 413 and one that fails to read a 400, and no
+	// backend sees either.
 	var body []byte
 	if req.Body != nil && req.Body != http.NoBody {
-		body, _ = io.ReadAll(io.LimitReader(req.Body, 1<<20))
+		var err error
+		body, err = io.ReadAll(http.MaxBytesReader(w, req.Body, maxProxyBody))
 		req.Body.Close()
+		if err != nil {
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			po.noteStatus(status)
+			http.Error(w, http.StatusText(status)+": "+err.Error(), status)
+			return
+		}
 	}
 
 	var lastStatus int
@@ -453,6 +460,26 @@ func (r *Router) probeHealth(ctx context.Context, addr string) (bool, error) {
 	io.Copy(io.Discard, io.LimitReader(body, 1<<16))
 	body.Close()
 	return true, nil
+}
+
+// fetchBody issues one GET to a backend — health probe or trace-stitch
+// fetch — and returns the response body reader, or an error for any
+// non-2xx answer.
+func (r *Router) fetchBody(ctx context.Context, url string) (io.ReadCloser, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := r.transport.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode/100 != 2 {
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
+		resp.Body.Close()
+		return nil, fmt.Errorf("serve: GET %s: %s", url, resp.Status)
+	}
+	return resp.Body, nil
 }
 
 // HealthLoop runs CheckBackends every interval until ctx is done,

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -10,6 +12,7 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/cache"
@@ -266,6 +269,55 @@ func TestRouterRetryOnRefused(t *testing.T) {
 	}
 	if rs := r.Stats(); rs.Retries == 0 {
 		t.Fatal("reroute not counted in Retries")
+	}
+}
+
+// TestRouterRefusesBodyItCannotForward: a request body reaches the
+// backend whole or not at all. A body at the cap is forwarded byte for
+// byte; one past it is a 413 and one that fails to read a 400, and the
+// backend hears of neither.
+func TestRouterRefusesBodyItCannotForward(t *testing.T) {
+	var mu sync.Mutex
+	var received []int // body length of each request the backend saw
+	be := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		n, _ := io.Copy(io.Discard, req.Body)
+		mu.Lock()
+		received = append(received, int(n))
+		mu.Unlock()
+		io.WriteString(w, "ok")
+	}))
+	defer be.Close()
+	r := NewRouter(RouterConfig{})
+	r.AddBackend("0", be.Listener.Addr().String())
+	front := httptest.NewServer(r.Handler())
+	defer front.Close()
+
+	post := func(size int) int {
+		t.Helper()
+		resp, err := http.Post(front.URL+"/?page=3", "application/octet-stream", bytes.NewReader(make([]byte, size)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if status := post(maxProxyBody); status != http.StatusOK {
+		t.Errorf("body at the cap: status %d, want 200", status)
+	}
+	if status := post(maxProxyBody + 4096); status != http.StatusRequestEntityTooLarge {
+		t.Errorf("body past the cap: status %d, want 413", status)
+	}
+	w := httptest.NewRecorder()
+	r.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/?page=3", iotest.ErrReader(errors.New("connection reset"))))
+	if w.Code != http.StatusBadRequest {
+		t.Errorf("body that fails to read: status %d, want 400", w.Code)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(received) != 1 || received[0] != maxProxyBody {
+		t.Errorf("backend received bodies of %v bytes, want one of %d", received, maxProxyBody)
 	}
 }
 

@@ -107,7 +107,8 @@ func (po *proxyObs) noteServed(id, addr string, rerouted bool, status, bytes int
 	po.backendSampled = backendSampled
 }
 
-// noteStatus records a terminal non-shed status (bad gateway).
+// noteStatus records a terminal non-shed status (bad gateway, a
+// refused request body).
 func (po *proxyObs) noteStatus(status int) {
 	if po == nil {
 		return

@@ -73,24 +73,6 @@ func (c Category) String() string {
 // every serialized profile row.
 func (c Category) MarshalJSON() ([]byte, error) { return json.Marshal(c.String()) }
 
-// UnmarshalJSON is the inverse of MarshalJSON, for a router rebuilding a
-// backend's /profilez JSON. A name this build does not know decodes as
-// CatOther rather than failing: profiles merge by cycles, and a
-// version-skewed backend's new category should not blind the fleet view.
-func (c *Category) UnmarshalJSON(b []byte) error {
-	var name string
-	if err := json.Unmarshal(b, &name); err != nil {
-		return err
-	}
-	*c = CatOther
-	for _, k := range Categories() {
-		if k.String() == name {
-			*c = k
-		}
-	}
-	return nil
-}
-
 // Categories lists every category in presentation order.
 func Categories() []Category {
 	return []Category{

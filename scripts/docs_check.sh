@@ -11,12 +11,13 @@
 #    `const (`/`var (` blocks are covered by the block's own doc comment
 #    and are not inspected per name.
 #
-# 2. Server surface: every HTTP route phpserve and phprouter register
-#    (mux.HandleFunc or mux.Handle in serve.Server and serve.Router)
-#    and every CLI flag
-#    cmd/phpserve and cmd/phprouter define must be mentioned in
-#    docs/OPERATIONS.md, so none can land without operator
-#    documentation. (The metric series and /stats keys are not grepped
+# 2. Server surface, both directions: every HTTP route phpserve and
+#    phprouter register (mux.HandleFunc or mux.Handle in serve.Server
+#    and serve.Router) and every CLI flag cmd/phpserve and cmd/phprouter
+#    define must be mentioned in docs/OPERATIONS.md, so none can land
+#    without operator documentation; and every backticked first-column
+#    `-flag`, `GET /path` or `POST /path` of a table in that guide must
+#    still be one of them, so none can outlive its code. (The metric series and /stats keys are not grepped
 #    for here: the guide's signals tables are rendered from the running
 #    servers and held byte for byte by TestSignalsDoc in cmd/phpserve
 #    and TestOperatorSurface in cmd/phprouter, under `go test ./...`.)
@@ -119,6 +120,28 @@ if [ -n "$router_src" ] && [ -f "$opsdoc" ]; then
 	for f in $flags; do
 		if ! grep -qF -- "-$f" "$opsdoc"; then
 			echo "docs-check: flag -$f (from cmd/phprouter) is not documented in $opsdoc" >&2
+			status=1
+		fi
+	done
+fi
+
+# And the other direction: every flag a first-column `-name` of a guide
+# table documents must be one phpserve or phprouter defines, and every
+# first-column `GET /path` or `POST /path` a route serve.Server or
+# serve.Router registers — a removed flag or route cannot survive as a
+# stale row.
+if [ -f "$opsdoc" ]; then
+	allflags=$(flagnames $server_src $router_src)
+	allroutes=$( (routenames internal/serve/server.go; routenames internal/serve/front.go) | sort -u)
+	for f in $(awk -F'|' '/^\| `-/ { print $2 }' "$opsdoc" | grep -o '`-[A-Za-z0-9_-]*`' | tr -d '`' | sed 's/^-//' | sort -u); do
+		if ! printf '%s\n' "$allflags" | grep -qx -- "$f"; then
+			echo "docs-check: $opsdoc documents flag -$f, which neither cmd/phpserve nor cmd/phprouter defines" >&2
+			status=1
+		fi
+	done
+	for route in $(awk -F'|' '/^\| `(GET|POST) \// { print $2 }' "$opsdoc" | sed -n 's/.*`[A-Z]* \(\/[^`?]*\).*/\1/p' | sort -u); do
+		if ! printf '%s\n' "$allroutes" | grep -qx -- "$route"; then
+			echo "docs-check: $opsdoc documents endpoint $route, which neither serve.Server nor serve.Router registers" >&2
 			status=1
 		fi
 	done
