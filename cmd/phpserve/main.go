@@ -19,7 +19,7 @@
 //	         [-fpm] [-backend -1] [-listen addr] [-dbwait 0]
 //
 // Endpoints: / renders a page (?page=N names one), /stats, /metrics,
-// /tracez, /profilez, /tierz, /healthz and, with -pprof, /debug/pprof/
+// /tracez, /profilez, /healthz and, with -pprof, /debug/pprof/
 // (docs/OPERATIONS.md describes each).
 package main
 

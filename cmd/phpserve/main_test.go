@@ -123,6 +123,14 @@ func TestServeConcurrentRequests(t *testing.T) {
 				if len(body) == 0 || !strings.Contains(string(body), "<") {
 					t.Errorf("response does not look like a page: %q", string(body)[:min(64, len(body))])
 				}
+				// Operator reads race the renders and one another.
+				op, err := http.Get(ts.URL + []string{"/stats", "/metrics", "/profilez"}[(c+i)%3])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, op.Body)
+				op.Body.Close()
 			}
 		}()
 	}
@@ -381,16 +389,20 @@ func TestNotFoundAndHealthz(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp, err := http.Get(ts.URL + "/nosuch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown path: status %d, want 404", resp.StatusCode)
+	// /tierz was folded into /stats' tier object and answers like any
+	// unknown path.
+	for _, path := range []string{"/nosuch", "/tierz"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, resp.StatusCode)
+		}
 	}
 
-	resp, err = http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -747,8 +759,8 @@ func TestTracezEndpoint(t *testing.T) {
 }
 
 // TestProfilezMatchesOffline is the /profilez acceptance criterion: on a
-// warm server the live profile's headline numbers match the offline
-// internal/profile result for the same fleet meter within 1% absolute.
+// warm server its headline numbers are the offline internal/profile
+// result for the same fleet meter, exactly.
 func TestProfilezMatchesOffline(t *testing.T) {
 	s := testServer(t, 2, 2, 0.25, nil)
 	ts := httptest.NewServer(s.Handler())
@@ -756,40 +768,23 @@ func TestProfilezMatchesOffline(t *testing.T) {
 	drive(t, ts.URL, 20)
 
 	// Offline reference: batch profile over the merged fleet meter.
-	off := profile.FromMeter(s.Pool.Snapshot().Meter)
+	off := profile.FromMeter(s.Pool.Snapshot().Meter).Headline()
 
-	resp, err := http.Get(ts.URL + "/profilez?format=json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	var pr struct {
 		profile.Doc
-		Top []json.RawMessage `json:"top"` // only the row count is read
+		Top []struct {
+			Name string `json:"name"`
+		} `json:"top"` // only the rows' names are read
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
+	if err := json.Unmarshal([]byte(scrape(t, ts.URL, "/profilez?format=json")), &pr); err != nil {
 		t.Fatalf("/profilez json: %v", err)
 	}
-	if !pr.SinceBoot {
-		t.Errorf("first scrape should cover everything since boot: %+v", pr)
+	if len(pr.Top) == 0 {
+		t.Fatalf("empty profile: %+v", pr)
 	}
-	if math.Abs(pr.HottestFrac-off.HottestFrac()) > 0.01 {
-		t.Errorf("hottest frac: live %v, offline %v", pr.HottestFrac, off.HottestFrac())
-	}
-	offCount, liveCount := off.FuncsForFrac(0.65), pr.FuncsFor65
-	if offCount != liveCount {
-		// Allow the counts to differ only if the cumulative shares at
-		// those counts are within 1% absolute (tie-adjacent functions).
-		cd := off.CDF([]int{offCount, liveCount})
-		if math.Abs(cd[0]-cd[1]) > 0.01 {
-			t.Errorf("funcs for 65%%: live %d, offline %d", liveCount, offCount)
-		}
-	}
-	if pr.Functions != off.NumFunctions() {
-		t.Errorf("functions: live %d, offline %d", pr.Functions, off.NumFunctions())
-	}
-	if pr.TotalCycles <= 0 || len(pr.Top) == 0 {
-		t.Errorf("empty live profile: %+v", pr)
+	got := profile.Headline{Total: pr.TotalCycles, Functions: pr.Functions, Hottest: pr.Top[0].Name, HottestFrac: pr.HottestFrac, FuncsFor65: pr.FuncsFor65}
+	if got != off {
+		t.Errorf("/profilez headline %+v, offline %+v", got, off)
 	}
 	var shareSum float64
 	for _, v := range pr.CategoryShare {
@@ -800,77 +795,74 @@ func TestProfilezMatchesOffline(t *testing.T) {
 	}
 
 	// Table and folded forms render and carry the headline content.
-	resp2, err := http.Get(ts.URL + "/profilez?n=5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	table, _ := io.ReadAll(resp2.Body)
-	resp2.Body.Close()
-	for _, want := range []string{"live flat profile", "hottest:", "functions for 65%", "cdf:", "function"} {
-		if !strings.Contains(string(table), want) {
+	table := scrape(t, ts.URL, "/profilez?n=5")
+	for _, want := range []string{"flat profile since warm-up", off.String(), "cdf:", "function"} {
+		if !strings.Contains(table, want) {
 			t.Errorf("table output missing %q:\n%s", want, table)
 		}
 	}
-	resp3, err := http.Get(ts.URL + "/profilez?format=folded")
-	if err != nil {
-		t.Fatal(err)
-	}
-	folded, _ := io.ReadAll(resp3.Body)
-	resp3.Body.Close()
-	if !strings.Contains(string(folded), ";") {
+	if folded := scrape(t, ts.URL, "/profilez?format=folded"); !strings.Contains(folded, ";") {
 		t.Errorf("folded output has no stacks:\n%s", folded)
 	}
 
-	resp4, err := http.Get(ts.URL + "/profilez?format=nope")
+	resp, err := http.Get(ts.URL + "/profilez?format=nope")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp4.Body.Close()
-	if resp4.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown format: status %d, want 400", resp4.StatusCode)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("unknown format: status %d, want 400", resp.StatusCode)
 	}
 }
 
-// TestProfileGaugesOnMetrics: the Fig. 1 headline numbers are exported
-// as gauges, consistent with the same scrape's windowed profile.
-func TestProfileGaugesOnMetrics(t *testing.T) {
-	s := testServer(t, 1, 2, 1, nil)
-	ts := httptest.NewServer(s.Handler())
+// TestReadsMoveNothing: every operator read of a -cache server renders
+// one pool snapshot and changes no server state. With no request in
+// between, any number of /stats, /metrics and /profilez reads leave
+// /profilez byte for byte as it was, and its total and category shares
+// are /stats' own — response-cache lookup charges included.
+func TestReadsMoveNothing(t *testing.T) {
+	c := testConfig(2, 2, 0.25, nil)
+	c.CacheCapacity, c.CacheShards, c.Pages, c.ZipfS = 16, 2, 64, 1.0
+	ts := httptest.NewServer(newTestServer(t, c).Handler())
 	defer ts.Close()
-	drive(t, ts.URL, 4)
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	text := string(body)
-	for _, want := range []string{
-		"phpserve_profile_hottest_frac{",
-		"phpserve_profile_funcs_for_65{",
-		"phpserve_profile_functions{",
-		"phpserve_trace_trees_total{",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
-	}
-	// The gauges carry plausible Fig. 1 values on a warm profile.
-	for _, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(line, "phpserve_profile_hottest_frac{") {
-			v, err := strconv.ParseFloat(line[strings.LastIndex(line, " ")+1:], 64)
-			if err != nil || v <= 0 || v >= 1 {
-				t.Errorf("hottest frac gauge = %q (%v)", line, err)
+	const doc = "/profilez?format=json&n=0"
+	check := func(served int) {
+		t.Helper()
+		first := scrape(t, ts.URL, doc)
+		for i := 0; i < 8; i++ {
+			for _, path := range []string{"/stats", "/metrics", "/profilez", doc} {
+				scrape(t, ts.URL, path)
 			}
 		}
-		if strings.HasPrefix(line, "phpserve_profile_funcs_for_65{") {
-			v, err := strconv.ParseFloat(line[strings.LastIndex(line, " ")+1:], 64)
-			if err != nil || v < 1 {
-				t.Errorf("funcs-for-65 gauge = %q (%v)", line, err)
+		if again := scrape(t, ts.URL, doc); again != first {
+			t.Fatalf("after %d requests, reads moved %s:\nfirst %s\nlast  %s", served, doc, first, again)
+		}
+		var pr struct {
+			profile.Doc
+			Top []json.RawMessage `json:"top"` // not read
+		}
+		var st statsResponse
+		if err := json.Unmarshal([]byte(first), &pr); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal([]byte(scrape(t, ts.URL, "/stats")), &st); err != nil {
+			t.Fatal(err)
+		}
+		near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Abs(b) }
+		if !near(pr.TotalCycles, st.SimCycles) || st.SimCycles <= 0 {
+			t.Errorf("after %d requests: /profilez total_cycles %v, /stats sim_cycles %v", served, pr.TotalCycles, st.SimCycles)
+		}
+		for cat, share := range st.SimCategoryShare {
+			if !near(pr.CategoryShare[cat], share) {
+				t.Errorf("after %d requests: /profilez %s share %v, /stats %v", served, cat, pr.CategoryShare[cat], share)
 			}
 		}
 	}
+	drive(t, ts.URL, 40)
+	check(40)
+	drive(t, ts.URL, 20)
+	check(60)
 }
 
 // TestTracezDisabled: without a tree ring the endpoint reports 404

@@ -22,75 +22,39 @@ func tieredConfig(tier string) serve.ServerConfig {
 }
 
 // TestTierzEndpoint drives a server started with -tier auto and checks
-// /tierz reports the bytecode engine's request and inline-cache counts
-// in both formats.
+// the tier report, which /tierz used to serve and /stats' tier object
+// now carries, gives the bytecode engine's request and inline-cache
+// counts.
 func TestTierzEndpoint(t *testing.T) {
 	ts := httptest.NewServer(newTestServer(t, tieredConfig("auto")).Handler())
 	defer ts.Close()
+	drive(t, ts.URL, 8)
 
-	for i := 0; i < 8; i++ {
-		resp, err := http.Get(ts.URL + "/")
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+	var st struct {
+		Tier *php.TierSnapshot `json:"tier"`
 	}
-
-	resp, err := http.Get(ts.URL + "/tierz")
-	if err != nil {
+	if err := json.Unmarshal([]byte(scrape(t, ts.URL, "/stats")), &st); err != nil {
 		t.Fatal(err)
 	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
+	if tz := st.Tier; tz == nil || !tz.Enabled || tz.Mode != "bytecode" || tz.Requests != 136 {
+		t.Fatalf("/stats tier should report 136 bytecode requests: %+v", tz)
 	}
-	text := string(body)
-	for _, want := range []string{"mode bytecode", "requests 136", "inline caches:", "type feedback:"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("/tierz table missing %q:\n%s", want, text)
-		}
-	}
-
-	resp, err = http.Get(ts.URL + "/tierz?format=json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("content type = %q", ct)
-	}
-	var tz php.TierSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&tz); err != nil {
-		t.Fatal(err)
-	}
-	if !tz.Enabled || tz.Mode != "bytecode" || tz.Requests != 136 {
-		t.Errorf("tierz should report 136 bytecode requests: %+v", tz)
-	}
-	if tz.ICSites == 0 || tz.ICHits == 0 {
+	if tz := st.Tier; tz.ICSites == 0 || tz.ICHits == 0 {
 		t.Errorf("bytecode should exercise inline caches: %+v", tz)
 	}
 }
 
-// TestTierzDisabled checks the endpoint answers gracefully on a server
-// without the tier plane.
+// TestTierzDisabled checks a server without the tier plane leaves the
+// tier key out of /stats.
 func TestTierzDisabled(t *testing.T) {
-	s := testServer(t, 1, 1, 0, nil)
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(testServer(t, 1, 1, 0, nil).Handler())
 	defer ts.Close()
-
-	resp, err := http.Get(ts.URL + "/tierz")
-	if err != nil {
+	var doc map[string]any
+	if err := json.Unmarshal([]byte(scrape(t, ts.URL, "/stats")), &doc); err != nil {
 		t.Fatal(err)
 	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(body), "tiering off") {
-		t.Errorf("untiered /tierz should say so: %q", body)
+	if tz, ok := doc["tier"]; ok {
+		t.Errorf("untiered /stats carries a tier key: %v", tz)
 	}
 }
 

@@ -362,11 +362,10 @@ func runScriptedZipf(opts Options, mode php.TierMode) (Scenario, error) {
 	sc.ZipfS = zipfExponent
 	sc.fillLoadStats(ls)
 	sc.AllocsPerOp = allocs
-	sc.simFields(pool.MergedMeter(), ls.Served)
-
-	snap := pool.TierSnapshot()
-	sc.Tier = snap.Mode
-	sc.TierICHits = snap.ICHits
+	ps := pool.Snapshot()
+	sc.simFields(ps.Meter, ls.Served)
+	sc.Tier = ps.Tier.Mode
+	sc.TierICHits = ps.Tier.ICHits
 	return sc, nil
 }
 

@@ -61,12 +61,12 @@ func (in *Interp) EnableTier(comp *Compiled, mode TierMode) error {
 
 // TierSnapshot is a point-in-time view of one interpreter's (or, after
 // Merge, a worker pool's) engine and inline-cache state. It is its own
-// wire shape: /tierz?format=json is this struct's JSON and the
+// wire shape: phpserve's /stats carries it as its tier object and the
 // phpserve_tier_* series are obs.Encoder.Struct of it, each labelled
 // with the mode.
 type TierSnapshot struct {
-	Enabled          bool   `json:"enabled"`
-	Mode             string `json:"tier" prom:"tier,label"`
+	Enabled          bool   `json:"enabled" help:"True once a worker has run the script engine."`
+	Mode             string `json:"tier" prom:"tier,label" help:"The engine: bytecode or interp."`
 	Requests         int64  `json:"requests" prom:"tier_requests_total,counter,base" help:"Requests run by the script engine across all workers."`
 	ICSites          int    `json:"ic_sites" prom:"tier_ic_sites,gauge,base" help:"Polymorphic inline-cache sites materialized in compiled code."`
 	ICHits           int64  `json:"ic_hits" prom:"tier_ic_hits_total,counter,base" help:"Inline-cache hits at static hash-access sites."`

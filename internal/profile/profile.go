@@ -4,16 +4,14 @@
 // mitigation comparison of Fig. 3, the category coloring of Fig. 4, and
 // the execution-time breakdowns of Figs. 5 and 15.
 //
-// A profile is made one way (build): both constructors — FromMeter and
-// Live.Window — hand it (function, category,
-// cycles) rows, and it sorts them and sums Total, Frac and Cum in that
-// sorted order, so a profile is a pure function of its rows.
+// A profile is made one way, FromMeter, which sums Total, Frac and Cum
+// in the meter's hottest-first row order, so a profile is a pure
+// function of what the meter was charged.
 package profile
 
 import (
 	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -41,55 +39,29 @@ type Profile struct {
 // sim_fn_cycles.
 func RowKey(name string, c sim.Category) string { return name + " [" + c.String() + "]" }
 
-// build is the one way a Profile is made. Rows with the same function
-// and category sum, in input order; the result sorts by cycles
-// descending, then name, then category (the sim.Meter.Functions order);
-// and Total, Frac and Cum are summed in that sorted order. Float
-// addition is not associative, so any other order — a map's, say —
-// would move the last bits of Total and, with them, every share.
-func build(rows []Entry) Profile {
-	byKey := slices.Clone(rows)
-	slices.SortStableFunc(byKey, func(a, b Entry) int {
-		return cmp.Or(strings.Compare(a.Name, b.Name), cmp.Compare(a.Category, b.Category))
-	})
-	var out []Entry
-	for _, e := range byKey {
-		if n := len(out); n > 0 && out[n-1].Name == e.Name && out[n-1].Category == e.Category {
-			out[n-1].Cycles += e.Cycles
-			continue
-		}
-		out = append(out, Entry{Name: e.Name, Category: e.Category, Cycles: e.Cycles})
-	}
-	slices.SortFunc(out, func(a, b Entry) int {
-		return cmp.Or(cmp.Compare(b.Cycles, a.Cycles), strings.Compare(a.Name, b.Name), cmp.Compare(a.Category, b.Category))
-	})
-	p := Profile{Entries: out}
-	for _, e := range out {
-		p.Total += e.Cycles
+// FromMeter builds the profile of the meter's current attribution.
+// Functions yields one row per (function, category), sorted by cycles
+// descending, then name, then category, and Total, Frac and Cum are
+// summed in that order. Float addition is not associative, so any other
+// order — a map's, say — would move the last bits of Total and, with
+// them, every share; in this one Total is the meter's TotalCycles.
+func FromMeter(mt *sim.Meter) Profile {
+	fns := mt.Functions()
+	p := Profile{Entries: make([]Entry, len(fns))}
+	for i, f := range fns {
+		p.Entries[i] = Entry{Name: f.Name, Category: f.Category, Cycles: f.Cycles(&mt.Model)}
+		p.Total += p.Entries[i].Cycles
 	}
 	cum := 0.0
-	for i := range out {
+	for i := range p.Entries {
 		if p.Total > 0 {
-			out[i].Frac = out[i].Cycles / p.Total
+			p.Entries[i].Frac = p.Entries[i].Cycles / p.Total
 		}
-		cum += out[i].Frac
-		out[i].Cum = cum
+		cum += p.Entries[i].Frac
+		p.Entries[i].Cum = cum
 	}
 	return p
 }
-
-// meterRows reads the meter's current attribution as builder rows.
-func meterRows(mt *sim.Meter) []Entry {
-	fns := mt.Functions()
-	rows := make([]Entry, len(fns))
-	for i, f := range fns {
-		rows[i] = Entry{Name: f.Name, Category: f.Category, Cycles: f.Cycles(&mt.Model)}
-	}
-	return rows
-}
-
-// FromMeter builds a profile from the meter's current attribution.
-func FromMeter(mt *sim.Meter) Profile { return build(meterRows(mt)) }
 
 // HottestFrac returns the hottest function's share (Fig. 1: ~10–12% for
 // the PHP applications, far higher for SPECWeb).
@@ -112,8 +84,7 @@ func (p Profile) FuncsForFrac(target float64) int {
 }
 
 // Headline is a profile's Fig. 1 numbers, read one way for every
-// surface: /profilez, the profile gauges, the figures and the text
-// table.
+// surface: /profilez, the figures and the text table.
 type Headline struct {
 	Total       float64 // cycles in the profile
 	Functions   int     // distinct leaf functions
@@ -172,7 +143,7 @@ func (p Profile) CategoryShares() map[sim.Category]float64 {
 
 // TopN returns the hottest n entries; n <= 0 returns every entry. The
 // result is a copy: callers may sort or mutate it without silently
-// reordering the live profile.
+// reordering the profile.
 func (p Profile) TopN(n int) []Entry {
 	if n <= 0 || n > len(p.Entries) {
 		n = len(p.Entries)
@@ -209,7 +180,7 @@ func (p Profile) Render(n int) string {
 }
 
 // Folded renders the flat profile as folded stacks — one
-// "category;function cycles" line per entry, hottest first — so a live
+// "category;function cycles" line per entry, hottest first — so a
 // /profilez scrape feeds flamegraph.pl / speedscope directly. The
 // category is the root frame, which makes the flame's first tier the
 // paper's Fig. 4 breakdown.

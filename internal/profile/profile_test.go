@@ -247,7 +247,7 @@ func TestCDFEdgeCases(t *testing.T) {
 
 // TestTopNReturnsCopy is the regression test for TopN aliasing the
 // profile's backing array: sorting or mutating the returned slice must
-// not reorder the live profile (or anything Merge produced).
+// not reorder the profile.
 func TestTopNReturnsCopy(t *testing.T) {
 	mt := meterWith(map[string]float64{"a": 0.5, "b": 0.3, "c": 0.2})
 	p := FromMeter(mt)
@@ -264,7 +264,7 @@ func TestTopNReturnsCopy(t *testing.T) {
 	if p.Entries[0].Cycles < 0 {
 		t.Fatal("mutating TopN result changed live entry fields")
 	}
-	// n <= 0 (the fleet-scraper "everything" form) must copy too.
+	// n <= 0 (the "every row" form) must copy too.
 	all := p.TopN(0)
 	if len(all) != len(p.Entries) {
 		t.Fatalf("TopN(0) len = %d, want %d", len(all), len(p.Entries))
@@ -272,5 +272,23 @@ func TestTopNReturnsCopy(t *testing.T) {
 	all[0].Name = "clobbered"
 	if p.Entries[0].Name != "a" {
 		t.Fatal("TopN(0) aliases the profile's backing array")
+	}
+}
+
+func TestProfileFolded(t *testing.T) {
+	mt := sim.NewMeter(sim.DefaultCostModel())
+	mt.AddUops("jit code", sim.CatOther, 500)
+	mt.AddUops("ht;get", sim.CatHash, 300)
+	out := FromMeter(mt).Folded()
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("folded:\n%s", out)
+	}
+	// Hottest first, category as root frame, separators sanitized.
+	if !strings.HasPrefix(lines[0], "other;jit_code ") {
+		t.Errorf("line 0 = %q", lines[0])
+	}
+	if !strings.HasPrefix(lines[1], "hash;ht:get ") {
+		t.Errorf("line 1 = %q", lines[1])
 	}
 }

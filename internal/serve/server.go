@@ -113,7 +113,8 @@ func (c ServerConfig) validate() error {
 // typed 503/504 sheds, graceful drain) and, with a cache, through the
 // response cache, whose hits take no worker. Handler serves the
 // render path and the operator surface: /stats, /metrics, /tracez,
-// /profilez, /tierz, /healthz and, with Pprof, /debug/pprof/.
+// /profilez, /healthz and, with Pprof, /debug/pprof/. Every read of a
+// simulated number renders one Pool.Snapshot and changes nothing.
 type Server struct {
 	// Sched, Pool and Col are the lifecycle, the workers and the
 	// collector every surface reads; Cache is nil without a cache.
@@ -141,11 +142,6 @@ type Server struct {
 	memInitialized  bool
 	allocsPerReq    float64
 	allocBytesPerRq float64
-
-	// live is the windowed flat profile behind /profilez and the
-	// profile gauges; liveMu serializes its rotations.
-	liveMu sync.Mutex
-	live   *profile.Live
 }
 
 // NewServer builds the pool, configures its script tier, runs the
@@ -211,7 +207,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	s.Col.SetBackend(s.backendLabel())
 	s.start = time.Now()
-	s.live = profile.NewLive(0, s.start)
 	return s, nil
 }
 
@@ -283,7 +278,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/tracez", s.handleTracez)
 	mux.HandleFunc("/profilez", s.handleProfilez)
-	mux.HandleFunc("/tierz", s.handleTierz)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	if s.cfg.Pprof != nil {
 		mux.Handle("/debug/pprof/", s.cfg.Pprof)
@@ -464,23 +458,18 @@ type ServerStats struct {
 	TraceEvents obs.Vec      `json:"-" prom:"trace_events_total,counter,by=kind" help:"Operation trace events recorded, by kind, since warmup."`
 	TraceTrees  *int64       `json:"-" prom:"trace_trees_total,counter,base" help:"Sampled request span trees ever retained in the /tracez ring."`
 
-	// Window and Tier are filled by /metrics only: a /stats scrape must
-	// neither rotate the scrape-to-scrape windows nor take the tier
-	// plane's second pool barrier.
+	// Window is filled by /metrics only: a /stats read must not rotate
+	// the scrape-to-scrape window.
 	Window *scrapeWindow     `json:"-"`
-	Tier   *php.TierSnapshot `json:"-"`
+	Tier   *php.TierSnapshot `json:"tier,omitempty"`
 }
 
 // scrapeWindow is what a /metrics scrape measures since the previous
-// one: Go-heap allocation rates — the operational view of the
-// arena-per-request serve path, near zero in steady state — and the
-// paper's Fig. 1 headline numbers over the /profilez window.
+// one: Go-heap allocation rates, the operational view of the
+// arena-per-request serve path, near zero in steady state.
 type scrapeWindow struct {
 	AllocsPerReq     float64 `prom:"go_allocs_per_request,gauge,base" help:"Go heap allocations per served request since the previous /metrics scrape."`
 	AllocBytesPerReq float64 `prom:"go_alloc_bytes_per_request,gauge,base" help:"Go heap bytes allocated per served request since the previous /metrics scrape."`
-	HottestFrac      float64 `prom:"profile_hottest_frac,gauge,base" help:"Hottest leaf function's share of windowed cycles (Fig. 1 headline)."`
-	FuncsFor65       int     `prom:"profile_funcs_for_65,gauge,base" help:"Hottest functions needed to cover 65% of windowed cycles (Fig. 1 headline)."`
-	Functions        int     `prom:"profile_functions,gauge,base" help:"Distinct leaf functions with cycles in the profile window."`
 }
 
 // vec builds the ordered vector of val over keys, named by String.
@@ -492,9 +481,9 @@ func vec[K fmt.Stringer](keys []K, val func(K) float64) obs.Vec {
 	return v
 }
 
-// snapshot computes the one coherent view both /stats and /metrics
-// render, and returns the merged meter it read for the live profile.
-// Pool.Snapshot drains the free list, so it is also the barrier:
+// snapshot computes the one coherent view /stats, /metrics and
+// /profilez render, and returns the merged meter it read for the
+// profile. Pool.Snapshot drains the free list, so it is also the barrier:
 // in-flight renders finish before their costs are aggregated. The
 // cache's fixed lookup charges merge into the same meter so the
 // category totals cover hits too. Every ratio goes through obs.Finite,
@@ -520,6 +509,9 @@ func (s *Server) snapshot() (*ServerStats, *sim.Meter) {
 		s.Cache.MergeMeter(ps.Meter)
 		cs := s.Cache.Stats()
 		st.Cache = &cs
+	}
+	if s.cfg.Tier != "" {
+		st.Tier = &ps.Tier
 	}
 	us := func(sec float64) int64 { return int64(1e6 * sec) }
 	st.LatencyP50Us = us(st.Latency.Quantile(0.5))
@@ -558,14 +550,10 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleMetrics renders the Prometheus text-format exposition: the
-// snapshot with its scrape window rotated and the tier plane read.
+// snapshot with its scrape window rotated.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	st, mt := s.snapshot()
-	st.Window = s.scrapeWindow(mt, st.Requests)
-	if s.cfg.Tier != "" {
-		ts := s.Pool.TierSnapshot()
-		st.Tier = &ts
-	}
+	st, _ := s.snapshot()
+	st.Window = s.scrapeWindow(st.Requests)
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	e := obs.NewEncoder(w)
@@ -575,13 +563,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// scrapeWindow rotates both scrape-to-scrape windows — the MemStats
-// baseline and the live profile — and reports them. The caller has
-// taken the Pool.Snapshot barrier, so renders in flight at scrape time
-// are in both the allocation and the request delta. The first scrape
-// establishes the allocation baseline (and reports 0); a window with no
-// served requests repeats the last value rather than dividing by zero.
-func (s *Server) scrapeWindow(mt *sim.Meter, requests int64) *scrapeWindow {
+// scrapeWindow rotates the scrape-to-scrape MemStats baseline and
+// reports the allocation rates. The caller has taken the Pool.Snapshot
+// barrier, so renders in flight at scrape time are in both the
+// allocation and the request delta. The first scrape establishes the
+// baseline (and reports 0); a window with no served requests repeats the
+// last value rather than dividing by zero.
+func (s *Server) scrapeWindow(requests int64) *scrapeWindow {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	s.memMu.Lock()
@@ -593,22 +581,7 @@ func (s *Server) scrapeWindow(mt *sim.Meter, requests int64) *scrapeWindow {
 	s.memInitialized = true
 	w := &scrapeWindow{AllocsPerReq: s.allocsPerReq, AllocBytesPerReq: s.allocBytesPerRq}
 	s.memMu.Unlock()
-
-	lp, _ := s.observeLive(mt)
-	h := lp.Headline()
-	w.HottestFrac, w.FuncsFor65, w.Functions = h.HottestFrac, h.FuncsFor65, h.Functions
 	return w
-}
-
-// observeLive rotates a fresh epoch into the live profile from an
-// already-taken coherent pool snapshot's meter and returns the current
-// window. Both /profilez and /metrics route through here, so either
-// scrape advances the window.
-func (s *Server) observeLive(mt *sim.Meter) (profile.Profile, profile.WindowInfo) {
-	s.liveMu.Lock()
-	defer s.liveMu.Unlock()
-	s.live.Observe(mt, time.Now())
-	return s.live.Window()
 }
 
 // handleTracez exports the last sampled span trees through the shared
@@ -625,28 +598,25 @@ func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
 	obs.ServeTracez(w, r, ring)
 }
 
-// handleProfilez serves the live windowed flat profile — the paper's
-// Fig. 1/Fig. 4 analysis over current traffic. Parameters: n (top-N
-// rows, default 30), format=table (default) | folded (flamegraph
-// stacks) | json.
+// handleProfilez serves the flat profile of the meter /stats reads —
+// the paper's Fig. 1/Fig. 4 analysis of everything served since
+// warm-up. A window is the reader's: the difference of two reads.
+// Parameters: n (top-N rows, default 30), format=table (default) |
+// folded (flamegraph stacks) | json.
 func (s *Server) handleProfilez(w http.ResponseWriter, r *http.Request) {
-	ps := s.Pool.Snapshot()
-	p, info := s.observeLive(ps.Meter)
+	_, mt := s.snapshot()
+	p := profile.FromMeter(mt)
 	n := obs.QueryInt(r, "n", 30)
 
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "table":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		window := "since boot"
-		if !info.SinceBoot {
-			window = fmt.Sprintf("last %s (%d epochs)", info.Until.Sub(info.Since).Round(time.Millisecond), info.Epochs)
-		}
-		fmt.Fprintf(w, "live flat profile: %s (%s), window %s\n%s", s.cfg.App, s.cfg.Core, window, p.Render(n))
+		fmt.Fprintf(w, "flat profile since warm-up: %s (%s)\n%s", s.cfg.App, s.cfg.Core, p.Render(n))
 	case "folded":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		io.WriteString(w, p.Folded())
 	case "json":
-		obs.WriteJSON(w, http.StatusOK, profile.NewDoc(s.cfg.App, s.cfg.Core, p, info, profile.Landmarks, n))
+		obs.WriteJSON(w, http.StatusOK, profile.NewDoc(s.cfg.App, s.cfg.Core, p, profile.Landmarks, n))
 	default:
 		http.Error(w, fmt.Sprintf("profilez: unknown format %q (want table, folded, or json)", format), http.StatusBadRequest)
 	}

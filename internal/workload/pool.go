@@ -156,10 +156,11 @@ type Pool struct {
 	free    chan *Worker
 
 	// snapMu serializes whole-pool drains (Run, Snapshot, MergedMeter,
-	// TierSnapshot). Without it, two overlapping drains — e.g. a /metrics
-	// scrape racing a /stats scrape — can each pull a subset of workers
-	// off the free list and block forever holding them, wedging the
-	// server. At most one goroutine may drain the free list at a time.
+	// ConfigureScriptTier). Without it, two overlapping drains — e.g. a
+	// /metrics scrape racing a /profilez scrape — can each pull a subset
+	// of workers off the free list and block forever holding them,
+	// wedging the server. At most one goroutine may drain the free list
+	// at a time.
 	snapMu sync.Mutex
 }
 
@@ -373,13 +374,10 @@ func (p *Pool) ConfigureScriptTier(mode php.TierMode, policy php.TierPolicy) (bo
 	return any, nil
 }
 
-// TierSnapshot drains the pool and merges every scripted worker's engine
-// state into one fleet-aggregate view — the data behind /tierz and the
-// phpserve_tier_* metrics. The zero snapshot (Enabled false) comes back
-// when no worker runs a configured script.
-func (p *Pool) TierSnapshot() php.TierSnapshot {
-	p.acquireAll()
-	defer p.releaseAll()
+// tierSnapshotOwned merges every scripted worker's engine state into one
+// fleet-aggregate view; it is zero (Enabled false) when no worker runs a
+// configured script. It requires the caller to hold every worker.
+func (p *Pool) tierSnapshotOwned() php.TierSnapshot {
 	var s php.TierSnapshot
 	for _, w := range p.workers {
 		if st, ok := w.app.(ScriptTiered); ok {
@@ -421,18 +419,19 @@ func (p *Pool) accelStatsOwned() AccelStats {
 
 // PoolSnapshot is one consistent fleet-level view: merged meter, merged
 // trace counts (a counting recorder: every reader wants KindTotals, so no
-// event is copied), and accelerator statistics, all taken under the same
-// quiescence barrier so a /metrics scrape reads one coherent moment.
+// event is copied), accelerator statistics and script-engine state, all
+// taken under the same quiescence barrier so a scrape reads one coherent
+// moment.
 type PoolSnapshot struct {
 	Meter *sim.Meter
 	Trace *trace.Recorder
 	Accel AccelStats
+	Tier  php.TierSnapshot
 }
 
 // Snapshot drains the free list (waiting for in-flight requests) and
-// returns the merged meter, merged trace counts, and accelerator
-// statistics in one barrier, instead of the three separate drains
-// MergedMeter + MergedTrace + per-worker reads would cost.
+// returns the merged meter, merged trace counts, accelerator statistics
+// and script-engine state in one barrier.
 func (p *Pool) Snapshot() PoolSnapshot {
 	p.acquireAll()
 	defer p.releaseAll()
@@ -440,5 +439,6 @@ func (p *Pool) Snapshot() PoolSnapshot {
 		Meter: p.mergedMeterOwned(),
 		Trace: p.mergedTraceOwned(-1),
 		Accel: p.accelStatsOwned(),
+		Tier:  p.tierSnapshotOwned(),
 	}
 }

@@ -40,7 +40,7 @@ func TestTierDeterminismGuard(t *testing.T) {
 			Clients:  1,
 			PageKey:  keys.Next,
 		})
-		return pool.TierSnapshot()
+		return pool.Snapshot().Tier
 	}
 
 	a, b := run(), run()

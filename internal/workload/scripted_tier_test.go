@@ -25,7 +25,7 @@ func TestPoolConfigureScriptTier(t *testing.T) {
 			t.Fatal("phpscript-blog should support script tiering")
 		}
 		res := p.Run(LoadGenerator{Requests: 48, Warmup: 4}, 0)
-		return res, p.TierSnapshot()
+		return res, p.Snapshot().Tier
 	}
 
 	interpRes, interpSnap := newRun(php.TierInterp)
