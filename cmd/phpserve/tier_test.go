@@ -44,6 +44,39 @@ func TestTierzEndpoint(t *testing.T) {
 	}
 }
 
+// TestTierLabelStableFromStart starts a -tier bytecode server with no
+// warm-up, so no worker has built its engine when it is first scraped:
+// /stats and the /metrics tier label must already name the configured
+// engine, and keep naming it after the first request.
+func TestTierLabelStableFromStart(t *testing.T) {
+	cfg := tieredConfig("bytecode")
+	cfg.Warmup = 0
+	ts := httptest.NewServer(newTestServer(t, cfg).Handler())
+	defer ts.Close()
+	const series = `phpserve_tier_requests_total{app="phpscript-blog",config="accelerated",tier="bytecode"}`
+	for round, requests := range []int64{0, 1} {
+		if requests > 0 {
+			drive(t, ts.URL, int(requests))
+		}
+		var st struct {
+			Tier *php.TierSnapshot `json:"tier"`
+		}
+		if err := json.Unmarshal([]byte(scrape(t, ts.URL, "/stats")), &st); err != nil {
+			t.Fatal(err)
+		}
+		if tz := st.Tier; tz == nil || !tz.Enabled || tz.Mode != "bytecode" || tz.Requests != requests {
+			t.Fatalf("round %d: /stats tier = %+v, want enabled bytecode with %d requests", round, tz, requests)
+		}
+		metrics := scrape(t, ts.URL, "/metrics")
+		if !strings.Contains(metrics, series+" ") {
+			t.Fatalf("round %d: /metrics lacks %s", round, series)
+		}
+		if strings.Contains(metrics, `tier=""`) {
+			t.Fatalf("round %d: /metrics carries an empty tier label", round)
+		}
+	}
+}
+
 // TestTierzDisabled checks a server without the tier plane leaves the
 // tier key out of /stats.
 func TestTierzDisabled(t *testing.T) {

@@ -85,10 +85,13 @@ func (a *Accel) ShadowReplace(re *regex.Regex, content []byte, repl []byte, hv *
 		}
 		edited = append(edited, content[prev:hi]...)
 		// Whitespace padding to the next segment boundary keeps all later
-		// boundaries aligned with the original HV.
-		if hi == (e+1)*seg { // only pad interior groups, not a trailing partial
-			for len(edited)%seg != 0 {
-				edited = append(edited, ' ')
+		// boundaries aligned with the original HV. Only interior groups
+		// are padded, not a trailing partial.
+		if pad := (seg - len(edited)%seg) % seg; pad > 0 && hi == (e+1)*seg {
+			n := len(edited)
+			edited = append(edited, make([]byte, pad)...)
+			for i := n; i < len(edited); i++ {
+				edited[i] = ' '
 			}
 		}
 		out = append(out, edited...)

@@ -92,9 +92,9 @@ func FuzzTranslate(f *testing.F) {
 	})
 }
 
-// FuzzEscape drives HTMLSpecialChars and AddSlashes — the two ops on the
-// shared expansion kernel — against strlib, the per-byte oracle loops and
-// the oracle's Stats (checkEscape, straccel_test.go).
+// FuzzEscape drives HTMLSpecialChars, AddSlashes and NL2BR — the three
+// ops on the shared expansion kernel — against strlib, the per-byte
+// oracle loops and the oracle's Stats (checkEscape, straccel_test.go).
 func FuzzEscape(f *testing.F) {
 	f.Fuzz(func(t *testing.T, subject []byte, sel uint8) {
 		a, o := fuzzPair(sel)

@@ -8,36 +8,13 @@ import "repro/internal/strlib"
 
 // NL2BR implements stringop[nl2br] (PHP nl2br): equality rows match \r
 // and \n; the shifting logic inserts "<br />" before each break. \r\n
-// pairs receive one break, as in PHP.
+// pairs receive one break, as in PHP: the wrap-around glue logic pairs
+// them even across a block boundary. The bytes come from strlib's
+// expansion kernel, as for the escaping ops.
 func (a *Accel) NL2BR(subject []byte) []byte {
 	a.stats.Ops++
 	a.chargeBlocks(len(subject), 2)
-	breaks := 0
-	for i := 0; i < len(subject); i++ {
-		if subject[i] == '\n' || subject[i] == '\r' {
-			breaks++
-			if subject[i] == '\r' && i+1 < len(subject) && subject[i+1] == '\n' {
-				i++
-			}
-		}
-	}
-	out := a.buf(len(subject) + breaks*len("<br />"))
-	for i := 0; i < len(subject); i++ {
-		c := subject[i]
-		if c == '\r' || c == '\n' {
-			out = append(out, "<br />"...)
-			out = append(out, c)
-			// The wrap-around glue logic pairs a \r\n even across a block
-			// boundary, so the pair is handled uniformly here.
-			if c == '\r' && i+1 < len(subject) && subject[i+1] == '\n' {
-				out = append(out, '\n')
-				i++
-			}
-			continue
-		}
-		out = append(out, c)
-	}
-	return out
+	return a.sw.Expand(strlib.OpNL2BR, subject)
 }
 
 // chargeBlocks accounts a streaming pass over n bytes with nRows active:

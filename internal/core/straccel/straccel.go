@@ -140,8 +140,9 @@ type Accel struct {
 	cfg   Config
 	cur   MatrixConfig
 	stats Stats
-	sw    strlib.Lib // software fallback, and the escaping ops' expansion kernel
-	mem   strlib.Allocator
+	// sw is the software fallback and the expansion kernel of the
+	// escaping ops and nl2br; its Mem allocates every result string.
+	sw strlib.Lib
 	// col is the compare plane: bit k of col[c] is set iff pattern row k
 	// fires on byte c. All zero between operations — an operation sets
 	// the entries of its own row bytes and clears the same ones after.
@@ -156,23 +157,20 @@ func New(cfg Config) *Accel {
 // SetMem routes result-string allocation (here and in the software
 // fallback) through m — typically the owning core's request arena.
 // Results then follow m's lifetime; see strlib.Allocator.
-func (a *Accel) SetMem(m strlib.Allocator) {
-	a.mem = m
-	a.sw.Mem = m
-}
+func (a *Accel) SetMem(m strlib.Allocator) { a.sw.Mem = m }
 
 // mk allocates a length-n result slice via the configured allocator.
 func (a *Accel) mk(n int) []byte {
-	if a.mem != nil {
-		return a.mem.Make(n)
+	if a.sw.Mem != nil {
+		return a.sw.Mem.Make(n)
 	}
 	return make([]byte, n)
 }
 
 // buf allocates a zero-length, capacity-c result slice.
 func (a *Accel) buf(c int) []byte {
-	if a.mem != nil {
-		return a.mem.Buf(c)
+	if a.sw.Mem != nil {
+		return a.sw.Mem.Buf(c)
 	}
 	return make([]byte, 0, c)
 }

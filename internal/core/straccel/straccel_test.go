@@ -217,7 +217,7 @@ func (o *oracle) trim(subject, cutset []byte) []byte {
 }
 
 // htmlSpecialChars and addSlashes are the per-byte switch-and-append
-// loops that strlib's table-driven expansion kernel replaced, kept with
+// loops that strlib's expansion kernel replaced, kept with
 // the accounting exactly where the hardware does it: one charge per block
 // entered, four equality rows, and no block at all for an empty subject.
 func (o *oracle) htmlSpecialChars(subject []byte) []byte {
@@ -266,6 +266,36 @@ func (o *oracle) addSlashes(subject []byte) []byte {
 				out = append(out, c)
 			}
 		}
+	}
+	return out
+}
+
+// nl2br is the per-byte loop both NL2BR copies ran before they shared
+// strlib's expansion kernel, with the hardware's accounting: two equality
+// rows, one charge per block entered, and one zero-length block for an
+// empty subject. A \r\n pair gets one break even across a block
+// boundary (the wrap-around glue logic).
+func (o *oracle) nl2br(subject []byte) []byte {
+	o.stats.Ops++
+	if len(subject) == 0 {
+		o.charge(0, 2)
+	}
+	for base := 0; base < len(subject); base += o.cfg.BlockBytes {
+		o.charge(min(o.cfg.BlockBytes, len(subject)-base), 2)
+	}
+	out := []byte{}
+	for i := 0; i < len(subject); i++ {
+		c := subject[i]
+		if c == '\r' || c == '\n' {
+			out = append(out, "<br />"...)
+			out = append(out, c)
+			if c == '\r' && i+1 < len(subject) && subject[i+1] == '\n' {
+				out = append(out, '\n')
+				i++
+			}
+			continue
+		}
+		out = append(out, c)
 	}
 	return out
 }
@@ -614,8 +644,9 @@ func TestHTMLSpecialCharsEquivalence(t *testing.T) {
 	}
 }
 
-// checkEscape runs both escaping ops on both models and the software
-// library and compares the bytes, the exact sizing and the whole Stats.
+// checkEscape runs the three ops on the shared expansion kernel (both
+// escaping ops and nl2br) on both models and the software library and
+// compares the bytes, the exact sizing and the whole Stats.
 func checkEscape(t *testing.T, a *Accel, o *oracle, subject []byte) {
 	t.Helper()
 	var ref strlib.Lib
@@ -625,6 +656,7 @@ func checkEscape(t *testing.T, a *Accel, o *oracle, subject []byte) {
 	}{
 		{"HTMLSpecialChars", a.HTMLSpecialChars, o.htmlSpecialChars, ref.HTMLSpecialChars},
 		{"AddSlashes", a.AddSlashes, o.addSlashes, ref.AddSlashes},
+		{"NL2BR", a.NL2BR, o.nl2br, ref.NL2BR},
 	} {
 		got, want := op.hw(subject), op.model(subject)
 		if !bytes.Equal(got, want) || !bytes.Equal(op.lib(subject), want) {
@@ -644,10 +676,11 @@ func checkEscape(t *testing.T, a *Accel, o *oracle, subject []byte) {
 // wrong, at every ablation width: no special byte (one run), nothing but
 // special bytes (no run), a special byte first or last (an empty run at
 // either end, the tail run), special bytes on both sides of every block
-// boundary, bytes that are negative as int8, and NUL (a special byte for
-// one op and an ordinary one for the other).
+// boundary, bytes that are negative as int8, NUL (a special byte for
+// one op and an ordinary one for the others), and \r\n pairs, which
+// the rotation lays across block boundaries too.
 func TestEscapeAgainstOracle(t *testing.T) {
-	specials := []byte("&<>\"'\\\x00")
+	specials := []byte("&<>\"'\\\x00\r\n")
 	for _, width := range ablationWidths {
 		for _, n := range boundaryLens {
 			shapes := []func(i int) bool{ // is byte i a special one?

@@ -67,7 +67,10 @@ func BytesOf(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)
 // ViewOf is BytesOf's inverse (see BytesOf for when it is sound).
 func ViewOf(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
-// Key is a PHP array key: either an integer or a string.
+// Key is a PHP array key: either an integer or a string. A string key
+// caches its hash in the Int it leaves unused, as PHP's zend_string does
+// in its header: Int is 0 (not computed) or Hash of Str. Equality reads
+// only IsInt plus Int or Str, so Key{Str: s} and StrKey(s) are one key.
 type Key struct {
 	IsInt bool
 	Int   int64
@@ -77,8 +80,9 @@ type Key struct {
 // IntKey builds an integer key.
 func IntKey(i int64) Key { return Key{IsInt: true, Int: i} }
 
-// StrKey builds a string key.
-func StrKey(s string) Key { return Key{Str: s} }
+// StrKey builds a string key carrying its hash, which every table that
+// looks it up then reads instead of rehashing the bytes.
+func StrKey(s string) Key { return Key{Int: int64(strHash(s)), Str: s} }
 
 // Len returns the key's length in bytes (8 for integer keys), the measure
 // the paper uses for its "95% of keys are at most 24 bytes" statistic.
@@ -89,8 +93,8 @@ func (k Key) Len() int {
 	return len(k.Str)
 }
 
-// Hash returns the key's hash. String keys use FNV-1a; integer keys use a
-// 64-bit mix. This mirrors the paper's observation that a simplified hash
+// Hash returns the key's hash. String keys use FNV-1a (the cached one
+// when Int holds it); integer keys use a 64-bit mix. This mirrors the paper's observation that a simplified hash
 // function suffices without compromising hit rate (§4.2).
 func (k Key) Hash() uint64 {
 	if k.IsInt {
@@ -102,13 +106,21 @@ func (k Key) Hash() uint64 {
 		x ^= x >> 33
 		return x
 	}
+	if k.Int != 0 {
+		return uint64(k.Int)
+	}
+	return strHash(k.Str)
+}
+
+// strHash is FNV-1a over s.
+func strHash(s string) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for i := 0; i < len(k.Str); i++ {
-		h ^= uint64(k.Str[i])
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
 		h *= prime64
 	}
 	return h
@@ -173,6 +185,7 @@ type Map struct {
 	nextIntKey int64  // PHP's next automatic integer key
 	nextSeq    uint64 // next insertion sequence number
 	unordered  bool   // a writeback landed out of sequence order
+	pinned     bool   // a running Foreach reads the entry table
 }
 
 // NewWithID creates an empty map with a caller-chosen identity; obs may
@@ -213,6 +226,7 @@ func (m *Map) ID() uint64 { return m.id }
 func (m *Map) Reset(id uint64) {
 	m.id = id
 	m.Freed = false
+	m.unpin()
 	// Clear the entries: values hold strings and array handles, which a
 	// recycled map must not keep alive.
 	for i := range m.entries {
@@ -260,6 +274,7 @@ func (m *Map) ensureFresh() {
 // rebuildIndex reconstructs the hash index over live entries with n slots
 // and compacts tombstones out of the entry table.
 func (m *Map) rebuildIndex(n int) {
+	m.unpin()
 	live := m.entries[:0]
 	for _, e := range m.entries {
 		if !e.dead {
@@ -350,6 +365,7 @@ func (m *Map) Set(k Key, v Value) {
 			m.grow()
 		}
 	} else {
+		m.unpin()
 		m.entries[pos].val = v
 	}
 	if m.obs != nil {
@@ -371,6 +387,7 @@ func (m *Map) Delete(k Key) bool {
 	if pos < 0 {
 		return false
 	}
+	m.unpin()
 	m.entries[pos].dead = true
 	m.index[slot] = tombstoneSlot
 	m.size--
@@ -400,37 +417,42 @@ func (m *Map) grow() {
 // foreach guarantees and the RTT preserves in hardware (§4.2). The
 // callback returns false to stop early.
 //
-// The callback may mutate the map: a Set that grows the index, a Delete,
-// or a stale-flag rebuild (MarkStale + access) all compact or relocate
-// m.entries mid-iteration, so iteration runs over a snapshot of the live
-// entries taken at call time — PHP's foreach-over-a-copy semantics. Keys
-// live at the start of the iteration are each visited exactly once;
-// entries inserted by the callback are not visited.
+// It has PHP's foreach-over-a-copy semantics without a copy up front: it
+// walks the entry table as it was at entry, which stays pinned while the
+// walk runs. A callback write to an entry the walk can still read (a
+// Delete, an update in place, a compaction by a grow or stale rebuild, a
+// reorder) first moves the map onto a copy of the table (unpin). So keys
+// live at the start are each visited exactly once, with their values at
+// the start, and entries inserted by the callback are not visited.
 func (m *Map) Foreach(f func(k Key, v Value) bool) {
 	m.ensureFresh()
 	m.ensureOrdered()
-	// Only keys and values: these bytes are most of what a steady-state
-	// render allocates.
-	type pair struct {
-		key Key
-		val Value
-	}
-	snap := make([]pair, 0, m.size)
-	for i := range m.entries {
-		if e := &m.entries[i]; !e.dead {
-			snap = append(snap, pair{e.key, e.val})
-		}
-	}
+	entries, outer := m.entries, m.pinned
+	m.pinned = true
 	n := 0
-	for i := range snap {
-		n++
-		if !f(snap[i].key, snap[i].val) {
-			break
+	for i := range entries {
+		if e := &entries[i]; !e.dead {
+			n++
+			if !f(e.key, e.val) {
+				break
+			}
 		}
 	}
+	m.pinned = outer // a walk this one runs inside may still read it
 	if m.obs != nil {
 		m.obs.OnWalk(OpIterate, n, 0, false)
 	}
+}
+
+// unpin moves the map onto its own copy of the entry table before a
+// write a running Foreach could read. The copy keeps the capacity, so
+// later appends grow no sooner than they would have.
+func (m *Map) unpin() {
+	if !m.pinned {
+		return
+	}
+	m.pinned = false
+	m.entries = append(make([]entry, 0, cap(m.entries)), m.entries...)
 }
 
 // BumpIntKey advances the auto-index watermark to cover int key i. The
@@ -477,6 +499,7 @@ func (m *Map) WritebackSeq(k Key, v Value, seq uint64) bool {
 	m.ensureFresh()
 	slot, pos, _, _ := m.findSlot(k)
 	if pos >= 0 {
+		m.unpin()
 		m.entries[pos].val = v
 		return true
 	}
@@ -506,6 +529,7 @@ func (m *Map) ensureOrdered() {
 		return
 	}
 	m.unordered = false
+	m.unpin()
 	sort.SliceStable(m.entries, func(i, j int) bool { return m.entries[i].seq < m.entries[j].seq })
 	m.rebuildIndex(len(m.index))
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 type walkRec struct {
@@ -259,6 +260,50 @@ func TestKeyHashStability(t *testing.T) {
 	}
 }
 
+// TestKeySpellingsAreOneKey: StrKey(s) carries its hash and Key{Str: s}
+// does not, and the map must not tell them apart, nor may the cache
+// widen a Key (a map entry and a hardware table row hold one).
+func TestKeySpellingsAreOneKey(t *testing.T) {
+	if n := unsafe.Sizeof(Key{}); n != 32 {
+		t.Fatalf("Key is %d bytes, want 32", n)
+	}
+	for _, s := range []string{"", "a", "wp_options", "very_long_template_variable_name_overflow"} {
+		cached, bare := StrKey(s), Key{Str: s}
+		if cached.Hash() != bare.Hash() {
+			t.Fatalf("%q: StrKey hash %x, Key{Str} hash %x", s, cached.Hash(), bare.Hash())
+		}
+		for _, sp := range [][2]Key{{cached, bare}, {bare, cached}} {
+			set, other := sp[0], sp[1]
+			m := newMap(nil)
+			m.Set(IntKey(1), iv(1))
+			m.Set(set, iv(2))
+			m.Set(other, iv(3)) // an update, not a second key
+			if v, ok := m.Get(other); !ok || v != iv(3) || m.Size() != 2 {
+				t.Fatalf("%q: Get after Set by both spellings = %v %v, size %d", s, v, ok, m.Size())
+			}
+			if v, ok := m.Get(set); !ok || v != iv(3) {
+				t.Fatalf("%q: Get by the first spelling = %v %v", s, v, ok)
+			}
+			var seen []string
+			m.Foreach(func(k Key, v Value) bool {
+				if !k.IsInt {
+					seen = append(seen, k.Str)
+				}
+				return true
+			})
+			if len(seen) != 1 || seen[0] != s {
+				t.Fatalf("%q: Foreach saw string keys %q", s, seen)
+			}
+			if !m.Delete(other) || m.Size() != 1 {
+				t.Fatalf("%q: Delete by the other spelling missed", s)
+			}
+			if _, ok := m.Get(set); ok {
+				t.Fatalf("%q: key survived Delete by the other spelling", s)
+			}
+		}
+	}
+}
+
 func TestKeyLen(t *testing.T) {
 	if IntKey(5).Len() != 8 {
 		t.Errorf("int key Len = %d", IntKey(5).Len())
@@ -413,6 +458,87 @@ func TestForeachSurvivesCallbackDelete(t *testing.T) {
 	})
 	if len(got) != 12 {
 		t.Fatalf("visited %d keys, want 12: %v", len(got), got)
+	}
+}
+
+// TestForeachSeesValuesAtEntry: a callback that updates or deletes a key
+// the walk has not reached yet still sees that key with its value at the
+// start (foreach iterates a copy), while the map itself has the update.
+func TestForeachSeesValuesAtEntry(t *testing.T) {
+	m := newMap(nil)
+	for i := 0; i < 6; i++ {
+		m.Set(IntKey(int64(i)), iv(i))
+	}
+	var got []Value
+	m.Foreach(func(k Key, v Value) bool {
+		got = append(got, v)
+		if k.Int == 0 {
+			m.Set(IntKey(3), iv(30))
+			m.Delete(IntKey(4))
+		}
+		return true
+	})
+	for i, v := range got {
+		if v != iv(i) {
+			t.Fatalf("visit %d saw %v, want the value at entry %v (all: %v)", i, v, iv(i), got)
+		}
+	}
+	if v, _ := m.Get(IntKey(3)); v != iv(30) || m.Size() != 5 {
+		t.Fatalf("after the walk: [3] = %v, size %d; want 30 and 5", v, m.Size())
+	}
+	// A stale rebuild mid-walk compacts interleaved tombstones, which
+	// moves every later live entry; the walk still sees each key once.
+	c := newMap(nil)
+	for i := 0; i < 20; i++ {
+		c.Set(IntKey(int64(i)), iv(i))
+	}
+	for i := 0; i < 20; i += 2 {
+		c.Delete(IntKey(int64(i)))
+	}
+	var odd []int64
+	c.Foreach(func(k Key, _ Value) bool {
+		c.MarkStale()
+		c.Get(k)
+		odd = append(odd, k.Int)
+		return true
+	})
+	if fmt.Sprint(odd) != "[1 3 5 7 9 11 13 15 17 19]" {
+		t.Fatalf("walk over a mid-walk compaction visited %v", odd)
+	}
+	// A read-only walk nested in another leaves the outer one pinned.
+	r := newMap(nil)
+	for i := 0; i < 4; i++ {
+		r.Set(IntKey(int64(i)), iv(i))
+	}
+	var all []int64
+	r.Foreach(func(k Key, _ Value) bool {
+		r.Foreach(func(Key, Value) bool { return true })
+		r.Delete(IntKey(k.Int + 1))
+		all = append(all, k.Int)
+		return true
+	})
+	if fmt.Sprint(all) != "[0 1 2 3]" {
+		t.Fatalf("walk deleting its next key after a nested walk visited %v", all)
+	}
+	// A nested walk that mutates leaves the outer walk its own view too.
+	var outer []int64
+	m.Foreach(func(k Key, _ Value) bool {
+		outer = append(outer, k.Int)
+		m.Foreach(func(k Key, _ Value) bool {
+			m.Delete(k)
+			return true
+		})
+		return true
+	})
+	if len(outer) != 5 || m.Size() != 0 {
+		t.Fatalf("outer walk saw %v with a nested walk deleting everything; size %d", outer, m.Size())
+	}
+	// The map is unpinned again: a write after the walks copies nothing.
+	m.Set(IntKey(9), iv(9))
+	before := &m.entries[:1][0]
+	m.Set(IntKey(9), iv(10))
+	if &m.entries[:1][0] != before {
+		t.Fatal("entry table copied by a write after every walk ended")
 	}
 }
 

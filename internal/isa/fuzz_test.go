@@ -22,7 +22,9 @@ import (
 //
 // Each operation is one opcode byte followed by its operands: a map slot
 // (three maps live at a time), a key byte (small ints, short strings and
-// strings past the 24-byte inline limit) and, for stores, a value (every
+// strings past the 24-byte inline limit, each string spelled with or
+// without its cached hash, and the other way on the other core) and, for
+// stores, a value (every
 // kind, arrays included; an array value is compared by the creation
 // index of the map it points to).
 func FuzzHashSequence(f *testing.F) {
@@ -32,6 +34,9 @@ func FuzzHashSequence(f *testing.F) {
 		{0, 0, 1, 2, 7, 2, 0, 1, 3, 0, 1, 6, 0, 7, 0},
 		// a dynamic store overwritten by a static one, then read back
 		{0, 0, 1, 2, 1, 1, 0, 1, 2, 2, 2, 0, 1, 6, 0},
+		// "k0" stored with its cached hash, read and overwritten bare
+		// (key byte 145), read back both ways
+		{0, 0, 1, 2, 7, 2, 0, 145, 1, 0, 145, 2, 9, 3, 0, 1, 2, 0, 145},
 		// two appends, a context switch, one more append, foreach
 		{4, 1, 2, 1, 4, 1, 4, 9, 9, 0, 4, 1, 2, 3, 6, 1},
 		// a long (bypassing) key, free + new, another long key, a get
@@ -68,11 +73,11 @@ func FuzzHashSequence(f *testing.F) {
 			case 0, 1: // store: dynamic, or static (inline-cache specialized)
 				k, vk, vb := seqKey(next()), next(), next()
 				soft.cpu.HashStore("f", soft.maps[slot], k, soft.value(vk, vb), op == 1)
-				hard.cpu.HashStore("f", hard.maps[slot], k, hard.value(vk, vb), op == 1)
+				hard.cpu.HashStore("f", hard.maps[slot], respell(k), hard.value(vk, vb), op == 1)
 			case 2, 3: // lookup: dynamic, or static
 				k := seqKey(next())
 				a = soft.get(slot, k, op == 3)
-				b = hard.get(slot, k, op == 3)
+				b = hard.get(slot, respell(k), op == 3)
 			case 4: // append ($a[] = v)
 				vk, vb := next(), next()
 				a = soft.appendTo(slot, vk, vb)
@@ -80,7 +85,7 @@ func FuzzHashSequence(f *testing.F) {
 			case 5: // unset
 				k := seqKey(next())
 				a = fmt.Sprint(soft.cpu.HashDelete("f", soft.maps[slot], k))
-				b = fmt.Sprint(hard.cpu.HashDelete("f", hard.maps[slot], k))
+				b = fmt.Sprint(hard.cpu.HashDelete("f", hard.maps[slot], respell(k)))
 			case 6: // foreach
 				a = soft.foreach(slot)
 				b = hard.foreach(slot)
@@ -136,15 +141,36 @@ func (c *seqCore) renew(slot int) {
 }
 
 // seqKey decodes a key byte: small ints (negative included), short
-// strings, and strings too long for the hardware table.
+// strings, and strings too long for the hardware table. A string key is
+// spelled with its cached hash (StrKey) when the top bit is clear and
+// without it (Key{Str: s}) when it is set, so every sequence mixes the
+// two spellings of one key.
 func seqKey(b byte) hashmap.Key {
+	var s string
 	switch b % 3 {
 	case 0:
 		return hashmap.IntKey(int64(b/3%8) - 2)
 	case 1:
-		return hashmap.StrKey(fmt.Sprintf("k%d", b/3%6))
+		s = fmt.Sprintf("k%d", b/3%6)
+	default:
+		s = strings.Repeat("long-key-", 3) + fmt.Sprint(b/3%4)
 	}
-	return hashmap.StrKey(strings.Repeat("long-key-", 3) + fmt.Sprint(b/3%4))
+	if b&0x80 != 0 {
+		return hashmap.Key{Str: s}
+	}
+	return hashmap.StrKey(s)
+}
+
+// respell gives a string key the other spelling: the accelerated core
+// is handed every key the way the software core is not.
+func respell(k hashmap.Key) hashmap.Key {
+	switch {
+	case k.IsInt:
+		return k
+	case k.Int != 0:
+		return hashmap.Key{Str: k.Str}
+	}
+	return hashmap.StrKey(k.Str)
 }
 
 // value decodes a value of every kind; an array value points at one of
@@ -194,7 +220,11 @@ func (c *seqCore) appendTo(slot int, vk, vb byte) string {
 func (c *seqCore) foreach(slot int) string {
 	var sb strings.Builder
 	c.cpu.HashForeach("f", c.maps[slot], func(k hashmap.Key, v hashmap.Value) bool {
-		fmt.Fprintf(&sb, "%v=%s ", k, c.show(v))
+		if k.IsInt {
+			fmt.Fprintf(&sb, "%d=%s ", k.Int, c.show(v))
+		} else { // a string key's Int is its hash cache, not the key
+			fmt.Fprintf(&sb, "%q=%s ", k.Str, c.show(v))
+		}
 		return true
 	})
 	return sb.String()

@@ -65,7 +65,7 @@ func (in *Interp) EnableTier(comp *Compiled, mode TierMode) error {
 // phpserve_tier_* series are obs.Encoder.Struct of it, each labelled
 // with the mode.
 type TierSnapshot struct {
-	Enabled          bool   `json:"enabled" help:"True once a worker has run the script engine."`
+	Enabled          bool   `json:"enabled" help:"True once the script engine is configured."`
 	Mode             string `json:"tier" prom:"tier,label" help:"The engine: bytecode or interp."`
 	Requests         int64  `json:"requests" prom:"tier_requests_total,counter,base" help:"Requests run by the script engine across all workers."`
 	ICSites          int    `json:"ic_sites" prom:"tier_ic_sites,gauge,base" help:"Polymorphic inline-cache sites materialized in compiled code."`

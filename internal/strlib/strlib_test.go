@@ -183,7 +183,7 @@ func TestAddSlashes(t *testing.T) {
 }
 
 // htmlSpecialCharsRef and addSlashesRef are the per-byte switch-and-
-// append loops Expand's table-driven kernel replaced, kept as its oracle.
+// append loops Expand's kernel replaced, kept as its oracle.
 func htmlSpecialCharsRef(subject []byte) []byte {
 	out := []byte{}
 	for _, c := range subject {
@@ -218,6 +218,26 @@ func addSlashesRef(subject []byte) []byte {
 	return out
 }
 
+// nl2brRef is the per-byte loop NL2BR ran before it shared Expand's
+// kernel: a break before each \r or \n, one for a \r\n pair.
+func nl2brRef(subject []byte) []byte {
+	out := []byte{}
+	for i := 0; i < len(subject); i++ {
+		c := subject[i]
+		if c == '\r' || c == '\n' {
+			out = append(out, "<br />"...)
+			out = append(out, c)
+			if c == '\r' && i+1 < len(subject) && subject[i+1] == '\n' {
+				out = append(out, '\n')
+				i++
+			}
+			continue
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
 // sizedMem is an Allocator that records what was asked of it.
 type sizedMem struct{ bufs []int }
 
@@ -227,11 +247,12 @@ func (m *sizedMem) Buf(c int) []byte {
 	return make([]byte, 0, c)
 }
 
-// TestEscapesMatchPerByteLoops compares both escaping ops with the loops
-// they replaced over every byte value in every neighbourhood — each byte
-// alone, doubled, at either end of a run and between two runs — and
-// checks the result came from one allocator request of exactly its size
-// and that the observer saw one event of the subject's length.
+// TestEscapesMatchPerByteLoops compares the three ops on Expand's kernel
+// with the loops they replaced over every byte value in every
+// neighbourhood — each byte alone, doubled, at either end of a run,
+// between two runs, and after a run long enough for the vectorized scan —
+// and checks the result came from one allocator request of exactly its
+// size and that the observer saw one event of the subject's length.
 func TestEscapesMatchPerByteLoops(t *testing.T) {
 	var subjects [][]byte
 	for c := 0; c < 256; c++ {
@@ -240,14 +261,19 @@ func TestEscapesMatchPerByteLoops(t *testing.T) {
 			[]byte{'x', b, 'y', b, b, 'z'}, append(bytes.Repeat([]byte{'r'}, 70), b, 'r'))
 	}
 	subjects = append(subjects, nil, []byte{}, []byte("plain words only"),
-		[]byte(`<a href="x">R&D</a> it's a \ path`+"\x00 end"))
+		[]byte(`<a href="x">R&D</a> it's a \ path`+"\x00 end"),
+		[]byte("\r\n\n\r\r\n"), append(bytes.Repeat([]byte("line\r\n"), 20), '\r'))
 	for _, subject := range subjects {
 		obs, mem := &recObs{}, &sizedMem{}
 		l := Lib{Obs: obs, Mem: mem}
 		for _, op := range []struct {
 			op       Op
 			lib, ref func([]byte) []byte
-		}{{OpHTMLSpecial, l.HTMLSpecialChars, htmlSpecialCharsRef}, {OpAddSlashes, l.AddSlashes, addSlashesRef}} {
+		}{
+			{OpHTMLSpecial, l.HTMLSpecialChars, htmlSpecialCharsRef},
+			{OpAddSlashes, l.AddSlashes, addSlashesRef},
+			{OpNL2BR, l.NL2BR, nl2brRef},
+		} {
 			*obs, *mem = recObs{}, sizedMem{}
 			got := op.lib(subject)
 			if want := op.ref(subject); !bytes.Equal(got, want) {
@@ -284,6 +310,43 @@ func TestConcat(t *testing.T) {
 	got := l.Concat([]byte("a"), []byte("bc"), nil, []byte("d"))
 	if string(got) != "abcd" {
 		t.Errorf("Concat = %q", got)
+	}
+}
+
+// isRegularRef is the range-compare definition IsRegular's table was
+// built to equal.
+func isRegularRef(c byte) bool {
+	switch {
+	case c >= 'A' && c <= 'Z', c >= 'a' && c <= 'z', c >= '0' && c <= '9':
+		return true
+	case c == '_' || c == '.' || c == ',' || c == '-' || c == ' ':
+		return true
+	}
+	return false
+}
+
+// TestClassTableMatchesDefinition checks IsRegular and ClassScanRef
+// against isRegularRef for every byte value: alone, in the first and
+// last position of a segment, and in a trailing partial segment.
+func TestClassTableMatchesDefinition(t *testing.T) {
+	for c := 0; c < 256; c++ {
+		b := byte(c)
+		if IsRegular(b) != isRegularRef(b) {
+			t.Fatalf("IsRegular(%q) = %v, definition %v", b, IsRegular(b), isRegularRef(b))
+		}
+		// 0 and 7 open and close segment 0, 8 opens segment 1, and 19
+		// sits in the 4-byte partial segment 2.
+		for _, at := range []int{0, 7, 8, 19} {
+			subject := bytes.Repeat([]byte{'a'}, 20)
+			subject[at] = b
+			want := uint64(0)
+			if !isRegularRef(b) {
+				want = 1 << (at / 8)
+			}
+			if hv := ClassScanRef(subject, 8); len(hv) != 1 || hv[0] != want {
+				t.Fatalf("ClassScanRef with %q at %d = %b, want %b", b, at, hv, want)
+			}
+		}
 	}
 }
 

@@ -141,8 +141,7 @@ func (a *appBase) ensureDBCache(rt *vm.Runtime) {
 	fn := pick(a.cat.hash, 1)
 	a.dbCache = rt.NewArray(fn)
 	for i := 0; i < 48; i++ {
-		k := hashmap.StrKey(metaKeys[i])
-		rt.ASet(fn, a.dbCache, k, a.corpus.Author(i), true)
+		rt.ASet(fn, a.dbCache, metaKeys[i], a.corpus.Author(i), true)
 	}
 }
 
@@ -152,7 +151,7 @@ func (a *appBase) loadConfiguration(rt *vm.Runtime, page int) {
 	fn := pick(a.cat.hash, 0)
 	opts := rt.NewArray(fn)
 	for i := 0; i < a.p.optionReads; i++ {
-		k := hashmap.StrKey(pick(optionKeys, i))
+		k := pick(optionKeys, i)
 		if i%7 == 0 {
 			rt.ASet(fn, opts, k, hashmap.IntValue(int64(i)), false)
 		} else {
@@ -163,12 +162,12 @@ func (a *appBase) loadConfiguration(rt *vm.Runtime, page int) {
 	sym := rt.NewArray("symtab_insert")
 	src := rt.NewArray("extract_locals")
 	for i := 0; i < a.p.symtabOps; i++ {
-		k := hashmap.StrKey(pick(templateVars, page+i))
+		k := pick(templateVars, page+i)
 		rt.ASet(pick(a.cat.hash, i+3), src, k, a.corpus.Author(i), true)
 	}
 	rt.Extract("extract_locals", sym, src)
 	for i := 0; i < a.p.symtabOps; i++ {
-		k := hashmap.StrKey(pick(templateVars, page+i))
+		k := pick(templateVars, page+i)
 		rt.AGet(pick(a.cat.hash, i+5), sym, k, true)
 	}
 	rt.FreeArray(fn, opts)
@@ -204,7 +203,7 @@ func (a *appBase) renderItem(rt *vm.Runtime, ob *vm.OutputBuffer, idx int) {
 	// Attribute tag: retrieve values, escape, concatenate, recycle.
 	attrs := rt.NewArray(heapFn)
 	for j := 0; j < a.p.attrsPerItem; j++ {
-		rt.ASet(pick(a.cat.hash, idx+j), attrs, hashmap.StrKey(pick(attrKeys, j)),
+		rt.ASet(pick(a.cat.hash, idx+j), attrs, pick(attrKeys, j),
 			a.corpus.Author(idx+j), true)
 	}
 	tag := rt.BuildTag(a.buildTagFn, "a", attrs, titleStr.Bytes())
@@ -216,7 +215,7 @@ func (a *appBase) renderItem(rt *vm.Runtime, ob *vm.OutputBuffer, idx int) {
 	// mostly reads with periodic cache refreshes, landing the SET ratio
 	// in the paper's 15-25% band.
 	for j := 0; j < a.p.metaReads; j++ {
-		k := hashmap.StrKey(metaKeys[(idx+j)%len(metaKeys)])
+		k := metaKeys[(idx+j)%len(metaKeys)]
 		if j%8 == 7 {
 			rt.ASet(pick(a.cat.hash, idx+j), a.dbCache, k, hashmap.IntValue(int64(idx)), true)
 		} else {
@@ -301,20 +300,30 @@ func (a *appBase) chargeOther(rt *vm.Runtime) {
 	mt.AddUops("kernel_alloc", sim.CatKernel, kern)
 }
 
-var optionKeys = []string{
+// The static key tables are keys, not strings: each is hashed once,
+// here, and never again by the tables that look it up.
+var optionKeys = strKeys(
 	"siteurl", "blogname", "template", "stylesheet", "active_plugins",
 	"timezone_string", "permalink_structure", "default_category",
 	"posts_per_page", "date_format", "users_can_register", "home",
-}
+)
 
-var templateVars = []string{
+var templateVars = strKeys(
 	"post_title", "post_author", "post_date", "comment_count",
 	"category_name", "page_template", "request_uri", "query_string",
 	"session_token", "locale_code", "menu_active", "sidebar_state",
 	"very_long_template_variable_name_overflow", // >24B: hardware bypass
-}
+)
 
-var attrKeys = []string{"href", "title", "class", "rel", "id", "data-idx"}
+var attrKeys = strKeys("href", "title", "class", "rel", "id", "data-idx")
+
+func strKeys(names ...string) []hashmap.Key {
+	keys := make([]hashmap.Key, len(names))
+	for i, s := range names {
+		keys[i] = hashmap.StrKey(s)
+	}
+	return keys
+}
 
 var shortcodes = []string{
 	"[gallery", "[caption", "[embed", "<!--more-->", "{{Infobox", "[[Category:",
@@ -334,10 +343,10 @@ var shortcodeBytes = func() [][]byte {
 // can produce: the (templateVars, n%48) pattern repeats with period
 // lcm(len(templateVars), 48), which 48*len(templateVars) is always a
 // multiple of. Index with n % len(metaKeys).
-var metaKeys = func() []string {
-	keys := make([]string, 48*len(templateVars))
+var metaKeys = func() []hashmap.Key {
+	keys := make([]hashmap.Key, 48*len(templateVars))
 	for i := range keys {
-		keys[i] = fmt.Sprintf("meta_%s_%d", pick(templateVars, i), i%48)
+		keys[i] = hashmap.StrKey(fmt.Sprintf("meta_%s_%d", pick(templateVars, i).Str, i%48))
 	}
 	return keys
 }()

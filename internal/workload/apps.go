@@ -77,7 +77,7 @@ func (d *drupalApp) ServePage(rt *vm.Runtime, page int) []byte {
 	fn := "drupal_entity_field_get"
 	ent := rt.NewArray(fn)
 	for i := 0; i < 30; i++ {
-		k := hashmap.StrKey(fmt.Sprintf("field_%s_%d", pick(templateVars, i), i%9))
+		k := hashmap.StrKey(fmt.Sprintf("field_%s_%d", pick(templateVars, i).Str, i%9))
 		if i%5 == 0 {
 			rt.ASet(fn, ent, k, hashmap.IntValue(int64(i)), true)
 		} else {

@@ -142,4 +142,4 @@ func newCatalog(prefix string, otherFns int) *catalog {
 	return c
 }
 
-func pick(pool []string, i int) string { return pool[i%len(pool)] }
+func pick[T any](pool []T, i int) T { return pool[i%len(pool)] }

@@ -84,14 +84,21 @@ func (s *ScriptedApp) SetScriptTier(mode php.TierMode, _ php.TierPolicy) error {
 	return nil
 }
 
-// TierSnapshotFor returns the tier state of the engine bound to rt
-// (zero-valued when rt has not served yet or the tier is off). The
-// caller must own the runtime's worker.
+// TierSnapshotFor returns the tier state of the engine bound to rt. A
+// runtime that has not served since SetScriptTier reports the configured
+// engine with zero counts, so the engine a server reports never changes
+// with its first request; the snapshot is zero while no tier is
+// configured. The caller must own the runtime's worker.
 func (s *ScriptedApp) TierSnapshotFor(rt *vm.Runtime) php.TierSnapshot {
 	if v, ok := s.engines.Load(rt); ok {
 		return v.(*php.Interp).TierSnapshot()
 	}
-	return php.TierSnapshot{}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.configured {
+		return php.TierSnapshot{}
+	}
+	return php.TierSnapshot{Enabled: true, Mode: s.tier.String()}
 }
 
 // engine returns rt's persistent interpreter, creating and
