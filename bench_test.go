@@ -99,12 +99,10 @@ func BenchmarkAblationHeapListEntries(b *testing.B) {
 func BenchmarkAblationStringBlockWidth(b *testing.B) {
 	for _, width := range []int{1, 8, 16, 32, 64} {
 		b.Run(fmt.Sprintf("block-%d", width), func(b *testing.B) {
-			model := sim.DefaultCostModel()
-			model.StrBlockBytes = width
 			for i := 0; i < b.N; i++ {
 				feats := isa.AllAccelerators()
 				feats.SAConfig.BlockBytes = width
-				_, res := ablate(b, vm.Config{Features: feats, Model: model})
+				_, res := ablate(b, vm.Config{Features: feats})
 				b.ReportMetric(res.Cycles/float64(res.Requests), "cycles/req")
 			}
 		})

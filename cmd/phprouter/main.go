@@ -14,9 +14,9 @@
 //
 //	phprouter [-addr :8090] [-backends host:port,...] [-spawn 4]
 //	          [-phpserve ./phpserve] [-baseport 9101] [-backendargs "..."]
-//	          [-pages 512] [-zipf 1.0] [-seed 1] [-replicas 2048]
-//	          [-maxinflight 32] [-health 500ms] [-healthtimeout 1s]
-//	          [-retrywait 60s] [-drain 30s]
+//	          [-pages 512] [-zipf 1.0] [-seed 1] [-maxinflight 32]
+//	          [-health 500ms] [-healthtimeout 1s] [-retrywait 60s]
+//	          [-drain 30s]
 //	          [-accesslog path|-] [-sample 0.01] [-treering 64]
 //	          [-eventbuf 256]
 //
@@ -48,7 +48,6 @@ func main() {
 	pages := flag.Int("pages", 512, "page universe for router-drawn page identities; 0 routes on the raw request path instead")
 	zipf := flag.Float64("zipf", 1.0, "Zipf exponent for router-drawn page identities")
 	seed := flag.Int64("seed", 1, "seed for the router's page-identity sampler")
-	flag.IntVar(&c.RingReplicas, "replicas", 2048, "virtual nodes per backend on the affinity ring (more = smoother key split)")
 	flag.IntVar(&c.MaxInflight, "maxinflight", 32, "per-backend inflight cap; beyond it the router sheds 503 (0 unlimited)")
 	flag.DurationVar(&c.HealthInterval, "health", 500*time.Millisecond, "backend /healthz probe interval")
 	flag.DurationVar(&c.HealthTimeout, "healthtimeout", time.Second, "per-probe timeout")
@@ -75,7 +74,6 @@ func main() {
 		{*spawn == 0 && len(external) == 0, "need backends: set -spawn N or -backends host:port,..."},
 		{*pages < 0, fmt.Sprintf("-pages must be >= 0, got %d", *pages)},
 		{c.MaxInflight < 0, fmt.Sprintf("-maxinflight must be >= 0, got %d", c.MaxInflight)},
-		{c.RingReplicas <= 0, fmt.Sprintf("-replicas must be positive, got %d", c.RingReplicas)},
 		{c.HealthInterval <= 0 || c.HealthTimeout <= 0, fmt.Sprintf("-health and -healthtimeout must be positive, got %v/%v", c.HealthInterval, c.HealthTimeout)},
 		{c.DrainGrace < 0, fmt.Sprintf("-drain must be >= 0, got %v", c.DrainGrace)},
 		{c.SampleRate < 0 || c.SampleRate > 1, fmt.Sprintf("-sample must be in [0,1], got %g", c.SampleRate)},

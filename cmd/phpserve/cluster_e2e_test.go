@@ -23,7 +23,7 @@ func startClusterBackend(t *testing.T, backendID int, logW io.Writer) *httptest.
 	t.Helper()
 	srv, err := serve.NewServer(serve.ServerConfig{
 		App: "wordpress", Core: "accelerated", Workers: 1, Seed: 1, QueueDepth: 16,
-		CacheCapacity: 64, CacheShards: 4, Pages: 8, ZipfS: 1.0,
+		CacheCapacity: 64, Pages: 8, ZipfS: 1.0,
 		SampleRate: 1, TreeRing: 64, AccessLog: logW, Backend: backendID,
 	})
 	if err != nil {

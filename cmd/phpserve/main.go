@@ -11,9 +11,8 @@
 //
 //	phpserve [-addr :8080] [-app wordpress] [-config accelerated]
 //	         [-workers 4] [-seed 1] [-warmup 300] [-ctxswitch 64]
-//	         [-queue 64] [-timeout 0] [-drain 30s] [-arenacap 0]
-//	         [-cache 0] [-cachettl 0] [-cacheshards 16]
-//	         [-pages 512] [-zipf 1.0]
+//	         [-queue 64] [-timeout 0] [-drain 30s]
+//	         [-cache 0] [-pages 512] [-zipf 1.0]
 //	         [-sample 0.01] [-accesslog path|-] [-pprof]
 //	         [-treering 64] [-tier interp|bytecode]
 //	         [-fpm] [-backend -1] [-listen addr] [-dbwait 0]
@@ -31,7 +30,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -48,10 +46,7 @@ func main() {
 	flag.IntVar(&c.QueueDepth, "queue", 64, "admission queue depth beyond the worker count (0 sheds whenever all workers are busy)")
 	flag.DurationVar(&c.Timeout, "timeout", 0, "per-request deadline from admission (0 disables; expired requests get 504)")
 	flag.DurationVar(&c.Drain, "drain", 30*time.Second, "graceful-shutdown grace period for in-flight requests on SIGTERM/SIGINT")
-	flag.IntVar(&c.ArenaCap, "arenacap", 0, "per-worker request-arena bytes retained across requests (0 retains everything; lower trades allocation churn for idle footprint)")
 	flag.IntVar(&c.CacheCapacity, "cache", 0, "response cache capacity in entries (0 disables the cache)")
-	flag.DurationVar(&c.CacheTTL, "cachettl", 0, "response cache entry time-to-live (0 never expires)")
-	flag.IntVar(&c.CacheShards, "cacheshards", cache.DefaultShards, "response cache shard count (rounded up to a power of two)")
 	flag.IntVar(&c.Pages, "pages", 512, "distinct page identities requests draw from when the cache is on")
 	flag.Float64Var(&c.ZipfS, "zipf", 1.0, "Zipf popularity exponent for server-drawn page identities (cache mode)")
 	flag.Float64Var(&c.SampleRate, "sample", 0.01, "per-request span sampling rate in [0,1]")

@@ -638,15 +638,16 @@ func TestValidateFlags(t *testing.T) {
 		t.Errorf("valid flags rejected: %v", err)
 	}
 	for name, mutate := range map[string]func(*serve.ServerConfig){
-		"workers":  func(c *serve.ServerConfig) { c.Workers = 0 },
-		"warmup":   func(c *serve.ServerConfig) { c.Warmup = -1 },
-		"queue":    func(c *serve.ServerConfig) { c.QueueDepth = -1 },
-		"sample":   func(c *serve.ServerConfig) { c.SampleRate = 1.5 },
-		"timeout":  func(c *serve.ServerConfig) { c.Timeout = -time.Second },
-		"drain":    func(c *serve.ServerConfig) { c.Drain = -time.Second },
-		"arenacap": func(c *serve.ServerConfig) { c.ArenaCap = -1 },
-		"config":   func(c *serve.ServerConfig) { c.Core = "turbo" },
-		"cache":    func(c *serve.ServerConfig) { c.CacheCapacity = 8 }, // no -cacheshards
+		"workers": func(c *serve.ServerConfig) { c.Workers = 0 },
+		"warmup":  func(c *serve.ServerConfig) { c.Warmup = -1 },
+		"queue":   func(c *serve.ServerConfig) { c.QueueDepth = -1 },
+		"sample":  func(c *serve.ServerConfig) { c.SampleRate = 1.5 },
+		"timeout": func(c *serve.ServerConfig) { c.Timeout = -time.Second },
+		"drain":   func(c *serve.ServerConfig) { c.Drain = -time.Second },
+		"config":  func(c *serve.ServerConfig) { c.Core = "turbo" },
+		"cache":   func(c *serve.ServerConfig) { c.CacheCapacity = -1 },
+		"pages":   func(c *serve.ServerConfig) { c.CacheCapacity, c.Pages, c.ZipfS = 8, 0, 1.0 },
+		"zipf":    func(c *serve.ServerConfig) { c.CacheCapacity, c.Pages, c.ZipfS = 8, 64, 0 },
 	} {
 		c := testConfig(1, 0, 0.01, nil)
 		mutate(&c)
@@ -822,7 +823,7 @@ func TestProfilezMatchesOffline(t *testing.T) {
 // are /stats' own — response-cache lookup charges included.
 func TestReadsMoveNothing(t *testing.T) {
 	c := testConfig(2, 2, 0.25, nil)
-	c.CacheCapacity, c.CacheShards, c.Pages, c.ZipfS = 16, 2, 64, 1.0
+	c.CacheCapacity, c.Pages, c.ZipfS = 16, 64, 1.0
 	ts := httptest.NewServer(newTestServer(t, c).Handler())
 	defer ts.Close()
 

@@ -45,7 +45,7 @@ func newRenderFixture(t *testing.T, cached bool) renderFixture {
 	var f renderFixture
 	if cached {
 		f.pool, err = workload.NewPoolSharedSeed(1, cfg, "wordpress", 1)
-		f.cache = cache.New(cache.Config{Capacity: 64, Shards: 4})
+		f.cache = cache.New(cache.Config{Capacity: 64})
 	} else {
 		f.pool, err = workload.NewPool(1, cfg, "wordpress", 1)
 	}
@@ -68,7 +68,7 @@ func renderConfig(cached bool) serve.ServerConfig {
 		Warmup: renderWarmup, CtxSwitchEvery: renderCtxSwitch, QueueDepth: 4, Backend: -1,
 	}
 	if cached {
-		c.CacheCapacity, c.CacheShards, c.Pages, c.ZipfS = 64, 4, renderPages, 1.0
+		c.CacheCapacity, c.Pages, c.ZipfS = 64, renderPages, 1.0
 	}
 	return c
 }

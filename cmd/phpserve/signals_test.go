@@ -125,7 +125,7 @@ func TestSignalTags(t *testing.T) {
 func everyPlaneServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	c := tieredConfig("bytecode")
-	c.TreeRing, c.CacheCapacity, c.CacheShards, c.Pages, c.ZipfS = 4, 8, 1, 512, 1.0
+	c.TreeRing, c.CacheCapacity, c.Pages, c.ZipfS = 4, 8, 512, 1.0
 	ts := httptest.NewServer(newTestServer(t, c).Handler())
 	t.Cleanup(ts.Close)
 	for page := 0; page < 6; page++ {

@@ -41,16 +41,15 @@ const (
 	// Cluster sweep: 1/2/4 single-worker backends behind the affinity
 	// ring, sharing the SAME total cache budget and page universe as
 	// cache_zipf so the aggregate hit ratio is directly comparable, over
-	// a longer stream (the partitioned caches take longer to fill). 2048
-	// ring replicas keep the distinct-page split close to even at 4
-	// backends. No database stall: each backend serves its share from one
-	// closed-loop client, so a stall changes how long the run takes and
-	// nothing it records (serve's TestClusterStallLeavesRecordUnchanged);
+	// a longer stream (the partitioned caches take longer to fill), on
+	// the router's ring (cache.DefaultRingReplicas). No database stall:
+	// each backend serves its share from one closed-loop client, so a
+	// stall changes how long the run takes and nothing it records
+	// (serve's TestClusterStallLeavesRecordUnchanged);
 	// the I/O-overlap scaling claim is a host-clock one, gated by serve's
 	// TestClusterDBWaitOverlaps.
-	clusterWorkers      = 1
-	clusterRingReplicas = 2048
-	clusterMeasure      = 400
+	clusterWorkers = 1
+	clusterMeasure = 400
 
 	// Scripted scenario: the PHP blog script served page-keyed (uncached)
 	// over the same Zipf page universe as cache_zipf, once on the
@@ -291,10 +290,9 @@ func runCluster(opts Options, backends int) (Scenario, error) {
 		QueueDepth:    schedQueueDepth,
 		Timeout:       schedTimeout,
 		CacheCapacity: cacheCapacity,
-		CacheShards:   cache.DefaultShards,
 		Pages:         zipfPages,
 		ZipfS:         zipfExponent,
-	}, serve.RouterConfig{RingReplicas: clusterRingReplicas})
+	}, serve.RouterConfig{})
 	if err != nil {
 		return Scenario{}, err
 	}

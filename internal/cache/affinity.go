@@ -7,11 +7,13 @@ import (
 	"sync"
 )
 
-// DefaultRingReplicas is the virtual-node count per member used when
-// NewRing is given a non-positive count. More virtual nodes smooth the key-range
-// split across members (the per-member share concentrates around 1/N)
-// at the cost of a larger sorted point table.
-const DefaultRingReplicas = 128
+// DefaultRingReplicas is the virtual-node count per member of the
+// router's ring, and the count NewRing uses when given a non-positive
+// one. More virtual nodes smooth the key-range split across members
+// (the per-member share concentrates around 1/N) at the cost of a
+// larger sorted point table; 2048 keeps the distinct-page split close
+// to even at 4 backends.
+const DefaultRingReplicas = 2048
 
 // Ring is a consistent-hash ring mapping cache keys to named members —
 // the affinity helper a cluster front (cmd/phprouter) uses to give each

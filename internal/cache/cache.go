@@ -1,4 +1,4 @@
-// Package cache is a sharded, bounded, TTL'd in-memory response cache
+// Package cache is a sharded, bounded in-memory response cache
 // with singleflight request coalescing — the serving-scale analogue of
 // the paper's content-reuse observation (§4.5, Figs. 12/13): the same
 // work recurs, so recognize it and skip it. It sits between
@@ -28,9 +28,7 @@ package cache
 import (
 	"container/list"
 	"context"
-	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/sim"
 )
@@ -43,7 +41,9 @@ const LookupFn = "response_cache_lookup"
 // DefaultLookupUops is the fixed simulated micro-op cost of one cache
 // lookup: a key hash, one bucket probe, and the response handoff. It is
 // deliberately of the same magnitude as a hardware-missed hash map GET —
-// a cache hit is cheap, not free.
+// a cache hit is cheap, not free. It is converted to cycles with
+// sim.DefaultCostModel, the serving runtimes' model, so merged totals
+// stay in one currency.
 const DefaultLookupUops = 220
 
 // DefaultShards is the shard count used when Config.Shards is not set.
@@ -54,7 +54,7 @@ type Outcome int
 
 // GetOrFill outcomes.
 const (
-	// Hit means the response was already cached and fresh.
+	// Hit means the response was already cached.
 	Hit Outcome = iota
 	// Miss means this caller rendered the response and filled the cache.
 	Miss
@@ -90,44 +90,6 @@ type Config struct {
 	// Shards is the number of independently locked shards, rounded up to
 	// a power of two (<= 0 selects DefaultShards).
 	Shards int
-	// TTL is each entry's time to live (0 means entries never expire).
-	TTL time.Duration
-	// LookupUops overrides the fixed simulated micro-op cost charged per
-	// lookup (<= 0 selects DefaultLookupUops).
-	LookupUops float64
-	// Model is the cost model the lookup charge is converted with; the
-	// zero value selects sim.DefaultCostModel. It should match the
-	// serving runtimes' model so merged totals stay in one currency.
-	Model sim.CostModel
-	// Clock overrides the time source for TTL decisions (tests). Nil
-	// selects time.Now.
-	Clock func() time.Time
-}
-
-// ValidateFlags checks phpserve's -cache flag family
-// (-cache, -cacheshards, -cachettl, -pages, -zipf): a negative capacity
-// is always an error, and the rest only matter — and are only checked —
-// when the cache is on (capacity > 0).
-func ValidateFlags(capacity, shards, pages int, ttl time.Duration, zipf float64) error {
-	if capacity < 0 {
-		return fmt.Errorf("-cache must be >= 0, got %d", capacity)
-	}
-	if capacity == 0 {
-		return nil
-	}
-	if shards <= 0 {
-		return fmt.Errorf("-cacheshards must be positive, got %d", shards)
-	}
-	if ttl < 0 {
-		return fmt.Errorf("-cachettl must be >= 0, got %v", ttl)
-	}
-	if pages <= 0 {
-		return fmt.Errorf("-pages must be positive with -cache, got %d", pages)
-	}
-	if zipf <= 0 {
-		return fmt.Errorf("-zipf must be positive with -cache, got %g", zipf)
-	}
-	return nil
 }
 
 // Stats is a consistent snapshot of the cache's configuration, lifetime
@@ -136,12 +98,11 @@ func ValidateFlags(capacity, shards, pages int, ttl time.Duration, zipf float64)
 // its phpserve_cache_* series are obs.Encoder.Struct of it.
 type Stats struct {
 	Capacity  int     `json:"capacity" help:"Total entry capacity across all shards (-cache rounded up to a multiple of the shard count)."`
-	Shards    int     `json:"shards" help:"Shards actually in use (-cacheshards after rounding)."`
-	Hits      int64   `json:"hits" prom:"cache_hits_total,counter" help:"Response cache lookups answered from a fresh cached entry."`
+	Shards    int     `json:"shards" help:"Shards in use (16, fewer when -cache is below 16)."`
+	Hits      int64   `json:"hits" prom:"cache_hits_total,counter" help:"Response cache lookups answered from a cached entry."`
 	Misses    int64   `json:"misses" prom:"cache_misses_total,counter" help:"Response cache lookups that rendered on a worker and filled."`
 	Coalesced int64   `json:"coalesced" prom:"cache_coalesced_total,counter" help:"Response cache lookups that waited on another request's in-flight render."`
 	Evictions int64   `json:"evictions" prom:"cache_evictions_total,counter" help:"Response cache entries evicted by the LRU capacity bound."`
-	Expired   int64   `json:"expired" prom:"cache_expired_total,counter" help:"Response cache entries dropped because their TTL passed."`
 	Entries   int     `json:"entries" prom:"cache_entries,gauge" help:"Responses currently cached (instantaneous)."`
 	Bytes     int64   `json:"bytes" prom:"cache_bytes,gauge" help:"Body bytes currently cached (instantaneous)."`
 	HitRatio  float64 `json:"hit_ratio" prom:"cache_hit_ratio,gauge" help:"Fraction of cache lookups answered from a cached entry (0 when no lookups)."`
@@ -154,9 +115,8 @@ func (s Stats) Lookups() int64 { return s.Hits + s.Misses + s.Coalesced }
 
 // entry is one cached response, linked into its shard's LRU list.
 type entry struct {
-	key     string
-	val     []byte
-	expires time.Time // zero means never
+	key string
+	val []byte
 }
 
 // flight is one in-progress fill other callers for the same key wait
@@ -178,21 +138,18 @@ type shard struct {
 	flights map[string]*flight
 	bytes   int64
 
-	hits, misses, coalesced, evictions, expired int64
+	hits, misses, coalesced, evictions int64
 }
 
 // Cache is the sharded response cache. Safe for concurrent use.
 type Cache struct {
 	shards []*shard
 	mask   uint64
-	ttl    time.Duration
-	now    func() time.Time
 
 	// meter accumulates the fixed lookup charges; meterMu guards it
 	// (sim.Meter itself is single-owner).
 	meterMu      sync.Mutex
 	meter        *sim.Meter
-	lookupUops   float64
 	lookupCycles float64
 }
 
@@ -217,23 +174,12 @@ func New(cfg Config) *Cache {
 			shards >>= 1
 		}
 	}
-	if cfg.LookupUops <= 0 {
-		cfg.LookupUops = DefaultLookupUops
-	}
-	if cfg.Model.IPC == 0 {
-		cfg.Model = sim.DefaultCostModel()
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
-	}
+	model := sim.DefaultCostModel()
 	c := &Cache{
 		shards:       make([]*shard, shards),
 		mask:         uint64(shards - 1),
-		ttl:          cfg.TTL,
-		now:          cfg.Clock,
-		meter:        sim.NewMeter(cfg.Model),
-		lookupUops:   cfg.LookupUops,
-		lookupCycles: cfg.Model.Cycles(cfg.LookupUops),
+		meter:        sim.NewMeter(model),
+		lookupCycles: model.Cycles(DefaultLookupUops),
 	}
 	per := (cfg.Capacity + shards - 1) / shards
 	for i := range c.shards {
@@ -283,16 +229,11 @@ func (c *Cache) GetOrFill(ctx context.Context, key string, fill func() ([]byte, 
 
 	sh.mu.Lock()
 	if el, ok := sh.entries[key]; ok {
-		e := el.Value.(*entry)
-		if e.expires.IsZero() || c.now().Before(e.expires) {
-			sh.lru.MoveToFront(el)
-			sh.hits++
-			val := e.val
-			sh.mu.Unlock()
-			return val, Hit, nil
-		}
-		sh.removeLocked(el)
-		sh.expired++
+		sh.lru.MoveToFront(el)
+		sh.hits++
+		val := el.Value.(*entry).val
+		sh.mu.Unlock()
+		return val, Hit, nil
 	}
 	if f, ok := sh.flights[key]; ok {
 		sh.coalesced++
@@ -316,7 +257,7 @@ func (c *Cache) GetOrFill(ctx context.Context, key string, fill func() ([]byte, 
 	sh.mu.Lock()
 	delete(sh.flights, key)
 	if ferr == nil {
-		sh.insertLocked(key, body, c.entryExpiry())
+		sh.insertLocked(key, body)
 	}
 	sh.mu.Unlock()
 	f.val = body
@@ -325,27 +266,18 @@ func (c *Cache) GetOrFill(ctx context.Context, key string, fill func() ([]byte, 
 	return body, Miss, ferr
 }
 
-// entryExpiry returns the expiry instant for an entry stored now (zero
-// when TTL is disabled).
-func (c *Cache) entryExpiry() time.Time {
-	if c.ttl <= 0 {
-		return time.Time{}
-	}
-	return c.now().Add(c.ttl)
-}
-
 // insertLocked stores (or refreshes) key with val, whose ownership the
 // caller has transferred to the cache (no copy is made), evicting LRU
 // entries past the shard capacity. Caller holds sh.mu.
-func (sh *shard) insertLocked(key string, val []byte, expires time.Time) {
+func (sh *shard) insertLocked(key string, val []byte) {
 	if el, ok := sh.entries[key]; ok {
 		e := el.Value.(*entry)
 		sh.bytes += int64(len(val)) - int64(len(e.val))
-		e.val, e.expires = val, expires
+		e.val = val
 		sh.lru.MoveToFront(el)
 		return
 	}
-	el := sh.lru.PushFront(&entry{key: key, val: val, expires: expires})
+	el := sh.lru.PushFront(&entry{key: key, val: val})
 	sh.entries[key] = el
 	sh.bytes += int64(len(val))
 	for sh.lru.Len() > sh.cap {
@@ -367,7 +299,7 @@ func (sh *shard) removeLocked(el *list.Element) {
 // chargeLookup adds the fixed per-lookup cost to the cache's meter.
 func (c *Cache) chargeLookup() {
 	c.meterMu.Lock()
-	c.meter.AddUops(LookupFn, sim.CatHash, c.lookupUops)
+	c.meter.AddUops(LookupFn, sim.CatHash, DefaultLookupUops)
 	c.meterMu.Unlock()
 }
 
@@ -399,7 +331,6 @@ func (c *Cache) Stats() Stats {
 		s.Misses += sh.misses
 		s.Coalesced += sh.coalesced
 		s.Evictions += sh.evictions
-		s.Expired += sh.expired
 		s.Entries += sh.lru.Len()
 		s.Bytes += sh.bytes
 		sh.mu.Unlock()

@@ -43,29 +43,6 @@ func TestHitMissSequence(t *testing.T) {
 	}
 }
 
-func TestTTLExpiry(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	c := New(Config{Capacity: 8, TTL: 10 * time.Second, Clock: clock})
-	ctx := context.Background()
-
-	if _, out, _ := c.GetOrFill(ctx, "k", fillConst("v1", nil)); out != Miss {
-		t.Fatalf("initial fill outcome = %v, want Miss", out)
-	}
-	now = now.Add(9 * time.Second)
-	if _, out, _ := c.GetOrFill(ctx, "k", fillConst("v2", nil)); out != Hit {
-		t.Fatalf("lookup inside TTL = %v, want Hit", out)
-	}
-	now = now.Add(2 * time.Second)
-	v, out, _ := c.GetOrFill(ctx, "k", fillConst("v2", nil))
-	if out != Miss || string(v) != "v2" {
-		t.Fatalf("lookup past TTL = %q, %v; want refreshed v2, Miss", v, out)
-	}
-	if s := c.Stats(); s.Expired != 1 {
-		t.Fatalf("expired = %d, want 1", s.Expired)
-	}
-}
-
 func TestLRUEviction(t *testing.T) {
 	// One shard so the capacity bound is exact and recency is global.
 	c := New(Config{Capacity: 2, Shards: 1})
@@ -251,7 +228,7 @@ func TestOutcomeStrings(t *testing.T) {
 func TestConcurrentMixedKeys(t *testing.T) {
 	// Race-detector workout: many goroutines over a keyspace larger than
 	// capacity so hits, misses, evictions, and coalescing all interleave.
-	c := New(Config{Capacity: 32, Shards: 4, TTL: time.Hour})
+	c := New(Config{Capacity: 32, Shards: 4})
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

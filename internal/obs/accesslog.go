@@ -186,14 +186,15 @@ func (l *AccessLog) WriteMeta(sp Span, respBytes int, meta RequestMeta) error {
 		b = append(b, `,"shed_reason":`...)
 		b = appendJSONString(b, meta.ShedReason)
 	}
-	if sp.Sampled {
-		if sp.Cycles != 0 {
+	if sp.Sampled && sp.Tree != nil {
+		root := sp.Tree.Root
+		if root.Cycles != 0 {
 			b = append(b, `,"cycles":`...)
-			b = appendJSONFloat(b, sp.Cycles)
+			b = appendJSONFloat(b, root.Cycles)
 		}
 		first := true
 		for _, c := range sim.Categories() {
-			v := sp.Categories[c]
+			v := root.Categories[c]
 			if v == 0 {
 				continue
 			}

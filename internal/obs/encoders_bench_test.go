@@ -14,10 +14,11 @@ import (
 // encoding/json path paid reflection plus a breakdown map per line.
 func BenchmarkAccessLogWriteMeta(b *testing.B) {
 	l := NewAccessLog(io.Discard)
-	sp := Span{Request: 42, Worker: 3, Wall: 1500 * time.Microsecond, Sampled: true, Cycles: 123456}
+	root := &TreeSpan{Name: "request", Cycles: 123456}
 	for _, c := range sim.Categories() {
-		sp.Categories[c] = float64(1000 + int(c))
+		root.Categories[c] = float64(1000 + int(c))
 	}
+	sp := Span{Request: 42, Worker: 3, Wall: 1500 * time.Microsecond, Sampled: true, Tree: &Tree{Worker: 3, Root: root}}
 	meta := RequestMeta{
 		Path:      "/?page=17",
 		UserAgent: "bench/1.0",

@@ -22,18 +22,14 @@
 // sampling never biases the exported counters.
 package obs
 
-import (
-	"time"
+import "time"
 
-	"repro/internal/sim"
-)
-
-// Span is the per-request cost attribution record: simulated cycles
-// broken down by activity category (the paper's four accelerator
-// categories plus the abstraction/kernel/other remainder) and wall
-// latency. A span is produced by workload.Worker.ServePageSpanCtx when
-// the request is sampled; unsampled requests carry a zero-valued span
-// with only Wall and Worker set.
+// Span is the per-request cost attribution record: wall latency and,
+// for a sampled request, the span tree whose root holds its simulated
+// cycles broken down by activity category (the paper's four accelerator
+// categories plus the abstraction/kernel/other remainder). A span is
+// produced by workload.Worker.ServePageSpanCtx; unsampled requests carry
+// a span with only Wall and Worker set.
 type Span struct {
 	// Request is the server-assigned request sequence number (set by
 	// Collector.ObserveHTTP).
@@ -42,14 +38,11 @@ type Span struct {
 	Worker int
 	// Wall is the request's wall-clock latency.
 	Wall time.Duration
-	// Sampled marks spans that carry a category breakdown.
+	// Sampled marks spans that were profiled.
 	Sampled bool
-	// Cycles is the request's total simulated cycle cost (sampled only).
-	Cycles float64
-	// Categories breaks Cycles down by sim.Category (sampled only).
-	Categories sim.CategoryVec
-	// Tree is the request's span tree (sampled only, nil otherwise): the
-	// same cycle total as Cycles, decomposed hierarchically into the
-	// phases and calls that accumulated it.
+	// Tree is the request's span tree (sampled only, nil otherwise): its
+	// root carries the request's simulated cycles and their breakdown by
+	// sim.Category, decomposed hierarchically into the phases and calls
+	// that accumulated them.
 	Tree *Tree
 }

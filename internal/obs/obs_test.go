@@ -112,9 +112,11 @@ func TestCollectorObserve(t *testing.T) {
 	sp.Worker = 3
 	sp.Wall = 2 * time.Millisecond
 	sp.Sampled = c.ShouldSample()
-	sp.Categories[sim.CatHash] = 700
-	sp.Categories[sim.CatRegex] = 300
-	sp.Cycles = sp.Categories.Total()
+	root := &TreeSpan{Name: "request"}
+	root.Categories[sim.CatHash] = 700
+	root.Categories[sim.CatRegex] = 300
+	root.Cycles = root.Categories.Total()
+	sp.Tree = &Tree{Worker: 3, Root: root}
 	out := c.ObserveHTTP(sp, 512, RequestMeta{})
 	if out.Request != 1 {
 		t.Errorf("first request number = %d", out.Request)

@@ -58,7 +58,7 @@ func startLoopback(n int, cfg ServerConfig, rcfg RouterConfig, wrap func(net.Con
 	l := &Loopback{
 		Servers: make([]*Server, n),
 		cfg:     cfg,
-		ring:    cache.NewRing(rcfg.RingReplicas),
+		ring:    cache.NewRing(cache.DefaultRingReplicas),
 		hops:    make([]*hop, n),
 		wrap:    wrap,
 	}

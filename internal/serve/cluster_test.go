@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/sim"
 )
 
@@ -16,7 +15,7 @@ func testClusterConfig() ServerConfig {
 	return ServerConfig{
 		App: "wordpress", Core: "baseline", Workers: 1, Seed: 7, Warmup: 2,
 		QueueDepth: 16, Timeout: 30 * time.Second,
-		CacheCapacity: 64, CacheShards: cache.DefaultShards, Pages: 128, ZipfS: 1.0,
+		CacheCapacity: 64, Pages: 128, ZipfS: 1.0,
 	}
 }
 
@@ -267,9 +266,8 @@ func TestLoopbackCloseDropsIdleConnections(t *testing.T) {
 
 // TestClusterRunZipfThroughRunLoad pins RunZipf's counts and cycles:
 // the per-backend served/distinct-page/hit/miss/coalesced counts and
-// the merged per-category cycles for seed 1 are the values the
-// in-process harness produced (through RunLoad, and before that its
-// hand-rolled loop) before real servers behind the router replaced it.
+// the merged per-category cycles for seed 1 on the router's
+// 2048-replica ring (cache.DefaultRingReplicas).
 func TestClusterRunZipfThroughRunLoad(t *testing.T) {
 	cfg := testClusterConfig()
 	cfg.Seed = 1
@@ -279,10 +277,10 @@ func TestClusterRunZipfThroughRunLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := [][5]int{ // served, distinct pages, hits, misses, coalesced
-		{102, 24, 77, 25, 0},
-		{34, 8, 26, 8, 0},
-		{21, 14, 6, 15, 0},
-		{43, 13, 29, 14, 0},
+		{44, 17, 26, 18, 0},
+		{46, 14, 32, 14, 0},
+		{33, 15, 18, 15, 0},
+		{77, 13, 64, 13, 0},
 	}
 	for i, pb := range cs.PerBackend {
 		if got := backendCounts(pb); got != want[i] {
@@ -295,8 +293,8 @@ func TestClusterRunZipfThroughRunLoad(t *testing.T) {
 	if agg := cs.Aggregate; agg.Served != 200 || agg.Submitted != 200 {
 		t.Errorf("aggregate served %d of %d submitted, want 200/200", agg.Served, agg.Submitted)
 	}
-	wantCycles := sim.CategoryVec{9.955809523809517e+06, 1.5825182258064516e+06, 1.49264e+06,
-		1.4204335483870967e+06, 1.2174951612903224e+06, 526640, 902800, 166315.78947368424}
+	wantCycles := sim.CategoryVec{9.634654377880182e+06, 1.5585975806451612e+06, 1.444490322580645e+06,
+		1.3745987096774194e+06, 1.1782258064516129e+06, 509651.6129032258, 873677.4193548387, 160950.7640067912}
 	if got := cl.MergedMeter().CategoryCyclesVec(); got != wantCycles {
 		t.Errorf("merged category cycles = %v, want %v", got, wantCycles)
 	}

@@ -284,8 +284,8 @@ func (r *Router) ListenAndServe(addr string) error {
 
 	procs := SetProcs(1)
 	rs := r.Stats()
-	fmt.Printf("phprouter: routing on %s (%d backends, %d ring replicas, maxinflight %d, procs %d)\n",
-		addr, len(rs.Backends), r.cfg.RingReplicas, r.cfg.MaxInflight, procs)
+	fmt.Printf("phprouter: routing on %s (%d backends, maxinflight %d, procs %d)\n",
+		addr, len(rs.Backends), r.cfg.MaxInflight, procs)
 	err := serveUntilSignal(sig, "phprouter", addr, r.Handler(), r.cfg.DrainGrace, func(ctx context.Context, hs *HTTPServer) {
 		r.SetDraining()
 		hs.Shutdown(ctx)

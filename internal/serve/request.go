@@ -100,11 +100,9 @@ func (s *Scheduler) Serve(ctx context.Context, req Request, dst *[]byte) (Respon
 	if resp.Cache == cache.Hit && req.Profile {
 		lookup := req.Cache.LookupCostVec()
 		resp.Span = obs.Span{
-			Worker:     -1,
-			Sampled:    true,
-			Cycles:     lookup.Total(),
-			Categories: lookup,
-			Tree:       obs.CacheHitTree(start, wall, lookup),
+			Worker:  -1,
+			Sampled: true,
+			Tree:    obs.CacheHitTree(start, wall, lookup),
 		}
 	}
 	// Latency as the client saw it, queueing and stall included, on the

@@ -31,9 +31,6 @@ const (
 
 // RouterConfig configures a Router.
 type RouterConfig struct {
-	// RingReplicas is the virtual-node count per backend on the
-	// affinity ring (<= 0 selects cache.DefaultRingReplicas).
-	RingReplicas int
 	// MaxInflight caps concurrently proxied requests per backend;
 	// beyond it the router sheds 503 rather than queueing onto a
 	// saturated backend (<= 0 means unlimited).
@@ -138,7 +135,7 @@ func NewRouter(cfg RouterConfig) *Router {
 		transport: transport,
 		ids:       obs.NewIDSource(),
 		sampler:   obs.NewSampler(cfg.SampleRate),
-		ring:      cache.NewRing(cfg.RingReplicas),
+		ring:      cache.NewRing(cache.DefaultRingReplicas),
 		backends:  make(map[string]*routerBackend),
 		start:     time.Now(),
 	}

@@ -46,17 +46,11 @@ type ServerConfig struct {
 	// Drain bounds ListenAndServe's graceful shutdown: in-flight requests
 	// get this long to finish once SIGTERM or SIGINT arrives.
 	Drain time.Duration
-	// ArenaCap is the request-arena bytes a worker keeps between
-	// requests (0 keeps everything).
-	ArenaCap int
 	// CacheCapacity > 0 puts a response cache of that many entries in
-	// CacheShards shards, each entry living CacheTTL (0: forever), in
 	// front of the pool; a request without ?page= then draws its page
 	// from Zipf(ZipfS) over Pages pages, seeded with Seed.
-	CacheCapacity, CacheShards int
-	CacheTTL                   time.Duration
-	Pages                      int
-	ZipfS                      float64
+	CacheCapacity, Pages int
+	ZipfS                float64
 	// Tier is the script execution engine of a scripted workload (interp
 	// or bytecode; auto is accepted as bytecode); "" leaves the tier
 	// plane off.
@@ -91,17 +85,16 @@ func (c ServerConfig) validate() error {
 		{c.SampleRate < 0 || c.SampleRate > 1, fmt.Sprintf("-sample must be in [0,1], got %g", c.SampleRate)},
 		{c.Timeout < 0, fmt.Sprintf("-timeout must be >= 0, got %v", c.Timeout)},
 		{c.Drain < 0, fmt.Sprintf("-drain must be >= 0, got %v", c.Drain)},
-		{c.ArenaCap < 0, fmt.Sprintf("-arenacap must be >= 0, got %d", c.ArenaCap)},
 		{c.TreeRing < 0, fmt.Sprintf("-treering must be >= 0, got %d", c.TreeRing)},
 		{c.Backend < -1, fmt.Sprintf("-backend must be >= 0 (or unset), got %d", c.Backend)},
 		{c.DBWait < 0, fmt.Sprintf("-dbwait must be >= 0, got %v", c.DBWait)},
+		{c.CacheCapacity < 0, fmt.Sprintf("-cache must be >= 0, got %d", c.CacheCapacity)},
+		{c.CacheCapacity > 0 && c.Pages <= 0, fmt.Sprintf("-pages must be positive with -cache, got %d", c.Pages)},
+		{c.CacheCapacity > 0 && c.ZipfS <= 0, fmt.Sprintf("-zipf must be positive with -cache, got %g", c.ZipfS)},
 	} {
 		if chk.bad {
 			return fmt.Errorf("phpserve: %s", chk.msg)
 		}
-	}
-	if err := cache.ValidateFlags(c.CacheCapacity, c.CacheShards, c.Pages, c.CacheTTL, c.ZipfS); err != nil {
-		return fmt.Errorf("phpserve: %w", err)
 	}
 	return nil
 }
@@ -156,7 +149,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		return nil, fmt.Errorf("phpserve: -config: %w", err)
 	}
 	vmc.TraceCapacity = -1 // count trace events by kind, keep none: nothing here reads one
-	vmc.ArenaRetain = cfg.ArenaCap
 	newPool := workload.NewPool
 	if cfg.CacheCapacity > 0 {
 		newPool = workload.NewPoolSharedSeed
@@ -200,7 +192,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		pageKeys: pageKeys,
 	}
 	if cfg.CacheCapacity > 0 {
-		s.Cache = cache.New(cache.Config{Capacity: cfg.CacheCapacity, Shards: cfg.CacheShards, TTL: cfg.CacheTTL})
+		s.Cache = cache.New(cache.Config{Capacity: cfg.CacheCapacity})
 	}
 	if cfg.TreeRing > 0 {
 		s.Col.SetTreeRing(obs.NewTreeRing(cfg.TreeRing))
@@ -222,8 +214,8 @@ func (s *Server) ListenAndServe(addr string) error {
 	}
 	if s.Cache != nil {
 		cs := s.Cache.Stats()
-		fmt.Printf("phpserve: response cache on: %d entries, %d shards, ttl %v, %d pages, zipf %g\n",
-			cs.Capacity, cs.Shards, s.cfg.CacheTTL, s.cfg.Pages, s.cfg.ZipfS)
+		fmt.Printf("phpserve: response cache on: %d entries, %d shards, %d pages, zipf %g\n",
+			cs.Capacity, cs.Shards, s.cfg.Pages, s.cfg.ZipfS)
 	}
 	fmt.Printf("phpserve: listening on %s (queue %d, timeout %v, sample rate %g, procs %d", addr, s.cfg.QueueDepth, s.cfg.Timeout, s.cfg.SampleRate, procs)
 	if s.cfg.Backend >= 0 {

@@ -71,11 +71,10 @@ type CostModel struct {
 	// HMCycles is the hardware heap manager's free-list pop/push latency.
 	HMCycles float64
 	// StrInvokeCycles is the stringop issue overhead; StrBlockCycles is
-	// charged per block of StrBlockBytes subject bytes (paper: at most 3
-	// cycles per 64-character block).
+	// charged per block of the string accelerator's BlockBytes subject
+	// bytes (paper: at most 3 cycles per 64-character block).
 	StrInvokeCycles float64
 	StrBlockCycles  float64
-	StrBlockBytes   int
 	// ReuseLookupCycles is the content reuse table probe latency.
 	ReuseLookupCycles float64
 	// HVWordCycles is charged per hint-vector word the shadow regexp
@@ -150,7 +149,6 @@ func DefaultCostModel() CostModel {
 		HMCycles:          1, // paper §5.1
 		StrInvokeCycles:   2,
 		StrBlockCycles:    3, // paper §5.1: <=3 cycles per 64-char block
-		StrBlockBytes:     64,
 		ReuseLookupCycles: 1,
 		HVWordCycles:      1,
 

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/core/straccel"
 )
 
 func TestCategoryStrings(t *testing.T) {
@@ -104,10 +106,11 @@ func TestStringAccelBeatsSoftwareOnLargeInputs(t *testing.T) {
 	// accelerated cycle count must win (this is the paper's Fig. 15 string
 	// benefit in miniature).
 	m := DefaultCostModel()
+	block := straccel.DefaultConfig().BlockBytes
 	for _, n := range []int{64, 256, 1024, 65536} {
 		sw := m.Cycles(m.StringCost(n))
 		// What isa charges per stringop: the issue plus one pass per block.
-		hw := m.StrInvokeCycles + float64((n+m.StrBlockBytes-1)/m.StrBlockBytes)*m.StrBlockCycles
+		hw := m.StrInvokeCycles + float64((n+block-1)/block)*m.StrBlockCycles
 		if hw >= sw {
 			t.Errorf("n=%d: accel %.1f cycles not faster than software %.1f", n, hw, sw)
 		}

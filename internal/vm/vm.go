@@ -39,11 +39,6 @@ type Config struct {
 	// HeapSampleEvery sets the allocator timeline sampling period for
 	// Fig. 8 (0 disables).
 	HeapSampleEvery int
-	// ArenaRetain bounds the request arena's chunk bytes retained across
-	// BeginRequest resets (0 = retain everything; phpserve exposes it as
-	// -arenacap). The arena itself is always on — it backs every string
-	// result the runtime produces, mirroring PHP's request-scoped memory.
-	ArenaRetain int
 }
 
 // ConfigByName returns the named core configuration — the paper's
@@ -109,7 +104,7 @@ func New(cfg Config) *Runtime {
 	meter := sim.NewMeter(cfg.Model)
 	meter.Mit = cfg.Mitigations
 	cpu := isa.New(meter, cfg.Features, cfg.HeapSampleEvery)
-	r := &Runtime{cpu: cpu, mem: arena.New(0, cfg.ArenaRetain)}
+	r := &Runtime{cpu: cpu, mem: arena.New(0, 0)}
 	cpu.SetMem(r.mem)
 	r.rec = trace.NewRecorder(cfg.TraceCapacity)
 	r.regexMgr = cpu.NewMap()

@@ -127,8 +127,6 @@ func (w *Worker) serve(page int, profile bool) ([]byte, obs.Span) {
 		tree := tb.Finish(w.id)
 		sp.Sampled = true
 		sp.Tree = tree
-		sp.Categories = tree.Root.Categories
-		sp.Cycles = tree.Root.Cycles
 		// Finish read the clock after the wall measurement; pin the two
 		// to the same value so root Dur == span Wall exactly.
 		tree.Root.Dur = wall

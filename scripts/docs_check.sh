@@ -17,7 +17,11 @@
 #    define must be mentioned in docs/OPERATIONS.md, so none can land
 #    without operator documentation; and every backticked first-column
 #    `-flag`, `GET /path` or `POST /path` of a table in that guide must
-#    still be one of them, so none can outlive its code. (The metric series and /stats keys are not grepped
+#    still be one of them, so none can outlive its code. The same holds
+#    in prose: every backticked `-flag` and every flag of a phpserve or
+#    phprouter command line in README.md, DESIGN.md, docs/ARCHITECTURE.md
+#    and docs/OPERATIONS.md must be defined by some cmd/*/main.go (Go's
+#    -race aside). (The metric series and /stats keys are not grepped
 #    for here: the guide's signals tables are rendered from the running
 #    servers and held byte for byte by TestSignalsDoc in cmd/phpserve
 #    and TestOperatorSurface in cmd/phprouter, under `go test ./...`.)
@@ -146,6 +150,72 @@ if [ -f "$opsdoc" ]; then
 		fi
 	done
 fi
+
+# Flags in prose: every backticked `-name` in the four reader-facing
+# documents (a span that starts with a flag, or a backticked phpserve
+# or phprouter command line), and every flag on a phpserve or phprouter
+# command line in their code blocks (continuation lines included), must
+# be a flag some cmd/*/main.go defines — a removed flag cannot survive
+# in a paragraph or an example. Go's own -race is the one exception.
+proseflags() {
+	awk '
+		# flags prints the -name tokens of s, one name a line.
+		function flags(s,    n, i, tok, t) {
+			n = split(s, tok, /[ \t]+/)
+			for (i = 1; i <= n; i++) {
+				t = tok[i]
+				gsub(/^["\047(]+|["\047),.;:]+$/, "", t)
+				sub(/=.*/, "", t)
+				if (t ~ /^-[A-Za-z][A-Za-z0-9_-]*$/)
+					print substr(t, 2)
+			}
+		}
+		# spans checks the backticked spans of one paragraph.
+		function spans(    n, i, part, sp) {
+			n = split(para, part, "`")
+			for (i = 2; i <= n; i += 2) {
+				sp = part[i]
+				sub(/^ +/, "", sp)
+				if (sp ~ /^-[A-Za-z]/ || sp ~ ("^" prog))
+					flags(sp)
+			}
+			para = ""
+		}
+		# commands checks every phpserve or phprouter command of a code
+		# line, and the line after one that ends in a backslash.
+		function commands(line,    c, n, i, seg) {
+			c = cont
+			cont = 0
+			sub(/#.*/, "", line)
+			n = split(line, seg, /&&|[|;&]/)
+			for (i = 1; i <= n; i++) {
+				if (c && i == 1)
+					flags(seg[i])
+				else if (match(seg[i], "(^|[ $])" prog))
+					flags(substr(seg[i], RSTART))
+				else
+					continue
+				if (seg[i] ~ /\\ *$/)
+					cont = 1
+			}
+		}
+		BEGIN { prog = "((\\./|cmd/)?php(serve|router)|go run \\./cmd/php(serve|router))( |$)" }
+		/^ *```/ { spans(); fence = !fence; cont = 0; next }
+		fence { commands($0); next }
+		/^ *$/ { spans(); next }
+		{ para = para " " $0 }
+		END { spans() }
+	' "$1"
+}
+definedflags=$( (flagnames cmd/*/main.go; echo race) | sort -u)
+for doc in README.md DESIGN.md docs/ARCHITECTURE.md docs/OPERATIONS.md; do
+	for f in $(proseflags "$doc" | sort -u); do
+		if ! printf '%s\n' "$definedflags" | grep -qx -- "$f"; then
+			echo "docs-check: $doc names flag -$f, which no cmd/*/main.go defines" >&2
+			status=1
+		fi
+	done
+done
 
 # Benchmark-record schema coverage: every JSON field the benchrec
 # record serializes must be documented (as `name`) in the operations
