@@ -23,8 +23,8 @@ vet:
 # OPERATIONS.md (its metric tables are rendered from the servers and
 # held by `go test`, not grepped for here), or if EXPERIMENTS.md's
 # generated block is not the rendering of FIGURES.json (no experiment is
-# run). internal/serve is in the list because the router/supervisor/
-# cluster API is what the cluster section documents.
+# run). internal/serve is in the list because the router and cluster
+# API is what the cluster section documents.
 docs-check:
 	sh scripts/docs_check.sh internal/obs internal/profile internal/cache internal/benchrec internal/serve
 

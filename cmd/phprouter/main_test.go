@@ -12,7 +12,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/obs"
@@ -98,7 +97,8 @@ func fakeBackend(t *testing.T, id string) string {
 // family for family — name, type, labels, HELP — the signals table of
 // docs/OPERATIONS.md; /backends lists both backends; /eventz reads ?n=
 // the way /tracez and /profilez do; a path the router does not serve is
-// the proxy's 404. None of them sends a backend anything: the router
+// the proxy's 404, POST /restart too (the router fronts backends and
+// does not run them). None of them sends a backend anything: the router
 // reports what it counted itself.
 func TestOperatorSurface(t *testing.T) {
 	events := obs.NewEventRing(64)
@@ -106,11 +106,10 @@ func TestOperatorSurface(t *testing.T) {
 	r := serve.NewRouter(serve.RouterConfig{Events: events, TreeRing: treeRing})
 	r.AddBackend("0", fakeBackend(t, "0"))
 	r.AddBackend("1", fakeBackend(t, "1"))
-	for i := 0; i < 2; i++ { // four events per round trip
+	for i := 0; i < 2; i++ { // four events per round trip, every kind on /metrics; ten retained in all
 		r.SetBackendUp("1", false)
 		r.SetBackendUp("1", true)
 	}
-	events.Add(time.Now(), obs.EventRestartPhase, "", "complete") // every kind on /metrics; eleven retained in all
 	front := httptest.NewServer(r.Handler())
 	defer front.Close()
 	for page := 0; page < 8; page++ {
@@ -140,17 +139,18 @@ func TestOperatorSurface(t *testing.T) {
 			if err := json.Unmarshal(body, &ez); err != nil {
 				t.Fatal(err)
 			}
-			if ez.Total != 11 || len(ez.Events) != want {
-				t.Errorf("total %d with %d events returned, want 11 and %d", ez.Total, len(ez.Events), want)
+			if ez.Total != 10 || len(ez.Events) != want {
+				t.Errorf("total %d with %d events returned, want 10 and %d", ez.Total, len(ez.Events), want)
 			}
 		}
 	}
 	for _, tc := range []struct {
+		method string // empty is GET
 		path   string
 		status int
 		check  func(t *testing.T, body []byte)
 	}{
-		{"/metrics", http.StatusOK, func(t *testing.T, body []byte) {
+		{"", "/metrics", http.StatusOK, func(t *testing.T, body []byte) {
 			fams, err := obs.ParsePromText(strings.NewReader(string(body)))
 			if err != nil {
 				t.Fatal(err)
@@ -171,7 +171,7 @@ func TestOperatorSurface(t *testing.T) {
 				t.Errorf("phprouter_requests_total sums to %g over both backends, want 8", got)
 			}
 		}},
-		{"/backends", http.StatusOK, func(t *testing.T, body []byte) {
+		{"", "/backends", http.StatusOK, func(t *testing.T, body []byte) {
 			var bz struct {
 				Rows []backendRow `json:"backends"`
 			}
@@ -183,14 +183,19 @@ func TestOperatorSurface(t *testing.T) {
 			}
 			bothListed(t, bz.Rows[0].ID, bz.Rows[1].ID)
 		}},
-		{"/eventz", http.StatusOK, eventz(11)},
-		{"/eventz?n=2", http.StatusOK, eventz(2)},
-		{"/eventz?n=07", http.StatusOK, eventz(7)},
-		{"/eventz?n=abc", http.StatusOK, eventz(11)},
-		{"/clusterz", http.StatusNotFound, func(*testing.T, []byte) {}},
+		{"", "/eventz", http.StatusOK, eventz(10)},
+		{"", "/eventz?n=2", http.StatusOK, eventz(2)},
+		{"", "/eventz?n=07", http.StatusOK, eventz(7)},
+		{"", "/eventz?n=abc", http.StatusOK, eventz(10)},
+		{"", "/clusterz", http.StatusNotFound, func(*testing.T, []byte) {}},
+		{http.MethodPost, "/restart", http.StatusNotFound, func(*testing.T, []byte) {}},
 	} {
-		t.Run(tc.path, func(t *testing.T) {
-			resp, err := http.Get(front.URL + tc.path)
+		t.Run(strings.TrimSpace(tc.method+" "+tc.path), func(t *testing.T) {
+			req, err := http.NewRequest(tc.method, front.URL+tc.path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
 			if err != nil {
 				t.Fatal(err)
 			}

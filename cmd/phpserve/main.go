@@ -55,7 +55,7 @@ func main() {
 	flag.IntVar(&c.TreeRing, "treering", 64, "sampled span trees retained for /tracez (0 disables)")
 	fpm := flag.Bool("fpm", false, "run as a cluster backend process (FPM-style, behind phprouter): implies -backend 0 unless set")
 	flag.IntVar(&c.Backend, "backend", -1, "cluster backend id stamped on X-Backend, /healthz, and access-log lines (-1 standalone)")
-	listen := flag.String("listen", "", "backend listen address; overrides -addr (the flag phprouter's spawner sets per backend)")
+	listen := flag.String("listen", "", "backend listen address; overrides -addr")
 	flag.DurationVar(&c.DBWait, "dbwait", 0, "simulated per-render database stall, held on the worker FPM-style (0 disables)")
 	flag.StringVar(&c.Tier, "tier", "", "script execution engine for scripted workloads: interp or bytecode, auto accepted as bytecode (empty leaves the tier plane off)")
 	flag.Parse()

@@ -21,7 +21,7 @@ const DefaultRingReplicas = 2048
 // is the point: adding or removing one member moves only the keys that
 // member owns (about 1/N of the space), so every other backend's cache
 // stays hot through membership churn — exactly the property a
-// per-backend response cache needs during rolling restarts.
+// per-backend response cache needs while a backend is down and back.
 //
 // Hashing builds on the cache's own shard hash (FNV-1a 64, see
 // ringHash), so a key's ring position and its in-cache shard derive
@@ -126,8 +126,8 @@ func (r *Ring) Owner(key string) (string, bool) {
 
 // Owners returns up to n distinct members in ring order starting from
 // key's owner — the fallback sequence a router walks when the owner is
-// down or mid-restart, so rerouted keys land deterministically instead
-// of scattering.
+// down, draining or refusing connections, so rerouted keys land
+// deterministically instead of scattering.
 func (r *Ring) Owners(key string, n int) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

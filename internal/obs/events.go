@@ -6,9 +6,9 @@ import (
 )
 
 // Cluster lifecycle events. The router records state transitions that
-// explain why the serving picture changed — a backend went down, ring
-// ownership moved, a rolling restart advanced — in a bounded ring that
-// GET /eventz serves as JSON. Events answer the operator question
+// explain why the serving picture changed — a backend went down or came
+// back, ring ownership moved — in a bounded ring that GET /eventz
+// serves as JSON. Events answer the operator question
 // "what happened around 12:04?" that counters alone cannot: a latency
 // blip lines up with a backend_down/backend_up pair, a hit-ratio dip
 // with a ring_change.
@@ -22,9 +22,6 @@ const (
 	// EventRingChange: cache-affinity ring ownership changed (a backend
 	// joined or left the consistent-hash ring).
 	EventRingChange = "ring_change"
-	// EventRestartPhase: a rolling restart advanced one phase (drain,
-	// restart, wait-healthy) on some backend.
-	EventRestartPhase = "restart_phase"
 )
 
 // Event is one recorded cluster lifecycle transition.
@@ -36,8 +33,7 @@ type Event struct {
 	// Backend is the affected backend's ID, empty for cluster-wide
 	// events.
 	Backend string `json:"backend,omitempty"`
-	// Detail is a human-readable elaboration ("health check failed:
-	// connection refused", "phase=drain").
+	// Detail is a human-readable elaboration ("virtual nodes removed").
 	Detail string `json:"detail,omitempty"`
 }
 

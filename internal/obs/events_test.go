@@ -12,7 +12,7 @@ func TestEventRingBoundedAndCounted(t *testing.T) {
 	r.Add(t0, EventBackendUp, "b0", "")
 	r.Add(t0.Add(1*time.Second), EventBackendUp, "b1", "")
 	r.Add(t0.Add(2*time.Second), EventBackendDown, "b0", "health check failed")
-	r.Add(t0.Add(3*time.Second), EventRestartPhase, "b1", "phase=drain")
+	r.Add(t0.Add(3*time.Second), EventRingChange, "b1", "virtual nodes removed")
 
 	last := r.Last(0)
 	if len(last) != 3 {
@@ -22,15 +22,15 @@ func TestEventRingBoundedAndCounted(t *testing.T) {
 	if last[0].Kind != EventBackendUp || last[0].Backend != "b1" {
 		t.Fatalf("last[0] = %+v", last[0])
 	}
-	if last[2].Kind != EventRestartPhase || last[2].Detail != "phase=drain" {
+	if last[2].Kind != EventRingChange || last[2].Detail != "virtual nodes removed" {
 		t.Fatalf("last[2] = %+v", last[2])
 	}
-	if got := r.Last(1); len(got) != 1 || got[0].Kind != EventRestartPhase {
+	if got := r.Last(1); len(got) != 1 || got[0].Kind != EventRingChange {
 		t.Fatalf("Last(1) = %+v", got)
 	}
 
 	counts := r.Counts()
-	if counts[EventBackendUp] != 2 || counts[EventBackendDown] != 1 || counts[EventRestartPhase] != 1 {
+	if counts[EventBackendUp] != 2 || counts[EventBackendDown] != 1 || counts[EventRingChange] != 1 {
 		t.Fatalf("counts = %+v", counts)
 	}
 	if r.Total() != 4 {

@@ -1,9 +1,9 @@
 package serve
 
 // The router's process surface: the front handler that keys each
-// request, the operator endpoints, spawned backends with their rolling
-// restart, and ListenAndServe — everything cmd/phprouter runs, so a
-// router built in-process is the one the binary runs.
+// request, the operator endpoints, and ListenAndServe — everything
+// cmd/phprouter runs, so a router built in-process is the one the
+// binary runs.
 
 import (
 	"context"
@@ -20,9 +20,8 @@ import (
 // Handler routes the proxy path and the operator surface: / proxies a
 // render; /healthz, /backends and /metrics (phprouter_* series) report
 // what the router itself saw; /tracez serves sampled router trees with
-// backend trees stitched in; /eventz the cluster event timeline; POST
-// /restart rolls every spawned backend through drain → restart →
-// readmit. No read-only endpoint contacts a backend.
+// backend trees stitched in; /eventz the cluster event timeline. No
+// operator endpoint contacts a backend.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", r.handleProxy)
@@ -31,7 +30,6 @@ func (r *Router) Handler() http.Handler {
 	mux.HandleFunc("/metrics", r.handleMetrics)
 	mux.HandleFunc("/tracez", r.handleTracez)
 	mux.HandleFunc("/eventz", r.handleEventz)
-	mux.HandleFunc("/restart", r.handleRestart)
 	return mux
 }
 
@@ -111,7 +109,7 @@ type RouterMetrics struct {
 	BackendsUp  int     `prom:"backends_up,gauge" help:"Backends currently healthy and on the ring."`
 	RouterStats
 	TraceTrees *int64  `prom:"trace_trees_total,counter" help:"Sampled router span trees ever retained in the /tracez ring."`
-	Events     obs.Vec `prom:"events_total,counter,by=kind" help:"Cluster events recorded (backend up/down, ring changes, restart phases), by kind."`
+	Events     obs.Vec `prom:"events_total,counter,by=kind" help:"Cluster events recorded (backend up/down, ring changes), by kind."`
 }
 
 // handleMetrics renders the phprouter_* series in the Prometheus text
@@ -154,10 +152,10 @@ func (r *Router) handleTracez(w http.ResponseWriter, req *http.Request) {
 	obs.ServeTracez(w, req, r.cfg.TreeRing)
 }
 
-// handleEventz serves the retained cluster events (backend up/down, ring
-// ownership changes, rolling restart phases), oldest first. Parameter n
-// bounds the tail, read like /tracez's and /profilez's n (default, and
-// any malformed value: all retained).
+// handleEventz serves the retained cluster events (backend up/down and
+// ring ownership changes), oldest first. Parameter n bounds the tail,
+// read like /tracez's and /profilez's n (default, and any malformed
+// value: all retained).
 func (r *Router) handleEventz(w http.ResponseWriter, req *http.Request) {
 	resp := struct {
 		Total  int64            `json:"total"`
@@ -170,117 +168,32 @@ func (r *Router) handleEventz(w http.ResponseWriter, req *http.Request) {
 	obs.WriteJSON(w, http.StatusOK, resp)
 }
 
-// handleRestart rolls every spawned backend: drain (evict from the
-// ring), SIGTERM, wait for exit, start a fresh process, wait healthy,
-// readmit. One backend at a time, so the others keep serving (and keep
-// their caches) throughout. External backends answer 501.
-func (r *Router) handleRestart(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	if r.sup == nil {
-		http.Error(w, "restart requires spawned backends (-spawn)", http.StatusNotImplemented)
-		return
-	}
-	if !r.restartMu.TryLock() {
-		http.Error(w, "a rolling restart is already in progress", http.StatusConflict)
-		return
-	}
-	defer r.restartMu.Unlock()
-
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	flusher, _ := w.(http.Flusher)
-	progress := func(format string, args ...any) {
-		fmt.Fprintf(w, format+"\n", args...)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	for _, p := range r.sup.Procs() {
-		id := p.ID()
-		progress("backend %s: draining and evicting from ring", id)
-		r.cfg.Events.Add(time.Now(), obs.EventRestartPhase, id, "drain")
-		r.SetBackendUp(id, false)
-		stopCtx, cancel := context.WithTimeout(req.Context(), r.cfg.DrainGrace)
-		err := p.Stop(stopCtx)
-		cancel()
-		if err != nil {
-			progress("backend %s: %v", id, err)
-		}
-		r.cfg.Events.Add(time.Now(), obs.EventRestartPhase, id, "restart")
-		if err := p.Restart(); err != nil {
-			progress("backend %s: restart failed: %v", id, err)
-			return
-		}
-		r.cfg.Events.Add(time.Now(), obs.EventRestartPhase, id, "wait_healthy")
-		waitCtx, cancel := context.WithTimeout(req.Context(), r.cfg.DrainGrace+2*time.Minute)
-		err = r.WaitHealthy(waitCtx, r.addrOf(id), 100*time.Millisecond)
-		cancel()
-		if err != nil {
-			progress("backend %s: %v", id, err)
-			return
-		}
-		r.SetBackendUp(id, true)
-		progress("backend %s: healthy, readmitted to ring", id)
-	}
-	r.cfg.Events.Add(time.Now(), obs.EventRestartPhase, "", "complete")
-	progress("rolling restart complete")
-}
-
-// addrOf returns backend id's address.
-func (r *Router) addrOf(id string) string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.backends[id].addr
-}
-
-// Spawn starts and supervises n `binary -fpm` backends, backend i on
-// 127.0.0.1:baseport+i with args appended, and registers each.
-func (r *Router) Spawn(n int, binary string, baseport int, args []string) error {
-	r.sup = NewSupervisor()
-	r.sup.Logf = func(format string, a ...any) { fmt.Printf("phprouter: "+format+"\n", a...) }
-	for i := 0; i < n; i++ {
-		id, addr := strconv.Itoa(i), "127.0.0.1:"+strconv.Itoa(baseport+i)
-		spec := ProcSpec{ID: id, Binary: binary, Args: append([]string{"-fpm", "-backend", id, "-listen", addr}, args...)}
-		if _, err := r.sup.Add(spec); err != nil {
-			return err
-		}
-		r.AddBackend(id, addr)
-		fmt.Printf("phprouter: spawned backend %s on %s\n", id, addr)
-	}
-	return nil
-}
-
-// ListenAndServe is the phprouter process. It waits up to StartupWait
-// for every backend to answer /healthz (spawned children are still
-// warming; one that does not answer is marked down and probed on),
-// keeps spawned backends running, probes every backend each
-// HealthInterval, and runs on one Go P, like one nginx worker's event
-// loop. Then it serves Handler on addr until SIGTERM or SIGINT and
-// drains: typed 503s for new requests, in-flight proxies finish, spawned
-// backends stop gracefully, all within DrainGrace.
+// ListenAndServe is the phprouter process: it serves until the first
+// SIGTERM or SIGINT, then drains.
 func (r *Router) ListenAndServe(addr string) error {
 	sig, stop := signalContext()
 	defer stop()
-	waitCtx, cancel := context.WithTimeout(sig, r.cfg.StartupWait)
-	for _, b := range r.Stats().Backends {
-		if err := r.WaitHealthy(waitCtx, b.Addr, 200*time.Millisecond); err != nil {
-			fmt.Fprintf(os.Stderr, "phprouter: backend %s: %v (will keep probing)\n", b.ID, err)
-			r.SetBackendUp(b.ID, false)
-		}
-	}
-	cancel()
-	if r.sup != nil {
-		go r.sup.Watch(sig)
-	}
-	go r.HealthLoop(sig, r.cfg.HealthInterval, func(tr HealthTransition) {
+	return r.listenAndServe(sig, addr)
+}
+
+// listenAndServe probes every backend once (one that does not answer is
+// evicted, and readmitted by the health loop once it does), probes them
+// all every HealthInterval after that, and runs on one Go P, like one
+// nginx worker's event loop. It serves Handler on addr until sig is done
+// and drains: typed 503s for new requests while in-flight proxies
+// finish, within DrainGrace.
+func (r *Router) listenAndServe(sig context.Context, addr string) error {
+	report := func(tr HealthTransition) {
 		if tr.Up {
 			fmt.Printf("phprouter: backend %s healthy, readmitted to ring\n", tr.ID)
 		} else {
 			fmt.Printf("phprouter: backend %s unhealthy, evicted from ring (%v)\n", tr.ID, tr.Err)
 		}
-	})
+	}
+	for _, tr := range r.CheckBackends(sig) {
+		report(tr)
+	}
+	go r.HealthLoop(sig, r.cfg.HealthInterval, report)
 
 	procs := SetProcs(1)
 	rs := r.Stats()
@@ -289,9 +202,6 @@ func (r *Router) ListenAndServe(addr string) error {
 	err := serveUntilSignal(sig, "phprouter", addr, r.Handler(), r.cfg.DrainGrace, func(ctx context.Context, hs *HTTPServer) {
 		r.SetDraining()
 		hs.Shutdown(ctx)
-		if r.sup != nil {
-			r.sup.StopAll(ctx)
-		}
 	})
 	if err != nil {
 		return err

@@ -61,12 +61,11 @@ type RouterConfig struct {
 	// into the query so the backend renders the page the router hashed
 	// (nil keys such a request on its path).
 	PageKeys *workload.ZipfKeys
-	// DrainGrace bounds the router's own drain in ListenAndServe and each
-	// backend's during a rolling restart.
+	// DrainGrace bounds the router's drain in ListenAndServe.
 	DrainGrace time.Duration
 	// HealthInterval is how often ListenAndServe probes every backend,
-	// after waiting up to StartupWait for all of them to answer first.
-	HealthInterval, StartupWait time.Duration
+	// after one probe of each before it serves.
+	HealthInterval time.Duration
 }
 
 // routerBackend is the router's view of one backend process.
@@ -114,14 +113,10 @@ type Router struct {
 	stitchErrors  int64 // stitch fetches that failed or found no tree
 
 	start time.Time
-	sup   *Supervisor // spawned backends (Spawn), nil when they are external
-	// restartMu serializes rolling restarts (a second POST /restart
-	// while one runs answers 409).
-	restartMu sync.Mutex
 }
 
 // NewRouter builds a router with no backends; register them with
-// AddBackend or Spawn.
+// AddBackend.
 func NewRouter(cfg RouterConfig) *Router {
 	if cfg.HealthTimeout <= 0 {
 		cfg.HealthTimeout = time.Second
@@ -497,25 +492,6 @@ func (r *Router) HealthLoop(ctx context.Context, interval time.Duration, onChang
 					onChange(tr)
 				}
 			}
-		}
-	}
-}
-
-// WaitHealthy polls addr's /healthz every interval until it answers
-// 2xx or ctx expires — the readmission barrier a rolling restart uses
-// before putting a backend back on the ring.
-func (r *Router) WaitHealthy(ctx context.Context, addr string, interval time.Duration) error {
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
-	}
-	for {
-		if up, _ := r.probeHealth(ctx, addr); up {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("serve: backend %s not healthy: %w", addr, ctx.Err())
-		case <-time.After(interval):
 		}
 	}
 }

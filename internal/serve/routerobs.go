@@ -30,7 +30,8 @@ import (
 type proxyObs struct {
 	rid     string
 	start   time.Time
-	sampled bool
+	sampled bool // logged, and traced when there is a tree ring
+	traced  bool // sampled with a tree ring: record spans, build the tree
 
 	// spans are the router-phase spans recorded so far, in order:
 	// "route", then one "proxy:<id>" / "retry:<id>" per attempt.
@@ -48,7 +49,8 @@ type proxyObs struct {
 // beginProxyObs starts a request's observability: it resolves the
 // request ID (inbound header, sanitized, else minted), stamps it on the
 // outbound request headers (forward copies them) and on the client
-// response, and draws the sampling decision.
+// response, and draws the sampling decision: a sampled request is
+// logged, and traced when the router keeps trees.
 func (r *Router) beginProxyObs(w http.ResponseWriter, req *http.Request) *proxyObs {
 	po := &proxyObs{start: time.Now()}
 	rid := obs.SanitizeRequestID(req.Header.Get(obs.HeaderRequestID))
@@ -58,7 +60,8 @@ func (r *Router) beginProxyObs(w http.ResponseWriter, req *http.Request) *proxyO
 	po.rid = rid
 	req.Header.Set(obs.HeaderRequestID, rid)
 	w.Header().Set(obs.HeaderRequestID, rid)
-	po.sampled = r.cfg.TreeRing != nil && r.sampler.Sample()
+	po.sampled = r.sampler.Sample()
+	po.traced = po.sampled && r.cfg.TreeRing != nil
 	return po
 }
 
@@ -75,7 +78,7 @@ func (po *proxyObs) sinceStart() time.Duration {
 // noteRoute closes the implicit "route" phase: ring lookup and
 // candidate selection, spanning from request start to now.
 func (po *proxyObs) noteRoute() {
-	if po == nil || !po.sampled {
+	if po == nil || !po.traced {
 		return
 	}
 	po.spans = append(po.spans, &obs.TreeSpan{Name: "route", Start: 0, Dur: time.Since(po.start)})
@@ -84,7 +87,7 @@ func (po *proxyObs) noteRoute() {
 // noteAttempt records one proxy attempt's span: "proxy:<id>" for the
 // first try, "retry:<id>" for ring-order fallbacks.
 func (po *proxyObs) noteAttempt(id string, try int, start, dur time.Duration) {
-	if po == nil || !po.sampled {
+	if po == nil || !po.traced {
 		return
 	}
 	name := "proxy:" + id
@@ -136,7 +139,7 @@ func (po *proxyObs) noteRelayedShed(status int) {
 }
 
 // finishProxyObs completes a request's observability after the client
-// was answered: it assembles the router span tree for sampled requests
+// was answered: it assembles the router span tree for traced requests
 // (stitching the backend's tree under the proxy span when the backend
 // retained one), retains it in the tree ring, and writes the access-log
 // line (sampled requests, plus every shed).
@@ -146,7 +149,7 @@ func (r *Router) finishProxyObs(po *proxyObs) {
 	}
 	wall := time.Since(po.start)
 
-	if po.sampled && r.cfg.TreeRing != nil {
+	if po.traced {
 		tree := po.buildTree(wall)
 		if po.backendSampled && po.backendAddr != "" {
 			if sub, err := r.fetchBackendTree(po.backendAddr, po.rid); err == nil {

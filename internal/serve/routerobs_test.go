@@ -160,47 +160,70 @@ func obsRouter(logBuf *bytes.Buffer, backends ...*obsBackend) (*Router, *obs.Tre
 
 // TestRequestIDPropagation is the e2e correlation gate: one request ID
 // appears in the client response header, the router's access-log line,
-// the backend's access-log line, and the router's span-tree root.
+// the backend's access-log line, and the router's span-tree root. A
+// router that keeps no trees (-treering 0) still logs every request it
+// samples.
 func TestRequestIDPropagation(t *testing.T) {
-	b := newObsBackend(t, "0", true)
-	var logBuf bytes.Buffer
-	r, ring, _ := obsRouter(&logBuf, b)
-	front := routerServer(t, r)
+	const requests = 3
+	for _, keepTrees := range []bool{true, false} {
+		name := "tree ring"
+		if !keepTrees {
+			name = "no tree ring"
+		}
+		t.Run(name, func(t *testing.T) {
+			b := newObsBackend(t, "0", true)
+			var logBuf bytes.Buffer
+			r, ring, _ := obsRouter(&logBuf, b)
+			if !keepTrees {
+				r, ring = NewRouter(RouterConfig{SampleRate: 1, AccessLog: obs.NewAccessLog(&logBuf)}), nil
+				r.AddBackend(b.id, b.addr)
+			}
+			front := routerServer(t, r)
 
-	resp, err := http.Get(front.URL + "/?page=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-
-	rid := resp.Header.Get(obs.HeaderRequestID)
-	if rid == "" {
-		t.Fatal("client response missing X-Request-Id")
-	}
-	if got := resp.Header.Get(obs.HeaderTraceSampled); got != "" {
-		t.Fatalf("internal X-Trace-Sampled header leaked to client: %q", got)
-	}
-	if got := b.lastSeenID(); got != rid {
-		t.Fatalf("backend saw id %q, client saw %q", got, rid)
-	}
-	routerLines := decodeJSONLines(t, logBuf.String())
-	if len(routerLines) != 1 {
-		t.Fatalf("router log lines = %d, want 1", len(routerLines))
-	}
-	if got := routerLines[0]["request_id"]; got != rid {
-		t.Fatalf("router log request_id = %v, want %s", got, rid)
-	}
-	if got := routerLines[0]["backend"]; got != "0" {
-		t.Fatalf("router log backend = %v, want 0", got)
-	}
-	backendLines := b.logLines(t)
-	if len(backendLines) != 1 || backendLines[0]["request_id"] != rid {
-		t.Fatalf("backend log lines = %+v, want one with request_id %s", backendLines, rid)
-	}
-	trees := ring.Last(0)
-	if len(trees) != 1 || trees[0].ID != rid {
-		t.Fatalf("router trees = %d, want 1 with ID %s", len(trees), rid)
+			var rids []string
+			for i := 0; i < requests; i++ {
+				resp, err := http.Get(front.URL + "/?page=1")
+				if err != nil {
+					t.Fatal(err)
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				rid := resp.Header.Get(obs.HeaderRequestID)
+				if rid == "" {
+					t.Fatal("client response missing X-Request-Id")
+				}
+				if got := resp.Header.Get(obs.HeaderTraceSampled); got != "" {
+					t.Fatalf("internal X-Trace-Sampled header leaked to client: %q", got)
+				}
+				if got := b.lastSeenID(); got != rid {
+					t.Fatalf("backend saw id %q, client saw %q", got, rid)
+				}
+				rids = append(rids, rid)
+			}
+			routerLines := decodeJSONLines(t, logBuf.String())
+			if len(routerLines) != requests {
+				t.Fatalf("router log lines = %d, want one per request (%d)", len(routerLines), requests)
+			}
+			backendLines := b.logLines(t)
+			for i, rid := range rids {
+				if got := routerLines[i]["request_id"]; got != rid {
+					t.Errorf("router log line %d request_id = %v, want %s", i, got, rid)
+				}
+				if got := routerLines[i]["backend"]; got != "0" {
+					t.Errorf("router log line %d backend = %v, want 0", i, got)
+				}
+				if len(backendLines) != requests || backendLines[i]["request_id"] != rid {
+					t.Fatalf("backend log lines = %+v, want %d with request_id %s at %d", backendLines, requests, rid, i)
+				}
+			}
+			if ring == nil {
+				return
+			}
+			trees := ring.Last(0)
+			if len(trees) != requests || trees[0].ID != rids[0] {
+				t.Fatalf("router trees = %d, want %d, the first with ID %s", len(trees), requests, rids[0])
+			}
+		})
 	}
 }
 
