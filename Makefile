@@ -19,12 +19,14 @@ vet:
 
 # Fail if exported identifiers in the operator-facing packages lack doc
 # comments — their API is the surface docs/OPERATIONS.md describes —
-# if any phpserve/phprouter HTTP endpoint or CLI flag is missing from
-# OPERATIONS.md (its metric tables are rendered from the servers and
-# held by `go test`, not grepped for here), or if EXPERIMENTS.md's
-# generated block is not the rendering of FIGURES.json (no experiment is
-# run). internal/serve is in the list because the router and cluster
-# API is what the cluster section documents.
+# if any phpserve/phprouter HTTP endpoint is missing from OPERATIONS.md,
+# if a document names a phpserve/phprouter flag that OPERATIONS.md's
+# generated flag tables do not list (those tables, the metric tables and
+# the record schema are rendered from the code and held by `go test`,
+# not grepped for here), or if EXPERIMENTS.md's generated block is not
+# the rendering of FIGURES.json (no experiment is run). internal/serve
+# is in the list because the router and cluster API is what the cluster
+# section documents.
 docs-check:
 	sh scripts/docs_check.sh internal/obs internal/profile internal/cache internal/benchrec internal/serve
 
@@ -46,7 +48,7 @@ bench:
 # from it; commit all three.
 # bench-check reruns both and fails with one line per difference: any
 # deterministic field of the latest BENCH record, allocs/op past its
-# slack, or any value of any figure (`figure[row].metric base -> fresh`).
+# slack either way, or any value of any figure (`figure[row].metric base -> fresh`).
 # Host time is in neither record: `sh benchmark/run.sh` measures that.
 bench-record:
 	$(GO) run ./cmd/figures -write

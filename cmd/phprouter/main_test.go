@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -210,9 +211,7 @@ func TestOperatorSurface(t *testing.T) {
 }
 
 // checkSignalsDoc holds the signals:phprouter block of docs/OPERATIONS.md
-// to the exposition: one row per family, in order, everything in it
-// parsed from what the router wrote. On a mismatch the expected block is
-// printed; paste it between the markers.
+// to the families a router exposes: name, type, labels and HELP.
 func checkSignalsDoc(t *testing.T, fams []*obs.MetricFamily) {
 	t.Helper()
 	var b strings.Builder
@@ -220,18 +219,44 @@ func checkSignalsDoc(t *testing.T, fams []*obs.MetricFamily) {
 	for _, f := range fams {
 		fmt.Fprintf(&b, "| `%s` | %s | %s | %s |\n", f.Name, f.Type, labelCell(f), f.Help)
 	}
+	checkDocBlock(t, "signals:phprouter", b.String())
+}
+
+// TestFlagsDoc holds the flags:phprouter table of docs/OPERATIONS.md to
+// the flags phprouter registers: name, default and usage string, the
+// flag's one description.
+func TestFlagsDoc(t *testing.T) {
+	fs := flag.NewFlagSet("phprouter", flag.ContinueOnError)
+	defineFlags(fs)
+	var b strings.Builder
+	b.WriteString("| Flag | Default | Meaning |\n|---|---|---|\n")
+	fs.VisitAll(func(f *flag.Flag) {
+		def := "empty"
+		if f.DefValue != "" {
+			def = "`" + f.DefValue + "`"
+		}
+		fmt.Fprintf(&b, "| `-%s` | %s | %s |\n", f.Name, def, strings.ReplaceAll(f.Usage, "|", `\|`))
+	})
+	checkDocBlock(t, "flags:phprouter", b.String())
+}
+
+// checkDocBlock compares want with the text between the
+// <!-- MARKER:begin --> and <!-- MARKER:end --> lines of
+// docs/OPERATIONS.md; on a mismatch it prints the block to paste there.
+func checkDocBlock(t *testing.T, marker, want string) {
+	t.Helper()
 	raw, err := os.ReadFile("../../docs/OPERATIONS.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const begin, end = "<!-- signals:phprouter:begin -->\n", "<!-- signals:phprouter:end -->"
+	begin, end := "<!-- "+marker+":begin -->\n", "<!-- "+marker+":end -->"
 	_, rest, ok := strings.Cut(string(raw), begin)
 	got, _, ok2 := strings.Cut(rest, end)
 	if !ok || !ok2 {
 		t.Fatalf("docs/OPERATIONS.md has no %s … %s block", strings.TrimSpace(begin), end)
 	}
-	if got != b.String() {
-		t.Errorf("docs/OPERATIONS.md: the signals:phprouter block is not what the router exposes; it should read:\n%s%s%s", begin, b.String(), end)
+	if got != want {
+		t.Errorf("docs/OPERATIONS.md: the %s block is not what the code declares; it should read:\n%s%s%s", marker, begin, want, end)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
@@ -23,19 +24,35 @@ import (
 // outside: /metrics families by name and /stats keys by JSON tag.
 const benchmarkDir = "../../benchmark"
 
-// seriesName matches a metric family name the benchmark spells out.
-var seriesName = regexp.MustCompile(`^php(serve|router)_[a-z0-9_]+$`)
+// seriesName matches a metric family name the benchmark spells out,
+// flagName a command-line flag it passes.
+var (
+	seriesName = regexp.MustCompile(`^php(serve|router)_[a-z0-9_]+$`)
+	flagName   = regexp.MustCompile(`^-[a-z]+$`)
+)
 
 // TestBenchmarkContract holds the servers to the names the benchmark
-// reads: every phpserve_*/phprouter_* string literal in benchmark/*.go
-// is a family on that server's /metrics, and every json tag of
-// benchmark/scrape.go's serverStats is a key of phpserve's /stats. Both
-// lists are read from the benchmark's sources, so a name the benchmark
-// starts reading is held from then on.
+// reads and passes: every phpserve_*/phprouter_* string literal in
+// benchmark/*.go is a family on that server's /metrics, every json tag
+// of benchmark/scrape.go's serverStats is a key of phpserve's /stats,
+// and every -flag the benchmark starts phpserve or phprouter with is one
+// that binary defines (its flags: block of docs/OPERATIONS.md, which
+// TestFlagsDoc holds to the code). All three lists are read from the
+// benchmark's sources, so a name the benchmark starts using is held from
+// then on.
 func TestBenchmarkContract(t *testing.T) {
-	series, keys := benchmarkNames(t)
-	if len(series) == 0 || len(keys) == 0 {
-		t.Fatalf("found %d series names and %d /stats keys in %s, want some of each", len(series), len(keys), benchmarkDir)
+	series, keys, flags := benchmarkNames(t)
+	if len(series) == 0 || len(keys) == 0 || len(flags["phpserve"]) == 0 || len(flags["phprouter"]) == 0 {
+		t.Fatalf("found %d series names, %d /stats keys and %d/%d phpserve/phprouter flags in %s, want some of each",
+			len(series), len(keys), len(flags["phpserve"]), len(flags["phprouter"]), benchmarkDir)
+	}
+	for bin, passed := range flags {
+		defined := docFlags(t, bin)
+		for _, f := range passed {
+			if !defined[f] {
+				t.Errorf("benchmark starts %s with %s, which %s does not define", bin, f, bin)
+			}
+		}
 	}
 
 	c := testConfig(1, 2, 1, nil)
@@ -88,9 +105,11 @@ func TestBenchmarkContract(t *testing.T) {
 }
 
 // benchmarkNames parses the benchmark's sources: the metric family names
-// among their string literals, and the dotted /stats key path of every
-// json-tagged field of serverStats.
-func benchmarkNames(t *testing.T) (series, keys []string) {
+// among their string literals, the dotted /stats key path of every
+// json-tagged field of serverStats, and per binary the -flag literals of
+// the argument list of each startProc(bins.<binary>, ...) call, the
+// bodies of functions called in it included.
+func benchmarkNames(t *testing.T) (series, keys []string, flags map[string][]string) {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join(benchmarkDir, "*.go"))
 	if err != nil {
@@ -98,6 +117,8 @@ func benchmarkNames(t *testing.T) (series, keys []string) {
 	}
 	seen := map[string]bool{}
 	fset := token.NewFileSet()
+	funcs := map[string]*ast.FuncDecl{}
+	var starts []*ast.CallExpr
 	for _, path := range files {
 		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
@@ -105,6 +126,12 @@ func benchmarkNames(t *testing.T) (series, keys []string) {
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.FuncDecl:
+				funcs[n.Name.Name] = n
+			case *ast.CallExpr:
+				if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "startProc" && len(n.Args) > 0 {
+					starts = append(starts, n)
+				}
 			case *ast.BasicLit:
 				if s, err := strconv.Unquote(n.Value); n.Kind == token.STRING && err == nil && seriesName.MatchString(s) && !seen[s] {
 					seen[s] = true
@@ -118,7 +145,56 @@ func benchmarkNames(t *testing.T) (series, keys []string) {
 			return true
 		})
 	}
-	return series, keys
+	flags = map[string][]string{}
+	for _, call := range starts {
+		bin, ok := call.Args[0].(*ast.SelectorExpr)
+		if !ok {
+			t.Fatalf("startProc's first argument is %T, want bins.<binary>", call.Args[0])
+		}
+		visited := map[string]bool{}
+		var collect func(ast.Node)
+		collect = func(root ast.Node) {
+			ast.Inspect(root, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.BasicLit:
+					if s, err := strconv.Unquote(n.Value); n.Kind == token.STRING && err == nil && flagName.MatchString(s) {
+						flags[bin.Sel.Name] = append(flags[bin.Sel.Name], s)
+					}
+				case *ast.CallExpr:
+					if id, ok := n.Fun.(*ast.Ident); ok && funcs[id.Name] != nil && !visited[id.Name] {
+						visited[id.Name] = true
+						collect(funcs[id.Name].Body)
+					}
+				}
+				return true
+			})
+		}
+		collect(call.Args[len(call.Args)-1])
+	}
+	return series, keys, flags
+}
+
+// docFlags reads the -flag names of the flags:BIN block of
+// docs/OPERATIONS.md.
+func docFlags(t *testing.T, bin string) map[string]bool {
+	t.Helper()
+	raw, err := os.ReadFile("../../docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, _ := strings.Cut(string(raw), "<!-- flags:"+bin+":begin -->\n")
+	block, _, _ := strings.Cut(rest, "<!-- flags:"+bin+":end -->")
+	defined := map[string]bool{}
+	for _, line := range strings.Split(block, "\n") {
+		if name, ok := strings.CutPrefix(line, "| `-"); ok {
+			name, _, _ = strings.Cut(name, "`")
+			defined["-"+name] = true
+		}
+	}
+	if len(defined) == 0 {
+		t.Fatalf("docs/OPERATIONS.md has no flags:%s block", bin)
+	}
+	return defined
 }
 
 // jsonKeys lists the json tags of st's fields as dotted paths under

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -195,7 +196,7 @@ func TestSignalsDoc(t *testing.T) {
 			t.Errorf("/stats carries a key no tagged field declares (document: %v)", doc)
 		}
 	}
-	checkDocBlock(t, "phpserve", b.String())
+	checkDocBlock(t, "signals:phpserve", b.String())
 }
 
 // labelCell renders a family's labels in exposition order. A label whose
@@ -236,21 +237,40 @@ func leafPaths(doc map[string]any, prefix string) []string {
 	return out
 }
 
+// TestFlagsDoc holds the flags:phpserve table of docs/OPERATIONS.md to
+// the flags phpserve registers: name, default and usage string, the
+// flag's one description.
+func TestFlagsDoc(t *testing.T) {
+	fs := flag.NewFlagSet("phpserve", flag.ContinueOnError)
+	defineFlags(fs)
+	var b strings.Builder
+	b.WriteString("| Flag | Default | Meaning |\n|---|---|---|\n")
+	fs.VisitAll(func(f *flag.Flag) {
+		def := "empty"
+		if f.DefValue != "" {
+			def = "`" + f.DefValue + "`"
+		}
+		fmt.Fprintf(&b, "| `-%s` | %s | %s |\n", f.Name, def, strings.ReplaceAll(f.Usage, "|", `\|`))
+	})
+	checkDocBlock(t, "flags:phpserve", b.String())
+}
+
 // checkDocBlock compares want with the text between the
-// <!-- signals:NAME:begin --> and :end markers of docs/OPERATIONS.md.
-func checkDocBlock(t *testing.T, name, want string) {
+// <!-- MARKER:begin --> and <!-- MARKER:end --> lines of
+// docs/OPERATIONS.md; on a mismatch it prints the block to paste there.
+func checkDocBlock(t *testing.T, marker, want string) {
 	t.Helper()
 	raw, err := os.ReadFile("../../docs/OPERATIONS.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	begin, end := "<!-- signals:"+name+":begin -->\n", "<!-- signals:"+name+":end -->"
+	begin, end := "<!-- "+marker+":begin -->\n", "<!-- "+marker+":end -->"
 	_, rest, ok := strings.Cut(string(raw), begin)
 	got, _, ok2 := strings.Cut(rest, end)
 	if !ok || !ok2 {
 		t.Fatalf("docs/OPERATIONS.md has no %s … %s block", strings.TrimSpace(begin), end)
 	}
 	if got != want {
-		t.Errorf("docs/OPERATIONS.md: the signals:%s block is not what the server exposes; it should read:\n%s%s%s", name, begin, want, end)
+		t.Errorf("docs/OPERATIONS.md: the %s block is not what the code declares; it should read:\n%s%s%s", marker, begin, want, end)
 	}
 }

@@ -6,11 +6,11 @@ import (
 	"sort"
 )
 
-// Allowed absolute allocs/op increase over the committed record. The
-// runtime's own background allocations (GC bookkeeping) shift the per-op
-// mean by a few hundredths run to run even on identical code, while any
-// real added allocation on the request path costs at least +1 per op, so
-// both slacks sit well below 1. In-process scheduler scenarios (Clients
+// Allowed absolute allocs/op move, either way, from the committed
+// record. The runtime's own background allocations (GC bookkeeping)
+// shift the per-op mean by a few hundredths run to run even on identical
+// code, while any real allocation added to or removed from the request
+// path moves it by at least 1 per op, so both slacks sit well below 1. In-process scheduler scenarios (Clients
 // > 0, no Backends) get the tighter one: the arena-backed serve path
 // holds steady-state allocations in the tens per request, so its gate
 // must catch even a single stray allocation amortized across a run. The
@@ -34,8 +34,10 @@ const (
 // moved, so a category's line is followed by the lines of the leaf
 // functions that moved it; a base record that predates the field (a
 // schema 2 record has no SimFnCycles) compares nothing there.
-// AllocsPerOp alone gets a slack (see the constants above) and only
-// reports a rise.
+// AllocsPerOp alone gets a slack (see the constants above), in both
+// directions: a rise past it is a regression, a fall past it a gain the
+// record must be re-recorded to keep, so that no later change can give
+// it back unseen.
 func SimDrift(base, fresh Record) []string {
 	var drift []string
 	if base.Seed != fresh.Seed {
@@ -84,9 +86,13 @@ func scenarioDrift(b, f Scenario) []string {
 			if b.Clients > 0 && b.Backends == 0 {
 				slack = serveAllocsSlack
 			}
-			if limit := b.AllocsPerOp + slack; f.AllocsPerOp > limit {
+			switch d := f.AllocsPerOp - b.AllocsPerOp; {
+			case d > slack:
 				drift = append(drift, fmt.Sprintf("%s: AllocsPerOp %.2f -> %.2f (limit %.2f)",
-					b.Name, b.AllocsPerOp, f.AllocsPerOp, limit))
+					b.Name, b.AllocsPerOp, f.AllocsPerOp, b.AllocsPerOp+slack))
+			case d < -slack:
+				drift = append(drift, fmt.Sprintf("%s: AllocsPerOp %.2f -> %.2f (fell past %.2f: re-record with `make bench-record` to keep the gain)",
+					b.Name, b.AllocsPerOp, f.AllocsPerOp, b.AllocsPerOp-slack))
 			}
 		default:
 			bf, ff := bv.Field(i).Interface(), fv.Field(i).Interface()

@@ -31,104 +31,136 @@ import (
 	"strconv"
 )
 
-// SchemaVersion is the record schema this package writes. Schema 2
-// dropped every measured-time field of schema 1 (throughput, wall,
-// latency percentiles, calibration, timestamp) along with the scale and
-// the cluster stall; schema 3 adds sim_fn_cycles and drops the two
-// Fig. 1 profile fields the rows derive. Load reads every schema and
-// SimDrift compares two records on the fields both carry.
+// SchemaVersion is the record schema this package writes; Record.Schema
+// says what each version changed.
 const SchemaVersion = 3
 
 // Record is one benchmark run: the environment it ran in, the knobs
-// that pin the matrix, and one Scenario per matrix entry.
+// that pin the matrix, and one Scenario per matrix entry. Each field's
+// comment is its row of docs/OPERATIONS.md's "Record schema" table.
 type Record struct {
 	// Schema is the record format version (SchemaVersion at write time).
+	// Version 2 is version 1 minus every measured-time field (throughput,
+	// wall, latency percentiles, calibration, timestamp), the scale and
+	// the cluster stall; version 3 adds sim_fn_cycles and drops
+	// profile_hottest_frac and profile_funcs_for_65, which the leaf rows
+	// derive. Load reads all three, and a comparison across schemas sees
+	// the fields both carry; anything else is rejected as not a record.
 	Schema int `json:"schema"`
-	// Seq is the record's position in the committed trajectory — the n
-	// in BENCH_<n>.json.
+	// Seq is the record's position in the committed trajectory: the
+	// sequence number in its file name.
 	Seq int `json:"seq"`
-	// GoVersion, GOOS, GOARCH identify the toolchain and platform, so an
-	// allocs/op move can be told apart from an environment change.
+	// GoVersion, GOOS and GOARCH are the toolchain and platform the record
+	// was produced on. Only allocs_per_op can depend on them; every other
+	// field is comparable everywhere.
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
-	// Seed is the base RNG seed every scenario derives its streams from.
+	// Seed is the base RNG seed every scenario derives its streams from
+	// (1, the seed the experiment figures use).
 	Seed int64 `json:"seed"`
-	// Scenarios holds one entry per matrix scenario, in matrix order.
+	// Scenarios holds one scenario object per matrix scenario, in matrix
+	// order; the fields below are a scenario's.
 	Scenarios []Scenario `json:"scenarios"`
 }
 
 // Scenario is one pinned workload configuration and what it measured.
+// The configuration fields come first: the matrix pins them, and a
+// difference in any of them is reported as drift like any other field.
 type Scenario struct {
 	// Name identifies the scenario within the matrix: "direct",
 	// "accel_off", "scheduler", "cache_zipf", the cluster sweep
-	// "cluster_zipf_<n>" at 1, 2, and 4 backends, or the scripted
-	// engine pair "scripted_zipf_interp"/"scripted_zipf" (tree-walker,
-	// bytecode).
+	// "cluster_zipf_1", "cluster_zipf_2" and "cluster_zipf_4" (backend
+	// counts), or the scripted engine pair "scripted_zipf_interp" and
+	// "scripted_zipf" (tree-walker, bytecode).
 	Name string `json:"name"`
-	// App is the workload application served (wordpress throughout).
+	// App is the workload application served: wordpress, or
+	// phpscript-blog on the scripted pair.
 	App string `json:"app"`
-	// Workers is the pool size.
+	// Workers is the pool size (2; 1 per backend on the cluster sweep).
 	Workers int `json:"workers"`
 	// Warmup and Requests are the discarded and measured request counts.
 	Warmup   int `json:"warmup"`
 	Requests int `json:"requests"`
 	// Clients is the closed-loop client count on scheduler-driven
-	// scenarios (0 for direct pool scenarios).
+	// scenarios (1 per scheduler, for determinism; 0 on the direct pair).
+	// With Backends it selects the allocs_per_op slack.
 	Clients int `json:"clients"`
-	// QueueDepth and TimeoutMS echo the scheduler config (0 when the
-	// scenario bypasses the scheduler).
+	// QueueDepth and TimeoutMS echo the scheduler's admission queue
+	// capacity and request deadline in milliseconds (0 when the scenario
+	// bypasses the scheduler).
 	QueueDepth int     `json:"queue_depth"`
 	TimeoutMS  float64 `json:"timeout_ms"`
 	// Accelerated reports whether the paper's accelerators (and
 	// mitigations) were enabled for this scenario's VM config.
 	Accelerated bool `json:"accelerated"`
-	// CacheCapacity, ZipfPages, ZipfS pin the cached scenario's response
-	// cache size and popularity distribution (0 when uncached).
+	// CacheCapacity, ZipfPages and ZipfS pin the response cache's entry
+	// count and the page-popularity universe size and Zipf exponent
+	// (0 when uncached).
 	CacheCapacity int     `json:"cache_capacity"`
 	ZipfPages     int     `json:"zipf_pages"`
 	ZipfS         float64 `json:"zipf_s"`
-	// Backends is the cluster scenario's backend count (0 for
-	// single-process scenarios); CacheCapacity is then the TOTAL budget
-	// split across backends by key-range ownership.
+	// Backends is the cluster sweep's backend count (0 elsewhere);
+	// CacheCapacity is then the TOTAL budget, split across backends in
+	// proportion to their owned share of the page universe.
 	Backends int `json:"backends"`
 
 	// AllocsPerOp is heap allocations per served request across the
-	// measured phase (runtime.MemStats Mallocs delta / served) — the one
-	// field that is not exactly reproducible (see the package comment).
+	// measured window: a GC-fenced runtime.MemStats Mallocs delta, on the
+	// cluster sweep the whole process's (servers, router and client).
+	// Independent of host speed and reproducible to within a few
+	// hundredths per op (runtime background allocations; a few tenths
+	// over loopback), it is the one field compared with a slack instead
+	// of exactly.
 	AllocsPerOp float64 `json:"allocs_per_op"`
-	// Served counts requests that completed; the four shed counts
-	// partition the rejected remainder by reason.
+	// Served counts requests that completed with a response; the four
+	// shed counts partition the rejected remainder by reason. The matrix
+	// is sized so all four are deterministically zero: a nonzero shed
+	// count in a record is itself a regression signal.
 	Served       int `json:"served"`
 	ShedOverload int `json:"shed_overload"`
 	ShedDeadline int `json:"shed_deadline"`
 	ShedCanceled int `json:"shed_canceled"`
 	ShedDraining int `json:"shed_draining"`
-	// CacheHits, CacheMisses, CacheCoalesced partition served requests
-	// by response-cache outcome; CacheHitRatio is hits over lookups.
+	// CacheHits, CacheMisses and CacheCoalesced partition served
+	// requests by response-cache outcome (cache scenarios only), and
+	// CacheHitRatio is hits over all three. The cache starts cold, so
+	// the measured-window ratio (about 0.5) sits below the steady-state
+	// top-128 Zipf share (about 0.8); what the gate holds is that it
+	// reproduces exactly per seed.
 	CacheHits      int     `json:"cache_hits"`
 	CacheMisses    int     `json:"cache_misses"`
 	CacheCoalesced int     `json:"cache_coalesced"`
 	CacheHitRatio  float64 `json:"cache_hit_ratio"`
-	// SimCyclesPerReq and SimEnergyPJPerReq are the simulated cost
-	// model's per-request averages for the measured phase.
+	// SimCyclesPerReq is total simulated cycles (all workers merged, plus
+	// cache-lookup cycles in the cache scenarios) over served requests:
+	// the trajectory's headline number, platform-independent and exactly
+	// reproducible. SimEnergyPJPerReq is simulated picojoules per
+	// request, merged the same way.
 	SimCyclesPerReq   float64 `json:"sim_cycles_per_req"`
 	SimEnergyPJPerReq float64 `json:"sim_energy_pj_per_req"`
-	// SimCategoryCycles is the simulated cycle total per activity
-	// category (hash, heap, string, regex, ...) over the measured phase,
-	// including the response cache's lookup charges when present.
+	// SimCategoryCycles is the measured window's simulated cycles by
+	// activity category (hash, heap, string, regex, typecheck, refcount,
+	// kernel, other), cache lookup charges included: the per-record view
+	// of the cycle-breakdown figure. Drift is reported per category.
 	SimCategoryCycles map[string]float64 `json:"sim_category_cycles"`
-	// SimFnCycles is every leaf function's cycle total over the measured
-	// phase, keyed "name [category]" (profile.RowKey): the rows the
-	// category totals are sums of, so drift names the function that moved.
+	// SimFnCycles is every leaf function's simulated cycles over the
+	// measured window, exact, keyed "name [category]" (profile.RowKey,
+	// the spelling of Figs. 3 and 4): the rows SimCategoryCycles sums
+	// and the paper's Fig. 1 profile is built from. Drift is reported
+	// per function, after its category's line.
 	SimFnCycles map[string]float64 `json:"sim_fn_cycles,omitempty"`
 
-	// Tier names the script execution engine on scripted scenarios
-	// ("interp", "bytecode"; empty elsewhere). TierICHits is the fleet
-	// total of inline-cache hits merged across pool workers, deterministic
-	// for a given seed (single closed-loop client, FIFO worker rotation).
-	Tier       string `json:"tier,omitempty"`
-	TierICHits int64  `json:"tier_ic_hits,omitempty"`
+	// Tier is the script execution engine on the scripted pair (interp
+	// or bytecode; absent elsewhere).
+	Tier string `json:"tier,omitempty"`
+	// TierICHits is scripted_zipf's inline-cache hits at dynamic-key
+	// hash-access sites (absent on the interp engine, which has no inline
+	// caches): the fleet total over the whole run, warmup included, since
+	// engine state survives the warmup meter reset like a long-lived FPM
+	// process. Deterministic: one closed-loop client, FIFO worker
+	// rotation.
+	TierICHits int64 `json:"tier_ic_hits,omitempty"`
 }
 
 // MarshalIndent renders the record as stable, human-reviewable JSON

@@ -174,21 +174,17 @@ type TreeBuilder struct {
 	t0      time.Time
 	stack   []treeFrame
 	spans   int
-	max     int
 	dropped int
 	skip    int
 }
 
 // NewTreeBuilderAt opens a builder whose root "request" span starts at
-// t0, charging against mt. maxSpans bounds the tree (<=0 selects
-// DefaultMaxTreeSpans). The caller passes the start instant so one
-// clock reading serves both the tree and its own wall measurement: the
-// root's Dur and the request's Wall agree exactly.
-func NewTreeBuilderAt(mt *sim.Meter, maxSpans int, t0 time.Time) *TreeBuilder {
-	if maxSpans <= 0 {
-		maxSpans = DefaultMaxTreeSpans
-	}
-	b := &TreeBuilder{meter: mt, t0: t0, max: maxSpans}
+// t0, charging against mt; the tree holds at most DefaultMaxTreeSpans.
+// The caller passes the start instant so one clock reading serves both
+// the tree and its own wall measurement: the root's Dur and the
+// request's Wall agree exactly.
+func NewTreeBuilderAt(mt *sim.Meter, t0 time.Time) *TreeBuilder {
+	b := &TreeBuilder{meter: mt, t0: t0}
 	b.stack = append(b.stack, treeFrame{
 		span:     &TreeSpan{Name: "request"},
 		beginVec: mt.CategoryCyclesVec(),
@@ -205,7 +201,7 @@ func (b *TreeBuilder) Begin(name string) {
 	if b == nil {
 		return
 	}
-	if b.skip > 0 || b.spans >= b.max {
+	if b.skip > 0 || b.spans >= DefaultMaxTreeSpans {
 		b.skip++
 		b.dropped++
 		return

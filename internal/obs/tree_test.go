@@ -35,7 +35,7 @@ func (s *TreeSpan) selfCategories() sim.CategoryVec {
 
 func TestTreeBuilderAttribution(t *testing.T) {
 	mt, charge := chargedMeter()
-	b := NewTreeBuilderAt(mt, 0, time.Now())
+	b := NewTreeBuilderAt(mt, time.Now())
 
 	charge(sim.CatOther, 100) // root-exclusive work
 	b.Begin("render")
@@ -118,7 +118,7 @@ func TestTreeBuilderUnbalanced(t *testing.T) {
 	mt, charge := chargedMeter()
 
 	// Extra Ends are ignored; open spans are closed by Finish.
-	b := NewTreeBuilderAt(mt, 0, time.Now())
+	b := NewTreeBuilderAt(mt, time.Now())
 	b.End()
 	b.End()
 	b.Begin("a")
@@ -140,8 +140,14 @@ func TestTreeBuilderUnbalanced(t *testing.T) {
 
 func TestTreeBuilderSpanCap(t *testing.T) {
 	mt, charge := chargedMeter()
-	b := NewTreeBuilderAt(mt, 4, time.Now())
-	// Two siblings fit (root + 2 + 1 = cap of 4)…
+	b := NewTreeBuilderAt(mt, time.Now())
+	// Fill the tree to four spans short of the cap; then two siblings fit
+	// (fill + root + 2 + 1 = the cap)…
+	fill := DefaultMaxTreeSpans - 4
+	for i := 0; i < fill; i++ {
+		b.Begin("fill")
+		b.End()
+	}
 	b.Begin("kept1")
 	b.End()
 	b.Begin("kept2")
@@ -161,12 +167,12 @@ func TestTreeBuilderSpanCap(t *testing.T) {
 	if tree.Dropped != 3 {
 		t.Errorf("dropped = %d, want 3", tree.Dropped)
 	}
-	if got := tree.Root.NumSpans(); got != 4 {
-		t.Errorf("retained spans = %d, want 4", got)
+	if got := tree.Root.NumSpans(); got != DefaultMaxTreeSpans {
+		t.Errorf("retained spans = %d, want %d", got, DefaultMaxTreeSpans)
 	}
 	// The dropped spans' work still lands in the innermost kept span, so
 	// no cycles vanish from the tree.
-	kept2 := tree.Root.Children[1]
+	kept2 := tree.Root.Children[fill+1]
 	if kept2.Name != "kept2" || len(kept2.Children) != 1 {
 		t.Fatalf("kept2 = %+v", kept2)
 	}
@@ -184,7 +190,7 @@ func TestTreeRingBounded(t *testing.T) {
 	r := NewTreeRing(3)
 	for i := 0; i < 5; i++ {
 		mt, _ := chargedMeter()
-		b := NewTreeBuilderAt(mt, 0, time.Now())
+		b := NewTreeBuilderAt(mt, time.Now())
 		tree := b.Finish(i)
 		tree.Request = uint64(i)
 		r.Add(tree)
@@ -216,7 +222,7 @@ func TestTreeRingBounded(t *testing.T) {
 // for the exporter tests.
 func buildSampleTree(req uint64, worker int) *Tree {
 	mt, charge := chargedMeter()
-	b := NewTreeBuilderAt(mt, 0, time.Now())
+	b := NewTreeBuilderAt(mt, time.Now())
 	charge(sim.CatOther, 50)
 	b.Begin("render")
 	b.Begin("php:the content") // space + nothing exotic
@@ -340,7 +346,7 @@ func TestCollectorTreeRing(t *testing.T) {
 // render work must both survive.
 func TestAddQueueSpan(t *testing.T) {
 	mt, charge := chargedMeter()
-	b := NewTreeBuilderAt(mt, 0, time.Now())
+	b := NewTreeBuilderAt(mt, time.Now())
 	charge(sim.CatOther, 100)
 	b.Begin("render")
 	charge(sim.CatHash, 200)
@@ -386,7 +392,7 @@ func TestAddQueueSpan(t *testing.T) {
 func TestNewTreeBuilderAtSharesClock(t *testing.T) {
 	mt, charge := chargedMeter()
 	start := time.Now()
-	b := NewTreeBuilderAt(mt, 0, start)
+	b := NewTreeBuilderAt(mt, start)
 	charge(sim.CatOther, 100)
 	tree := b.Finish(0)
 	wall := time.Since(start)

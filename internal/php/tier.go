@@ -69,7 +69,7 @@ type TierSnapshot struct {
 	Mode             string `json:"tier" prom:"tier,label" help:"The engine: bytecode or interp."`
 	Requests         int64  `json:"requests" prom:"tier_requests_total,counter,base" help:"Requests run by the script engine across all workers."`
 	ICSites          int    `json:"ic_sites" prom:"tier_ic_sites,gauge,base" help:"Polymorphic inline-cache sites materialized in compiled code."`
-	ICHits           int64  `json:"ic_hits" prom:"tier_ic_hits_total,counter,base" help:"Inline-cache hits at static hash-access sites."`
+	ICHits           int64  `json:"ic_hits" prom:"tier_ic_hits_total,counter,base" help:"Inline-cache hits at dynamic-key hash-access sites."`
 	ICMisses         int64  `json:"ic_misses" prom:"tier_ic_misses_total,counter,base" help:"Inline-cache misses (lookup fell back to the full path)."`
 	MegamorphicSites int64  `json:"megamorphic_sites" prom:"tier_megamorphic_sites,gauge,base" help:"Inline-cache sites gone megamorphic (cap exceeded, caching off)."`
 	TypeStableHits   int64  `json:"type_stable_hits" prom:"tier_type_stable_hits_total,counter,base" help:"Type-check sites whose observed type matched the cached one."`

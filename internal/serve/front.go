@@ -169,10 +169,12 @@ func (r *Router) handleEventz(w http.ResponseWriter, req *http.Request) {
 }
 
 // ListenAndServe is the phprouter process: it serves until the first
-// SIGTERM or SIGINT, then drains.
+// SIGTERM or SIGINT, then drains, and prints each ring eviction and
+// readmission on stdout.
 func (r *Router) ListenAndServe(addr string) error {
 	sig, stop := signalContext()
 	defer stop()
+	r.log = os.Stdout
 	return r.listenAndServe(sig, addr)
 }
 
@@ -183,17 +185,10 @@ func (r *Router) ListenAndServe(addr string) error {
 // and drains: typed 503s for new requests while in-flight proxies
 // finish, within DrainGrace.
 func (r *Router) listenAndServe(sig context.Context, addr string) error {
-	report := func(tr HealthTransition) {
-		if tr.Up {
-			fmt.Printf("phprouter: backend %s healthy, readmitted to ring\n", tr.ID)
-		} else {
-			fmt.Printf("phprouter: backend %s unhealthy, evicted from ring (%v)\n", tr.ID, tr.Err)
-		}
-	}
 	for _, tr := range r.CheckBackends(sig) {
-		report(tr)
+		r.report(tr)
 	}
-	go r.HealthLoop(sig, r.cfg.HealthInterval, report)
+	go r.HealthLoop(sig, r.cfg.HealthInterval, r.report)
 
 	procs := SetProcs(1)
 	rs := r.Stats()

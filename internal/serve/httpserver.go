@@ -26,12 +26,11 @@ import (
 // with one Write, where net/http's server writes a page through a 4 KB
 // buffer in two and keeps a read pending behind every request.
 // Framing and connection rules are net/http's, with two differences: a
-// response whose handler never flushes is always length-framed (net/http
-// chunks one past 2 KB), and a handler panic is answered 500 when
-// nothing was written yet (net/http answers nothing). A handler that
-// flushes streams, chunked. The client's connection is watched for a
-// disconnect only once a request waits on its context's Done, so a
-// request that does not wait issues no read beyond its own.
+// response is always length-framed (net/http chunks one past 2 KB), and
+// a handler panic is answered 500 (net/http answers nothing). The
+// ResponseWriter is no http.Flusher. The client's connection is watched
+// for a disconnect only once a request waits on its context's Done, so
+// a request that does not wait issues no read beyond its own.
 type HTTPServer struct {
 	h http.Handler
 	// wrap, when non-nil, wraps each accepted connection (tests count
@@ -292,9 +291,7 @@ func (c *conn) handle(req *http.Request) bool {
 	ctx.cancel() // first: the context is done, so nothing starts a watch now
 	c.r.abort()
 	if panicked {
-		if !w.streaming {
-			c.reject("500 Internal Server Error")
-		}
+		c.reject("500 Internal Server Error")
 		return false
 	}
 	w.finish()
@@ -568,8 +565,8 @@ func (b *bodyReader) Close() error {
 }
 
 // response is the connection's ResponseWriter, reset per request. The
-// body stays in buf until the handler returns (or flushes); header
-// freezes the handler's header map at WriteHeader, as net/http does.
+// body stays in buf until the handler returns; header freezes the
+// handler's header map at WriteHeader, as net/http does.
 type response struct {
 	c    *conn
 	req  *http.Request
@@ -578,8 +575,6 @@ type response struct {
 	handler, sent http.Header
 	status        int
 	wroteHeader   bool
-	streaming     bool // a Flush sent the header
-	chunking      bool
 	closeAfter    bool
 	expect        bool // the body answers Expect: 100-continue
 	canContinue   atomic.Bool
@@ -608,7 +603,7 @@ func (w *response) reset(req *http.Request) {
 		w.out = nil
 	}
 	w.req, w.body, w.status, w.buf = req, nil, 0, w.buf[:0]
-	w.wroteHeader, w.streaming, w.chunking, w.closeAfter, w.expect = false, false, false, false, false
+	w.wroteHeader, w.closeAfter, w.expect = false, false, false
 	w.canContinue.Store(false)
 	w.contentLength, w.written = -1, 0
 	conn := req.Header.Get("Connection")
@@ -693,33 +688,14 @@ func (w *response) ReadFrom(src io.Reader) (int64, error) {
 	}
 }
 
-// Flush sends the header, chunked unless the handler declared a length,
-// and then what is buffered; the response streams from here on.
-func (w *response) Flush() {
-	if !w.wroteHeader {
-		w.WriteHeader(http.StatusOK)
-	}
-	out := w.out[:0]
-	if !w.streaming {
-		out = w.appendHeader(out, false)
-		w.streaming = true
-	}
-	w.out = w.appendBody(out)
-	w.c.write(w.out)
-}
-
 // finish puts the rest of the response on the wire in one write.
 func (w *response) finish() {
 	if !w.wroteHeader {
 		w.WriteHeader(http.StatusOK)
 	}
-	out := w.out[:0]
-	if !w.streaming {
-		out = w.appendHeader(out, true)
-	}
-	out = w.appendBody(out)
-	if w.streaming && w.chunking {
-		out = append(out, "0\r\n\r\n"...)
+	out := w.appendHeader(w.out[:0])
+	if len(w.buf) > 0 && !w.isHEAD && bodyAllowedForStatus(w.status) {
+		out = append(out, w.buf...)
 	}
 	w.out = out
 	w.c.write(out)
@@ -728,38 +704,22 @@ func (w *response) finish() {
 	}
 }
 
-// appendBody appends the buffered body, as one chunk when chunking,
-// and empties the buffer.
-func (w *response) appendBody(out []byte) []byte {
-	if len(w.buf) > 0 && !w.isHEAD && bodyAllowedForStatus(w.status) {
-		if w.chunking {
-			out = append(strconv.AppendInt(out, int64(len(w.buf)), 16), "\r\n"...)
-			out = append(append(out, w.buf...), "\r\n"...)
-		} else {
-			out = append(out, w.buf...)
-		}
-	}
-	w.buf = w.buf[:0]
-	return out
-}
-
 // appendHeader appends the status line and header block with net/http's
-// chunkWriter.writeHeader decisions, done meaning the handler has
-// returned and buf is the whole body; only the framing is the loop's
-// own (a handler's Transfer-Encoding is dropped). It also reads past a
-// request body the handler left unread, before anything is written.
-func (w *response) appendHeader(out []byte, done bool) []byte {
+// chunkWriter.writeHeader decisions for a handler that has returned,
+// buf being the whole body; only the framing is the loop's own (a
+// handler's Transfer-Encoding is dropped). It also reads past a request
+// body the handler left unread, before anything is written.
+func (w *response) appendHeader(out []byte) []byte {
 	h, code := w.sent, w.status
 	keepAlives := !w.c.srv.closing.Load()
 	h.Del("Transfer-Encoding") // the loop frames the body itself
 	setLength := int64(-1)
-	var setType, setConn, setTE string
-	if done && bodyAllowedForStatus(code) && h.Get("Content-Length") == "" && (!w.isHEAD || len(w.buf) > 0) {
+	var setType, setConn string
+	if bodyAllowedForStatus(code) && h.Get("Content-Length") == "" && (!w.isHEAD || len(w.buf) > 0) {
 		w.contentLength = int64(len(w.buf))
 		setLength = w.contentLength
 	}
-	hasCL := w.contentLength != -1
-	if _, ok := h["Connection"]; w.wants10KeepAlive && (w.isHEAD || hasCL || !bodyAllowedForStatus(code)) {
+	if _, ok := h["Connection"]; w.wants10KeepAlive { // the body is length-framed, so HTTP/1.0 can keep the connection
 		if !ok {
 			setConn = "keep-alive"
 		}
@@ -792,16 +752,6 @@ func (w *response) appendHeader(out []byte, done bool) []byte {
 		}
 		h.Del("Content-Length")
 	}
-	switch {
-	case w.isHEAD || !bodyAllowedForStatus(code) || hasCL:
-	case w.is11:
-		w.chunking, setTE = true, "chunked"
-	default:
-		w.closeAfter = true // HTTP/1.0 streaming without a length: the close ends the body
-	}
-	if w.chunking {
-		h.Del("Content-Length")
-	}
 	if w.closeAfter && (!keepAlives || !hasToken(h.Get("Connection"), "close")) {
 		h.Del("Connection")
 		if w.is11 {
@@ -817,7 +767,7 @@ func (w *response) appendHeader(out []byte, done bool) []byte {
 	if setLength >= 0 {
 		out = append(strconv.AppendInt(append(out, "Content-Length: "...), setLength, 10), "\r\n"...)
 	}
-	for _, kv := range [...][2]string{{"Content-Type", setType}, {"Connection", setConn}, {"Transfer-Encoding", setTE}} {
+	for _, kv := range [...][2]string{{"Content-Type", setType}, {"Connection", setConn}} {
 		if kv[1] != "" {
 			out = append(append(append(append(out, kv[0]...), ": "...), kv[1]...), "\r\n"...)
 		}

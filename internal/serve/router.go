@@ -41,10 +41,11 @@ type RouterConfig struct {
 	// HealthTimeout bounds one /healthz probe (<= 0 selects 1s).
 	HealthTimeout time.Duration
 
-	// SampleRate is the fraction of proxied requests that record a
-	// router-side span tree in TreeRing — and, when the backend sampled
-	// the same request, stitch the backend's tree under the proxy span.
-	// 0 disables tree recording; request-ID propagation stays on.
+	// SampleRate is the fraction of proxied requests sampled. A sampled
+	// request writes an AccessLog line and records a router-side span
+	// tree in TreeRing — stitching the backend's tree under the proxy
+	// span when the backend sampled the same request. 0 samples none;
+	// request-ID propagation stays on.
 	SampleRate float64
 	// TreeRing retains sampled router trees for GET /tracez (nil
 	// disables tree recording regardless of SampleRate).
@@ -113,6 +114,10 @@ type Router struct {
 	stitchErrors  int64 // stitch fetches that failed or found no tree
 
 	start time.Time
+	// log, when non-nil, gets one line per ring eviction or readmission,
+	// from a health probe or a proxied request alike. The phprouter
+	// process sets it to stdout; an in-process router stays quiet.
+	log io.Writer
 }
 
 // NewRouter builds a router with no backends; register them with
@@ -316,7 +321,9 @@ func (r *Router) attempt(w http.ResponseWriter, req *http.Request, id string, bo
 			// Connection refused/reset: the process is restarting or
 			// gone. Evict it from the ring (the health loop re-admits it)
 			// and walk to the next owner.
-			r.SetBackendUp(id, false)
+			if r.SetBackendUp(id, false) {
+				r.report(HealthTransition{ID: id, Err: err})
+			}
 			r.bumpRetries()
 			return 0, nil, errRerouted
 		}
@@ -472,6 +479,17 @@ func (r *Router) fetchBody(ctx context.Context, url string) (io.ReadCloser, erro
 		return nil, fmt.Errorf("serve: GET %s: %s", url, resp.Status)
 	}
 	return resp.Body, nil
+}
+
+// report logs one ring transition to r.log.
+func (r *Router) report(tr HealthTransition) {
+	switch {
+	case r.log == nil:
+	case tr.Up:
+		fmt.Fprintf(r.log, "phprouter: backend %s healthy, readmitted to ring\n", tr.ID)
+	default:
+		fmt.Fprintf(r.log, "phprouter: backend %s unhealthy, evicted from ring (%v)\n", tr.ID, tr.Err)
+	}
 }
 
 // HealthLoop runs CheckBackends every interval until ctx is done,

@@ -137,3 +137,80 @@ func TestRouterListenAndServe(t *testing.T) {
 		t.Error("router not draining after the signal")
 	}
 }
+
+// TestRouterLogsEvictions: the phprouter process prints the eviction a
+// refused proxied request causes, so its log shows each backend's
+// eviction before the health loop's readmission of it.
+func TestRouterLogsEvictions(t *testing.T) {
+	t.Setenv("GOMAXPROCS", strconv.Itoa(runtime.GOMAXPROCS(0))) // SetProcs(1) leaves the test binary's Ps alone
+	healthy := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, "ok") })
+	live := httptest.NewServer(healthy)
+	defer live.Close()
+	gone := httptest.NewServer(healthy)
+	goneAddr := strings.TrimPrefix(gone.URL, "http://")
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := lis.Addr().String()
+	lis.Close()
+
+	// The first health tick comes one interval after the start-up probe:
+	// long enough that the proxied request, not a probe, finds backend 1
+	// gone.
+	r := NewRouter(RouterConfig{HealthInterval: 500 * time.Millisecond, DrainGrace: 5 * time.Second})
+	r.AddBackend("0", strings.TrimPrefix(live.URL, "http://"))
+	r.AddBackend("1", goneAddr)
+	out := &lockedBuffer{}
+	r.log = out
+	sig, stop := context.WithCancel(context.Background())
+	defer stop()
+	done := make(chan error, 1)
+	go func() { done <- r.listenAndServe(sig, addr) }()
+	waitFor(t, 5*time.Second, func() bool {
+		resp, err := http.Get("http://" + addr + "/healthz")
+		if err == nil {
+			resp.Body.Close()
+		}
+		return err == nil
+	})
+
+	gone.Close()
+	page := 0
+	for owner(r, PageKey(page)) != "1" {
+		page++
+	}
+	resp, err := http.Get("http://" + addr + "/?page=" + strconv.Itoa(page))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Routed-Backend") != "0" {
+		t.Fatalf("page %d: status %d from backend %q, want 200 rerouted to 0", page, resp.StatusCode, resp.Header.Get("X-Routed-Backend"))
+	}
+
+	back, err := net.Listen("tcp", goneAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := &http.Server{Handler: healthy}
+	go hs.Serve(back)
+	defer hs.Close()
+	waitFor(t, 5*time.Second, func() bool { return backendUp(r, "1") })
+	stop()
+	<-done
+
+	evicted, readmitted := "phprouter: backend 1 unhealthy, evicted from ring (", "phprouter: backend 1 healthy, readmitted to ring\n"
+	log := out.String()
+	if i, j := strings.Index(log, evicted), strings.Index(log, readmitted); i < 0 || j < i {
+		t.Errorf("router log:\n%s\nwant the eviction line, then the readmission line", log)
+	}
+}
+
+// owner is the backend r's ring routes key to.
+func owner(r *Router, key string) string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	id, _ := r.ring.Owner(key)
+	return id
+}

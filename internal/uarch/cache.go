@@ -1,7 +1,7 @@
 package uarch
 
-// Cache is one set-associative cache level with LRU replacement and an
-// optional next-line prefetcher, matching the paper's "aggressive memory
+// Cache is one set-associative cache level with LRU replacement and a
+// next-line prefetcher, matching the paper's "aggressive memory
 // system with prefetchers at every cache level".
 type Cache struct {
 	lineBits uint
@@ -10,7 +10,6 @@ type Cache struct {
 	tags     [][]uint64
 	lru      [][]uint64
 	clock    uint64
-	prefetch bool
 	next     *Cache // next level (nil = memory)
 
 	Accesses   int64
@@ -20,7 +19,7 @@ type Cache struct {
 
 // NewCache builds a cache of size bytes with the given line size and
 // associativity, forwarding misses to next (nil for memory).
-func NewCache(size, lineSize, ways int, prefetch bool, next *Cache) *Cache {
+func NewCache(size, lineSize, ways int, next *Cache) *Cache {
 	lineBits := uint(0)
 	for 1<<lineBits < lineSize {
 		lineBits++
@@ -29,7 +28,7 @@ func NewCache(size, lineSize, ways int, prefetch bool, next *Cache) *Cache {
 	if sets <= 0 {
 		sets = 1
 	}
-	c := &Cache{lineBits: lineBits, sets: sets, ways: ways, prefetch: prefetch, next: next}
+	c := &Cache{lineBits: lineBits, sets: sets, ways: ways, next: next}
 	c.tags = make([][]uint64, sets)
 	c.lru = make([][]uint64, sets)
 	for i := range c.tags {
@@ -49,13 +48,11 @@ func (c *Cache) Access(addr uint64) bool {
 		if c.next != nil {
 			c.next.Access(addr)
 		}
-		if c.prefetch {
-			c.Prefetches++
-			c.touch(line+1, false)
-			if c.next != nil && !c.present(line+1) {
-				// Prefetch fill from below without polluting miss stats.
-				c.next.touch((line+1)<<c.lineBits>>c.next.lineBits, false)
-			}
+		c.Prefetches++
+		c.touch(line+1, false)
+		if c.next != nil && !c.present(line+1) {
+			// Prefetch fill from below without polluting miss stats.
+			c.next.touch((line+1)<<c.lineBits>>c.next.lineBits, false)
 		}
 	}
 	return hit
@@ -133,10 +130,10 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	if cfg.LineSize == 0 {
 		cfg = DefaultHierarchyConfig()
 	}
-	l2 := NewCache(cfg.L2Size, cfg.LineSize, cfg.L2Ways, true, nil)
+	l2 := NewCache(cfg.L2Size, cfg.LineSize, cfg.L2Ways, nil)
 	return &Hierarchy{
-		L1I: NewCache(cfg.L1ISize, cfg.LineSize, cfg.L1Ways, true, l2),
-		L1D: NewCache(cfg.L1DSize, cfg.LineSize, cfg.L1Ways, true, l2),
+		L1I: NewCache(cfg.L1ISize, cfg.LineSize, cfg.L1Ways, l2),
+		L1D: NewCache(cfg.L1DSize, cfg.LineSize, cfg.L1Ways, l2),
 		L2:  l2,
 	}
 }

@@ -115,7 +115,7 @@ func (w *Worker) serve(page int, profile bool) ([]byte, obs.Span) {
 		// its category delta is exactly what the before/after snapshot
 		// used to compute, so the tree costs no extra vector reads at
 		// the request level.
-		tb = obs.NewTreeBuilderAt(w.rt.Meter(), 0, start)
+		tb = obs.NewTreeBuilderAt(w.rt.Meter(), start)
 		w.rt.SetSpans(tb)
 		w.rt.BeginSpan("render")
 	}
